@@ -66,6 +66,8 @@ _MIN_POSITIVITY_FLOOR = 1e-6  # of the initial sup norm
 
 
 def _fmt(x) -> str:
+    if isinstance(x, float):  # also np.float64; same text as repr(float(x))
+        return float.__repr__(x)
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -96,8 +98,7 @@ class OutputDir:
     def write_csv(self, name: str, header: list[str], rows) -> None:
         with open(self.path / name, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
         self.manifest.append(name)
 
     def write_summary(self, command: str, results: dict, parser, seed: int) -> str:

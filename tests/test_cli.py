@@ -115,6 +115,25 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 70
 
+    def test_non_finite_state_exit_70(self, tmp_path, monkeypatch):
+        import extinctlab.solver as solver
+        sample = solver.sample_potential
+
+        def poisoned(potential, grid):
+            a = sample(potential, grid)
+            a[grid.n // 2] = np.nan
+            return a
+
+        monkeypatch.setattr(solver, "sample_potential", poisoned)
+        cfg = write_config(tmp_path, ODE_REGIME)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 70
+        lines = (out / "diagnostic_state.csv").read_text().splitlines()
+        assert lines[0] == "i,u" and len(lines) == 201
+        assert lines[101] == "100,nan"
+        summary = json.loads((out / "summary_simulate.json").read_text())
+        assert summary["results"]["t"] == 1e-3
+
 
 class TestBound:
     def test_convergent_profile_exit_0(self, tmp_path):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+import extinctlab.solver as solver
 from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField
 from extinctlab.solver import (
+    NumericsError,
     ProblemSpec,
     RadialGrid,
     Stepper,
@@ -96,6 +99,82 @@ class TestStep:
         assert np.all(rates > 1.6)
 
 
+def banded_reference(st, u, dt):
+    """Diffusion step through solve_banded on the column-shifted band form."""
+    v, c = st.grid.volumes, st.conduct
+    ab = np.zeros((3, st.grid.n))
+    ab[1] = 1.0
+    ab[1, :-1] += dt * c / v[:-1]
+    ab[1, 1:] += dt * c / v[1:]
+    ab[0, 1:] = -dt * c / v[:-1]
+    ab[2, :-1] = -dt * c / v[1:]
+    return solve_banded((1, 1), ab, u)
+
+
+class TestFactoredSolve:
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_bitwise_equal_to_solve_banded(self, N):
+        g = RadialGrid.uniform(500, dimension=N)
+        st = Stepper(g, None, 0.5)
+        rng = np.random.RandomState(N)
+        for dt in (1e-3, 1e-3, 0.5):
+            u = rng.uniform(0.0, 2.0, g.n)
+            assert np.array_equal(st.diffuse(u, dt), banded_reference(st, u, dt))
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_bitwise_equal_after_dt_switch(self, N):
+        g = RadialGrid.uniform(300, dimension=N)
+        st = Stepper(g, ConstantPotential(1.0), 0.5)
+        rng = np.random.RandomState(10 + N)
+        for dt in (1e-3, 4e-3, 1e-3):
+            u = rng.uniform(0.0, 2.0, g.n)
+            assert np.array_equal(st.diffuse(u, dt), banded_reference(st, u, dt))
+
+    def test_bitwise_equal_along_a_run(self):
+        g = RadialGrid.uniform(200, dimension=3)
+        pot = PotentialField(1.0, OmegaProfile.log_power(2.0))
+        st = Stepper(g, pot, 0.5)
+        u = np.random.RandomState(4).uniform(0.0, 1.0, g.n)
+        for _ in range(300):
+            u_star = st.diffuse(u, 2e-3)
+            assert np.array_equal(u_star, banded_reference(st, u, 2e-3))
+            u = st.absorb(u_star, 2e-3)
+
+    def test_factored_once_per_dt(self, monkeypatch):
+        calls = []
+        factor = solver.dgttrf
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "dgttrf", counting)
+        g = RadialGrid.uniform(64)
+        st = Stepper(g, ConstantPotential(1.0), 0.5)
+        u = np.ones(g.n)
+        for _ in range(10):
+            u = st.step(u, 1e-3)
+        assert len(calls) == 1
+        for dt in (2e-3, 2e-3, 1e-3):
+            u = st.step(u, dt)
+        assert len(calls) == 3
+
+    def test_too_few_cells_rejected(self):
+        with pytest.raises(ValueError):
+            ProblemSpec(q=0.5, cells=2)
+        traj = run(ProblemSpec(q=0.5, potential=None, cells=3, horizon=0.01))
+        assert np.allclose(traj.linf, 1.0, atol=1e-14)
+
+
+class NanPotential:
+    """Absorption with one poisoned cell, standing in for a bad table."""
+
+    def a(self, r):
+        out = np.ones_like(r)
+        out[r.size // 2] = np.nan
+        return out
+
+
 class TestRun:
     def test_ode_regime_extinction_time(self):
         spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0), u0=1.0,
@@ -152,6 +231,14 @@ class TestRun:
             errs.append(abs(traj.linf[k] - exact_ode(traj.times[k])))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(rates > 0.8)  # first order in dt
+
+    def test_non_finite_state_raises_at_first_bad_step(self):
+        spec = ProblemSpec(q=0.5, potential=NanPotential(), cells=50,
+                           dt=1e-3, horizon=1.0)
+        with pytest.raises(NumericsError) as err:
+            run(spec)
+        assert err.value.t == spec.dt
+        assert np.count_nonzero(np.isnan(err.value.state)) == 1
 
     def test_spatial_convergence_order(self):
         # Neumann eigenmode cos(pi r) decays like exp(-pi^2 t) in 1-d
