@@ -108,7 +108,11 @@ def problem_from_config(parser, base_dir=".") -> ProblemSpec:
     if pot_kind == "profile":
         potential = potential_from_config(parser, base_dir)
     elif pot_kind == "constant":
-        potential = ConstantPotential(_get(sec, "epsilon", float))
+        epsilon = _get(sec, "epsilon", float)
+        try:
+            potential = ConstantPotential(epsilon)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     elif pot_kind == "zero":
         potential = None
     else:

@@ -45,6 +45,10 @@ class CurveRangeError(RuntimeError):
     """A root search left the domain of the potential."""
 
 
+class BelowFloorError(CurveRangeError):
+    """A root lies below the smallest radius the search covers."""
+
+
 @dataclass(frozen=True)
 class OdiConfig:
     potential: PotentialField
@@ -93,7 +97,7 @@ def _bisect_log_tau(g, target: float, hi: float, lo_log: float = _LOG_TAU_FLOOR,
     lo, hi_log = lo_log, math.log(hi)
     g_lo, g_hi = g(math.exp(lo)), g(math.exp(hi_log))
     if g_lo > target:
-        raise CurveRangeError("root lies below the tau search range")
+        raise BelowFloorError("root lies below the tau search range")
     if g_hi < target:
         raise CurveRangeError("root lies beyond the domain radius")
     for _ in range(iters):
@@ -127,19 +131,23 @@ def solve_tau_prime(config: OdiConfig) -> float:
 
 
 def _cumulative_log_integral(logf, knots: np.ndarray) -> np.ndarray:
-    """Cumulative integral of exp(logf) along knots, log-space per segment."""
+    """Cumulative integral of exp(logf) along knots, log-space per segment.
+
+    ``logf`` is called once, on the (knots.size - 1, 32) array of the
+    Gauss-Legendre nodes of every segment; each segment is then scaled by
+    its own maximum and summed with its own ``np.dot``, and the running
+    total adds the segments in order, so the result does not depend on
+    how many segments share the call.
+    """
     from .analysis import _GL_NODES, _GL_WEIGHTS
+    mid, half = 0.5 * (knots[:-1] + knots[1:]), 0.5 * (knots[1:] - knots[:-1])
+    g = logf(mid[:, None] + half[:, None] * _GL_NODES)
+    m = g.max(axis=1)
+    seg = np.zeros(m.size)
+    for i in np.flatnonzero(np.isfinite(m)):
+        seg[i] = math.exp(m[i]) * half[i] * float(np.dot(_GL_WEIGHTS, np.exp(g[i] - m[i])))
     out = np.zeros(knots.size)
-    total = 0.0
-    for i in range(knots.size - 1):
-        a, b = knots[i], knots[i + 1]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        g = logf(mid + half * _GL_NODES)
-        m = float(np.max(g))
-        seg = 0.0 if not np.isfinite(m) else \
-            math.exp(m) * half * float(np.dot(_GL_WEIGHTS, np.exp(g - m)))
-        total += seg
-        out[i + 1] = total
+    out[1:] = np.cumsum(seg)
     return out
 
 
@@ -278,7 +286,8 @@ def solve_extinction_radius(config: OdiConfig, level: float | None = None,
 
     Returns (tau, clipped): clipped means the required radius exceeded the
     domain and was cut to tau_max (the machinery assumes it stays inside).
-    Levels may be passed in log space to survive deep rounds.
+    Levels may be passed in log space to survive deep rounds.  A radius
+    below the search floor exp(_LOG_TAU_FLOOR) raises BelowFloorError.
     """
     if log_level is None:
         log_level = math.log(level)
@@ -291,6 +300,8 @@ def solve_extinction_radius(config: OdiConfig, level: float | None = None,
 
     try:
         return _bisect_log_tau(g, target, config.tau_max), False
+    except BelowFloorError:
+        raise
     except CurveRangeError:
         warnings.warn("extinction radius exceeds the domain; clipped")
         return config.tau_max, True
@@ -300,7 +311,7 @@ def solve_extinction_radius(config: OdiConfig, level: float | None = None,
 class TauTriplePrime:
     tau: float                   # enforced final radius (curve hits zero here)
     direct_root: float           # root of a^(1-theta2) s'^2 = c4 y0^(...)
-    ad_hoc_root: float           # root of the closed logarithmic relation
+    ad_hoc_root: float           # root of the closed logarithmic relation, 0 below the floor
     y1_zero: float               # where the final curve piece reaches zero
     bumped: bool                 # true when forced above 2 tau''
 
@@ -328,7 +339,10 @@ def curve_y1_and_tau_triple_prime(config: OdiConfig, tau_pp: float,
         direct = _bisect_log_tau(h, target, config.tau_max * 4.0)
     except CurveRangeError:
         direct = math.inf
-    ad5, _ = solve_extinction_radius(config, config.y0)
+    try:
+        ad5, _ = solve_extinction_radius(config, config.y0)
+    except BelowFloorError:
+        ad5 = 0.0
     y1_zero = piece1.zero_radius()
 
     candidates = [c for c in (direct, y1_zero) if math.isfinite(c)]
@@ -465,7 +479,11 @@ def extinction_iteration(config: OdiConfig, max_rounds: int = 200,
     time is t_i = (gamma c7 / cbar) omega(tau_i) and the restart offset is
     s(tau_i).  A divergent endpoint integral for omega makes the t-sums
     non-summable; the report then carries an infinite total instead of
-    raising.
+    raising.  The rounds end early when the offsets become negligible, when
+    the waiting times stall, or when a radius falls below the search floor
+    exp(_LOG_TAU_FLOOR); the tail majorant then covers the deeper rounds.
+    A report with no round at all (the first radius is below the floor) is
+    inconclusive.
     """
     if config.y0 >= 1.0:
         raise ValueError("the iteration needs y0 < 1 (shrink u0 or rescale)")
@@ -479,7 +497,10 @@ def extinction_iteration(config: OdiConfig, max_rounds: int = 200,
     stalled = 0
     for i in range(max_rounds):
         log_level = log_y0 * (1.0 + config.gamma) ** i
-        tau_i, was_clipped = solve_extinction_radius(config, log_level=log_level)
+        try:
+            tau_i, was_clipped = solve_extinction_radius(config, log_level=log_level)
+        except BelowFloorError:
+            break
         clipped += int(was_clipped)
         w_i = omega.omega(tau_i)
         t_i = config.gamma * config.c7 / config.cbar * w_i
@@ -504,10 +525,10 @@ def extinction_iteration(config: OdiConfig, max_rounds: int = 200,
 
     # majorant of the remaining t-rounds through the window-sum comparison:
     # sum_{i>j} omega(C1 lam^i) <~ ln(1/lam)^(-1) * integral_0^{tau_j} omega/s
-    tail_quad = dini_integral(omega, c=float(taus[-1]))
+    tail_quad = dini_integral(omega, c=float(taus[-1])) if taus.size else None
     if dini.verdict == "diverged":
         verdict, total, t_tail = "unbounded", math.inf, math.inf
-    elif dini.verdict == "converged" and tail_quad.converged:
+    elif dini.verdict == "converged" and tail_quad is not None and tail_quad.converged:
         t_tail = (config.gamma * config.c7 / config.cbar) * tail_quad.value \
             / math.log(1.0 / lam)
         total = sum_t + sum_s + t_tail

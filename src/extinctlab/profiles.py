@@ -147,29 +147,57 @@ class OmegaProfile:
     # -- evaluation --------------------------------------------------------
 
     def omega(self, s):
-        """omega(s) for scalar or array s >= 0."""
+        """omega(s) for scalar or array s >= 0.
+
+        A scalar is evaluated by the same ufunc expression as an array, on a
+        one-element 1-d ndarray, so ``omega(x) == omega(xs)[i]`` bit for bit
+        whenever ``xs[i] == x`` (NaN included).  Its path skips the range
+        check over the array and, except where a power can overflow, the
+        ``errstate`` block; log-power has a branch of its own for the
+        uncapped range 0 < s <= 1/e.  Neither path uses ``math``: its
+        ``log`` and ``**`` round differently from numpy's array loops.
+        """
         arr, scalar = _asfarray(s)
+        if scalar:
+            return self._omega_scalar(arr.reshape(1))
         if np.any(arr < 0):
             raise ProfileError("omega is only defined for s >= 0")
         with np.errstate(divide="ignore", over="ignore"):
-            if self.kind == "power":
-                out = np.minimum(arr ** self.alpha, self.omega0)
-            elif self.kind == "log-power":
-                out = np.empty_like(arr)
-                pos = arr > 0
-                L = np.full_like(arr, np.inf)
-                L[pos] = -np.log(arr[pos])
-                inside = pos & (L > 0)
-                out[~pos] = 0.0
-                out[pos & ~inside] = self.omega0          # s >= 1
-                out[inside] = np.minimum(L[inside] ** (-self.beta), self.omega0)
-            elif self.kind == "constant":
-                out = np.full_like(arr, self.omega0)
-            elif self.kind == "log-singular":
-                out = np.where(arr > 0, self.kappa * np.maximum(-np.log(np.maximum(arr, 1e-320)), 0.0), np.inf)
-            else:
-                out = self._table_omega(arr)
-        return float(out[()]) if scalar else out
+            return self._omega_array(arr)
+
+    def _omega_scalar(self, one: np.ndarray) -> float:
+        x = one[0]
+        if x < 0:
+            raise ProfileError("omega is only defined for s >= 0")
+        if self.kind == "log-power":
+            if not x > 0:
+                return 0.0                      # s = 0 and NaN, as for arrays
+            L = -np.log(one)
+            if L[0] >= 1.0:                     # L**(-beta) <= 1: no overflow
+                return float(min((L ** (-self.beta))[0], self.omega0))
+        elif self.kind != "power" or x <= 1.0:  # no power here can overflow
+            return float(self._omega_array(one)[0])
+        with np.errstate(divide="ignore", over="ignore"):
+            return float(self._omega_array(one)[0])
+
+    def _omega_array(self, arr: np.ndarray) -> np.ndarray:
+        if self.kind == "power":
+            return np.minimum(arr ** self.alpha, self.omega0)
+        if self.kind == "log-power":
+            out = np.empty_like(arr)
+            pos = arr > 0
+            L = np.full_like(arr, np.inf)
+            L[pos] = -np.log(arr[pos])
+            inside = pos & (L > 0)
+            out[~pos] = 0.0
+            out[pos & ~inside] = self.omega0          # s >= 1
+            out[inside] = np.minimum(L[inside] ** (-self.beta), self.omega0)
+            return out
+        if self.kind == "constant":
+            return np.full_like(arr, self.omega0)
+        if self.kind == "log-singular":
+            return np.where(arr > 0, self.kappa * np.maximum(-np.log(np.maximum(arr, 1e-320)), 0.0), np.inf)
+        return self._table_omega(arr)
 
     def _table_omega(self, arr: np.ndarray) -> np.ndarray:
         s, w = self.table_s, self.table_w
@@ -382,7 +410,8 @@ class PotentialField:
             vals = math.log(self.d0) - expo[pos]
             vals = np.where(np.isfinite(vals), vals, -np.inf)
             out[pos] = np.where(vals < EXP_UNDERFLOW + math.log(self.d0), -np.inf, vals)
-        out[~pos] = self._origin_log()
+        if not pos.all():
+            out[~pos] = self._origin_log()
         return float(out[()]) if scalar else out
 
     def a(self, r):
@@ -400,7 +429,7 @@ class ConstantPotential:
     value: float
 
     def __post_init__(self):
-        if self.value < 0:
+        if not self.value >= 0:   # NaN fails too
             raise ProfileError("constant potential must be nonnegative")
 
     def log_a(self, r):

@@ -115,7 +115,7 @@ class ProblemSpec:
             raise ValueError("q must lie strictly inside (0, 1)")
         if self.floor < 0:
             raise ValueError("positivity floor must be nonnegative")
-        if self.dt <= 0 or self.horizon <= 0:
+        if not (self.dt > 0 and self.horizon > 0):   # NaN fails too
             raise ValueError("dt and horizon must be positive")
         if self.cells < 3:
             raise ValueError("cells must be at least 3")

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from extinctlab.cli import main
 from extinctlab.solver import NumericsError
@@ -105,6 +106,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         summary = json.loads((out / "summary_simulate.json").read_text())
         assert summary["results"]["verdict"] == "positivity-persisted"
+
+    @pytest.mark.parametrize("epsilon", ["-1.0", "nan"])
+    def test_bad_constant_potential_exit_64(self, tmp_path, epsilon):
+        cfg = write_config(tmp_path, ODE_REGIME.replace("epsilon = 1.0", f"epsilon = {epsilon}"))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 64
+
+    @pytest.mark.parametrize("line", ["dt = 1e-3", "horizon = 2.5"])
+    def test_nan_step_or_horizon_exit_64(self, tmp_path, line):
+        key = line.split(" = ")[0]
+        cfg = write_config(tmp_path, ODE_REGIME.replace(line, f"{key} = nan"))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 64
 
     def test_numerics_error_exit_70(self, tmp_path, monkeypatch):
         import extinctlab.cli as cli

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import extinctlab.odi as odi
+from extinctlab.analysis import _GL_NODES, _GL_WEIGHTS
 from extinctlab.energy import ExponentPack, compute_ledger, ode_inequality_residual
 from extinctlab.odi import (
+    BelowFloorError,
+    CurveRangeError,
     NoPlateauError,
     OdiConfig,
     build_curve,
@@ -50,6 +54,52 @@ class TestTauPrime:
         pot = beta2_config.potential
         with pytest.raises(NoPlateauError):
             solve_tau_prime(OdiConfig(potential=pot, y0=5.0, q=0.5, c0=1.0))
+
+
+def per_segment_log_integral(logf, knots):
+    """Reference quadrature: one logf call and one running sum per segment."""
+    out = np.zeros(knots.size)
+    total = 0.0
+    for i in range(knots.size - 1):
+        a, b = knots[i], knots[i + 1]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        g = logf(mid + half * _GL_NODES)
+        m = float(np.max(g))
+        seg = 0.0 if not np.isfinite(m) else \
+            math.exp(m) * half * float(np.dot(_GL_WEIGHTS, np.exp(g - m)))
+        total += seg
+        out[i + 1] = total
+    return out
+
+
+class TestCumulativeLogIntegral:
+    @pytest.mark.parametrize("prof", [
+        OmegaProfile.power(0.5), OmegaProfile.power(1.0),
+        OmegaProfile.log_power(1.0), OmegaProfile.log_power(2.0),
+    ], ids=lambda p: f"{p.kind}-{p.alpha}-{p.beta}")
+    def test_curve_pieces_match_per_segment_loop(self, prof, monkeypatch):
+        seen = []
+        vectorized = odi._cumulative_log_integral
+
+        def capture(logf, knots):
+            out = vectorized(logf, knots)
+            seen.append((logf, knots, out))
+            return out
+
+        monkeypatch.setattr(odi, "_cumulative_log_integral", capture)
+        build_curve(OdiConfig(potential=PotentialField(1.0, prof), y0=1e-4, q=0.5))
+        assert {logf.__name__ for logf, _, _ in seen} == {"log_psi1", "log_psi2"}
+        for logf, knots, out in seen:
+            assert np.array_equal(out, per_segment_log_integral(logf, knots))
+
+    def test_non_finite_segments_contribute_zero(self):
+        def logf(t):
+            return np.where(t < 0.3, -np.inf, np.where(t > 0.8, np.nan, -5.0 * t))
+
+        knots = np.linspace(0.1, 1.0, 41)
+        out = odi._cumulative_log_integral(logf, knots)
+        assert np.array_equal(out, per_segment_log_integral(logf, knots))
+        assert out[1] == 0.0 and out[-1] == out[-2] > 0.0
 
 
 class TestCurveY2:
@@ -251,6 +301,33 @@ class TestExtinctionIteration:
                 rep = extinction_iteration(cfg)
             assert math.isfinite(rep.total) == finite, prof.kind
             assert (rep.verdict == "bounded") == finite, prof.kind
+
+    def test_radius_below_search_floor_ends_the_rounds(self, beta2_config):
+        # beta = 2 reaches the ln(tau) = -250 floor near round 706; the rounds
+        # stop there and the tail majorant covers the rest, nothing is clipped
+        rep = extinction_iteration(beta2_config, max_rounds=800)
+        assert 200 < rep.rounds < 800
+        assert rep.clipped_rounds == 0
+        assert np.all(rep.tau_rounds[1:] < beta2_config.tau_max)
+        assert np.all(np.diff(rep.tau_rounds) < 0)
+        assert rep.verdict == "bounded"
+        assert math.isfinite(rep.total) and rep.total < 117.0
+        assert rep.total == pytest.approx(extinction_iteration(beta2_config).total, rel=0.01)
+
+    def test_floor_and_domain_are_told_apart(self, beta2_config):
+        with pytest.raises(BelowFloorError):
+            solve_extinction_radius(beta2_config, log_level=-1e300)
+        with pytest.raises(CurveRangeError) as exc:
+            odi._bisect_log_tau(math.log, 1.0, 1.0)
+        assert not isinstance(exc.value, BelowFloorError)
+
+    def test_first_radius_below_floor_is_inconclusive(self):
+        # tau^2/omega = tau^0.001 cannot reach the relation above exp(-250)
+        cfg = OdiConfig(potential=PotentialField(1.0, OmegaProfile.power(1.999)),
+                        y0=1e-4, q=0.5)
+        rep = extinction_iteration(cfg)
+        assert rep.rounds == 0 and rep.clipped_rounds == 0
+        assert rep.verdict == "inconclusive" and math.isnan(rep.total)
 
     def test_y0_validation(self, beta2_config):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,73 @@ class TestPotential:
         prof = OmegaProfile.power(alpha=3.0, omega0=5.0)
         field = PotentialField(0.7, prof)
         assert eval_potential(field, 0.0) == pytest.approx(0.7, rel=1e-6)
+
+
+SCALAR_PROFILES = [
+    OmegaProfile.power(0.5), OmegaProfile.power(1.0, omega0=1e-3),
+    OmegaProfile.power(2.0), OmegaProfile.power(3.0, omega0=5.0),
+    OmegaProfile.log_power(0.5), OmegaProfile.log_power(1.0),
+    OmegaProfile.log_power(2.0), OmegaProfile.log_power(2.0, omega0=3.0),
+    OmegaProfile.log_power(3.0), OmegaProfile.log_power(25.0),
+    OmegaProfile.constant(0.7), OmegaProfile.log_singular(2.0),
+    OmegaProfile.from_table(np.geomspace(1e-3, 0.8, 12), np.geomspace(1e-3, 0.8, 12) ** 0.5),
+]
+
+
+def scalar_probe_points(prof) -> np.ndarray:
+    """exp(U(-700, 1)) samples, a denser band around s = 1 (where libm's log
+    and numpy's array log round differently most often) and the edges of
+    every branch of omega."""
+    rng = np.random.default_rng(11)
+    edges = [0.0, 1.0, np.nextafter(1.0, 0.0), prof.s0, math.exp(-1.0),
+             np.nextafter(math.exp(-1.0), 1.0), 0.5, 0.9, 2.0, 1e300,
+             5e-324, np.inf, np.nan]
+    if prof.kind == "table":
+        s = prof.table_s
+        edges += list(s) + [0.5 * s[0], 2.0 * s[-1]]
+    return np.concatenate([np.exp(rng.uniform(-700.0, 1.0, 3000)),
+                           np.exp(rng.uniform(-1.0, 1.0, 1000)), edges])
+
+
+class TestFastPaths:
+    @pytest.mark.parametrize("prof", SCALAR_PROFILES,
+                             ids=lambda p: f"{p.kind}-{p.alpha}-{p.beta}-{p.omega0}")
+    def test_scalar_equals_array_element(self, prof):
+        xs = scalar_probe_points(prof)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no overflow or divide warning leaks
+            scalars = [prof.omega(float(x)) for x in xs]
+            zero_d = [prof.omega(np.asarray(x)) for x in xs[::50]]
+        assert all(type(w) is float for w in scalars + zero_d)
+        assert np.array_equal(scalars, prof.omega(xs), equal_nan=True)
+        assert np.array_equal(zero_d, scalars[::50], equal_nan=True)
+
+    @pytest.mark.parametrize("prof", SCALAR_PROFILES[::4], ids=lambda p: p.kind)
+    def test_negative_scalar_rejected(self, prof):
+        with pytest.raises(ProfileError):
+            prof.omega(-1e-300)
+
+    def test_origin_log_only_where_r_is_zero(self, monkeypatch):
+        field = PotentialField(0.7, OmegaProfile.power(alpha=3.0, omega0=5.0))
+        origin = field._origin_log()
+        calls = []
+        real = PotentialField._origin_log
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(PotentialField, "_origin_log", counted)
+        r = np.array([0.0, 0.3, 0.0, 1.0])
+        out = field.log_a(r)
+        assert out[0] == out[2] == origin
+        assert np.array_equal(out[[1, 3]], field.log_a(r[[1, 3]]))
+        assert len(calls) == 1
+        field.log_a(np.geomspace(1e-6, 1.0, 50))
+        field.log_a(0.5)
+        assert len(calls) == 1
+        assert field.log_a(0.0) == origin
+        assert len(calls) == 2
 
 
 class TestRhoMap:

@@ -159,6 +159,11 @@ class TestFactoredSolve:
             u = st.step(u, dt)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("field", ["dt", "horizon"])
+    def test_nan_step_or_horizon_rejected(self, field):
+        with pytest.raises(ValueError):
+            ProblemSpec(q=0.5, **{field: math.nan})
+
     def test_too_few_cells_rejected(self):
         with pytest.raises(ValueError):
             ProblemSpec(q=0.5, cells=2)
