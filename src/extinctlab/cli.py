@@ -44,7 +44,7 @@ from .energy import (
     probe_outer_energy_relation,
     verify_global_estimate,
 )
-from .odi import NoPlateauError, build_curve, extinction_iteration
+from .odi import CurveRangeError, NoPlateauError, build_curve, extinction_iteration
 from .profiles import MonotonicityError, SRamp, check_conditions
 from .solver import NumericsError, run
 from .spectral import (
@@ -95,10 +95,19 @@ class OutputDir:
     def release(self):
         self.lock.unlink(missing_ok=True)
 
-    def write_csv(self, name: str, header: list[str], rows) -> None:
+    def write_csv(self, name: str, header: list[str], columns) -> None:
+        """Write one CSV file from columns; row i holds entry i of each.
+
+        A ``float64`` ndarray column is formatted in one pass over
+        ``tolist()``, any other value by value through ``_fmt``: the bytes
+        equal those of joining ``_fmt`` of each row's values.
+        """
+        cells = [map(float.__repr__, col.tolist())
+                 if isinstance(col, np.ndarray) and col.dtype == np.float64
+                 else map(_fmt, col) for col in columns]
         with open(self.path / name, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
         self.manifest.append(name)
 
     def write_summary(self, command: str, results: dict, parser, seed: int) -> str:
@@ -136,24 +145,22 @@ def _verdict_exit(verdict: str) -> int:
 def cmd_dini(parser, out: OutputDir, args) -> int:
     profile = profile_from_config(parser, args.config_dir)
     report = check_conditions(profile)
+    checks = report.checks
     out.write_csv("conditions.csv",
                   ["condition", "passed", "witness_s", "witness_value"],
-                  [(c.name, c.passed,
-                    "" if c.witness_s is None else _fmt(c.witness_s),
-                    "" if c.witness_value is None else _fmt(c.witness_value))
-                   for c in report.checks])
+                  [[c.name for c in checks], [c.passed for c in checks],
+                   ["" if c.witness_s is None else c.witness_s for c in checks],
+                   ["" if c.witness_value is None else c.witness_value
+                    for c in checks]])
 
     eq = equivalence_check(profile)
-    rows = [
-        (profile.kind, "integral", eq.integral.value, eq.integral.error,
-         eq.integral.verdict),
-        (profile.kind, "series_partial_sum", eq.series.total, 0.0,
-         eq.series.verdict),
-        (profile.kind, "series_tail_exponent", eq.series.tail_exponent, 0.0,
-         eq.series.verdict),
-    ]
     out.write_csv("analysis_results.csv",
-                  ["profile", "quantity", "value", "error", "verdict"], rows)
+                  ["profile", "quantity", "value", "error", "verdict"],
+                  [[profile.kind] * 3,
+                   ["integral", "series_partial_sum", "series_tail_exponent"],
+                   [eq.integral.value, eq.series.total, eq.series.tail_exponent],
+                   [eq.integral.error, 0.0, 0.0],
+                   [eq.integral.verdict] + [eq.series.verdict] * 2])
     results = {
         "integral_verdict": eq.integral.verdict,
         "integral_value": eq.integral.value,
@@ -176,21 +183,19 @@ def cmd_simulate(parser, out: OutputDir, args) -> int:
     except NumericsError as exc:
         if exc.state is not None:
             out.write_csv("diagnostic_state.csv", ["i", "u"],
-                          list(enumerate(exc.state)))
+                          [range(len(exc.state)), exc.state])
         out.write_summary("simulate", {"error": str(exc), "t": exc.t},
                           parser, args.seed)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
     out.write_csv("trajectory.csv", ["t", "l2sq", "linf", "min_u", "mass"],
-                  zip(traj.times, traj.l2sq, traj.linf, traj.umin, traj.mass))
+                  [traj.times, traj.l2sq, traj.linf, traj.umin, traj.mass])
     picks = np.unique(np.linspace(0, traj.snapshots.shape[0] - 1, 5).astype(int))
-    rows = []
-    for k in picks:
-        t = traj.snapshot_times[k]
-        for r, u in zip(traj.grid.centers, traj.snapshots[k]):
-            rows.append((t, r, u))
-    out.write_csv("snapshots.csv", ["t", "r", "u"], rows)
+    centers = traj.grid.centers
+    out.write_csv("snapshots.csv", ["t", "r", "u"],
+                  [np.repeat(traj.snapshot_times[picks], centers.size),
+                   np.tile(centers, picks.size), traj.snapshots[picks].ravel()])
 
     potential = spec.potential
     sramp = SRamp(potential.omega) if hasattr(potential, "omega") else None
@@ -198,13 +203,11 @@ def cmd_simulate(parser, out: OutputDir, args) -> int:
                                                0.95 * spec.radius, 31)])
     ledger = compute_ledger(traj, potential, taus, sramp)
     out.write_csv("ledger_tau.csv", ["tau", "s_tau", "I", "J", "y"],
-                  zip(ledger.tau_grid, ledger.s_tau, ledger.I, ledger.J,
-                      ledger.y))
-    rows = []
-    for k, t in enumerate(ledger.t_snap):
-        for j, tau in enumerate(ledger.tau_grid):
-            rows.append((t, tau, ledger.H[k, j], ledger.E[k, j]))
-    out.write_csv("ledger_time.csv", ["t", "tau", "H", "E"], rows)
+                  [ledger.tau_grid, ledger.s_tau, ledger.I, ledger.J, ledger.y])
+    n_snap, n_tau = ledger.H.shape
+    out.write_csv("ledger_time.csv", ["t", "tau", "H", "E"],
+                  [np.repeat(ledger.t_snap, n_tau), np.tile(ledger.tau_grid, n_snap),
+                   ledger.H.ravel(), ledger.E.ravel()])
 
     margin = verify_global_estimate(ledger)
     sup0 = float(np.max(np.abs(traj.snapshots[0])))
@@ -249,20 +252,20 @@ def cmd_bound(parser, out: OutputDir, args) -> int:
     try:
         curve = build_curve(cfg)
         out.write_csv("curve.csv", ["tau", "Y", "region"],
-                      zip(curve.tau, curve.Y, curve.labels))
+                      [curve.tau, curve.Y, curve.labels])
         curve_info = {
             "tau_prime": curve.tau_prime,
             "tau_double_prime": curve.tau_double_prime,
             "tau_triple_prime": curve.tau_triple_prime,
             "region2_skipped": curve.region2_skipped,
         }
-    except NoPlateauError as exc:
+    except (NoPlateauError, CurveRangeError) as exc:
         curve_error = str(exc)
         curve_info = {"error": curve_error}
 
     out.write_csv("rounds.csv", ["i", "tau_i", "t_i", "s_i", "log_level"],
-                  zip(range(1, rep.rounds + 1), rep.tau_rounds, rep.t_rounds,
-                      rep.s_rounds, rep.log_levels))
+                  [range(1, rep.rounds + 1), rep.tau_rounds, rep.t_rounds,
+                   rep.s_rounds, rep.log_levels])
 
     sim = out.read_summary("simulate")
     sim_check = {"found": False}
@@ -304,8 +307,8 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
         scan = eigenvalue_sandwich_scan(potential, hs, cells=sp["cells"])
         out.write_csv("lambda_scan.csv",
                       ["h", "lambda1", "residual", "rho_inv", "ratio"],
-                      zip(scan.h, scan.lambda1, scan.residuals, scan.rho_inv,
-                          scan.ratios))
+                      [scan.h, scan.lambda1, scan.residuals, scan.rho_inv,
+                       scan.ratios])
         sandwich = inverse_map_sandwich(potential, np.geomspace(1e-12, 1e-6, 100))
         results.update({
             "sandwich_bracket_C": scan.bracket,
@@ -325,13 +328,13 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
         kv = spectral_log_sum(mus)
     terms = np.concatenate([[0.0], np.log(mus[1:]) / mus[1:]])
     out.write_csv("mu_n.csv", ["n", "mu_n", "term", "partial_sum"],
-                  zip(range(mus.size), mus, terms, np.cumsum(terms)))
+                  [range(mus.size), mus, terms, np.cumsum(terms)])
 
     crit = spectral_criterion_series(potential, K=sp["K"], q=sp["q"],
                             n_range=(sp["n_min"], sp["n_max"]),
                             cells=min(sp["cells"], 2000))
     out.write_csv("criterion_terms.csv", ["n", "mu", "term", "flagged"],
-                  zip(crit.n, crit.mu, crit.terms, crit.flagged))
+                  [crit.n, crit.mu, crit.terms, crit.flagged])
 
     results.update({
         "mu_log_sum": kv.total,

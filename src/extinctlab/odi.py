@@ -296,7 +296,8 @@ def solve_extinction_radius(config: OdiConfig, level: float | None = None,
     target = math.log(config.c7 / (-log_level))
 
     def g(tau):
-        return 2.0 * math.log(tau) - math.log(config.omega.omega(tau))
+        w = config.omega.omega(tau)  # underflows to 0 for steep profiles
+        return 2.0 * math.log(tau) - (math.log(w) if w > 0 else -math.inf)
 
     try:
         return _bisect_log_tau(g, target, config.tau_max), False

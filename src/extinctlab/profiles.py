@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 # exp(x) underflows to exactly 0.0 below this; values that small are
 # analytically indistinguishable from zero for every probe in this package.
@@ -101,6 +100,8 @@ class OmegaProfile:
                 raise ProfileError("table abscissae must be positive")
             object.__setattr__(self, "table_s", s)
             object.__setattr__(self, "table_w", w)
+            # lazy: scipy.interpolate also loads scipy.special and scipy.optimize
+            from scipy.interpolate import PchipInterpolator
             interp = PchipInterpolator(s, w, extrapolate=False)
             object.__setattr__(self, "_pchip", interp)
             object.__setattr__(self, "_pchip_d", interp.derivative())

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from extinctlab.cli import main
+import extinctlab
+from extinctlab.cli import OutputDir, _fmt, main
 from extinctlab.solver import NumericsError
 
 
@@ -175,6 +179,24 @@ class TestBound:
         assert summary["results"]["constants"]["c0"] == 0.5
 
 
+    @pytest.mark.parametrize("alpha", ["1.999", "3.0"])
+    def test_steep_power_profile_inconclusive(self, tmp_path, alpha):
+        # the first round radius lies below the search floor; for alpha = 3
+        # omega underflows to 0 there, for 1.999 the curve's tau' does too
+        cfg = write_config(tmp_path, f"[profile]\nkind = power\nalpha = {alpha}\n"
+                           + ODI_SECTION)
+        out = tmp_path / "o"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 2
+        summary = json.loads((out / "summary_bound.json").read_text())
+        assert summary["results"]["verdict"] == "inconclusive"
+        assert summary["results"]["rounds"] == 0
+        assert "below the tau search range" in summary["results"]["curve"]["error"]
+        assert (out / "rounds.csv").read_text() == "i,tau_i,t_i,s_i,log_level\n"
+        on_disk = sorted(p.name for p in out.iterdir())
+        assert sorted(summary["manifest"]) == on_disk == ["rounds.csv",
+                                                          "summary_bound.json"]
+
+
 class TestSpectral:
     def test_beta2_consistent_with_dini(self, tmp_path):
         cfg = write_config(tmp_path, BETA2 + "\n[problem]\nq = 0.5\n" + SPECTRAL_SMALL)
@@ -243,3 +265,79 @@ class TestHygiene:
         np.savetxt(tmp_path / "omega.csv", np.column_stack([s, s]), delimiter=",")
         cfg = write_config(tmp_path, "[profile]\nkind = table\ntable = omega.csv\n")
         assert main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def row_form_csv(header, columns) -> str:
+    """The CSV text of the former row-by-row writer."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
+
+
+class TestCsvWriter:
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300,
+               0.1, 1.0 / 3.0, 2.0**53 + 2.0, 123456789.0]
+
+    def columns(self):
+        rng = np.random.RandomState(0)
+        n = 40
+        floats = np.concatenate([self.SPECIAL, rng.standard_normal(n - len(self.SPECIAL))
+                                 * 10.0 ** rng.randint(-20, 20, n - len(self.SPECIAL))])
+        with np.errstate(over="ignore"):
+            f32 = floats.astype(np.float32)
+        return {
+            "float64": floats,
+            "float64_view": floats[::-1],
+            "np_float64_list": [np.float64(x) for x in floats],
+            "python_float_list": floats.tolist(),
+            "range": range(-5, n - 5),
+            "int_array": np.arange(n, dtype=np.int64) * -3,
+            "bool_array": rng.rand(n) < 0.5,
+            "strings": ["", "plateau", "a b", ""] * (n // 4),
+            "string_array": np.array(["mid", "final", ""] * (n // 3) + ["x"]),
+            "float32": f32,
+        }
+
+    def write(self, tmp_path, header, columns) -> str:
+        out = OutputDir(tmp_path / "csv")
+        try:
+            out.write_csv("t.csv", header, columns)
+        finally:
+            out.release()
+        assert out.manifest == ["t.csv"]
+        return (tmp_path / "csv" / "t.csv").read_text()
+
+    @pytest.mark.parametrize("kind", ["float64", "float64_view", "np_float64_list",
+                                      "python_float_list", "range", "int_array",
+                                      "bool_array", "strings", "string_array", "float32"])
+    def test_column_kind_matches_row_form(self, tmp_path, kind):
+        col = self.columns()[kind]
+        text = self.write(tmp_path, ["i", kind], [range(len(col)), col])
+        assert text == row_form_csv(["i", kind], [range(len(col)), col])
+
+    def test_all_kinds_together(self, tmp_path):
+        cols = self.columns()
+        text = self.write(tmp_path, list(cols), list(cols.values()))
+        assert text == row_form_csv(list(cols), list(cols.values()))
+        assert text.count("\n") == 41
+
+    def test_no_columns_writes_header(self, tmp_path):
+        assert self.write(tmp_path, ["a", "b"], []) == "a,b\n"
+
+
+class TestImports:
+    def run_python(self, code: str) -> str:
+        src = str(Path(extinctlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        return done.stdout.strip()
+
+    def test_cli_import_leaves_interpolate_unloaded(self):
+        code = ("import sys, numpy as np, extinctlab.cli\n"
+                "heavy = ['scipy.interpolate', 'scipy.special', 'scipy.optimize']\n"
+                "print(sorted(m for m in heavy if m in sys.modules))\n"
+                "from extinctlab.profiles import OmegaProfile\n"
+                "s = np.geomspace(1e-3, 0.8, 12)\n"
+                "OmegaProfile.from_table(s, s ** 0.5)\n"
+                "print('scipy.interpolate' in sys.modules)\n")
+        assert self.run_python(code).splitlines() == ["[]", "True"]

@@ -171,6 +171,139 @@ class TestFactoredSolve:
         assert np.allclose(traj.linf, 1.0, atol=1e-14)
 
 
+def reference_absorb(st, u, dt):
+    """The absorption factor as first written, with its temporaries."""
+    au = np.abs(u)
+    with np.errstate(divide="ignore"):
+        w = np.where(au > 0, au ** (st.q - 1.0), 0.0)
+    return u / (1.0 + dt * st.a * w)
+
+
+def same_bits(x, y):
+    """Equal as arrays (NaN equal to NaN) and in the sign of every zero."""
+    return (np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x) & ~np.isnan(x),
+                               np.signbit(y) & ~np.isnan(y)))
+
+
+class PatchyPotential:
+    """Absorption that vanishes on every third cell, is infinite on a few
+    others (0 * inf makes the reference NaN where u = 0) and finite elsewhere."""
+
+    def a(self, r):
+        out = 1.0 + 5.0 * r
+        out[::3] = 0.0
+        out[1::10] = np.inf
+        return out
+
+
+def mixed_states(n, seed):
+    """Random mixed-sign states, then the same with zeros, -0.0 and NaN."""
+    rng = np.random.RandomState(seed)
+    u = rng.uniform(-2.0, 2.0, n) * 10.0 ** rng.uniform(-300, 2, n)
+    holes = u.copy()
+    holes[rng.rand(n) < 0.2] = 0.0
+    holes[rng.rand(n) < 0.1] = -0.0
+    holes[:5] = 0.0  # runs of zeros, long and short, at both ends
+    holes[-3:] = -0.0
+    poisoned = holes.copy()
+    poisoned[rng.randint(0, n, 4)] = np.nan
+    return [u, holes, poisoned, np.zeros(n), np.full(n, -0.0)]
+
+
+class TestAbsorbBitwise:
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("potential", [
+        PotentialField(1.0, OmegaProfile.log_power(2.0)),
+        PatchyPotential(),
+        None,
+    ])
+    def test_equal_to_reference_formula(self, q, potential):
+        g = RadialGrid.uniform(997, dimension=2)
+        st = Stepper(g, potential, q)
+        for seed, dt in enumerate((1e-3, 0.25, 1e-3, 1e-3, 7.5)):
+            for u in mixed_states(g.n, seed):
+                with np.errstate(invalid="ignore"):
+                    assert same_bits(st.absorb(u, dt), reference_absorb(st, u, dt))
+
+    def test_equal_along_a_run(self):
+        g = RadialGrid.uniform(400)
+        st = Stepper(g, PotentialField(1.0, OmegaProfile.power(1.0)), 0.5)
+        u = np.cos(3.0 * math.pi * g.centers)
+        for _ in range(200):
+            u_star = st.diffuse(u, 2e-3)
+            u = st.absorb(u_star, 2e-3)
+            assert same_bits(u, reference_absorb(st, u_star, 2e-3))
+
+    def test_input_kept_and_results_not_shared(self):
+        g = RadialGrid.uniform(300)
+        st = Stepper(g, ConstantPotential(1.0), 0.5)
+        u = mixed_states(g.n, 3)[1]
+        before = u.copy()
+        first = st.absorb(u, 1e-3)
+        second = st.absorb(u, 1e-3)
+        assert same_bits(u, before)
+        assert same_bits(first, second)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, u)
+
+
+def reference_run(spec):
+    """run() as first written: temporaries for every norm of every step."""
+    grid = spec.build_grid()
+    st = Stepper(grid, spec.potential, spec.q)
+    u = spec.initial_state(grid)
+    threshold = spec.extinction_rtol * max(float(np.max(np.abs(u))), 1e-300)
+    rows = [(0.0, grid.integrate(u**2), float(np.max(np.abs(u))),
+             float(np.min(u)), grid.integrate(u))]
+    for k in range(1, int(math.ceil(spec.horizon / spec.dt)) + 1):
+        u = reference_absorb(st, st.diffuse(u, spec.dt), spec.dt)
+        sup = float(np.max(np.abs(u)))
+        rows.append((k * spec.dt, grid.integrate(u**2), sup,
+                     float(np.min(u)), grid.integrate(u)))
+        if sup < threshold:
+            break
+    return [np.array(col) for col in zip(*rows)]
+
+
+def assert_run_matches_reference(traj, spec):
+    ref = reference_run(spec)
+    got = [traj.times, traj.l2sq, traj.linf, traj.umin, traj.mass]
+    for name, x, y in zip(["times", "l2sq", "linf", "umin", "mass"], got, ref):
+        assert same_bits(x, y), name
+
+
+class TestRunBitwise:
+    def test_mixed_sign_data(self):
+        g = RadialGrid.uniform(200, dimension=3)
+        u0 = np.cos(4.0 * math.pi * g.centers) * np.exp(-g.centers)
+        u0[::7] = 0.0
+        u0[3::11] = -0.0
+        spec = ProblemSpec(q=0.3, potential=PotentialField(1.0, OmegaProfile.power(1.0)),
+                           dimension=3, u0=u0, cells=200, dt=1e-3, horizon=0.6)
+        assert_run_matches_reference(run(spec), spec)
+
+    def test_extinct_run(self):
+        spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0), u0=-1.0,
+                           cells=100, dt=1e-3, horizon=2.5)
+        traj = run(spec)
+        assert traj.extinction_time is not None
+        assert_run_matches_reference(traj, spec)
+
+    def test_omega_r_run(self, omega_r_run):
+        traj, _ = omega_r_run
+        assert_run_matches_reference(traj, traj.spec)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_state_has_positive_zero_sup(self, zero):
+        spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0),
+                           u0=np.full(50, zero), cells=50, dt=1e-3, horizon=0.01)
+        traj = run(spec)
+        assert traj.extinction_time == spec.dt
+        assert not np.any(np.signbit(traj.linf))
+        assert_run_matches_reference(traj, spec)
+
+
 class NanPotential:
     """Absorption with one poisoned cell, standing in for a bad table."""
 
