@@ -28,6 +28,8 @@ _GL_NODES_HALF, _GL_WEIGHTS_HALF = np.polynomial.legendre.leggauss(16)
 _DIVERGENCE_RATIO = 0.97
 #: consecutive non-decaying windows before an integral is declared divergent
 _DIVERGENCE_RUN = 20
+#: series indices whose terms dini_series evaluates per omega call
+_SERIES_CHUNK = 1 << 16
 
 
 class DomainError(ValueError):
@@ -132,30 +134,56 @@ def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9,
     return QuadratureResult(value, err, n_eval, "inconclusive", tuple(windows[-5:]))
 
 
+def _slope(x: np.ndarray, y: np.ndarray) -> float | None:
+    """Least-squares slope of y against ascending x, in centred closed form.
+
+    sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), with numpy's
+    pairwise sums.  None when x holds fewer than two distinct values, where
+    no line is determined.
+    """
+    if x.size < 2 or x[0] == x[-1]:
+        return None
+    dx = x - x.mean()
+    scratch = np.square(dx)
+    sxx = float(scratch.sum())
+    np.subtract(y, y.mean(), out=scratch)
+    scratch *= dx
+    return float(scratch.sum()) / sxx
+
+
 def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | None, str]:
     """Verdict for sum t_n from a power fit plus a log-factor refinement.
 
     A plain log-log slope cannot separate 1/(n ln n) from 1/(n ln^2 n) at any
     reachable index, so slopes inside (-1.3, -0.95) fall through to a second
     fit of ln(n * t_n) against ln ln n whose slope estimates the log-factor
-    exponent: summable iff > 1.
+    exponent: summable iff > 1.  ``n`` must be ascending, so that both fit
+    windows are suffixes.  A window with fewer than two distinct indices
+    determines no slope and makes the verdict "inconclusive" (with a NaN
+    tail exponent when it is the first window).
     """
     pos = t > 0
-    if np.count_nonzero(pos) < 8:
+    kept = np.count_nonzero(pos)
+    if kept < 8:
         return 0.0, None, "convergent"  # terms died; finite sum
-    n, t = n[pos], t[pos]
-    last_decade = n >= n[-1] / 10.0
-    ln_n, ln_t = np.log(n[last_decade]), np.log(t[last_decade])
-    slope = float(np.polyfit(ln_n, ln_t, 1)[0])
+    if kept < t.size:
+        n, t = n[pos], t[pos]
+    ln_n = np.log(n)
+    last_decade = slice(np.searchsorted(n, n[-1] / 10.0), None)
+    slope = _slope(ln_n[last_decade], np.log(t[last_decade]))
+    if slope is None:
+        return math.nan, None, "inconclusive"
     if slope < -1.3:
         return slope, None, "convergent"
     if slope > -0.95:
         return slope, None, "divergent"
     # harmonic boundary: examine the log factor over the full index range
-    wide = n >= max(10.0, n[0])
-    lnln = np.log(np.log(n[wide]))
-    resid = np.log(n[wide] * t[wide])
-    b = -float(np.polyfit(lnln, resid, 1)[0])
+    wide = slice(np.searchsorted(n, max(10.0, n[0])), None)
+    resid = n[wide] * t[wide]
+    b = _slope(np.log(ln_n[wide]), np.log(resid, out=resid))
+    if b is None:
+        return slope, None, "inconclusive"
+    b = -b
     if b > 1.05:
         return slope, b, "convergent"
     if b < 0.95:
@@ -165,9 +193,10 @@ def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | No
 
 def _diagnose_series(n: np.ndarray, t: np.ndarray, rejected: int = 0,
                      checkpoints: int = 200) -> SeriesDiagnosis:
+    # fit before the cumsum array exists: the fit's temporaries are the peak
+    slope, b, verdict = _two_stage_tail_fit(n, t)
     csum = np.cumsum(t)
     idx = np.unique(np.geomspace(1, len(t), min(checkpoints, len(t))).astype(int)) - 1
-    slope, b, verdict = _two_stage_tail_fit(n, t)
     return SeriesDiagnosis(
         n_values=n[idx], terms=t[idx], partial_sums=csum[idx],
         total=float(csum[-1]), tail_exponent=slope, log_factor_exponent=b,
@@ -175,12 +204,20 @@ def _diagnose_series(n: np.ndarray, t: np.ndarray, rejected: int = 0,
 
 
 def dini_series(omega: OmegaProfile, n0: int = 2, n_max: int = 1_000_000) -> SeriesDiagnosis:
-    """Partial sums of sum_{n >= n0} omega((n ln n)^{-1/2}) / n with tail fit."""
+    """Partial sums of sum_{n >= n0} omega((n ln n)^{-1/2}) / n with tail fit.
+
+    The terms are evaluated _SERIES_CHUNK indices at a time into one array,
+    bit for bit as one call over all n would give them, so memory stays at
+    a few arrays of n_max doubles.  The indices are ascending, as
+    ``_two_stage_tail_fit`` needs; a degenerate fit window is inconclusive.
+    """
     if n0 < 2:
         raise DomainError("series starts at n0 >= 2")
     n = np.arange(n0, n_max + 1, dtype=float)
-    s = (n * np.log(n)) ** -0.5
-    t = omega.omega(s) / n
+    t = np.empty_like(n)
+    for i in range(0, n.size, _SERIES_CHUNK):
+        m = n[i:i + _SERIES_CHUNK]
+        t[i:i + _SERIES_CHUNK] = omega.omega((m * np.log(m)) ** -0.5) / m
     return _diagnose_series(n, t)
 
 

@@ -267,19 +267,22 @@ def cmd_bound(parser, out: OutputDir, args) -> int:
                   [range(1, rep.rounds + 1), rep.tau_rounds, rep.t_rounds,
                    rep.s_rounds, rep.log_levels])
 
+    # +inf is an unbounded total; NaN (no rounds) has no value at all
+    total = (rep.total if math.isfinite(rep.total)
+             else "inf" if rep.total == math.inf else None)
     sim = out.read_summary("simulate")
     sim_check = {"found": False}
     if sim is not None and sim["config"].get("profile") == echo_config(parser).get("profile"):
         t_ext = sim["results"].get("extinction_time")
         sim_check = {"found": True, "extinction_time": t_ext,
-                     "factor": extras["bound_factor"], "bound": rep.total}
+                     "factor": extras["bound_factor"], "bound": total}
         if t_ext is not None and math.isfinite(rep.total):
             sim_check["holds"] = bool(t_ext <= extras["bound_factor"] * rep.total)
 
     results = {
         "verdict": rep.verdict,
         "dini_verdict": rep.dini_verdict,
-        "total_bound": rep.total if math.isfinite(rep.total) else "inf",
+        "total_bound": total,
         "sum_t": rep.sum_t,
         "sum_s": rep.sum_s,
         "rounds": rep.rounds,
@@ -357,8 +360,10 @@ def cmd_verify(parser, out: OutputDir, args) -> int:
     code_s = cmd_spectral(parser, out, args)
     code_b = cmd_bound(parser, out, args)
     codes = {"dini": code_d, "spectral": code_s, "bound": code_b}
-    coherent = len({c for c in codes.values() if c in (0, 1)}) <= 1 and \
-        all(c in (0, 1) for c in codes.values())
+    # spectral also exits 1 when its criterion contradicts dini's series
+    spectral = out.read_summary("spectral")["results"]
+    coherent = (set(codes.values()) in ({EXIT_OK}, {EXIT_NEGATIVE})
+                and spectral.get("consistent_with_dini") is not False)
     out.write_summary("verify", {"exit_codes": codes, "coherent": coherent},
                       parser, args.seed)
     return EXIT_OK if coherent else EXIT_NEGATIVE

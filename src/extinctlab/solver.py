@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from .analysis import _slope
 from .profiles import ConstantPotential, PotentialField
 
 
@@ -342,10 +343,10 @@ def positivity_probe(spec: ProblemSpec, horizon: float | None = None) -> Positiv
     rate = 0.0
     if np.count_nonzero(tail) >= 10:
         tt, mm = traj.times[tail], traj.umin[tail]
-        keep = tt >= 0.1 * tt[-1]
-        rate = -float(np.polyfit(tt[keep], np.log(mm[keep]), 1)[0])
-        if abs(rate) < 1e-12:
-            rate = 0.0
+        keep = slice(np.searchsorted(tt, 0.1 * tt[-1]), None)
+        slope = _slope(tt[keep], np.log(mm[keep]))
+        if slope is not None and abs(slope) >= 1e-12:
+            rate = -slope
     collapsed = bool(traj.umin[-1] < traj.threshold)
     return PositivityReport(traj.times, traj.umin, rate, collapsed,
                             float(traj.umin[-1]))

@@ -166,8 +166,10 @@ class TestBound:
 
     def test_constant_profile_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, CONSTANT + ODI_SECTION)
-        assert main(["bound", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 1
+        out = tmp_path / "o"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 1
+        summary = json.loads((out / "summary_bound.json").read_text())
+        assert summary["results"]["total_bound"] == "inf"
 
     def test_constant_overrides_echoed(self, tmp_path):
         cfg = write_config(tmp_path, BETA2 + ODI_SECTION)
@@ -190,6 +192,7 @@ class TestBound:
         summary = json.loads((out / "summary_bound.json").read_text())
         assert summary["results"]["verdict"] == "inconclusive"
         assert summary["results"]["rounds"] == 0
+        assert summary["results"]["total_bound"] is None  # NaN total, not "inf"
         assert "below the tau search range" in summary["results"]["curve"]["error"]
         assert (out / "rounds.csv").read_text() == "i,tau_i,t_i,s_i,log_level\n"
         on_disk = sorted(p.name for p in out.iterdir())
@@ -225,6 +228,19 @@ class TestVerify:
         summary = json.loads((out / "summary_verify.json").read_text())
         assert summary["results"]["coherent"] is True
         assert set(summary["results"]["exit_codes"].values()) == {0}
+
+    def test_spectral_contradicting_dini_is_incoherent(self, tmp_path):
+        # constant omega: the dini series diverges, the short spectral
+        # criterion converges; all three subcommands exit 1
+        cfg = write_config(tmp_path, CONSTANT + "\n[problem]\nq = 0.5\n"
+                           + "\n[odi]\ny0 = 1e-4\n" + SPECTRAL_SMALL)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        spectral = json.loads((out / "summary_spectral.json").read_text())
+        assert spectral["results"]["consistent_with_dini"] is False
+        summary = json.loads((out / "summary_verify.json").read_text())
+        assert summary["results"]["coherent"] is False
+        assert set(summary["results"]["exit_codes"].values()) == {1}
 
 
 class TestHygiene:
