@@ -52,12 +52,12 @@ from .profiles import (
     ProfileError,
     RhoMap,
     SRamp,
+    as_potential,
     build_rho_map,
     check_conditions,
-    eval_potential,
-    s_ramp,
 )
 from .solver import (
+    FluxOperator,
     NumericsError,
     ProblemSpec,
     RadialGrid,
@@ -65,7 +65,6 @@ from .solver import (
     ode_extinction_time,
     positivity_probe,
     run,
-    step,
 )
 from .spectral import (
     CriterionReport,
@@ -73,7 +72,6 @@ from .spectral import (
     SpectralScan,
     ground_state,
     mu_n_sequence,
-    mu_of_alpha,
     spectral_criterion_series,
     eigenvalue_sandwich_scan,
     inverse_map_sandwich,

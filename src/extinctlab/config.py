@@ -65,6 +65,13 @@ def _get(sec, key, cast, default=None):
         raise ConfigError(f"bad value for {key!r}: {sec[key]!r}") from exc
 
 
+def _radius(sec) -> float:
+    radius = _get(sec, "radius", float, 1.0)
+    if not radius > 0:   # NaN fails too
+        raise ConfigError("radius must be positive")
+    return radius
+
+
 def profile_from_config(parser, base_dir=".") -> OmegaProfile:
     sec = _section(parser, "profile", _PROFILE_KEYS)
     kind = _get(sec, "kind", str)
@@ -117,13 +124,12 @@ def problem_from_config(parser, base_dir=".") -> ProblemSpec:
         potential = None
     else:
         raise ConfigError(f"unknown potential spec {pot_kind!r}")
-    u0_raw = _get(sec, "u0", str, "1.0")
-    u0 = u0_raw if u0_raw == "random" else float(u0_raw)
+    u0 = _get(sec, "u0", lambda v: v if v == "random" else float(v), 1.0)
     try:
         return ProblemSpec(
             q=_get(sec, "q", float),
             dimension=_get(sec, "dimension", int, 1),
-            radius=_get(sec, "radius", float, 1.0),
+            radius=_radius(sec),
             potential=potential,
             u0=u0,
             floor=_get(sec, "floor", float, 0.0),
@@ -154,7 +160,7 @@ def odi_from_config(parser, base_dir=".", overrides=None) -> tuple[OdiConfig, di
     }
     if overrides:
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    radius = _get(prob, "radius", float, 1.0)
+    radius = _radius(prob)
     if kwargs["cbar"] is None:
         kwargs["cbar"] = 1.0 / radius**2   # Poincare scale of the domain
     try:
@@ -183,8 +189,13 @@ def spectral_from_config(parser) -> dict:
         "mu_n_max": _get(sec, "mu_n_max", int, 20),
         "q": q,
     }
-    if not 0 < out["h_min"] < out["h_max"]:
-        raise ConfigError("need 0 < h_min < h_max")
+    for ok, need in [(0 < out["h_min"] < out["h_max"], "0 < h_min < h_max"),
+                     (out["h_count"] >= 1, "h_count >= 1"),
+                     (out["K"] > 0, "k > 0"),   # NaN fails every check
+                     (2 <= out["n_min"] <= out["n_max"], "2 <= n_min <= n_max"),
+                     (0 <= out["mu_n_max"] <= 60, "0 <= mu_n_max <= 60")]:
+        if not ok:
+            raise ConfigError(f"need {need}")
     return out
 
 

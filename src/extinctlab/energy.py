@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import SRamp
-from .solver import SolutionTrajectory, Stepper
+from .profiles import SRamp, as_potential
+from .solver import FluxOperator, SolutionTrajectory, sample_potential
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,6 @@ class ExponentPack:
         b = (1 - self.theta2) * (1 - self.q)
         return b / (2 - b)
 
-    @property
-    def lambdas(self) -> tuple[float, float, float]:
-        return (self.lambda0, self.lambda1, self.lambda2)
-
     def psi(self, a_tau, sp_tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Weights (psi_0, psi_1, psi_2) from the potential and ramp slope."""
         a_tau = np.asarray(a_tau, dtype=float)
@@ -101,9 +97,6 @@ class EnergyLedger:
         """Outer-region energy y(tau) = I_{s(tau)}^T(tau)."""
         return self.I
 
-    def H_at(self, t: float, tau_index: int = 0) -> float:
-        return float(np.interp(t, self.t_snap, self.H[:, tau_index]))
-
     def E_at_s(self) -> np.ndarray:
         """E(s(tau), tau) interpolated along the snapshot times."""
         out = np.empty_like(self.tau_grid)
@@ -133,8 +126,9 @@ def compute_ledger(traj: SolutionTrajectory, potential, tau_grid,
         warnings.warn("tau grid clipped into [0, R]")
         tau_grid = np.clip(tau_grid, 0.0, grid.radius)
 
-    stepper = Stepper(grid, potential, traj.spec.q)
-    a_cells = stepper.a
+    potential = as_potential(potential)
+    a_cells = sample_potential(potential, grid)
+    op = FluxOperator(grid)
     q = traj.spec.q
     faces = grid.faces
     inner_faces = faces[1:-1]
@@ -148,7 +142,7 @@ def compute_ledger(traj: SolutionTrajectory, potential, tau_grid,
         H[k] = _suffix_interp(faces, grid.volumes * u**2, tau_grid)
         absorb = _suffix_interp(faces, grid.volumes * a_cells * np.abs(u) ** (q + 1), tau_grid)
         grad_at_faces = np.diff(u) / np.diff(grid.centers)
-        grad_energy = stepper.conduct * np.diff(u) ** 2
+        grad_energy = op.face_energy(u)
         # gradient energy sits on interior faces; suffix-sum over them
         gsuffix = np.concatenate([np.cumsum(grad_energy[::-1])[::-1], [0.0]])
         E[k] = absorb + np.interp(tau_grid, np.concatenate([inner_faces, [faces[-1]]]), gsuffix)
@@ -173,13 +167,7 @@ def compute_ledger(traj: SolutionTrajectory, potential, tau_grid,
         dE = np.abs(np.diff(E[:, j]))
         qerr[j] = 0.5 * float(np.dot(dE, np.diff(t))) + 1e-15 * abs(I[j])
 
-    if potential is None:
-        a_tau = np.zeros(M)
-    elif isinstance(potential, (int, float)):
-        a_tau = np.full(M, float(potential))
-    else:
-        a_tau = np.asarray(potential.a(tau_grid), dtype=float)
-
+    a_tau = np.asarray(potential.a(tau_grid), dtype=float)
     return EnergyLedger(tau_grid=tau_grid, t_snap=t.copy(), s_tau=s_tau,
                         a_tau=a_tau, H=H, E=E, flux2=flux2, I=I, J=J,
                         y0=traj.y0, quad_error=qerr)
@@ -311,14 +299,14 @@ def probe_interpolation(grid, inner_radius: float, lam: float,
         raise ValueError("inner region must be strictly interior")
     corpus = list(sample_functions) if sample_functions is not None else \
         _radial_corpus(grid, n_random, seed)
-    stepper = Stepper(grid, None, 0.5)
+    op = FluxOperator(grid)
     inner = grid.centers < inner_radius
     L = np.empty(len(corpus))
     G = np.empty(len(corpus))
     P = np.empty(len(corpus))
     for i, v in enumerate(corpus):
         L[i] = math.sqrt(grid.integrate(v**2))
-        G[i] = math.sqrt(stepper.gradient_energy(v))
+        G[i] = math.sqrt(op.gradient_energy(v))
         P[i] = float(np.dot(grid.volumes[inner], np.abs(v[inner]) ** lam)) ** (1.0 / lam)
     if np.any(P <= 0):
         raise ValueError("corpus contains a function vanishing on the inner region")

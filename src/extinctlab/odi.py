@@ -63,14 +63,14 @@ class OdiConfig:
     tau_max: float = 1.0
 
     def __post_init__(self):
-        if self.y0 <= 0:
+        if not self.y0 > 0:   # NaN fails too, as in the loop below
             raise ValueError("y0 must be positive")
         if self.c7 is None:
             # the exponent comparison behind the logarithmic radius relation
             # yields 2(1-nu)/(1-q); nu is absorbed here in the limit nu -> 0
             object.__setattr__(self, "c7", 2.0 / (1.0 - self.q))
         for name in ("c0", "c4", "c7", "cbar", "gamma", "tau_max"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
     @property

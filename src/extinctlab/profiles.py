@@ -77,15 +77,15 @@ class OmegaProfile:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ProfileError(f"unknown profile kind {self.kind!r}; expected one of {_KINDS}")
-        if self.omega0 <= 0:
+        if not self.omega0 > 0:   # NaN fails too, as in every check below
             raise ProfileError("omega0 must be positive")
         if not 0 < self.delta < 2:
             raise ProfileError("delta must lie in (0, 2)")
-        if self.kind == "power" and self.alpha <= 0:
+        if self.kind == "power" and not self.alpha > 0:
             raise ProfileError("power profile needs alpha > 0")
-        if self.kind == "log-power" and self.beta <= 0:
+        if self.kind == "log-power" and not self.beta > 0:
             raise ProfileError("log-power profile needs beta > 0")
-        if self.kind == "log-singular" and self.kappa <= 0:
+        if self.kind == "log-singular" and not self.kappa > 0:
             raise ProfileError("log-singular profile needs kappa > 0")
         if self.kind == "table":
             s = np.asarray(self.table_s, dtype=float)
@@ -387,7 +387,7 @@ class PotentialField:
     omega: OmegaProfile
 
     def __post_init__(self):
-        if self.d0 <= 0:
+        if not self.d0 > 0:   # NaN fails too
             raise ProfileError("potential amplitude d0 must be positive")
 
     def _origin_log(self) -> float:
@@ -448,9 +448,13 @@ class ConstantPotential:
         return float(out[()]) if scalar else out
 
 
-def eval_potential(field, r):
-    """Pointwise a(r) with domain checks; clamps underflow to exact zero."""
-    return field.a(r)
+def as_potential(potential):
+    """A potential object for None (no absorption), a number or a potential."""
+    if potential is None:
+        return ConstantPotential(0.0)
+    if isinstance(potential, (int, float)):
+        return ConstantPotential(float(potential))
+    return potential
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +630,3 @@ class SRamp:
         if scalar:
             return float(log_s[()]), float(log_sp[()])
         return log_s, log_sp
-
-
-def s_ramp(omega: OmegaProfile, tau):
-    """(s(tau), s'(tau)) for scalar or array tau > 0."""
-    return SRamp(omega).value_and_derivative(tau)

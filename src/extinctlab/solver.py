@@ -8,8 +8,9 @@ stencil because the r = 0 face carries zero flux.  Time stepping is IMEX:
 diffusion is implicit, one solve per step with the tridiagonal matrix
 I + dt V^-1 K (V the cell volumes, K the face conductances), which is not
 symmetric because of the volume weights; its LU factor is computed once per
-dt and reused on every step.  Absorption is applied through the
-frozen-coefficient factor
+dt and reused on every step.  ``FluxOperator`` owns K and builds this
+matrix, the symmetrized Schrodinger matrix of ``spectral`` and the gradient
+energy.  Absorption is applied through the frozen-coefficient factor
 
     u <- u / (1 + dt * a * |u|^(q-1)),
 
@@ -19,13 +20,13 @@ which lies in (0, 1] and therefore preserves nonnegativity for any dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .analysis import _slope
-from .profiles import ConstantPotential, PotentialField
+from .profiles import as_potential
 
 
 class NumericsError(RuntimeError):
@@ -87,11 +88,49 @@ class RadialGrid:
 
 def sample_potential(potential, grid: RadialGrid) -> np.ndarray:
     """Cell-centered absorption coefficient; None means no absorption."""
-    if potential is None:
-        return np.zeros(grid.n)
-    if isinstance(potential, (int, float)):
-        potential = ConstantPotential(float(potential))
-    return np.asarray(potential.a(grid.centers), dtype=float)
+    return np.asarray(as_potential(potential).a(grid.centers), dtype=float)
+
+
+class FluxOperator:
+    """The flux-form -Laplacian on a radial grid, shared by the diffusion
+    solver, the Schrodinger ground states and the energy ledger.
+
+    K is the stiffness matrix of the interior-face conductances
+    r^(N-1) / (distance between neighbouring centers); V is the diagonal of
+    cell volumes, so the operator itself is V^-1 K.
+    """
+
+    def __init__(self, grid: RadialGrid):
+        self.grid = grid
+        # conductance of interior face i (between cells i-1 and i)
+        self.conduct = grid.face_areas[1:-1] / np.diff(grid.centers)
+
+    def implicit(self, dt: float):
+        """(lower, diag, upper) of I + dt V^-1 K, in dgttrf's order."""
+        v = self.grid.volumes
+        flux = dt * self.conduct
+        diag = np.ones(self.grid.n)
+        diag[:-1] += flux / v[:-1]
+        diag[1:] += flux / v[1:]
+        return -flux / v[1:], diag, -flux / v[:-1]
+
+    def symmetric(self, pot):
+        """(diag, offdiag) of V^-1/2 K V^-1/2 + diag(pot), pot given per cell."""
+        v = self.grid.volumes
+        diag = np.zeros(self.grid.n)
+        diag[:-1] += self.conduct / v[:-1]
+        diag[1:] += self.conduct / v[1:]
+        diag += pot
+        off = -self.conduct / np.sqrt(v[:-1] * v[1:])
+        return diag, off
+
+    def face_energy(self, u: np.ndarray) -> np.ndarray:
+        """|grad u|^2 carried by each interior face."""
+        return self.conduct * np.diff(u) ** 2
+
+    def gradient_energy(self, u: np.ndarray) -> float:
+        """Discrete integral of |grad u|^2, u^T K u."""
+        return float(np.sum(self.face_energy(u)))
 
 
 @dataclass(frozen=True)
@@ -114,12 +153,14 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie strictly inside (0, 1)")
-        if self.floor < 0:
+        if not self.floor >= 0:   # NaN fails too
             raise ValueError("positivity floor must be nonnegative")
         if not (self.dt > 0 and self.horizon > 0):   # NaN fails too
             raise ValueError("dt and horizon must be positive")
         if self.cells < 3:
             raise ValueError("cells must be at least 3")
+        if self.dimension not in (1, 2, 3):
+            raise ValueError("dimension must be 1, 2 or 3")
 
     def build_grid(self) -> RadialGrid:
         return RadialGrid.uniform(self.cells, self.radius, self.dimension)
@@ -142,16 +183,13 @@ class ProblemSpec:
         return u
 
 
-class Stepper:
+class Stepper(FluxOperator):
     """IMEX stepper; the diffusion matrix is factored once per dt and reused."""
 
     def __init__(self, grid: RadialGrid, potential, q: float):
-        self.grid = grid
+        super().__init__(grid)
         self.q = q
         self.a = sample_potential(potential, grid)
-        d = np.diff(grid.centers)
-        # conductance of interior face i (between cells i-1 and i)
-        self.conduct = grid.face_areas[1:-1] / d
         self._dt = None
         self._lu = None  # dgttrf factor of I + dt V^-1 K
         self._dta_dt = self._dta = None  # dt * a, for the dt in _dta_dt
@@ -159,12 +197,7 @@ class Stepper:
         self._w = np.empty(grid.n)
 
     def _factor(self, dt: float) -> None:
-        v = self.grid.volumes
-        flux = dt * self.conduct
-        diag = np.ones(self.grid.n)
-        diag[:-1] += flux / v[:-1]
-        diag[1:] += flux / v[1:]
-        *lu, info = dgttrf(-flux / v[1:], diag, -flux / v[:-1])
+        *lu, info = dgttrf(*self.implicit(dt))
         if info != 0:
             raise NumericsError(f"singular diffusion matrix (dgttrf info = {info})")
         self._lu = lu
@@ -198,30 +231,9 @@ class Stepper:
     def step(self, u: np.ndarray, dt: float) -> np.ndarray:
         return self.absorb(self.diffuse(u, dt), dt)
 
-    def gradient_energy(self, u: np.ndarray) -> float:
-        """Discrete integral of |grad u|^2 (flux form on interior faces)."""
-        return float(np.sum(self.conduct * np.diff(u) ** 2))
-
     def absorption_energy(self, u: np.ndarray) -> float:
         """Discrete integral of a |u|^(q+1)."""
         return self.grid.integrate(self.a * np.abs(u) ** (self.q + 1.0))
-
-
-def step(grid: RadialGrid, u: np.ndarray, dt: float, potential, q: float,
-         return_intermediate: bool = False):
-    """Single IMEX step; flux-zero at both boundaries, nonnegativity kept.
-
-    ``return_intermediate`` also yields the post-diffusion state, which the
-    energy-identity tests need.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    st = Stepper(grid, potential, q)
-    u_star = st.diffuse(u, dt)
-    u_new = st.absorb(u_star, dt)
-    if return_intermediate:
-        return u_new, u_star
-    return u_new
 
 
 @dataclass

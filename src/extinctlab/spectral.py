@@ -1,9 +1,9 @@
 """Ground states of the radial Schrodinger operator -Lap + h^(-2) a(|x|)
 with zero-flux boundaries, and the spectral extinction criteria built on them.
 
-The operator is discretized in the same flux form as the diffusion solver
-and symmetrized with the square root of the volume weights, giving a
-symmetric tridiagonal matrix whose smallest eigenvalue is found by shifted
+The operator is the diffusion solver's own ``FluxOperator`` (the same face
+conductances), symmetrized with the square root of the volume weights; the
+smallest eigenvalue of that symmetric tridiagonal matrix is found by shifted
 inverse iteration (with a Sturm-sequence bisection fallback).  Since the
 ground state localizes where the scaled potential crosses order one, the
 mesh concentrates nodes around that knee radius.
@@ -19,8 +19,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .analysis import SeriesDiagnosis, _diagnose_series
-from .profiles import ConstantPotential, PotentialField, RhoMap, build_rho_map
-from .solver import RadialGrid, sample_potential
+from .profiles import PotentialField, RhoMap, as_potential, build_rho_map
+from .solver import FluxOperator, RadialGrid, sample_potential
 
 _OVERFLOW_LOG = 700.0  # potential entries clamp at exp(700); the ground state
                        # vanishes there anyway
@@ -38,19 +38,6 @@ class GroundState:
     iterations: int
     used_fallback: bool
     grid: RadialGrid
-
-
-def _symmetric_tridiagonal(grid: RadialGrid, V: np.ndarray):
-    """(diag, offdiag) of the volume-symmetrized operator."""
-    d = np.diff(grid.centers)
-    conduct = grid.face_areas[1:-1] / d
-    v = grid.volumes
-    diag = np.zeros(grid.n)
-    diag[:-1] += conduct / v[:-1]
-    diag[1:] += conduct / v[1:]
-    diag += V
-    off = -conduct / np.sqrt(v[:-1] * v[1:])
-    return diag, off
 
 
 def _tridiag_matvec(diag, off, x):
@@ -134,8 +121,7 @@ def _graded_faces(n: int, radius: float, knee: float | None,
 
 
 def ground_state(potential, h: float = 1.0, grid: RadialGrid | None = None,
-                 dimension: int = 1, cells: int = 2000, radius: float = 1.0,
-                 auto_refine: bool = True) -> GroundState:
+                 dimension: int = 1, cells: int = 2000, radius: float = 1.0) -> GroundState:
     """Smallest eigenpair of -Lap + h^(-2) a(|x|) with zero-flux boundaries.
 
     Falls back to a Sturm-sequence bisection eigensolve when the iteration
@@ -144,23 +130,17 @@ def ground_state(potential, h: float = 1.0, grid: RadialGrid | None = None,
     """
     if h <= 0:
         raise ValueError("h must be positive")
+    potential = as_potential(potential)
     if grid is None:
-        knee = None
-        if auto_refine and not isinstance(potential, (int, float, ConstantPotential)) \
-                and potential is not None:
-            knee = knee_radius(potential, h, radius)
+        # a constant potential has no crossing, so its knee is None
+        knee = knee_radius(potential, h, radius)
         grid = RadialGrid.from_faces(_graded_faces(cells, radius, knee), dimension)
 
-    if potential is None:
-        V = np.zeros(grid.n)
-    else:
-        pot = ConstantPotential(float(potential)) \
-            if isinstance(potential, (int, float)) else potential
-        log_V = pot.log_a(grid.centers) - 2.0 * math.log(h)
-        with np.errstate(under="ignore"):
-            V = np.exp(np.minimum(log_V, _OVERFLOW_LOG))
+    log_V = potential.log_a(grid.centers) - 2.0 * math.log(h)
+    with np.errstate(under="ignore"):
+        V = np.exp(np.minimum(log_V, _OVERFLOW_LOG))
 
-    diag, off = _symmetric_tridiagonal(grid, V)
+    diag, off = FluxOperator(grid).symmetric(V)
     out = _inverse_iteration(diag, off)
     used_fallback = False
     if out is None:
@@ -188,18 +168,9 @@ def rayleigh_quotient(gs: GroundState, potential, h: float = 1.0) -> float:
     """Recompute the quotient of the returned eigenvector from scratch."""
     grid = gs.grid
     a = sample_potential(potential, grid)
-    d = np.diff(grid.centers)
-    conduct = grid.face_areas[1:-1] / d
-    num = float(np.sum(conduct * np.diff(gs.vector) ** 2))
+    num = FluxOperator(grid).gradient_energy(gs.vector)
     num += grid.integrate(a * gs.vector**2) / h**2
     return num / grid.integrate(gs.vector**2)
-
-
-def mu_of_alpha(potential, alpha: float, q: float = 0.5, **kwargs) -> float:
-    """Ground state at the absorption-level scaling h = alpha^((1-q)/2)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return ground_state(potential, h=alpha ** ((1.0 - q) / 2.0), **kwargs).value
 
 
 def mu_n_sequence(potential, n_max: int = 20, cells: int = 400,

@@ -23,8 +23,8 @@ from extinctlab.odi import (
     solve_tau_prime,
 )
 from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField, SRamp
-from extinctlab.solver import ProblemSpec, run
-from extinctlab.spectral import _symmetric_tridiagonal, ground_state, mu_n_sequence, eigenvalue_sandwich_scan, inverse_map_sandwich
+from extinctlab.solver import FluxOperator, ProblemSpec, run
+from extinctlab.spectral import ground_state, mu_n_sequence, eigenvalue_sandwich_scan, inverse_map_sandwich
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -95,7 +95,7 @@ def test_06_spectral_oracle():
     for pot, h in pairs:
         gs = ground_state(pot, h=h, cells=200)
         V = np.exp(np.minimum(pot.log_a(gs.grid.centers) - 2 * math.log(h), 700.0))
-        d, e = _symmetric_tridiagonal(gs.grid, V)
+        d, e = FluxOperator(gs.grid).symmetric(V)
         dense = float(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[0])
         worst = max(worst, abs(gs.value - dense))
     report(6, "spectral oracle agreement", worst <= 1e-8,

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import subprocess
@@ -241,6 +242,67 @@ class TestVerify:
         summary = json.loads((out / "summary_verify.json").read_text())
         assert summary["results"]["coherent"] is False
         assert set(summary["results"]["exit_codes"].values()) == {1}
+
+
+FULL = BETA2 + """
+[problem]
+q = 0.5
+cells = 100
+horizon = 0.01
+
+[odi]
+y0 = 1e-4
+""" + SPECTRAL_SMALL
+
+
+def run_with(tmp_path, command, settings, argv=()):
+    """Exit code of ``command`` on FULL with (section, key, value) settings."""
+    parser = configparser.ConfigParser()
+    parser.read_string(FULL)
+    for section, key, value in settings:
+        parser[section][key] = value
+    cfg = tmp_path / "run.ini"
+    with open(cfg, "w") as fh:
+        parser.write(fh)
+    return main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *argv])
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("command,settings,argv", [
+        ("bound", [("odi", "y0", "nan")], []),
+        ("bound", [("odi", "gamma", "nan")], []),
+        ("bound", [("odi", "c0", "nan")], []),
+        ("bound", [], ["--gamma", "nan"]),
+        ("bound", [("profile", "d0", "nan")], []),
+        ("simulate", [("profile", "d0", "nan")], []),
+        ("simulate", [("problem", "floor", "nan")], []),
+        ("dini", [("profile", "omega0", "nan")], []),
+        ("dini", [("profile", "kind", "power"), ("profile", "alpha", "nan")], []),
+        ("dini", [("profile", "beta", "nan")], []),
+        ("dini", [("profile", "kind", "log-singular"), ("profile", "kappa", "nan")], []),
+    ], ids=["odi-y0", "odi-gamma", "odi-c0", "gamma-flag", "d0-bound", "d0-simulate",
+            "floor", "omega0", "alpha", "beta", "kappa"])
+    def test_nan_parameter_exit_64(self, tmp_path, command, settings, argv):
+        assert run_with(tmp_path, command, settings, argv) == 64
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("spectral", "spectral", "k", "-1"),
+        ("spectral", "spectral", "k", "nan"),
+        ("spectral", "spectral", "n_min", "1"),
+        ("spectral", "spectral", "n_max", "1"),
+        ("spectral", "spectral", "mu_n_max", "61"),
+        ("spectral", "spectral", "h_count", "0"),
+        ("simulate", "problem", "u0", "abc"),
+        ("simulate", "problem", "radius", "0"),
+        ("simulate", "problem", "radius", "nan"),
+        ("simulate", "problem", "dimension", "4"),
+        ("bound", "problem", "radius", "0"),
+    ])
+    def test_out_of_range_value_exit_64(self, tmp_path, capsys, command, section,
+                                        key, value):
+        assert run_with(tmp_path, command, [(section, key, value)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "Traceback" not in err
 
 
 class TestHygiene:

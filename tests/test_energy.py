@@ -55,6 +55,17 @@ class TestLedger:
         assert np.allclose(led.E, 0.0, atol=1e-20)
         assert np.allclose(led.I, 0.0, atol=1e-20)
 
+    def test_zero_potential_spellings_bitwise_equal(self):
+        spec = ProblemSpec(q=0.5, potential=None, u0="random", cells=100,
+                           dt=1e-2, horizon=0.3)
+        traj = run(spec)
+        taus = np.linspace(0.0, 1.0, 7)
+        ref = compute_ledger(traj, None, taus)
+        for pot in (0.0, ConstantPotential(0.0)):
+            led = compute_ledger(traj, pot, taus)
+            for name in ("s_tau", "a_tau", "H", "E", "flux2", "I", "J", "quad_error"):
+                assert np.array_equal(getattr(led, name), getattr(ref, name)), name
+
     def test_zero_solution(self):
         spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0), u0=0.0,
                            cells=100, dt=1e-2, horizon=0.3)

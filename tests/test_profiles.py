@@ -10,10 +10,9 @@ from extinctlab.profiles import (
     OmegaProfile,
     PotentialField,
     ProfileError,
+    SRamp,
     build_rho_map,
     check_conditions,
-    eval_potential,
-    s_ramp,
 )
 
 
@@ -82,21 +81,21 @@ class TestPotential:
         # omega(r) = r^2 => exponent -1 at r = 1
         prof = OmegaProfile.power(alpha=2.0, omega0=10.0)
         field = PotentialField(1.0, prof)
-        assert eval_potential(field, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert field.a(1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_constant_omega_vanishes_at_origin(self):
         field = PotentialField(1.0, OmegaProfile.constant(2.0))
-        assert eval_potential(field, 0.0) == 0.0
-        assert eval_potential(field, 1e-3) == 0.0  # exponent -2e6: underflow clamp
+        assert field.a(0.0) == 0.0
+        assert field.a(1e-3) == 0.0  # exponent -2e6: underflow clamp
 
     def test_linear_omega_spot_value(self):
         field = PotentialField(2.0, OmegaProfile.power(1.0))
-        assert eval_potential(field, 0.5) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-14)
+        assert field.a(0.5) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-14)
 
     def test_negative_radius_rejected(self):
         field = PotentialField(1.0, OmegaProfile.power(1.0))
         with pytest.raises(ProfileError):
-            eval_potential(field, -0.1)
+            field.a(-0.1)
 
     def test_monotone_when_slope_condition_holds(self):
         for prof in [OmegaProfile.power(1.0), OmegaProfile.log_power(2.0)]:
@@ -109,7 +108,7 @@ class TestPotential:
         # omega(r) = r^3 (capped): omega/r^2 -> 0, so a(0) = d0
         prof = OmegaProfile.power(alpha=3.0, omega0=5.0)
         field = PotentialField(0.7, prof)
-        assert eval_potential(field, 0.0) == pytest.approx(0.7, rel=1e-6)
+        assert field.a(0.0) == pytest.approx(0.7, rel=1e-6)
 
 
 SCALAR_PROFILES = [
@@ -222,19 +221,19 @@ class TestRhoMap:
 class TestSRamp:
     def test_linear_omega(self):
         # omega = tau: s = tau^3, s' = 3 tau^2
-        s, sp = s_ramp(OmegaProfile.power(1.0), 1.0)
+        s, sp = SRamp(OmegaProfile.power(1.0)).value_and_derivative(1.0)
         assert s == pytest.approx(1.0, rel=1e-12)
         assert sp == pytest.approx(3.0, rel=1e-12)
 
     def test_constant_omega(self):
-        s, sp = s_ramp(OmegaProfile.constant(0.5), 2.0)
+        s, sp = SRamp(OmegaProfile.constant(0.5)).value_and_derivative(2.0)
         assert s == pytest.approx(16.0 / 0.5, rel=1e-12)
         assert sp == pytest.approx(32.0 / 0.5, rel=1e-12)
 
     def test_bracket_under_slope_condition(self):
         prof = OmegaProfile.log_power(2.0, delta=0.5)
         tau = np.geomspace(prof.s0 * 1e-4, prof.s0, 50)
-        s, sp = s_ramp(prof, tau)
+        s, sp = SRamp(prof).value_and_derivative(tau)
         w = prof.omega(tau)
         lo = (2.0 + prof.delta) * tau**3 / w
         hi = 4.0 * tau**3 / w
@@ -244,7 +243,7 @@ class TestSRamp:
 
     def test_zero_omega_raises(self):
         with pytest.raises(ZeroDivisionError):
-            s_ramp(OmegaProfile.log_singular(), 1.0)  # omega(1) = 0
+            SRamp(OmegaProfile.log_singular()).value_and_derivative(1.0)  # omega(1) = 0
 
 
 class TestTableProfile:

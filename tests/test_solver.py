@@ -7,6 +7,7 @@ from scipy.linalg import solve_banded
 import extinctlab.solver as solver
 from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField
 from extinctlab.solver import (
+    FluxOperator,
     NumericsError,
     ProblemSpec,
     RadialGrid,
@@ -14,8 +15,8 @@ from extinctlab.solver import (
     ode_extinction_time,
     positivity_probe,
     run,
-    step,
 )
+from extinctlab.spectral import _graded_faces
 
 
 def exact_ode(t, q=0.5, eps=1.0, u0=1.0):
@@ -43,7 +44,7 @@ class TestStep:
         g = RadialGrid.uniform(100)
         u = np.ones(100)
         for dt in (1e-4, 1e-2, 1.0):
-            out = step(g, u, dt, potential=None, q=0.5)
+            out = Stepper(g, None, 0.5).step(u, dt)
             assert np.allclose(out, 1.0, atol=1e-13)
 
     @pytest.mark.parametrize("N", [1, 3])
@@ -52,7 +53,7 @@ class TestStep:
         rng = np.random.RandomState(0)
         u = rng.uniform(0.0, 2.0, 300)
         m0 = g.integrate(u)
-        out = step(g, u, 1e-3, potential=None, q=0.5)
+        out = Stepper(g, None, 0.5).step(u, 1e-3)
         assert g.integrate(out) == pytest.approx(m0, rel=1e-12)
 
     def test_spatially_constant_absorption_tracks_ode(self):
@@ -60,7 +61,7 @@ class TestStep:
         g = RadialGrid.uniform(50)
         errs = []
         for dt in (2e-3, 1e-3, 5e-4):
-            out = step(g, np.ones(50), dt, potential=ConstantPotential(1.0), q=0.5)
+            out = Stepper(g, ConstantPotential(1.0), 0.5).step(np.ones(50), dt)
             errs.append(abs(out[0] - exact_ode(dt)))
         errs = np.array(errs)
         rates = np.log2(errs[:-1] / errs[1:])
@@ -70,14 +71,14 @@ class TestStep:
         g = RadialGrid.uniform(64)
         rng = np.random.RandomState(1)
         u = rng.uniform(0.0, 1.0, 64)
-        out = step(g, u, 10.0, potential=ConstantPotential(5.0), q=0.3)
+        out = Stepper(g, ConstantPotential(5.0), 0.3).step(u, 10.0)
         assert np.all(out >= 0.0)
 
     def test_maximum_principle_heat(self):
         g = RadialGrid.uniform(128, dimension=2)
         rng = np.random.RandomState(2)
         u = rng.uniform(0.5, 1.5, 128)
-        out = step(g, u, 5e-3, potential=None, q=0.5)
+        out = Stepper(g, None, 0.5).step(u, 5e-3)
         assert out.max() <= u.max() + 1e-12
         assert out.min() >= u.min() - 1e-12
 
@@ -97,6 +98,36 @@ class TestStep:
         residuals = np.array(residuals)
         rates = np.log2(residuals[:-1] / residuals[1:])
         assert np.all(rates > 1.6)
+
+
+class TestFluxOperator:
+    """The solver's implicit matrix and the spectral symmetric form are one
+    operator: V^1/2 (V^-1 K) V^-1/2 with V the cell volumes."""
+
+    @staticmethod
+    def dense_forms(N, dt=1e-2):
+        g = RadialGrid.from_faces(_graded_faces(60, 1.0, 0.3), N)
+        op = FluxOperator(g)
+        lower, diag, upper = op.implicit(dt)
+        implicit = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        d, e = op.symmetric(0)
+        symmetric = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        return g, op, (implicit - np.eye(g.n)) / dt, symmetric
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_symmetric_is_volume_scaled_implicit(self, N):
+        g, _, generator, symmetric = self.dense_forms(N)
+        root = np.sqrt(g.volumes)
+        scaled = root[:, None] * generator / root[None, :]
+        assert np.max(np.abs(symmetric - scaled)) <= 1e-12 * np.max(np.abs(symmetric))
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_gradient_energy_is_stiffness_form(self, N):
+        g, op, generator, _ = self.dense_forms(N)
+        K = g.volumes[:, None] * generator
+        for seed in range(3):
+            u = np.random.RandomState(seed).uniform(-1.0, 1.0, g.n)
+            assert op.gradient_energy(u) == pytest.approx(u @ K @ u, rel=1e-12)
 
 
 def banded_reference(st, u, dt):

@@ -12,13 +12,11 @@ from extinctlab.profiles import (
     PotentialField,
     build_rho_map,
 )
-from extinctlab.solver import RadialGrid
+from extinctlab.solver import FluxOperator, RadialGrid
 from extinctlab.spectral import (
-    _symmetric_tridiagonal,
     ground_state,
     knee_radius,
     mu_n_sequence,
-    mu_of_alpha,
     rayleigh_quotient,
     spectral_criterion_series,
     eigenvalue_sandwich_scan,
@@ -37,7 +35,7 @@ def dense_smallest(grid, potential, h):
         V = np.zeros(grid.n)
     else:
         V = np.exp(np.minimum(potential.log_a(grid.centers) - 2 * math.log(h), 700.0))
-    diag, off = _symmetric_tridiagonal(grid, V)
+    diag, off = FluxOperator(grid).symmetric(V)
     M = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return float(np.linalg.eigvalsh(M)[0])
 
@@ -83,6 +81,13 @@ class TestGroundState:
         gs = ground_state(beta2_potential, h=1e-2, cells=2000)
         assert gs.residual < 1e-8
 
+    def test_zero_potential_spellings_bitwise_equal(self):
+        ref = ground_state(None, h=0.1, cells=200)
+        for pot in (0.0, ConstantPotential(0.0)):
+            gs = ground_state(pot, h=0.1, cells=200)
+            assert gs.value == ref.value
+            assert np.array_equal(gs.vector, ref.vector)
+
     def test_h_validation(self):
         with pytest.raises(ValueError):
             ground_state(None, h=0.0)
@@ -98,13 +103,11 @@ class TestGroundState:
 
 
 class TestMu:
-    def test_mu_of_alpha_identity(self, beta2_potential):
-        assert mu_of_alpha(beta2_potential, 1.0, q=0.5, cells=300) == pytest.approx(
-            ground_state(beta2_potential, h=1.0, cells=300).value, rel=1e-10)
-
     def test_constant_closed_form(self):
         # a = c: mu(alpha) = c * alpha^(q-1)
-        got = mu_of_alpha(ConstantPotential(1.0), 4.0, q=0.5, cells=200)
+        alpha, q = 4.0, 0.5
+        got = ground_state(ConstantPotential(1.0), h=alpha ** ((1.0 - q) / 2.0),
+                           cells=200).value
         assert got == pytest.approx(0.5, rel=1e-10)
 
     def test_mu_n_dyadic_exact(self):
