@@ -193,6 +193,8 @@ def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | No
 
 def _diagnose_series(n: np.ndarray, t: np.ndarray, rejected: int = 0,
                      checkpoints: int = 200) -> SeriesDiagnosis:
+    if t.size == 0:  # no usable term: nothing to fit, nothing to judge
+        return SeriesDiagnosis(n, t, t, 0.0, math.nan, None, "inconclusive", rejected)
     # fit before the cumsum array exists: the fit's temporaries are the peak
     slope, b, verdict = _two_stage_tail_fit(n, t)
     csum = np.cumsum(t)

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import equivalence_check
+from .analysis import DomainError, _diagnose_series, equivalence_check, spectral_log_sum
 from .config import (
     ConfigError,
     echo_config,
@@ -54,7 +54,6 @@ from .spectral import (
     eigenvalue_sandwich_scan,
     inverse_map_sandwich,
 )
-from .analysis import spectral_log_sum
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -328,7 +327,10 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
     import warnings as _warnings
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
-        kv = spectral_log_sum(mus)
+        try:
+            kv = spectral_log_sum(mus)
+        except DomainError:  # every mu_n <= 1: an empty series
+            kv = _diagnose_series(mus[:0], mus[:0], rejected=mus.size)
     terms = np.concatenate([[0.0], np.log(mus[1:]) / mus[1:]])
     out.write_csv("mu_n.csv", ["n", "mu_n", "term", "partial_sum"],
                   [range(mus.size), mus, terms, np.cumsum(terms)])
@@ -352,6 +354,8 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
     out.write_summary("spectral", results, parser, args.seed)
     if results.get("consistent_with_dini") is False:
         return EXIT_NEGATIVE
+    if kv.n_values.size == 0:  # no mu_n > 1: the mu-log sum decides nothing
+        return EXIT_INCONCLUSIVE
     return _verdict_exit(crit.verdict)
 
 

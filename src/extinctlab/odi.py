@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import dini_integral
+from .analysis import _GL_NODES, _GL_WEIGHTS, dini_integral
 from .energy import ExponentPack
 from .profiles import OmegaProfile, PotentialField, SRamp
 
-_LOG_TAU_FLOOR = -250.0  # bisection lower end in ln(tau)
+_TAU_FLOOR = math.exp(-250.0)  # lower end of the radius searches
 
 
 class NoPlateauError(ValueError):
@@ -86,29 +86,24 @@ class OdiConfig:
         return SRamp(self.omega)
 
 
-def _bisect_log_tau(g, target: float, hi: float, lo_log: float = _LOG_TAU_FLOOR,
-                    iters: int = 200) -> float:
-    """Solve g(tau) = target for g increasing in tau, bisecting in ln(tau).
+def _bisect_log_tau(g, target: float, lo: float, hi: float) -> float:
+    """Solve g(tau) = target on [lo, hi] for g increasing in tau.
 
-    Stopping on the log-interval width keeps tiny roots relatively accurate,
-    which absolute tau tolerances cannot (they are vacuous below their own
-    scale); 200 halvings push the width to rounding anyway.
+    Bisects in ln(tau), which keeps tiny roots relatively accurate, until the
+    midpoint rounds onto an end of the bracket: every pass halves the
+    bracket or stops, so no tolerance or iteration cap is needed.
     """
-    lo, hi_log = lo_log, math.log(hi)
-    g_lo, g_hi = g(math.exp(lo)), g(math.exp(hi_log))
-    if g_lo > target:
+    lo, hi = math.log(lo), math.log(hi)
+    if g(math.exp(lo)) > target:
         raise BelowFloorError("root lies below the tau search range")
-    if g_hi < target:
+    if g(math.exp(hi)) < target:
         raise CurveRangeError("root lies beyond the domain radius")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi_log)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if g(math.exp(mid)) >= target:
-            hi_log = mid
+            hi = mid
         else:
             lo = mid
-        if hi_log - lo < 1e-15:
-            break
-    return math.exp(0.5 * (lo + hi_log))
+    return math.exp(mid)
 
 
 def solve_tau_prime(config: OdiConfig) -> float:
@@ -123,11 +118,7 @@ def solve_tau_prime(config: OdiConfig) -> float:
             f"y0 = {config.y0:.3g} >= 3 c0 = {3 * config.c0:.3g}: curve starts "
             "past the plateau")
     target = (math.log(config.y0) - math.log(3.0 * config.c0)) * (1.0 - config.q) / 2.0
-
-    def g(tau):
-        return config.potential.log_a(tau)
-
-    return _bisect_log_tau(g, target, config.tau_max)
+    return _bisect_log_tau(config.potential.log_a, target, _TAU_FLOOR, config.tau_max)
 
 
 def _cumulative_log_integral(logf, knots: np.ndarray) -> np.ndarray:
@@ -139,7 +130,6 @@ def _cumulative_log_integral(logf, knots: np.ndarray) -> np.ndarray:
     total adds the segments in order, so the result does not depend on
     how many segments share the call.
     """
-    from .analysis import _GL_NODES, _GL_WEIGHTS
     mid, half = 0.5 * (knots[:-1] + knots[1:]), 0.5 * (knots[1:] - knots[:-1])
     g = logf(mid[:, None] + half[:, None] * _GL_NODES)
     m = g.max(axis=1)
@@ -165,6 +155,7 @@ class CurvePiece:
         Q = np.interp(taus, self.knots, self.cum_integral)
         base = self.start_value ** self.decay_exponent - self.coefficient * Q
         vals = np.maximum(base, 0.0) ** (1.0 / self.decay_exponent)
+        vals[taus >= self.zero_radius()] = 0.0  # not left to interp rounding
         return float(vals[0]) if np.ndim(tau) == 0 else vals
 
     def zero_radius(self) -> float:
@@ -207,6 +198,12 @@ def _log_match_boundary(config: OdiConfig, tau):
             + 2.0 / ((1.0 - q) * (ep.theta1 - ep.theta2)) * log_sp)
 
 
+def _log_match_constant(config: OdiConfig, tau: float) -> float:
+    """ln of a^(1-theta2) s'^2, the matching constant before its y0 scaling."""
+    _, log_sp = config.sramp.log_value_and_derivative(tau)
+    return (1.0 - config.exponents.theta2) * config.potential.log_a(tau) + 2.0 * log_sp
+
+
 @dataclass(frozen=True)
 class TauDoublePrime:
     tau: float
@@ -225,31 +222,19 @@ def solve_tau_double_prime(config: OdiConfig, piece2: CurvePiece,
     hi = min(zero * (1 - 1e-12) if math.isfinite(zero) else config.tau_max,
              config.tau_max)
 
-    def G(tau):
+    def g(tau):  # ln(boundary / Y2), increasing in tau
         y2 = piece2(tau)
         if y2 <= 0:
-            return -math.inf
-        return math.log(y2) - float(_log_match_boundary(config, tau))
+            return math.inf
+        return float(_log_match_boundary(config, tau)) - math.log(y2)
 
-    lo = tau_prime
-    if G(lo) <= 0:
+    if g(tau_prime) >= 0:
         raise RegionSkippedError("curve already below the matching boundary at tau'")
-    if G(hi) > 0:
+    if g(hi) < 0:
         raise RegionSkippedError("no sign change before the curve piece dies")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if G(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    tau_pp = 0.5 * (lo + hi)
-    ep = config.exponents
-    _, log_sp = config.sramp.log_value_and_derivative(tau_pp)
-    p2 = (1.0 - ep.theta2) * (1.0 - config.q) / 2.0
-    k = math.exp((1.0 - ep.theta2) * config.potential.log_a(tau_pp)
-                 + 2.0 * log_sp - p2 * math.log(config.y0))
+    tau_pp = _bisect_log_tau(g, 0.0, tau_prime, hi)
+    p2 = (1.0 - config.exponents.theta2) * (1.0 - config.q) / 2.0
+    k = math.exp(_log_match_constant(config, tau_pp) - p2 * math.log(config.y0))
     return TauDoublePrime(tau_pp, float(piece2(tau_pp)), k)
 
 
@@ -287,7 +272,7 @@ def solve_extinction_radius(config: OdiConfig, level: float | None = None,
     Returns (tau, clipped): clipped means the required radius exceeded the
     domain and was cut to tau_max (the machinery assumes it stays inside).
     Levels may be passed in log space to survive deep rounds.  A radius
-    below the search floor exp(_LOG_TAU_FLOOR) raises BelowFloorError.
+    below the search floor _TAU_FLOOR = exp(-250) raises BelowFloorError.
     """
     if log_level is None:
         log_level = math.log(level)
@@ -300,7 +285,7 @@ def solve_extinction_radius(config: OdiConfig, level: float | None = None,
         return 2.0 * math.log(tau) - (math.log(w) if w > 0 else -math.inf)
 
     try:
-        return _bisect_log_tau(g, target, config.tau_max), False
+        return _bisect_log_tau(g, target, _TAU_FLOOR, config.tau_max), False
     except BelowFloorError:
         raise
     except CurveRangeError:
@@ -330,14 +315,10 @@ def curve_y1_and_tau_triple_prime(config: OdiConfig, tau_pp: float,
     p2 = (1.0 - ep.theta2) * (1.0 - config.q) / 2.0
     piece1 = curve_y1(config, tau_pp, start_value)
 
-    def h(tau):
-        _, log_sp = config.sramp.log_value_and_derivative(tau)
-        return ((1.0 - ep.theta2) * config.potential.log_a(tau)
-                + 2.0 * log_sp)
-
     target = math.log(config.c4) + p2 * math.log(config.y0)
     try:
-        direct = _bisect_log_tau(h, target, config.tau_max * 4.0)
+        direct = _bisect_log_tau(lambda tau: _log_match_constant(config, tau), target,
+                                 _TAU_FLOOR, config.tau_max * 4.0)
     except CurveRangeError:
         direct = math.inf
     try:
@@ -482,7 +463,7 @@ def extinction_iteration(config: OdiConfig, max_rounds: int = 200,
     non-summable; the report then carries an infinite total instead of
     raising.  The rounds end early when the offsets become negligible, when
     the waiting times stall, or when a radius falls below the search floor
-    exp(_LOG_TAU_FLOOR); the tail majorant then covers the deeper rounds.
+    _TAU_FLOOR = exp(-250); the tail majorant then covers the deeper rounds.
     A report with no round at all (the first radius is below the floor) is
     inconclusive.
     """

@@ -107,6 +107,8 @@ class OmegaProfile:
             object.__setattr__(self, "_pchip_d", interp.derivative())
         if self.s0 is None:
             object.__setattr__(self, "s0", self._default_s0())
+        if not 0 < self.s0 < math.inf:
+            raise ProfileError("s0 must be finite and positive")
 
     def _default_s0(self) -> float:
         if self.kind == "log-power":

@@ -304,6 +304,23 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_s0_out_of_range_exit_64(self, tmp_path, capsys, value):
+        assert run_with(tmp_path, "dini", [("profile", "s0", value)]) == 64
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,series", [
+        ("n_max", "2", "spectral_criterion_verdict"),
+        ("n_max", "3", "spectral_criterion_verdict"),
+        ("mu_n_max", "0", "mu_log_sum_verdict"),
+        ("mu_n_max", "1", "mu_log_sum_verdict"),
+    ])
+    def test_empty_spectral_series_inconclusive(self, tmp_path, key, value, series):
+        # every term has mu <= 1: the series has nothing to sum
+        assert run_with(tmp_path, "spectral", [("spectral", key, value)]) == 2
+        summary = json.loads((tmp_path / "o" / "summary_spectral.json").read_text())
+        assert summary["results"][series] == "inconclusive"
+
 
 class TestHygiene:
     def test_determinism_byte_identical(self, tmp_path):

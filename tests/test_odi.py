@@ -151,6 +151,19 @@ class TestTauDoublePrime:
                             + 2 / ((1 - cfg.q) * (ep.theta1 - ep.theta2)) * log_sp)
         assert abs(piece(res.tau) - boundary) <= 1e-8 * boundary
 
+    def test_root_brackets_sign_change_within_4_ulps(self, beta2_config):
+        tau_p = solve_tau_prime(beta2_config)
+        piece = curve_y2(beta2_config, tau_p)
+        tau_pp = solve_tau_double_prime(beta2_config, piece, tau_p).tau
+
+        def G(tau):
+            return math.log(piece(tau)) - odi._log_match_boundary(beta2_config, tau)
+
+        below, above = tau_pp, tau_pp
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+        assert G(float(below)) > 0 > G(float(above))
+
     def test_bracket_constant_independent_of_y0(self, beta2_config):
         ks = []
         for y0 in (1e-4, 3e-5, 1e-5):
@@ -318,8 +331,22 @@ class TestExtinctionIteration:
         with pytest.raises(BelowFloorError):
             solve_extinction_radius(beta2_config, log_level=-1e300)
         with pytest.raises(CurveRangeError) as exc:
-            odi._bisect_log_tau(math.log, 1.0, 1.0)
+            odi._bisect_log_tau(math.log, 1.0, odi._TAU_FLOOR, 1.0)
         assert not isinstance(exc.value, BelowFloorError)
+
+    def test_deep_radius_bisects_to_rounding(self, beta2_config, monkeypatch):
+        # omega = ln(1/tau)^-2 puts the root at ln(tau) = -100 for this level
+        log_level = -beta2_config.c7 * math.exp(200.0) / 1e4
+        calls = []
+        omega = OmegaProfile.omega
+        monkeypatch.setattr(OmegaProfile, "omega",
+                            lambda self, s: calls.append(s) or omega(self, s))
+        tau, clipped = solve_extinction_radius(beta2_config, log_level=log_level)
+        monkeypatch.undo()
+        assert not clipped and math.log(tau) == pytest.approx(-100.0, rel=1e-12)
+        assert len(calls) <= 70
+        got = tau**2 * -log_level / beta2_config.omega.omega(tau)
+        assert got == pytest.approx(beta2_config.c7, rel=1e-12)
 
     def test_first_radius_below_floor_is_inconclusive(self):
         # tau^2/omega = tau^0.001 cannot reach the relation above exp(-250)
