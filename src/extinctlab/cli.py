@@ -348,9 +348,12 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
     })
     dini = out.read_summary("dini")
     if dini is not None and dini["config"].get("profile") == echo_config(parser).get("profile"):
-        results["dini_series_verdict"] = dini["results"]["series_verdict"]
+        dini_verdict = dini["results"]["series_verdict"]
+        results["dini_series_verdict"] = dini_verdict
+        # an inconclusive side neither agrees nor contradicts
         results["consistent_with_dini"] = (
-            dini["results"]["series_verdict"] == crit.verdict)
+            None if "inconclusive" in (dini_verdict, crit.verdict)
+            else dini_verdict == crit.verdict)
     out.write_summary("spectral", results, parser, args.seed)
     if results.get("consistent_with_dini") is False:
         return EXIT_NEGATIVE

@@ -243,6 +243,15 @@ class TestVerify:
         assert summary["results"]["coherent"] is False
         assert set(summary["results"]["exit_codes"].values()) == {1}
 
+    def test_inconclusive_criterion_does_not_contradict_dini(self, tmp_path):
+        assert run_with(tmp_path, "verify", [("spectral", "n_max", "2")]) == 1
+        out = tmp_path / "o"
+        spectral = json.loads((out / "summary_spectral.json").read_text())
+        assert spectral["results"]["consistent_with_dini"] is None
+        verify = json.loads((out / "summary_verify.json").read_text())
+        assert verify["results"]["exit_codes"]["spectral"] == 2
+        assert verify["results"]["coherent"] is False
+
 
 FULL = BETA2 + """
 [problem]
