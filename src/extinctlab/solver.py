@@ -5,12 +5,17 @@ Space is discretized by a cell-centered finite volume scheme on [0, R] with
 the radial weight r^(N-1); the flux form makes mass conservation exact up to
 roundoff when the absorption vanishes, and the origin needs no special
 stencil because the r = 0 face carries zero flux.  Time stepping is IMEX:
-diffusion is implicit, one solve per step with the tridiagonal matrix
-I + dt V^-1 K (V the cell volumes, K the face conductances), which is not
-symmetric because of the volume weights; its LU factor is computed once per
-dt and reused on every step.  ``FluxOperator`` owns K and builds this
-matrix, the symmetrized Schrodinger matrix of ``spectral`` and the gradient
-energy.  Absorption is applied through the frozen-coefficient factor
+diffusion is implicit, V (x - u) = -dt K x with V the cell volumes and K the
+symmetric stiffness matrix of the face conductances.  It is solved in
+increment form, x = u + d with (V + dt K) d = -dt K u: the right-hand side
+is the face fluxes dt c (u_right - u_left), each added to the cell left of
+its face and taken from the cell right of it, so the volume sum of d
+vanishes up to the rounding of K's zero column sums and mass drifts far
+less than in a solve for x itself.  V + dt K is symmetric positive definite
+and tridiagonal; its LDL^T factor is computed once per dt and reused on
+every step.  ``FluxOperator`` owns K and builds this matrix, the
+symmetrized Schrodinger matrix of ``spectral`` and the gradient energy.
+Absorption is applied through the frozen-coefficient factor
 
     u <- u / (1 + dt * a * |u|^(q-1)),
 
@@ -23,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .analysis import _slope
 from .profiles import as_potential
@@ -106,13 +111,13 @@ class FluxOperator:
         self.conduct = grid.face_areas[1:-1] / np.diff(grid.centers)
 
     def implicit(self, dt: float):
-        """(lower, diag, upper) of I + dt V^-1 K, in dgttrf's order."""
-        v = self.grid.volumes
+        """(diag, off) of the symmetric positive-definite V + dt K, in
+        dpttrf's order; off is -dt times the conductances."""
         flux = dt * self.conduct
-        diag = np.ones(self.grid.n)
-        diag[:-1] += flux / v[:-1]
-        diag[1:] += flux / v[1:]
-        return -flux / v[1:], diag, -flux / v[:-1]
+        diag = self.grid.volumes.copy()
+        diag[:-1] += flux
+        diag[1:] += flux
+        return diag, -flux
 
     def symmetric(self, pot):
         """(diag, offdiag) of V^-1/2 K V^-1/2 + diag(pot), pot given per cell."""
@@ -155,8 +160,10 @@ class ProblemSpec:
             raise ValueError("q must lie strictly inside (0, 1)")
         if not self.floor >= 0:   # NaN fails too
             raise ValueError("positivity floor must be nonnegative")
-        if not (self.dt > 0 and self.horizon > 0):   # NaN fails too
-            raise ValueError("dt and horizon must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.horizon < math.inf):   # NaN fails too
+            raise ValueError("dt and horizon must be positive and finite")
+        if not 0.0 < self.extinction_rtol < 1.0:
+            raise ValueError("extinction_rtol must lie strictly inside (0, 1)")
         if self.cells < 3:
             raise ValueError("cells must be at least 3")
         if self.dimension not in (1, 2, 3):
@@ -191,25 +198,37 @@ class Stepper(FluxOperator):
         self.q = q
         self.a = sample_potential(potential, grid)
         self._dt = None
-        self._lu = None  # dgttrf factor of I + dt V^-1 K
+        self._ldl = None  # dpttrf factor (d, e) of V + dt K
+        self._dtc = None  # dt * conduct, the face fluxes per unit jump
         self._dta_dt = self._dta = None  # dt * a, for the dt in _dta_dt
         self._au = np.empty(grid.n)  # scratch for absorb; never returned
         self._w = np.empty(grid.n)
+        self._rhs = np.empty(grid.n)  # scratch for diffuse; never returned
+        self._flux = np.empty(grid.n - 1)
 
     def _factor(self, dt: float) -> None:
-        *lu, info = dgttrf(*self.implicit(dt))
+        diag, off = self.implicit(dt)
+        *ldl, info = dpttrf(diag, off)
         if info != 0:
-            raise NumericsError(f"singular diffusion matrix (dgttrf info = {info})")
-        self._lu = lu
+            raise NumericsError(f"diffusion matrix not positive definite (dpttrf info = {info})")
+        self._ldl = ldl
+        self._dtc = -off
         self._dt = dt
 
     def diffuse(self, u: np.ndarray, dt: float) -> np.ndarray:
+        """u + d with (V + dt K) d = -dt K u; ``u`` is not modified."""
         if self._dt != dt:
             self._factor(dt)
-        x, info = dgttrs(*self._lu, u)
+        flux = np.subtract(u[1:], u[:-1], out=self._flux)
+        np.multiply(self._dtc, flux, out=flux)
+        rhs = self._rhs  # -dt K u: each face flux enters left, leaves right
+        np.subtract(flux[1:], flux[:-1], out=rhs[1:-1])
+        rhs[0] = flux[0]
+        rhs[-1] = -flux[-1]
+        d, info = dpttrs(*self._ldl, rhs)
         if info != 0:
-            raise NumericsError(f"diffusion solve failed (dgttrs info = {info})")
-        return x
+            raise NumericsError(f"diffusion solve failed (dpttrs info = {info})")
+        return u + d
 
     def absorb(self, u: np.ndarray, dt: float) -> np.ndarray:
         """Bit for bit ``u / (1.0 + dt * a * w)``, ``w = where(|u| > 0, |u|**(q-1), 0)``.

@@ -305,6 +305,12 @@ class TestConfigValues:
         ("simulate", "problem", "radius", "0"),
         ("simulate", "problem", "radius", "nan"),
         ("simulate", "problem", "dimension", "4"),
+        ("simulate", "problem", "horizon", "inf"),
+        ("simulate", "problem", "dt", "inf"),
+        ("simulate", "problem", "extinction_rtol", "nan"),
+        ("simulate", "problem", "extinction_rtol", "0"),
+        ("simulate", "problem", "extinction_rtol", "-1"),
+        ("simulate", "problem", "extinction_rtol", "1"),
         ("bound", "problem", "radius", "0"),
     ])
     def test_out_of_range_value_exit_64(self, tmp_path, capsys, command, section,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 import extinctlab.solver as solver
 from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField
@@ -102,36 +102,37 @@ class TestStep:
 
 class TestFluxOperator:
     """The solver's implicit matrix and the spectral symmetric form are one
-    operator: V^1/2 (V^-1 K) V^-1/2 with V the cell volumes."""
+    operator: K = (implicit(dt) - V)/dt and V^-1/2 K V^-1/2, with V the cell
+    volumes."""
 
     @staticmethod
     def dense_forms(N, dt=1e-2):
         g = RadialGrid.from_faces(_graded_faces(60, 1.0, 0.3), N)
         op = FluxOperator(g)
-        lower, diag, upper = op.implicit(dt)
-        implicit = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        diag, off = op.implicit(dt)
+        implicit = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
         d, e = op.symmetric(0)
         symmetric = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        return g, op, (implicit - np.eye(g.n)) / dt, symmetric
+        return g, op, (implicit - np.diag(g.volumes)) / dt, symmetric
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_symmetric_is_volume_scaled_implicit(self, N):
-        g, _, generator, symmetric = self.dense_forms(N)
+        g, _, stiffness, symmetric = self.dense_forms(N)
         root = np.sqrt(g.volumes)
-        scaled = root[:, None] * generator / root[None, :]
+        scaled = stiffness / root[:, None] / root[None, :]
         assert np.max(np.abs(symmetric - scaled)) <= 1e-12 * np.max(np.abs(symmetric))
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_gradient_energy_is_stiffness_form(self, N):
-        g, op, generator, _ = self.dense_forms(N)
-        K = g.volumes[:, None] * generator
+        g, op, K, _ = self.dense_forms(N)
         for seed in range(3):
             u = np.random.RandomState(seed).uniform(-1.0, 1.0, g.n)
             assert op.gradient_energy(u) == pytest.approx(u @ K @ u, rel=1e-12)
 
 
 def banded_reference(st, u, dt):
-    """Diffusion step through solve_banded on the column-shifted band form."""
+    """The non-symmetric step (I + dt V^-1 K) x = u through solve_banded on
+    the column-shifted band form."""
     v, c = st.grid.volumes, st.conduct
     ab = np.zeros((3, st.grid.n))
     ab[1] = 1.0
@@ -142,6 +143,23 @@ def banded_reference(st, u, dt):
     return solve_banded((1, 1), ab, u)
 
 
+def spd_reference(st, u, dt):
+    """The increment step u + d, (V + dt K) d = -dt K u, through
+    solveh_banded on the 2-row upper band form of V + dt K."""
+    v, c = st.grid.volumes, st.conduct
+    dtc = dt * c
+    ab = np.zeros((2, st.grid.n))
+    ab[1] = v
+    ab[1, :-1] += dtc
+    ab[1, 1:] += dtc
+    ab[0, 1:] = -dtc
+    flux = dtc * np.diff(u)
+    rhs = np.zeros(st.grid.n)
+    rhs[:-1] += flux
+    rhs[1:] -= flux
+    return u + solveh_banded(ab, rhs)
+
+
 class TestFactoredSolve:
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_bitwise_equal_to_solve_banded(self, N):
@@ -150,7 +168,7 @@ class TestFactoredSolve:
         rng = np.random.RandomState(N)
         for dt in (1e-3, 1e-3, 0.5):
             u = rng.uniform(0.0, 2.0, g.n)
-            assert np.array_equal(st.diffuse(u, dt), banded_reference(st, u, dt))
+            assert np.array_equal(st.diffuse(u, dt), spd_reference(st, u, dt))
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_bitwise_equal_after_dt_switch(self, N):
@@ -159,7 +177,7 @@ class TestFactoredSolve:
         rng = np.random.RandomState(10 + N)
         for dt in (1e-3, 4e-3, 1e-3):
             u = rng.uniform(0.0, 2.0, g.n)
-            assert np.array_equal(st.diffuse(u, dt), banded_reference(st, u, dt))
+            assert np.array_equal(st.diffuse(u, dt), spd_reference(st, u, dt))
 
     def test_bitwise_equal_along_a_run(self):
         g = RadialGrid.uniform(200, dimension=3)
@@ -168,18 +186,34 @@ class TestFactoredSolve:
         u = np.random.RandomState(4).uniform(0.0, 1.0, g.n)
         for _ in range(300):
             u_star = st.diffuse(u, 2e-3)
-            assert np.array_equal(u_star, banded_reference(st, u, 2e-3))
+            assert np.array_equal(u_star, spd_reference(st, u, 2e-3))
             u = st.absorb(u_star, 2e-3)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("cells", [50, 2000])
+    def test_close_to_nonsymmetric_step(self, N, cells):
+        # same linear system as (I + dt V^-1 K) x = u, rounded differently
+        g = RadialGrid.uniform(cells, dimension=N)
+        st = Stepper(g, None, 0.5)
+        c, v = st.conduct, g.volumes
+        stiff = max(np.max(c / v[:-1]), np.max(c / v[1:]))
+        rng = np.random.RandomState(20 + N)
+        for dt in (1e-6, 1e-3, 0.5):
+            u = rng.uniform(0.0, 2.0, g.n)
+            u[rng.randint(0, g.n)] = 5.0
+            tol = 8 * np.finfo(float).eps * (1 + 4 * dt * stiff) * np.max(np.abs(u))
+            err = np.max(np.abs(st.diffuse(u, dt) - banded_reference(st, u, dt)))
+            assert err <= tol
 
     def test_factored_once_per_dt(self, monkeypatch):
         calls = []
-        factor = solver.dgttrf
+        factor = solver.dpttrf
 
         def counting(*args, **kwargs):
             calls.append(args)
             return factor(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "dgttrf", counting)
+        monkeypatch.setattr(solver, "dpttrf", counting)
         g = RadialGrid.uniform(64)
         st = Stepper(g, ConstantPotential(1.0), 0.5)
         u = np.ones(g.n)
@@ -194,6 +228,14 @@ class TestFactoredSolve:
     def test_nan_step_or_horizon_rejected(self, field):
         with pytest.raises(ValueError):
             ProblemSpec(q=0.5, **{field: math.nan})
+
+    @pytest.mark.parametrize("field,value", [
+        ("dt", math.inf), ("horizon", math.inf), ("extinction_rtol", math.nan),
+        ("extinction_rtol", 0.0), ("extinction_rtol", -1.0), ("extinction_rtol", 1.0),
+    ])
+    def test_run_that_cannot_end_extinct_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            ProblemSpec(q=0.5, **{field: value})
 
     def test_too_few_cells_rejected(self):
         with pytest.raises(ValueError):
