@@ -76,7 +76,9 @@ class TestMassAtZeroAbsorption:
         # measured against sup|u0| times the domain's volume, plus one
         # subnormal spacing per cell and step for data below the normal
         # range.  A direct solve for x = (I + dt V^-1 K)^-1 u drifts by up
-        # to ~1.6e4 eps on these examples.
+        # to ~1.6e4 eps on these examples.  dt stops at 1e-2: beyond it the
+        # first step's rounding grows with the condition number of V + dt K
+        # and neither solve keeps to this bound.
         dimension, u = state
         g = RadialGrid.uniform(u.size, dimension=dimension)
         stepper = Stepper(g, None, 0.5)

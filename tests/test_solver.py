@@ -229,14 +229,6 @@ class TestFactoredSolve:
         with pytest.raises(ValueError):
             ProblemSpec(q=0.5, **{field: math.nan})
 
-    @pytest.mark.parametrize("field,value", [
-        ("dt", math.inf), ("horizon", math.inf), ("extinction_rtol", math.nan),
-        ("extinction_rtol", 0.0), ("extinction_rtol", -1.0), ("extinction_rtol", 1.0),
-    ])
-    def test_run_that_cannot_end_extinct_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            ProblemSpec(q=0.5, **{field: value})
-
     def test_too_few_cells_rejected(self):
         with pytest.raises(ValueError):
             ProblemSpec(q=0.5, cells=2)
