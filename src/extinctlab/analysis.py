@@ -41,12 +41,12 @@ class QuadratureResult:
     value: float
     error: float
     subdivisions: int
-    verdict: str  # "converged" | "diverged" | "inconclusive"
+    verdict: str  # "convergent" | "divergent" | "inconclusive"
     witness: tuple[float, ...] = ()
 
     @property
     def converged(self) -> bool:
-        return self.verdict == "converged"
+        return self.verdict == "convergent"
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,9 @@ def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9,
 
     Substituting u = ln(1/s) gives the integral of omega(exp(-u)) du over
     (ln(1/c), inf); dyadic windows in u are summed until either the window
-    sums decay geometrically (converged, with the geometric tail added and
+    sums decay geometrically (convergent, with the geometric tail added and
     its mismatch charged to the error) or they fail to decay for 20
-    consecutive windows (diverged, the windows are the witness).
+    consecutive windows (divergent, the windows are the witness).
     """
     if c <= 0:
         raise DomainError("upper limit c must be positive")
@@ -115,14 +115,14 @@ def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9,
             ratios = [recent[i + 1] / recent[i] for i in range(_DIVERGENCE_RUN)
                       if recent[i] > 0]
             if len(ratios) == _DIVERGENCE_RUN and min(ratios) >= _DIVERGENCE_RATIO:
-                return QuadratureResult(value, err, n_eval, "diverged",
+                return QuadratureResult(value, err, n_eval, "divergent",
                                         tuple(windows[-5:]))
 
         if len(windows) >= 4:
             last = windows[-4:]
             if last[0] <= 0 or max(last) == 0:
                 # integrand fell below representable range: tail is exactly 0
-                return QuadratureResult(value, err, n_eval, "converged")
+                return QuadratureResult(value, err, n_eval, "convergent")
             rhos = [last[i + 1] / last[i] for i in range(3) if last[i] > 0]
             if len(rhos) == 3 and max(rhos) < 0.9:
                 rho = float(np.mean(rhos))
@@ -130,7 +130,7 @@ def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9,
                 bound = windows[-1] * max(rhos) / (1.0 - max(rhos))
                 if bound < tol:
                     return QuadratureResult(value + tail, err + bound, n_eval,
-                                            "converged")
+                                            "convergent")
     return QuadratureResult(value, err, n_eval, "inconclusive", tuple(windows[-5:]))
 
 
@@ -242,12 +242,8 @@ def equivalence_check(omega: OmegaProfile, c: float = math.exp(-1.0),
     """
     quad = dini_integral(omega, c, tol)
     ser = dini_series(omega, n_max=n_max)
-    to_common = {"converged": "convergent", "diverged": "divergent"}
-    qi = to_common.get(quad.verdict, "inconclusive")
-    if qi == "inconclusive" or ser.verdict == "inconclusive":
-        agree = None
-    else:
-        agree = qi == ser.verdict
+    agree = (None if "inconclusive" in (quad.verdict, ser.verdict)
+             else quad.verdict == ser.verdict)
     return EquivalenceReport(quad, ser, agree)
 
 
@@ -349,7 +345,8 @@ def spectral_log_sum(mu_values) -> SeriesDiagnosis:
     """Partial sums of sum_n ln(mu_n)/mu_n for a positive sequence mu_n > 1.
 
     Terms with mu_n <= 1 carry a nonpositive logarithm and are rejected with
-    a warning rather than summed.
+    a warning rather than summed; with no term left the series is empty and
+    its verdict inconclusive.
     """
     mu = np.asarray(mu_values, dtype=float)
     good = mu > 1.0
@@ -357,8 +354,6 @@ def spectral_log_sum(mu_values) -> SeriesDiagnosis:
     if rejected:
         warnings.warn(f"spectral_log_sum: rejected {rejected} term(s) with mu <= 1")
     mu = mu[good]
-    if mu.size == 0:
-        raise DomainError("no usable terms: all mu <= 1")
     n = np.arange(1, mu.size + 1, dtype=float)
     t = np.log(mu) / mu
     return _diagnose_series(n, t, rejected=rejected)

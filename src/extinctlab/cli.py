@@ -3,8 +3,11 @@
     extinctlab <dini|simulate|bound|spectral|verify> --config FILE
                [--out DIR] [--seed N] [--gamma X] [--c0 X] [--c7 X] [--cbar X]
 
-Exit codes: 0 positive verdict (convergent / extinct / bound holds),
-1 negative verdict (divergent / horizon reached / bound violated),
+Every convergence verdict (integral, series, round bound, spectral
+criterion) is "convergent", "divergent" or "inconclusive".  Exit codes:
+0 convergent (simulate: extinct; verify: coherent), 1 divergent (simulate:
+not extinct; verify: incoherent; bound and spectral also when they
+contradict a simulate or dini summary in the same directory),
 2 inconclusive, 64 configuration or usage error, 70 numerical failure.
 
 All emissions are plain CSV (comma separator, dot decimal, header row) plus
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import DomainError, _diagnose_series, equivalence_check, spectral_log_sum
+from .analysis import equivalence_check, spectral_log_sum
 from .config import (
     ConfigError,
     echo_config,
@@ -135,10 +138,7 @@ class OutputDir:
 
 
 def _verdict_exit(verdict: str) -> int:
-    table = {"convergent": EXIT_OK, "converged": EXIT_OK, "bounded": EXIT_OK,
-             "divergent": EXIT_NEGATIVE, "diverged": EXIT_NEGATIVE,
-             "unbounded": EXIT_NEGATIVE}
-    return table.get(verdict, EXIT_INCONCLUSIVE)
+    return {"convergent": EXIT_OK, "divergent": EXIT_NEGATIVE}.get(verdict, EXIT_INCONCLUSIVE)
 
 
 def cmd_dini(parser, out: OutputDir, args) -> int:
@@ -257,6 +257,7 @@ def cmd_bound(parser, out: OutputDir, args) -> int:
             "tau_double_prime": curve.tau_double_prime,
             "tau_triple_prime": curve.tau_triple_prime,
             "region2_skipped": curve.region2_skipped,
+            "beyond_domain": curve.tau_triple_prime > cfg.tau_max,
         }
     except (NoPlateauError, CurveRangeError) as exc:
         curve_error = str(exc)
@@ -266,7 +267,7 @@ def cmd_bound(parser, out: OutputDir, args) -> int:
                   [range(1, rep.rounds + 1), rep.tau_rounds, rep.t_rounds,
                    rep.s_rounds, rep.log_levels])
 
-    # +inf is an unbounded total; NaN (no rounds) has no value at all
+    # +inf is a divergent total; NaN (no rounds) has no value at all
     total = (rep.total if math.isfinite(rep.total)
              else "inf" if rep.total == math.inf else None)
     sim = out.read_summary("simulate")
@@ -285,19 +286,17 @@ def cmd_bound(parser, out: OutputDir, args) -> int:
         "sum_t": rep.sum_t,
         "sum_s": rep.sum_s,
         "rounds": rep.rounds,
+        "clipped_rounds": rep.clipped_rounds,
+        "round_cap_hit": rep.rounds >= extras["max_rounds"],
         "constants": {"c0": cfg.c0, "c4": cfg.c4, "c7": cfg.c7,
                       "cbar": cfg.cbar, "gamma": cfg.gamma, "y0": cfg.y0},
         "curve": curve_info,
         "simulation_check": sim_check,
     }
     out.write_summary("bound", results, parser, args.seed)
-    if rep.verdict == "unbounded":
+    if sim_check.get("holds") is False:  # only a finite, convergent total is checked
         return EXIT_NEGATIVE
-    if rep.verdict != "bounded":
-        return EXIT_INCONCLUSIVE
-    if sim_check.get("holds") is False:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return _verdict_exit(rep.verdict)
 
 
 def cmd_spectral(parser, out: OutputDir, args) -> int:
@@ -327,10 +326,7 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
     import warnings as _warnings
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
-        try:
-            kv = spectral_log_sum(mus)
-        except DomainError:  # every mu_n <= 1: an empty series
-            kv = _diagnose_series(mus[:0], mus[:0], rejected=mus.size)
+        kv = spectral_log_sum(mus)
     terms = np.concatenate([[0.0], np.log(mus[1:]) / mus[1:]])
     out.write_csv("mu_n.csv", ["n", "mu_n", "term", "partial_sum"],
                   [range(mus.size), mus, terms, np.cumsum(terms)])

@@ -441,8 +441,8 @@ class ExtinctionBoundReport:
     sum_t: float
     sum_s: float
     t_tail_estimate: float
-    total: float                 # R = sum_t + sum_s (+ tail), inf if unbounded
-    verdict: str                 # "bounded" | "unbounded" | "inconclusive"
+    total: float                 # R = sum_t + sum_s (+ tail), inf if divergent
+    verdict: str                 # "convergent" | "divergent" | "inconclusive"
     dini_verdict: str
     omega_sum_partial: float     # sum of omega(tau_i), for the integral check
     integral_comparison: float   # ln(1/lambda)^{-1} * integral of omega/s
@@ -508,13 +508,13 @@ def extinction_iteration(config: OdiConfig, max_rounds: int = 200,
     # majorant of the remaining t-rounds through the window-sum comparison:
     # sum_{i>j} omega(C1 lam^i) <~ ln(1/lam)^(-1) * integral_0^{tau_j} omega/s
     tail_quad = dini_integral(omega, c=float(taus[-1])) if taus.size else None
-    if dini.verdict == "diverged":
-        verdict, total, t_tail = "unbounded", math.inf, math.inf
-    elif dini.verdict == "converged" and tail_quad is not None and tail_quad.converged:
+    if dini.verdict == "divergent":
+        verdict, total, t_tail = "divergent", math.inf, math.inf
+    elif dini.verdict == "convergent" and tail_quad is not None and tail_quad.converged:
         t_tail = (config.gamma * config.c7 / config.cbar) * tail_quad.value \
             / math.log(1.0 / lam)
         total = sum_t + sum_s + t_tail
-        verdict = "bounded"
+        verdict = "convergent"
     else:
         verdict, total, t_tail = "inconclusive", math.nan, math.nan
 
@@ -524,7 +524,7 @@ def extinction_iteration(config: OdiConfig, max_rounds: int = 200,
     comp = dini_integral(omega, c=C1)
     comp_lo = dini_integral(omega, c=max(C1 * lam**j, 1e-250))
     integral_comparison = (comp.value - comp_lo.value) / math.log(1.0 / lam) \
-        if comp.verdict != "diverged" else math.inf
+        if comp.verdict != "divergent" else math.inf
     omega_partial = float(np.sum(omega.omega(np.minimum(C1 * lam ** np.arange(1, j + 1),
                                                         config.tau_max))))
 

@@ -272,10 +272,6 @@ class SolutionTrajectory:
     threshold: float
 
     @property
-    def verdict(self) -> str:
-        return "extinct" if self.extinction_time is not None else "horizon-reached"
-
-    @property
     def y0(self) -> float:
         return float(self.l2sq[0])
 

@@ -160,7 +160,9 @@ class TestBound:
         out = tmp_path / "o"
         assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary_bound.json").read_text())
-        assert summary["results"]["verdict"] == "bounded"
+        assert summary["results"]["verdict"] == "convergent"
+        assert summary["results"]["clipped_rounds"] == 0
+        assert summary["results"]["round_cap_hit"] is True
         curve = np.genfromtxt(out / "curve.csv", delimiter=",", names=True,
                               dtype=None, encoding="utf-8")
         assert np.all(np.diff(curve["Y"]) <= 1e-12)
@@ -251,6 +253,35 @@ class TestVerify:
         verify = json.loads((out / "summary_verify.json").read_text())
         assert verify["results"]["exit_codes"]["spectral"] == 2
         assert verify["results"]["coherent"] is False
+
+
+def verdict_items(tree: dict, prefix: str = ""):
+    """(key path, value) of every key named ``*verdict``, at any depth."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from verdict_items(value, f"{prefix}{key}.")
+        elif key.endswith("verdict"):
+            yield prefix + key, value
+
+
+class TestVerdictVocabulary:
+    @pytest.mark.parametrize("profile", [BETA2, CONSTANT], ids=["beta2", "constant"])
+    def test_one_spelling_decides_the_exit_code(self, tmp_path, profile):
+        cfg = write_config(tmp_path, profile + "\n[problem]\nq = 0.5\n"
+                           + "\n[odi]\ny0 = 1e-4\n" + SPECTRAL_SMALL)
+        out = tmp_path / "o"
+        main(["verify", "--config", str(cfg), "--out", str(out)])
+        results = {c: json.loads((out / f"summary_{c}.json").read_text())["results"]
+                   for c in ("dini", "spectral", "bound")}
+        found = [item for r in results.values() for item in verdict_items(r)]
+        assert len(found) == 7
+        assert {v for _, v in found} <= {"convergent", "divergent", "inconclusive"}, found
+        codes = json.loads((out / "summary_verify.json").read_text())["results"]["exit_codes"]
+        exit_of = {"convergent": 0, "divergent": 1}
+        dini = results["dini"]
+        assert dini["verdicts_agree"] is True  # either verdict decides
+        assert codes["dini"] == exit_of.get(dini["integral_verdict"], 2)
+        assert codes["bound"] == exit_of.get(results["bound"]["verdict"], 2)
 
 
 FULL = BETA2 + """

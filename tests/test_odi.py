@@ -261,7 +261,7 @@ class TestExtinctionIteration:
         pot = PotentialField(1.0, OmegaProfile.constant(1.0))
         cfg = OdiConfig(potential=pot, y0=1e-4, q=0.5)
         rep = extinction_iteration(cfg)
-        assert rep.verdict == "unbounded"
+        assert rep.verdict == "divergent"
         assert rep.total == math.inf
         # waiting times are constant once the radius caps: linear growth
         assert rep.t_rounds[-1] == pytest.approx(rep.t_rounds[-2], rel=1e-6)
@@ -281,7 +281,7 @@ class TestExtinctionIteration:
 
     def test_bounded_verdict_with_finite_total(self, beta2_config):
         rep = extinction_iteration(beta2_config)
-        assert rep.verdict == "bounded"
+        assert rep.verdict == "convergent"
         assert math.isfinite(rep.total)
         assert rep.total > rep.sum_t + rep.sum_s - 1e-12
 
@@ -313,7 +313,7 @@ class TestExtinctionIteration:
                 _w.simplefilter("ignore")
                 rep = extinction_iteration(cfg)
             assert math.isfinite(rep.total) == finite, prof.kind
-            assert (rep.verdict == "bounded") == finite, prof.kind
+            assert (rep.verdict == "convergent") == finite, prof.kind
 
     def test_radius_below_search_floor_ends_the_rounds(self, beta2_config):
         # beta = 2 reaches the ln(tau) = -250 floor near round 706; the rounds
@@ -323,7 +323,7 @@ class TestExtinctionIteration:
         assert rep.clipped_rounds == 0
         assert np.all(rep.tau_rounds[1:] < beta2_config.tau_max)
         assert np.all(np.diff(rep.tau_rounds) < 0)
-        assert rep.verdict == "bounded"
+        assert rep.verdict == "convergent"
         assert math.isfinite(rep.total) and rep.total < 117.0
         assert rep.total == pytest.approx(extinction_iteration(beta2_config).total, rel=0.01)
 

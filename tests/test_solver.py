@@ -390,7 +390,7 @@ class TestRun:
         spec = ProblemSpec(q=0.5, potential=None, u0=1.0, cells=100,
                            dt=1e-2, horizon=1.0)
         traj = run(spec)
-        assert traj.verdict == "horizon-reached"
+        assert traj.extinction_time is None
         assert np.allclose(traj.linf, 1.0, atol=1e-12)
 
     def test_l2_monotone_decay(self):
