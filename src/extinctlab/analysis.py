@@ -6,9 +6,12 @@ sum_n omega((n ln n)^{-1/2})/n.  Both must agree; the integral is computed
 after the substitution u = ln(1/s), which turns the borderline logarithmic
 profiles into plain power tails with geometric dyadic-window sums.
 
-All integrands carrying the factor exp(-A*omega(s)/s**2) are evaluated in
-log space and combined with log-sum-exp so that magnitudes near the
-double-precision underflow limit stay exact.
+All integrands carrying the factor exp(-A*omega(s)/s**2) go through one
+log-space 32-point Gauss-Legendre rule, ``log_segment_integrals``: it
+returns the log of each segment's integral, scaling every segment by its
+own largest integrand, so magnitudes far below the double-precision
+underflow limit stay exact.  The endpoint integrals call it once per dyadic
+window; the dominating curve of ``odi`` takes running sums of its output.
 """
 
 from __future__ import annotations
@@ -30,6 +33,12 @@ _DIVERGENCE_RATIO = 0.97
 _DIVERGENCE_RUN = 20
 #: series indices whose terms dini_series evaluates per omega call
 _SERIES_CHUNK = 1 << 16
+#: dyadic windows dini_integral sums before it gives up as inconclusive
+_DINI_MAX_WINDOWS = 400
+#: log_endpoint_integral stops once three windows add less than this share
+_ENDPOINT_REL_TOL = 1e-10
+#: dyadic windows log_endpoint_integral sweeps before it warns
+_ENDPOINT_MAX_WINDOWS = 600
 
 
 class DomainError(ValueError):
@@ -69,8 +78,7 @@ def _gl_window(f, a: float, b: float) -> tuple[float, float]:
     return float(v32), abs(float(v32 - v16))
 
 
-def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9,
-                  max_windows: int = 400) -> QuadratureResult:
+def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9) -> QuadratureResult:
     """Adaptive evaluation of the endpoint integral of omega(s)/s over (0, c).
 
     Substituting u = ln(1/s) gives the integral of omega(exp(-u)) du over
@@ -87,9 +95,6 @@ def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9,
     if not np.all(np.isfinite(probe)) or np.any(probe < 0):
         raise DomainError("omega is not finite and nonnegative near 0")
 
-    def integrand(u):
-        return omega.omega_neglog(u)
-
     value = 0.0
     err = 0.0
     # regular part between s = min(c, 1/e) and c, in the original variable
@@ -102,9 +107,9 @@ def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9,
     u0 = max(math.log(1.0 / s_break), 1.0)
     windows = []
     n_eval = 0
-    for k in range(max_windows):
+    for k in range(_DINI_MAX_WINDOWS):
         a, b = u0 * 2.0**k, u0 * 2.0 ** (k + 1)
-        w, e = _gl_window(integrand, a, b)
+        w, e = _gl_window(omega.omega_neglog, a, b)
         windows.append(w)
         value += w
         err += e
@@ -251,32 +256,38 @@ def equivalence_check(omega: OmegaProfile, c: float = math.exp(-1.0),
 # asymptotic equivalence of endpoint integrals (log-space machinery)
 # ---------------------------------------------------------------------------
 
-def _log_gl_window(logf, a: float, b: float) -> float:
-    """log of the integral of exp(logf) over [a, b] by 32-point GL."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    g = logf(mid + half * _GL_NODES)
-    m = float(np.max(g))
-    if not np.isfinite(m):
-        return -np.inf
-    return m + math.log(half * float(np.dot(_GL_WEIGHTS, np.exp(g - m))))
+def log_segment_integrals(logf, knots: np.ndarray) -> np.ndarray:
+    """ln of the integral of exp(logf) over each segment between knots.
+
+    ``logf`` is called once, on the (knots.size - 1, 32) array of every
+    segment's Gauss-Legendre nodes.  Each segment is shifted by its own
+    largest node value before exponentiation, so integrands far below the
+    double range keep their relative accuracy; a segment whose largest
+    value is not finite (every node -inf, or a NaN) gets -inf.
+    """
+    mid, half = 0.5 * (knots[:-1] + knots[1:]), 0.5 * (knots[1:] - knots[:-1])
+    g = logf(mid[:, None] + half[:, None] * _GL_NODES)
+    m = g.max(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):  # rows with no finite max
+        out = m + np.log(half * (np.exp(g - m[:, None]) * _GL_WEIGHTS).sum(axis=1))
+    return np.where(np.isfinite(m), out, -np.inf)
 
 
-def log_endpoint_integral(logf, tau: float, rel_tol: float = 1e-10,
-                          max_windows: int = 600) -> float:
+def log_endpoint_integral(logf, tau: float) -> float:
     """log of the integral of exp(logf(s)) ds over (0, tau].
 
     Windows shrink dyadically toward 0; the sweep stops once three
-    consecutive windows contribute below rel_tol of the running total.
-    Integrands here decay super-exponentially at 0, so the truncation is
-    harmless.  Returns -inf for an identically underflowed integrand.
+    consecutive windows contribute below _ENDPOINT_REL_TOL of the running
+    total.  Integrands here decay super-exponentially at 0, so the
+    truncation is harmless.  Returns -inf for an identically underflowed
+    integrand.
     """
     log_total = -np.inf
     quiet = 0
-    for k in range(max_windows):
-        a, b = tau * 2.0 ** -(k + 1), tau * 2.0**-k
-        lw = _log_gl_window(logf, a, b)
+    for k in range(_ENDPOINT_MAX_WINDOWS):
+        lw = log_segment_integrals(logf, np.array([tau * 2.0 ** -(k + 1), tau * 2.0**-k]))[0]
         log_total = np.logaddexp(log_total, lw)
-        if np.isfinite(log_total) and lw < log_total + math.log(rel_tol):
+        if np.isfinite(log_total) and lw < log_total + math.log(_ENDPOINT_REL_TOL):
             quiet += 1
             if quiet >= 3:
                 return float(log_total)

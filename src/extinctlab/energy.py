@@ -351,7 +351,8 @@ def ode_inequality_residual(ledger: EnergyLedger, exponents: ExponentPack,
     if clipped:
         warnings.warn(f"odi residual: clipped {clipped} positive slopes of y")
     yp = np.minimum(yp, 0.0)
-    _, sp = sramp.value_and_derivative(np.maximum(tau, 1e-300))
+    sp = np.zeros_like(tau)  # omega may vanish at tau = 0, where psi = 0 or a = 0
+    _, sp[tau > 0] = sramp.value_and_derivative(tau[tau > 0])
     psis = exponents.psi(ledger.a_tau, sp)
     lams = (exponents.lambda0, exponents.lambda1, exponents.lambda2)
     S = np.zeros_like(tau)

@@ -8,7 +8,10 @@ inequality whose solutions are dominated by an explicit piecewise curve:
 * a closed-form decaying piece Y2 driven by psi_2 = a^(1-theta2) * s',
 * a faster closed-form piece Y1 driven by psi_1 = a^(1-theta1),
 
-hitting zero at a finite radius.  Feeding the zero radius back into the
+hitting zero at a finite radius.  Both pieces come from one builder: the
+weight integral of psi on 800 geometric knots is the running sum of
+``analysis.log_segment_integrals``, the log-space Gauss-Legendre rule the
+endpoint integrals use too.  Feeding the zero radius back into the
 original problem and restarting yields rounds (tau_i, t_i) whose total
 
     R = sum_i t_i + sum_i s(tau_i)
@@ -26,11 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _GL_NODES, _GL_WEIGHTS, dini_integral
+from .analysis import dini_integral, log_segment_integrals
 from .energy import ExponentPack
 from .profiles import OmegaProfile, PotentialField, SRamp
 
 _TAU_FLOOR = math.exp(-250.0)  # lower end of the radius searches
+_N_KNOTS = 800                 # geometric knots of each curve piece
+_SAMPLES_PER_PIECE = 160       # curve samples per decaying piece
+_ROUND_REL_TOL = 1e-10         # a round adding less than this share ends the rounds
 
 
 class NoPlateauError(ValueError):
@@ -121,26 +127,6 @@ def solve_tau_prime(config: OdiConfig) -> float:
     return _bisect_log_tau(config.potential.log_a, target, _TAU_FLOOR, config.tau_max)
 
 
-def _cumulative_log_integral(logf, knots: np.ndarray) -> np.ndarray:
-    """Cumulative integral of exp(logf) along knots, log-space per segment.
-
-    ``logf`` is called once, on the (knots.size - 1, 32) array of the
-    Gauss-Legendre nodes of every segment; each segment is then scaled by
-    its own maximum and summed with its own ``np.dot``, and the running
-    total adds the segments in order, so the result does not depend on
-    how many segments share the call.
-    """
-    mid, half = 0.5 * (knots[:-1] + knots[1:]), 0.5 * (knots[1:] - knots[:-1])
-    g = logf(mid[:, None] + half[:, None] * _GL_NODES)
-    m = g.max(axis=1)
-    seg = np.zeros(m.size)
-    for i in np.flatnonzero(np.isfinite(m)):
-        seg[i] = math.exp(m[i]) * half[i] * float(np.dot(_GL_WEIGHTS, np.exp(g[i] - m[i])))
-    out = np.zeros(knots.size)
-    out[1:] = np.cumsum(seg)
-    return out
-
-
 @dataclass(frozen=True)
 class CurvePiece:
     start_tau: float
@@ -166,26 +152,33 @@ class CurvePiece:
         return float(np.interp(need, self.cum_integral, self.knots))
 
 
-def curve_y2(config: OdiConfig, tau_prime: float, n_knots: int = 800) -> CurvePiece:
-    """Closed-form middle piece started at (tau', y0).
+def _curve_piece(config: OdiConfig, lam: float, log_psi, start_tau: float,
+                 start_value: float, end_tau: float) -> CurvePiece:
+    """Separable solution of Y' = -psi(tau) (Y/(3c0))^(1/(1+lam)) from
+    (start_tau, start_value), its weight integral taken on geometric knots
+    up to end_tau."""
+    p = lam / (1.0 + lam)
+    coeff = p * (3.0 * config.c0) ** (-1.0 / (1.0 + lam))
+    knots = np.geomspace(start_tau, end_tau, _N_KNOTS)
+    cum = np.zeros(knots.size)
+    cum[1:] = np.cumsum(np.exp(log_segment_integrals(log_psi, knots)))
+    return CurvePiece(start_tau, start_value, p, coeff, knots, cum)
 
-    Matches the separable solution of Y' = -psi_2(tau) (Y/(3c0))^(1/(1+lam2));
-    the weight integral of a^(1-theta2) s' is accumulated by log-space
-    quadrature on a geometric knot grid.
+
+def curve_y2(config: OdiConfig, tau_prime: float) -> CurvePiece:
+    """Closed-form middle piece started at (tau', y0), driven by
+    psi_2 = a^(1-theta2) s'; its decay exponent lam2/(1+lam2) equals
+    (1-theta2)(1-q)/2.
     """
     ep = config.exponents
-    lam2 = ep.lambda2
-    p2 = lam2 / (1.0 + lam2)           # equals (1-theta2)(1-q)/2
-    coeff = p2 * (3.0 * config.c0) ** (-1.0 / (1.0 + lam2))
     sramp = config.sramp
 
     def log_psi2(tau):
         _, log_sp = sramp.log_value_and_derivative(tau)
         return (1.0 - ep.theta2) * config.potential.log_a(tau) + log_sp
 
-    knots = np.geomspace(tau_prime, config.tau_max, n_knots)
-    cum = _cumulative_log_integral(log_psi2, knots)
-    return CurvePiece(tau_prime, config.y0, p2, coeff, knots, cum)
+    return _curve_piece(config, ep.lambda2, log_psi2, tau_prime, config.y0,
+                        config.tau_max)
 
 
 def _log_match_boundary(config: OdiConfig, tau):
@@ -238,31 +231,25 @@ def solve_tau_double_prime(config: OdiConfig, piece2: CurvePiece,
     return TauDoublePrime(tau_pp, float(piece2(tau_pp)), k)
 
 
-def curve_y1(config: OdiConfig, tau_pp: float, start_value: float,
-             n_knots: int = 800) -> CurvePiece:
-    """Closed-form final piece started at (tau'', Y2(tau'')).
+def curve_y1(config: OdiConfig, tau_pp: float, start_value: float) -> CurvePiece:
+    """Closed-form final piece started at (tau'', Y2(tau'')), driven by
+    psi_1 = a^(1-theta1).
 
     The knot range extends (beyond the domain radius if necessary, since the
     weight integral keeps growing there) until the bracket reaches zero, so
     the assembled curve always terminates.
     """
     ep = config.exponents
-    lam1 = ep.lambda1
-    p1 = lam1 / (1.0 + lam1)           # equals (1-theta1)(1-q)/2
-    coeff = p1 * (3.0 * config.c0) ** (-1.0 / (1.0 + lam1))
 
     def log_psi1(tau):
         return (1.0 - ep.theta1) * config.potential.log_a(tau)
 
-    need = start_value**p1 / coeff
-    hi = config.tau_max * 4.0
+    hi = config.tau_max
     while True:
-        knots = np.geomspace(tau_pp, hi, n_knots)
-        cum = _cumulative_log_integral(log_psi1, knots)
-        if cum[-1] >= need or hi > 1e4 * config.tau_max:
-            break
         hi *= 4.0
-    return CurvePiece(tau_pp, start_value, p1, coeff, knots, cum)
+        piece = _curve_piece(config, ep.lambda1, log_psi1, tau_pp, start_value, hi)
+        if math.isfinite(piece.zero_radius()) or hi > 1e4 * config.tau_max:
+            return piece
 
 
 def solve_extinction_radius(config: OdiConfig, level: float | None = None,
@@ -359,7 +346,7 @@ class OdiCurve:
         return self.join_gap_prime, self.join_gap_double_prime
 
 
-def build_curve(config: OdiConfig, samples_per_piece: int = 160) -> OdiCurve:
+def build_curve(config: OdiConfig) -> OdiCurve:
     """Assemble the full dominating curve with its region labels."""
     tau_p = solve_tau_prime(config)
     piece2 = curve_y2(config, tau_p)
@@ -375,10 +362,10 @@ def build_curve(config: OdiConfig, samples_per_piece: int = 160) -> OdiCurve:
     gap1 = abs(piece2(tau_p) - config.y0)
     gap2 = abs(piece1(tau_pp) - (config.y0 if skipped else piece2(tau_pp)))
 
-    t_plateau = np.linspace(0.0, tau_p, max(samples_per_piece // 4, 8))
-    t_mid = np.geomspace(tau_p, tau_pp, samples_per_piece) if tau_pp > tau_p \
+    t_plateau = np.linspace(0.0, tau_p, _SAMPLES_PER_PIECE // 4)
+    t_mid = np.geomspace(tau_p, tau_pp, _SAMPLES_PER_PIECE) if tau_pp > tau_p \
         else np.array([tau_p])
-    t_fin = np.geomspace(tau_pp, triple.tau, samples_per_piece)
+    t_fin = np.geomspace(tau_pp, triple.tau, _SAMPLES_PER_PIECE)
     tau = np.concatenate([t_plateau, t_mid, t_fin])
     Y = np.concatenate([np.full(t_plateau.size, config.y0),
                         piece2(t_mid) if t_mid.size > 1 else [config.y0],
@@ -452,8 +439,7 @@ class ExtinctionBoundReport:
         return self.tau_rounds.size
 
 
-def extinction_iteration(config: OdiConfig, max_rounds: int = 200,
-                         rel_tol: float = 1e-10) -> ExtinctionBoundReport:
+def extinction_iteration(config: OdiConfig, max_rounds: int = 200) -> ExtinctionBoundReport:
     """Run the extinction rounds and total the time bound R.
 
     Round i shrinks the energy bound to y0^((1+gamma)^i); its radius tau_i
@@ -495,7 +481,7 @@ def extinction_iteration(config: OdiConfig, max_rounds: int = 200,
             stalled += 1
         else:
             stalled = 0
-        if (t_i + s_i) < rel_tol * (sum(ts) + sum(ss)):
+        if (t_i + s_i) < _ROUND_REL_TOL * (sum(ts) + sum(ss)):
             break
         if stalled >= 20:
             break

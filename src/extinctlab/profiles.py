@@ -379,10 +379,10 @@ def check_conditions(profile: OmegaProfile, grid=None) -> ConditionReport:
 class PotentialField:
     """Radial absorption coefficient a(r) = d0 * exp(-omega(r)/r**2).
 
-    Evaluation happens in log space; exponents below the double-precision
-    underflow threshold clamp to exactly zero.  At r = 0 the value is the
-    limit: zero when omega(r)/r**2 diverges, d0*exp(-L) when it tends to a
-    finite L.
+    ``log_a`` is exact, also far below the double-precision underflow
+    threshold; only ``a`` underflows to zero, through ``exp``.  At r = 0 the
+    value is the limit: zero when omega(r)/r**2 diverges, d0*exp(-L) when it
+    tends to a finite L.
     """
 
     d0: float
@@ -401,7 +401,8 @@ class PotentialField:
         return math.log(self.d0) - expo
 
     def log_a(self, r):
-        """ln a(r); -inf where the value underflows to zero."""
+        """ln a(r), unclamped; -inf where omega(r)/r**2 overflows or is not
+        finite, and at r = 0 when a(0) = 0."""
         arr, scalar = _asfarray(r)
         if np.any(arr < 0):
             raise ProfileError("potential radius must be nonnegative")
@@ -411,8 +412,7 @@ class PotentialField:
             expo = np.empty_like(arr)
             expo[pos] = self.omega.omega(arr[pos]) / arr[pos] ** 2
             vals = math.log(self.d0) - expo[pos]
-            vals = np.where(np.isfinite(vals), vals, -np.inf)
-            out[pos] = np.where(vals < EXP_UNDERFLOW + math.log(self.d0), -np.inf, vals)
+            out[pos] = np.where(np.isfinite(vals), vals, -np.inf)
         if not pos.all():
             out[~pos] = self._origin_log()
         return float(out[()]) if scalar else out

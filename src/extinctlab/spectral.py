@@ -174,7 +174,7 @@ def rayleigh_quotient(gs: GroundState, potential, h: float = 1.0) -> float:
 
 
 def mu_n_sequence(potential, n_max: int = 20, cells: int = 400,
-                  dimension: int = 1, **kwargs) -> np.ndarray:
+                  dimension: int = 1) -> np.ndarray:
     """Ground states mu_n for the dyadically amplified weights 2^n a_0.
 
     Amplification enters as h = 2^(-n/2); n_max is capped at 60 so the
@@ -185,7 +185,7 @@ def mu_n_sequence(potential, n_max: int = 20, cells: int = 400,
     out = np.empty(n_max + 1)
     for n in range(n_max + 1):
         out[n] = ground_state(potential, h=2.0 ** (-n / 2.0), cells=cells,
-                              dimension=dimension, **kwargs).value
+                              dimension=dimension).value
     return out
 
 

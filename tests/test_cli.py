@@ -112,6 +112,30 @@ class TestSimulate:
         summary = json.loads((out / "summary_simulate.json").read_text())
         assert summary["results"]["verdict"] == "positivity-persisted"
 
+    def test_steep_power_profile_writes_summary(self, tmp_path):
+        # omega(tau)/tau^2 underflows near the tau = 0 ledger row when
+        # alpha = 1.999; the ramp s'(tau) must not be asked for there
+        cfg = write_config(tmp_path, """\
+[profile]
+kind = power
+alpha = 1.999
+d0 = 1.0
+
+[problem]
+q = 0.5
+potential = profile
+u0 = 1.0
+cells = 200
+dt = 1e-3
+horizon = 0.5
+""")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        results = json.loads((out / "summary_simulate.json").read_text())["results"]
+        assert results["verdict"] == "positivity-persisted"
+        assert set(results["fitted_constants"]) == {
+            "relation_c_hat", "odi_c0", "odi_clipped_slopes"}
+
     @pytest.mark.parametrize("epsilon", ["-1.0", "nan"])
     def test_bad_constant_potential_exit_64(self, tmp_path, epsilon):
         cfg = write_config(tmp_path, ODE_REGIME.replace("epsilon = 1.0", f"epsilon = {epsilon}"))

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import extinctlab.odi as odi
-from extinctlab.analysis import _GL_NODES, _GL_WEIGHTS
+from extinctlab.analysis import _GL_NODES, _GL_WEIGHTS, log_segment_integrals
 from extinctlab.energy import ExponentPack, compute_ledger, ode_inequality_residual
 from extinctlab.odi import (
     BelowFloorError,
@@ -57,18 +57,15 @@ class TestTauPrime:
 
 
 def per_segment_log_integral(logf, knots):
-    """Reference quadrature: one logf call and one running sum per segment."""
-    out = np.zeros(knots.size)
-    total = 0.0
+    """Reference rule: one logf call and one shifted weighted sum per segment."""
+    out = np.full(knots.size - 1, -np.inf)
     for i in range(knots.size - 1):
         a, b = knots[i], knots[i + 1]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         g = logf(mid + half * _GL_NODES)
-        m = float(np.max(g))
-        seg = 0.0 if not np.isfinite(m) else \
-            math.exp(m) * half * float(np.dot(_GL_WEIGHTS, np.exp(g - m)))
-        total += seg
-        out[i + 1] = total
+        m = g.max()
+        if np.isfinite(m):
+            out[i] = m + np.log(half * (np.exp(g - m) * _GL_WEIGHTS).sum(keepdims=True))[0]
     return out
 
 
@@ -79,27 +76,33 @@ class TestCumulativeLogIntegral:
     ], ids=lambda p: f"{p.kind}-{p.alpha}-{p.beta}")
     def test_curve_pieces_match_per_segment_loop(self, prof, monkeypatch):
         seen = []
-        vectorized = odi._cumulative_log_integral
+        vectorized = odi.log_segment_integrals
 
         def capture(logf, knots):
             out = vectorized(logf, knots)
             seen.append((logf, knots, out))
             return out
 
-        monkeypatch.setattr(odi, "_cumulative_log_integral", capture)
-        build_curve(OdiConfig(potential=PotentialField(1.0, prof), y0=1e-4, q=0.5))
+        monkeypatch.setattr(odi, "log_segment_integrals", capture)
+        cfg = OdiConfig(potential=PotentialField(1.0, prof), y0=1e-4, q=0.5)
+        curve = build_curve(cfg)
         assert {logf.__name__ for logf, _, _ in seen} == {"log_psi1", "log_psi2"}
         for logf, knots, out in seen:
             assert np.array_equal(out, per_segment_log_integral(logf, knots))
+        # a piece's weight integral is the running sum of the rule's segments
+        piece = curve_y2(cfg, curve.tau_prime)
+        _, knots, out = seen[-1]
+        assert np.array_equal(piece.knots, knots)
+        assert np.array_equal(piece.cum_integral, np.concatenate([[0.0], np.cumsum(np.exp(out))]))
 
     def test_non_finite_segments_contribute_zero(self):
         def logf(t):
             return np.where(t < 0.3, -np.inf, np.where(t > 0.8, np.nan, -5.0 * t))
 
         knots = np.linspace(0.1, 1.0, 41)
-        out = odi._cumulative_log_integral(logf, knots)
+        out = log_segment_integrals(logf, knots)
         assert np.array_equal(out, per_segment_log_integral(logf, knots))
-        assert out[1] == 0.0 and out[-1] == out[-2] > 0.0
+        assert out[0] == out[-1] == -np.inf and np.all(np.isfinite(out[9:27]))
 
 
 class TestCurveY2:

@@ -86,7 +86,7 @@ class TestPotential:
     def test_constant_omega_vanishes_at_origin(self):
         field = PotentialField(1.0, OmegaProfile.constant(2.0))
         assert field.a(0.0) == 0.0
-        assert field.a(1e-3) == 0.0  # exponent -2e6: underflow clamp
+        assert field.a(1e-3) == 0.0  # exponent -2e6: exp underflows
 
     def test_linear_omega_spot_value(self):
         field = PotentialField(2.0, OmegaProfile.power(1.0))
@@ -103,6 +103,17 @@ class TestPotential:
             r = np.geomspace(1e-4, 1.0, 300)
             a = field.a(r)
             assert np.all(np.diff(a) >= -1e-15)
+
+    def test_log_a_exact_below_underflow(self):
+        # ln a = ln d0 - omega(r)/r^2 is about -1424 here, far below the
+        # exponent where exp underflows; only a() rounds to zero
+        field = PotentialField(2.0, OmegaProfile.log_power(2.0))
+        r = 0.005
+        expected = math.log(2.0) - field.omega.omega(r) / r**2
+        assert expected < -1400.0
+        assert field.log_a(r) == expected
+        assert np.array_equal(field.log_a(np.array([r])), [expected])
+        assert field.a(r) == 0.0
 
     def test_finite_origin_limit(self):
         # omega(r) = r^3 (capped): omega/r^2 -> 0, so a(0) = d0
