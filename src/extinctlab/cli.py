@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, spectral
 from .analysis import equivalence_check, spectral_log_sum
 from .config import (
     ConfigError,
@@ -304,13 +304,14 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
     potential = potential_from_config(parser, args.config_dir)
     results = {}
     try:
+        rho_map = spectral.build_rho_map(potential)  # one map for both sandwiches
         hs = np.geomspace(sp["h_min"], sp["h_max"], sp["h_count"])
-        scan = eigenvalue_sandwich_scan(potential, hs, cells=sp["cells"])
+        scan = eigenvalue_sandwich_scan(potential, hs, cells=sp["cells"], rho_map=rho_map)
         out.write_csv("lambda_scan.csv",
                       ["h", "lambda1", "residual", "rho_inv", "ratio"],
                       [scan.h, scan.lambda1, scan.residuals, scan.rho_inv,
                        scan.ratios])
-        sandwich = inverse_map_sandwich(potential, np.geomspace(1e-12, 1e-6, 100))
+        sandwich = inverse_map_sandwich(potential, np.geomspace(1e-12, 1e-6, 100), rho_map)
         results.update({
             "sandwich_bracket_C": scan.bracket,
             "sandwich_width": scan.width,
@@ -364,9 +365,9 @@ def cmd_verify(parser, out: OutputDir, args) -> int:
     code_b = cmd_bound(parser, out, args)
     codes = {"dini": code_d, "spectral": code_s, "bound": code_b}
     # spectral also exits 1 when its criterion contradicts dini's series
-    spectral = out.read_summary("spectral")["results"]
+    spec = out.read_summary("spectral")["results"]
     coherent = (set(codes.values()) in ({EXIT_OK}, {EXIT_NEGATIVE})
-                and spectral.get("consistent_with_dini") is not False)
+                and spec.get("consistent_with_dini") is not False)
     out.write_summary("verify", {"exit_codes": codes, "coherent": coherent},
                       parser, args.seed)
     return EXIT_OK if coherent else EXIT_NEGATIVE

@@ -1,12 +1,15 @@
 """Ground states of the radial Schrodinger operator -Lap + h^(-2) a(|x|)
 with zero-flux boundaries, and the spectral extinction criteria built on them.
+Ground states live on the unit ball and the sweeps run in one dimension, on
+[0, 1]: ``[problem] dimension`` and ``radius`` do not reach this route.
 
-The operator is the diffusion solver's own ``FluxOperator`` (the same face
-conductances), symmetrized with the square root of the volume weights; the
-smallest eigenvalue of that symmetric tridiagonal matrix is found by shifted
-inverse iteration (with a Sturm-sequence bisection fallback).  Since the
-ground state localizes where the scaled potential crosses order one, the
-mesh concentrates nodes around that knee radius.
+``ground_state`` takes ln h, so the potential exp(ln a - 2 ln h) is formed
+without h itself.  The operator is the solver's ``FluxOperator`` symmetrized
+with the square root of the volume weights, on a mesh graded around the knee
+where the scaled potential crosses one.  Shifted inverse iteration factors
+T - sigma I once per shift and accepts an iterate against a rounding floor
+taken from it, eps || |T| |x| ||, so entries clamped at exp(700), where the
+vector vanishes, set no scale; a Sturm-sequence bisection is the fallback.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .analysis import SeriesDiagnosis, _diagnose_series
 from .profiles import PotentialField, RhoMap, as_potential, build_rho_map
@@ -24,6 +28,7 @@ from .solver import FluxOperator, RadialGrid, sample_potential
 
 _OVERFLOW_LOG = 700.0  # potential entries clamp at exp(700); the ground state
                        # vanishes there anyway
+_MAX_ITERS = 120
 
 
 class EigenSolveError(RuntimeError):
@@ -47,54 +52,57 @@ def _tridiag_matvec(diag, off, x):
     return y
 
 
-def _inverse_iteration(diag, off, max_iters: int = 120):
+def _inverse_iteration(diag, off):
     """Smallest eigenpair by shifted inverse iteration on the tridiagonal.
 
     Starts unshifted (the matrix is positive semidefinite), then re-shifts
-    at the running Rayleigh quotient.  Returns (value, vector, residual,
+    at the running Rayleigh quotient every fourth pass; T - sigma I is
+    factored only when sigma changes.  Returns (value, vector, residual,
     iterations) or None on stagnation.
     """
-    n = diag.size
     eps = np.finfo(float).eps
-    scale = float(np.max(np.abs(diag)) + np.max(np.abs(off), initial=0.0))
-    ab = np.zeros((3, n))
+    abs_diag, abs_off = np.abs(diag), np.abs(off)
     x = 1.0 / (1.0 + np.maximum(diag - diag.min(), 0.0))
     x /= np.linalg.norm(x)
-    sigma = 0.0
+    mag = np.linalg.norm(_tridiag_matvec(abs_diag, abs_off, x))  # || |T| |x| ||
+    sigma, lu = 0.0, None
     rho_old = math.inf
     best = None
-    for k in range(1, max_iters + 1):
-        ab[0, 1:] = off
-        ab[1] = diag - sigma
-        ab[2, :-1] = off
-        with np.errstate(all="ignore"):
-            y = solve_banded((1, 1), ab, x)
+    for k in range(1, _MAX_ITERS + 1):
+        if lu is None:
+            *lu, _ = dgttrf(off, diag - sigma, off)
+        y = dgttrs(*lu, x)[0]
         norm = np.linalg.norm(y)
         if not np.isfinite(norm) or norm == 0.0:
-            sigma -= max(1e-12 * scale, 1e-300)  # back off a singular shift
+            sigma -= max(1e-12 * mag, 1e-300)  # back off a singular shift
+            lu = None
             continue
         x = y / norm
-        rho = float(x @ _tridiag_matvec(diag, off, x))
-        resid = float(np.linalg.norm(_tridiag_matvec(diag, off, x) - rho * x))
+        Tx = _tridiag_matvec(diag, off, x)
+        rho = float(x @ Tx)
+        resid = float(np.linalg.norm(Tx - rho * x))
+        # eps * mag is the rounding floor of T x at this iterate
+        mag = float(np.linalg.norm(_tridiag_matvec(abs_diag, abs_off, np.abs(x))))
         if best is None or resid < best[2]:
-            best = (rho, x.copy(), resid, k)
-        if resid <= max(1e-12 * max(1.0, abs(rho)), 15.0 * eps * scale):
+            best = (rho, x.copy(), resid, k, mag)
+        if resid <= max(1e-12 * max(1.0, abs(rho)), 15.0 * eps * mag):
             return rho, x, resid, k
         if k % 4 == 0:
             # Rayleigh shift, nudged below to keep converging from beneath
             sigma = rho - max(10.0 * resid, 1e-9 * max(1.0, abs(rho)))
+            lu = None
         if abs(rho - rho_old) < 1e-15 * max(1.0, abs(rho)) and k > 12:
             break
         rho_old = rho
-    if best is not None and best[2] <= 200.0 * eps * scale:
-        return best
+    if best is not None and best[2] <= 200.0 * eps * best[4]:
+        return best[:4]
     return None
 
 
-def knee_radius(potential, h: float, r_max: float = 1.0) -> float | None:
-    """Radius where h^(-2) a(r) crosses one, if inside the monotone range."""
-    target = 2.0 * math.log(h)
-    probe = np.geomspace(1e-8, r_max, 2000)
+def knee_radius(potential, log_h: float) -> float | None:
+    """Radius in (0, 1] where h^(-2) a(r) crosses one, if in the monotone range."""
+    target = 2.0 * log_h
+    probe = np.geomspace(1e-8, 1.0, 2000)
     la = potential.log_a(probe)
     idx = np.searchsorted(la, target)
     if idx == 0 or idx >= probe.size:
@@ -102,50 +110,47 @@ def knee_radius(potential, h: float, r_max: float = 1.0) -> float | None:
     return float(probe[idx])
 
 
-def _graded_faces(n: int, radius: float, knee: float | None,
-                  frac: float = 0.3, window: float = 0.2) -> np.ndarray:
-    """Mesh faces concentrating ``frac`` of the cells around the knee."""
-    if knee is None or knee * (1 + window) > 0.95 * radius or knee <= 0:
-        return np.linspace(0.0, radius, n + 1)
-    a, b = knee * (1 - window), knee * (1 + window)
-    n_mid = max(int(frac * n), 4)
+def _graded_faces(n: int, knee: float | None) -> np.ndarray:
+    """Faces on [0, 1] putting 30% of the cells within 20% of the knee."""
+    if knee is None or knee * 1.2 > 0.95 or knee <= 0:
+        return np.linspace(0.0, 1.0, n + 1)
+    a, b = knee * 0.8, knee * 1.2
+    n_mid = max(int(0.3 * n), 4)
     rest = n - n_mid
-    n_lo = max(int(rest * a / (a + radius - b)), 4)
+    n_lo = max(int(rest * a / (a + 1.0 - b)), 4)
     n_hi = max(rest - n_lo, 4)
-    faces = np.concatenate([
+    return np.concatenate([
         np.linspace(0.0, a, n_lo + 1)[:-1],
         np.linspace(a, b, n_mid + 1)[:-1],
-        np.linspace(b, radius, n_hi + 1),
+        np.linspace(b, 1.0, n_hi + 1),
     ])
-    return faces
 
 
-def ground_state(potential, h: float = 1.0, grid: RadialGrid | None = None,
-                 dimension: int = 1, cells: int = 2000, radius: float = 1.0) -> GroundState:
-    """Smallest eigenpair of -Lap + h^(-2) a(|x|) with zero-flux boundaries.
+def ground_state(potential, log_h: float = 0.0, dimension: int = 1,
+                 cells: int = 2000) -> GroundState:
+    """Smallest eigenpair of -Lap + h^(-2) a(|x|) on the unit ball with
+    zero-flux boundaries, at ln h = ``log_h``.
 
     Falls back to a Sturm-sequence bisection eigensolve when the iteration
     stagnates.  The returned vector is normalized against the volume weight
     (positive phase).
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not math.isfinite(log_h):
+        raise ValueError("log_h must be finite")
     potential = as_potential(potential)
-    if grid is None:
-        # a constant potential has no crossing, so its knee is None
-        knee = knee_radius(potential, h, radius)
-        grid = RadialGrid.from_faces(_graded_faces(cells, radius, knee), dimension)
-
-    log_V = potential.log_a(grid.centers) - 2.0 * math.log(h)
+    # a constant potential has no crossing, so its knee is None
+    faces = _graded_faces(cells, knee_radius(potential, log_h))
+    grid = RadialGrid.from_faces(faces, dimension)
+    log_V = potential.log_a(grid.centers) - 2.0 * log_h
     with np.errstate(under="ignore"):
         V = np.exp(np.minimum(log_V, _OVERFLOW_LOG))
 
     diag, off = FluxOperator(grid).symmetric(V)
     out = _inverse_iteration(diag, off)
-    used_fallback = False
-    if out is None:
-        used_fallback = True
-        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    used_fallback = out is None
+    if used_fallback:
+        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
+                                      tol=np.finfo(float).tiny)
         rho = float(vals[0])
         x = vecs[:, 0]
         resid = float(np.linalg.norm(_tridiag_matvec(diag, off, x) - rho * x))
@@ -164,29 +169,29 @@ def ground_state(potential, h: float = 1.0, grid: RadialGrid | None = None,
                        used_fallback, grid)
 
 
-def rayleigh_quotient(gs: GroundState, potential, h: float = 1.0) -> float:
+def rayleigh_quotient(gs: GroundState, potential, log_h: float = 0.0) -> float:
     """Recompute the quotient of the returned eigenvector from scratch."""
     grid = gs.grid
     a = sample_potential(potential, grid)
     num = FluxOperator(grid).gradient_energy(gs.vector)
-    num += grid.integrate(a * gs.vector**2) / h**2
+    num += grid.integrate(a * gs.vector**2) * math.exp(-2.0 * log_h)
     return num / grid.integrate(gs.vector**2)
 
 
-def mu_n_sequence(potential, n_max: int = 20, cells: int = 400,
-                  dimension: int = 1) -> np.ndarray:
-    """Ground states mu_n for the dyadically amplified weights 2^n a_0.
+def _ground_values(potential, log_hs, cells: int) -> np.ndarray:
+    """Ground-state values at each ln h of ``log_hs``."""
+    return np.array([ground_state(potential, lh, cells=cells).value for lh in log_hs])
 
-    Amplification enters as h = 2^(-n/2); n_max is capped at 60 so the
-    scaled potential stays inside double range without rescaling tricks.
+
+def mu_n_sequence(potential, n_max: int = 20, cells: int = 400) -> np.ndarray:
+    """Ground states mu_n for the dyadically amplified weights 2^n a_0,
+    that is at ln h = -(n/2) ln 2.  ln h keeps every weight in range, but
+    past n ~ 300 the knee-graded mesh makes mu_n non-monotone, so n_max stays
+    capped at 60 until the mesh scales with the well.
     """
     if n_max > 60:
-        raise ValueError("n_max > 60 would overflow the dyadic weights")
-    out = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        out[n] = ground_state(potential, h=2.0 ** (-n / 2.0), cells=cells,
-                              dimension=dimension).value
-    return out
+        raise ValueError("n_max must be at most 60")
+    return _ground_values(potential, np.arange(n_max + 1) * (-0.5 * math.log(2.0)), cells)
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,7 @@ class SpectralScan:
 
 
 def eigenvalue_sandwich_scan(potential, h_values, cells: int = 3000,
-                     dimension: int = 1, rho_map: RhoMap | None = None) -> SpectralScan:
+                             rho_map: RhoMap | None = None) -> SpectralScan:
     """Sandwich scan: lambda1(h) against h^(-2) rho^(-1)(h^2).
 
     Ratios out of the invertible range of the potential are clipped with a
@@ -221,7 +226,7 @@ def eigenvalue_sandwich_scan(potential, h_values, cells: int = 3000,
     rinv = np.full_like(h_values, np.nan)
     clipped = 0
     for i, h in enumerate(h_values):
-        gs = ground_state(potential, h=h, cells=cells, dimension=dimension)
+        gs = ground_state(potential, math.log(h), cells=cells)
         lam[i], res[i] = gs.value, gs.residual
         s = h * h
         if rho_map.rho_min <= s <= rho_map.rho_max:
@@ -251,17 +256,15 @@ class SandwichReport:
     below_identity_violations: int  # of rho_inv(s) >= s
 
 
-def inverse_map_sandwich(potential: PotentialField, s_values, alpha: float = 1.0,
-                     rho_map: RhoMap | None = None) -> SandwichReport:
+def inverse_map_sandwich(potential: PotentialField, s_values,
+                         rho_map: RhoMap | None = None) -> SandwichReport:
     """Closed two-sided bounds on rho^(-1)(s) against the numeric inverse.
 
-    The lower bound evaluates omega at sqrt(omega0 (1+alpha)/ln(1/s)), the
+    The lower bound evaluates omega at sqrt(2 omega0/ln(1/s)), the
     upper at (1/ln(1/s))^(1/delta); both follow from the power minorant and
     the monotonicity of omega.  Also checks the intermediate bracket on the
     inverse radius r(z) and the coarse identity rho_inv(s) >= s.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     omega = potential.omega
     w0, delta = omega.omega0, omega.delta
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
@@ -269,7 +272,7 @@ def inverse_map_sandwich(potential: PotentialField, s_values, alpha: float = 1.0
         rho_map = build_rho_map(potential)
     s_values = np.clip(s_values, rho_map.rho_min, rho_map.rho_max)
     L = np.log(1.0 / s_values)
-    lower = s_values / (1 + alpha) * L / omega.omega(np.sqrt(w0 * (1 + alpha) / L))
+    lower = s_values / 2.0 * L / omega.omega(np.sqrt(w0 * 2.0 / L))
     upper = s_values * L / omega.omega((1.0 / L) ** (1.0 / delta))
     rinv = np.asarray(rho_map.rho_inv(s_values))
     violations = int(np.count_nonzero((rinv < lower * (1 - 1e-9)) |
@@ -303,8 +306,7 @@ class CriterionReport:
 
 
 def spectral_criterion_series(potential, K: float = 1.0, q: float = 0.5,
-                     n_range: tuple[int, int] = (2, 40), cells: int = 2000,
-                     dimension: int = 1) -> CriterionReport:
+                     n_range: tuple[int, int] = (2, 40), cells: int = 2000) -> CriterionReport:
     """Spectral extinction criterion along alpha_n = n^(-K n).
 
     Each term is (1/mu(alpha_n)) (ln mu + ln(alpha_n/alpha_{n+1}) + 1), with
@@ -319,11 +321,7 @@ def spectral_criterion_series(potential, K: float = 1.0, q: float = 0.5,
     ns = np.arange(n0, n1 + 1, dtype=float)
     log_alpha = -K * ns * np.log(ns)
     log_ratio = K * ((ns + 1) * np.log(ns + 1) - ns * np.log(ns))
-    mus = np.empty_like(ns)
-    for i, la in enumerate(log_alpha):
-        h = math.exp((1.0 - q) / 2.0 * la)
-        mus[i] = ground_state(potential, h=h, cells=cells,
-                              dimension=dimension).value
+    mus = _ground_values(potential, (1.0 - q) / 2.0 * log_alpha, cells)
     flagged = mus <= 1.0
     with np.errstate(invalid="ignore", divide="ignore"):
         addends = np.stack([np.log(mus), log_ratio, np.ones_like(ns)], axis=1)

@@ -1,7 +1,28 @@
+import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from extinctlab.profiles import OmegaProfile, PotentialField
-from extinctlab.solver import ProblemSpec, run
+from extinctlab.solver import FluxOperator, ProblemSpec, run
+
+
+def _restricted_smallest(grid, potential, log_h, cut=1e20):
+    """Reference ground-state value: Sturm bisection to full precision on
+    the leading rows of the symmetrized matrix, up to the first cell where
+    the scaled potential exceeds ``cut`` (past it, for a potential
+    increasing in r, the ground state vanishes; cuts at 1e14, 1e20 and 1e40
+    agree to 10 digits).  On the whole matrix, whose entries reach exp(700),
+    a dense solve or a bisection to eps ||T|| returns noise."""
+    V = np.exp(np.minimum(potential.log_a(grid.centers) - 2.0 * log_h, 700.0))
+    d, e = FluxOperator(grid).symmetric(V)
+    m = int(np.argmax(V > cut)) or d.size
+    return float(eigh_tridiagonal(d[:m], e[:m - 1], eigvals_only=True, select="i",
+                                  select_range=(0, 0), tol=1e-300)[0])
+
+
+@pytest.fixture(scope="session")
+def restricted_smallest():
+    return _restricted_smallest
 
 
 @pytest.fixture(scope="session")

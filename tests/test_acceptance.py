@@ -93,7 +93,7 @@ def test_06_spectral_oracle():
     pairs += [(ConstantPotential(1.0), h) for h in (0.3, 1.0, 3.0)]
     worst = 0.0
     for pot, h in pairs:
-        gs = ground_state(pot, h=h, cells=200)
+        gs = ground_state(pot, log_h=math.log(h), cells=200)
         V = np.exp(np.minimum(pot.log_a(gs.grid.centers) - 2 * math.log(h), 700.0))
         d, e = FluxOperator(gs.grid).symmetric(V)
         dense = float(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[0])

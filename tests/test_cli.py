@@ -61,6 +61,31 @@ n_max = 12
 mu_n_max = 12
 """
 
+README = BETA2 + """
+[problem]
+q = 0.5
+dimension = 1
+potential = profile
+u0 = 1.0
+cells = 2000
+dt = 1e-3
+horizon = 2.5
+
+[odi]
+y0 = 1e-4
+gamma = 1.0
+c0 = 1.0
+
+[spectral]
+h_min = 1e-3
+h_max = 1e-1
+h_count = 7
+cells = 3000
+k = 1.0
+n_max = 40
+mu_n_max = 20
+"""
+
 ODI_SECTION = """
 [problem]
 q = 0.5
@@ -244,6 +269,26 @@ class TestSpectral:
         scan = np.genfromtxt(out / "lambda_scan.csv", delimiter=",", names=True)
         assert scan["lambda1"].size == 4
         assert np.all(scan["residual"] < 1e-8)
+
+    def test_one_rho_map_for_both_sandwiches(self, tmp_path, monkeypatch):
+        import extinctlab.spectral as spectral
+        build, built = spectral.build_rho_map, []
+        monkeypatch.setattr(spectral, "build_rho_map",
+                            lambda *args: built.append(args) or build(*args))
+        cfg = write_config(tmp_path, README)
+        assert main(["spectral", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(built) == 1
+
+    def test_power_criterion_mu_nondecreasing(self, tmp_path):
+        # alpha = 1.5 is the profile whose deep terms were furthest off: mu
+        # ran 7.2e6, 2.7e7, 1.1e8 at n = 30..32, then 6.3e6 at n = 33
+        profile = BETA2.replace("kind = log-power\nbeta = 2.0", "kind = power\nalpha = 1.5")
+        cfg = write_config(tmp_path, profile + README[len(BETA2):])
+        out = tmp_path / "o"
+        assert main(["spectral", "--config", str(cfg), "--out", str(out)]) == 0
+        terms = np.genfromtxt(out / "criterion_terms.csv", delimiter=",", names=True)
+        assert terms["mu"].size == 39
+        assert np.all(np.diff(terms["mu"]) >= 0.0)
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
-"""Property tests over generated inputs: the IMEX step's invariants, and the
-log-space quadrature rule against a high-precision oracle.
+"""Property tests over generated inputs: the IMEX step's invariants, the
+log-space quadrature rule against a high-precision oracle, and ground states
+against a full-precision reference and their monotonicity in h.
 
 Every test is derandomized and keeps no example database, so the suite runs
 the same examples each time.
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from extinctlab.analysis import log_segment_integrals
 from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField
 from extinctlab.solver import RadialGrid, Stepper
+from extinctlab.spectral import ground_state, spectral_criterion_series
 
 EPS = np.finfo(float).eps
 NORMAL_MIN = np.finfo(float).smallest_normal
@@ -146,3 +148,44 @@ class TestLogSegmentOracle:
             assert rel_err < 1e-20
             largest = abs(c) + abs(m * math.log(lo)) + A / lo**2
             assert abs(log_rule - log_ref) <= 1e-13 + 8 * EPS * largest
+
+
+@st.composite
+def criterion_potentials(draw, alpha_max=1.9):
+    """a = exp(-omega(r)/r^2) for power, log-power and constant omega."""
+    kind = draw(st.sampled_from(["power", "log-power", "constant"]))
+    if kind == "power":
+        omega = OmegaProfile.power(draw(st.floats(0.5, alpha_max)))
+    elif kind == "log-power":
+        omega = OmegaProfile.log_power(draw(st.floats(0.5, 3.0)))
+    else:
+        omega = OmegaProfile.constant(1.0)
+    return PotentialField(1.0, omega)
+
+
+class TestGroundStateInH:
+    """lambda1(h) is nonincreasing in h.  The criterion samples it at
+    ln h = (1 - q)/2 ln alpha_n, alpha_n = n^(-n) (q = 1/2, K = 1), so mu
+    must not decrease in n.  Deep in n the potential clamps at exp(700) on
+    most of the mesh; an iteration that took its convergence floor from
+    max |diag| (about 1e304 there) accepted its first iterate, about 20%
+    high, and broke both properties."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(criterion_potentials(alpha_max=1.6), st.integers(2, 40))
+    def test_matches_restricted_reference(self, restricted_smallest, potential, n):
+        # Power alpha stops at 1.6 (worst 1.8e-9 over n = 2..40 there).  From
+        # alpha ~ 1.65 on, the knee-graded mesh puts cells 1e-10 wide where
+        # the ground state is not small; the reference bisection and then
+        # the iteration lose digits there (see the strict xfail in
+        # test_spectral.py).
+        log_h = -0.25 * n * math.log(n)
+        gs = ground_state(potential, log_h, cells=2000)
+        ref = restricted_smallest(gs.grid, potential, log_h)
+        assert abs(gs.value - ref) <= 1e-8 * ref
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=10)
+    @given(criterion_potentials())
+    def test_criterion_mu_nondecreasing_in_n(self, potential):
+        mu = spectral_criterion_series(potential, n_range=(2, 40), cells=2000).mu
+        assert np.all(np.diff(mu) >= 0.0)

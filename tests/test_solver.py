@@ -107,7 +107,7 @@ class TestFluxOperator:
 
     @staticmethod
     def dense_forms(N, dt=1e-2):
-        g = RadialGrid.from_faces(_graded_faces(60, 1.0, 0.3), N)
+        g = RadialGrid.from_faces(_graded_faces(60, 0.3), N)
         op = FluxOperator(g)
         diag, off = op.implicit(dt)
         implicit = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
