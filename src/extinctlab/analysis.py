@@ -196,14 +196,14 @@ def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | No
     return slope, b, "inconclusive"
 
 
-def _diagnose_series(n: np.ndarray, t: np.ndarray, rejected: int = 0,
-                     checkpoints: int = 200) -> SeriesDiagnosis:
+def _diagnose_series(n: np.ndarray, t: np.ndarray, rejected: int = 0) -> SeriesDiagnosis:
+    """Tail-fit verdict and total of sum t_n; keeps ~200 geometric partial sums."""
     if t.size == 0:  # no usable term: nothing to fit, nothing to judge
         return SeriesDiagnosis(n, t, t, 0.0, math.nan, None, "inconclusive", rejected)
     # fit before the cumsum array exists: the fit's temporaries are the peak
     slope, b, verdict = _two_stage_tail_fit(n, t)
     csum = np.cumsum(t)
-    idx = np.unique(np.geomspace(1, len(t), min(checkpoints, len(t))).astype(int)) - 1
+    idx = np.unique(np.geomspace(1, len(t), min(200, len(t))).astype(int)) - 1
     return SeriesDiagnosis(
         n_values=n[idx], terms=t[idx], partial_sums=csum[idx],
         total=float(csum[-1]), tail_exponent=slope, log_factor_exponent=b,
@@ -234,19 +234,14 @@ class EquivalenceReport:
     series: SeriesDiagnosis
     agree: bool | None  # None when either side is inconclusive
 
-    @property
-    def verdicts(self) -> tuple[str, str]:
-        return (self.integral.verdict, self.series.verdict)
 
-
-def equivalence_check(omega: OmegaProfile, c: float = math.exp(-1.0),
-                      tol: float = 1e-9, n_max: int = 1_000_000) -> EquivalenceReport:
-    """Do the integral and series routes return the same extinction verdict?
+def equivalence_check(omega: OmegaProfile) -> EquivalenceReport:
+    """Do the integral over (0, 1/e) and the series to n = 10^6 agree on a verdict?
 
     Inconclusive pairs are reported as agree=None, never coerced.
     """
-    quad = dini_integral(omega, c, tol)
-    ser = dini_series(omega, n_max=n_max)
+    quad = dini_integral(omega, math.exp(-1.0))
+    ser = dini_series(omega)
     agree = (None if "inconclusive" in (quad.verdict, ser.verdict)
              else quad.verdict == ser.verdict)
     return EquivalenceReport(quad, ser, agree)
@@ -337,13 +332,13 @@ def endpoint_equivalence_ratios(omega: OmegaProfile, m: float, l: float, A: floa
     return rows
 
 
-def composite_endpoint_integral(logf, tau: float, n: int = 20000) -> float:
+def composite_endpoint_integral(logf, tau: float) -> float:
     """Fixed-order composite-midpoint oracle for the same endpoint integral.
 
     Deliberately independent of the adaptive window machinery; used to
-    cross-check single rows.  Works on a geometric mesh over [tau*1e-8, tau].
+    cross-check single rows.  Works on 20 000 geometric cells over [tau*1e-8, tau].
     """
-    edges = np.geomspace(tau * 1e-8, tau, n + 1)
+    edges = np.geomspace(tau * 1e-8, tau, 20_001)
     mids = np.sqrt(edges[:-1] * edges[1:])
     g = logf(mids)
     m = float(np.max(g))

@@ -65,11 +65,17 @@ def _get(sec, key, cast, default=None):
         raise ConfigError(f"bad value for {key!r}: {sec[key]!r}") from exc
 
 
-def _radius(sec) -> float:
-    radius = _get(sec, "radius", float, 1.0)
-    if not radius > 0:   # NaN fails too
-        raise ConfigError("radius must be positive")
-    return radius
+def _problem_shape(prob, q_default=None) -> tuple[float, int, float]:
+    """(q, dimension, radius) of [problem], checked once for every reader."""
+    q = _get(prob, "q", float, q_default)
+    dimension = _get(prob, "dimension", int, 1)
+    radius = _get(prob, "radius", float, 1.0)
+    for ok, need in [(0 < q < 1, "0 < q < 1"),   # NaN fails every check
+                     (dimension in (1, 2, 3), "dimension 1, 2 or 3"),
+                     (radius > 0, "radius > 0")]:
+        if not ok:
+            raise ConfigError(f"need {need}")
+    return q, dimension, radius
 
 
 def profile_from_config(parser, base_dir=".") -> OmegaProfile:
@@ -125,11 +131,10 @@ def problem_from_config(parser, base_dir=".") -> ProblemSpec:
     else:
         raise ConfigError(f"unknown potential spec {pot_kind!r}")
     u0 = _get(sec, "u0", lambda v: v if v == "random" else float(v), 1.0)
+    q, dimension, radius = _problem_shape(sec)
     try:
         return ProblemSpec(
-            q=_get(sec, "q", float),
-            dimension=_get(sec, "dimension", int, 1),
-            radius=_radius(sec),
+            q=q, dimension=dimension, radius=radius,
             potential=potential,
             u0=u0,
             floor=_get(sec, "floor", float, 0.0),
@@ -160,14 +165,14 @@ def odi_from_config(parser, base_dir=".", overrides=None) -> tuple[OdiConfig, di
     }
     if overrides:
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    radius = _radius(prob)
+    if kwargs["y0"] >= 1:
+        raise ConfigError("need y0 < 1 for the extinction rounds")
+    q, dimension, radius = _problem_shape(prob)
     if kwargs["cbar"] is None:
         kwargs["cbar"] = 1.0 / radius**2   # Poincare scale of the domain
     try:
         cfg = OdiConfig(potential=potential_from_config(parser, base_dir),
-                        q=_get(prob, "q", float),
-                        dimension=_get(prob, "dimension", int, 1),
-                        tau_max=radius, **kwargs)
+                        q=q, dimension=dimension, tau_max=radius, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg, extras
@@ -175,9 +180,7 @@ def odi_from_config(parser, base_dir=".", overrides=None) -> tuple[OdiConfig, di
 
 def spectral_from_config(parser) -> dict:
     sec = _section(parser, "spectral", _SPECTRAL_KEYS)
-    q = 0.5
-    if "problem" in parser and "q" in parser["problem"]:
-        q = _get(dict(parser["problem"]), "q", float)
+    q = _problem_shape(dict(parser["problem"]), 0.5)[0] if "problem" in parser else 0.5
     out = {
         "h_min": _get(sec, "h_min", float, 1e-3),
         "h_max": _get(sec, "h_max", float, 1e-1),

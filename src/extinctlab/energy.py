@@ -150,10 +150,9 @@ def compute_ledger(traj: SolutionTrajectory, potential, tau_grid,
                           left=0.0, right=0.0)
         flux2[k] = g_tau**2 * tau_grid ** (N - 1)
 
+    s_tau = np.zeros(M)  # s(0) = 0, where omega may vanish
     if sramp is not None:
-        s_tau = np.array([sramp.value(t) if t > 0 else 0.0 for t in tau_grid])
-    else:
-        s_tau = np.zeros(M)
+        s_tau[tau_grid > 0], _ = sramp.value_and_derivative(tau_grid[tau_grid > 0])
     s_tau = np.minimum(s_tau, traj.snapshot_times[-1])
 
     I = np.empty(M)
@@ -267,13 +266,13 @@ class InterpolationProbe:
     worst_margin: float          # min over corpus of c1*G + c2*P - L (>= 0)
 
 
-def _radial_corpus(grid, n_random: int, seed: int) -> list[np.ndarray]:
+def _radial_corpus(grid, n_random: int) -> list[np.ndarray]:
     r = grid.centers
     R = grid.radius
     corpus = [np.ones_like(r), 0.5 * np.ones_like(r), r / R, 1.0 - r / R]
     for c, w in [(0.0, 0.1), (0.0, 0.3), (0.4, 0.1), (0.8, 0.05), (0.6, 0.2)]:
         corpus.append(np.exp(-((r - c) ** 2) / (2 * w**2)))
-    rng = np.random.RandomState(seed)
+    rng = np.random.RandomState(42)
     for _ in range(n_random):
         coef = rng.standard_normal(6) / (1.0 + np.arange(6)) ** 2
         v = np.zeros_like(r)
@@ -284,21 +283,20 @@ def _radial_corpus(grid, n_random: int, seed: int) -> list[np.ndarray]:
 
 
 def probe_interpolation(grid, inner_radius: float, lam: float,
-                        sample_functions=None, n_random: int = 40,
-                        seed: int = 42) -> InterpolationProbe:
+                        sample_functions=None, n_random: int = 40) -> InterpolationProbe:
     """Fit minimal (c1, c2) in  ||v||_2 <= c1 ||grad v||_2 + c2 ||v||_{lam, inner}.
 
     The inner region is the centered ball of the given radius (strictly
     interior).  The corpus mixes constants, bumps and random smooth radial
-    functions; the reported pair minimizes c1 + c2 along the feasibility
-    frontier.
+    functions (seed 42); the reported pair minimizes c1 + c2 along the
+    feasibility frontier.
     """
     if not 1.0 < lam <= 2.0:
         raise ValueError("lam must lie in (1, 2]")
     if not 0 < inner_radius < grid.radius:
         raise ValueError("inner region must be strictly interior")
     corpus = list(sample_functions) if sample_functions is not None else \
-        _radial_corpus(grid, n_random, seed)
+        _radial_corpus(grid, n_random)
     op = FluxOperator(grid)
     inner = grid.centers < inner_radius
     L = np.empty(len(corpus))
@@ -334,13 +332,13 @@ class OdiResidual:
 
 
 def ode_inequality_residual(ledger: EnergyLedger, exponents: ExponentPack,
-                            sramp: SRamp, c0: float | None = None) -> OdiResidual:
-    """Residual of the ordinary differential inequality satisfied by y(tau).
+                            sramp: SRamp) -> OdiResidual:
+    """Residual of the ordinary differential inequality satisfied by y(tau),
+    at the minimal constant c0 making it hold on the grid, fitted and reported.
 
     y' is taken by second-order finite differences on the ledger tau grid;
     positive slopes (non-monotone numerical artifacts) are clipped to zero
-    with a warning.  With c0 = None the minimal constant making the
-    inequality hold on the grid is fitted and reported.
+    with a warning.
     """
     tau = ledger.tau_grid
     if tau.size < 3:
@@ -363,7 +361,6 @@ def ode_inequality_residual(ledger: EnergyLedger, exponents: ExponentPack,
             contrib = np.where(alive & (psi > 0), (-yp / psi) ** (1 + lam), np.inf)
             S += np.where(np.isfinite(contrib), contrib, np.inf)
     usable = alive & np.isfinite(S) & (S > 0)
-    if c0 is None:
-        c0 = float(np.max(y[usable] / S[usable])) if np.any(usable) else 0.0
+    c0 = float(np.max(y[usable] / S[usable])) if np.any(usable) else 0.0
     residual = np.where(usable, c0 * S - y, np.nan)
     return OdiResidual(tau, y, yp, S, c0, residual, clipped, skipped)

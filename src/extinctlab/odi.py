@@ -174,7 +174,7 @@ def curve_y2(config: OdiConfig, tau_prime: float) -> CurvePiece:
     sramp = config.sramp
 
     def log_psi2(tau):
-        _, log_sp = sramp.log_value_and_derivative(tau)
+        log_sp = sramp.log_derivative(tau)
         return (1.0 - ep.theta2) * config.potential.log_a(tau) + log_sp
 
     return _curve_piece(config, ep.lambda2, log_psi2, tau_prime, config.y0,
@@ -185,7 +185,7 @@ def _log_match_boundary(config: OdiConfig, tau):
     """ln of 3c0 a^(2/(1-q)) s'^(2/((1-q)(theta1-theta2)))."""
     ep = config.exponents
     q = config.q
-    _, log_sp = config.sramp.log_value_and_derivative(tau)
+    log_sp = config.sramp.log_derivative(tau)
     return (math.log(3.0 * config.c0)
             + 2.0 / (1.0 - q) * config.potential.log_a(tau)
             + 2.0 / ((1.0 - q) * (ep.theta1 - ep.theta2)) * log_sp)
@@ -193,7 +193,7 @@ def _log_match_boundary(config: OdiConfig, tau):
 
 def _log_match_constant(config: OdiConfig, tau: float) -> float:
     """ln of a^(1-theta2) s'^2, the matching constant before its y0 scaling."""
-    _, log_sp = config.sramp.log_value_and_derivative(tau)
+    log_sp = config.sramp.log_derivative(tau)
     return (1.0 - config.exponents.theta2) * config.potential.log_a(tau) + 2.0 * log_sp
 
 
@@ -342,9 +342,6 @@ class OdiCurve:
     def value(self, tau):
         return np.interp(tau, self.tau, self.Y)
 
-    def join_gaps(self) -> tuple[float, float]:
-        return self.join_gap_prime, self.join_gap_double_prime
-
 
 def build_curve(config: OdiConfig) -> OdiCurve:
     """Assemble the full dominating curve with its region labels."""
@@ -399,7 +396,7 @@ def region_classifier(tau, y, config: OdiConfig):
     if np.any(taus <= 0) or np.any(ys <= 0):
         raise ValueError("region classification needs tau > 0 and y > 0")
     ep = config.exponents
-    _, log_sp = config.sramp.log_value_and_derivative(taus)
+    log_sp = config.sramp.log_derivative(taus)
     log_a = config.potential.log_a(taus)
     log_y = np.log(ys / (3.0 * config.c0))
     log_psis = (log_a + log_sp,

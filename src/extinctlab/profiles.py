@@ -305,14 +305,8 @@ class ConditionReport:
     def passed(self, name: str) -> bool:
         return self[name].passed
 
-    def all_passed(self, names=CONDITION_NAMES) -> bool:
-        return all(self.passed(n) for n in names)
-
-
-def default_check_grid(profile: OmegaProfile, n: int = 10_000) -> np.ndarray:
-    """Log-spaced sample grid on (0, s0] used by the condition checker."""
-    s0 = profile.s0
-    return np.geomspace(s0 * 1e-8, s0, n)
+    def all_passed(self) -> bool:
+        return all(self.passed(n) for n in CONDITION_NAMES)
 
 
 def check_conditions(profile: OmegaProfile, grid=None) -> ConditionReport:
@@ -322,7 +316,7 @@ def check_conditions(profile: OmegaProfile, grid=None) -> ConditionReport:
     is evidence at the grid resolution, not a proof.
     """
     if grid is None:
-        grid = default_check_grid(profile)
+        grid = np.geomspace(profile.s0 * 1e-8, profile.s0, 10_000)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ProfileError("condition check needs a nonempty grid")
@@ -463,12 +457,12 @@ def as_potential(potential):
 # monotone maps r(z), rho(z), rho^{-1}(s)
 # ---------------------------------------------------------------------------
 
-def _bisect_increasing(fn, lo, hi, targets, iters: int = 200):
+def _bisect_increasing(fn, lo, hi, targets):
     """Vectorized bisection: fn increasing on [lo, hi], solve fn(r) = target."""
     targets = np.asarray(targets, dtype=float)
     lo = np.full_like(targets, lo)
     hi = np.full_like(targets, hi)
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         high = fn(mid) >= targets
         hi = np.where(high, mid, hi)
@@ -480,34 +474,19 @@ def _bisect_increasing(fn, lo, hi, targets, iters: int = 200):
 
 @dataclass(frozen=True)
 class RhoMap:
-    """Monotone tables for r(z) = a^{-1}(z), rho(z) = z r(z)^2 and rho^{-1}.
+    """Monotone maps r(z) = a^{-1}(z), rho(z) = z r(z)^2 and rho^{-1} on [r_lo, r_hi].
 
-    The tables bracket; every query is refined by bisection on the underlying
-    potential, so inversion accuracy is limited only by bisection depth.
+    Every query bisects the potential over [r_lo, r_hi], where a runs over
+    [z_min, z_max] and rho over [rho_min, rho_max].
     """
 
     potential: PotentialField
     r_lo: float
     r_hi: float
-    r_tab: np.ndarray
-    log_z_tab: np.ndarray
-    rho_tab: np.ndarray
-
-    @property
-    def z_min(self) -> float:
-        return math.exp(self.log_z_tab[0])
-
-    @property
-    def z_max(self) -> float:
-        return math.exp(self.log_z_tab[-1])
-
-    @property
-    def rho_min(self) -> float:
-        return float(self.rho_tab[0])
-
-    @property
-    def rho_max(self) -> float:
-        return float(self.rho_tab[-1])
+    z_min: float
+    z_max: float
+    rho_min: float
+    rho_max: float
 
     def r_of_z(self, z):
         arr, scalar = _asfarray(z)
@@ -541,17 +520,16 @@ class RhoMap:
         return float(out[()]) if scalar else out
 
 
-def build_rho_map(field, z_range: tuple[float, float] | None = None,
-                  n_points: int = 2000, r_max: float = 1.0) -> RhoMap:
-    """Tabulate the monotone maps of ``field`` covering ``z_range``.
+def build_rho_map(field, z_range: tuple[float, float] | None = None) -> RhoMap:
+    """The maps of ``field`` on ``z_range``, by default where a rises on [1e-8, 1].
 
-    Raises MonotonicityError when a is not strictly increasing on the radii
-    needed to cover the request (constant potentials, profiles violating the
-    slope condition).
+    Raises MonotonicityError when a or rho is not strictly increasing at
+    2000 geometric radii across the range (constant potentials, profiles
+    violating the slope condition).
     """
     if isinstance(field, ConstantPotential):
         raise MonotonicityError("a constant potential has no inverse map")
-    probe = np.geomspace(1e-8, r_max, 4000)
+    probe = np.geomspace(1e-8, 1.0, 4000)
     la = field.log_a(probe)
     alive = la > EXP_UNDERFLOW / 2  # representable part of the potential
     if not np.any(alive):
@@ -560,7 +538,9 @@ def build_rho_map(field, z_range: tuple[float, float] | None = None,
     la_alive = la[start:]
     dif = np.diff(la_alive)
     bad = np.where(dif <= 0)[0]
-    end = start + (int(bad[0]) + 1 if bad.size else la_alive.size - 1)
+    end = start + (int(bad[0]) if bad.size else la_alive.size - 1)
+    if end == start:
+        raise MonotonicityError("a is not increasing where it is representable")
     r_lo, r_hi = float(probe[start]), float(probe[end])
 
     z_lo_avail, z_hi_avail = math.exp(la[start]), math.exp(la[end])
@@ -575,14 +555,15 @@ def build_rho_map(field, z_range: tuple[float, float] | None = None,
         r_lo = float(_bisect_increasing(field.log_a, r_lo, r_hi, math.log(z_lo)))
         r_hi = float(_bisect_increasing(field.log_a, r_lo, r_hi, math.log(z_hi)))
 
-    r_tab = np.geomspace(r_lo, r_hi, n_points)
+    r_tab = np.geomspace(r_lo, r_hi, 2000)
     log_z = field.log_a(r_tab)
     if np.any(np.diff(log_z) <= 0):
         raise MonotonicityError("a is not strictly increasing on the tabulated range")
     rho_tab = np.exp(log_z) * r_tab**2
     if np.any(np.diff(rho_tab) <= 0):
         raise MonotonicityError("rho is not strictly increasing on the tabulated range")
-    return RhoMap(field, r_lo, r_hi, r_tab, log_z, rho_tab)
+    return RhoMap(field, r_lo, r_hi, math.exp(log_z[0]), math.exp(log_z[-1]),
+                  float(rho_tab[0]), float(rho_tab[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +580,6 @@ class SRamp:
 
     omega: OmegaProfile
 
-    def value(self, tau):
-        s, _ = self.value_and_derivative(tau)
-        return s
-
     def value_and_derivative(self, tau):
         arr, scalar = _asfarray(tau)
         if np.any(arr <= 0):
@@ -617,8 +594,8 @@ class SRamp:
             return float(s[()]), float(sp[()])
         return s, sp
 
-    def log_value_and_derivative(self, tau):
-        """(ln s, ln s') computed stably for tau far below underflow scale."""
+    def log_derivative(self, tau):
+        """ln s'(tau), computed stably for tau far below underflow scale."""
         arr, scalar = _asfarray(tau)
         if np.any(arr <= 0):
             raise ProfileError("s(tau) needs tau > 0")
@@ -626,9 +603,5 @@ class SRamp:
         if np.any(w == 0):
             raise ZeroDivisionError("omega vanishes at a requested tau; s(tau) undefined")
         wp = self.omega.omega_prime(arr)
-        slope = arr * wp / w
-        log_s = 4.0 * np.log(arr) - np.log(w)
-        log_sp = 3.0 * np.log(arr) - np.log(w) + np.log(4.0 - slope)
-        if scalar:
-            return float(log_s[()]), float(log_sp[()])
-        return log_s, log_sp
+        log_sp = 3.0 * np.log(arr) - np.log(w) + np.log(4.0 - arr * wp / w)
+        return float(log_sp[()]) if scalar else log_sp

@@ -276,15 +276,14 @@ class SolutionTrajectory:
         return float(self.l2sq[0])
 
 
-def run(spec: ProblemSpec, grid: RadialGrid | None = None) -> SolutionTrajectory:
+def run(spec: ProblemSpec) -> SolutionTrajectory:
     """March the IMEX scheme to the horizon or to extinction.
 
     Extinction is recorded at the first time the sup norm drops below the
     relative threshold; the run stops there.  NaNs abort with a diagnostic
     snapshot attached to the exception.
     """
-    if grid is None:
-        grid = spec.build_grid()
+    grid = spec.build_grid()
     u = spec.initial_state(grid)
     stepper = Stepper(grid, spec.potential, spec.q)
 
@@ -356,15 +355,13 @@ class PositivityReport:
     final_min: float
 
 
-def positivity_probe(spec: ProblemSpec, horizon: float | None = None) -> PositivityReport:
+def positivity_probe(spec: ProblemSpec) -> PositivityReport:
     """Track min u over the horizon and fit its exponential decay rate.
 
     Used to contrast the superflat (non-extinction) potentials against the
     extinction regime: the former keep min u bounded away from zero on any
     desk-scale horizon.
     """
-    if horizon is not None:
-        spec = ProblemSpec(**{**spec.__dict__, "horizon": horizon})
     traj = run(spec)
     tail = traj.umin > 0
     rate = 0.0

@@ -32,6 +32,15 @@ def omega_r_potential():
 
 
 @pytest.fixture(scope="session")
+def rise_fall_potential():
+    """Table profile whose potential rises, then falls: omega(s)/s^2 is 1/s
+    below s = 0.3 and s/0.3 above, so a peaks near r = 0.3."""
+    s = np.geomspace(1e-3, 1.0, 60)
+    w = np.where(s < 0.3, s, 0.3 * (s / 0.3) ** 3)
+    return PotentialField(1.0, OmegaProfile.from_table(s, w))
+
+
+@pytest.fixture(scope="session")
 def omega_r_run(omega_r_potential):
     """Shared extinction run with the exp(-1/r) potential (u0 = 1)."""
     spec = ProblemSpec(q=0.5, potential=omega_r_potential, u0=1.0, cells=1000,

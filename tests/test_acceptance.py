@@ -69,7 +69,7 @@ def test_04_equivalence_family():
     for prof, expect in family:
         rep = equivalence_check(prof)
         if rep.agree is not True or rep.series.verdict != expect:
-            bad.append((prof.kind, rep.verdicts))
+            bad.append((prof.kind, (rep.integral.verdict, rep.series.verdict)))
     report(4, "series-integral equivalence", not bad,
            f"9 profiles checked, mismatches={bad}")
 
@@ -135,7 +135,7 @@ def test_10_odi_machinery():
     pot = PotentialField(1.0, OmegaProfile.log_power(2.0))
     cfg = OdiConfig(potential=pot, y0=1e-4, q=0.5)
     curve = build_curve(cfg)
-    g1, g2 = curve.join_gaps()
+    g1, g2 = curve.join_gap_prime, curve.join_gap_double_prime
     joins_ok = g1 <= 1e-10 * cfg.y0 and g2 <= 1e-10 * cfg.y0
     monotone_ok = bool(np.all(np.diff(curve.Y) <= 1e-12))
 
@@ -145,7 +145,7 @@ def test_10_odi_machinery():
     epk = cfg.exponents
 
     def rhs(tau, y):
-        _, log_sp = cfg.sramp.log_value_and_derivative(float(tau))
+        log_sp = cfg.sramp.log_derivative(float(tau))
         psi2 = math.exp((1 - epk.theta2) * pot.log_a(float(tau)) + log_sp)
         return [-psi2 * max(y[0] / (3 * cfg.c0), 0.0) ** (1.0 / (1.0 + epk.lambda2))]
 

@@ -412,6 +412,14 @@ class TestConfigValues:
         ("simulate", "problem", "extinction_rtol", "-1"),
         ("simulate", "problem", "extinction_rtol", "1"),
         ("bound", "problem", "radius", "0"),
+        ("bound", "odi", "y0", "2"),
+        ("verify", "odi", "y0", "2"),
+        ("bound", "problem", "q", "1"),
+        ("bound", "problem", "q", "-0.5"),
+        ("bound", "problem", "dimension", "0"),
+        ("bound", "problem", "dimension", "4"),
+        ("spectral", "problem", "q", "1.5"),
+        ("spectral", "problem", "q", "-0.5"),
     ])
     def test_out_of_range_value_exit_64(self, tmp_path, capsys, command, section,
                                         key, value):

@@ -127,7 +127,7 @@ class TestCurveY2:
         sramp = cfg.sramp
 
         def rhs(tau, y):
-            _, log_sp = sramp.log_value_and_derivative(float(tau))
+            log_sp = sramp.log_derivative(float(tau))
             psi2 = math.exp((1 - ep.theta2) * cfg.potential.log_a(float(tau)) + log_sp)
             return [-psi2 * max(y[0] / (3 * cfg.c0), 0.0) ** (1.0 / (1.0 + ep.lambda2))]
 
@@ -148,7 +148,7 @@ class TestTauDoublePrime:
         piece = curve_y2(cfg, tau_p)
         res = solve_tau_double_prime(cfg, piece, tau_p)
         ep = cfg.exponents
-        _, log_sp = cfg.sramp.log_value_and_derivative(res.tau)
+        log_sp = cfg.sramp.log_derivative(res.tau)
         boundary = math.exp(math.log(3 * cfg.c0)
                             + 2 / (1 - cfg.q) * cfg.potential.log_a(res.tau)
                             + 2 / ((1 - cfg.q) * (ep.theta1 - ep.theta2)) * log_sp)
@@ -216,7 +216,7 @@ class TestTauTriplePrime:
 class TestCurveAssembly:
     def test_continuity_and_monotonicity(self, beta2_config):
         curve = build_curve(beta2_config)
-        g1, g2 = curve.join_gaps()
+        g1, g2 = curve.join_gap_prime, curve.join_gap_double_prime
         assert g1 <= 1e-10 * beta2_config.y0
         assert g2 <= 1e-10 * beta2_config.y0
         assert np.all(np.diff(curve.Y) <= 1e-12)

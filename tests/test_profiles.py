@@ -216,7 +216,20 @@ class TestRhoMap:
     def test_rho_monotone(self):
         field = PotentialField(1.0, OmegaProfile.log_power(2.0))
         rmap = build_rho_map(field)
-        assert np.all(np.diff(rmap.rho_tab) > 0)
+        assert np.all(np.diff(rmap.rho(np.geomspace(rmap.z_min, rmap.z_max, 200))) > 0)
+
+    def test_rising_part_of_rise_fall_potential(self, rise_fall_potential):
+        rmap = build_rho_map(rise_fall_potential)
+        assert rmap.r_lo == pytest.approx(2.69e-3, rel=1e-3)
+        assert rmap.r_hi == pytest.approx(0.30752, rel=1e-5)
+        z = np.geomspace(rmap.z_min, rmap.z_max, 200)
+        a_back = rise_fall_potential.a(rmap.r_of_z(z))
+        assert np.all(np.abs(a_back / z - 1.0) < 1e-8)
+
+    def test_falling_potential_not_invertible(self):
+        # alpha = 3: ln a = -r falls from the first probe on
+        with pytest.raises(MonotonicityError):
+            build_rho_map(PotentialField(1.0, OmegaProfile.power(3.0)))
 
     def test_constant_potential_not_invertible(self):
         with pytest.raises(MonotonicityError):

@@ -195,6 +195,14 @@ class TestEigenvalueSandwich:
         assert np.isnan(scan.ratios[1])
 
 
+    def test_rise_fall_potential_scanned_on_its_rising_part(self, rise_fall_potential):
+        with pytest.warns(UserWarning, match="1 h value"):
+            scan = eigenvalue_sandwich_scan(rise_fall_potential,
+                                            np.geomspace(1e-3, 1e-1, 7), cells=3000)
+        assert scan.clipped == 1
+        assert np.isnan(scan.ratios[-1]) and np.all(np.isfinite(scan.ratios[:-1]))
+
+
 class TestInverseMapSandwich:
     def test_no_violations_small_s(self, beta2_potential):
         rep = inverse_map_sandwich(beta2_potential, np.geomspace(1e-12, 1e-6, 200))
