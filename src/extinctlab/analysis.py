@@ -299,7 +299,6 @@ def log_endpoint_integral(logf, tau: float) -> float:
 class RatioRow:
     tau: float
     log_integral: float
-    log_closed_form: float
     ratio: float
     inconclusive: bool = False
 
@@ -325,10 +324,9 @@ def endpoint_equivalence_ratios(omega: OmegaProfile, m: float, l: float, A: floa
         w_tau = omega.omega(float(tau))
         log_cf = (m + 1.0) * math.log(tau) + l * math.log(w_tau) - A * w_tau / tau**2
         if np.isfinite(log_int):
-            rows.append(RatioRow(float(tau), log_int, log_cf,
-                                 math.exp(log_int - log_cf)))
+            rows.append(RatioRow(float(tau), log_int, math.exp(log_int - log_cf)))
         else:
-            rows.append(RatioRow(float(tau), log_int, log_cf, math.nan, True))
+            rows.append(RatioRow(float(tau), log_int, math.nan, True))
     return rows
 
 
@@ -350,15 +348,13 @@ def composite_endpoint_integral(logf, tau: float) -> float:
 def spectral_log_sum(mu_values) -> SeriesDiagnosis:
     """Partial sums of sum_n ln(mu_n)/mu_n for a positive sequence mu_n > 1.
 
-    Terms with mu_n <= 1 carry a nonpositive logarithm and are rejected with
-    a warning rather than summed; with no term left the series is empty and
-    its verdict inconclusive.
+    Terms with mu_n <= 1 carry a nonpositive logarithm and are rejected
+    rather than summed, and counted in ``rejected``; with no term left the
+    series is empty and its verdict inconclusive.
     """
     mu = np.asarray(mu_values, dtype=float)
     good = mu > 1.0
     rejected = int(np.count_nonzero(~good))
-    if rejected:
-        warnings.warn(f"spectral_log_sum: rejected {rejected} term(s) with mu <= 1")
     mu = mu[good]
     n = np.arange(1, mu.size + 1, dtype=float)
     t = np.log(mu) / mu

@@ -228,13 +228,11 @@ def cmd_simulate(parser, out: OutputDir, args) -> int:
     }
     if sramp is not None and traj.y0 > 0:
         ep = ExponentPack(spec.q, spec.dimension)
-        import warnings as _warnings
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            probe = probe_outer_energy_relation(ledger, ep)
-            odi_fit = ode_inequality_residual(ledger, ep, sramp)
+        probe = probe_outer_energy_relation(ledger, ep)
+        odi_fit = ode_inequality_residual(ledger, ep, sramp)
         results["fitted_constants"] = {
             "relation_c_hat": probe.c_hat,
+            "relation_skipped_rows": probe.skipped,
             "odi_c0": odi_fit.c0,
             "odi_clipped_slopes": odi_fit.clipped,
         }
@@ -258,6 +256,7 @@ def cmd_bound(parser, out: OutputDir, args) -> int:
             "tau_triple_prime": curve.tau_triple_prime,
             "region2_skipped": curve.region2_skipped,
             "beyond_domain": curve.tau_triple_prime > cfg.tau_max,
+            "tau_triple_prime_bumped": curve.triple_info.bumped,
         }
     except (NoPlateauError, CurveRangeError) as exc:
         curve_error = str(exc)
@@ -324,10 +323,7 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
         results["rho_map_error"] = str(exc)
 
     mus = mu_n_sequence(potential, n_max=sp["mu_n_max"], cells=min(sp["cells"], 800))
-    import warnings as _warnings
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        kv = spectral_log_sum(mus)
+    kv = spectral_log_sum(mus)
     terms = np.concatenate([[0.0], np.log(mus[1:]) / mus[1:]])
     out.write_csv("mu_n.csv", ["n", "mu_n", "term", "partial_sum"],
                   [range(mus.size), mus, terms, np.cumsum(terms)])
@@ -341,6 +337,7 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
     results.update({
         "mu_log_sum": kv.total,
         "mu_log_sum_verdict": kv.verdict,
+        "mu_log_sum_rejected": kv.rejected,
         "spectral_criterion_verdict": crit.verdict,
     })
     dini = out.read_summary("dini")

@@ -54,9 +54,13 @@ def _section(parser, name, allowed) -> dict:
     return sec
 
 
-def _get(sec, key, cast, default=None):
+_REQUIRED = object()   # default of a key that must be given
+
+
+def _get(sec, key, cast, default=_REQUIRED):
+    """``cast`` of a given key, ``default`` of a missing one."""
     if key not in sec:
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
@@ -65,7 +69,7 @@ def _get(sec, key, cast, default=None):
         raise ConfigError(f"bad value for {key!r}: {sec[key]!r}") from exc
 
 
-def _problem_shape(prob, q_default=None) -> tuple[float, int, float]:
+def _problem_shape(prob, q_default=_REQUIRED) -> tuple[float, int, float]:
     """(q, dimension, radius) of [problem], checked once for every reader."""
     q = _get(prob, "q", float, q_default)
     dimension = _get(prob, "dimension", int, 1)
@@ -83,7 +87,7 @@ def profile_from_config(parser, base_dir=".") -> OmegaProfile:
     kind = _get(sec, "kind", str)
     delta = _get(sec, "delta", float, 0.5)
     omega0 = _get(sec, "omega0", float, 1.0)
-    s0 = _get(sec, "s0", float, 0.0) or None
+    s0 = _get(sec, "s0", float, None)
     try:
         if kind == "power":
             return OmegaProfile.power(_get(sec, "alpha", float), omega0, delta, s0)
@@ -142,7 +146,7 @@ def problem_from_config(parser, base_dir=".") -> ProblemSpec:
             dt=_get(sec, "dt", float, 1e-3),
             horizon=_get(sec, "horizon", float, 2.5),
             extinction_rtol=_get(sec, "extinction_rtol", float, 1e-10),
-            snapshot_every=_get(sec, "snapshot_every", int, 0) or None,
+            snapshot_every=_get(sec, "snapshot_every", int, None),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -160,8 +164,8 @@ def odi_from_config(parser, base_dir=".", overrides=None) -> tuple[OdiConfig, di
         "gamma": _get(sec, "gamma", float, 1.0),
         "c0": _get(sec, "c0", float, 1.0),
         "c4": _get(sec, "c4", float, 1.0),
-        "c7": _get(sec, "c7", float, 0.0) or None,
-        "cbar": _get(sec, "cbar", float, 0.0) or None,
+        "c7": _get(sec, "c7", float, None),
+        "cbar": _get(sec, "cbar", float, None),
     }
     if overrides:
         kwargs.update({k: v for k, v in overrides.items() if v is not None})

@@ -89,10 +89,6 @@ class EnergyLedger:
     quad_error: np.ndarray       # (M,): trapezoid error proxy for I
 
     @property
-    def T(self) -> float:
-        return float(self.t_snap[-1])
-
-    @property
     def y(self) -> np.ndarray:
         """Outer-region energy y(tau) = I_{s(tau)}^T(tau)."""
         return self.I
@@ -187,7 +183,6 @@ def _trapz_from(t: np.ndarray, f: np.ndarray, s: float) -> float:
 
 @dataclass(frozen=True)
 class GlobalEstimateReport:
-    t_checked: np.ndarray
     slack: np.ndarray            # y0 - H(t,0) - I_0^t(0) at each checkpoint
     quad_error: float
     min_slack: float
@@ -213,17 +208,15 @@ def verify_global_estimate(ledger: EnergyLedger) -> GlobalEstimateReport:
     I_cum = np.concatenate([[0.0], np.cumsum(0.5 * (E0[1:] + E0[:-1]) * np.diff(t))])
     slack = ledger.y0 - H0 - I_cum
     qerr = 0.5 * float(np.dot(np.abs(np.diff(E0)), np.diff(t)))
-    return GlobalEstimateReport(t, slack, qerr + 1e-12 * abs(ledger.y0),
+    return GlobalEstimateReport(slack, qerr + 1e-12 * abs(ledger.y0),
                                 float(np.min(slack)))
 
 
 @dataclass(frozen=True)
 class RelationProbe:
     tau: np.ndarray
-    lhs: np.ndarray
-    rhs_terms: np.ndarray        # (M, 4) with unit constants
     c_hat: float                 # minimal uniform constant covering all rows
-    skipped: int
+    skipped: int                 # rows with a(tau) = 0, left out of the fit
 
 
 def probe_outer_energy_relation(ledger: EnergyLedger, exponents: ExponentPack) -> RelationProbe:
@@ -231,7 +224,8 @@ def probe_outer_energy_relation(ledger: EnergyLedger, exponents: ExponentPack) -
 
     The left side is H(T, tau) + I_{s(tau)}^T(tau); the right side combines
     powers of E(s(tau), tau) and J with the two interpolation exponents.
-    Rows where the absorption coefficient vanishes are skipped.
+    Rows where the absorption coefficient vanishes are skipped and counted
+    in ``skipped``.
     """
     q = exponents.q
     t1, t2 = exponents.theta1, exponents.theta2
@@ -242,9 +236,9 @@ def probe_outer_energy_relation(ledger: EnergyLedger, exponents: ExponentPack) -
     lhs = ledger.H[-1, :] + ledger.I
     alive = a > 0
     skipped = int(np.count_nonzero(~alive))
-    if skipped:
-        warnings.warn(f"relation probe: skipped {skipped} rows with a(tau) = 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a(tau) is tiny near tau = 0, so a^(-k) may overflow to inf: a row whose
+    # right side overflows has ratio lhs/rhs = 0 and cannot set c_hat
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.stack([
             a ** (-2 * (1 - t2) / D2) * E_s ** (2 / D2),
             a ** (-2 / (q + 1)) * E_s ** (2 / (q + 1)),
@@ -255,14 +249,13 @@ def probe_outer_energy_relation(ledger: EnergyLedger, exponents: ExponentPack) -
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(alive & (rhs > 0), lhs / rhs, 0.0)
     c_hat = float(np.max(ratios)) if ratios.size else 0.0
-    return RelationProbe(ledger.tau_grid, lhs, terms, c_hat, skipped)
+    return RelationProbe(ledger.tau_grid, c_hat, skipped)
 
 
 @dataclass(frozen=True)
 class InterpolationProbe:
     c1: float
     c2: float
-    corpus_size: int
     worst_margin: float          # min over corpus of c1*G + c2*P - L (>= 0)
 
 
@@ -316,19 +309,16 @@ def probe_interpolation(grid, inner_radius: float, lam: float,
             best = (float(c1), c2)
     c1, c2 = best
     margin = float(np.min(c1 * G + c2 * P - L))
-    return InterpolationProbe(c1, c2, len(corpus), margin)
+    return InterpolationProbe(c1, c2, margin)
 
 
 @dataclass(frozen=True)
 class OdiResidual:
     tau: np.ndarray
     y: np.ndarray
-    y_prime: np.ndarray
-    comparison_sum: np.ndarray   # sum_i (-y'/psi_i)^(1+lambda_i)
     c0: float
-    residual: np.ndarray         # c0 * comparison_sum - y  (>= 0 at fitted c0)
-    clipped: int
-    skipped: int
+    residual: np.ndarray         # c0 sum_i (-y'/psi_i)^(1+lambda_i) - y (>= 0)
+    clipped: int                 # positive slopes of y set to zero
 
 
 def ode_inequality_residual(ledger: EnergyLedger, exponents: ExponentPack,
@@ -338,7 +328,7 @@ def ode_inequality_residual(ledger: EnergyLedger, exponents: ExponentPack,
 
     y' is taken by second-order finite differences on the ledger tau grid;
     positive slopes (non-monotone numerical artifacts) are clipped to zero
-    with a warning.
+    and counted in ``clipped``.
     """
     tau = ledger.tau_grid
     if tau.size < 3:
@@ -346,8 +336,6 @@ def ode_inequality_residual(ledger: EnergyLedger, exponents: ExponentPack,
     y = ledger.y
     yp = np.gradient(y, tau)
     clipped = int(np.count_nonzero(yp > 0))
-    if clipped:
-        warnings.warn(f"odi residual: clipped {clipped} positive slopes of y")
     yp = np.minimum(yp, 0.0)
     sp = np.zeros_like(tau)  # omega may vanish at tau = 0, where psi = 0 or a = 0
     _, sp[tau > 0] = sramp.value_and_derivative(tau[tau > 0])
@@ -355,7 +343,6 @@ def ode_inequality_residual(ledger: EnergyLedger, exponents: ExponentPack,
     lams = (exponents.lambda0, exponents.lambda1, exponents.lambda2)
     S = np.zeros_like(tau)
     alive = ledger.a_tau > 0
-    skipped = int(np.count_nonzero(~alive))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for psi, lam in zip(psis, lams):
             contrib = np.where(alive & (psi > 0), (-yp / psi) ** (1 + lam), np.inf)
@@ -363,4 +350,4 @@ def ode_inequality_residual(ledger: EnergyLedger, exponents: ExponentPack,
     usable = alive & np.isfinite(S) & (S > 0)
     c0 = float(np.max(y[usable] / S[usable])) if np.any(usable) else 0.0
     residual = np.where(usable, c0 * S - y, np.nan)
-    return OdiResidual(tau, y, yp, S, c0, residual, clipped, skipped)
+    return OdiResidual(tau, y, c0, residual, clipped)

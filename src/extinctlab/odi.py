@@ -24,7 +24,6 @@ here, and every report echoes the values used.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,7 +128,6 @@ def solve_tau_prime(config: OdiConfig) -> float:
 
 @dataclass(frozen=True)
 class CurvePiece:
-    start_tau: float
     start_value: float
     decay_exponent: float       # p = lambda/(1+lambda) of the driving mode
     coefficient: float          # p * (3c0)^(-1/(1+lambda))
@@ -162,7 +160,7 @@ def _curve_piece(config: OdiConfig, lam: float, log_psi, start_tau: float,
     knots = np.geomspace(start_tau, end_tau, _N_KNOTS)
     cum = np.zeros(knots.size)
     cum[1:] = np.cumsum(np.exp(log_segment_integrals(log_psi, knots)))
-    return CurvePiece(start_tau, start_value, p, coeff, knots, cum)
+    return CurvePiece(start_value, p, coeff, knots, cum)
 
 
 def curve_y2(config: OdiConfig, tau_prime: float) -> CurvePiece:
@@ -252,17 +250,15 @@ def curve_y1(config: OdiConfig, tau_pp: float, start_value: float) -> CurvePiece
             return piece
 
 
-def solve_extinction_radius(config: OdiConfig, level: float | None = None,
-                            log_level: float | None = None) -> tuple[float, bool]:
-    """Extinction radius from tau^2/omega(tau) = c7 / ln(1/level).
+def solve_extinction_radius(config: OdiConfig, log_level: float) -> tuple[float, bool]:
+    """Extinction radius from tau^2/omega(tau) = c7 / ln(1/level), given
+    ``log_level`` = ln(level), which survives deep rounds.
 
     Returns (tau, clipped): clipped means the required radius exceeded the
-    domain and was cut to tau_max (the machinery assumes it stays inside).
-    Levels may be passed in log space to survive deep rounds.  A radius
-    below the search floor _TAU_FLOOR = exp(-250) raises BelowFloorError.
+    domain and was cut to tau_max (the machinery assumes it stays inside);
+    the caller reports it.  A radius below the search floor
+    _TAU_FLOOR = exp(-250) raises BelowFloorError.
     """
-    if log_level is None:
-        log_level = math.log(level)
     if log_level >= 0:
         raise ValueError("level must lie strictly below one")
     target = math.log(config.c7 / (-log_level))
@@ -276,7 +272,6 @@ def solve_extinction_radius(config: OdiConfig, level: float | None = None,
     except BelowFloorError:
         raise
     except CurveRangeError:
-        warnings.warn("extinction radius exceeds the domain; clipped")
         return config.tau_max, True
 
 
@@ -285,7 +280,6 @@ class TauTriplePrime:
     tau: float                   # enforced final radius (curve hits zero here)
     direct_root: float           # root of a^(1-theta2) s'^2 = c4 y0^(...)
     ad_hoc_root: float           # root of the closed logarithmic relation, 0 below the floor
-    y1_zero: float               # where the final curve piece reaches zero
     bumped: bool                 # true when forced above 2 tau''
 
 
@@ -296,7 +290,9 @@ def curve_y1_and_tau_triple_prime(config: OdiConfig, tau_pp: float,
     The direct root solves the sufficient matching condition with constant
     c4; the logarithmic form absorbs the free constants into c7.  Whatever
     the candidates say, the reported radius is never below the actual zero
-    of the final piece nor below twice tau''.
+    of the final piece nor below twice tau''; a radius forced up to twice
+    tau'' sets ``bumped``.  A bracket on which omega vanishes raises
+    CurveRangeError.
     """
     ep = config.exponents
     p2 = (1.0 - ep.theta2) * (1.0 - config.q) / 2.0
@@ -306,10 +302,14 @@ def curve_y1_and_tau_triple_prime(config: OdiConfig, tau_pp: float,
     try:
         direct = _bisect_log_tau(lambda tau: _log_match_constant(config, tau), target,
                                  _TAU_FLOOR, config.tau_max * 4.0)
+    except ZeroDivisionError as exc:
+        # omega vanishes inside the bracket (log-singular for s >= 1), so
+        # the ramp and the matching constant are undefined there
+        raise CurveRangeError(f"direct tau''' root: {exc}") from exc
     except CurveRangeError:
         direct = math.inf
     try:
-        ad5, _ = solve_extinction_radius(config, config.y0)
+        ad5, _ = solve_extinction_radius(config, math.log(config.y0))
     except BelowFloorError:
         ad5 = 0.0
     y1_zero = piece1.zero_radius()
@@ -320,8 +320,7 @@ def curve_y1_and_tau_triple_prime(config: OdiConfig, tau_pp: float,
     if tau_ppp <= 2.0 * tau_pp:
         tau_ppp = 2.0 * tau_pp * (1.0 + 1e-9)
         bumped = True
-        warnings.warn("tau''' bumped to 2 tau'' (sufficient-condition floor)")
-    return piece1, TauTriplePrime(tau_ppp, direct, ad5, y1_zero, bumped)
+    return piece1, TauTriplePrime(tau_ppp, direct, ad5, bumped)
 
 
 @dataclass(frozen=True)
@@ -424,7 +423,6 @@ class ExtinctionBoundReport:
     clipped_rounds: int
     sum_t: float
     sum_s: float
-    t_tail_estimate: float
     total: float                 # R = sum_t + sum_s (+ tail), inf if divergent
     verdict: str                 # "convergent" | "divergent" | "inconclusive"
     dini_verdict: str
@@ -492,14 +490,14 @@ def extinction_iteration(config: OdiConfig, max_rounds: int = 200) -> Extinction
     # sum_{i>j} omega(C1 lam^i) <~ ln(1/lam)^(-1) * integral_0^{tau_j} omega/s
     tail_quad = dini_integral(omega, c=float(taus[-1])) if taus.size else None
     if dini.verdict == "divergent":
-        verdict, total, t_tail = "divergent", math.inf, math.inf
+        verdict, total = "divergent", math.inf
     elif dini.verdict == "convergent" and tail_quad is not None and tail_quad.converged:
         t_tail = (config.gamma * config.c7 / config.cbar) * tail_quad.value \
             / math.log(1.0 / lam)
         total = sum_t + sum_s + t_tail
         verdict = "convergent"
     else:
-        verdict, total, t_tail = "inconclusive", math.nan, math.nan
+        verdict, total = "inconclusive", math.nan
 
     # partial-sum vs integral comparison over the dominating radii
     C1 = math.sqrt(config.c7 * omega.omega0 / ((-log_y0) * (1.0 + config.gamma)))
@@ -514,6 +512,6 @@ def extinction_iteration(config: OdiConfig, max_rounds: int = 200) -> Extinction
     return ExtinctionBoundReport(
         config=config, tau_rounds=taus, t_rounds=ts, s_rounds=ss,
         log_levels=np.asarray(log_levels), clipped_rounds=clipped,
-        sum_t=sum_t, sum_s=sum_s, t_tail_estimate=t_tail, total=total,
+        sum_t=sum_t, sum_s=sum_s, total=total,
         verdict=verdict, dini_verdict=dini.verdict,
         omega_sum_partial=omega_partial, integral_comparison=integral_comparison)

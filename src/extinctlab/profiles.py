@@ -24,7 +24,6 @@ the space-time ramp s(tau) = tau**4 / omega(tau).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -501,15 +500,11 @@ class RhoMap:
         out = np.asarray(z, dtype=float) * np.asarray(r) ** 2
         return float(out) if np.ndim(z) == 0 else out
 
-    def rho_inv(self, s, clip: bool = False):
-        """Solve rho(z) = s, returning z; optionally clip s into range."""
+    def rho_inv(self, s):
+        """Solve rho(z) = s, returning z; s outside [rho_min, rho_max]
+        raises MonotonicityError (callers clip into range themselves)."""
         arr, scalar = _asfarray(s)
-        if clip:
-            clipped = np.clip(arr, self.rho_min, self.rho_max)
-            if np.any(clipped != arr):
-                warnings.warn("rho_inv: argument clipped into the tabulated range")
-            arr = clipped
-        elif np.any(arr < self.rho_min * (1 - 1e-9)) or np.any(arr > self.rho_max * (1 + 1e-9)):
+        if np.any(arr < self.rho_min * (1 - 1e-9)) or np.any(arr > self.rho_max * (1 + 1e-9)):
             raise MonotonicityError("s outside the range of rho")
 
         def g(r):

@@ -168,6 +168,8 @@ class ProblemSpec:
             raise ValueError("cells must be at least 3")
         if self.dimension not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
+        if self.snapshot_every is not None and self.snapshot_every < 1:
+            raise ValueError("snapshot_every must be at least 1")
 
     def build_grid(self) -> RadialGrid:
         return RadialGrid.uniform(self.cells, self.radius, self.dimension)
@@ -349,7 +351,6 @@ def ode_extinction_time(eps: float, q: float, u0_sup: float) -> float:
 @dataclass(frozen=True)
 class PositivityReport:
     times: np.ndarray
-    min_trace: np.ndarray
     decay_rate: float          # fitted exponential rate of min u (0 if flat)
     collapsed: bool            # min u hit the extinction threshold
     final_min: float
@@ -372,5 +373,5 @@ def positivity_probe(spec: ProblemSpec) -> PositivityReport:
         if slope is not None and abs(slope) >= 1e-12:
             rate = -slope
     collapsed = bool(traj.umin[-1] < traj.threshold)
-    return PositivityReport(traj.times, traj.umin, rate, collapsed,
+    return PositivityReport(traj.times, rate, collapsed,
                             float(traj.umin[-1]))

@@ -15,7 +15,6 @@ vector vanishes, set no scale; a Sturm-sequence bisection is the fallback.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,7 +201,7 @@ class SpectralScan:
     rho_inv: np.ndarray          # rho^(-1)(h^2), NaN where out of range
     ratios: np.ndarray           # lambda1 / (h^(-2) rho_inv(h^2))
     bracket: float               # C with all ratios inside [1/C, C]
-    clipped: int
+    clipped: int                 # h values outside the invertible range
 
     @property
     def width(self) -> float:
@@ -215,8 +214,9 @@ def eigenvalue_sandwich_scan(potential, h_values, cells: int = 3000,
                              rho_map: RhoMap | None = None) -> SpectralScan:
     """Sandwich scan: lambda1(h) against h^(-2) rho^(-1)(h^2).
 
-    Ratios out of the invertible range of the potential are clipped with a
-    warning (NaN rows); the reported bracket constant covers the rest.
+    h values out of the invertible range of the potential are skipped (NaN
+    rows) and counted in ``clipped``; the reported bracket constant covers
+    the rest.
     """
     h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
     if rho_map is None:
@@ -233,9 +233,6 @@ def eigenvalue_sandwich_scan(potential, h_values, cells: int = 3000,
             rinv[i] = rho_map.rho_inv(s)
         else:
             clipped += 1
-    if clipped:
-        warnings.warn(f"sandwich scan: {clipped} h value(s) outside the "
-                      "invertible range were skipped")
     with np.errstate(invalid="ignore"):
         ratios = lam * h_values**2 / rinv
     ok = np.isfinite(ratios)
@@ -295,7 +292,6 @@ class CriterionReport:
     n: np.ndarray
     alpha_log: np.ndarray        # ln(alpha_n), exact
     mu: np.ndarray
-    addends: np.ndarray          # (len, 3): ln(mu), ln(alpha_n/alpha_{n+1}), 1
     terms: np.ndarray
     flagged: np.ndarray          # mu <= 1: excluded from the sum
     diagnosis: SeriesDiagnosis
@@ -328,4 +324,4 @@ def spectral_criterion_series(potential, K: float = 1.0, q: float = 0.5,
         terms = np.where(~flagged, np.nansum(addends, axis=1) / mus, 0.0)
     used = ~flagged & (terms > 0)
     diag = _diagnose_series(ns[used], terms[used], rejected=int(flagged.sum()))
-    return CriterionReport(ns, log_alpha, mus, addends, terms, flagged, diag)
+    return CriterionReport(ns, log_alpha, mus, terms, flagged, diag)

@@ -76,10 +76,7 @@ def test_04_equivalence_family():
 
 def test_05_kv_series():
     mus = mu_n_sequence(ConstantPotential(1.0), n_max=20, cells=400)
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        diag = spectral_log_sum(mus)
+    diag = spectral_log_sum(mus)
     err = abs(diag.total - 2.0 * math.log(2.0))
     report(5, "spectral-sum closed form", err <= 1e-3,
            f"sum={diag.total:.6f} target={2*math.log(2):.6f} err={err:.2e}")
@@ -175,13 +172,10 @@ def test_11_bound_coherence(omega_r_run):
         (OmegaProfile.log_power(2.0), True), (OmegaProfile.log_power(3.0), True),
         (OmegaProfile.constant(1.0), False),
     ]
-    import warnings
     mism = []
     for prof, finite in family:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = extinction_iteration(OdiConfig(
-                potential=PotentialField(1.0, prof), y0=1e-4, q=0.5))
+        rep = extinction_iteration(OdiConfig(
+            potential=PotentialField(1.0, prof), y0=1e-4, q=0.5))
         if math.isfinite(rep.total) != finite:
             mism.append(prof.kind)
 

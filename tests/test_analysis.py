@@ -230,13 +230,11 @@ class TestSpectralLogSum:
         assert diag.verdict == "convergent"
 
     def test_linear_mu_divergent(self):
-        with pytest.warns(UserWarning):
-            diag = spectral_log_sum(np.arange(1.0, 40000.0))  # mu_1 = 1 rejected
+        diag = spectral_log_sum(np.arange(1.0, 40000.0))  # mu_1 = 1 rejected
         assert diag.rejected == 1
         assert diag.verdict == "divergent"
 
     def test_all_rejected_inconclusive(self):
-        with pytest.warns(UserWarning):
-            diag = spectral_log_sum([0.5, 1.0])
+        diag = spectral_log_sum([0.5, 1.0])
         assert diag.verdict == "inconclusive"
         assert diag.total == 0 and diag.rejected == 2

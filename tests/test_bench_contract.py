@@ -1,0 +1,68 @@
+"""The traced benchmark's contract with the package.
+
+``bench/tracer.py`` wraps names of ``extinctlab`` from outside and reads
+fields of what they return (``GroundState.iterations`` and
+``used_fallback``, the ``max_rounds`` argument of ``extinction_iteration``).
+A rename of any of them fails here, in the test suite, and not first in
+the benchmark.
+"""
+
+import configparser
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from extinctlab.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves(tracer):
+    targets = tracer._targets()
+    assert targets
+    for owner, attr, _, _ in targets:
+        assert callable(tracer._get(owner, attr)), attr
+
+
+def traced(tracer, command: str, cfg: Path, out: Path) -> tuple[int, dict]:
+    """Exit code and layer metrics of one traced invocation."""
+    t = tracer.Tracer()
+    with t.installed():
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+    return code, t.layer_metrics()
+
+
+def test_traced_verify_counts_ground_states_and_rounds(tracer, tmp_path):
+    code, m = traced(tracer, "verify", BENCH / "workloads" / "verify.ini", tmp_path / "o")
+    assert code == 0
+    assert m["spectral.ground_state.calls"] > 0
+    assert m["spectral.ground_state.iterations"] >= m["spectral.ground_state.calls"] \
+        - m["spectral.ground_state.fallbacks"]
+    assert m["odi.rounds"] > 0
+    assert m["odi.rounds_capped"] == 1   # the README config hits max_rounds
+    assert m["odi.solve_extinction_radius.calls"] >= m["odi.rounds"]
+    assert m["solver.run.steps"] == 0
+
+
+def test_traced_simulate_counts_steps(tracer, tmp_path):
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read(BENCH / "workloads" / "verify.ini")
+    parser["problem"]["horizon"] = "0.05"
+    cfg = tmp_path / "run.ini"
+    with open(cfg, "w") as fh:
+        parser.write(fh)
+    code, m = traced(tracer, "simulate", cfg, tmp_path / "o")
+    assert code == 1   # not extinct by t = 0.05
+    assert m["solver.run.steps"] == 50
+    assert m["solver.diffuse.calls"] == m["solver.absorb.calls"] == 50
+    assert m["cli.write_csv.rows"] > 0
+    assert m["spectral.ground_state.calls"] == 0

@@ -35,6 +35,13 @@ omega0 = 1.0
 d0 = 1.0
 """
 
+LOG_SINGULAR = """\
+[profile]
+kind = log-singular
+kappa = 25
+d0 = 1.0
+"""
+
 ODE_REGIME = """\
 [profile]
 kind = power
@@ -159,7 +166,24 @@ horizon = 0.5
         results = json.loads((out / "summary_simulate.json").read_text())["results"]
         assert results["verdict"] == "positivity-persisted"
         assert set(results["fitted_constants"]) == {
-            "relation_c_hat", "odi_c0", "odi_clipped_slopes"}
+            "relation_c_hat", "relation_skipped_rows", "odi_c0", "odi_clipped_slopes"}
+
+    def test_constant_profile_overflow_cannot_set_c_hat(self, tmp_path):
+        # a(tau) = exp(-1/tau^2) underflows to 0 on the first ledger rows and
+        # a^(-k) overflows on the next ones; neither may raise or set c_hat
+        cfg = write_config(tmp_path, CONSTANT + """
+[problem]
+q = 0.5
+potential = profile
+cells = 200
+horizon = 0.05
+""")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        fitted = json.loads((out / "summary_simulate.json").read_text())["results"][
+            "fitted_constants"]
+        assert fitted["relation_skipped_rows"] > 0
+        assert fitted["relation_c_hat"] > 0
 
     @pytest.mark.parametrize("epsilon", ["-1.0", "nan"])
     def test_bad_constant_potential_exit_64(self, tmp_path, epsilon):
@@ -250,6 +274,17 @@ class TestBound:
         on_disk = sorted(p.name for p in out.iterdir())
         assert sorted(summary["manifest"]) == on_disk == ["rounds.csv",
                                                           "summary_bound.json"]
+
+    @pytest.mark.parametrize("command,code", [("bound", 1), ("verify", 0)])
+    def test_log_singular_curve_error_reported(self, tmp_path, command, code):
+        # omega = 25 ln(1/s) vanishes for s >= 1, inside the bracket of the
+        # direct root for the final curve radius (up to 4 times the radius)
+        cfg = write_config(tmp_path, LOG_SINGULAR + ODI_SECTION + SPECTRAL_SMALL)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+        bound = json.loads((out / "summary_bound.json").read_text())["results"]
+        assert bound["verdict"] == "divergent"
+        assert "omega vanishes" in bound["curve"]["error"]
 
 
 class TestSpectral:
@@ -420,6 +455,11 @@ class TestConfigValues:
         ("bound", "problem", "dimension", "4"),
         ("spectral", "problem", "q", "1.5"),
         ("spectral", "problem", "q", "-0.5"),
+        ("dini", "profile", "s0", "0"),
+        ("bound", "odi", "c7", "0"),
+        ("bound", "odi", "cbar", "0"),
+        ("simulate", "problem", "snapshot_every", "0"),
+        ("simulate", "problem", "snapshot_every", "-5"),
     ])
     def test_out_of_range_value_exit_64(self, tmp_path, capsys, command, section,
                                         key, value):

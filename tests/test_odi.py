@@ -189,7 +189,7 @@ class TestTauTriplePrime:
     def test_linear_omega_ad_hoc_closed_form(self):
         pot = PotentialField(1.0, OmegaProfile.power(1.0))
         cfg = OdiConfig(potential=pot, y0=1e-4, q=0.5, c7=0.8)
-        tau_bar, clipped = solve_extinction_radius(cfg, cfg.y0)
+        tau_bar, clipped = solve_extinction_radius(cfg, math.log(cfg.y0))
         assert not clipped
         assert tau_bar == pytest.approx(0.8 / math.log(1e4), rel=1e-10)
 
@@ -197,7 +197,7 @@ class TestTauTriplePrime:
         # tau_bar^2 ln(1/y0) / omega(tau_bar) reproduces c7 across levels
         for y0 in (1e-6, 1e-4, 1e-2):
             cfg = OdiConfig(potential=beta2_config.potential, y0=y0, q=0.5)
-            tau_bar, _ = solve_extinction_radius(cfg, y0)
+            tau_bar, _ = solve_extinction_radius(cfg, math.log(y0))
             got = tau_bar**2 * math.log(1 / y0) / cfg.omega.omega(tau_bar)
             assert got == pytest.approx(cfg.c7, rel=1e-9)
 
@@ -311,10 +311,7 @@ class TestExtinctionIteration:
         ]
         for prof, finite in profiles:
             cfg = OdiConfig(potential=PotentialField(1.0, prof), y0=1e-4, q=0.5)
-            import warnings as _w
-            with _w.catch_warnings():
-                _w.simplefilter("ignore")
-                rep = extinction_iteration(cfg)
+            rep = extinction_iteration(cfg)
             assert math.isfinite(rep.total) == finite, prof.kind
             assert (rep.verdict == "convergent") == finite, prof.kind
 
@@ -332,7 +329,7 @@ class TestExtinctionIteration:
 
     def test_floor_and_domain_are_told_apart(self, beta2_config):
         with pytest.raises(BelowFloorError):
-            solve_extinction_radius(beta2_config, log_level=-1e300)
+            solve_extinction_radius(beta2_config, -1e300)
         with pytest.raises(CurveRangeError) as exc:
             odi._bisect_log_tau(math.log, 1.0, odi._TAU_FLOOR, 1.0)
         assert not isinstance(exc.value, BelowFloorError)
@@ -344,7 +341,7 @@ class TestExtinctionIteration:
         omega = OmegaProfile.omega
         monkeypatch.setattr(OmegaProfile, "omega",
                             lambda self, s: calls.append(s) or omega(self, s))
-        tau, clipped = solve_extinction_radius(beta2_config, log_level=log_level)
+        tau, clipped = solve_extinction_radius(beta2_config, log_level)
         monkeypatch.undo()
         assert not clipped and math.log(tau) == pytest.approx(-100.0, rel=1e-12)
         assert len(calls) <= 70

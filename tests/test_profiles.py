@@ -235,11 +235,10 @@ class TestRhoMap:
         with pytest.raises(MonotonicityError):
             build_rho_map(ConstantPotential(1.0), z_range=(1e-6, 1e-2))
 
-    def test_out_of_range_clip_warns(self):
-        field = PotentialField(1.0, OmegaProfile.log_power(2.0))
-        rmap = build_rho_map(field)
-        with pytest.warns(UserWarning):
-            rmap.rho_inv(rmap.rho_max * 10.0, clip=True)
+    def test_out_of_range_argument_raises(self):
+        rmap = build_rho_map(PotentialField(1.0, OmegaProfile.log_power(2.0)))
+        with pytest.raises(MonotonicityError):
+            rmap.rho_inv(rmap.rho_max * 10.0)
 
 
 class TestSRamp:

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -153,9 +152,7 @@ class TestMu:
 
     def test_kv_sum_geometric(self):
         mus = mu_n_sequence(ConstantPotential(1.0), n_max=20, cells=200)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # mu_0 = 1 sits on the cut
-            diag = spectral_log_sum(mus)
+        diag = spectral_log_sum(mus)  # mu_0 = 1 sits on the cut: rejected
         assert diag.total == pytest.approx(2.0 * math.log(2.0), abs=1e-3)
 
     def test_overflow_guard(self):
@@ -188,17 +185,15 @@ class TestEigenvalueSandwich:
     def test_out_of_range_h_clipped(self, beta2_potential):
         rho_map = build_rho_map(beta2_potential)
         h_big = math.sqrt(rho_map.rho_max) * 10.0
-        with pytest.warns(UserWarning):
-            scan = eigenvalue_sandwich_scan(beta2_potential, [1e-2, h_big], cells=500,
-                                    rho_map=rho_map)
+        scan = eigenvalue_sandwich_scan(beta2_potential, [1e-2, h_big], cells=500,
+                                        rho_map=rho_map)
         assert scan.clipped == 1
         assert np.isnan(scan.ratios[1])
 
 
     def test_rise_fall_potential_scanned_on_its_rising_part(self, rise_fall_potential):
-        with pytest.warns(UserWarning, match="1 h value"):
-            scan = eigenvalue_sandwich_scan(rise_fall_potential,
-                                            np.geomspace(1e-3, 1e-1, 7), cells=3000)
+        scan = eigenvalue_sandwich_scan(rise_fall_potential,
+                                        np.geomspace(1e-3, 1e-1, 7), cells=3000)
         assert scan.clipped == 1
         assert np.isnan(scan.ratios[-1]) and np.all(np.isfinite(scan.ratios[:-1]))
 
