@@ -51,7 +51,6 @@ from .profiles import (
     PotentialField,
     ProfileError,
     RhoMap,
-    SRamp,
     as_potential,
     build_rho_map,
     check_conditions,

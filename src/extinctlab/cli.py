@@ -41,14 +41,13 @@ from .config import (
     spectral_from_config,
 )
 from .energy import (
-    ExponentPack,
     compute_ledger,
     ode_inequality_residual,
     probe_outer_energy_relation,
     verify_global_estimate,
 )
 from .odi import CurveRangeError, NoPlateauError, build_curve, extinction_iteration
-from .profiles import MonotonicityError, SRamp, check_conditions
+from .profiles import MonotonicityError, check_conditions
 from .solver import NumericsError, run
 from .spectral import (
     EigenSolveError,
@@ -196,11 +195,9 @@ def cmd_simulate(parser, out: OutputDir, args) -> int:
                   [np.repeat(traj.snapshot_times[picks], centers.size),
                    np.tile(centers, picks.size), traj.snapshots[picks].ravel()])
 
-    potential = spec.potential
-    sramp = SRamp(potential.omega) if hasattr(potential, "omega") else None
     taus = np.concatenate([[0.0], np.geomspace(spec.radius / 50.0,
                                                0.95 * spec.radius, 31)])
-    ledger = compute_ledger(traj, potential, taus, sramp)
+    ledger = compute_ledger(traj, taus)
     out.write_csv("ledger_tau.csv", ["tau", "s_tau", "I", "J", "y"],
                   [ledger.tau_grid, ledger.s_tau, ledger.I, ledger.J, ledger.y])
     n_snap, n_tau = ledger.H.shape
@@ -226,10 +223,9 @@ def cmd_simulate(parser, out: OutputDir, args) -> int:
         "global_estimate_error": margin.quad_error,
         "global_estimate_holds": margin.holds,
     }
-    if sramp is not None and traj.y0 > 0:
-        ep = ExponentPack(spec.q, spec.dimension)
-        probe = probe_outer_energy_relation(ledger, ep)
-        odi_fit = ode_inequality_residual(ledger, ep, sramp)
+    if ledger.sp_tau is not None and traj.y0 > 0:
+        probe = probe_outer_energy_relation(ledger)
+        odi_fit = ode_inequality_residual(ledger)
         results["fitted_constants"] = {
             "relation_c_hat": probe.c_hat,
             "relation_skipped_rows": probe.skipped,

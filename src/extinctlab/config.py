@@ -2,7 +2,8 @@
 
 Sections: [profile] defines omega and the potential amplitude, [problem]
 the parabolic run, [odi] the bound constants, [spectral] the scan ranges.
-Unknown keys are rejected so silent typos cannot skew archived runs.
+Unknown keys, and [profile] keys that the chosen kind does not read, are
+rejected so silent typos cannot skew archived runs.
 """
 
 from __future__ import annotations
@@ -21,8 +22,13 @@ class ConfigError(ValueError):
     """Malformed or incomplete run configuration."""
 
 
-_PROFILE_KEYS = {"kind", "alpha", "beta", "omega0", "s0", "delta", "kappa",
-                 "table", "d0"}
+_PROFILE_KEYS = {   # the keys each kind reads, besides kind and d0
+    "power": {"alpha", "omega0", "delta", "s0"},
+    "log-power": {"beta", "omega0", "delta", "s0"},
+    "constant": {"omega0"},
+    "log-singular": {"kappa"},
+    "table": {"table", "delta", "s0"},
+}
 _PROBLEM_KEYS = {"q", "dimension", "radius", "potential", "epsilon", "u0",
                  "floor", "cells", "dt", "horizon", "extinction_rtol",
                  "snapshot_every"}
@@ -82,9 +88,18 @@ def _problem_shape(prob, q_default=_REQUIRED) -> tuple[float, int, float]:
     return q, dimension, radius
 
 
+def _profile_section(parser) -> tuple[str, dict]:
+    """The kind of [profile] and its keys, each of which that kind reads."""
+    if "profile" not in parser:
+        raise ConfigError("missing [profile] section")
+    kind = _get(parser["profile"], "kind", str)
+    if kind not in _PROFILE_KEYS:
+        raise ConfigError(f"unknown profile kind {kind!r}")
+    return kind, _section(parser, "profile", _PROFILE_KEYS[kind] | {"kind", "d0"})
+
+
 def profile_from_config(parser, base_dir=".") -> OmegaProfile:
-    sec = _section(parser, "profile", _PROFILE_KEYS)
-    kind = _get(sec, "kind", str)
+    kind, sec = _profile_section(parser)
     delta = _get(sec, "delta", float, 0.5)
     omega0 = _get(sec, "omega0", float, 1.0)
     s0 = _get(sec, "s0", float, None)
@@ -97,22 +112,19 @@ def profile_from_config(parser, base_dir=".") -> OmegaProfile:
             return OmegaProfile.constant(omega0)
         if kind == "log-singular":
             return OmegaProfile.log_singular(_get(sec, "kappa", float, 25.0))
-        if kind == "table":
-            table_path = Path(base_dir) / _get(sec, "table", str)
-            if not table_path.is_file():
-                raise ConfigError(f"profile table not found: {table_path}")
-            data = np.loadtxt(table_path, delimiter=",")
-            return OmegaProfile.from_table(data[:, 0], data[:, 1], delta, s0)
+        table_path = Path(base_dir) / _get(sec, "table", str)  # kind = table
+        if not table_path.is_file():
+            raise ConfigError(f"profile table not found: {table_path}")
+        data = np.loadtxt(table_path, delimiter=",")
+        return OmegaProfile.from_table(data[:, 0], data[:, 1], delta, s0)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown profile kind {kind!r}")
 
 
 def potential_from_config(parser, base_dir=".") -> PotentialField:
-    sec = _section(parser, "profile", _PROFILE_KEYS)
-    d0 = _get(sec, "d0", float, 1.0)
+    d0 = _get(_profile_section(parser)[1], "d0", float, 1.0)
     try:
         return PotentialField(d0, profile_from_config(parser, base_dir))
     except ValueError as exc:

@@ -8,6 +8,9 @@ For a trajectory u and a cut radius tau, the ledger samples
     J_s^T(tau)  time integral of the squared flux through the sphere |x|=tau
     y(tau) = I_{s(tau)}^T(tau), the outer-region energy driven by the ramp
 
+The ledger takes its potential, its ramp s(tau) = tau**4 / omega(tau) and
+the inequalities' exponents from the run; the probes read them off it.
+
 The structural constants of the differential inequalities are never pinned
 down analytically, so the probes invert the problem: they fit the minimal
 constant making an inequality hold across the tau grid and report it, and
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import SRamp, as_potential
+from .profiles import PotentialField, as_potential
 from .solver import FluxOperator, SolutionTrajectory, sample_potential
 
 
@@ -63,14 +66,6 @@ class ExponentPack:
         b = (1 - self.theta2) * (1 - self.q)
         return b / (2 - b)
 
-    def psi(self, a_tau, sp_tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Weights (psi_0, psi_1, psi_2) from the potential and ramp slope."""
-        a_tau = np.asarray(a_tau, dtype=float)
-        sp_tau = np.asarray(sp_tau, dtype=float)
-        return (a_tau * sp_tau,
-                a_tau ** (1 - self.theta1),
-                a_tau ** (1 - self.theta2) * sp_tau)
-
 
 @dataclass
 class EnergyLedger:
@@ -79,6 +74,7 @@ class EnergyLedger:
     tau_grid: np.ndarray
     t_snap: np.ndarray
     s_tau: np.ndarray            # ramp value s(tau) per tau (zeros if no ramp)
+    sp_tau: np.ndarray | None    # ramp slope s'(tau) per tau; None if no ramp
     a_tau: np.ndarray            # absorption coefficient at each tau
     H: np.ndarray                # (K, M): L2 mass outside tau at snapshot k
     E: np.ndarray                # (K, M): gradient + weighted absorption
@@ -87,6 +83,7 @@ class EnergyLedger:
     J: np.ndarray                # (M,): integral of flux2 over [s(tau), T]
     y0: float
     quad_error: np.ndarray       # (M,): trapezoid error proxy for I
+    exponents: ExponentPack      # of the run's (q, N)
 
     @property
     def y(self) -> np.ndarray:
@@ -108,13 +105,13 @@ def _suffix_interp(faces: np.ndarray, cell_values: np.ndarray,
     return np.interp(taus, faces, suffix)
 
 
-def compute_ledger(traj: SolutionTrajectory, potential, tau_grid,
-                   sramp: SRamp | None = None) -> EnergyLedger:
+def compute_ledger(traj: SolutionTrajectory, tau_grid) -> EnergyLedger:
     """Evaluate the energy functionals of a finished run on a tau grid.
 
-    ``sramp`` supplies the lower integration limit s(tau); without one the
-    time integrals start at zero.  Tau values outside the domain are clipped
-    with a warning.
+    The run's potential, when it is a ``PotentialField``, supplies the ramp
+    s(tau) that is the lower limit of the time integrals; for any other
+    potential they start at zero.  Tau values outside the domain are
+    clipped with a warning.
     """
     grid = traj.grid
     tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
@@ -122,7 +119,7 @@ def compute_ledger(traj: SolutionTrajectory, potential, tau_grid,
         warnings.warn("tau grid clipped into [0, R]")
         tau_grid = np.clip(tau_grid, 0.0, grid.radius)
 
-    potential = as_potential(potential)
+    potential = as_potential(traj.spec.potential)
     a_cells = sample_potential(potential, grid)
     op = FluxOperator(grid)
     q = traj.spec.q
@@ -146,9 +143,12 @@ def compute_ledger(traj: SolutionTrajectory, potential, tau_grid,
                           left=0.0, right=0.0)
         flux2[k] = g_tau**2 * tau_grid ** (N - 1)
 
-    s_tau = np.zeros(M)  # s(0) = 0, where omega may vanish
-    if sramp is not None:
-        s_tau[tau_grid > 0], _ = sramp.value_and_derivative(tau_grid[tau_grid > 0])
+    s_tau = np.zeros(M)  # s(0) = s'(0) = 0, where omega may vanish
+    sp_tau = None
+    if isinstance(potential, PotentialField):
+        sp_tau = np.zeros(M)
+        pos = tau_grid > 0
+        s_tau[pos], sp_tau[pos] = potential.omega.ramp(tau_grid[pos])
     s_tau = np.minimum(s_tau, traj.snapshot_times[-1])
 
     I = np.empty(M)
@@ -164,8 +164,9 @@ def compute_ledger(traj: SolutionTrajectory, potential, tau_grid,
 
     a_tau = np.asarray(potential.a(tau_grid), dtype=float)
     return EnergyLedger(tau_grid=tau_grid, t_snap=t.copy(), s_tau=s_tau,
-                        a_tau=a_tau, H=H, E=E, flux2=flux2, I=I, J=J,
-                        y0=traj.y0, quad_error=qerr)
+                        sp_tau=sp_tau, a_tau=a_tau, H=H, E=E, flux2=flux2,
+                        I=I, J=J, y0=traj.y0, quad_error=qerr,
+                        exponents=ExponentPack(q, N))
 
 
 def _trapz_from(t: np.ndarray, f: np.ndarray, s: float) -> float:
@@ -219,7 +220,7 @@ class RelationProbe:
     skipped: int                 # rows with a(tau) = 0, left out of the fit
 
 
-def probe_outer_energy_relation(ledger: EnergyLedger, exponents: ExponentPack) -> RelationProbe:
+def probe_outer_energy_relation(ledger: EnergyLedger) -> RelationProbe:
     """Fit the minimal constant in the outer-region energy relationship.
 
     The left side is H(T, tau) + I_{s(tau)}^T(tau); the right side combines
@@ -227,8 +228,9 @@ def probe_outer_energy_relation(ledger: EnergyLedger, exponents: ExponentPack) -
     Rows where the absorption coefficient vanishes are skipped and counted
     in ``skipped``.
     """
-    q = exponents.q
-    t1, t2 = exponents.theta1, exponents.theta2
+    ep = ledger.exponents
+    q = ep.q
+    t1, t2 = ep.theta1, ep.theta2
     D1 = 2 - (1 - t1) * (1 - q)
     D2 = 2 - (1 - t2) * (1 - q)
     a = ledger.a_tau
@@ -321,26 +323,27 @@ class OdiResidual:
     clipped: int                 # positive slopes of y set to zero
 
 
-def ode_inequality_residual(ledger: EnergyLedger, exponents: ExponentPack,
-                            sramp: SRamp) -> OdiResidual:
+def ode_inequality_residual(ledger: EnergyLedger) -> OdiResidual:
     """Residual of the ordinary differential inequality satisfied by y(tau),
     at the minimal constant c0 making it hold on the grid, fitted and reported.
 
     y' is taken by second-order finite differences on the ledger tau grid;
     positive slopes (non-monotone numerical artifacts) are clipped to zero
-    and counted in ``clipped``.
+    and counted in ``clipped``.  A ledger without a ramp raises ValueError.
     """
     tau = ledger.tau_grid
     if tau.size < 3:
         raise ValueError("need at least 3 tau points to differentiate y")
+    if ledger.sp_tau is None:
+        raise ValueError("the run's potential has no ramp s(tau)")
     y = ledger.y
     yp = np.gradient(y, tau)
     clipped = int(np.count_nonzero(yp > 0))
     yp = np.minimum(yp, 0.0)
-    sp = np.zeros_like(tau)  # omega may vanish at tau = 0, where psi = 0 or a = 0
-    _, sp[tau > 0] = sramp.value_and_derivative(tau[tau > 0])
-    psis = exponents.psi(ledger.a_tau, sp)
-    lams = (exponents.lambda0, exponents.lambda1, exponents.lambda2)
+    ep = ledger.exponents
+    a, sp = ledger.a_tau, ledger.sp_tau
+    psis = (a * sp, a ** (1 - ep.theta1), a ** (1 - ep.theta2) * sp)
+    lams = (ep.lambda0, ep.lambda1, ep.lambda2)
     S = np.zeros_like(tau)
     alive = ledger.a_tau > 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .analysis import dini_integral, log_segment_integrals
 from .energy import ExponentPack
-from .profiles import OmegaProfile, PotentialField, SRamp
+from .profiles import PotentialField
 
 _TAU_FLOOR = math.exp(-250.0)  # lower end of the radius searches
 _N_KNOTS = 800                 # geometric knots of each curve piece
@@ -81,14 +81,6 @@ class OdiConfig:
     @property
     def exponents(self) -> ExponentPack:
         return ExponentPack(self.q, self.dimension)
-
-    @property
-    def omega(self) -> OmegaProfile:
-        return self.potential.omega
-
-    @property
-    def sramp(self) -> SRamp:
-        return SRamp(self.omega)
 
 
 def _bisect_log_tau(g, target: float, lo: float, hi: float) -> float:
@@ -169,10 +161,10 @@ def curve_y2(config: OdiConfig, tau_prime: float) -> CurvePiece:
     (1-theta2)(1-q)/2.
     """
     ep = config.exponents
-    sramp = config.sramp
+    omega = config.potential.omega
 
     def log_psi2(tau):
-        log_sp = sramp.log_derivative(tau)
+        log_sp = omega.log_ramp_slope(tau)
         return (1.0 - ep.theta2) * config.potential.log_a(tau) + log_sp
 
     return _curve_piece(config, ep.lambda2, log_psi2, tau_prime, config.y0,
@@ -183,7 +175,7 @@ def _log_match_boundary(config: OdiConfig, tau):
     """ln of 3c0 a^(2/(1-q)) s'^(2/((1-q)(theta1-theta2)))."""
     ep = config.exponents
     q = config.q
-    log_sp = config.sramp.log_derivative(tau)
+    log_sp = config.potential.omega.log_ramp_slope(tau)
     return (math.log(3.0 * config.c0)
             + 2.0 / (1.0 - q) * config.potential.log_a(tau)
             + 2.0 / ((1.0 - q) * (ep.theta1 - ep.theta2)) * log_sp)
@@ -191,7 +183,7 @@ def _log_match_boundary(config: OdiConfig, tau):
 
 def _log_match_constant(config: OdiConfig, tau: float) -> float:
     """ln of a^(1-theta2) s'^2, the matching constant before its y0 scaling."""
-    log_sp = config.sramp.log_derivative(tau)
+    log_sp = config.potential.omega.log_ramp_slope(tau)
     return (1.0 - config.exponents.theta2) * config.potential.log_a(tau) + 2.0 * log_sp
 
 
@@ -264,7 +256,7 @@ def solve_extinction_radius(config: OdiConfig, log_level: float) -> tuple[float,
     target = math.log(config.c7 / (-log_level))
 
     def g(tau):
-        w = config.omega.omega(tau)  # underflows to 0 for steep profiles
+        w = config.potential.omega.omega(tau)  # underflows to 0 for steep profiles
         return 2.0 * math.log(tau) - (math.log(w) if w > 0 else -math.inf)
 
     try:
@@ -395,7 +387,7 @@ def region_classifier(tau, y, config: OdiConfig):
     if np.any(taus <= 0) or np.any(ys <= 0):
         raise ValueError("region classification needs tau > 0 and y > 0")
     ep = config.exponents
-    log_sp = config.sramp.log_derivative(taus)
+    log_sp = config.potential.omega.log_ramp_slope(taus)
     log_a = config.potential.log_a(taus)
     log_y = np.log(ys / (3.0 * config.c0))
     log_psis = (log_a + log_sp,
@@ -450,7 +442,7 @@ def extinction_iteration(config: OdiConfig, max_rounds: int = 200) -> Extinction
     """
     if config.y0 >= 1.0:
         raise ValueError("the iteration needs y0 < 1 (shrink u0 or rescale)")
-    omega = config.omega
+    omega = config.potential.omega
     dini = dini_integral(omega, c=min(omega.s0, math.exp(-1.0)))
     lam = (1.0 + config.gamma) ** -0.5
     log_y0 = math.log(config.y0)

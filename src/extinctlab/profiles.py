@@ -16,9 +16,9 @@ behaviour of ``omega``.  Built-in kinds:
                    every C and solutions are expected to stay positive
 * ``table``        monotone cubic interpolation of user samples
 
+A profile also carries the space-time ramp s(tau) = tau**4 / omega(tau).
 The module also provides the monotone maps attached to an invertible
-potential: r(z) = a^{-1}(z), rho(z) = z * r(z)**2 and its inverse, and
-the space-time ramp s(tau) = tau**4 / omega(tau).
+potential: r(z) = a^{-1}(z), rho(z) = z * r(z)**2 and its inverse.
 """
 
 from __future__ import annotations
@@ -263,6 +263,37 @@ class OmegaProfile:
             else:
                 out = self._table_omega(np.exp(-arr))
         return float(out[()]) if scalar else out
+
+    # -- the space-time ramp s(tau) = tau**4 / omega(tau) ------------------
+
+    def _ramp_inputs(self, tau):
+        """(tau, scalar, omega, omega') at tau > 0 where omega does not vanish."""
+        arr, scalar = _asfarray(tau)
+        if np.any(arr <= 0):
+            raise ProfileError("s(tau) needs tau > 0")
+        w = self.omega(arr)
+        if np.any(w == 0):
+            raise ZeroDivisionError("omega vanishes at a requested tau; s(tau) undefined")
+        return arr, scalar, w, self.omega_prime(arr)
+
+    def ramp(self, tau):
+        """(s, s') of the ramp s(tau) = tau**4 / omega(tau).
+
+        Under the slope condition s' brackets between
+        (2+delta)*tau**3/omega and 4*tau**3/omega.
+        """
+        arr, scalar, w, wp = self._ramp_inputs(tau)
+        s = arr**4 / w
+        sp = (arr**3 / w) * (4.0 - arr * wp / w)
+        if scalar:
+            return float(s[()]), float(sp[()])
+        return s, sp
+
+    def log_ramp_slope(self, tau):
+        """ln s'(tau), computed stably for tau far below underflow scale."""
+        arr, scalar, w, wp = self._ramp_inputs(tau)
+        log_sp = 3.0 * np.log(arr) - np.log(w) + np.log(4.0 - arr * wp / w)
+        return float(log_sp[()]) if scalar else log_sp
 
     # -- structural claims -------------------------------------------------
 
@@ -515,8 +546,8 @@ class RhoMap:
         return float(out[()]) if scalar else out
 
 
-def build_rho_map(field, z_range: tuple[float, float] | None = None) -> RhoMap:
-    """The maps of ``field`` on ``z_range``, by default where a rises on [1e-8, 1].
+def build_rho_map(field) -> RhoMap:
+    """The maps of ``field`` where a rises on [1e-8, 1].
 
     Raises MonotonicityError when a or rho is not strictly increasing at
     2000 geometric radii across the range (constant potentials, profiles
@@ -538,18 +569,6 @@ def build_rho_map(field, z_range: tuple[float, float] | None = None) -> RhoMap:
         raise MonotonicityError("a is not increasing where it is representable")
     r_lo, r_hi = float(probe[start]), float(probe[end])
 
-    z_lo_avail, z_hi_avail = math.exp(la[start]), math.exp(la[end])
-    if z_range is not None:
-        z_lo, z_hi = z_range
-        if z_lo <= 0 or z_hi <= z_lo:
-            raise ProfileError("z_range must be a positive increasing interval")
-        if z_lo < z_lo_avail * (1 - 1e-9) or z_hi > z_hi_avail * (1 + 1e-9):
-            raise MonotonicityError(
-                f"requested z range [{z_lo:.3g}, {z_hi:.3g}] exceeds the strictly "
-                f"monotone range [{z_lo_avail:.3g}, {z_hi_avail:.3g}] of a")
-        r_lo = float(_bisect_increasing(field.log_a, r_lo, r_hi, math.log(z_lo)))
-        r_hi = float(_bisect_increasing(field.log_a, r_lo, r_hi, math.log(z_hi)))
-
     r_tab = np.geomspace(r_lo, r_hi, 2000)
     log_z = field.log_a(r_tab)
     if np.any(np.diff(log_z) <= 0):
@@ -559,44 +578,3 @@ def build_rho_map(field, z_range: tuple[float, float] | None = None) -> RhoMap:
         raise MonotonicityError("rho is not strictly increasing on the tabulated range")
     return RhoMap(field, r_lo, r_hi, math.exp(log_z[0]), math.exp(log_z[-1]),
                   float(rho_tab[0]), float(rho_tab[-1]))
-
-
-# ---------------------------------------------------------------------------
-# the space-time ramp s(tau)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SRamp:
-    """s(tau) = tau**4 / omega(tau) and its derivative.
-
-    Under the slope condition the derivative brackets between
-    (2+delta)*tau**3/omega and 4*tau**3/omega.
-    """
-
-    omega: OmegaProfile
-
-    def value_and_derivative(self, tau):
-        arr, scalar = _asfarray(tau)
-        if np.any(arr <= 0):
-            raise ProfileError("s(tau) needs tau > 0")
-        w = self.omega.omega(arr)
-        if np.any(w == 0):
-            raise ZeroDivisionError("omega vanishes at a requested tau; s(tau) undefined")
-        wp = self.omega.omega_prime(arr)
-        s = arr**4 / w
-        sp = (arr**3 / w) * (4.0 - arr * wp / w)
-        if scalar:
-            return float(s[()]), float(sp[()])
-        return s, sp
-
-    def log_derivative(self, tau):
-        """ln s'(tau), computed stably for tau far below underflow scale."""
-        arr, scalar = _asfarray(tau)
-        if np.any(arr <= 0):
-            raise ProfileError("s(tau) needs tau > 0")
-        w = self.omega.omega(arr)
-        if np.any(w == 0):
-            raise ZeroDivisionError("omega vanishes at a requested tau; s(tau) undefined")
-        wp = self.omega.omega_prime(arr)
-        log_sp = 3.0 * np.log(arr) - np.log(w) + np.log(4.0 - arr * wp / w)
-        return float(log_sp[()]) if scalar else log_sp

@@ -12,7 +12,7 @@ is the face fluxes dt c (u_right - u_left), each added to the cell left of
 its face and taken from the cell right of it, so the volume sum of d
 vanishes up to the rounding of K's zero column sums and mass drifts far
 less than in a solve for x itself.  V + dt K is symmetric positive definite
-and tridiagonal; its LDL^T factor is computed once per dt and reused on
+and tridiagonal; its LDL^T factor is computed once per run and reused on
 every step.  ``FluxOperator`` owns K and builds this matrix, the
 symmetrized Schrodinger matrix of ``spectral`` and the gradient energy.
 Absorption is applied through the frozen-coefficient factor
@@ -193,34 +193,26 @@ class ProblemSpec:
 
 
 class Stepper(FluxOperator):
-    """IMEX stepper; the diffusion matrix is factored once per dt and reused."""
+    """IMEX stepper of fixed step dt; V + dt K is factored once, here."""
 
-    def __init__(self, grid: RadialGrid, potential, q: float):
+    def __init__(self, grid: RadialGrid, potential, q: float, dt: float):
         super().__init__(grid)
         self.q = q
         self.a = sample_potential(potential, grid)
-        self._dt = None
-        self._ldl = None  # dpttrf factor (d, e) of V + dt K
-        self._dtc = None  # dt * conduct, the face fluxes per unit jump
-        self._dta_dt = self._dta = None  # dt * a, for the dt in _dta_dt
+        diag, off = self.implicit(dt)
+        *ldl, info = dpttrf(diag, off)
+        if info != 0:
+            raise NumericsError(f"diffusion matrix not positive definite (dpttrf info = {info})")
+        self._ldl = ldl  # dpttrf factor (d, e) of V + dt K
+        self._dtc = -off  # dt * conduct, the face fluxes per unit jump
+        self._dta = dt * self.a
         self._au = np.empty(grid.n)  # scratch for absorb; never returned
         self._w = np.empty(grid.n)
         self._rhs = np.empty(grid.n)  # scratch for diffuse; never returned
         self._flux = np.empty(grid.n - 1)
 
-    def _factor(self, dt: float) -> None:
-        diag, off = self.implicit(dt)
-        *ldl, info = dpttrf(diag, off)
-        if info != 0:
-            raise NumericsError(f"diffusion matrix not positive definite (dpttrf info = {info})")
-        self._ldl = ldl
-        self._dtc = -off
-        self._dt = dt
-
-    def diffuse(self, u: np.ndarray, dt: float) -> np.ndarray:
+    def diffuse(self, u: np.ndarray) -> np.ndarray:
         """u + d with (V + dt K) d = -dt K u; ``u`` is not modified."""
-        if self._dt != dt:
-            self._factor(dt)
         flux = np.subtract(u[1:], u[:-1], out=self._flux)
         np.multiply(self._dtc, flux, out=flux)
         rhs = self._rhs  # -dt K u: each face flux enters left, leaves right
@@ -232,15 +224,12 @@ class Stepper(FluxOperator):
             raise NumericsError(f"diffusion solve failed (dpttrs info = {info})")
         return u + d
 
-    def absorb(self, u: np.ndarray, dt: float) -> np.ndarray:
+    def absorb(self, u: np.ndarray) -> np.ndarray:
         """Bit for bit ``u / (1.0 + dt * a * w)``, ``w = where(|u| > 0, |u|**(q-1), 0)``.
 
         Scratch buffers replace the temporaries; ``u`` is not modified, and
         the result is a new array that shares no memory with the stepper.
         """
-        if self._dta_dt != dt:
-            self._dta = dt * self.a
-            self._dta_dt = dt
         au = np.abs(u, out=self._au)
         w = self._w
         w.fill(0.0)
@@ -249,8 +238,8 @@ class Stepper(FluxOperator):
         np.add(w, 1.0, out=w)
         return u / w
 
-    def step(self, u: np.ndarray, dt: float) -> np.ndarray:
-        return self.absorb(self.diffuse(u, dt), dt)
+    def step(self, u: np.ndarray) -> np.ndarray:
+        return self.absorb(self.diffuse(u))
 
     def absorption_energy(self, u: np.ndarray) -> float:
         """Discrete integral of a |u|^(q+1)."""
@@ -287,7 +276,7 @@ def run(spec: ProblemSpec) -> SolutionTrajectory:
     """
     grid = spec.build_grid()
     u = spec.initial_state(grid)
-    stepper = Stepper(grid, spec.potential, spec.q)
+    stepper = Stepper(grid, spec.potential, spec.q, spec.dt)
 
     n_steps = int(math.ceil(spec.horizon / spec.dt))
     every = spec.snapshot_every or max(1, n_steps // 400)
@@ -306,7 +295,7 @@ def run(spec: ProblemSpec) -> SolutionTrajectory:
     sq = np.empty(grid.n)  # scratch for u*u
     t = 0.0
     for k in range(1, n_steps + 1):
-        u = stepper.step(u, spec.dt)
+        u = stepper.step(u)
         t = k * spec.dt
         lo = float(u.min())
         # max |u| without an |u| pass; + 0.0 turns the -0.0 of an all-zero

@@ -22,7 +22,7 @@ from extinctlab.odi import (
     solve_tau_double_prime,
     solve_tau_prime,
 )
-from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField, SRamp
+from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField
 from extinctlab.solver import FluxOperator, ProblemSpec, run
 from extinctlab.spectral import ground_state, mu_n_sequence, eigenvalue_sandwich_scan, inverse_map_sandwich
 
@@ -142,7 +142,7 @@ def test_10_odi_machinery():
     epk = cfg.exponents
 
     def rhs(tau, y):
-        log_sp = cfg.sramp.log_derivative(float(tau))
+        log_sp = cfg.potential.omega.log_ramp_slope(float(tau))
         psi2 = math.exp((1 - epk.theta2) * pot.log_a(float(tau)) + log_sp)
         return [-psi2 * max(y[0] / (3 * cfg.c0), 0.0) ** (1.0 / (1.0 + epk.lambda2))]
 
@@ -189,10 +189,9 @@ def test_11_bound_coherence(omega_r_run):
 
 def test_12_comparison_property(omega_r_small_run):
     traj, pot = omega_r_small_run
-    sramp = SRamp(pot.omega)
     taus = np.geomspace(0.02, 0.9, 40)
-    led = compute_ledger(traj, pot, taus, sramp)
-    res = ode_inequality_residual(led, ExponentPack(0.5, 1), sramp)
+    led = compute_ledger(traj, taus)
+    res = ode_inequality_residual(led)
     cfg = OdiConfig(potential=pot, y0=led.y0, q=0.5, c0=res.c0)
     curve = build_curve(cfg)
     margin = curve.value(taus) - led.y

@@ -2,7 +2,8 @@
 
 ``bench/tracer.py`` wraps names of ``extinctlab`` from outside and reads
 fields of what they return (``GroundState.iterations`` and
-``used_fallback``, the ``max_rounds`` argument of ``extinction_iteration``).
+``used_fallback``, the ``max_rounds`` argument of ``extinction_iteration``),
+and ``cmd_simulate`` must call the energy functions it wraps.
 A rename of any of them fails here, in the test suite, and not first in
 the benchmark.
 """
@@ -65,4 +66,7 @@ def test_traced_simulate_counts_steps(tracer, tmp_path):
     assert m["solver.run.steps"] == 50
     assert m["solver.diffuse.calls"] == m["solver.absorb.calls"] == 50
     assert m["cli.write_csv.rows"] > 0
+    # cmd_simulate reaches the ledger and both fits through cli's globals
+    assert m["energy.compute_ledger.s"] > 0
+    assert m["energy.fits.s"] > 0
     assert m["spectral.ground_state.calls"] == 0

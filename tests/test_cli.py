@@ -400,11 +400,15 @@ y0 = 1e-4
 
 
 def run_with(tmp_path, command, settings, argv=()):
-    """Exit code of ``command`` on FULL with (section, key, value) settings."""
+    """Exit code of ``command`` on FULL with (section, key, value) settings;
+    a value of None drops the key."""
     parser = configparser.ConfigParser()
     parser.read_string(FULL)
     for section, key, value in settings:
-        parser[section][key] = value
+        if value is None:
+            parser.remove_option(section, key)
+        else:
+            parser[section][key] = value
     cfg = tmp_path / "run.ini"
     with open(cfg, "w") as fh:
         parser.write(fh)
@@ -421,9 +425,12 @@ class TestConfigValues:
         ("simulate", [("profile", "d0", "nan")], []),
         ("simulate", [("problem", "floor", "nan")], []),
         ("dini", [("profile", "omega0", "nan")], []),
-        ("dini", [("profile", "kind", "power"), ("profile", "alpha", "nan")], []),
+        ("dini", [("profile", "kind", "power"), ("profile", "beta", None),
+                  ("profile", "alpha", "nan")], []),
         ("dini", [("profile", "beta", "nan")], []),
-        ("dini", [("profile", "kind", "log-singular"), ("profile", "kappa", "nan")], []),
+        ("dini", [("profile", "kind", "log-singular"), ("profile", "beta", None),
+                  ("profile", "omega0", None), ("profile", "delta", None),
+                  ("profile", "kappa", "nan")], []),
     ], ids=["odi-y0", "odi-gamma", "odi-c0", "gamma-flag", "d0-bound", "d0-simulate",
             "floor", "omega0", "alpha", "beta", "kappa"])
     def test_nan_parameter_exit_64(self, tmp_path, command, settings, argv):
@@ -466,6 +473,16 @@ class TestConfigValues:
         assert run_with(tmp_path, command, [(section, key, value)]) == 64
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("profile,key,value", [
+        (CONSTANT, "s0", "-1"), (CONSTANT, "beta", "nan"), (LOG_SINGULAR, "s0", "0.5"),
+    ], ids=["constant-s0", "constant-beta", "log-singular-s0"])
+    def test_key_the_kind_does_not_read_exit_64(self, tmp_path, capsys, profile, key,
+                                                value):
+        cfg = write_config(tmp_path, profile + f"{key} = {value}\n")
+        assert main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and repr(key) in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_s0_out_of_range_exit_64(self, tmp_path, capsys, value):

@@ -11,7 +11,7 @@ from extinctlab.energy import (
     probe_outer_energy_relation,
     verify_global_estimate,
 )
-from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField, SRamp
+from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField
 from extinctlab.solver import ProblemSpec, RadialGrid, run
 
 
@@ -48,7 +48,7 @@ class TestLedger:
                            dt=1e-2, horizon=0.5)
         traj = run(spec)
         taus = np.array([0.0, 0.3, 0.7])
-        led = compute_ledger(traj, None, taus)
+        led = compute_ledger(traj, taus)
         outer_vol = 1.0 - taus
         for k in range(led.H.shape[0]):
             assert np.allclose(led.H[k], outer_vol, rtol=1e-12)
@@ -56,13 +56,15 @@ class TestLedger:
         assert np.allclose(led.I, 0.0, atol=1e-20)
 
     def test_zero_potential_spellings_bitwise_equal(self):
-        spec = ProblemSpec(q=0.5, potential=None, u0="random", cells=100,
-                           dt=1e-2, horizon=0.3)
-        traj = run(spec)
+        def ledger(pot):
+            spec = ProblemSpec(q=0.5, potential=pot, u0="random", cells=100,
+                               dt=1e-2, horizon=0.3)
+            return compute_ledger(run(spec), taus)
+
         taus = np.linspace(0.0, 1.0, 7)
-        ref = compute_ledger(traj, None, taus)
+        ref = ledger(None)
         for pot in (0.0, ConstantPotential(0.0)):
-            led = compute_ledger(traj, pot, taus)
+            led = ledger(pot)
             for name in ("s_tau", "a_tau", "H", "E", "flux2", "I", "J", "quad_error"):
                 assert np.array_equal(getattr(led, name), getattr(ref, name)), name
 
@@ -70,7 +72,7 @@ class TestLedger:
         spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0), u0=0.0,
                            cells=100, dt=1e-2, horizon=0.3)
         traj = run(spec)
-        led = compute_ledger(traj, ConstantPotential(1.0), [0.0, 0.5])
+        led = compute_ledger(traj, [0.0, 0.5])
         assert np.allclose(led.H, 0.0)
         assert np.allclose(led.I, 0.0)
         assert np.allclose(led.J, 0.0)
@@ -79,24 +81,43 @@ class TestLedger:
         spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0), u0=1.0,
                            cells=200, dt=5e-4, horizon=2.2, snapshot_every=40)
         traj = run(spec)
-        led = compute_ledger(traj, ConstantPotential(1.0), [0.0])
+        led = compute_ledger(traj, [0.0])
         exact = np.maximum(1.0 - traj.snapshot_times / 2.0, 0.0) ** 4
         assert np.allclose(led.H[:, 0], exact, atol=0.01)
 
     def test_h_monotone_in_tau_and_t(self, omega_r_run):
-        traj, pot = omega_r_run
+        traj, _ = omega_r_run
         taus = np.geomspace(0.02, 0.9, 24)
-        led = compute_ledger(traj, pot, taus, SRamp(pot.omega))
+        led = compute_ledger(traj, taus)
         assert np.all(np.diff(led.H, axis=1) <= 1e-12)   # shrinking regions
         assert np.all(np.diff(led.H[:, 0]) <= 1e-12)     # dissipation in t
         assert np.all(np.diff(led.y) <= 1e-12)           # y nonincreasing
+
+    def test_ramp_and_exponents_taken_from_the_run(self, omega_r_run):
+        traj, pot = omega_r_run
+        taus = np.concatenate([[0.0], np.geomspace(0.02, 0.9, 24)])
+        led = compute_ledger(traj, taus)
+        assert led.sp_tau[0] == 0.0
+        assert np.array_equal(led.sp_tau[1:], pot.omega.ramp(taus[1:])[1])
+        assert led.exponents == ExponentPack(0.5, 1)
+
+    @pytest.mark.parametrize("potential", [None, ConstantPotential(1.0)],
+                             ids=["zero", "constant"])
+    def test_no_ramp_without_a_profile(self, potential):
+        spec = ProblemSpec(q=0.5, potential=potential, u0=1.0, cells=50,
+                           dt=1e-2, horizon=0.1)
+        led = compute_ledger(run(spec), np.linspace(0.0, 0.9, 5))
+        assert led.sp_tau is None
+        assert np.all(led.s_tau == 0.0)
+        with pytest.raises(ValueError):
+            ode_inequality_residual(led)
 
     def test_tau_clipping_warns(self):
         spec = ProblemSpec(q=0.5, potential=None, u0=1.0, cells=50,
                            dt=1e-2, horizon=0.1)
         traj = run(spec)
         with pytest.warns(UserWarning):
-            compute_ledger(traj, None, [0.5, 1.5])
+            compute_ledger(traj, [0.5, 1.5])
 
 
 class TestGlobalEstimate:
@@ -105,7 +126,7 @@ class TestGlobalEstimate:
         spec = ProblemSpec(q=0.5, potential=None, u0=1.0, cells=100,
                            dt=1e-2, horizon=0.5)
         traj = run(spec)
-        led = compute_ledger(traj, None, [0.0])
+        led = compute_ledger(traj, [0.0])
         rep = verify_global_estimate(led)
         assert rep.holds
         assert np.allclose(rep.slack, 0.0, atol=1e-12)
@@ -116,13 +137,13 @@ class TestGlobalEstimate:
         spec = ProblemSpec(q=0.5, potential=None, u0=u0, cells=300,
                            dt=5e-4, horizon=0.3, snapshot_every=10)
         traj = run(spec)
-        led = compute_ledger(traj, None, [0.0])
+        led = compute_ledger(traj, [0.0])
         rep = verify_global_estimate(led)
         assert rep.min_slack >= -rep.quad_error
 
     def test_ode_regime_slack_grows_to_dissipated_share(self, omega_r_run):
-        traj, pot = omega_r_run
-        led = compute_ledger(traj, pot, [0.0])
+        traj, _ = omega_r_run
+        led = compute_ledger(traj, [0.0])
         rep = verify_global_estimate(led)
         assert rep.holds
         assert rep.slack[-1] > 0.0
@@ -134,29 +155,28 @@ class TestRelationProbe:
         spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0), u0=0.0,
                            cells=100, dt=1e-2, horizon=0.3)
         traj = run(spec)
-        led = compute_ledger(traj, ConstantPotential(1.0), np.linspace(0.1, 0.8, 8))
-        probe = probe_outer_energy_relation(led, ExponentPack(0.5, 1))
+        led = compute_ledger(traj, np.linspace(0.1, 0.8, 8))
+        probe = probe_outer_energy_relation(led)
         assert probe.c_hat == 0.0
 
     def test_ode_regime_finite_constant(self):
         spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0), u0=1.0,
                            cells=200, dt=1e-3, horizon=2.2, snapshot_every=20)
         traj = run(spec)
-        led = compute_ledger(traj, ConstantPotential(1.0), np.linspace(0.05, 0.9, 12))
-        probe = probe_outer_energy_relation(led, ExponentPack(0.5, 1))
+        led = compute_ledger(traj, np.linspace(0.05, 0.9, 12))
+        probe = probe_outer_energy_relation(led)
         assert np.isfinite(probe.c_hat) and probe.c_hat > 0
 
     def test_extinction_run_stable_under_refinement(self, omega_r_run):
         traj, pot = omega_r_run
         taus = np.geomspace(0.1, 0.8, 12)
-        sramp = SRamp(pot.omega)
-        led = compute_ledger(traj, pot, taus, sramp)
-        c_coarse = probe_outer_energy_relation(led, ExponentPack(0.5, 1)).c_hat
+        led = compute_ledger(traj, taus)
+        c_coarse = probe_outer_energy_relation(led).c_hat
 
         spec_f = ProblemSpec(q=0.5, potential=pot, u0=1.0, cells=1600,
                              dt=1e-3, horizon=30.0, snapshot_every=50)
-        led_f = compute_ledger(run(spec_f), pot, taus, sramp)
-        c_fine = probe_outer_energy_relation(led_f, ExponentPack(0.5, 1)).c_hat
+        led_f = compute_ledger(run(spec_f), taus)
+        c_fine = probe_outer_energy_relation(led_f).c_hat
         assert np.isfinite(c_coarse) and np.isfinite(c_fine)
         assert 0.5 < c_fine / c_coarse < 2.0
 
@@ -205,16 +225,15 @@ class TestOdiResidual:
         spec = ProblemSpec(q=0.5, potential=pot, u0=0.0, cells=100,
                            dt=1e-2, horizon=0.3)
         traj = run(spec)
-        led = compute_ledger(traj, pot, np.geomspace(0.1, 0.8, 8), SRamp(pot.omega))
-        res = ode_inequality_residual(led, ExponentPack(0.5, 1), SRamp(pot.omega))
+        led = compute_ledger(traj, np.geomspace(0.1, 0.8, 8))
+        res = ode_inequality_residual(led)
         assert res.c0 == 0.0
 
     def test_extinction_run_finite_constant(self, omega_r_run):
-        traj, pot = omega_r_run
+        traj, _ = omega_r_run
         taus = np.geomspace(0.05, 0.85, 24)
-        sramp = SRamp(pot.omega)
-        led = compute_ledger(traj, pot, taus, sramp)
-        res = ode_inequality_residual(led, ExponentPack(0.5, 1), sramp)
+        led = compute_ledger(traj, taus)
+        res = ode_inequality_residual(led)
         assert np.isfinite(res.c0) and res.c0 > 0
         ok = np.isfinite(res.residual)
         assert np.all(res.residual[ok] >= -1e-9 * max(res.c0, 1.0))
@@ -222,12 +241,8 @@ class TestOdiResidual:
     def test_refinement_drift_bounded(self, omega_r_run):
         traj, pot = omega_r_run
         taus = np.geomspace(0.1, 0.8, 16)
-        sramp = SRamp(pot.omega)
-        ep = ExponentPack(0.5, 1)
-        c_coarse = ode_inequality_residual(
-            compute_ledger(traj, pot, taus, sramp), ep, sramp).c0
+        c_coarse = ode_inequality_residual(compute_ledger(traj, taus)).c0
         spec_f = ProblemSpec(q=0.5, potential=pot, u0=1.0, cells=1600,
                              dt=1e-3, horizon=30.0, snapshot_every=50)
-        c_fine = ode_inequality_residual(
-            compute_ledger(run(spec_f), pot, taus, sramp), ep, sramp).c0
+        c_fine = ode_inequality_residual(compute_ledger(run(spec_f), taus)).c0
         assert 0.5 < c_fine / c_coarse < 1.5

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 import extinctlab.odi as odi
 from extinctlab.analysis import _GL_NODES, _GL_WEIGHTS, log_segment_integrals
-from extinctlab.energy import ExponentPack, compute_ledger, ode_inequality_residual
+from extinctlab.energy import compute_ledger, ode_inequality_residual
 from extinctlab.odi import (
     BelowFloorError,
     CurveRangeError,
@@ -21,7 +21,7 @@ from extinctlab.odi import (
     solve_tau_double_prime,
     solve_tau_prime,
 )
-from extinctlab.profiles import OmegaProfile, PotentialField, SRamp
+from extinctlab.profiles import OmegaProfile, PotentialField
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,7 @@ class TestTauPrime:
 
     def test_log_power_residual(self, beta2_config):
         tau_p = solve_tau_prime(beta2_config)
-        lhs = tau_p**2 / beta2_config.omega.omega(tau_p)
+        lhs = tau_p**2 / beta2_config.potential.omega.omega(tau_p)
         rhs = 4.0 / (math.log(3.0) - math.log(beta2_config.y0))
         assert abs(lhs - rhs) / rhs < 1e-10
 
@@ -124,10 +124,10 @@ class TestCurveY2:
         tau_p = solve_tau_prime(cfg)
         piece = curve_y2(cfg, tau_p)
         ep = cfg.exponents
-        sramp = cfg.sramp
+        omega = cfg.potential.omega
 
         def rhs(tau, y):
-            log_sp = sramp.log_derivative(float(tau))
+            log_sp = omega.log_ramp_slope(float(tau))
             psi2 = math.exp((1 - ep.theta2) * cfg.potential.log_a(float(tau)) + log_sp)
             return [-psi2 * max(y[0] / (3 * cfg.c0), 0.0) ** (1.0 / (1.0 + ep.lambda2))]
 
@@ -148,7 +148,7 @@ class TestTauDoublePrime:
         piece = curve_y2(cfg, tau_p)
         res = solve_tau_double_prime(cfg, piece, tau_p)
         ep = cfg.exponents
-        log_sp = cfg.sramp.log_derivative(res.tau)
+        log_sp = cfg.potential.omega.log_ramp_slope(res.tau)
         boundary = math.exp(math.log(3 * cfg.c0)
                             + 2 / (1 - cfg.q) * cfg.potential.log_a(res.tau)
                             + 2 / ((1 - cfg.q) * (ep.theta1 - ep.theta2)) * log_sp)
@@ -198,7 +198,7 @@ class TestTauTriplePrime:
         for y0 in (1e-6, 1e-4, 1e-2):
             cfg = OdiConfig(potential=beta2_config.potential, y0=y0, q=0.5)
             tau_bar, _ = solve_extinction_radius(cfg, math.log(y0))
-            got = tau_bar**2 * math.log(1 / y0) / cfg.omega.omega(tau_bar)
+            got = tau_bar**2 * math.log(1 / y0) / cfg.potential.omega.omega(tau_bar)
             assert got == pytest.approx(cfg.c7, rel=1e-9)
 
     def test_dual_roots_agree_within_fixed_factor(self, beta2_config):
@@ -272,7 +272,7 @@ class TestExtinctionIteration:
     def test_round_relations(self, beta2_config):
         rep = extinction_iteration(beta2_config)
         cfg = rep.config
-        w = cfg.omega.omega(rep.tau_rounds)
+        w = cfg.potential.omega.omega(rep.tau_rounds)
         expect_t = cfg.gamma * cfg.c7 / cfg.cbar * w
         assert np.allclose(rep.t_rounds, expect_t, rtol=1e-12)
         # the defining radius relation, rounds are not clipped here
@@ -345,7 +345,7 @@ class TestExtinctionIteration:
         monkeypatch.undo()
         assert not clipped and math.log(tau) == pytest.approx(-100.0, rel=1e-12)
         assert len(calls) <= 70
-        got = tau**2 * -log_level / beta2_config.omega.omega(tau)
+        got = tau**2 * -log_level / beta2_config.potential.omega.omega(tau)
         assert got == pytest.approx(beta2_config.c7, rel=1e-12)
 
     def test_first_radius_below_floor_is_inconclusive(self):
@@ -365,11 +365,9 @@ class TestExtinctionIteration:
 class TestComparisonProperty:
     def test_ledger_y_below_dominating_curve(self, omega_r_small_run):
         traj, pot = omega_r_small_run
-        sramp = SRamp(pot.omega)
-        ep = ExponentPack(0.5, 1)
         taus = np.geomspace(0.02, 0.9, 40)
-        led = compute_ledger(traj, pot, taus, sramp)
-        res = ode_inequality_residual(led, ep, sramp)
+        led = compute_ledger(traj, taus)
+        res = ode_inequality_residual(led)
         cfg = OdiConfig(potential=pot, y0=led.y0, q=0.5, c0=res.c0)
         curve = build_curve(cfg)
         margin = curve.value(taus) - led.y

@@ -10,7 +10,6 @@ from extinctlab.profiles import (
     OmegaProfile,
     PotentialField,
     ProfileError,
-    SRamp,
     build_rho_map,
     check_conditions,
 )
@@ -193,14 +192,14 @@ class TestRhoMap:
     def test_closed_form_linear_omega(self):
         # a(r) = exp(-1/r): r(z) = 1/ln(1/z), rho(z) = z/ln(1/z)^2
         field = PotentialField(1.0, OmegaProfile.power(1.0))
-        rmap = build_rho_map(field, z_range=(1e-8, 2e-1))
+        rmap = build_rho_map(field)
         z = math.exp(-2.0)
         assert rmap.r_of_z(z) == pytest.approx(0.5, rel=1e-10)
         assert rmap.rho(z) == pytest.approx(math.exp(-2.0) / 4.0, rel=1e-10)
 
     def test_inversion_identity(self):
         field = PotentialField(1.0, OmegaProfile.log_power(2.0))
-        rmap = build_rho_map(field, z_range=(1e-12, 1e-4))
+        rmap = build_rho_map(field)
         rng = np.random.RandomState(42)
         z = np.exp(rng.uniform(math.log(1e-12), math.log(1e-4), size=100))
         back = rmap.rho_inv(rmap.rho(z))
@@ -233,7 +232,7 @@ class TestRhoMap:
 
     def test_constant_potential_not_invertible(self):
         with pytest.raises(MonotonicityError):
-            build_rho_map(ConstantPotential(1.0), z_range=(1e-6, 1e-2))
+            build_rho_map(ConstantPotential(1.0))
 
     def test_out_of_range_argument_raises(self):
         rmap = build_rho_map(PotentialField(1.0, OmegaProfile.log_power(2.0)))
@@ -244,19 +243,19 @@ class TestRhoMap:
 class TestSRamp:
     def test_linear_omega(self):
         # omega = tau: s = tau^3, s' = 3 tau^2
-        s, sp = SRamp(OmegaProfile.power(1.0)).value_and_derivative(1.0)
+        s, sp = OmegaProfile.power(1.0).ramp(1.0)
         assert s == pytest.approx(1.0, rel=1e-12)
         assert sp == pytest.approx(3.0, rel=1e-12)
 
     def test_constant_omega(self):
-        s, sp = SRamp(OmegaProfile.constant(0.5)).value_and_derivative(2.0)
+        s, sp = OmegaProfile.constant(0.5).ramp(2.0)
         assert s == pytest.approx(16.0 / 0.5, rel=1e-12)
         assert sp == pytest.approx(32.0 / 0.5, rel=1e-12)
 
     def test_bracket_under_slope_condition(self):
         prof = OmegaProfile.log_power(2.0, delta=0.5)
         tau = np.geomspace(prof.s0 * 1e-4, prof.s0, 50)
-        s, sp = SRamp(prof).value_and_derivative(tau)
+        s, sp = prof.ramp(tau)
         w = prof.omega(tau)
         lo = (2.0 + prof.delta) * tau**3 / w
         hi = 4.0 * tau**3 / w
@@ -266,7 +265,7 @@ class TestSRamp:
 
     def test_zero_omega_raises(self):
         with pytest.raises(ZeroDivisionError):
-            SRamp(OmegaProfile.log_singular()).value_and_derivative(1.0)  # omega(1) = 0
+            OmegaProfile.log_singular().ramp(1.0)  # omega(1) = 0
 
 
 class TestTableProfile:

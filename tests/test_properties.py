@@ -63,7 +63,7 @@ class TestPositivity:
     def test_diffuse_keeps_sign(self, state, log10_dt):
         dimension, u = state
         g = RadialGrid.uniform(u.size, dimension=dimension)
-        x = Stepper(g, None, 0.5).diffuse(u, 10.0 ** log10_dt)
+        x = Stepper(g, None, 0.5, 10.0 ** log10_dt).diffuse(u)
         assert np.all(x >= 0.0)
 
     @fixed
@@ -74,7 +74,7 @@ class TestPositivity:
         g = RadialGrid.uniform(u.size, dimension=dimension)
         potential = (ConstantPotential(2.0) if kind == "constant"
                      else PotentialField(1.0, OmegaProfile.power(1.0)))
-        x = Stepper(g, potential, q).step(u, 10.0 ** log10_dt)
+        x = Stepper(g, potential, q, 10.0 ** log10_dt).step(u)
         assert np.all(x >= 0.0)
 
 
@@ -91,12 +91,12 @@ class TestMassAtZeroAbsorption:
         # and neither solve keeps to this bound.
         dimension, u = state
         g = RadialGrid.uniform(u.size, dimension=dimension)
-        stepper = Stepper(g, None, 0.5)
+        stepper = Stepper(g, None, 0.5, 10.0 ** log10_dt)
         scale = np.max(u) * g.total_volume
         mass0 = g.integrate(u)
         drift = 0.0
         for _ in range(300):
-            u = stepper.step(u, 10.0 ** log10_dt)
+            u = stepper.step(u)
             drift = max(drift, abs(g.integrate(u) - mass0))
         assert drift <= 512 * EPS * scale + 300 * u.size * TINY
 

@@ -44,7 +44,7 @@ class TestStep:
         g = RadialGrid.uniform(100)
         u = np.ones(100)
         for dt in (1e-4, 1e-2, 1.0):
-            out = Stepper(g, None, 0.5).step(u, dt)
+            out = Stepper(g, None, 0.5, dt).step(u)
             assert np.allclose(out, 1.0, atol=1e-13)
 
     @pytest.mark.parametrize("N", [1, 3])
@@ -53,7 +53,7 @@ class TestStep:
         rng = np.random.RandomState(0)
         u = rng.uniform(0.0, 2.0, 300)
         m0 = g.integrate(u)
-        out = Stepper(g, None, 0.5).step(u, 1e-3)
+        out = Stepper(g, None, 0.5, 1e-3).step(u)
         assert g.integrate(out) == pytest.approx(m0, rel=1e-12)
 
     def test_spatially_constant_absorption_tracks_ode(self):
@@ -61,7 +61,7 @@ class TestStep:
         g = RadialGrid.uniform(50)
         errs = []
         for dt in (2e-3, 1e-3, 5e-4):
-            out = Stepper(g, ConstantPotential(1.0), 0.5).step(np.ones(50), dt)
+            out = Stepper(g, ConstantPotential(1.0), 0.5, dt).step(np.ones(50))
             errs.append(abs(out[0] - exact_ode(dt)))
         errs = np.array(errs)
         rates = np.log2(errs[:-1] / errs[1:])
@@ -71,14 +71,14 @@ class TestStep:
         g = RadialGrid.uniform(64)
         rng = np.random.RandomState(1)
         u = rng.uniform(0.0, 1.0, 64)
-        out = Stepper(g, ConstantPotential(5.0), 0.3).step(u, 10.0)
+        out = Stepper(g, ConstantPotential(5.0), 0.3, 10.0).step(u)
         assert np.all(out >= 0.0)
 
     def test_maximum_principle_heat(self):
         g = RadialGrid.uniform(128, dimension=2)
         rng = np.random.RandomState(2)
         u = rng.uniform(0.5, 1.5, 128)
-        out = Stepper(g, None, 0.5).step(u, 5e-3)
+        out = Stepper(g, None, 0.5, 5e-3).step(u)
         assert out.max() <= u.max() + 1e-12
         assert out.min() >= u.min() - 1e-12
 
@@ -87,11 +87,11 @@ class TestStep:
         prof = PotentialField(1.0, OmegaProfile.power(1.0))
         g = RadialGrid.uniform(400)
         u = 1.0 + np.cos(math.pi * g.centers)
-        st = Stepper(g, prof, q=0.5)
         residuals = []
         for dt in (4e-3, 2e-3, 1e-3):
-            u_star = st.diffuse(u, dt)
-            u_new = st.absorb(u_star, dt)
+            st = Stepper(g, prof, 0.5, dt)
+            u_star = st.diffuse(u)
+            u_new = st.absorb(u_star)
             drop = 0.5 * (g.integrate(u**2) - g.integrate(u_new**2))
             dissip = dt * (st.gradient_energy(u_star) + st.absorption_energy(u_new))
             residuals.append(abs(drop - dissip))
@@ -164,45 +164,37 @@ class TestFactoredSolve:
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_bitwise_equal_to_solve_banded(self, N):
         g = RadialGrid.uniform(500, dimension=N)
-        st = Stepper(g, None, 0.5)
+        steppers = {dt: Stepper(g, None, 0.5, dt) for dt in (1e-3, 0.5)}
         rng = np.random.RandomState(N)
         for dt in (1e-3, 1e-3, 0.5):
             u = rng.uniform(0.0, 2.0, g.n)
-            assert np.array_equal(st.diffuse(u, dt), spd_reference(st, u, dt))
-
-    @pytest.mark.parametrize("N", [1, 2, 3])
-    def test_bitwise_equal_after_dt_switch(self, N):
-        g = RadialGrid.uniform(300, dimension=N)
-        st = Stepper(g, ConstantPotential(1.0), 0.5)
-        rng = np.random.RandomState(10 + N)
-        for dt in (1e-3, 4e-3, 1e-3):
-            u = rng.uniform(0.0, 2.0, g.n)
-            assert np.array_equal(st.diffuse(u, dt), spd_reference(st, u, dt))
+            st = steppers[dt]
+            assert np.array_equal(st.diffuse(u), spd_reference(st, u, dt))
 
     def test_bitwise_equal_along_a_run(self):
         g = RadialGrid.uniform(200, dimension=3)
         pot = PotentialField(1.0, OmegaProfile.log_power(2.0))
-        st = Stepper(g, pot, 0.5)
+        st = Stepper(g, pot, 0.5, 2e-3)
         u = np.random.RandomState(4).uniform(0.0, 1.0, g.n)
         for _ in range(300):
-            u_star = st.diffuse(u, 2e-3)
+            u_star = st.diffuse(u)
             assert np.array_equal(u_star, spd_reference(st, u, 2e-3))
-            u = st.absorb(u_star, 2e-3)
+            u = st.absorb(u_star)
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("cells", [50, 2000])
     def test_close_to_nonsymmetric_step(self, N, cells):
         # same linear system as (I + dt V^-1 K) x = u, rounded differently
         g = RadialGrid.uniform(cells, dimension=N)
-        st = Stepper(g, None, 0.5)
-        c, v = st.conduct, g.volumes
+        c, v = FluxOperator(g).conduct, g.volumes
         stiff = max(np.max(c / v[:-1]), np.max(c / v[1:]))
         rng = np.random.RandomState(20 + N)
         for dt in (1e-6, 1e-3, 0.5):
+            st = Stepper(g, None, 0.5, dt)
             u = rng.uniform(0.0, 2.0, g.n)
             u[rng.randint(0, g.n)] = 5.0
             tol = 8 * np.finfo(float).eps * (1 + 4 * dt * stiff) * np.max(np.abs(u))
-            err = np.max(np.abs(st.diffuse(u, dt) - banded_reference(st, u, dt)))
+            err = np.max(np.abs(st.diffuse(u) - banded_reference(st, u, dt)))
             assert err <= tol
 
     def test_factored_once_per_dt(self, monkeypatch):
@@ -214,15 +206,15 @@ class TestFactoredSolve:
             return factor(*args, **kwargs)
 
         monkeypatch.setattr(solver, "dpttrf", counting)
-        g = RadialGrid.uniform(64)
-        st = Stepper(g, ConstantPotential(1.0), 0.5)
-        u = np.ones(g.n)
-        for _ in range(10):
-            u = st.step(u, 1e-3)
-        assert len(calls) == 1
-        for dt in (2e-3, 2e-3, 1e-3):
-            u = st.step(u, dt)
-        assert len(calls) == 3
+        traj = run(ProblemSpec(q=0.5, potential=ConstantPotential(1.0), cells=64,
+                               horizon=0.02))
+        assert len(traj.times) > 10 and len(calls) == 1
+        g = RadialGrid.uniform(300, dimension=3)
+        rng = np.random.RandomState(13)
+        for dt in (1e-3, 4e-3):
+            st = Stepper(g, ConstantPotential(1.0), 0.5, dt)
+            u = rng.uniform(0.0, 2.0, g.n)
+            assert np.array_equal(st.diffuse(u), spd_reference(st, u, dt))
 
     @pytest.mark.parametrize("field", ["dt", "horizon"])
     def test_nan_step_or_horizon_rejected(self, field):
@@ -285,28 +277,28 @@ class TestAbsorbBitwise:
     ])
     def test_equal_to_reference_formula(self, q, potential):
         g = RadialGrid.uniform(997, dimension=2)
-        st = Stepper(g, potential, q)
         for seed, dt in enumerate((1e-3, 0.25, 1e-3, 1e-3, 7.5)):
+            st = Stepper(g, potential, q, dt)
             for u in mixed_states(g.n, seed):
                 with np.errstate(invalid="ignore"):
-                    assert same_bits(st.absorb(u, dt), reference_absorb(st, u, dt))
+                    assert same_bits(st.absorb(u), reference_absorb(st, u, dt))
 
     def test_equal_along_a_run(self):
         g = RadialGrid.uniform(400)
-        st = Stepper(g, PotentialField(1.0, OmegaProfile.power(1.0)), 0.5)
+        st = Stepper(g, PotentialField(1.0, OmegaProfile.power(1.0)), 0.5, 2e-3)
         u = np.cos(3.0 * math.pi * g.centers)
         for _ in range(200):
-            u_star = st.diffuse(u, 2e-3)
-            u = st.absorb(u_star, 2e-3)
+            u_star = st.diffuse(u)
+            u = st.absorb(u_star)
             assert same_bits(u, reference_absorb(st, u_star, 2e-3))
 
     def test_input_kept_and_results_not_shared(self):
         g = RadialGrid.uniform(300)
-        st = Stepper(g, ConstantPotential(1.0), 0.5)
+        st = Stepper(g, ConstantPotential(1.0), 0.5, 1e-3)
         u = mixed_states(g.n, 3)[1]
         before = u.copy()
-        first = st.absorb(u, 1e-3)
-        second = st.absorb(u, 1e-3)
+        first = st.absorb(u)
+        second = st.absorb(u)
         assert same_bits(u, before)
         assert same_bits(first, second)
         assert not np.shares_memory(first, second)
@@ -316,13 +308,13 @@ class TestAbsorbBitwise:
 def reference_run(spec):
     """run() as first written: temporaries for every norm of every step."""
     grid = spec.build_grid()
-    st = Stepper(grid, spec.potential, spec.q)
+    st = Stepper(grid, spec.potential, spec.q, spec.dt)
     u = spec.initial_state(grid)
     threshold = spec.extinction_rtol * max(float(np.max(np.abs(u))), 1e-300)
     rows = [(0.0, grid.integrate(u**2), float(np.max(np.abs(u))),
              float(np.min(u)), grid.integrate(u))]
     for k in range(1, int(math.ceil(spec.horizon / spec.dt)) + 1):
-        u = reference_absorb(st, st.diffuse(u, spec.dt), spec.dt)
+        u = reference_absorb(st, st.diffuse(u), spec.dt)
         sup = float(np.max(np.abs(u)))
         rows.append((k * spec.dt, grid.integrate(u**2), sup,
                      float(np.min(u)), grid.integrate(u)))
