@@ -17,7 +17,6 @@ window; the dominating curve of ``odi`` takes running sums of its output.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,7 @@ _SERIES_CHUNK = 1 << 16
 _DINI_MAX_WINDOWS = 400
 #: log_endpoint_integral stops once three windows add less than this share
 _ENDPOINT_REL_TOL = 1e-10
-#: dyadic windows log_endpoint_integral sweeps before it warns
+#: dyadic windows log_endpoint_integral sweeps before it returns NaN
 _ENDPOINT_MAX_WINDOWS = 600
 
 
@@ -210,17 +209,15 @@ def _diagnose_series(n: np.ndarray, t: np.ndarray, rejected: int = 0) -> SeriesD
         verdict=verdict, rejected=rejected)
 
 
-def dini_series(omega: OmegaProfile, n0: int = 2, n_max: int = 1_000_000) -> SeriesDiagnosis:
-    """Partial sums of sum_{n >= n0} omega((n ln n)^{-1/2}) / n with tail fit.
+def dini_series(omega: OmegaProfile, n_max: int = 1_000_000) -> SeriesDiagnosis:
+    """Partial sums of sum_{n >= 2} omega((n ln n)^{-1/2}) / n with tail fit.
 
     The terms are evaluated _SERIES_CHUNK indices at a time into one array,
     bit for bit as one call over all n would give them, so memory stays at
     a few arrays of n_max doubles.  The indices are ascending, as
     ``_two_stage_tail_fit`` needs; a degenerate fit window is inconclusive.
     """
-    if n0 < 2:
-        raise DomainError("series starts at n0 >= 2")
-    n = np.arange(n0, n_max + 1, dtype=float)
+    n = np.arange(2, n_max + 1, dtype=float)
     t = np.empty_like(n)
     for i in range(0, n.size, _SERIES_CHUNK):
         m = n[i:i + _SERIES_CHUNK]
@@ -275,7 +272,7 @@ def log_endpoint_integral(logf, tau: float) -> float:
     consecutive windows contribute below _ENDPOINT_REL_TOL of the running
     total.  Integrands here decay super-exponentially at 0, so the
     truncation is harmless.  Returns -inf for an identically underflowed
-    integrand.
+    integrand and NaN when _ENDPOINT_MAX_WINDOWS windows end the sweep first.
     """
     log_total = -np.inf
     quiet = 0
@@ -288,11 +285,7 @@ def log_endpoint_integral(logf, tau: float) -> float:
                 return float(log_total)
         else:
             quiet = 0
-    if not np.isfinite(log_total):
-        return -np.inf
-    warnings.warn("log_endpoint_integral: window sweep hit its cap before the "
-                  "requested relative tolerance")
-    return float(log_total)
+    return math.nan if np.isfinite(log_total) else -np.inf
 
 
 @dataclass(frozen=True)

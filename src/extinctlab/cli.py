@@ -301,7 +301,7 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
     try:
         rho_map = spectral.build_rho_map(potential)  # one map for both sandwiches
         hs = np.geomspace(sp["h_min"], sp["h_max"], sp["h_count"])
-        scan = eigenvalue_sandwich_scan(potential, hs, cells=sp["cells"], rho_map=rho_map)
+        scan = eigenvalue_sandwich_scan(potential, hs, rho_map, cells=sp["cells"])
         out.write_csv("lambda_scan.csv",
                       ["h", "lambda1", "residual", "rho_inv", "ratio"],
                       [scan.h, scan.lambda1, scan.residuals, scan.rho_inv,

@@ -2,8 +2,9 @@
 
 Sections: [profile] defines omega and the potential amplitude, [problem]
 the parabolic run, [odi] the bound constants, [spectral] the scan ranges.
-Unknown keys, and [profile] keys that the chosen kind does not read, are
-rejected so silent typos cannot skew archived runs.
+Unknown keys, [profile] keys that the chosen kind does not read, and a
+[problem] epsilon without potential = constant are rejected so silent typos
+cannot skew archived runs.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ _PROFILE_KEYS = {   # the keys each kind reads, besides kind and d0
     "table": {"table", "delta", "s0"},
 }
 _PROBLEM_KEYS = {"q", "dimension", "radius", "potential", "epsilon", "u0",
-                 "floor", "cells", "dt", "horizon", "extinction_rtol",
-                 "snapshot_every"}
+                 "cells", "dt", "horizon", "extinction_rtol", "snapshot_every"}
 _ODI_KEYS = {"y0", "gamma", "c0", "c4", "c7", "cbar", "max_rounds",
              "bound_factor"}
 _SPECTRAL_KEYS = {"h_min", "h_max", "h_count", "cells", "k", "n_min", "n_max",
@@ -77,6 +77,8 @@ def _get(sec, key, cast, default=_REQUIRED):
 
 def _problem_shape(prob, q_default=_REQUIRED) -> tuple[float, int, float]:
     """(q, dimension, radius) of [problem], checked once for every reader."""
+    if "epsilon" in prob and prob.get("potential", "profile") != "constant":
+        raise ConfigError("'epsilon' in [problem] is read only with potential = constant")
     q = _get(prob, "q", float, q_default)
     dimension = _get(prob, "dimension", int, 1)
     radius = _get(prob, "radius", float, 1.0)
@@ -153,7 +155,6 @@ def problem_from_config(parser, base_dir=".") -> ProblemSpec:
             q=q, dimension=dimension, radius=radius,
             potential=potential,
             u0=u0,
-            floor=_get(sec, "floor", float, 0.0),
             cells=_get(sec, "cells", int, 2000),
             dt=_get(sec, "dt", float, 1e-3),
             horizon=_get(sec, "horizon", float, 2.5),
@@ -184,8 +185,6 @@ def odi_from_config(parser, base_dir=".", overrides=None) -> tuple[OdiConfig, di
     if kwargs["y0"] >= 1:
         raise ConfigError("need y0 < 1 for the extinction rounds")
     q, dimension, radius = _problem_shape(prob)
-    if kwargs["cbar"] is None:
-        kwargs["cbar"] = 1.0 / radius**2   # Poincare scale of the domain
     try:
         cfg = OdiConfig(potential=potential_from_config(parser, base_dir),
                         q=q, dimension=dimension, tau_max=radius, **kwargs)

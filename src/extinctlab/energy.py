@@ -20,7 +20,6 @@ refinement studies check the fit is stable.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,14 +109,13 @@ def compute_ledger(traj: SolutionTrajectory, tau_grid) -> EnergyLedger:
 
     The run's potential, when it is a ``PotentialField``, supplies the ramp
     s(tau) that is the lower limit of the time integrals; for any other
-    potential they start at zero.  Tau values outside the domain are
-    clipped with a warning.
+    potential they start at zero.  Tau values outside [0, R] raise
+    ``ValueError``.
     """
     grid = traj.grid
     tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
-    if np.any(tau_grid < 0) or np.any(tau_grid > grid.radius):
-        warnings.warn("tau grid clipped into [0, R]")
-        tau_grid = np.clip(tau_grid, 0.0, grid.radius)
+    if not np.all((tau_grid >= 0) & (tau_grid <= grid.radius)):   # NaN fails too
+        raise ValueError("tau grid must lie inside [0, R]")
 
     potential = as_potential(traj.spec.potential)
     a_cells = sample_potential(potential, grid)
@@ -197,12 +195,12 @@ def verify_global_estimate(ledger: EnergyLedger) -> GlobalEstimateReport:
     """Margin of the a priori bound H(t, 0) + I_0^t(0) <= y0 at each snapshot.
 
     Small negative slack can only come from time discretization of I and is
-    bounded by the reported trapezoid error.
+    bounded by the reported trapezoid error.  A ledger without a tau = 0
+    row raises ``ValueError``.
     """
     j = int(np.argmin(ledger.tau_grid))
     if ledger.tau_grid[j] > 0:
-        warnings.warn("global estimate checked at the smallest tabulated tau, "
-                      f"tau = {ledger.tau_grid[j]:.3g} > 0")
+        raise ValueError("global estimate needs a tau = 0 row in the ledger")
     t = ledger.t_snap
     E0 = ledger.E[:, j]
     H0 = ledger.H[:, j]

@@ -63,7 +63,7 @@ class OdiConfig:
     c0: float = 1.0
     c4: float = 1.0
     c7: float | None = None   # None: the derivation's own value 2/(1-q)
-    cbar: float = 1.0         # Poincare rate scale, 1/R^2 of the domain
+    cbar: float | None = None  # Poincare rate scale; None: 1/tau_max^2 of the domain
     gamma: float = 1.0        # per-round gain exponent
     tau_max: float = 1.0
 
@@ -74,7 +74,9 @@ class OdiConfig:
             # the exponent comparison behind the logarithmic radius relation
             # yields 2(1-nu)/(1-q); nu is absorbed here in the limit nu -> 0
             object.__setattr__(self, "c7", 2.0 / (1.0 - self.q))
-        for name in ("c0", "c4", "c7", "cbar", "gamma", "tau_max"):
+        if self.cbar is None and self.tau_max > 0:   # a bad tau_max fails below
+            object.__setattr__(self, "cbar", 1.0 / self.tau_max**2)
+        for name in ("c0", "c4", "c7", "gamma", "tau_max", "cbar"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -339,22 +339,13 @@ class ConditionReport:
         return all(self.passed(n) for n in CONDITION_NAMES)
 
 
-def check_conditions(profile: OmegaProfile, grid=None) -> ConditionReport:
+def check_conditions(profile: OmegaProfile) -> ConditionReport:
     """Sampled verification of the structural conditions on ``omega``.
 
     A failure comes with a violating sample, so it is a certificate; a pass
     is evidence at the grid resolution, not a proof.
     """
-    if grid is None:
-        grid = np.geomspace(profile.s0 * 1e-8, profile.s0, 10_000)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ProfileError("condition check needs a nonempty grid")
-    if np.any(np.diff(grid) <= 0):
-        raise ProfileError("condition grid must be strictly increasing")
-    if grid[0] <= 0 or grid[-1] > profile.s0 * (1 + 1e-12):
-        raise ProfileError("condition grid must lie inside (0, s0]")
-
+    grid = np.geomspace(profile.s0 * 1e-8, profile.s0, 10_000)
     w = profile.omega(grid)
     wp = profile.omega_prime(grid)
     delta = profile.delta

@@ -147,7 +147,6 @@ class ProblemSpec:
     radius: float = 1.0
     potential: object | None = None       # PotentialField | ConstantPotential | float | None
     u0: object = 1.0                      # float | array of cell values | "random"
-    floor: float = 0.0                    # declared positive floor of u0
     cells: int = 2000
     dt: float = 1e-3
     horizon: float = 2.5
@@ -158,8 +157,6 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie strictly inside (0, 1)")
-        if not self.floor >= 0:   # NaN fails too
-            raise ValueError("positivity floor must be nonnegative")
         if not (0 < self.dt < math.inf and 0 < self.horizon < math.inf):   # NaN fails too
             raise ValueError("dt and horizon must be positive and finite")
         if not 0.0 < self.extinction_rtol < 1.0:
@@ -187,8 +184,6 @@ class ProblemSpec:
                 raise ValueError("initial data array must match the grid")
         if not np.all(np.isfinite(u)):
             raise ValueError("initial data must be square integrable (finite)")
-        if self.floor > 0 and np.min(u) < self.floor:
-            raise ValueError("declared floor exceeds min of the initial data")
         return u
 
 

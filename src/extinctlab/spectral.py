@@ -22,7 +22,8 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .analysis import SeriesDiagnosis, _diagnose_series
-from .profiles import PotentialField, RhoMap, as_potential, build_rho_map
+from .profiles import PotentialField, RhoMap, as_potential
+from .profiles import build_rho_map  # noqa: F401  cmd_spectral calls it from here
 from .solver import FluxOperator, RadialGrid, sample_potential
 
 _OVERFLOW_LOG = 700.0  # potential entries clamp at exp(700); the ground state
@@ -210,8 +211,8 @@ class SpectralScan:
         return float(np.max(self.ratios[ok]) / np.min(self.ratios[ok]))
 
 
-def eigenvalue_sandwich_scan(potential, h_values, cells: int = 3000,
-                             rho_map: RhoMap | None = None) -> SpectralScan:
+def eigenvalue_sandwich_scan(potential, h_values, rho_map: RhoMap,
+                             cells: int = 3000) -> SpectralScan:
     """Sandwich scan: lambda1(h) against h^(-2) rho^(-1)(h^2).
 
     h values out of the invertible range of the potential are skipped (NaN
@@ -219,8 +220,6 @@ def eigenvalue_sandwich_scan(potential, h_values, cells: int = 3000,
     the rest.
     """
     h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
-    if rho_map is None:
-        rho_map = build_rho_map(potential)
     lam = np.empty_like(h_values)
     res = np.empty_like(h_values)
     rinv = np.full_like(h_values, np.nan)
@@ -254,7 +253,7 @@ class SandwichReport:
 
 
 def inverse_map_sandwich(potential: PotentialField, s_values,
-                         rho_map: RhoMap | None = None) -> SandwichReport:
+                         rho_map: RhoMap) -> SandwichReport:
     """Closed two-sided bounds on rho^(-1)(s) against the numeric inverse.
 
     The lower bound evaluates omega at sqrt(2 omega0/ln(1/s)), the
@@ -265,8 +264,6 @@ def inverse_map_sandwich(potential: PotentialField, s_values,
     omega = potential.omega
     w0, delta = omega.omega0, omega.delta
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    if rho_map is None:
-        rho_map = build_rho_map(potential)
     s_values = np.clip(s_values, rho_map.rho_min, rho_map.rho_max)
     L = np.log(1.0 / s_values)
     lower = s_values / 2.0 * L / omega.omega(np.sqrt(w0 * 2.0 / L))

@@ -22,7 +22,7 @@ from extinctlab.odi import (
     solve_tau_double_prime,
     solve_tau_prime,
 )
-from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField
+from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField, build_rho_map
 from extinctlab.solver import FluxOperator, ProblemSpec, run
 from extinctlab.spectral import ground_state, mu_n_sequence, eigenvalue_sandwich_scan, inverse_map_sandwich
 
@@ -102,8 +102,9 @@ def test_06_spectral_oracle():
 def test_07_eigenvalue_sandwich():
     pot = PotentialField(1.0, OmegaProfile.log_power(2.0))
     hs = np.geomspace(1e-3, 1e-1, 7)
-    scan = eigenvalue_sandwich_scan(pot, hs, cells=3000)
-    scan2 = eigenvalue_sandwich_scan(pot, hs, cells=6000)
+    rho_map = build_rho_map(pot)
+    scan = eigenvalue_sandwich_scan(pot, hs, rho_map, cells=3000)
+    scan2 = eigenvalue_sandwich_scan(pot, hs, rho_map, cells=6000)
     move = float(np.max(np.abs(scan2.ratios / scan.ratios - 1.0)))
     ok = scan.width <= 100.0 and move < 0.05
     report(7, "ground-state sandwich", ok,
@@ -112,7 +113,7 @@ def test_07_eigenvalue_sandwich():
 
 def test_08_inverse_map_sandwich():
     pot = PotentialField(1.0, OmegaProfile.log_power(2.0))
-    rep = inverse_map_sandwich(pot, np.geomspace(1e-12, 1e-6, 200))
+    rep = inverse_map_sandwich(pot, np.geomspace(1e-12, 1e-6, 200), build_rho_map(pot))
     report(8, "inverse-map sandwich", rep.violations == 0,
            f"violations={rep.violations} over 200 points in [1e-12, 1e-6]")
 

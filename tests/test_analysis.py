@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from extinctlab import analysis
 from extinctlab.analysis import (
     DomainError,
     _slope,
@@ -70,14 +71,10 @@ class TestDiniSeries:
         ser = dini_series(OmegaProfile.log_power(2.0))
         assert quad.verdict == "convergent" and ser.verdict == "convergent"
 
-    def test_n0_validation(self):
-        with pytest.raises(DomainError):
-            dini_series(OmegaProfile.power(1.0), n0=1)
 
-
-def _one_shot_series(profile, n0=2, n_max=1_000_000):
+def _one_shot_series(profile, n_max=1_000_000):
     """Terms, partial sums and checkpoints with all terms in one omega call."""
-    n = np.arange(n0, n_max + 1, dtype=float)
+    n = np.arange(2, n_max + 1, dtype=float)
     t = profile.omega((n * np.log(n)) ** -0.5) / n
     idx = np.unique(np.geomspace(1, len(t), min(200, len(t))).astype(int)) - 1
     return n, t, np.cumsum(t), idx
@@ -219,6 +216,16 @@ class TestLemmaA1:
         row = endpoint_equivalence_ratios(prof, m=2.0, l=0.0, A=1.0, tau_list=[tau])[0]
         log_oracle = composite_endpoint_integral(logf, tau)
         assert math.exp(row.log_integral - log_oracle) == pytest.approx(1.0, rel=1e-2)
+
+    def test_window_cap_is_inconclusive(self, monkeypatch):
+        # two windows can never be the three quiet ones the sweep needs, so
+        # every row hits the cap: no partial sum may pass for a ratio
+        monkeypatch.setattr(analysis, "_ENDPOINT_MAX_WINDOWS", 2)
+        rows = endpoint_equivalence_ratios(OmegaProfile.power(1.0), m=2.0, l=0.0, A=1.0,
+                                           tau_list=[0.05, 0.1])
+        for row in rows:
+            assert row.inconclusive
+            assert math.isnan(row.log_integral) and math.isnan(row.ratio)
 
 
 class TestSpectralLogSum:

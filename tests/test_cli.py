@@ -138,7 +138,7 @@ class TestSimulate:
 
     def test_heat_run_horizon_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, ODE_REGIME.replace(
-            "potential = constant", "potential = zero"))
+            "potential = constant\nepsilon = 1.0", "potential = zero"))
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         summary = json.loads((out / "summary_simulate.json").read_text())
@@ -256,6 +256,17 @@ class TestBound:
         assert summary["results"]["constants"]["gamma"] == 2.0
         assert summary["results"]["constants"]["c0"] == 0.5
 
+
+    def test_clipped_rounds_reported(self, tmp_path):
+        # at y0 = 0.5 the first radii solve beyond the domain and are clipped
+        # to it; the dominating curve's final radius lies beyond it as well
+        cfg = write_config(tmp_path, README.replace("y0 = 1e-4", "y0 = 0.5"))
+        out = tmp_path / "o"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+        results = json.loads((out / "summary_bound.json").read_text())["results"]
+        assert results["clipped_rounds"] == 3
+        assert results["round_cap_hit"] is True
+        assert results["curve"]["error"] == "root lies beyond the domain radius"
 
     @pytest.mark.parametrize("alpha", ["1.999", "3.0"])
     def test_steep_power_profile_inconclusive(self, tmp_path, alpha):
@@ -423,7 +434,6 @@ class TestConfigValues:
         ("bound", [], ["--gamma", "nan"]),
         ("bound", [("profile", "d0", "nan")], []),
         ("simulate", [("profile", "d0", "nan")], []),
-        ("simulate", [("problem", "floor", "nan")], []),
         ("dini", [("profile", "omega0", "nan")], []),
         ("dini", [("profile", "kind", "power"), ("profile", "beta", None),
                   ("profile", "alpha", "nan")], []),
@@ -432,7 +442,7 @@ class TestConfigValues:
                   ("profile", "omega0", None), ("profile", "delta", None),
                   ("profile", "kappa", "nan")], []),
     ], ids=["odi-y0", "odi-gamma", "odi-c0", "gamma-flag", "d0-bound", "d0-simulate",
-            "floor", "omega0", "alpha", "beta", "kappa"])
+            "omega0", "alpha", "beta", "kappa"])
     def test_nan_parameter_exit_64(self, tmp_path, command, settings, argv):
         assert run_with(tmp_path, command, settings, argv) == 64
 
@@ -483,6 +493,16 @@ class TestConfigValues:
         assert main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 64
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and repr(key) in err
+
+    @pytest.mark.parametrize("potential,value", [("profile", "-1"), ("zero", "nan")])
+    def test_epsilon_without_constant_potential_exit_64(self, tmp_path, capsys,
+                                                        potential, value):
+        # only potential = constant reads epsilon
+        cfg = write_config(tmp_path, README.replace(
+            "potential = profile\n", f"potential = {potential}\nepsilon = {value}\n"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "'epsilon'" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_s0_out_of_range_exit_64(self, tmp_path, capsys, value):
@@ -606,6 +626,11 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         return done.stdout.strip()
+
+    def test_profiles_and_analysis_leave_solver_unloaded(self):
+        code = ("import sys, extinctlab.profiles, extinctlab.analysis\n"
+                "print([m for m in ('scipy.linalg', 'extinctlab.solver') if m in sys.modules])\n")
+        assert self.run_python(code) == "[]"
 
     def test_cli_import_leaves_interpolate_unloaded(self):
         code = ("import sys, numpy as np, extinctlab.cli\n"

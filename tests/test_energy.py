@@ -112,12 +112,14 @@ class TestLedger:
         with pytest.raises(ValueError):
             ode_inequality_residual(led)
 
-    def test_tau_clipping_warns(self):
+    @pytest.mark.parametrize("taus", [[0.5, 1.5], [-0.1, 0.5], [math.nan]],
+                             ids=["above-R", "below-0", "nan"])
+    def test_tau_outside_domain_raises(self, taus):
         spec = ProblemSpec(q=0.5, potential=None, u0=1.0, cells=50,
                            dt=1e-2, horizon=0.1)
         traj = run(spec)
-        with pytest.warns(UserWarning):
-            compute_ledger(traj, [0.5, 1.5])
+        with pytest.raises(ValueError):
+            compute_ledger(traj, taus)
 
 
 class TestGlobalEstimate:
@@ -148,6 +150,13 @@ class TestGlobalEstimate:
         assert rep.holds
         assert rep.slack[-1] > 0.0
         assert rep.slack[-1] <= led.y0
+
+    def test_ledger_without_tau_zero_raises(self):
+        spec = ProblemSpec(q=0.5, potential=None, u0=1.0, cells=50,
+                           dt=1e-2, horizon=0.1)
+        led = compute_ledger(run(spec), [0.25, 0.5])
+        with pytest.raises(ValueError):
+            verify_global_estimate(led)
 
 
 class TestRelationProbe:

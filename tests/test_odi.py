@@ -30,6 +30,19 @@ def beta2_config():
     return OdiConfig(potential=pot, y0=1e-4, q=0.5)
 
 
+class TestOdiConfig:
+    def test_cbar_defaults_to_poincare_scale_of_domain(self, beta2_config):
+        # the same default as the CLI's: 1/R^2 with R = tau_max
+        pot = beta2_config.potential
+        assert OdiConfig(potential=pot, y0=1e-4, tau_max=2.0).cbar == 0.25
+        assert OdiConfig(potential=pot, y0=1e-4, tau_max=2.0, cbar=3.0).cbar == 3.0
+
+    @pytest.mark.parametrize("tau_max", [0.0, math.nan])
+    def test_bad_tau_max_rejected_before_cbar(self, beta2_config, tau_max):
+        with pytest.raises(ValueError, match="tau_max"):
+            OdiConfig(potential=beta2_config.potential, y0=1e-4, tau_max=tau_max)
+
+
 class TestTauPrime:
     def test_linear_omega_closed_form(self):
         # tau^2/omega = tau: the relation collapses to an explicit value

@@ -57,15 +57,6 @@ class TestConditions:
             for name in prof.claims:
                 assert rep.passed(name), (prof.kind, name)
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ProfileError):
-            check_conditions(OmegaProfile.power(1.0), grid=np.array([]))
-
-    def test_grid_outside_s0_rejected(self):
-        prof = OmegaProfile.log_power(2.0)  # s0 ~ 0.264
-        with pytest.raises(ProfileError):
-            check_conditions(prof, grid=np.array([0.1, 0.9]))
-
     def test_integrated_slope_bound(self):
         # integrating the slope condition gives omega(s) >= s^{2-d} * omega(s0)/s0^{2-d}
         prof = OmegaProfile.log_power(2.0, delta=0.5)

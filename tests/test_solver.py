@@ -471,7 +471,7 @@ class TestOdeExtinctionTime:
 
 class TestPositivityProbe:
     def test_no_absorption_keeps_floor(self):
-        spec = ProblemSpec(q=0.5, potential=None, u0=0.3, floor=0.3,
+        spec = ProblemSpec(q=0.5, potential=None, u0=0.3,
                            cells=100, dt=1e-2, horizon=2.0)
         rep = positivity_probe(spec)
         assert not rep.collapsed
@@ -480,7 +480,7 @@ class TestPositivityProbe:
 
     def test_uniform_absorption_collapses_before_ode_time(self):
         spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0), u0=1.0,
-                           floor=1.0, cells=100, dt=1e-3, horizon=3.0)
+                           cells=100, dt=1e-3, horizon=3.0)
         rep = positivity_probe(spec)
         assert rep.collapsed
         assert rep.times[-1] <= ode_extinction_time(1.0, 0.5, 1.0) * 1.01
@@ -489,7 +489,7 @@ class TestPositivityProbe:
         # omega unbounded at 0 confines the absorption to a boundary shell;
         # the minimum survives a desk-scale horizon
         pot = PotentialField(1.0, OmegaProfile.log_singular(25.0))
-        spec = ProblemSpec(q=0.5, potential=pot, u0=1.0, floor=1.0,
+        spec = ProblemSpec(q=0.5, potential=pot, u0=1.0,
                            cells=400, dt=5e-3, horizon=10.0)
         rep = positivity_probe(spec)
         assert not rep.collapsed

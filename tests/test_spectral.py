@@ -6,7 +6,6 @@ import pytest
 from extinctlab.analysis import spectral_log_sum
 from extinctlab.profiles import (
     ConstantPotential,
-    MonotonicityError,
     OmegaProfile,
     PotentialField,
     build_rho_map,
@@ -170,43 +169,41 @@ class TestMu:
 class TestEigenvalueSandwich:
     def test_bracket_and_stability(self, beta2_potential):
         hs = np.geomspace(1e-3, 1e-1, 7)
-        scan = eigenvalue_sandwich_scan(beta2_potential, hs, cells=3000)
+        rho_map = build_rho_map(beta2_potential)
+        scan = eigenvalue_sandwich_scan(beta2_potential, hs, rho_map, cells=3000)
         assert scan.clipped == 0
         assert scan.width < 100.0      # under two decades
         assert scan.bracket < 50.0
-        scan2 = eigenvalue_sandwich_scan(beta2_potential, hs, cells=6000)
+        scan2 = eigenvalue_sandwich_scan(beta2_potential, hs, rho_map, cells=6000)
         move = np.abs(scan2.ratios / scan.ratios - 1.0)
         assert np.all(move < 0.05)
-
-    def test_constant_potential_has_no_inverse(self):
-        with pytest.raises(MonotonicityError):
-            eigenvalue_sandwich_scan(ConstantPotential(1.0), [0.1, 0.2])
 
     def test_out_of_range_h_clipped(self, beta2_potential):
         rho_map = build_rho_map(beta2_potential)
         h_big = math.sqrt(rho_map.rho_max) * 10.0
-        scan = eigenvalue_sandwich_scan(beta2_potential, [1e-2, h_big], cells=500,
-                                        rho_map=rho_map)
+        scan = eigenvalue_sandwich_scan(beta2_potential, [1e-2, h_big], rho_map, cells=500)
         assert scan.clipped == 1
         assert np.isnan(scan.ratios[1])
 
 
     def test_rise_fall_potential_scanned_on_its_rising_part(self, rise_fall_potential):
-        scan = eigenvalue_sandwich_scan(rise_fall_potential,
-                                        np.geomspace(1e-3, 1e-1, 7), cells=3000)
+        scan = eigenvalue_sandwich_scan(rise_fall_potential, np.geomspace(1e-3, 1e-1, 7),
+                                        build_rho_map(rise_fall_potential), cells=3000)
         assert scan.clipped == 1
         assert np.isnan(scan.ratios[-1]) and np.all(np.isfinite(scan.ratios[:-1]))
 
 
 class TestInverseMapSandwich:
     def test_no_violations_small_s(self, beta2_potential):
-        rep = inverse_map_sandwich(beta2_potential, np.geomspace(1e-12, 1e-6, 200))
+        rep = inverse_map_sandwich(beta2_potential, np.geomspace(1e-12, 1e-6, 200),
+                                   build_rho_map(beta2_potential))
         assert rep.violations == 0
         assert rep.r_bracket_violations == 0
         assert rep.below_identity_violations == 0
 
     def test_bounds_ordered(self, beta2_potential):
-        rep = inverse_map_sandwich(beta2_potential, np.geomspace(1e-12, 1e-6, 50))
+        rep = inverse_map_sandwich(beta2_potential, np.geomspace(1e-12, 1e-6, 50),
+                                   build_rho_map(beta2_potential))
         assert np.all(rep.lower <= rep.upper)
         assert np.all((rep.lower <= rep.rho_inv) & (rep.rho_inv <= rep.upper))
 
