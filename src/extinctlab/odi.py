@@ -16,13 +16,17 @@ original problem and restarting yields rounds (tau_i, t_i) whose total
 
     R = sum_i t_i + sum_i s(tau_i)
 
-is finite exactly when the endpoint integral of omega(s)/s converges.  The
+is finite exactly when the endpoint integral of omega(s)/s converges.  Every
+radius comes from one bisection in ln(tau); the radii of all rounds are
+bisected together, with one array call of omega per pass, and each is bit
+for bit the root a bisection of its level alone would give.  The
 structural constants are not pinned by the theory; they are configuration
 here, and every report echoes the values used.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -85,24 +89,34 @@ class OdiConfig:
         return ExponentPack(self.q, self.dimension)
 
 
-def _bisect_log_tau(g, target: float, lo: float, hi: float) -> float:
-    """Solve g(tau) = target on [lo, hi] for g increasing in tau.
+def _bisect_log_tau(g, targets, lo: float, hi: float) -> list[float]:
+    """Solve g(tau) = t on [lo, hi] for every t of ``targets``, g increasing.
 
-    Bisects in ln(tau), which keeps tiny roots relatively accurate, until the
-    midpoint rounds onto an end of the bracket: every pass halves the
-    bracket or stops, so no tolerance or iteration cap is needed.
+    ``g`` maps a list of radii to an iterable of their values, so all
+    targets are bisected in lock-step with one call of g per pass.  Each
+    target follows the path a lone bisection would take: it bisects in
+    ln(tau), which keeps tiny roots relatively accurate, until the midpoint
+    rounds onto an end of its bracket, so no tolerance or iteration cap is
+    needed.  The targets must not rise; they are read up to the first whose
+    root lies below lo, and BelowFloorError is raised if that is the first.
+    A root beyond hi comes back as inf.
     """
     lo, hi = math.log(lo), math.log(hi)
-    if g(math.exp(lo)) > target:
+    [g_lo] = g([math.exp(lo)])
+    targets = np.array(list(itertools.takewhile(lambda t: not g_lo > t, targets)))
+    if not targets.size:
         raise BelowFloorError("root lies below the tau search range")
-    if g(math.exp(hi)) < target:
-        raise CurveRangeError("root lies beyond the domain radius")
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if g(math.exp(mid)) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return math.exp(mid)
+    [g_hi] = g([math.exp(hi)])
+    beyond = g_hi < targets
+    los = np.where(beyond, hi, lo)
+    his = np.full(targets.size, hi)
+    while (open_ := (los < (mids := 0.5 * (los + his))) & (mids < his)).any():
+        k = np.flatnonzero(open_)
+        values = g([math.exp(m) for m in mids[k].tolist()])
+        up = np.fromiter(values, float, k.size) >= targets[k]
+        his[k[up]] = mids[k[up]]
+        los[k[~up]] = mids[k[~up]]
+    return [math.inf if b else math.exp(m) for b, m in zip(beyond.tolist(), mids.tolist())]
 
 
 def solve_tau_prime(config: OdiConfig) -> float:
@@ -117,7 +131,11 @@ def solve_tau_prime(config: OdiConfig) -> float:
             f"y0 = {config.y0:.3g} >= 3 c0 = {3 * config.c0:.3g}: curve starts "
             "past the plateau")
     target = (math.log(config.y0) - math.log(3.0 * config.c0)) * (1.0 - config.q) / 2.0
-    return _bisect_log_tau(config.potential.log_a, target, _TAU_FLOOR, config.tau_max)
+    [tau] = _bisect_log_tau(lambda taus: map(config.potential.log_a, taus), [target],
+                            _TAU_FLOOR, config.tau_max)
+    if tau == math.inf:
+        raise CurveRangeError("root lies beyond the domain radius")
+    return tau
 
 
 @dataclass(frozen=True)
@@ -217,7 +235,7 @@ def solve_tau_double_prime(config: OdiConfig, piece2: CurvePiece,
         raise RegionSkippedError("curve already below the matching boundary at tau'")
     if g(hi) < 0:
         raise RegionSkippedError("no sign change before the curve piece dies")
-    tau_pp = _bisect_log_tau(g, 0.0, tau_prime, hi)
+    [tau_pp] = _bisect_log_tau(lambda taus: map(g, taus), [0.0], tau_prime, hi)
     p2 = (1.0 - config.exponents.theta2) * (1.0 - config.q) / 2.0
     k = math.exp(_log_match_constant(config, tau_pp) - p2 * math.log(config.y0))
     return TauDoublePrime(tau_pp, float(piece2(tau_pp)), k)
@@ -244,29 +262,31 @@ def curve_y1(config: OdiConfig, tau_pp: float, start_value: float) -> CurvePiece
             return piece
 
 
-def solve_extinction_radius(config: OdiConfig, log_level: float) -> tuple[float, bool]:
-    """Extinction radius from tau^2/omega(tau) = c7 / ln(1/level), given
-    ``log_level`` = ln(level), which survives deep rounds.
+def solve_extinction_radius(config: OdiConfig, log_levels) -> list[tuple[float, bool]]:
+    """Extinction radii from tau^2/omega(tau) = c7 / ln(1/level), one per
+    ``log_level`` = ln(level), which survives deep rounds; the radii of all
+    levels are bisected together.
 
-    Returns (tau, clipped): clipped means the required radius exceeded the
-    domain and was cut to tau_max (the machinery assumes it stays inside);
-    the caller reports it.  A radius below the search floor
-    _TAU_FLOOR = exp(-250) raises BelowFloorError.
+    Returns (tau, clipped) per level: clipped means the required radius
+    exceeded the domain and was cut to tau_max (the machinery assumes it
+    stays inside); the caller reports it.  The levels must not rise: they
+    are read up to the first whose radius lies below the search floor
+    _TAU_FLOOR = exp(-250), and if that is the first, BelowFloorError is
+    raised.
     """
-    if log_level >= 0:
-        raise ValueError("level must lie strictly below one")
-    target = math.log(config.c7 / (-log_level))
+    def target(log_level):
+        if log_level >= 0:
+            raise ValueError("level must lie strictly below one")
+        return math.log(config.c7 / (-log_level))
 
-    def g(tau):
-        w = config.potential.omega.omega(tau)  # underflows to 0 for steep profiles
-        return 2.0 * math.log(tau) - (math.log(w) if w > 0 else -math.inf)
+    def g(taus):
+        # omega underflows to 0 for steep profiles
+        ws = config.potential.omega.omega(np.array(taus)).tolist()
+        return [2.0 * math.log(tau) - (math.log(w) if w > 0 else -math.inf)
+                for tau, w in zip(taus, ws)]
 
-    try:
-        return _bisect_log_tau(g, target, _TAU_FLOOR, config.tau_max), False
-    except BelowFloorError:
-        raise
-    except CurveRangeError:
-        return config.tau_max, True
+    taus = _bisect_log_tau(g, map(target, log_levels), _TAU_FLOOR, config.tau_max)
+    return [(config.tau_max, True) if tau == math.inf else (tau, False) for tau in taus]
 
 
 @dataclass(frozen=True)
@@ -294,16 +314,17 @@ def curve_y1_and_tau_triple_prime(config: OdiConfig, tau_pp: float,
 
     target = math.log(config.c4) + p2 * math.log(config.y0)
     try:
-        direct = _bisect_log_tau(lambda tau: _log_match_constant(config, tau), target,
-                                 _TAU_FLOOR, config.tau_max * 4.0)
+        [direct] = _bisect_log_tau(
+            lambda taus: (_log_match_constant(config, tau) for tau in taus), [target],
+            _TAU_FLOOR, config.tau_max * 4.0)
     except ZeroDivisionError as exc:
         # omega vanishes inside the bracket (log-singular for s >= 1), so
         # the ramp and the matching constant are undefined there
         raise CurveRangeError(f"direct tau''' root: {exc}") from exc
-    except CurveRangeError:
+    except BelowFloorError:
         direct = math.inf
     try:
-        ad5, _ = solve_extinction_radius(config, math.log(config.y0))
+        [(ad5, _)] = solve_extinction_radius(config, [math.log(config.y0)])
     except BelowFloorError:
         ad5 = 0.0
     y1_zero = piece1.zero_radius()
@@ -449,17 +470,20 @@ def extinction_iteration(config: OdiConfig, max_rounds: int = 200) -> Extinction
     lam = (1.0 + config.gamma) ** -0.5
     log_y0 = math.log(config.y0)
 
+    # the levels are made lazily: past the floor round they would overflow
+    levels = (log_y0 * (1.0 + config.gamma) ** i for i in range(max_rounds))
+    try:
+        radii = solve_extinction_radius(config, levels)
+    except BelowFloorError:
+        radii = []
+    ws = omega.omega(np.array([tau for tau, _ in radii])).tolist()
+
     taus, ts, ss, log_levels = [], [], [], []
     clipped = 0
     stalled = 0
-    for i in range(max_rounds):
+    for i, ((tau_i, was_clipped), w_i) in enumerate(zip(radii, ws)):
         log_level = log_y0 * (1.0 + config.gamma) ** i
-        try:
-            tau_i, was_clipped = solve_extinction_radius(config, log_level=log_level)
-        except BelowFloorError:
-            break
         clipped += int(was_clipped)
-        w_i = omega.omega(tau_i)
         t_i = config.gamma * config.c7 / config.cbar * w_i
         s_i = tau_i**2 * config.c7 / (-log_level)
         taus.append(tau_i)

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 import extinctlab.odi as odi
-from extinctlab.analysis import _GL_NODES, _GL_WEIGHTS, log_segment_integrals
+from extinctlab.analysis import _GL_NODES, _GL_WEIGHTS, dini_integral, log_segment_integrals
 from extinctlab.energy import compute_ledger, ode_inequality_residual
 from extinctlab.odi import (
     BelowFloorError,
@@ -202,7 +203,7 @@ class TestTauTriplePrime:
     def test_linear_omega_ad_hoc_closed_form(self):
         pot = PotentialField(1.0, OmegaProfile.power(1.0))
         cfg = OdiConfig(potential=pot, y0=1e-4, q=0.5, c7=0.8)
-        tau_bar, clipped = solve_extinction_radius(cfg, math.log(cfg.y0))
+        [(tau_bar, clipped)] = solve_extinction_radius(cfg, [math.log(cfg.y0)])
         assert not clipped
         assert tau_bar == pytest.approx(0.8 / math.log(1e4), rel=1e-10)
 
@@ -210,7 +211,7 @@ class TestTauTriplePrime:
         # tau_bar^2 ln(1/y0) / omega(tau_bar) reproduces c7 across levels
         for y0 in (1e-6, 1e-4, 1e-2):
             cfg = OdiConfig(potential=beta2_config.potential, y0=y0, q=0.5)
-            tau_bar, _ = solve_extinction_radius(cfg, math.log(y0))
+            [(tau_bar, _)] = solve_extinction_radius(cfg, [math.log(y0)])
             got = tau_bar**2 * math.log(1 / y0) / cfg.potential.omega.omega(tau_bar)
             assert got == pytest.approx(cfg.c7, rel=1e-9)
 
@@ -342,9 +343,14 @@ class TestExtinctionIteration:
 
     def test_floor_and_domain_are_told_apart(self, beta2_config):
         with pytest.raises(BelowFloorError):
-            solve_extinction_radius(beta2_config, -1e300)
+            solve_extinction_radius(beta2_config, [-1e300])
+        # a root beyond the domain is inf, and the level's radius is clipped
+        logs = lambda taus: map(math.log, taus)
+        assert odi._bisect_log_tau(logs, [1.0], odi._TAU_FLOOR, 1.0) == [math.inf]
+        assert solve_extinction_radius(beta2_config, [-1e-3]) == [(1.0, True)]
+        cfg = OdiConfig(potential=beta2_config.potential, y0=1e-4, q=0.5, tau_max=1e-3)
         with pytest.raises(CurveRangeError) as exc:
-            odi._bisect_log_tau(math.log, 1.0, odi._TAU_FLOOR, 1.0)
+            solve_tau_prime(cfg)
         assert not isinstance(exc.value, BelowFloorError)
 
     def test_deep_radius_bisects_to_rounding(self, beta2_config, monkeypatch):
@@ -354,7 +360,7 @@ class TestExtinctionIteration:
         omega = OmegaProfile.omega
         monkeypatch.setattr(OmegaProfile, "omega",
                             lambda self, s: calls.append(s) or omega(self, s))
-        tau, clipped = solve_extinction_radius(beta2_config, log_level)
+        [(tau, clipped)] = solve_extinction_radius(beta2_config, [log_level])
         monkeypatch.undo()
         assert not clipped and math.log(tau) == pytest.approx(-100.0, rel=1e-12)
         assert len(calls) <= 70
@@ -373,6 +379,125 @@ class TestExtinctionIteration:
         with pytest.raises(ValueError):
             extinction_iteration(OdiConfig(potential=beta2_config.potential,
                                            y0=1.0, q=0.5))
+
+
+def _sequential_rounds(config, max_rounds=200):
+    """The round loop with one scalar bisection per level, as it ran before
+    the radii were bisected in lock-step: (rounds, clipped, total)."""
+    omega = config.potential.omega
+
+    def radius(log_level):   # (tau, clipped), None below the search floor
+        target = math.log(config.c7 / (-log_level))
+
+        def g(tau):
+            w = omega.omega(tau)
+            return 2.0 * math.log(tau) - (math.log(w) if w > 0 else -math.inf)
+
+        lo, hi = math.log(odi._TAU_FLOOR), math.log(config.tau_max)
+        if g(math.exp(lo)) > target:
+            return None
+        if g(math.exp(hi)) < target:
+            return config.tau_max, True
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if g(math.exp(mid)) >= target:
+                hi = mid
+            else:
+                lo = mid
+        return math.exp(mid), False
+
+    log_y0 = math.log(config.y0)
+    taus, ts, ss, log_levels = [], [], [], []
+    clipped = 0
+    stalled = 0
+    for i in range(max_rounds):
+        log_level = log_y0 * (1.0 + config.gamma) ** i
+        if (root := radius(log_level)) is None:
+            break
+        tau_i, was_clipped = root
+        clipped += int(was_clipped)
+        w_i = omega.omega(tau_i)
+        t_i = config.gamma * config.c7 / config.cbar * w_i
+        s_i = tau_i**2 * config.c7 / (-log_level)
+        taus.append(tau_i)
+        ts.append(t_i)
+        ss.append(s_i)
+        log_levels.append(log_level)
+        if i >= 1 and ts[-1] >= ts[-2] * 0.999:
+            stalled += 1
+        else:
+            stalled = 0
+        if (t_i + s_i) < odi._ROUND_REL_TOL * (sum(ts) + sum(ss)):
+            break
+        if stalled >= 20:
+            break
+
+    dini = dini_integral(omega, c=min(omega.s0, math.exp(-1.0)))
+    tail = dini_integral(omega, c=taus[-1]) if taus else None
+    if dini.verdict == "divergent":
+        total = math.inf
+    elif dini.verdict == "convergent" and tail is not None and tail.converged:
+        lam = (1.0 + config.gamma) ** -0.5
+        total = float(np.sum(ts)) + float(np.sum(ss)) \
+            + config.gamma * config.c7 / config.cbar * tail.value / math.log(1.0 / lam)
+    else:
+        total = math.nan
+    return (taus, ts, ss, log_levels), clipped, total
+
+
+def _rounds(rep):
+    return (rep.tau_rounds.tolist(), rep.t_rounds.tolist(), rep.s_rounds.tolist(),
+            rep.log_levels.tolist()), rep.clipped_rounds, rep.total
+
+
+_FAMILY = [pytest.param(OmegaProfile.power(a), id=f"power-{a}") for a in (0.5, 1.0, 1.5)] \
+    + [pytest.param(OmegaProfile.log_power(b), id=f"log-power-{b}")
+       for b in (0.5, 1.0, 1.5, 2.0, 3.0)] \
+    + [pytest.param(OmegaProfile.constant(1.0), id="constant")]
+
+
+class TestLockStepRounds:
+    """The rounds' radii, bisected together, equal one bisection per level
+    bit for bit."""
+
+    @staticmethod
+    def assert_equal(rep, oracle):
+        (got, clipped, total), (want, want_clipped, want_total) = _rounds(rep), oracle
+        assert got == want and clipped == want_clipped
+        assert total == want_total or (math.isnan(total) and math.isnan(want_total))
+
+    @pytest.mark.parametrize("prof", _FAMILY)
+    def test_profile_family(self, prof):
+        cfg = OdiConfig(potential=PotentialField(1.0, prof), y0=1e-4, q=0.5)
+        self.assert_equal(extinction_iteration(cfg), _sequential_rounds(cfg))
+
+    @pytest.mark.parametrize("prof", [OmegaProfile.log_power(2.0), OmegaProfile.power(1.0)],
+                             ids=["log-power", "power"])
+    def test_clipped_rounds(self, prof):
+        cfg = OdiConfig(potential=PotentialField(1.0, prof), y0=0.9, q=0.5)
+        rep = extinction_iteration(cfg)
+        assert rep.clipped_rounds == 6
+        self.assert_equal(rep, _sequential_rounds(cfg))
+
+    def test_no_round_above_the_floor(self):
+        cfg = OdiConfig(potential=PotentialField(1.0, OmegaProfile.power(1.999)),
+                        y0=1e-4, q=0.5)
+        rep = extinction_iteration(cfg)
+        assert rep.rounds == 0
+        self.assert_equal(rep, _sequential_rounds(cfg))
+
+    def test_floor_round(self, beta2_config):
+        rep = extinction_iteration(beta2_config, max_rounds=800)
+        assert 700 < rep.rounds < 800
+        self.assert_equal(rep, _sequential_rounds(beta2_config, 800))
+
+    def test_levels_past_the_floor_are_never_made(self, beta2_config):
+        # (1 + gamma)**i overflows a float at i = 1024; the levels stop at
+        # the first radius below the floor, near round 706
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            deep = extinction_iteration(beta2_config, max_rounds=5000)
+        self.assert_equal(deep, _rounds(extinction_iteration(beta2_config, max_rounds=800)))
+        assert deep.verdict == "convergent"
 
 
 class TestComparisonProperty:
