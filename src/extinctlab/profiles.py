@@ -156,8 +156,10 @@ class OmegaProfile:
         whenever ``xs[i] == x`` (NaN included).  Its path skips the range
         check over the array and, except where a power can overflow, the
         ``errstate`` block; log-power has a branch of its own for the
-        uncapped range 0 < s <= 1/e.  Neither path uses ``math``: its
-        ``log`` and ``**`` round differently from numpy's array loops.
+        uncapped range 0 < s <= 1/e.  A log-power array with every s in
+        (0, 1) skips the masks and applies the masked path's ufuncs to the
+        whole array.  No path uses ``math``: its ``log`` and ``**`` round
+        differently from numpy's array loops.
         """
         arr, scalar = _asfarray(s)
         if scalar:
@@ -186,6 +188,9 @@ class OmegaProfile:
         if self.kind == "power":
             return np.minimum(arr ** self.alpha, self.omega0)
         if self.kind == "log-power":
+            if arr.size and arr.min() > 0 and arr.max() < 1:   # NaN fails
+                # no s = 0, s >= 1 or NaN to mask: the masked path's ufuncs
+                return np.minimum((-np.log(arr)) ** (-self.beta), self.omega0)
             out = np.empty_like(arr)
             pos = arr > 0
             L = np.full_like(arr, np.inf)
@@ -479,18 +484,28 @@ def as_potential(potential):
 # ---------------------------------------------------------------------------
 
 def _bisect_increasing(fn, lo, hi, targets):
-    """Vectorized bisection: fn increasing on [lo, hi], solve fn(r) = target."""
+    """Vectorized bisection: fn increasing on [lo, hi], solve fn(r) = target.
+
+    Each target stops on its own test, (hi - lo) <= 1e-15 hi, and from then
+    on is neither bisected nor passed to ``fn``.  So a target's root is the
+    same bits whether it is solved alone or among others.
+    """
     targets = np.asarray(targets, dtype=float)
-    lo = np.full_like(targets, lo)
-    hi = np.full_like(targets, hi)
+    flat = targets.ravel()
+    lo = np.full_like(flat, lo)
+    hi = np.full_like(flat, hi)
+    active = np.arange(flat.size)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        high = fn(mid) >= targets
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-        if np.all((hi - lo) <= 1e-15 * np.maximum(hi, 1e-300)):
+        if not active.size:
             break
-    return 0.5 * (lo + hi)
+        a_lo, a_hi = lo[active], hi[active]
+        mid = 0.5 * (a_lo + a_hi)
+        high = fn(mid) >= flat[active]
+        a_hi = np.where(high, mid, a_hi)
+        a_lo = np.where(high, a_lo, mid)
+        lo[active], hi[active] = a_lo, a_hi
+        active = active[~((a_hi - a_lo) <= 1e-15 * np.maximum(a_hi, 1e-300))]
+    return (0.5 * (lo + hi)).reshape(targets.shape)
 
 
 @dataclass(frozen=True)
@@ -498,7 +513,9 @@ class RhoMap:
     """Monotone maps r(z) = a^{-1}(z), rho(z) = z r(z)^2 and rho^{-1} on [r_lo, r_hi].
 
     Every query bisects the potential over [r_lo, r_hi], where a runs over
-    [z_min, z_max] and rho over [rho_min, rho_max].
+    [z_min, z_max] and rho over [rho_min, rho_max].  An array query is one
+    bisection for all its elements, and each element equals the scalar
+    query of that element bit for bit, so callers batch their queries.
     """
 
     potential: PotentialField

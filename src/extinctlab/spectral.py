@@ -99,15 +99,21 @@ def _inverse_iteration(diag, off):
     return None
 
 
-def knee_radius(potential, log_h: float) -> float | None:
-    """Radius in (0, 1] where h^(-2) a(r) crosses one, if in the monotone range."""
-    target = 2.0 * log_h
-    probe = np.geomspace(1e-8, 1.0, 2000)
-    la = potential.log_a(probe)
-    idx = np.searchsorted(la, target)
-    if idx == 0 or idx >= probe.size:
+_KNEE_PROBE = np.geomspace(1e-8, 1.0, 2000)
+
+
+def knee_radius(potential, log_h: float, probe_log_a=None) -> float | None:
+    """Radius in (0, 1] where h^(-2) a(r) crosses one, if in the monotone range.
+
+    The knee is the first of 2000 geometric probe radii where ln a reaches
+    2 ln h.  ``probe_log_a`` is ln a on those radii; a sweep over ln h
+    evaluates it once and passes it to every solve.
+    """
+    la = potential.log_a(_KNEE_PROBE) if probe_log_a is None else probe_log_a
+    idx = np.searchsorted(la, 2.0 * log_h)
+    if idx == 0 or idx >= _KNEE_PROBE.size:
         return None
-    return float(probe[idx])
+    return float(_KNEE_PROBE[idx])
 
 
 def _graded_faces(n: int, knee: float | None) -> np.ndarray:
@@ -127,19 +133,19 @@ def _graded_faces(n: int, knee: float | None) -> np.ndarray:
 
 
 def ground_state(potential, log_h: float = 0.0, dimension: int = 1,
-                 cells: int = 2000) -> GroundState:
+                 cells: int = 2000, probe_log_a=None) -> GroundState:
     """Smallest eigenpair of -Lap + h^(-2) a(|x|) on the unit ball with
     zero-flux boundaries, at ln h = ``log_h``.
 
     Falls back to a Sturm-sequence bisection eigensolve when the iteration
     stagnates.  The returned vector is normalized against the volume weight
-    (positive phase).
+    (positive phase).  ``probe_log_a`` is passed on to ``knee_radius``.
     """
     if not math.isfinite(log_h):
         raise ValueError("log_h must be finite")
     potential = as_potential(potential)
     # a constant potential has no crossing, so its knee is None
-    faces = _graded_faces(cells, knee_radius(potential, log_h))
+    faces = _graded_faces(cells, knee_radius(potential, log_h, probe_log_a))
     grid = RadialGrid.from_faces(faces, dimension)
     log_V = potential.log_a(grid.centers) - 2.0 * log_h
     with np.errstate(under="ignore"):
@@ -178,9 +184,18 @@ def rayleigh_quotient(gs: GroundState, potential, log_h: float = 0.0) -> float:
     return num / grid.integrate(gs.vector**2)
 
 
+def _ground_sweep(potential, log_hs, cells: int) -> list[GroundState]:
+    """Ground states at each ln h of ``log_hs``, with ln a on the knee probe
+    evaluated once for the whole sweep."""
+    potential = as_potential(potential)
+    probe_log_a = potential.log_a(_KNEE_PROBE)
+    return [ground_state(potential, lh, cells=cells, probe_log_a=probe_log_a)
+            for lh in log_hs]
+
+
 def _ground_values(potential, log_hs, cells: int) -> np.ndarray:
     """Ground-state values at each ln h of ``log_hs``."""
-    return np.array([ground_state(potential, lh, cells=cells).value for lh in log_hs])
+    return np.array([gs.value for gs in _ground_sweep(potential, log_hs, cells)])
 
 
 def mu_n_sequence(potential, n_max: int = 20, cells: int = 400) -> np.ndarray:
@@ -220,20 +235,16 @@ def eigenvalue_sandwich_scan(potential, h_values, rho_map: RhoMap,
     the rest.
     """
     h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
-    lam = np.empty_like(h_values)
-    res = np.empty_like(h_values)
+    states = _ground_sweep(potential, [math.log(h) for h in h_values], cells)
+    lam = np.array([gs.value for gs in states])
+    res = np.array([gs.residual for gs in states])
+    s = h_values**2
+    in_range = (rho_map.rho_min <= s) & (s <= rho_map.rho_max)
     rinv = np.full_like(h_values, np.nan)
-    clipped = 0
-    for i, h in enumerate(h_values):
-        gs = ground_state(potential, math.log(h), cells=cells)
-        lam[i], res[i] = gs.value, gs.residual
-        s = h * h
-        if rho_map.rho_min <= s <= rho_map.rho_max:
-            rinv[i] = rho_map.rho_inv(s)
-        else:
-            clipped += 1
+    rinv[in_range] = rho_map.rho_inv(s[in_range])   # one bisection for all h
+    clipped = int(np.count_nonzero(~in_range))
     with np.errstate(invalid="ignore"):
-        ratios = lam * h_values**2 / rinv
+        ratios = lam * s / rinv
     ok = np.isfinite(ratios)
     if not np.any(ok):
         raise EigenSolveError("no usable ratios in the scan range")

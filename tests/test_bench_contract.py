@@ -45,14 +45,17 @@ def traced(tracer, command: str, cfg: Path, out: Path) -> tuple[int, dict]:
 def test_traced_verify_counts_ground_states_and_rounds(tracer, tmp_path):
     code, m = traced(tracer, "verify", BENCH / "workloads" / "verify.ini", tmp_path / "o")
     assert code == 0
-    assert m["spectral.ground_state.calls"] > 0
+    # 7 scan points, mu_0..mu_20 and the criterion's n = 2..40
+    assert m["spectral.ground_state.calls"] == 67
     assert m["spectral.ground_state.iterations"] >= m["spectral.ground_state.calls"] \
         - m["spectral.ground_state.fallbacks"]
     assert m["odi.rounds"] > 0
     assert m["odi.rounds_capped"] == 1   # the README config hits max_rounds
     # one lock-step bisection for all rounds, one for the level of tau'''
     assert m["odi.solve_extinction_radius.calls"] <= 2
-    assert m["profiles.omega.calls"] < 2000
+    # one knee probe per sweep and one rho^-1 bisection per scan (703 calls;
+    # a probe per ground state and a bisection per scan point made 1083)
+    assert m["profiles.omega.calls"] < 1000
     assert m["solver.run.steps"] == 0
 
 

@@ -1,5 +1,6 @@
 import configparser
 import json
+import math
 import os
 import subprocess
 import sys
@@ -533,6 +534,47 @@ class TestHygiene:
         assert files1 == files2
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("profile", [BETA2, BETA2.replace("beta = 2.0", "beta = 3.0"),
+                                         CONSTANT], ids=["beta2", "beta3", "constant"])
+    def test_per_call_forms_write_the_same_bytes(self, tmp_path, monkeypatch, profile):
+        import extinctlab.cli as cli
+        import extinctlab.profiles as profiles
+        import extinctlab.spectral as spectral
+
+        def per_point_scan(potential, h_values, rho_map, cells):
+            """One lone solve and one scalar rho^-1 per h."""
+            lam, res, rinv, clipped = [], [], [], 0
+            for h in h_values:
+                gs = spectral.ground_state(potential, math.log(h), cells=cells)
+                lam.append(gs.value)
+                res.append(gs.residual)
+                in_range = rho_map.rho_min <= h * h <= rho_map.rho_max
+                rinv.append(rho_map.rho_inv(h * h) if in_range else math.nan)
+                clipped += not in_range
+            ratios = np.array(lam) * h_values**2 / np.array(rinv)
+            ok = np.isfinite(ratios)
+            bracket = float(max(np.max(ratios[ok]), 1.0 / np.min(ratios[ok])))
+            return spectral.SpectralScan(h_values, np.array(lam), np.array(res),
+                                         np.array(rinv), ratios, bracket, clipped)
+
+        cfg = write_config(tmp_path, profile + README[len(BETA2):])
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "new")])
+        monkeypatch.setattr(cli, "eigenvalue_sandwich_scan", per_point_scan)
+        # each ground state of mu_n and the criterion probes its own knee
+        monkeypatch.setattr(spectral, "_ground_sweep", lambda potential, log_hs, cells: [
+            spectral.ground_state(potential, lh, cells=cells) for lh in log_hs])
+        # log-power omega always masks: a trailing s = 0 makes the array
+        # leave (0, 1), and the masked path works element by element
+        omega_array = profiles.OmegaProfile._omega_array
+        monkeypatch.setattr(profiles.OmegaProfile, "_omega_array", lambda self, arr: omega_array(
+            self, np.append(arr, 0.0))[:-1].reshape(arr.shape))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "old")]) == code
+        names = sorted(p.name for p in (tmp_path / "new").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "old").iterdir())
+        for name in names:
+            assert (tmp_path / "new" / name).read_bytes() == \
+                (tmp_path / "old" / name).read_bytes(), name
 
     def test_manifest_complete(self, tmp_path):
         cfg = write_config(tmp_path, BETA2)

@@ -225,6 +225,23 @@ class TestRhoMap:
         with pytest.raises(MonotonicityError):
             build_rho_map(ConstantPotential(1.0))
 
+    # the profiles of the bound-coherence acceptance family
+    @pytest.mark.parametrize("prof", [
+        OmegaProfile.power(0.5), OmegaProfile.power(1.0), OmegaProfile.power(1.5),
+        OmegaProfile.log_power(0.5), OmegaProfile.log_power(1.0),
+        OmegaProfile.log_power(1.5), OmegaProfile.log_power(2.0),
+        OmegaProfile.log_power(3.0), OmegaProfile.constant(1.0),
+    ], ids=lambda p: {"power": f"power-{p.alpha}", "log-power": f"log-power-{p.beta}"}.get(
+        p.kind, p.kind))
+    def test_batched_query_equals_scalar_queries(self, prof):
+        # each target stops on its own test: a target bisected on after it
+        # converged moved by up to 1.1e-14, relative
+        rmap = build_rho_map(PotentialField(1.0, prof))
+        s = np.clip(np.geomspace(1e-12, 1e-6, 40), rmap.rho_min, rmap.rho_max)
+        assert np.array_equal(rmap.rho_inv(s), [rmap.rho_inv(float(x)) for x in s])
+        z = np.geomspace(rmap.z_min, rmap.z_max, 20)
+        assert np.array_equal(rmap.r_of_z(z), [rmap.r_of_z(float(x)) for x in z])
+
     def test_out_of_range_argument_raises(self):
         rmap = build_rho_map(PotentialField(1.0, OmegaProfile.log_power(2.0)))
         with pytest.raises(MonotonicityError):

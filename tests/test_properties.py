@@ -1,8 +1,9 @@
 """Property tests over generated inputs: the IMEX step's invariants, the
 log-space quadrature rule against a high-precision oracle, ground states
 against a full-precision reference and their monotonicity in h, the tail
-fit's least-squares slope against a 50-digit one, and the Dini integral
-against its closed forms and the verdicts on either side of beta = 1.
+fit's least-squares slope against a 50-digit one, the Dini integral
+against its closed forms and the verdicts on either side of beta = 1, and
+log-power omega's unmasked path against its masked one, bit for bit.
 
 Every test is derandomized and keeps no example database, so the suite runs
 the same examples each time.
@@ -287,3 +288,32 @@ class TestDiniVerdicts:
     def test_convergent_just_above_one(self, route):
         # exact integral over (0, 1/e) at beta = 1.03: 1/0.03 = 33.3
         assert dini_verdicts(1.03)[route] != "divergent"
+
+
+# s in (0, 1) near both ends, and every s outside it that log-power omega
+# treats apart: zeros, s >= 1 and NaN
+uncapped_s = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([TINY, 1e-310, NORMAL_MIN, 1e-300, np.nextafter(1.0, 0.0)]))
+other_s = st.sampled_from([0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), 2.0, np.inf, np.nan])
+
+
+class TestLogPowerUnmasked:
+    """Log-power omega skips its masks when every s lies in (0, 1).  An
+    array holding s outside (0, 1) takes the masked path; its elements in
+    (0, 1) must carry the same bits as the same s evaluated on their own,
+    unmasked, and as each s passed alone as a scalar."""
+
+    @fixed
+    @given(st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([0.3, 1.0]),
+           st.lists(uncapped_s, min_size=1, max_size=60),
+           st.lists(other_s, min_size=1, max_size=6), st.randoms(use_true_random=False))
+    def test_unmasked_equals_masked(self, beta, omega0, inside, outside, rnd):
+        prof = OmegaProfile.log_power(beta, omega0=omega0)
+        mixed = inside + outside
+        rnd.shuffle(mixed)
+        s = np.array(mixed)
+        uncapped = (s > 0) & (s < 1)
+        masked = prof.omega(s)
+        assert np.array_equal(masked[uncapped], prof.omega(s[uncapped]))
+        assert np.array_equal(masked, [prof.omega(x) for x in mixed], equal_nan=True)

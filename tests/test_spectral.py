@@ -248,3 +248,35 @@ class TestKneeRefinement:
 
     def test_no_knee_for_weak_scaling(self, beta2_potential):
         assert knee_radius(beta2_potential, log_h=math.log(10.0)) is None
+
+
+class TestSweeps:
+    """The mu_n sequence, the criterion and the scan evaluate ln a on the
+    knee probe once per sweep; each of their ground states must equal the
+    one a lone call computes, probe and all."""
+
+    @pytest.mark.parametrize("prof", [OmegaProfile.log_power(2.0), OmegaProfile.power(1.5),
+                                      OmegaProfile.constant(1.0)], ids=lambda p: p.kind)
+    def test_sweep_states_equal_lone_solves(self, prof, monkeypatch):
+        import extinctlab.spectral as spectral
+        potential = PotentialField(1.0, prof)
+        real = spectral.ground_state
+        solved = []
+
+        def recording(potential, log_h, **kwargs):
+            gs = real(potential, log_h, **kwargs)
+            solved.append((log_h, kwargs["cells"], gs))
+            return gs
+
+        monkeypatch.setattr(spectral, "ground_state", recording)
+        mu_n_sequence(potential, n_max=4, cells=200)
+        spectral_criterion_series(potential, n_range=(2, 6), cells=300)
+        eigenvalue_sandwich_scan(potential, np.geomspace(1e-3, 1e-1, 4),
+                                 build_rho_map(potential), cells=400)
+        assert len(solved) == 5 + 5 + 4
+        for log_h, cells, gs in solved:
+            lone = real(potential, log_h, cells=cells)
+            assert (lone.value, lone.residual, lone.iterations) == \
+                (gs.value, gs.residual, gs.iterations)
+            assert np.array_equal(lone.vector, gs.vector)
+            assert np.array_equal(lone.grid.faces, gs.grid.faces)
