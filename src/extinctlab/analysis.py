@@ -138,21 +138,26 @@ def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9) -> Quadratur
     return QuadratureResult(value, err, n_eval, "inconclusive", tuple(windows[-5:]))
 
 
+def _slope_into(x: np.ndarray, y: np.ndarray) -> float | None:
+    """``_slope(x, y)`` with x and y as its scratch: both are overwritten."""
+    if x.size < 2 or x[0] == x[-1]:
+        return None
+    x -= x.mean()
+    y -= y.mean()
+    y *= x
+    sxy = float(y.sum())
+    np.square(x, out=x)
+    return sxy / float(x.sum())
+
+
 def _slope(x: np.ndarray, y: np.ndarray) -> float | None:
     """Least-squares slope of y against ascending x, in centred closed form.
 
     sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), with numpy's
     pairwise sums.  None when x holds fewer than two distinct values, where
-    no line is determined.
+    no line is determined.  ``x`` and ``y`` are left unchanged.
     """
-    if x.size < 2 or x[0] == x[-1]:
-        return None
-    dx = x - x.mean()
-    scratch = np.square(dx)
-    sxx = float(scratch.sum())
-    np.subtract(y, y.mean(), out=scratch)
-    scratch *= dx
-    return float(scratch.sum()) / sxx
+    return _slope_into(x.copy(), y.copy())
 
 
 def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | None, str]:
@@ -172,9 +177,15 @@ def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | No
         return 0.0, None, "convergent"  # terms died; finite sum
     if kept < t.size:
         n, t = n[pos], t[pos]
-    ln_n = np.log(n)
-    last_decade = slice(np.searchsorted(n, n[-1] / 10.0), None)
-    slope = _slope(ln_n[last_decade], np.log(t[last_decade]))
+    decade = np.searchsorted(n, n[-1] / 10.0)
+    wide = np.searchsorted(n, max(10.0, n[0]))
+    # both fits share two buffers, each the longer window long
+    bx = np.empty(n.size - min(decade, wide))
+    by = np.empty_like(bx)
+    x, y = bx[:n.size - decade], by[:n.size - decade]
+    np.log(n[decade:], out=x)
+    np.log(t[decade:], out=y)
+    slope = _slope_into(x, y)
     if slope is None:
         return math.nan, None, "inconclusive"
     if slope < -1.3:
@@ -182,9 +193,10 @@ def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | No
     if slope > -0.95:
         return slope, None, "divergent"
     # harmonic boundary: examine the log factor over the full index range
-    wide = slice(np.searchsorted(n, max(10.0, n[0])), None)
-    resid = n[wide] * t[wide]
-    b = _slope(np.log(ln_n[wide]), np.log(resid, out=resid))
+    x, y = bx[:n.size - wide], by[:n.size - wide]
+    np.log(np.log(n[wide:], out=x), out=x)
+    np.log(np.multiply(n[wide:], t[wide:], out=y), out=y)
+    b = _slope_into(x, y)
     if b is None:
         return slope, None, "inconclusive"
     b = -b
@@ -199,7 +211,8 @@ def _diagnose_series(n: np.ndarray, t: np.ndarray, rejected: int = 0) -> SeriesD
     """Tail-fit verdict and total of sum t_n; keeps ~200 geometric partial sums."""
     if t.size == 0:  # no usable term: nothing to fit, nothing to judge
         return SeriesDiagnosis(n, t, t, 0.0, math.nan, None, "inconclusive", rejected)
-    # fit before the cumsum array exists: the fit's temporaries are the peak
+    # fit before the cumsum array exists: n, t and the fit's two window
+    # buffers are the peak
     slope, b, verdict = _two_stage_tail_fit(n, t)
     csum = np.cumsum(t)
     idx = np.unique(np.geomspace(1, len(t), min(200, len(t))).astype(int)) - 1
@@ -214,8 +227,9 @@ def dini_series(omega: OmegaProfile, n_max: int = 1_000_000) -> SeriesDiagnosis:
 
     The terms are evaluated _SERIES_CHUNK indices at a time into one array,
     bit for bit as one call over all n would give them, so memory stays at
-    a few arrays of n_max doubles.  The indices are ascending, as
-    ``_two_stage_tail_fit`` needs; a degenerate fit window is inconclusive.
+    ``n``, ``t`` and the fit's two window buffers: four arrays of n_max
+    doubles.  The indices are ascending, as ``_two_stage_tail_fit`` needs;
+    a degenerate fit window is inconclusive.
     """
     n = np.arange(2, n_max + 1, dtype=float)
     t = np.empty_like(n)

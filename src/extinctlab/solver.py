@@ -33,6 +33,10 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .analysis import _slope
 from .profiles import as_potential
 
+#: snapshot rows run() allocates up front; the default decimation never
+#: needs more, a small user-set ``snapshot_every`` grows the buffer by doubling
+_SNAPSHOT_ROWS = 1024
+
 
 class NumericsError(RuntimeError):
     """Fatal numerical failure; carries a diagnostic snapshot."""
@@ -253,7 +257,8 @@ class SolutionTrajectory:
     umin: np.ndarray
     mass: np.ndarray          # integral of u
     snapshot_times: np.ndarray
-    snapshots: np.ndarray     # (k, n) array of decimated states
+    snapshots: np.ndarray     # (k, n) decimated states: the written rows of
+                              # one buffer, grown only past _SNAPSHOT_ROWS
     extinction_time: float | None
     threshold: float
 
@@ -283,7 +288,11 @@ def run(spec: ProblemSpec) -> SolutionTrajectory:
     umin = [float(np.min(u))]
     mass = [grid.integrate(u)]
     snap_t = [0.0]
-    snaps = [u.copy()]
+    # the initial row, every multiple of ``every`` and one final or
+    # extinction row
+    rows = n_steps // every + 2
+    snaps = np.empty((min(rows, _SNAPSHOT_ROWS), grid.n))
+    snaps[0] = u
     extinction_time = None
 
     vol = grid.volumes
@@ -304,21 +313,32 @@ def run(spec: ProblemSpec) -> SolutionTrajectory:
         umin.append(lo)
         mass.append(float(np.dot(vol, u)))
         if k % every == 0 or k == n_steps:
+            snaps = _put_row(snaps, len(snap_t), u, rows)
             snap_t.append(t)
-            snaps.append(u.copy())
         if sup < threshold:
             extinction_time = t
             if snap_t[-1] != t:
+                snaps = _put_row(snaps, len(snap_t), u, rows)
                 snap_t.append(t)
-                snaps.append(u.copy())
             break
 
     return SolutionTrajectory(
         grid=grid, spec=spec,
         times=np.asarray(times), l2sq=np.asarray(l2sq), linf=np.asarray(linf),
         umin=np.asarray(umin), mass=np.asarray(mass),
-        snapshot_times=np.asarray(snap_t), snapshots=np.asarray(snaps),
+        snapshot_times=np.asarray(snap_t), snapshots=snaps[:len(snap_t)],
         extinction_time=extinction_time, threshold=threshold)
+
+
+def _put_row(buf: np.ndarray, i: int, u: np.ndarray, rows: int) -> np.ndarray:
+    """``buf`` with row i set to u; a full buffer is first doubled, to at
+    most ``rows`` rows."""
+    if i == len(buf):
+        grown = np.empty((min(2 * i, rows), buf.shape[1]))
+        grown[:i] = buf
+        buf = grown
+    buf[i] = u
+    return buf
 
 
 def ode_extinction_time(eps: float, q: float, u0_sup: float) -> float:

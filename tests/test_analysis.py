@@ -80,6 +80,47 @@ def _one_shot_series(profile, n_max=1_000_000):
     return n, t, np.cumsum(t), idx
 
 
+def _reference_tail_fit(n, t):
+    """The two-stage fit as first written: full-length ln n, ln t, ln ln n
+    and n t arrays, and two fresh centring arrays per slope."""
+    def slope(x, y):
+        if x.size < 2 or x[0] == x[-1]:
+            return None
+        dx = x - x.mean()
+        scratch = np.square(dx)
+        sxx = float(scratch.sum())
+        np.subtract(y, y.mean(), out=scratch)
+        scratch *= dx
+        return float(scratch.sum()) / sxx
+
+    pos = t > 0
+    if np.count_nonzero(pos) < 8:
+        return 0.0, None, "convergent"
+    n, t = n[pos], t[pos]
+    ln_n = np.log(n)
+    last_decade = slice(np.searchsorted(n, n[-1] / 10.0), None)
+    a = slope(ln_n[last_decade], np.log(t[last_decade]))
+    if a is None:
+        return math.nan, None, "inconclusive"
+    if a < -1.3:
+        return a, None, "convergent"
+    if a > -0.95:
+        return a, None, "divergent"
+    wide = slice(np.searchsorted(n, max(10.0, n[0])), None)
+    b = slope(np.log(ln_n[wide]), np.log(n[wide] * t[wide]))
+    if b is None:
+        return a, None, "inconclusive"
+    b = -b
+    verdict = "convergent" if b > 1.05 else "divergent" if b < 0.95 else "inconclusive"
+    return a, b, verdict
+
+
+def _assert_same_fit(got, want):
+    """(slope, b, verdict) equal as doubles; a NaN slope matches a NaN."""
+    assert got[1:] == want[1:]
+    assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
+
+
 def _reference_slope(x, y):
     """Centred least-squares slope in long double, means from math.fsum."""
     dx = x.astype(np.longdouble) - np.longdouble(math.fsum(x)) / x.size
@@ -135,15 +176,70 @@ class TestChunkedSeries:
     def test_acceptance_family_verdicts(self, profile, expected):
         assert dini_series(profile).verdict == expected
 
-    def test_peak_memory_bounded(self):
-        profile = OmegaProfile.log_power(2.0)
+    @pytest.mark.parametrize("profile", [OmegaProfile.log_power(2.0),
+                                         OmegaProfile.power(1.0)],
+                             ids=["log-power-2", "power-1"])
+    def test_peak_memory_bounded(self, profile):
+        # n, t and the fit's two window buffers: four arrays of n_max doubles
+        # (log-power-2 runs both fit stages, power-1 only the first)
+        n_max = 1_000_000
         tracemalloc.start()
         try:
-            dini_series(profile)
+            dini_series(profile, n_max=n_max)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 75 * 2**20
+        assert peak < 4.5 * 8 * n_max
+
+
+_ACCEPTANCE_FAMILY = [
+    pytest.param(OmegaProfile.power(a), id=f"power-{a}") for a in (0.5, 1.0, 1.5)
+] + [
+    pytest.param(OmegaProfile.log_power(b), id=f"log-power-{b}")
+    for b in (0.5, 1.0, 1.5, 2.0, 3.0)
+] + [pytest.param(OmegaProfile.constant(1.0), id="constant")]
+
+_DEGENERATE_WINDOWS = [
+    (np.r_[np.arange(2.0, 10.0), 1000.0], 2.0),  # one-point decade
+    (np.arange(2.0, 11.0), 1.1),   # n >= 10 window holds one point
+    (np.arange(2.0, 10.0), 1.1),   # n >= 10 window is empty
+]
+
+
+class TestTailFitOracle:
+    """The buffered fit against the fit as first written, double for double."""
+
+    @pytest.mark.parametrize("profile", _ACCEPTANCE_FAMILY)
+    def test_acceptance_family(self, profile):
+        n, t, _, _ = _one_shot_series(profile)
+        diag = dini_series(profile)
+        want = _reference_tail_fit(n, t)
+        _assert_same_fit(_two_stage_tail_fit(n, t), want)
+        _assert_same_fit((diag.tail_exponent, diag.log_factor_exponent, diag.verdict), want)
+
+    @pytest.mark.parametrize("n_max", [1000, 2**16 + 1, 3 * 2**16 + 1])
+    def test_chunk_boundaries(self, n_max):
+        n, t, _, _ = _one_shot_series(OmegaProfile.log_power(2.0), n_max=n_max)
+        _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
+
+    @pytest.mark.parametrize("n,power", _DEGENERATE_WINDOWS)
+    def test_degenerate_windows(self, n, power):
+        t = n ** -power
+        _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, 3.0])
+    def test_spectral_criterion_sized_window(self, beta):
+        # n = 2..40: the last decade starts at n = 4, before the n >= 10
+        # window, so the first fit is the longer one
+        n = np.arange(2.0, 41.0)
+        t = 1.0 / (n * np.log(n) ** beta)
+        _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
+
+    def test_nonpositive_terms_dropped(self):
+        n = np.arange(2.0, 5001.0)
+        t = 1.0 / (n * np.log(n) ** 2)
+        t[::3] = 0.0
+        _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
 
 
 class TestTailFit:

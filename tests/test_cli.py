@@ -525,15 +525,19 @@ class TestConfigValues:
 
 class TestHygiene:
     def test_determinism_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, ODE_REGIME + "\n[odi]\ny0 = 1e-4\n")
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
-        files1 = sorted(p.name for p in out1.iterdir())
-        files2 = sorted(p.name for p in out2.iterdir())
-        assert files1 == files2
-        for name in files1:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        for command, config in [("simulate", ODE_REGIME + "\n[odi]\ny0 = 1e-4\n"),
+                                ("verify", README)]:
+            base = tmp_path / command
+            base.mkdir()
+            cfg = write_config(base, config)
+            out1, out2 = base / "o1", base / "o2"
+            assert main([command, "--config", str(cfg), "--out", str(out1)]) == 0
+            assert main([command, "--config", str(cfg), "--out", str(out2)]) == 0
+            files1 = sorted(p.name for p in out1.iterdir())
+            files2 = sorted(p.name for p in out2.iterdir())
+            assert files1 == files2
+            for name in files1:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     @pytest.mark.parametrize("profile", [BETA2, BETA2.replace("beta = 2.0", "beta = 3.0"),
                                          CONSTANT], ids=["beta2", "beta3", "constant"])

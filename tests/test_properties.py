@@ -1,9 +1,10 @@
 """Property tests over generated inputs: the IMEX step's invariants, the
 log-space quadrature rule against a high-precision oracle, ground states
 against a full-precision reference and their monotonicity in h, the tail
-fit's least-squares slope against a 50-digit one, the Dini integral
-against its closed forms and the verdicts on either side of beta = 1, and
-log-power omega's unmasked path against its masked one, bit for bit.
+fit's least-squares slope against a 50-digit one, its in-place form
+against it bit for bit, the Dini integral against its closed forms and the
+verdicts on either side of beta = 1, and log-power omega's unmasked path
+against its masked one, bit for bit.
 
 Every test is derandomized and keeps no example database, so the suite runs
 the same examples each time.
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from extinctlab.analysis import _slope, dini_integral, dini_series, log_segment_integrals
+from extinctlab.analysis import (
+    _slope, _slope_into, dini_integral, dini_series, log_segment_integrals)
 from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField
 from extinctlab.solver import RadialGrid, Stepper
 from extinctlab.spectral import ground_state, spectral_criterion_series
@@ -233,6 +235,14 @@ class TestSlopeOracle:
         ref, spread = mpmath_slope(x, y)
         scale = max(abs(ref), spread, np.max(np.abs(y)) / np.std(x))
         assert abs(got - ref) <= 1e-14 * scale
+
+    @fixed
+    @given(line_fits())
+    def test_in_place_form_is_bitwise_equal(self, fit):
+        x, y = fit
+        x0, y0 = x.copy(), y.copy()
+        assert _slope_into(x.copy(), y.copy()) == _slope(x, y)
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
 
 
 log_c = st.floats(math.log(1e-4), -1.0)   # c in [1e-4, 1/e]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -450,6 +451,39 @@ class TestRun:
             errs.append(np.max(np.abs(traj.snapshots[-1] - exact)))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(rates > 1.6)
+
+
+class TestSnapshotMemory:
+    def test_snapshots_held_once(self):
+        # 401 snapshots of 2000 cells: one buffer, not a list of copies
+        # stacked into a second array at the end
+        spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0), u0=1.0,
+                           cells=2000, dt=1e-3, horizon=0.4, snapshot_every=1)
+        tracemalloc.start()
+        try:
+            traj = run(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.snapshots.shape == (401, 2000)
+        assert peak < 1.25 * traj.snapshots.nbytes
+
+    def test_buffer_grows_to_an_early_extinction(self):
+        # snapshot_every = 1 on a horizon 500x the extinction time: the
+        # buffer doubles past _SNAPSHOT_ROWS instead of reserving a
+        # million rows, and the copied rows keep their bits
+        spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0), u0=1.0,
+                           cells=50, dt=1e-3, horizon=1000.0, snapshot_every=1)
+        tracemalloc.start()
+        try:
+            traj = run(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solver._SNAPSHOT_ROWS < traj.times.size < 2 * solver._SNAPSHOT_ROWS
+        assert traj.snapshots.shape == (traj.times.size, 50)
+        assert np.array_equal(traj.snapshots.max(axis=1), traj.linf)
+        assert peak < 4 * traj.snapshots.nbytes
 
 
 class TestOdeExtinctionTime:
