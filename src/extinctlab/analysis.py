@@ -10,8 +10,8 @@ All integrands carrying the factor exp(-A*omega(s)/s**2) go through one
 log-space 32-point Gauss-Legendre rule, ``log_segment_integrals``: it
 returns the log of each segment's integral, scaling every segment by its
 own largest integrand, so magnitudes far below the double-precision
-underflow limit stay exact.  The endpoint integrals call it once per dyadic
-window; the dominating curve of ``odi`` takes running sums of its output.
+underflow limit stay exact.  The dominating curve of ``odi`` takes running
+sums of its output.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ _DIVERGENCE_RUN = 20
 _SERIES_CHUNK = 1 << 16
 #: dyadic windows dini_integral sums before it gives up as inconclusive
 _DINI_MAX_WINDOWS = 400
-#: log_endpoint_integral stops once three windows add less than this share
-_ENDPOINT_REL_TOL = 1e-10
-#: dyadic windows log_endpoint_integral sweeps before it returns NaN
-_ENDPOINT_MAX_WINDOWS = 600
 
 
 class DomainError(ValueError):
@@ -139,7 +135,13 @@ def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9) -> Quadratur
 
 
 def _slope_into(x: np.ndarray, y: np.ndarray) -> float | None:
-    """``_slope(x, y)`` with x and y as its scratch: both are overwritten."""
+    """Least-squares slope of y against ascending x, in centred closed form.
+
+    sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), with numpy's
+    pairwise sums.  None when x holds fewer than two distinct values, where
+    no line is determined.  ``x`` and ``y`` are the scratch: both are
+    overwritten.
+    """
     if x.size < 2 or x[0] == x[-1]:
         return None
     x -= x.mean()
@@ -148,16 +150,6 @@ def _slope_into(x: np.ndarray, y: np.ndarray) -> float | None:
     sxy = float(y.sum())
     np.square(x, out=x)
     return sxy / float(x.sum())
-
-
-def _slope(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Least-squares slope of y against ascending x, in centred closed form.
-
-    sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), with numpy's
-    pairwise sums.  None when x holds fewer than two distinct values, where
-    no line is determined.  ``x`` and ``y`` are left unchanged.
-    """
-    return _slope_into(x.copy(), y.copy())
 
 
 def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | None, str]:
@@ -258,10 +250,6 @@ def equivalence_check(omega: OmegaProfile) -> EquivalenceReport:
     return EquivalenceReport(quad, ser, agree)
 
 
-# ---------------------------------------------------------------------------
-# asymptotic equivalence of endpoint integrals (log-space machinery)
-# ---------------------------------------------------------------------------
-
 def log_segment_integrals(logf, knots: np.ndarray) -> np.ndarray:
     """ln of the integral of exp(logf) over each segment between knots.
 
@@ -277,79 +265,6 @@ def log_segment_integrals(logf, knots: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):  # rows with no finite max
         out = m + np.log(half * (np.exp(g - m[:, None]) * _GL_WEIGHTS).sum(axis=1))
     return np.where(np.isfinite(m), out, -np.inf)
-
-
-def log_endpoint_integral(logf, tau: float) -> float:
-    """log of the integral of exp(logf(s)) ds over (0, tau].
-
-    Windows shrink dyadically toward 0; the sweep stops once three
-    consecutive windows contribute below _ENDPOINT_REL_TOL of the running
-    total.  Integrands here decay super-exponentially at 0, so the
-    truncation is harmless.  Returns -inf for an identically underflowed
-    integrand and NaN when _ENDPOINT_MAX_WINDOWS windows end the sweep first.
-    """
-    log_total = -np.inf
-    quiet = 0
-    for k in range(_ENDPOINT_MAX_WINDOWS):
-        lw = log_segment_integrals(logf, np.array([tau * 2.0 ** -(k + 1), tau * 2.0**-k]))[0]
-        log_total = np.logaddexp(log_total, lw)
-        if np.isfinite(log_total) and lw < log_total + math.log(_ENDPOINT_REL_TOL):
-            quiet += 1
-            if quiet >= 3:
-                return float(log_total)
-        else:
-            quiet = 0
-    return math.nan if np.isfinite(log_total) else -np.inf
-
-
-@dataclass(frozen=True)
-class RatioRow:
-    tau: float
-    log_integral: float
-    ratio: float
-    inconclusive: bool = False
-
-
-def endpoint_equivalence_ratios(omega: OmegaProfile, m: float, l: float, A: float,
-                   tau_list) -> list[RatioRow]:
-    """Ratio of the endpoint integral of s^(m-2) omega^(l+1) exp(-A omega/s^2)
-    to its closed-form comparison tau^(m+1) omega(tau)^l exp(-A omega/tau^2).
-
-    The equivalence predicts ratios trapped in a fixed bracket as tau -> 0.
-    """
-    if A <= 0:
-        raise DomainError("A must be positive")
-    rows = []
-    for tau in np.atleast_1d(np.asarray(tau_list, dtype=float)):
-        def logf(s):
-            w = omega.omega(s)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = (m - 2.0) * np.log(s) + (l + 1.0) * np.log(w) - A * w / s**2
-            return np.where(np.isfinite(out), out, -np.inf)
-
-        log_int = log_endpoint_integral(logf, float(tau))
-        w_tau = omega.omega(float(tau))
-        log_cf = (m + 1.0) * math.log(tau) + l * math.log(w_tau) - A * w_tau / tau**2
-        if np.isfinite(log_int):
-            rows.append(RatioRow(float(tau), log_int, math.exp(log_int - log_cf)))
-        else:
-            rows.append(RatioRow(float(tau), log_int, math.nan, True))
-    return rows
-
-
-def composite_endpoint_integral(logf, tau: float) -> float:
-    """Fixed-order composite-midpoint oracle for the same endpoint integral.
-
-    Deliberately independent of the adaptive window machinery; used to
-    cross-check single rows.  Works on 20 000 geometric cells over [tau*1e-8, tau].
-    """
-    edges = np.geomspace(tau * 1e-8, tau, 20_001)
-    mids = np.sqrt(edges[:-1] * edges[1:])
-    g = logf(mids)
-    m = float(np.max(g))
-    if not np.isfinite(m):
-        return -np.inf
-    return m + math.log(float(np.sum(np.exp(g - m) * np.diff(edges))))
 
 
 def spectral_log_sum(mu_values) -> SeriesDiagnosis:

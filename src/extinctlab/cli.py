@@ -142,8 +142,7 @@ def _verdict_exit(verdict: str) -> int:
 
 def cmd_dini(parser, out: OutputDir, args) -> int:
     profile = profile_from_config(parser, args.config_dir)
-    report = check_conditions(profile)
-    checks = report.checks
+    checks = check_conditions(profile)
     out.write_csv("conditions.csv",
                   ["condition", "passed", "witness_s", "witness_value"],
                   [[c.name for c in checks], [c.passed for c in checks],
@@ -164,7 +163,7 @@ def cmd_dini(parser, out: OutputDir, args) -> int:
         "integral_value": eq.integral.value,
         "series_verdict": eq.series.verdict,
         "verdicts_agree": eq.agree,
-        "conditions": {c.name: c.passed for c in report.checks},
+        "conditions": {c.name: c.passed for c in checks},
     }
     out.write_summary("dini", results, parser, args.seed)
     if eq.agree is None:

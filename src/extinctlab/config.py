@@ -209,6 +209,7 @@ def spectral_from_config(parser) -> dict:
     }
     for ok, need in [(0 < out["h_min"] < out["h_max"], "0 < h_min < h_max"),
                      (out["h_count"] >= 1, "h_count >= 1"),
+                     (out["cells"] >= 3, "cells >= 3"),
                      (out["K"] > 0, "k > 0"),   # NaN fails every check
                      (2 <= out["n_min"] <= out["n_max"], "2 <= n_min <= n_max"),
                      (0 <= out["mu_n_max"] <= 60, "0 <= mu_n_max <= 60")]:

@@ -19,7 +19,6 @@ refinement studies check the fit is stable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,66 +249,6 @@ def probe_outer_energy_relation(ledger: EnergyLedger) -> RelationProbe:
         ratios = np.where(alive & (rhs > 0), lhs / rhs, 0.0)
     c_hat = float(np.max(ratios)) if ratios.size else 0.0
     return RelationProbe(ledger.tau_grid, c_hat, skipped)
-
-
-@dataclass(frozen=True)
-class InterpolationProbe:
-    c1: float
-    c2: float
-    worst_margin: float          # min over corpus of c1*G + c2*P - L (>= 0)
-
-
-def _radial_corpus(grid, n_random: int) -> list[np.ndarray]:
-    r = grid.centers
-    R = grid.radius
-    corpus = [np.ones_like(r), 0.5 * np.ones_like(r), r / R, 1.0 - r / R]
-    for c, w in [(0.0, 0.1), (0.0, 0.3), (0.4, 0.1), (0.8, 0.05), (0.6, 0.2)]:
-        corpus.append(np.exp(-((r - c) ** 2) / (2 * w**2)))
-    rng = np.random.RandomState(42)
-    for _ in range(n_random):
-        coef = rng.standard_normal(6) / (1.0 + np.arange(6)) ** 2
-        v = np.zeros_like(r)
-        for k, ck in enumerate(coef):
-            v += ck * np.cos(math.pi * k * r / R)
-        corpus.append(v - v.min() + 0.1)   # keep them nonnegative
-    return corpus
-
-
-def probe_interpolation(grid, inner_radius: float, lam: float,
-                        sample_functions=None, n_random: int = 40) -> InterpolationProbe:
-    """Fit minimal (c1, c2) in  ||v||_2 <= c1 ||grad v||_2 + c2 ||v||_{lam, inner}.
-
-    The inner region is the centered ball of the given radius (strictly
-    interior).  The corpus mixes constants, bumps and random smooth radial
-    functions (seed 42); the reported pair minimizes c1 + c2 along the
-    feasibility frontier.
-    """
-    if not 1.0 < lam <= 2.0:
-        raise ValueError("lam must lie in (1, 2]")
-    if not 0 < inner_radius < grid.radius:
-        raise ValueError("inner region must be strictly interior")
-    corpus = list(sample_functions) if sample_functions is not None else \
-        _radial_corpus(grid, n_random)
-    op = FluxOperator(grid)
-    inner = grid.centers < inner_radius
-    L = np.empty(len(corpus))
-    G = np.empty(len(corpus))
-    P = np.empty(len(corpus))
-    for i, v in enumerate(corpus):
-        L[i] = math.sqrt(grid.integrate(v**2))
-        G[i] = math.sqrt(op.gradient_energy(v))
-        P[i] = float(np.dot(grid.volumes[inner], np.abs(v[inner]) ** lam)) ** (1.0 / lam)
-    if np.any(P <= 0):
-        raise ValueError("corpus contains a function vanishing on the inner region")
-
-    best = None
-    for c1 in np.geomspace(1e-3, 1e3, 181):
-        c2 = float(np.max(np.maximum(L - c1 * G, 0.0) / P))
-        if best is None or c1 + c2 < best[0] + best[1]:
-            best = (float(c1), c2)
-    c1, c2 = best
-    margin = float(np.min(c1 * G + c2 * P - L))
-    return InterpolationProbe(c1, c2, margin)
 
 
 @dataclass(frozen=True)

@@ -389,42 +389,6 @@ def build_curve(config: OdiConfig) -> OdiCurve:
 
 
 # ---------------------------------------------------------------------------
-# region classification
-# ---------------------------------------------------------------------------
-
-def region_boundaries(config: OdiConfig, tau):
-    """Closed-form (upper, lower) boundaries separating the three regions."""
-    q = config.q
-    upper = 3.0 * config.c0 * np.exp(2.0 / (1.0 - q) * config.potential.log_a(tau))
-    lower = np.exp(_log_match_boundary(config, tau))
-    return upper, lower
-
-
-def region_classifier(tau, y, config: OdiConfig):
-    """Index of the slowest decay mode at (tau, y): argmin of the mode speeds.
-
-    Ties break toward the lower index.  Vectorizes over tau/y arrays.
-    """
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(taus <= 0) or np.any(ys <= 0):
-        raise ValueError("region classification needs tau > 0 and y > 0")
-    ep = config.exponents
-    log_sp = config.potential.omega.log_ramp_slope(taus)
-    log_a = config.potential.log_a(taus)
-    log_y = np.log(ys / (3.0 * config.c0))
-    log_psis = (log_a + log_sp,
-                (1.0 - ep.theta1) * log_a,
-                (1.0 - ep.theta2) * log_a + log_sp)
-    lams = (ep.lambda0, ep.lambda1, ep.lambda2)
-    F = np.stack([lp + log_y / (1.0 + lam) for lp, lam in zip(log_psis, lams)])
-    shifted = F - F.min(axis=0, keepdims=True)
-    out = np.where(shifted[0] <= 1e-12, 0,
-                   np.where(shifted[1] <= 1e-12, 1, 2)).astype(int)
-    return int(out[0]) if np.ndim(tau) == 0 and np.ndim(y) == 0 else out
-
-
-# ---------------------------------------------------------------------------
 # multi-round extinction iteration
 # ---------------------------------------------------------------------------
 

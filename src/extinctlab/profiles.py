@@ -32,8 +32,6 @@ import numpy as np
 # analytically indistinguishable from zero for every probe in this package.
 EXP_UNDERFLOW = -745.0
 
-CONDITION_NAMES = ("monotone", "origin", "bounded", "slope", "minorant", "knee")
-
 _KINDS = ("power", "log-power", "constant", "log-singular", "table")
 
 
@@ -300,24 +298,6 @@ class OmegaProfile:
         log_sp = 3.0 * np.log(arr) - np.log(w) + np.log(4.0 - arr * wp / w)
         return float(log_sp[()]) if scalar else log_sp
 
-    # -- structural claims -------------------------------------------------
-
-    @property
-    def claims(self) -> tuple[str, ...]:
-        """Which structural conditions this kind is expected to satisfy."""
-        if self.kind == "power":
-            base = ["monotone", "origin", "bounded", "knee" if self.alpha < 2 else ""]
-            if self.alpha <= 2.0 - self.delta:
-                base += ["slope", "minorant"]
-            return tuple(c for c in base if c)
-        if self.kind == "log-power":
-            return CONDITION_NAMES
-        if self.kind == "constant":
-            return ("monotone", "bounded", "slope", "minorant", "knee")
-        if self.kind == "log-singular":
-            return ("knee",)
-        return ("monotone", "origin", "bounded")
-
 
 @dataclass(frozen=True)
 class ConditionCheck:
@@ -327,25 +307,9 @@ class ConditionCheck:
     witness_value: float | None = None
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    checks: tuple[ConditionCheck, ...]
-
-    def __getitem__(self, name: str) -> ConditionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def passed(self, name: str) -> bool:
-        return self[name].passed
-
-    def all_passed(self) -> bool:
-        return all(self.passed(n) for n in CONDITION_NAMES)
-
-
-def check_conditions(profile: OmegaProfile) -> ConditionReport:
-    """Sampled verification of the structural conditions on ``omega``.
+def check_conditions(profile: OmegaProfile) -> tuple[ConditionCheck, ...]:
+    """Sampled verification of the structural conditions on ``omega``: one
+    check each of monotone, origin, bounded, slope, minorant and knee.
 
     A failure comes with a violating sample, so it is a certificate; a pass
     is evidence at the grid resolution, not a proof.
@@ -388,7 +352,7 @@ def check_conditions(profile: OmegaProfile) -> ConditionReport:
     knee_ok = np.concatenate([[True], np.diff(ratio) <= tol * np.maximum(ratio[:-1], 1.0)])
     record("knee", knee_ok & np.isfinite(ratio))
 
-    return ConditionReport(tuple(checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------

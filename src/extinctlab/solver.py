@@ -14,7 +14,7 @@ vanishes up to the rounding of K's zero column sums and mass drifts far
 less than in a solve for x itself.  V + dt K is symmetric positive definite
 and tridiagonal; its LDL^T factor is computed once per run and reused on
 every step.  ``FluxOperator`` owns K and builds this matrix, the
-symmetrized Schrodinger matrix of ``spectral`` and the gradient energy.
+symmetrized Schrodinger matrix of ``spectral`` and the face energies.
 Absorption is applied through the frozen-coefficient factor
 
     u <- u / (1 + dt * a * |u|^(q-1)),
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .analysis import _slope
 from .profiles import as_potential
 
 #: snapshot rows run() allocates up front; the default decimation never
@@ -86,10 +85,6 @@ class RadialGrid:
     def n(self) -> int:
         return self.centers.size
 
-    @property
-    def total_volume(self) -> float:
-        return self.radius ** self.dimension / self.dimension
-
     def integrate(self, values: np.ndarray) -> float:
         """Volume integral of a cell-centered field."""
         return float(np.dot(self.volumes, values))
@@ -136,10 +131,6 @@ class FluxOperator:
     def face_energy(self, u: np.ndarray) -> np.ndarray:
         """|grad u|^2 carried by each interior face."""
         return self.conduct * np.diff(u) ** 2
-
-    def gradient_energy(self, u: np.ndarray) -> float:
-        """Discrete integral of |grad u|^2, u^T K u."""
-        return float(np.sum(self.face_energy(u)))
 
 
 @dataclass(frozen=True)
@@ -240,10 +231,6 @@ class Stepper(FluxOperator):
     def step(self, u: np.ndarray) -> np.ndarray:
         return self.absorb(self.diffuse(u))
 
-    def absorption_energy(self, u: np.ndarray) -> float:
-        """Discrete integral of a |u|^(q+1)."""
-        return self.grid.integrate(self.a * np.abs(u) ** (self.q + 1.0))
-
 
 @dataclass
 class SolutionTrajectory:
@@ -339,43 +326,3 @@ def _put_row(buf: np.ndarray, i: int, u: np.ndarray, rows: int) -> np.ndarray:
         buf = grown
     buf[i] = u
     return buf
-
-
-def ode_extinction_time(eps: float, q: float, u0_sup: float) -> float:
-    """Extinction time of v' + eps*|v|^(q-1) v = 0 from v(0) = u0_sup."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
-    if u0_sup < 0:
-        raise ValueError("u0_sup must be nonnegative")
-    return u0_sup ** (1.0 - q) / (eps * (1.0 - q))
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    times: np.ndarray
-    decay_rate: float          # fitted exponential rate of min u (0 if flat)
-    collapsed: bool            # min u hit the extinction threshold
-    final_min: float
-
-
-def positivity_probe(spec: ProblemSpec) -> PositivityReport:
-    """Track min u over the horizon and fit its exponential decay rate.
-
-    Used to contrast the superflat (non-extinction) potentials against the
-    extinction regime: the former keep min u bounded away from zero on any
-    desk-scale horizon.
-    """
-    traj = run(spec)
-    tail = traj.umin > 0
-    rate = 0.0
-    if np.count_nonzero(tail) >= 10:
-        tt, mm = traj.times[tail], traj.umin[tail]
-        keep = slice(np.searchsorted(tt, 0.1 * tt[-1]), None)
-        slope = _slope(tt[keep], np.log(mm[keep]))
-        if slope is not None and abs(slope) >= 1e-12:
-            rate = -slope
-    collapsed = bool(traj.umin[-1] < traj.threshold)
-    return PositivityReport(traj.times, rate, collapsed,
-                            float(traj.umin[-1]))

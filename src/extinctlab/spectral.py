@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from .analysis import SeriesDiagnosis, _diagnose_series
 from .profiles import PotentialField, RhoMap, as_potential
 from .profiles import build_rho_map  # noqa: F401  cmd_spectral calls it from here
-from .solver import FluxOperator, RadialGrid, sample_potential
+from .solver import FluxOperator, RadialGrid
 
 _OVERFLOW_LOG = 700.0  # potential entries clamp at exp(700); the ground state
                        # vanishes there anyway
@@ -173,15 +173,6 @@ def ground_state(potential, log_h: float = 0.0, dimension: int = 1,
         vec = -vec
     return GroundState(rho, vec, resid / max(1.0, abs(rho)), iters,
                        used_fallback, grid)
-
-
-def rayleigh_quotient(gs: GroundState, potential, log_h: float = 0.0) -> float:
-    """Recompute the quotient of the returned eigenvector from scratch."""
-    grid = gs.grid
-    a = sample_potential(potential, grid)
-    num = FluxOperator(grid).gradient_energy(gs.vector)
-    num += grid.integrate(a * gs.vector**2) * math.exp(-2.0 * log_h)
-    return num / grid.integrate(gs.vector**2)
 
 
 def _ground_sweep(potential, log_hs, cells: int) -> list[GroundState]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from extinctlab.analysis import dini_integral, equivalence_check, spectral_log_sum, endpoint_equivalence_ratios
+from extinctlab.analysis import dini_integral, equivalence_check, spectral_log_sum
 from extinctlab.cli import main
 from extinctlab.energy import ExponentPack, compute_ledger, ode_inequality_residual
 from extinctlab.odi import (
@@ -25,6 +25,7 @@ from extinctlab.odi import (
 from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField, build_rho_map
 from extinctlab.solver import FluxOperator, ProblemSpec, run
 from extinctlab.spectral import ground_state, mu_n_sequence, eigenvalue_sandwich_scan, inverse_map_sandwich
+from oracles import endpoint_equivalence_ratios
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -505,6 +505,17 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "'epsilon'" in err
 
+    @pytest.mark.parametrize("value", ["0", "1", "2"])
+    def test_spectral_cells_below_three_exit_64(self, tmp_path, capsys, value):
+        # fewer cells ended in a LAPACK error after a partial lambda_scan.csv
+        assert run_with(tmp_path, "spectral", [("spectral", "cells", value)]) == 64
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not (tmp_path / "o" / "lambda_scan.csv").exists()
+
+    def test_spectral_three_cells_runs(self, tmp_path):
+        assert run_with(tmp_path, "spectral", [("spectral", "cells", "3")]) == 0
+        assert (tmp_path / "o" / "summary_spectral.json").is_file()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_s0_out_of_range_exit_64(self, tmp_path, capsys, value):
         assert run_with(tmp_path, "dini", [("profile", "s0", value)]) == 64

@@ -7,12 +7,12 @@ from extinctlab.energy import (
     ExponentPack,
     compute_ledger,
     ode_inequality_residual,
-    probe_interpolation,
     probe_outer_energy_relation,
     verify_global_estimate,
 )
 from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField
 from extinctlab.solver import ProblemSpec, RadialGrid, run
+from oracles import probe_interpolation
 
 
 class TestExponentPack:

@@ -16,13 +16,12 @@ from extinctlab.odi import (
     build_curve,
     curve_y2,
     extinction_iteration,
-    region_boundaries,
-    region_classifier,
     solve_extinction_radius,
     solve_tau_double_prime,
     solve_tau_prime,
 )
 from extinctlab.profiles import OmegaProfile, PotentialField
+from oracles import region_boundaries, region_classifier
 
 
 @pytest.fixture(scope="module")

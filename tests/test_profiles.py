@@ -13,6 +13,7 @@ from extinctlab.profiles import (
     build_rho_map,
     check_conditions,
 )
+from oracles import all_passed, claims, condition, passed
 
 
 class TestConditions:
@@ -20,7 +21,7 @@ class TestConditions:
         # s*omega'/omega == alpha identically for the power kind
         prof = OmegaProfile.power(alpha=1.0, delta=0.9)
         rep = check_conditions(prof)
-        assert rep.passed("slope")
+        assert passed(rep, "slope")
         s = np.geomspace(1e-6, 0.9, 50)
         ratio = s * prof.omega_prime(s) / prof.omega(s)
         assert np.allclose(ratio, 1.0)
@@ -28,25 +29,25 @@ class TestConditions:
     def test_log_power_beta2_passes_everything(self):
         prof = OmegaProfile.log_power(beta=2.0)
         rep = check_conditions(prof)
-        assert rep.all_passed()
+        assert all_passed(rep)
 
     def test_cubic_power_fails_slope(self):
         # s*omega'/omega == 3 > 2 - delta for any delta > 0
         prof = OmegaProfile.power(alpha=3.0, delta=0.1)
         rep = check_conditions(prof)
-        assert not rep.passed("slope")
-        assert rep["slope"].witness_s is not None
+        assert not passed(rep, "slope")
+        assert condition(rep, "slope").witness_s is not None
 
     def test_constant_profile_fails_origin(self):
         rep = check_conditions(OmegaProfile.constant(0.7))
-        assert not rep.passed("origin")
-        assert rep.passed("monotone") and rep.passed("bounded")
+        assert not passed(rep, "origin")
+        assert passed(rep, "monotone") and passed(rep, "bounded")
 
     def test_log_singular_unbounded_and_decreasing(self):
         rep = check_conditions(OmegaProfile.log_singular())
-        assert not rep.passed("bounded")
-        assert not rep.passed("monotone")
-        assert rep.passed("knee")
+        assert not passed(rep, "bounded")
+        assert not passed(rep, "monotone")
+        assert passed(rep, "knee")
 
     def test_claims_match_checks(self):
         for prof in [OmegaProfile.power(0.5), OmegaProfile.power(1.0),
@@ -54,8 +55,8 @@ class TestConditions:
                      OmegaProfile.log_power(3.0), OmegaProfile.constant(),
                      OmegaProfile.log_singular()]:
             rep = check_conditions(prof)
-            for name in prof.claims:
-                assert rep.passed(name), (prof.kind, name)
+            for name in claims(prof):
+                assert passed(rep, name), (prof.kind, name)
 
     def test_integrated_slope_bound(self):
         # integrating the slope condition gives omega(s) >= s^{2-d} * omega(s0)/s0^{2-d}

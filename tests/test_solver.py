@@ -13,11 +13,11 @@ from extinctlab.solver import (
     ProblemSpec,
     RadialGrid,
     Stepper,
-    ode_extinction_time,
-    positivity_probe,
     run,
 )
 from extinctlab.spectral import _graded_faces
+from oracles import (absorption_energy, gradient_energy, ode_extinction_time,
+                     positivity_probe, total_volume)
 
 
 def exact_ode(t, q=0.5, eps=1.0, u0=1.0):
@@ -29,7 +29,7 @@ class TestGrid:
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_total_volume(self, N):
         g = RadialGrid.uniform(257, radius=1.0, dimension=N)
-        assert g.volumes.sum() == pytest.approx(g.total_volume, rel=1e-12)
+        assert g.volumes.sum() == pytest.approx(total_volume(g), rel=1e-12)
         assert np.all(g.volumes > 0)
         assert np.all(np.diff(g.centers) > 0)
 
@@ -94,7 +94,7 @@ class TestStep:
             u_star = st.diffuse(u)
             u_new = st.absorb(u_star)
             drop = 0.5 * (g.integrate(u**2) - g.integrate(u_new**2))
-            dissip = dt * (st.gradient_energy(u_star) + st.absorption_energy(u_new))
+            dissip = dt * (gradient_energy(st, u_star) + absorption_energy(st, u_new))
             residuals.append(abs(drop - dissip))
         residuals = np.array(residuals)
         rates = np.log2(residuals[:-1] / residuals[1:])
@@ -128,7 +128,7 @@ class TestFluxOperator:
         g, op, K, _ = self.dense_forms(N)
         for seed in range(3):
             u = np.random.RandomState(seed).uniform(-1.0, 1.0, g.n)
-            assert op.gradient_energy(u) == pytest.approx(u @ K @ u, rel=1e-12)
+            assert gradient_energy(op, u) == pytest.approx(u @ K @ u, rel=1e-12)
 
 
 def banded_reference(st, u, dt):
