@@ -235,10 +235,14 @@ def cmd_simulate(parser, out: OutputDir, args) -> int:
     return EXIT_OK if verdict == "extinct" else EXIT_NEGATIVE
 
 
-def cmd_bound(parser, out: OutputDir, args) -> int:
+def _odi_config(parser, args):
     overrides = {"gamma": args.gamma, "c0": args.c0, "c7": args.c7,
                  "cbar": args.cbar}
-    cfg, extras = odi_from_config(parser, args.config_dir, overrides)
+    return odi_from_config(parser, args.config_dir, overrides)
+
+
+def cmd_bound(parser, out: OutputDir, args) -> int:
+    cfg, extras = _odi_config(parser, args)
     rep = extinction_iteration(cfg, max_rounds=extras["max_rounds"])
     curve_error = None
     try:
@@ -352,6 +356,9 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
 
 
 def cmd_verify(parser, out: OutputDir, args) -> int:
+    # every section is checked before the first file is written
+    spectral_from_config(parser)
+    _odi_config(parser, args)
     code_d = cmd_dini(parser, out, args)
     code_s = cmd_spectral(parser, out, args)
     code_b = cmd_bound(parser, out, args)

@@ -17,11 +17,11 @@ original problem and restarting yields rounds (tau_i, t_i) whose total
     R = sum_i t_i + sum_i s(tau_i)
 
 is finite exactly when the endpoint integral of omega(s)/s converges.  Every
-radius comes from one bisection in ln(tau); the radii of all rounds are
-bisected together, with one array call of omega per pass, and each is bit
-for bit the root a bisection of its level alone would give.  The
-structural constants are not pinned by the theory; they are configuration
-here, and every report echoes the values used.
+radius comes from one bisection in ln(tau), ``profiles.bisect``; the radii
+of all rounds are bisected together, with one array call of omega per
+pass, and each is bit for bit the root a bisection of its level alone
+would give.  The structural constants are not pinned by the theory; they
+are configuration here, and every report echoes the values used.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .analysis import dini_integral, log_segment_integrals
 from .energy import ExponentPack
-from .profiles import PotentialField
+from .profiles import PotentialField, bisect
 
 _TAU_FLOOR = math.exp(-250.0)  # lower end of the radius searches
 _N_KNOTS = 800                 # geometric knots of each curve piece
@@ -90,16 +90,14 @@ class OdiConfig:
 
 
 def _bisect_log_tau(g, targets, lo: float, hi: float) -> list[float]:
-    """Solve g(tau) = t on [lo, hi] for every t of ``targets``, g increasing.
+    """Solve g(tau) = t on [lo, hi] for every t of ``targets``, g increasing,
+    by ``profiles.bisect`` in ln(tau), which keeps tiny roots relatively
+    accurate.
 
-    ``g`` maps a list of radii to an iterable of their values, so all
-    targets are bisected in lock-step with one call of g per pass.  Each
-    target follows the path a lone bisection would take: it bisects in
-    ln(tau), which keeps tiny roots relatively accurate, until the midpoint
-    rounds onto an end of its bracket, so no tolerance or iteration cap is
-    needed.  The targets must not rise; they are read up to the first whose
-    root lies below lo, and BelowFloorError is raised if that is the first.
-    A root beyond hi comes back as inf.
+    ``g`` maps a list of radii to an iterable of their values; each radius
+    is ``math.exp`` of its midpoint.  The targets must not rise; they are
+    read up to the first whose root lies below lo, and BelowFloorError is
+    raised if that is the first.  A root beyond hi comes back as inf.
     """
     lo, hi = math.log(lo), math.log(hi)
     [g_lo] = g([math.exp(lo)])
@@ -108,15 +106,12 @@ def _bisect_log_tau(g, targets, lo: float, hi: float) -> list[float]:
         raise BelowFloorError("root lies below the tau search range")
     [g_hi] = g([math.exp(hi)])
     beyond = g_hi < targets
-    los = np.where(beyond, hi, lo)
-    his = np.full(targets.size, hi)
-    while (open_ := (los < (mids := 0.5 * (los + his))) & (mids < his)).any():
-        k = np.flatnonzero(open_)
-        values = g([math.exp(m) for m in mids[k].tolist()])
-        up = np.fromiter(values, float, k.size) >= targets[k]
-        his[k[up]] = mids[k[up]]
-        los[k[~up]] = mids[k[~up]]
-    return [math.inf if b else math.exp(m) for b, m in zip(beyond.tolist(), mids.tolist())]
+
+    def g_of_log(xs):
+        return np.fromiter(g([math.exp(x) for x in xs.tolist()]), float, xs.size)
+
+    roots = iter(bisect(g_of_log, targets[~beyond], lo, hi).tolist())
+    return [math.inf if b else math.exp(next(roots)) for b in beyond.tolist()]
 
 
 def solve_tau_prime(config: OdiConfig) -> float:

@@ -18,7 +18,8 @@ behaviour of ``omega``.  Built-in kinds:
 
 A profile also carries the space-time ramp s(tau) = tau**4 / omega(tau).
 The module also provides the monotone maps attached to an invertible
-potential: r(z) = a^{-1}(z), rho(z) = z * r(z)**2 and its inverse.
+potential, r(z) = a^{-1}(z) and the inverse of rho(z) = z * r(z)**2, and
+``bisect``, the one root finder of the package.
 """
 
 from __future__ import annotations
@@ -444,42 +445,41 @@ def as_potential(potential):
 
 
 # ---------------------------------------------------------------------------
-# monotone maps r(z), rho(z), rho^{-1}(s)
+# bisection and the monotone maps r(z), rho^{-1}(s)
 # ---------------------------------------------------------------------------
 
-def _bisect_increasing(fn, lo, hi, targets):
-    """Vectorized bisection: fn increasing on [lo, hi], solve fn(r) = target.
+def bisect(g, targets, lo, hi) -> np.ndarray:
+    """Solve g(x) = t on [lo, hi] for every t of ``targets``, g increasing.
 
-    Each target stops on its own test, (hi - lo) <= 1e-15 hi, and from then
-    on is neither bisected nor passed to ``fn``.  So a target's root is the
-    same bits whether it is solved alone or among others.
+    All targets are bisected in lock-step: ``g`` gets the ndarray of the
+    midpoints still open, once per pass, and returns their values.  A
+    target's bracket closes when its midpoint rounds onto an end, so no
+    tolerance or pass cap is needed, and its root is pinned between
+    adjacent floating-point values of x.  A closed target is never passed
+    to ``g`` again, so its root has the bits of a bisection of it alone.
+    Returns the roots in x, shaped like ``targets``.
     """
     targets = np.asarray(targets, dtype=float)
     flat = targets.ravel()
-    lo = np.full_like(flat, lo)
-    hi = np.full_like(flat, hi)
-    active = np.arange(flat.size)
-    for _ in range(200):
-        if not active.size:
-            break
-        a_lo, a_hi = lo[active], hi[active]
-        mid = 0.5 * (a_lo + a_hi)
-        high = fn(mid) >= flat[active]
-        a_hi = np.where(high, mid, a_hi)
-        a_lo = np.where(high, a_lo, mid)
-        lo[active], hi[active] = a_lo, a_hi
-        active = active[~((a_hi - a_lo) <= 1e-15 * np.maximum(a_hi, 1e-300))]
-    return (0.5 * (lo + hi)).reshape(targets.shape)
+    los = np.full(flat.size, float(lo))
+    his = np.full(flat.size, float(hi))
+    while (open_ := (los < (mids := 0.5 * (los + his))) & (mids < his)).any():
+        k = np.flatnonzero(open_)
+        up = g(mids[k]) >= flat[k]
+        his[k[up]] = mids[k[up]]
+        los[k[~up]] = mids[k[~up]]
+    return mids.reshape(targets.shape)
 
 
 @dataclass(frozen=True)
 class RhoMap:
     """Monotone maps r(z) = a^{-1}(z), rho(z) = z r(z)^2 and rho^{-1} on [r_lo, r_hi].
 
-    Every query bisects the potential over [r_lo, r_hi], where a runs over
-    [z_min, z_max] and rho over [rho_min, rho_max].  An array query is one
-    bisection for all its elements, and each element equals the scalar
-    query of that element bit for bit, so callers batch their queries.
+    Every query bisects the potential in x = ln r over [ln r_lo, ln r_hi],
+    where a runs over [z_min, z_max] and rho over [rho_min, rho_max], until
+    x rounds onto an end of its bracket.  An array query is one bisection
+    for all its elements, and each element equals the scalar query of that
+    element bit for bit, so callers batch their queries.
     """
 
     potential: PotentialField
@@ -490,18 +490,17 @@ class RhoMap:
     rho_min: float
     rho_max: float
 
+    def _radius(self, g, targets) -> np.ndarray:
+        """r = exp(x) at the roots x = ln r of g(x) = targets."""
+        return np.exp(bisect(g, targets, math.log(self.r_lo), math.log(self.r_hi)))
+
     def r_of_z(self, z):
         arr, scalar = _asfarray(z)
         if np.any(arr < self.z_min * (1 - 1e-9)) or np.any(arr > self.z_max * (1 + 1e-9)):
             raise MonotonicityError("z outside the tabulated monotone range of a")
-        out = _bisect_increasing(self.potential.log_a, self.r_lo, self.r_hi,
-                                 np.log(np.clip(arr, self.z_min, self.z_max)))
+        out = self._radius(lambda x: self.potential.log_a(np.exp(x)),
+                           np.log(np.clip(arr, self.z_min, self.z_max)))
         return float(out[()]) if scalar else out
-
-    def rho(self, z):
-        r = self.r_of_z(z)
-        out = np.asarray(z, dtype=float) * np.asarray(r) ** 2
-        return float(out) if np.ndim(z) == 0 else out
 
     def rho_inv(self, s):
         """Solve rho(z) = s, returning z; s outside [rho_min, rho_max]
@@ -509,11 +508,7 @@ class RhoMap:
         arr, scalar = _asfarray(s)
         if np.any(arr < self.rho_min * (1 - 1e-9)) or np.any(arr > self.rho_max * (1 + 1e-9)):
             raise MonotonicityError("s outside the range of rho")
-
-        def g(r):
-            return self.potential.log_a(r) + 2.0 * np.log(r)
-
-        r = _bisect_increasing(g, self.r_lo, self.r_hi, np.log(arr))
+        r = self._radius(lambda x: self.potential.log_a(np.exp(x)) + 2.0 * x, np.log(arr))
         out = np.exp(self.potential.log_a(r))
         return float(out[()]) if scalar else out
 

@@ -132,10 +132,10 @@ def _graded_faces(n: int, knee: float | None) -> np.ndarray:
     ])
 
 
-def ground_state(potential, log_h: float = 0.0, dimension: int = 1,
-                 cells: int = 2000, probe_log_a=None) -> GroundState:
-    """Smallest eigenpair of -Lap + h^(-2) a(|x|) on the unit ball with
-    zero-flux boundaries, at ln h = ``log_h``.
+def ground_state(potential, log_h: float, cells: int = 2000,
+                 probe_log_a=None) -> GroundState:
+    """Smallest eigenpair of -Lap + h^(-2) a(|x|) on the unit interval
+    [0, 1] with zero-flux boundaries, at ln h = ``log_h``.
 
     Falls back to a Sturm-sequence bisection eigensolve when the iteration
     stagnates.  The returned vector is normalized against the volume weight
@@ -146,7 +146,7 @@ def ground_state(potential, log_h: float = 0.0, dimension: int = 1,
     potential = as_potential(potential)
     # a constant potential has no crossing, so its knee is None
     faces = _graded_faces(cells, knee_radius(potential, log_h, probe_log_a))
-    grid = RadialGrid.from_faces(faces, dimension)
+    grid = RadialGrid.from_faces(faces, 1)
     log_V = potential.log_a(grid.centers) - 2.0 * log_h
     with np.errstate(under="ignore"):
         V = np.exp(np.minimum(log_V, _OVERFLOW_LOG))

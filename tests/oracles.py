@@ -1,6 +1,7 @@
 """The paper's intermediate lemmas, which only the tests check: profile
 claims, endpoint-integral ratios, interpolation constants, the inequality's
-regions, the positivity probe and the discrete energies of one step."""
+regions, the positivity probe, the discrete energies of one step, the map
+rho(z) = z r(z)^2 and the rho map's earlier bisection in r."""
 
 import math
 from dataclasses import dataclass
@@ -273,3 +274,48 @@ def positivity_probe(spec: ProblemSpec) -> PositivityReport:
     collapsed = bool(traj.umin[-1] < traj.threshold)
     return PositivityReport(traj.times, rate, collapsed,
                             float(traj.umin[-1]))
+
+
+def rho(rho_map, z):
+    """rho(z) = z r(z)^2 of a ``RhoMap``."""
+    out = np.asarray(z, dtype=float) * np.asarray(rho_map.r_of_z(z)) ** 2
+    return float(out) if np.ndim(z) == 0 else out
+
+
+def bisect_increasing(fn, lo, hi, targets):
+    """Vectorized bisection in r, as the rho map solved before it bisected
+    in ln r: fn increasing on [lo, hi], solve fn(r) = target.
+
+    Each target stops on its own test, (hi - lo) <= 1e-15 hi, and from then
+    on is neither bisected nor passed to ``fn``.
+    """
+    targets = np.asarray(targets, dtype=float)
+    flat = targets.ravel()
+    lo = np.full_like(flat, lo)
+    hi = np.full_like(flat, hi)
+    active = np.arange(flat.size)
+    for _ in range(200):
+        if not active.size:
+            break
+        a_lo, a_hi = lo[active], hi[active]
+        mid = 0.5 * (a_lo + a_hi)
+        high = fn(mid) >= flat[active]
+        a_hi = np.where(high, mid, a_hi)
+        a_lo = np.where(high, a_lo, mid)
+        lo[active], hi[active] = a_lo, a_hi
+        active = active[~((a_hi - a_lo) <= 1e-15 * np.maximum(a_hi, 1e-300))]
+    return (0.5 * (lo + hi)).reshape(targets.shape)
+
+
+def r_of_z_in_r(rho_map, z) -> np.ndarray:
+    """r(z) by ``bisect_increasing``, for z in [z_min, z_max]."""
+    return bisect_increasing(rho_map.potential.log_a, rho_map.r_lo, rho_map.r_hi,
+                             np.log(np.clip(z, rho_map.z_min, rho_map.z_max)))
+
+
+def rho_inv_in_r(rho_map, s) -> np.ndarray:
+    """rho^{-1}(s) by ``bisect_increasing``, for s in [rho_min, rho_max]."""
+    log_a = rho_map.potential.log_a
+    r = bisect_increasing(lambda r: log_a(r) + 2.0 * np.log(r),
+                          rho_map.r_lo, rho_map.r_hi, np.log(s))
+    return np.exp(log_a(r))

@@ -512,6 +512,16 @@ class TestConfigValues:
         assert capsys.readouterr().err.startswith("configuration error:")
         assert not (tmp_path / "o" / "lambda_scan.csv").exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("spectral", "cells", "0"), ("odi", "y0", "2"), ("problem", "q", "2"),
+    ], ids=["spectral-cells", "odi-y0", "problem-q"])
+    def test_verify_rejects_before_writing(self, tmp_path, capsys, section, key, value):
+        # verify checked [spectral] and [odi] only after dini and spectral
+        # had written their files
+        assert run_with(tmp_path, "verify", [(section, key, value)]) == 64
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not any((tmp_path / "o").iterdir())
+
     def test_spectral_three_cells_runs(self, tmp_path):
         assert run_with(tmp_path, "spectral", [("spectral", "cells", "3")]) == 0
         assert (tmp_path / "o" / "summary_spectral.json").is_file()

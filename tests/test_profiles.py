@@ -13,7 +13,15 @@ from extinctlab.profiles import (
     build_rho_map,
     check_conditions,
 )
-from oracles import all_passed, claims, condition, passed
+from oracles import (
+    all_passed,
+    claims,
+    condition,
+    passed,
+    r_of_z_in_r,
+    rho,
+    rho_inv_in_r,
+)
 
 
 class TestConditions:
@@ -187,14 +195,14 @@ class TestRhoMap:
         rmap = build_rho_map(field)
         z = math.exp(-2.0)
         assert rmap.r_of_z(z) == pytest.approx(0.5, rel=1e-10)
-        assert rmap.rho(z) == pytest.approx(math.exp(-2.0) / 4.0, rel=1e-10)
+        assert rho(rmap, z) == pytest.approx(math.exp(-2.0) / 4.0, rel=1e-10)
 
     def test_inversion_identity(self):
         field = PotentialField(1.0, OmegaProfile.log_power(2.0))
         rmap = build_rho_map(field)
         rng = np.random.RandomState(42)
         z = np.exp(rng.uniform(math.log(1e-12), math.log(1e-4), size=100))
-        back = rmap.rho_inv(rmap.rho(z))
+        back = rmap.rho_inv(rho(rmap, z))
         assert np.all(np.abs(back / z - 1.0) < 1e-8)
 
     def test_a_of_r_of_z_identity(self):
@@ -207,7 +215,7 @@ class TestRhoMap:
     def test_rho_monotone(self):
         field = PotentialField(1.0, OmegaProfile.log_power(2.0))
         rmap = build_rho_map(field)
-        assert np.all(np.diff(rmap.rho(np.geomspace(rmap.z_min, rmap.z_max, 200))) > 0)
+        assert np.all(np.diff(rho(rmap, np.geomspace(rmap.z_min, rmap.z_max, 200))) > 0)
 
     def test_rising_part_of_rise_fall_potential(self, rise_fall_potential):
         rmap = build_rho_map(rise_fall_potential)
@@ -247,6 +255,52 @@ class TestRhoMap:
         rmap = build_rho_map(PotentialField(1.0, OmegaProfile.log_power(2.0)))
         with pytest.raises(MonotonicityError):
             rmap.rho_inv(rmap.rho_max * 10.0)
+
+
+# the profiles of the bound-coherence acceptance family, and the rise-fall
+# potential's table profile
+_MAP_PROFILES = [pytest.param(OmegaProfile.power(a), id=f"power-{a}") for a in (0.5, 1.0, 1.5)] \
+    + [pytest.param(OmegaProfile.log_power(b), id=f"log-power-{b}")
+       for b in (0.5, 1.0, 1.5, 2.0, 3.0)] \
+    + [pytest.param(OmegaProfile.constant(1.0), id="constant"),
+       pytest.param(None, id="rise-fall")]
+
+
+class TestRhoMapBisection:
+    """The rho map bisects in ln r until the midpoint rounds onto an end of
+    its bracket, with no tolerance and no pass cap."""
+
+    @pytest.mark.parametrize("prof", _MAP_PROFILES)
+    def test_agrees_with_bisection_in_r(self, prof, rise_fall_potential):
+        # the bisection in r stopped at a 1e-15 relative width, after at most
+        # 200 passes; rho^-1 amplifies the last bit of ln r by d ln a / d ln r
+        rmap = build_rho_map(rise_fall_potential if prof is None
+                             else PotentialField(1.0, prof))
+        s = np.clip(np.geomspace(1e-12, 1e-6, 40), rmap.rho_min, rmap.rho_max)
+        np.testing.assert_allclose(rmap.rho_inv(s), rho_inv_in_r(rmap, s), rtol=5e-14)
+        z = np.geomspace(rmap.z_min, rmap.z_max, 20)
+        np.testing.assert_allclose(rmap.r_of_z(z), r_of_z_in_r(rmap, z), rtol=5e-14)
+
+    @pytest.mark.parametrize("prof", [OmegaProfile.log_power(2.0), OmegaProfile.power(1.0)],
+                             ids=["log-power", "power"])
+    def test_ends_within_128_passes(self, prof, monkeypatch):
+        # a root near ln r_lo (-4.4, -5.9) ends in about 53 passes, one near
+        # the top end ln r_hi = 0 in about 110: the bits of ln r shrink there
+        rmap = build_rho_map(PotentialField(1.0, prof))
+        s = np.clip(np.geomspace(1e-12, 1e-6, 100), rmap.rho_min, rmap.rho_max)
+        calls = []
+        log_a = PotentialField.log_a
+        monkeypatch.setattr(PotentialField, "log_a",
+                            lambda self, r: calls.append(r) or log_a(self, r))
+        queries = [(rmap.r_of_z, rmap.z_min), (rmap.r_of_z, rmap.z_max),
+                   (rmap.r_of_z, rmap.rho_inv(s)),   # the sandwich's r(z) bracket
+                   (rmap.rho_inv, rmap.rho_min), (rmap.rho_inv, rmap.rho_max),
+                   (rmap.rho_inv, s)]
+        for query, arg in queries:
+            calls.clear()
+            query(arg)
+            # rho_inv evaluates ln a once more, at the roots
+            assert len(calls) - (query == rmap.rho_inv) <= 128
 
 
 class TestSRamp:

@@ -3,11 +3,12 @@
 A name scan over the package source.  The roots are ``cli.main`` and the
 module-level statements of every module; imports are left out, as they
 call nothing.  A reached function, class or method adds every name that
-its code mentions, as a bare name or an attribute, and a definition whose
-name is mentioned is reached in turn, until nothing new is.  A definition
-left over is called only from the tests and belongs in ``tests/oracles.py``.
-Dunder methods run implicitly and are exempt: a reached class reaches its
-own.
+its code mentions, as a bare name or an attribute.  A function or class
+whose name is mentioned either way is reached in turn, a method only when
+its name is mentioned as an attribute (a local variable of the same name
+does not call it), until nothing new is.  A definition left over is called
+only from the tests and belongs in ``tests/oracles.py``.  Dunder methods
+run implicitly and are exempt: a reached class reaches its own.
 """
 
 import ast
@@ -26,19 +27,21 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _mentions(nodes) -> set[str]:
+def _mentions(nodes) -> set[tuple[str, bool]]:
+    """(name, is an attribute) of every name the code mentions."""
     names = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                names.add(sub.id)
+                names.add((sub.id, False))
             elif isinstance(sub, ast.Attribute):
-                names.add(sub.attr)
+                names.add((sub.attr, True))
     return names
 
 
 def _definitions_and_roots():
-    """{qualified name: (name, code scanned once reached)} and the root code."""
+    """{qualified name: (name, is a method, code scanned once reached)} and
+    the root code."""
     defs, roots = {}, []
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
@@ -48,12 +51,12 @@ def _definitions_and_roots():
             if isinstance(node, ast.ClassDef):
                 methods = [n for n in node.body if _is_def(n) and not _is_dunder(n.name)]
                 own = [n for n in node.body if n not in methods]
-                defs[f"{module}.{node.name}"] = (node.name,
+                defs[f"{module}.{node.name}"] = (node.name, False,
                                                  node.bases + node.decorator_list + own)
                 for m in methods:
-                    defs[f"{module}.{node.name}.{m.name}"] = (m.name, [m])
+                    defs[f"{module}.{node.name}.{m.name}"] = (m.name, True, [m])
             elif _is_def(node):
-                defs[f"{module}.{node.name}"] = (node.name, [node])
+                defs[f"{module}.{node.name}"] = (node.name, False, [node])
             else:
                 roots.append(node)
     return defs, roots
@@ -62,11 +65,16 @@ def _definitions_and_roots():
 def unreached_definitions() -> list[str]:
     defs, roots = _definitions_and_roots()
     reached = {"cli.main"}
-    names = _mentions(roots + defs["cli.main"][1])
-    while new := {q for q, (name, _) in defs.items() if q not in reached and name in names}:
+    names = _mentions(roots + defs["cli.main"][2])
+
+    def mentioned(name, method):
+        return (name, True) in names or (not method and (name, False) in names)
+
+    while new := {q for q, (name, method, _) in defs.items()
+                  if q not in reached and mentioned(name, method)}:
         reached |= new
         for q in new:
-            names |= _mentions(defs[q][1])
+            names |= _mentions(defs[q][2])
     return sorted(set(defs) - reached)
 
 

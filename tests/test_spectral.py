@@ -44,10 +44,8 @@ class TestGroundState:
         assert abs(gs.value) < 1e-10
         assert np.std(gs.vector) / np.mean(gs.vector) < 1e-6
 
-    @pytest.mark.parametrize("dimension", [1, 2, 3])
-    def test_constant_potential_exact(self, dimension):
-        gs = ground_state(ConstantPotential(2.0), log_h=math.log(0.5), cells=300,
-                          dimension=dimension)
+    def test_constant_potential_exact(self):
+        gs = ground_state(ConstantPotential(2.0), log_h=math.log(0.5), cells=300)
         assert gs.value == pytest.approx(2.0 / 0.25, rel=1e-10)
 
     def test_matches_dense_oracle(self, beta2_potential):
