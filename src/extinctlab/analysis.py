@@ -16,6 +16,7 @@ sums of its output.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -134,6 +135,11 @@ def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9) -> Quadratur
     return QuadratureResult(value, err, n_eval, "inconclusive", tuple(windows[-5:]))
 
 
+def _chunks(start: int, stop: int):
+    """(i, j) bounds of the _SERIES_CHUNK-long slices that cover start..stop-1."""
+    return ((i, min(i + _SERIES_CHUNK, stop)) for i in range(start, stop, _SERIES_CHUNK))
+
+
 def _slope_into(x: np.ndarray, y: np.ndarray) -> float | None:
     """Least-squares slope of y against ascending x, in centred closed form.
 
@@ -152,32 +158,75 @@ def _slope_into(x: np.ndarray, y: np.ndarray) -> float | None:
     return sxy / float(x.sum())
 
 
-def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | None, str]:
+def _slope_streamed(x_into, y_into, start: int, w: np.ndarray) -> float | None:
+    """``_slope_into``'s slope, bit for bit, with x and y made a chunk at a time.
+
+    ``x_into(i, j, out)`` and ``y_into(i, j, out)`` write the points at
+    positions i..j-1 into ``out`` and return it; the window is positions
+    start..start+w.size-1.  The one window-long scratch ``w`` holds each
+    summand in turn (y, x, centred x times centred y, centred x squared),
+    so that every sum is numpy's pairwise sum over the whole window, as in
+    ``_slope_into``.
+    """
+    if w.size < 2:
+        return None
+    parts = [(i, j, w[i - start:j - start]) for i, j in _chunks(start, start + w.size)]
+    for i, j, seg in parts:
+        y_into(i, j, seg)
+    y_mean = w.mean()
+    for i, j, seg in parts:
+        x_into(i, j, seg)
+    if w[0] == w[-1]:
+        return None
+    x_mean = w.mean()
+    y = np.empty(min(w.size, _SERIES_CHUNK))
+    for i, j, seg in parts:
+        seg -= x_mean
+        seg *= np.subtract(y_into(i, j, y[:j - i]), y_mean, out=y[:j - i])
+    sxy = float(w.sum())
+    for i, j, seg in parts:
+        np.square(np.subtract(x_into(i, j, seg), x_mean, out=seg), out=seg)
+    return sxy / float(w.sum())
+
+
+def _two_stage_tail_fit(n_at, t: np.ndarray) -> tuple[float, float | None, str]:
     """Verdict for sum t_n from a power fit plus a log-factor refinement.
 
     A plain log-log slope cannot separate 1/(n ln n) from 1/(n ln^2 n) at any
     reachable index, so slopes inside (-1.3, -0.95) fall through to a second
     fit of ln(n * t_n) against ln ln n whose slope estimates the log-factor
-    exponent: summable iff > 1.  ``n`` must be ascending, so that both fit
-    windows are suffixes.  A window with fewer than two distinct indices
-    determines no slope and makes the verdict "inconclusive" (with a NaN
-    tail exponent when it is the first window).
+    exponent: summable iff > 1.  ``n_at(i, j)`` gives the indices n of
+    t[i:j], j - i <= _SERIES_CHUNK, as doubles; they must be ascending, so
+    that both fit windows are suffixes.  A window with fewer than two
+    distinct indices determines no slope and makes the verdict
+    "inconclusive" (with a NaN tail exponent when it is the first window).
+
+    ``t`` and one window-long scratch are the only arrays as long as the
+    series: the first fit streams its points through the scratch and keeps
+    ``t`` whole, and the second overwrites ``t`` with its y values.
     """
     pos = t > 0
     kept = np.count_nonzero(pos)
     if kept < 8:
         return 0.0, None, "convergent"  # terms died; finite sum
-    if kept < t.size:
-        n, t = n[pos], t[pos]
-    decade = np.searchsorted(n, n[-1] / 10.0)
-    wide = np.searchsorted(n, max(10.0, n[0]))
-    # both fits share two buffers, each the longer window long
-    bx = np.empty(n.size - min(decade, wide))
-    by = np.empty_like(bx)
-    x, y = bx[:n.size - decade], by[:n.size - decade]
-    np.log(n[decade:], out=x)
-    np.log(t[decade:], out=y)
-    slope = _slope_into(x, y)
+    if kept < t.size:  # compact the kept terms in place, and their indices
+        n = np.concatenate([n_at(i, j)[pos[i:j]] for i, j in _chunks(0, t.size)])
+        t[:kept] = t[pos]
+        t = t[:kept]
+
+        def n_at(i, j):
+            return n[i:j]
+    del pos  # before the scratch exists
+
+    def first_at_least(v):  # np.searchsorted of v in the indices
+        return bisect.bisect_left(range(t.size), v, key=lambda k: n_at(k, k + 1)[0])
+
+    decade = first_at_least(n_at(t.size - 1, t.size)[0] / 10.0)
+    wide = first_at_least(max(10.0, n_at(0, 1)[0]))
+    scratch = np.empty(t.size - min(decade, wide))
+    slope = _slope_streamed(lambda i, j, out: np.log(n_at(i, j), out=out),
+                            lambda i, j, out: np.log(t[i:j], out=out),
+                            decade, scratch[:t.size - decade])
     if slope is None:
         return math.nan, None, "inconclusive"
     if slope < -1.3:
@@ -185,9 +234,11 @@ def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | No
     if slope > -0.95:
         return slope, None, "divergent"
     # harmonic boundary: examine the log factor over the full index range
-    x, y = bx[:n.size - wide], by[:n.size - wide]
-    np.log(np.log(n[wide:], out=x), out=x)
-    np.log(np.multiply(n[wide:], t[wide:], out=y), out=y)
+    x, y = scratch[:t.size - wide], t[wide:]
+    for i, j in _chunks(wide, t.size):
+        m, xs, ys = n_at(i, j), x[i - wide:j - wide], t[i:j]
+        np.log(np.log(m, out=xs), out=xs)
+        np.log(np.multiply(m, ys, out=ys), out=ys)
     b = _slope_into(x, y)
     if b is None:
         return slope, None, "inconclusive"
@@ -199,18 +250,43 @@ def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | No
     return slope, b, "inconclusive"
 
 
-def _diagnose_series(n: np.ndarray, t: np.ndarray, rejected: int = 0) -> SeriesDiagnosis:
-    """Tail-fit verdict and total of sum t_n; keeps ~200 geometric partial sums."""
+def _sampled_cumsum(t: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:
+    """np.cumsum(t) at the ascending positions ``idx``, and its last value.
+
+    Bit for bit, in one chunk of memory: a sequential running sum carried
+    from chunk to chunk, of which only the samples are kept.
+    """
+    sums = np.empty(idx.size)
+    buf, carry = np.empty(min(t.size, _SERIES_CHUNK)), 0.0
+    for i, j in _chunks(0, t.size):
+        run = buf[:j - i]
+        run[:] = t[i:j]
+        if i:  # the first chunk starts from t[0] itself, as np.cumsum does
+            run[0] += carry
+        np.cumsum(run, out=run)
+        carry = run[-1]
+        k = slice(*np.searchsorted(idx, [i, j]))
+        sums[k] = run[idx[k] - i]
+    return sums, float(carry)
+
+
+def _diagnose_series(n_at, t: np.ndarray, rejected: int = 0) -> SeriesDiagnosis:
+    """Tail-fit verdict and total of sum t_n; keeps ~200 geometric partial sums.
+
+    ``n_at(i, j)`` gives the indices of t[i:j], as ``_two_stage_tail_fit``
+    reads them; ``t`` is consumed, as the fit overwrites it.
+    """
     if t.size == 0:  # no usable term: nothing to fit, nothing to judge
-        return SeriesDiagnosis(n, t, t, 0.0, math.nan, None, "inconclusive", rejected)
-    # fit before the cumsum array exists: n, t and the fit's two window
-    # buffers are the peak
-    slope, b, verdict = _two_stage_tail_fit(n, t)
-    csum = np.cumsum(t)
-    idx = np.unique(np.geomspace(1, len(t), min(200, len(t))).astype(int)) - 1
+        return SeriesDiagnosis(n_at(0, 0), t, t, 0.0, math.nan, None, "inconclusive",
+                               rejected)
+    idx = np.unique(np.geomspace(1, t.size, min(200, t.size)).astype(int)) - 1
+    sums, total = _sampled_cumsum(t, idx)
+    n_values = np.concatenate([n_at(p, p + 1) for p in idx])
+    terms = t[idx]
+    slope, b, verdict = _two_stage_tail_fit(n_at, t)
     return SeriesDiagnosis(
-        n_values=n[idx], terms=t[idx], partial_sums=csum[idx],
-        total=float(csum[-1]), tail_exponent=slope, log_factor_exponent=b,
+        n_values=n_values, terms=terms, partial_sums=sums,
+        total=total, tail_exponent=slope, log_factor_exponent=b,
         verdict=verdict, rejected=rejected)
 
 
@@ -218,17 +294,22 @@ def dini_series(omega: OmegaProfile, n_max: int = 1_000_000) -> SeriesDiagnosis:
     """Partial sums of sum_{n >= 2} omega((n ln n)^{-1/2}) / n with tail fit.
 
     The terms are evaluated _SERIES_CHUNK indices at a time into one array,
-    bit for bit as one call over all n would give them, so memory stays at
-    ``n``, ``t`` and the fit's two window buffers: four arrays of n_max
+    bit for bit as one call over all n would give them, and each chunk
+    makes its own indices, exact integers in doubles.  Memory stays at the
+    terms ``t`` and the fit's one window scratch: two arrays of n_max
     doubles.  The indices are ascending, as ``_two_stage_tail_fit`` needs;
     a degenerate fit window is inconclusive.
     """
-    n = np.arange(2, n_max + 1, dtype=float)
-    t = np.empty_like(n)
-    for i in range(0, n.size, _SERIES_CHUNK):
-        m = n[i:i + _SERIES_CHUNK]
-        t[i:i + _SERIES_CHUNK] = omega.omega((m * np.log(m)) ** -0.5) / m
-    return _diagnose_series(n, t)
+    t = np.empty(max(n_max - 1, 0))
+    first = np.arange(2.0, 2.0 + min(t.size, _SERIES_CHUNK))
+
+    def n_at(i, j):  # exact integers: the first chunk's indices shifted by i
+        return first[:j - i] + i
+
+    for i, j in _chunks(0, t.size):
+        m = n_at(i, j)
+        np.divide(omega.omega((m * np.log(m)) ** -0.5), m, out=t[i:j])
+    return _diagnose_series(n_at, t)
 
 
 @dataclass(frozen=True)
@@ -278,6 +359,5 @@ def spectral_log_sum(mu_values) -> SeriesDiagnosis:
     good = mu > 1.0
     rejected = int(np.count_nonzero(~good))
     mu = mu[good]
-    n = np.arange(1, mu.size + 1, dtype=float)
-    t = np.log(mu) / mu
-    return _diagnose_series(n, t, rejected=rejected)
+    return _diagnose_series(lambda i, j: np.arange(i + 1, j + 1, dtype=float),
+                            np.log(mu) / mu, rejected=rejected)

@@ -400,8 +400,6 @@ class ExtinctionBoundReport:
     total: float                 # R = sum_t + sum_s (+ tail), inf if divergent
     verdict: str                 # "convergent" | "divergent" | "inconclusive"
     dini_verdict: str
-    omega_sum_partial: float     # sum of omega(tau_i), for the integral check
-    integral_comparison: float   # ln(1/lambda)^{-1} * integral of omega/s
 
     @property
     def rounds(self) -> int:
@@ -476,19 +474,8 @@ def extinction_iteration(config: OdiConfig, max_rounds: int = 200) -> Extinction
     else:
         verdict, total = "inconclusive", math.nan
 
-    # partial-sum vs integral comparison over the dominating radii
-    C1 = math.sqrt(config.c7 * omega.omega0 / ((-log_y0) * (1.0 + config.gamma)))
-    j = taus.size
-    comp = dini_integral(omega, c=C1)
-    comp_lo = dini_integral(omega, c=max(C1 * lam**j, 1e-250))
-    integral_comparison = (comp.value - comp_lo.value) / math.log(1.0 / lam) \
-        if comp.verdict != "divergent" else math.inf
-    omega_partial = float(np.sum(omega.omega(np.minimum(C1 * lam ** np.arange(1, j + 1),
-                                                        config.tau_max))))
-
     return ExtinctionBoundReport(
         config=config, tau_rounds=taus, t_rounds=ts, s_rounds=ss,
         log_levels=np.asarray(log_levels), clipped_rounds=clipped,
         sum_t=sum_t, sum_s=sum_s, total=total,
-        verdict=verdict, dini_verdict=dini.verdict,
-        omega_sum_partial=omega_partial, integral_comparison=integral_comparison)
+        verdict=verdict, dini_verdict=dini.verdict)

@@ -1,14 +1,15 @@
 """The paper's intermediate lemmas, which only the tests check: profile
 claims, endpoint-integral ratios, interpolation constants, the inequality's
 regions, the positivity probe, the discrete energies of one step, the map
-rho(z) = z r(z)^2 and the rho map's earlier bisection in r."""
+rho(z) = z r(z)^2, the rho map's earlier bisection in r, and the sum of
+omega over the dominating radii against its integral."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from extinctlab.analysis import DomainError, _slope_into, log_segment_integrals
+from extinctlab.analysis import DomainError, _slope_into, dini_integral, log_segment_integrals
 from extinctlab.odi import OdiConfig, _log_match_boundary
 from extinctlab.solver import FluxOperator, ProblemSpec, run, sample_potential
 
@@ -202,6 +203,25 @@ def probe_interpolation(grid, inner_radius: float, lam: float,
     c1, c2 = best
     margin = float(np.min(c1 * G + c2 * P - L))
     return InterpolationProbe(c1, c2, margin)
+
+
+def round_sum_and_integral(rep) -> tuple[float, float]:
+    """For an extinction report with j rounds: the sum of omega over the
+    dominating radii C1 lam^i, i = 1..j (capped at tau_max), and the integral
+    it tracks, ln(1/lam)^-1 times the integral of omega(s)/s over
+    (C1 lam^j, C1), infinite when the endpoint integral diverges."""
+    config = rep.config
+    omega = config.potential.omega
+    lam = (1.0 + config.gamma) ** -0.5
+    C1 = math.sqrt(config.c7 * omega.omega0
+                   / ((-math.log(config.y0)) * (1.0 + config.gamma)))
+    j = rep.rounds
+    comp = dini_integral(omega, c=C1)
+    comp_lo = dini_integral(omega, c=max(C1 * lam**j, 1e-250))
+    integral = ((comp.value - comp_lo.value) / math.log(1.0 / lam)
+                if comp.verdict != "divergent" else math.inf)
+    radii = np.minimum(C1 * lam ** np.arange(1, j + 1), config.tau_max)
+    return float(np.sum(omega.omega(radii))), integral
 
 
 def region_boundaries(config: OdiConfig, tau):

@@ -114,10 +114,29 @@ def _reference_tail_fit(n, t):
     return a, b, verdict
 
 
+def _fit(n, t):
+    """The product fit on explicit arrays; it consumes its terms, so it gets
+    a copy and ``t`` stays as it was for the reference."""
+    return _two_stage_tail_fit(lambda i, j: n[i:j], t.copy())
+
+
 def _assert_same_fit(got, want):
     """(slope, b, verdict) equal as doubles; a NaN slope matches a NaN."""
     assert got[1:] == want[1:]
     assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
+
+
+def _assert_same_diagnosis(profile, n_max):
+    """dini_series against the one-shot terms, np.cumsum and the reference
+    fit, double for double."""
+    n, t, csum, idx = _one_shot_series(profile, n_max=n_max)
+    diag = dini_series(profile, n_max=n_max)
+    assert np.array_equal(diag.n_values, n[idx])
+    assert np.array_equal(diag.terms, t[idx])
+    assert np.array_equal(diag.partial_sums, csum[idx])
+    assert diag.total == csum[-1]
+    _assert_same_fit((diag.tail_exponent, diag.log_factor_exponent, diag.verdict),
+                     _reference_tail_fit(n, t))
 
 
 def _reference_slope(x, y):
@@ -179,8 +198,9 @@ class TestChunkedSeries:
                                          OmegaProfile.power(1.0)],
                              ids=["log-power-2", "power-1"])
     def test_peak_memory_bounded(self, profile):
-        # n, t and the fit's two window buffers: four arrays of n_max doubles
-        # (log-power-2 runs both fit stages, power-1 only the first)
+        # t and the fit's one window scratch: two arrays of n_max doubles,
+        # plus chunk-sized temporaries (log-power-2 runs both fit stages,
+        # power-1 only the first)
         n_max = 1_000_000
         tracemalloc.start()
         try:
@@ -188,7 +208,29 @@ class TestChunkedSeries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.5 * 8 * n_max
+        assert peak < 2.5 * 8 * n_max
+
+    def test_mostly_zero_terms_bitwise(self):
+        # (n ln n)^-100 / n underflows to 0 past n = 287: the fit keeps 286
+        # of the million terms and reads their indices after compaction
+        profile = OmegaProfile.power(200.0)
+        _, t, _, _ = _one_shot_series(profile)
+        assert 8 <= np.count_nonzero(t > 0) < t.size
+        _assert_same_diagnosis(profile, 1_000_000)
+
+    @pytest.mark.parametrize("n_max", [2, 3, 9, 10, 11, 2**16 + 1, 2**16 + 2])
+    @pytest.mark.parametrize("profile", [
+        OmegaProfile.constant(1.0), OmegaProfile.log_power(2.0), OmegaProfile.power(200.0),
+    ], ids=["constant", "log-power-2", "power-200"])
+    def test_edges_bitwise(self, profile, n_max):
+        # one term, fewer than 8 terms, fit windows of 0, 1 and 2 points past
+        # n = 10, and a last chunk of one or two terms
+        _assert_same_diagnosis(profile, n_max)
+
+    def test_empty_series_inconclusive(self):
+        diag = dini_series(OmegaProfile.constant(1.0), n_max=1)
+        assert diag.verdict == "inconclusive" and diag.total == 0.0
+        assert diag.n_values.size == diag.terms.size == diag.partial_sums.size == 0
 
 
 _ACCEPTANCE_FAMILY = [
@@ -213,18 +255,18 @@ class TestTailFitOracle:
         n, t, _, _ = _one_shot_series(profile)
         diag = dini_series(profile)
         want = _reference_tail_fit(n, t)
-        _assert_same_fit(_two_stage_tail_fit(n, t), want)
+        _assert_same_fit(_fit(n, t), want)
         _assert_same_fit((diag.tail_exponent, diag.log_factor_exponent, diag.verdict), want)
 
     @pytest.mark.parametrize("n_max", [1000, 2**16 + 1, 3 * 2**16 + 1])
     def test_chunk_boundaries(self, n_max):
         n, t, _, _ = _one_shot_series(OmegaProfile.log_power(2.0), n_max=n_max)
-        _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
+        _assert_same_fit(_fit(n, t), _reference_tail_fit(n, t))
 
     @pytest.mark.parametrize("n,power", _DEGENERATE_WINDOWS)
     def test_degenerate_windows(self, n, power):
         t = n ** -power
-        _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
+        _assert_same_fit(_fit(n, t), _reference_tail_fit(n, t))
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, 3.0])
     def test_spectral_criterion_sized_window(self, beta):
@@ -232,13 +274,13 @@ class TestTailFitOracle:
         # window, so the first fit is the longer one
         n = np.arange(2.0, 41.0)
         t = 1.0 / (n * np.log(n) ** beta)
-        _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
+        _assert_same_fit(_fit(n, t), _reference_tail_fit(n, t))
 
     def test_nonpositive_terms_dropped(self):
         n = np.arange(2.0, 5001.0)
         t = 1.0 / (n * np.log(n) ** 2)
         t[::3] = 0.0
-        _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
+        _assert_same_fit(_fit(n, t), _reference_tail_fit(n, t))
 
 
 class TestTailFit:
@@ -259,7 +301,7 @@ class TestTailFit:
     def test_degenerate_window_inconclusive(self, n, power, has_slope):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            slope, b, verdict = _two_stage_tail_fit(n, n ** -power)
+            slope, b, verdict = _fit(n, n ** -power)
         assert verdict == "inconclusive" and b is None
         if has_slope:
             assert slope == pytest.approx(-power, rel=1e-12)

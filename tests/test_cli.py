@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,19 @@ class TestDini:
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[profile]\nkind = power\nalpha = 1.0\nbogus = 3\n")
         assert main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 64
+
+    def test_peak_memory_within_series_budget(self, tmp_path):
+        # the series to n_max = 10^6 makes the command's peak: its terms and
+        # one fit-window scratch, 2.5 arrays of n_max doubles at most
+        cfg = write_config(tmp_path, README)
+        tracemalloc.start()
+        try:
+            code = main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2.5 * 8 * 1_000_000
 
 
 class TestSimulate:
