@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +45,7 @@ class DomainError(ValueError):
 class QuadratureResult:
     value: float
     error: float
-    subdivisions: int
     verdict: str  # "convergent" | "divergent" | "inconclusive"
-    witness: tuple[float, ...] = ()
 
     @property
     def converged(self) -> bool:
@@ -56,9 +54,6 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class SeriesDiagnosis:
-    n_values: np.ndarray = field(repr=False)
-    terms: np.ndarray = field(repr=False)
-    partial_sums: np.ndarray = field(repr=False)
     total: float
     tail_exponent: float
     log_factor_exponent: float | None
@@ -81,7 +76,7 @@ def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9) -> Quadratur
     (ln(1/c), inf); dyadic windows in u are summed until either the window
     sums decay geometrically (convergent, with the geometric tail added and
     its mismatch charged to the error) or they fail to decay for 20
-    consecutive windows (divergent, the windows are the witness).
+    consecutive windows (divergent).
     """
     if c <= 0:
         raise DomainError("upper limit c must be positive")
@@ -102,37 +97,33 @@ def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9) -> Quadratur
 
     u0 = max(math.log(1.0 / s_break), 1.0)
     windows = []
-    n_eval = 0
     for k in range(_DINI_MAX_WINDOWS):
         a, b = u0 * 2.0**k, u0 * 2.0 ** (k + 1)
         w, e = _gl_window(omega.omega_neglog, a, b)
         windows.append(w)
         value += w
         err += e
-        n_eval += 1
 
         if len(windows) > _DIVERGENCE_RUN:
             recent = windows[-(_DIVERGENCE_RUN + 1):]
             ratios = [recent[i + 1] / recent[i] for i in range(_DIVERGENCE_RUN)
                       if recent[i] > 0]
             if len(ratios) == _DIVERGENCE_RUN and min(ratios) >= _DIVERGENCE_RATIO:
-                return QuadratureResult(value, err, n_eval, "divergent",
-                                        tuple(windows[-5:]))
+                return QuadratureResult(value, err, "divergent")
 
         if len(windows) >= 4:
             last = windows[-4:]
             if last[0] <= 0 or max(last) == 0:
                 # integrand fell below representable range: tail is exactly 0
-                return QuadratureResult(value, err, n_eval, "convergent")
+                return QuadratureResult(value, err, "convergent")
             rhos = [last[i + 1] / last[i] for i in range(3) if last[i] > 0]
             if len(rhos) == 3 and max(rhos) < 0.9:
                 rho = float(np.mean(rhos))
                 tail = windows[-1] * rho / (1.0 - rho)
                 bound = windows[-1] * max(rhos) / (1.0 - max(rhos))
                 if bound < tol:
-                    return QuadratureResult(value + tail, err + bound, n_eval,
-                                            "convergent")
-    return QuadratureResult(value, err, n_eval, "inconclusive", tuple(windows[-5:]))
+                    return QuadratureResult(value + tail, err + bound, "convergent")
+    return QuadratureResult(value, err, "inconclusive")
 
 
 def _chunks(start: int, stop: int):
@@ -250,13 +241,9 @@ def _two_stage_tail_fit(n_at, t: np.ndarray) -> tuple[float, float | None, str]:
     return slope, b, "inconclusive"
 
 
-def _sampled_cumsum(t: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:
-    """np.cumsum(t) at the ascending positions ``idx``, and its last value.
-
-    Bit for bit, in one chunk of memory: a sequential running sum carried
-    from chunk to chunk, of which only the samples are kept.
-    """
-    sums = np.empty(idx.size)
+def _sequential_sum(t: np.ndarray) -> float:
+    """np.cumsum(t)[-1], bit for bit, in one chunk of memory: a sequential
+    running sum carried from chunk to chunk, not numpy's pairwise t.sum()."""
     buf, carry = np.empty(min(t.size, _SERIES_CHUNK)), 0.0
     for i, j in _chunks(0, t.size):
         run = buf[:j - i]
@@ -265,33 +252,25 @@ def _sampled_cumsum(t: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:
             run[0] += carry
         np.cumsum(run, out=run)
         carry = run[-1]
-        k = slice(*np.searchsorted(idx, [i, j]))
-        sums[k] = run[idx[k] - i]
-    return sums, float(carry)
+    return float(carry)
 
 
 def _diagnose_series(n_at, t: np.ndarray, rejected: int = 0) -> SeriesDiagnosis:
-    """Tail-fit verdict and total of sum t_n; keeps ~200 geometric partial sums.
+    """Tail-fit verdict and total of sum t_n.
 
     ``n_at(i, j)`` gives the indices of t[i:j], as ``_two_stage_tail_fit``
-    reads them; ``t`` is consumed, as the fit overwrites it.
+    reads them; ``t`` is consumed, as the fit overwrites it once the total
+    is taken.
     """
     if t.size == 0:  # no usable term: nothing to fit, nothing to judge
-        return SeriesDiagnosis(n_at(0, 0), t, t, 0.0, math.nan, None, "inconclusive",
-                               rejected)
-    idx = np.unique(np.geomspace(1, t.size, min(200, t.size)).astype(int)) - 1
-    sums, total = _sampled_cumsum(t, idx)
-    n_values = np.concatenate([n_at(p, p + 1) for p in idx])
-    terms = t[idx]
+        return SeriesDiagnosis(0.0, math.nan, None, "inconclusive", rejected)
+    total = _sequential_sum(t)
     slope, b, verdict = _two_stage_tail_fit(n_at, t)
-    return SeriesDiagnosis(
-        n_values=n_values, terms=terms, partial_sums=sums,
-        total=total, tail_exponent=slope, log_factor_exponent=b,
-        verdict=verdict, rejected=rejected)
+    return SeriesDiagnosis(total, slope, b, verdict, rejected)
 
 
 def dini_series(omega: OmegaProfile, n_max: int = 1_000_000) -> SeriesDiagnosis:
-    """Partial sums of sum_{n >= 2} omega((n ln n)^{-1/2}) / n with tail fit.
+    """Total of sum_{n >= 2} omega((n ln n)^{-1/2}) / n, with its tail-fit verdict.
 
     The terms are evaluated _SERIES_CHUNK indices at a time into one array,
     bit for bit as one call over all n would give them, and each chunk
@@ -349,7 +328,8 @@ def log_segment_integrals(logf, knots: np.ndarray) -> np.ndarray:
 
 
 def spectral_log_sum(mu_values) -> SeriesDiagnosis:
-    """Partial sums of sum_n ln(mu_n)/mu_n for a positive sequence mu_n > 1.
+    """Total of sum_n ln(mu_n)/mu_n for a positive sequence mu_n > 1, with its
+    tail-fit verdict.
 
     Terms with mu_n <= 1 carry a nonpositive logarithm and are rejected
     rather than summed, and counted in ``rejected``; with no term left the

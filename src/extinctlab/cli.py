@@ -162,6 +162,8 @@ def cmd_dini(parser, out: OutputDir, args) -> int:
         "integral_verdict": eq.integral.verdict,
         "integral_value": eq.integral.value,
         "series_verdict": eq.series.verdict,
+        # the second-stage fit's exponent; null when the first fit decides
+        "series_log_factor_exponent": eq.series.log_factor_exponent,
         "verdicts_agree": eq.agree,
         "conditions": {c.name: c.passed for c in checks},
     }
@@ -215,6 +217,8 @@ def cmd_simulate(parser, out: OutputDir, args) -> int:
     results = {
         "verdict": verdict,
         "extinction_time": traj.extinction_time,
+        # extinct means the sup norm fell below this
+        "extinction_threshold": traj.threshold,
         "final_min": float(traj.umin[-1]),
         "final_sup": float(traj.linf[-1]),
         "y0": traj.y0,
@@ -255,7 +259,7 @@ def cmd_bound(parser, out: OutputDir, args) -> int:
             "tau_triple_prime": curve.tau_triple_prime,
             "region2_skipped": curve.region2_skipped,
             "beyond_domain": curve.tau_triple_prime > cfg.tau_max,
-            "tau_triple_prime_bumped": curve.triple_info.bumped,
+            "tau_triple_prime_bumped": curve.tau_triple_prime_bumped,
         }
     except (NoPlateauError, CurveRangeError) as exc:
         curve_error = str(exc)
@@ -309,12 +313,12 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
                       ["h", "lambda1", "residual", "rho_inv", "ratio"],
                       [scan.h, scan.lambda1, scan.residuals, scan.rho_inv,
                        scan.ratios])
-        sandwich = inverse_map_sandwich(potential, np.geomspace(1e-12, 1e-6, 100), rho_map)
         results.update({
             "sandwich_bracket_C": scan.bracket,
             "sandwich_width": scan.width,
             "sandwich_clipped": scan.clipped,
-            "inverse_sandwich_violations": sandwich.violations,
+            "inverse_sandwich_violations": inverse_map_sandwich(
+                potential, np.geomspace(1e-12, 1e-6, 100), rho_map),
         })
     except MonotonicityError as exc:
         # constant-like potentials have no inverse map; the criteria below
@@ -323,7 +327,11 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
 
     mus = mu_n_sequence(potential, n_max=sp["mu_n_max"], cells=min(sp["cells"], 800))
     kv = spectral_log_sum(mus)
-    terms = np.concatenate([[0.0], np.log(mus[1:]) / mus[1:]])
+    # the mu-log sum's terms, 0 where it rejects mu <= 1: the last partial
+    # sum is its total, since adding 0.0 is exact
+    summed = mus > 1.0
+    terms = np.zeros(mus.size)
+    terms[summed] = np.log(mus[summed]) / mus[summed]
     out.write_csv("mu_n.csv", ["n", "mu_n", "term", "partial_sum"],
                   [range(mus.size), mus, terms, np.cumsum(terms)])
 
@@ -350,7 +358,7 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
     out.write_summary("spectral", results, parser, args.seed)
     if results.get("consistent_with_dini") is False:
         return EXIT_NEGATIVE
-    if kv.n_values.size == 0:  # no mu_n > 1: the mu-log sum decides nothing
+    if not summed.any():  # no mu_n > 1: the mu-log sum decides nothing
         return EXIT_INCONCLUSIVE
     return _verdict_exit(crit.verdict)
 

@@ -76,11 +76,10 @@ class EnergyLedger:
     a_tau: np.ndarray            # absorption coefficient at each tau
     H: np.ndarray                # (K, M): L2 mass outside tau at snapshot k
     E: np.ndarray                # (K, M): gradient + weighted absorption
-    flux2: np.ndarray            # (K, M): squared flux through |x| = tau
     I: np.ndarray                # (M,): integral of E over [s(tau), T]
-    J: np.ndarray                # (M,): integral of flux2 over [s(tau), T]
+    J: np.ndarray                # (M,): integral of the squared flux through
+                                 # |x| = tau over [s(tau), T]
     y0: float
-    quad_error: np.ndarray       # (M,): trapezoid error proxy for I
     exponents: ExponentPack      # of the run's (q, N)
 
     @property
@@ -150,20 +149,15 @@ def compute_ledger(traj: SolutionTrajectory, tau_grid) -> EnergyLedger:
 
     I = np.empty(M)
     J = np.empty(M)
-    qerr = np.empty(M)
     t = traj.snapshot_times
     for j in range(M):
-        s = s_tau[j]
-        I[j] = _trapz_from(t, E[:, j], s)
-        J[j] = _trapz_from(t, flux2[:, j], s)
-        dE = np.abs(np.diff(E[:, j]))
-        qerr[j] = 0.5 * float(np.dot(dE, np.diff(t))) + 1e-15 * abs(I[j])
+        I[j] = _trapz_from(t, E[:, j], s_tau[j])
+        J[j] = _trapz_from(t, flux2[:, j], s_tau[j])
 
     a_tau = np.asarray(potential.a(tau_grid), dtype=float)
     return EnergyLedger(tau_grid=tau_grid, t_snap=t.copy(), s_tau=s_tau,
-                        sp_tau=sp_tau, a_tau=a_tau, H=H, E=E, flux2=flux2,
-                        I=I, J=J, y0=traj.y0, quad_error=qerr,
-                        exponents=ExponentPack(q, N))
+                        sp_tau=sp_tau, a_tau=a_tau, H=H, E=E, I=I, J=J,
+                        y0=traj.y0, exponents=ExponentPack(q, N))
 
 
 def _trapz_from(t: np.ndarray, f: np.ndarray, s: float) -> float:
@@ -181,9 +175,8 @@ def _trapz_from(t: np.ndarray, f: np.ndarray, s: float) -> float:
 
 @dataclass(frozen=True)
 class GlobalEstimateReport:
-    slack: np.ndarray            # y0 - H(t,0) - I_0^t(0) at each checkpoint
     quad_error: float
-    min_slack: float
+    min_slack: float             # min over the snapshots of y0 - H(t,0) - I_0^t(0)
 
     @property
     def holds(self) -> bool:
@@ -206,13 +199,11 @@ def verify_global_estimate(ledger: EnergyLedger) -> GlobalEstimateReport:
     I_cum = np.concatenate([[0.0], np.cumsum(0.5 * (E0[1:] + E0[:-1]) * np.diff(t))])
     slack = ledger.y0 - H0 - I_cum
     qerr = 0.5 * float(np.dot(np.abs(np.diff(E0)), np.diff(t)))
-    return GlobalEstimateReport(slack, qerr + 1e-12 * abs(ledger.y0),
-                                float(np.min(slack)))
+    return GlobalEstimateReport(qerr + 1e-12 * abs(ledger.y0), float(np.min(slack)))
 
 
 @dataclass(frozen=True)
 class RelationProbe:
-    tau: np.ndarray
     c_hat: float                 # minimal uniform constant covering all rows
     skipped: int                 # rows with a(tau) = 0, left out of the fit
 
@@ -248,21 +239,18 @@ def probe_outer_energy_relation(ledger: EnergyLedger) -> RelationProbe:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(alive & (rhs > 0), lhs / rhs, 0.0)
     c_hat = float(np.max(ratios)) if ratios.size else 0.0
-    return RelationProbe(ledger.tau_grid, c_hat, skipped)
+    return RelationProbe(c_hat, skipped)
 
 
 @dataclass(frozen=True)
 class OdiResidual:
-    tau: np.ndarray
-    y: np.ndarray
-    c0: float
-    residual: np.ndarray         # c0 sum_i (-y'/psi_i)^(1+lambda_i) - y (>= 0)
+    c0: float                    # least c0 with c0 sum_i (-y'/psi_i)^(1+lambda_i) >= y
     clipped: int                 # positive slopes of y set to zero
 
 
 def ode_inequality_residual(ledger: EnergyLedger) -> OdiResidual:
-    """Residual of the ordinary differential inequality satisfied by y(tau),
-    at the minimal constant c0 making it hold on the grid, fitted and reported.
+    """Minimal constant c0 making the ordinary differential inequality
+    satisfied by y(tau) hold on the grid, fitted and reported.
 
     y' is taken by second-order finite differences on the ledger tau grid;
     positive slopes (non-monotone numerical artifacts) are clipped to zero
@@ -289,5 +277,4 @@ def ode_inequality_residual(ledger: EnergyLedger) -> OdiResidual:
             S += np.where(np.isfinite(contrib), contrib, np.inf)
     usable = alive & np.isfinite(S) & (S > 0)
     c0 = float(np.max(y[usable] / S[usable])) if np.any(usable) else 0.0
-    residual = np.where(usable, c0 * S - y, np.nan)
-    return OdiResidual(tau, y, c0, residual, clipped)
+    return OdiResidual(c0, clipped)

@@ -21,7 +21,7 @@ radius comes from one bisection in ln(tau), ``profiles.bisect``; the radii
 of all rounds are bisected together, with one array call of omega per
 pass, and each is bit for bit the root a bisection of its level alone
 would give.  The structural constants are not pinned by the theory; they
-are configuration here, and every report echoes the values used.
+are configuration here, and the bound's summary echoes the values used.
 """
 
 from __future__ import annotations
@@ -202,20 +202,10 @@ def _log_match_constant(config: OdiConfig, tau: float) -> float:
     return (1.0 - config.exponents.theta2) * config.potential.log_a(tau) + 2.0 * log_sp
 
 
-@dataclass(frozen=True)
-class TauDoublePrime:
-    tau: float
-    value: float                 # Y2(tau'')
-    bracket_constant: float      # a^(1-theta2) s'^2 / y0^((1-theta2)(1-q)/2)
-
-
 def solve_tau_double_prime(config: OdiConfig, piece2: CurvePiece,
-                           tau_prime: float) -> TauDoublePrime:
-    """Radius where Y2 meets the lower region boundary, by bracketed bisection.
-
-    Also evaluates the matching constant a^(1-theta2) s'^2 / y0^(...), whose
-    stability across y0 is the independence cross-check.
-    """
+                           tau_prime: float) -> float:
+    """Radius tau'' where Y2 meets the lower region boundary, by bracketed
+    bisection."""
     zero = piece2.zero_radius()
     hi = min(zero * (1 - 1e-12) if math.isfinite(zero) else config.tau_max,
              config.tau_max)
@@ -231,9 +221,7 @@ def solve_tau_double_prime(config: OdiConfig, piece2: CurvePiece,
     if g(hi) < 0:
         raise RegionSkippedError("no sign change before the curve piece dies")
     [tau_pp] = _bisect_log_tau(lambda taus: map(g, taus), [0.0], tau_prime, hi)
-    p2 = (1.0 - config.exponents.theta2) * (1.0 - config.q) / 2.0
-    k = math.exp(_log_match_constant(config, tau_pp) - p2 * math.log(config.y0))
-    return TauDoublePrime(tau_pp, float(piece2(tau_pp)), k)
+    return tau_pp
 
 
 def curve_y1(config: OdiConfig, tau_pp: float, start_value: float) -> CurvePiece:
@@ -284,24 +272,14 @@ def solve_extinction_radius(config: OdiConfig, log_levels) -> list[tuple[float, 
     return [(config.tau_max, True) if tau == math.inf else (tau, False) for tau in taus]
 
 
-@dataclass(frozen=True)
-class TauTriplePrime:
-    tau: float                   # enforced final radius (curve hits zero here)
-    direct_root: float           # root of a^(1-theta2) s'^2 = c4 y0^(...)
-    ad_hoc_root: float           # root of the closed logarithmic relation, 0 below the floor
-    bumped: bool                 # true when forced above 2 tau''
-
-
 def curve_y1_and_tau_triple_prime(config: OdiConfig, tau_pp: float,
-                                  start_value: float) -> tuple[CurvePiece, TauTriplePrime]:
-    """Final curve piece plus the three candidate extinction radii.
+                                  start_value: float) -> tuple[CurvePiece, float, bool]:
+    """Final curve piece, its final radius tau''' and whether tau''' was bumped.
 
-    The direct root solves the sufficient matching condition with constant
-    c4; the logarithmic form absorbs the free constants into c7.  Whatever
-    the candidates say, the reported radius is never below the actual zero
-    of the final piece nor below twice tau''; a radius forced up to twice
-    tau'' sets ``bumped``.  A bracket on which omega vanishes raises
-    CurveRangeError.
+    tau''' is the larger of the final piece's zero and the direct root of
+    the sufficient matching condition a^(1-theta2) s'^2 = c4 y0^(...), and
+    never below twice tau''; a radius forced up to twice tau'' is bumped.
+    A bracket on which omega vanishes raises CurveRangeError.
     """
     ep = config.exponents
     p2 = (1.0 - ep.theta2) * (1.0 - config.q) / 2.0
@@ -318,38 +296,25 @@ def curve_y1_and_tau_triple_prime(config: OdiConfig, tau_pp: float,
         raise CurveRangeError(f"direct tau''' root: {exc}") from exc
     except BelowFloorError:
         direct = math.inf
-    try:
-        [(ad5, _)] = solve_extinction_radius(config, [math.log(config.y0)])
-    except BelowFloorError:
-        ad5 = 0.0
-    y1_zero = piece1.zero_radius()
 
-    candidates = [c for c in (direct, y1_zero) if math.isfinite(c)]
+    candidates = [c for c in (direct, piece1.zero_radius()) if math.isfinite(c)]
     tau_ppp = max(candidates) if candidates else config.tau_max
-    bumped = False
-    if tau_ppp <= 2.0 * tau_pp:
+    bumped = tau_ppp <= 2.0 * tau_pp
+    if bumped:
         tau_ppp = 2.0 * tau_pp * (1.0 + 1e-9)
-        bumped = True
-    return piece1, TauTriplePrime(tau_ppp, direct, ad5, bumped)
+    return piece1, tau_ppp, bumped
 
 
 @dataclass(frozen=True)
 class OdiCurve:
-    config: OdiConfig
     tau_prime: float
     tau_double_prime: float
     tau_triple_prime: float
     tau: np.ndarray
     Y: np.ndarray
     labels: np.ndarray           # "plateau" | "mid" | "final" per sample
-    triple_info: TauTriplePrime
-    bracket_constant: float
+    tau_triple_prime_bumped: bool  # raised to twice tau''
     region2_skipped: bool
-    join_gap_prime: float        # piece mismatch at tau' (0 by construction)
-    join_gap_double_prime: float
-
-    def value(self, tau):
-        return np.interp(tau, self.tau, self.Y)
 
 
 def build_curve(config: OdiConfig) -> OdiCurve:
@@ -358,20 +323,17 @@ def build_curve(config: OdiConfig) -> OdiCurve:
     piece2 = curve_y2(config, tau_p)
     skipped = False
     try:
-        tpp = solve_tau_double_prime(config, piece2, tau_p)
-        tau_pp, y_pp, k = tpp.tau, tpp.value, tpp.bracket_constant
+        tau_pp = solve_tau_double_prime(config, piece2, tau_p)
+        y_pp = float(piece2(tau_pp))
     except RegionSkippedError:
         skipped = True
-        tau_pp, y_pp, k = tau_p, config.y0, math.nan
-    piece1, triple = curve_y1_and_tau_triple_prime(config, tau_pp, y_pp)
-
-    gap1 = abs(piece2(tau_p) - config.y0)
-    gap2 = abs(piece1(tau_pp) - (config.y0 if skipped else piece2(tau_pp)))
+        tau_pp, y_pp = tau_p, config.y0
+    piece1, tau_ppp, bumped = curve_y1_and_tau_triple_prime(config, tau_pp, y_pp)
 
     t_plateau = np.linspace(0.0, tau_p, _SAMPLES_PER_PIECE // 4)
     t_mid = np.geomspace(tau_p, tau_pp, _SAMPLES_PER_PIECE) if tau_pp > tau_p \
         else np.array([tau_p])
-    t_fin = np.geomspace(tau_pp, triple.tau, _SAMPLES_PER_PIECE)
+    t_fin = np.geomspace(tau_pp, tau_ppp, _SAMPLES_PER_PIECE)
     tau = np.concatenate([t_plateau, t_mid, t_fin])
     Y = np.concatenate([np.full(t_plateau.size, config.y0),
                         piece2(t_mid) if t_mid.size > 1 else [config.y0],
@@ -379,8 +341,7 @@ def build_curve(config: OdiConfig) -> OdiCurve:
     labels = np.concatenate([np.full(t_plateau.size, "plateau"),
                              np.full(t_mid.size, "mid"),
                              np.full(t_fin.size, "final")])
-    return OdiCurve(config, tau_p, tau_pp, triple.tau, tau, Y, labels,
-                    triple, k, skipped, float(gap1), float(gap2))
+    return OdiCurve(tau_p, tau_pp, tau_ppp, tau, Y, labels, bumped, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +350,6 @@ def build_curve(config: OdiConfig) -> OdiCurve:
 
 @dataclass(frozen=True)
 class ExtinctionBoundReport:
-    config: OdiConfig
     tau_rounds: np.ndarray
     t_rounds: np.ndarray
     s_rounds: np.ndarray
@@ -475,7 +435,7 @@ def extinction_iteration(config: OdiConfig, max_rounds: int = 200) -> Extinction
         verdict, total = "inconclusive", math.nan
 
     return ExtinctionBoundReport(
-        config=config, tau_rounds=taus, t_rounds=ts, s_rounds=ss,
+        tau_rounds=taus, t_rounds=ts, s_rounds=ss,
         log_levels=np.asarray(log_levels), clipped_rounds=clipped,
         sum_t=sum_t, sum_s=sum_s, total=total,
         verdict=verdict, dini_verdict=dini.verdict)

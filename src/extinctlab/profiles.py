@@ -17,9 +17,9 @@ behaviour of ``omega``.  Built-in kinds:
 * ``table``        monotone cubic interpolation of user samples
 
 A profile also carries the space-time ramp s(tau) = tau**4 / omega(tau).
-The module also provides the monotone maps attached to an invertible
-potential, r(z) = a^{-1}(z) and the inverse of rho(z) = z * r(z)**2, and
-``bisect``, the one root finder of the package.
+The module also provides the inverse of the monotone map
+rho(z) = z * r(z)**2, r(z) = a^{-1}(z), attached to an invertible
+potential, and ``bisect``, the one root finder of the package.
 """
 
 from __future__ import annotations
@@ -445,7 +445,7 @@ def as_potential(potential):
 
 
 # ---------------------------------------------------------------------------
-# bisection and the monotone maps r(z), rho^{-1}(s)
+# bisection and the monotone map rho^{-1}(s)
 # ---------------------------------------------------------------------------
 
 def bisect(g, targets, lo, hi) -> np.ndarray:
@@ -473,34 +473,20 @@ def bisect(g, targets, lo, hi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RhoMap:
-    """Monotone maps r(z) = a^{-1}(z), rho(z) = z r(z)^2 and rho^{-1} on [r_lo, r_hi].
+    """The inverse of rho(z) = z r(z)^2, r(z) = a^{-1}(z), on [r_lo, r_hi].
 
-    Every query bisects the potential in x = ln r over [ln r_lo, ln r_hi],
-    where a runs over [z_min, z_max] and rho over [rho_min, rho_max], until
-    x rounds onto an end of its bracket.  An array query is one bisection
-    for all its elements, and each element equals the scalar query of that
+    Every query bisects ln rho = ln a(r) + 2 ln r in x = ln r over
+    [ln r_lo, ln r_hi], where rho runs over [rho_min, rho_max], until x
+    rounds onto an end of its bracket.  An array query is one bisection for
+    all its elements, and each element equals the scalar query of that
     element bit for bit, so callers batch their queries.
     """
 
     potential: PotentialField
     r_lo: float
     r_hi: float
-    z_min: float
-    z_max: float
     rho_min: float
     rho_max: float
-
-    def _radius(self, g, targets) -> np.ndarray:
-        """r = exp(x) at the roots x = ln r of g(x) = targets."""
-        return np.exp(bisect(g, targets, math.log(self.r_lo), math.log(self.r_hi)))
-
-    def r_of_z(self, z):
-        arr, scalar = _asfarray(z)
-        if np.any(arr < self.z_min * (1 - 1e-9)) or np.any(arr > self.z_max * (1 + 1e-9)):
-            raise MonotonicityError("z outside the tabulated monotone range of a")
-        out = self._radius(lambda x: self.potential.log_a(np.exp(x)),
-                           np.log(np.clip(arr, self.z_min, self.z_max)))
-        return float(out[()]) if scalar else out
 
     def rho_inv(self, s):
         """Solve rho(z) = s, returning z; s outside [rho_min, rho_max]
@@ -508,13 +494,14 @@ class RhoMap:
         arr, scalar = _asfarray(s)
         if np.any(arr < self.rho_min * (1 - 1e-9)) or np.any(arr > self.rho_max * (1 + 1e-9)):
             raise MonotonicityError("s outside the range of rho")
-        r = self._radius(lambda x: self.potential.log_a(np.exp(x)) + 2.0 * x, np.log(arr))
-        out = np.exp(self.potential.log_a(r))
+        x = bisect(lambda x: self.potential.log_a(np.exp(x)) + 2.0 * x, np.log(arr),
+                   math.log(self.r_lo), math.log(self.r_hi))
+        out = np.exp(self.potential.log_a(np.exp(x)))
         return float(out[()]) if scalar else out
 
 
 def build_rho_map(field) -> RhoMap:
-    """The maps of ``field`` where a rises on [1e-8, 1].
+    """The map of ``field`` where a rises on [1e-8, 1].
 
     Raises MonotonicityError when a or rho is not strictly increasing at
     2000 geometric radii across the range (constant potentials, profiles
@@ -543,5 +530,4 @@ def build_rho_map(field) -> RhoMap:
     rho_tab = np.exp(log_z) * r_tab**2
     if np.any(np.diff(rho_tab) <= 0):
         raise MonotonicityError("rho is not strictly increasing on the tabulated range")
-    return RhoMap(field, r_lo, r_hi, math.exp(log_z[0]), math.exp(log_z[-1]),
-                  float(rho_tab[0]), float(rho_tab[-1]))
+    return RhoMap(field, r_lo, r_hi, float(rho_tab[0]), float(rho_tab[-1]))

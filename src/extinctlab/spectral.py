@@ -243,25 +243,13 @@ def eigenvalue_sandwich_scan(potential, h_values, rho_map: RhoMap,
     return SpectralScan(h_values, lam, res, rinv, ratios, C, clipped)
 
 
-@dataclass(frozen=True)
-class SandwichReport:
-    s: np.ndarray
-    rho_inv: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    violations: int
-    r_bracket_violations: int    # of the intermediate r(z) bracket
-    below_identity_violations: int  # of rho_inv(s) >= s
-
-
-def inverse_map_sandwich(potential: PotentialField, s_values,
-                         rho_map: RhoMap) -> SandwichReport:
-    """Closed two-sided bounds on rho^(-1)(s) against the numeric inverse.
+def inverse_map_sandwich(potential: PotentialField, s_values, rho_map: RhoMap) -> int:
+    """How many s, clipped into the range of rho, have a numeric inverse
+    rho^(-1)(s) outside its closed two-sided bounds.
 
     The lower bound evaluates omega at sqrt(2 omega0/ln(1/s)), the
     upper at (1/ln(1/s))^(1/delta); both follow from the power minorant and
-    the monotonicity of omega.  Also checks the intermediate bracket on the
-    inverse radius r(z) and the coarse identity rho_inv(s) >= s.
+    the monotonicity of omega.
     """
     omega = potential.omega
     w0, delta = omega.omega0, omega.delta
@@ -271,25 +259,12 @@ def inverse_map_sandwich(potential: PotentialField, s_values,
     lower = s_values / 2.0 * L / omega.omega(np.sqrt(w0 * 2.0 / L))
     upper = s_values * L / omega.omega((1.0 / L) ** (1.0 / delta))
     rinv = np.asarray(rho_map.rho_inv(s_values))
-    violations = int(np.count_nonzero((rinv < lower * (1 - 1e-9)) |
-                                      (rinv > upper * (1 + 1e-9))))
-
-    # intermediate bracket: (1/ln(1/z))^(1/delta) <= r(z) <= sqrt(w0/ln(1/z))
-    z = rinv
-    r = np.asarray(rho_map.r_of_z(z))
-    Lz = np.log(1.0 / z)
-    r_lo = (1.0 / Lz) ** (1.0 / delta)
-    r_hi = np.sqrt(w0 / Lz)
-    r_bad = int(np.count_nonzero((r < r_lo * (1 - 1e-9)) | (r > r_hi * (1 + 1e-9))))
-
-    below = int(np.count_nonzero(rinv < s_values * (1 - 1e-9)))
-    return SandwichReport(s_values, rinv, lower, upper, violations, r_bad, below)
+    return int(np.count_nonzero((rinv < lower * (1 - 1e-9)) | (rinv > upper * (1 + 1e-9))))
 
 
 @dataclass(frozen=True)
 class CriterionReport:
     n: np.ndarray
-    alpha_log: np.ndarray        # ln(alpha_n), exact
     mu: np.ndarray
     terms: np.ndarray
     flagged: np.ndarray          # mu <= 1: excluded from the sum
@@ -325,4 +300,4 @@ def spectral_criterion_series(potential, K: float = 1.0, q: float = 0.5,
     n_used = ns[used]
     diag = _diagnose_series(lambda i, j: n_used[i:j], terms[used],
                             rejected=int(flagged.sum()))
-    return CriterionReport(ns, log_alpha, mus, terms, flagged, diag)
+    return CriterionReport(ns, mus, terms, flagged, diag)

@@ -1,8 +1,11 @@
 """The paper's intermediate lemmas, which only the tests check: profile
 claims, endpoint-integral ratios, interpolation constants, the inequality's
-regions, the positivity probe, the discrete energies of one step, the map
-rho(z) = z r(z)^2, the rho map's earlier bisection in r, and the sum of
-omega over the dominating radii against its integral."""
+regions, the positivity probe, the discrete energies of one step, the maps
+r(z) = a^{-1}(z) and rho(z) = z r(z)^2 with the brackets on them, the rho
+map's earlier bisection in r, and the sum of omega over the dominating radii
+against its integral.  Also the numbers that no subcommand emits: the error
+proxy and margins of the energy ledger, the dominating curve's joins and
+matching constant, and its candidate final radii."""
 
 import math
 from dataclasses import dataclass
@@ -10,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from extinctlab.analysis import DomainError, _slope_into, dini_integral, log_segment_integrals
-from extinctlab.odi import OdiConfig, _log_match_boundary
+from extinctlab.odi import (
+    _TAU_FLOOR,
+    OdiConfig,
+    _bisect_log_tau,
+    _log_match_boundary,
+    _log_match_constant,
+    solve_extinction_radius,
+)
+from extinctlab.profiles import MonotonicityError, bisect
 from extinctlab.solver import FluxOperator, ProblemSpec, run, sample_potential
 
 CONDITION_NAMES = ("monotone", "origin", "bounded", "slope", "minorant", "knee")
@@ -205,12 +216,12 @@ def probe_interpolation(grid, inner_radius: float, lam: float,
     return InterpolationProbe(c1, c2, margin)
 
 
-def round_sum_and_integral(rep) -> tuple[float, float]:
-    """For an extinction report with j rounds: the sum of omega over the
-    dominating radii C1 lam^i, i = 1..j (capped at tau_max), and the integral
-    it tracks, ln(1/lam)^-1 times the integral of omega(s)/s over
-    (C1 lam^j, C1), infinite when the endpoint integral diverges."""
-    config = rep.config
+def round_sum_and_integral(config: OdiConfig, rep) -> tuple[float, float]:
+    """For the extinction report of ``config`` with j rounds: the sum of
+    omega over the dominating radii C1 lam^i, i = 1..j (capped at tau_max),
+    and the integral it tracks, ln(1/lam)^-1 times the integral of
+    omega(s)/s over (C1 lam^j, C1), infinite when the endpoint integral
+    diverges."""
     omega = config.potential.omega
     lam = (1.0 + config.gamma) ** -0.5
     C1 = math.sqrt(config.c7 * omega.omega0
@@ -222,6 +233,78 @@ def round_sum_and_integral(rep) -> tuple[float, float]:
                 if comp.verdict != "divergent" else math.inf)
     radii = np.minimum(C1 * lam ** np.arange(1, j + 1), config.tau_max)
     return float(np.sum(omega.omega(radii))), integral
+
+
+def bracket_constant(config: OdiConfig, tau_pp: float) -> float:
+    """a^(1-theta2) s'^2 / y0^((1-theta2)(1-q)/2) at tau'': its stability
+    across y0 is the independence cross-check of the matching radius."""
+    p2 = (1.0 - config.exponents.theta2) * (1.0 - config.q) / 2.0
+    return math.exp(_log_match_constant(config, tau_pp) - p2 * math.log(config.y0))
+
+
+def triple_prime_roots(config: OdiConfig) -> tuple[float, float]:
+    """Two candidate final radii of the curve: the direct root of the
+    sufficient matching condition a^(1-theta2) s'^2 = c4 y0^((1-theta2)(1-q)/2),
+    bisected as ``odi.curve_y1_and_tau_triple_prime`` does, and the root of
+    the closed logarithmic relation tau^2/omega(tau) = c7/ln(1/y0), which
+    absorbs the free constants into c7."""
+    p2 = (1.0 - config.exponents.theta2) * (1.0 - config.q) / 2.0
+    target = math.log(config.c4) + p2 * math.log(config.y0)
+    [direct] = _bisect_log_tau(
+        lambda taus: (_log_match_constant(config, tau) for tau in taus), [target],
+        _TAU_FLOOR, config.tau_max * 4.0)
+    [(ad_hoc, _)] = solve_extinction_radius(config, [math.log(config.y0)])
+    return direct, ad_hoc
+
+
+def join_gaps(Y, labels) -> tuple[float, float]:
+    """|jump| of a dominating curve's values Y across its plateau|mid and
+    mid|final label boundaries."""
+    Y, labels = np.asarray(Y, dtype=float), np.asarray(labels)
+    k = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    assert labels[k].tolist() == ["mid", "final"], labels[k]
+    g1, g2 = np.abs(Y[k] - Y[k - 1]).tolist()
+    return g1, g2
+
+
+def curve_value(curve, tau):
+    """The dominating curve at tau, linear between its samples."""
+    return np.interp(tau, curve.tau, curve.Y)
+
+
+def ledger_quad_error(ledger) -> np.ndarray:
+    """Trapezoid error proxy of each I(tau): half the sum over snapshot
+    steps of |jump of E(., tau)| times the step, plus 1e-15 |I(tau)|."""
+    dt = np.diff(ledger.t_snap)
+    return np.array([0.5 * float(np.dot(np.abs(np.diff(E)), dt)) + 1e-15 * abs(I)
+                     for E, I in zip(ledger.E.T, ledger.I)])
+
+
+def global_slack(ledger) -> np.ndarray:
+    """y0 - H(t, 0) - I_0^t(0) at each snapshot: the margins of the a priori
+    bound whose least ``energy.verify_global_estimate`` reports."""
+    j = int(np.argmin(ledger.tau_grid))
+    E0 = ledger.E[:, j]
+    I_cum = np.concatenate([[0.0], np.cumsum(0.5 * (E0[1:] + E0[:-1])
+                                             * np.diff(ledger.t_snap))])
+    return ledger.y0 - ledger.H[:, j] - I_cum
+
+
+def odi_residual(ledger, c0: float) -> np.ndarray:
+    """c0 sum_i (-y'/psi_i)^(1+lambda_i) - y per tau, the residual of the
+    differential inequality (>= 0 at the fitted c0), with positive slopes
+    of y clipped to zero; NaN where the absorption vanishes or the sum is
+    not finite and positive."""
+    ep = ledger.exponents
+    y = ledger.y
+    yp = np.minimum(np.gradient(y, ledger.tau_grid), 0.0)
+    a, sp = ledger.a_tau, ledger.sp_tau
+    psis = (a * sp, a ** (1 - ep.theta1), a ** (1 - ep.theta2) * sp)
+    lams = (ep.lambda0, ep.lambda1, ep.lambda2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        S = sum((-yp / psi) ** (1 + lam) for psi, lam in zip(psis, lams))
+    usable = (a > 0) & np.isfinite(S) & (S > 0)
+    return np.where(usable, c0 * S - y, np.nan)
 
 
 def region_boundaries(config: OdiConfig, tau):
@@ -296,10 +379,58 @@ def positivity_probe(spec: ProblemSpec) -> PositivityReport:
                             float(traj.umin[-1]))
 
 
+def z_range(rho_map) -> tuple[float, float]:
+    """(z_min, z_max): a at the ends r_lo and r_hi of a ``RhoMap``."""
+    z_min, z_max = np.exp(rho_map.potential.log_a(np.array([rho_map.r_lo, rho_map.r_hi])))
+    return float(z_min), float(z_max)
+
+
+def r_of_z(rho_map, z):
+    """r(z) = a^{-1}(z) of a ``RhoMap``, by ``profiles.bisect`` in ln r as
+    its rho^{-1} solves; z outside [z_min, z_max] raises MonotonicityError."""
+    z_min, z_max = z_range(rho_map)
+    arr = np.asarray(z, dtype=float)
+    if np.any(arr < z_min * (1 - 1e-9)) or np.any(arr > z_max * (1 + 1e-9)):
+        raise MonotonicityError("z outside the tabulated monotone range of a")
+    r = np.exp(bisect(lambda x: rho_map.potential.log_a(np.exp(x)),
+                      np.log(np.clip(arr, z_min, z_max)),
+                      math.log(rho_map.r_lo), math.log(rho_map.r_hi)))
+    return float(r) if np.ndim(z) == 0 else r
+
+
 def rho(rho_map, z):
     """rho(z) = z r(z)^2 of a ``RhoMap``."""
-    out = np.asarray(z, dtype=float) * np.asarray(rho_map.r_of_z(z)) ** 2
+    out = np.asarray(z, dtype=float) * np.asarray(r_of_z(rho_map, z)) ** 2
     return float(out) if np.ndim(z) == 0 else out
+
+
+@dataclass(frozen=True)
+class InverseMapBrackets:
+    s: np.ndarray
+    rho_inv: np.ndarray
+    lower: np.ndarray            # closed bounds on rho^(-1)(s)
+    upper: np.ndarray
+    r_bracket_violations: int    # of the intermediate r(z) bracket
+    below_identity_violations: int  # of rho^(-1)(s) >= s
+
+
+def inverse_map_brackets(potential, s_values, rho_map) -> InverseMapBrackets:
+    """The closed bounds of ``spectral.inverse_map_sandwich`` on rho^(-1)(s),
+    s clipped into the range of rho, with the intermediate bracket
+    (1/ln(1/z))^(1/delta) <= r(z) <= sqrt(omega0/ln(1/z)) at z = rho^(-1)(s)
+    and the coarse identity rho^(-1)(s) >= s."""
+    omega = potential.omega
+    w0, delta = omega.omega0, omega.delta
+    s = np.clip(np.asarray(s_values, dtype=float), rho_map.rho_min, rho_map.rho_max)
+    L = np.log(1.0 / s)
+    lower = s / 2.0 * L / omega.omega(np.sqrt(w0 * 2.0 / L))
+    upper = s * L / omega.omega((1.0 / L) ** (1.0 / delta))
+    z = rho_map.rho_inv(s)
+    r = r_of_z(rho_map, z)
+    Lz = np.log(1.0 / z)
+    r_bad = (r < (1.0 / Lz) ** (1.0 / delta) * (1 - 1e-9)) | (r > np.sqrt(w0 / Lz) * (1 + 1e-9))
+    return InverseMapBrackets(s, z, lower, upper, int(np.count_nonzero(r_bad)),
+                              int(np.count_nonzero(z < s * (1 - 1e-9))))
 
 
 def bisect_increasing(fn, lo, hi, targets):
@@ -330,7 +461,7 @@ def bisect_increasing(fn, lo, hi, targets):
 def r_of_z_in_r(rho_map, z) -> np.ndarray:
     """r(z) by ``bisect_increasing``, for z in [z_min, z_max]."""
     return bisect_increasing(rho_map.potential.log_a, rho_map.r_lo, rho_map.r_hi,
-                             np.log(np.clip(z, rho_map.z_min, rho_map.z_max)))
+                             np.log(np.clip(z, *z_range(rho_map))))
 
 
 def rho_inv_in_r(rho_map, s) -> np.ndarray:

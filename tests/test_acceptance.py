@@ -25,7 +25,13 @@ from extinctlab.odi import (
 from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField, build_rho_map
 from extinctlab.solver import FluxOperator, ProblemSpec, run
 from extinctlab.spectral import ground_state, mu_n_sequence, eigenvalue_sandwich_scan, inverse_map_sandwich
-from oracles import endpoint_equivalence_ratios
+from oracles import (
+    bracket_constant,
+    curve_value,
+    endpoint_equivalence_ratios,
+    join_gaps,
+    ledger_quad_error,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -58,7 +64,7 @@ def test_03_dini_closed_form():
     res = dini_integral(OmegaProfile.log_power(2.0), c=math.exp(-1.0), tol=1e-9)
     err = abs(res.value - 1.0)
     report(3, "dini closed form", res.converged and err < 1e-6,
-           f"value={res.value:.9f} err={err:.2e} ({res.subdivisions} windows)")
+           f"value={res.value:.9f} err={err:.2e}")
 
 
 def test_04_equivalence_family():
@@ -114,9 +120,9 @@ def test_07_eigenvalue_sandwich():
 
 def test_08_inverse_map_sandwich():
     pot = PotentialField(1.0, OmegaProfile.log_power(2.0))
-    rep = inverse_map_sandwich(pot, np.geomspace(1e-12, 1e-6, 200), build_rho_map(pot))
-    report(8, "inverse-map sandwich", rep.violations == 0,
-           f"violations={rep.violations} over 200 points in [1e-12, 1e-6]")
+    violations = inverse_map_sandwich(pot, np.geomspace(1e-12, 1e-6, 200), build_rho_map(pot))
+    report(8, "inverse-map sandwich", violations == 0,
+           f"violations={violations} over 200 points in [1e-12, 1e-6]")
 
 
 def test_09_endpoint_integral_equivalence():
@@ -134,7 +140,7 @@ def test_10_odi_machinery():
     pot = PotentialField(1.0, OmegaProfile.log_power(2.0))
     cfg = OdiConfig(potential=pot, y0=1e-4, q=0.5)
     curve = build_curve(cfg)
-    g1, g2 = curve.join_gap_prime, curve.join_gap_double_prime
+    g1, g2 = join_gaps(curve.Y, curve.labels)
     joins_ok = g1 <= 1e-10 * cfg.y0 and g2 <= 1e-10 * cfg.y0
     monotone_ok = bool(np.all(np.diff(curve.Y) <= 1e-12))
 
@@ -159,7 +165,7 @@ def test_10_odi_machinery():
     for y0 in (1e-4, 3e-5, 1e-5):
         c = OdiConfig(potential=pot, y0=y0, q=0.5)
         t1 = solve_tau_prime(c)
-        ks.append(solve_tau_double_prime(c, curve_y2(c, t1), t1).bracket_constant)
+        ks.append(bracket_constant(c, solve_tau_double_prime(c, curve_y2(c, t1), t1)))
     drift = max(ks) / min(ks)
     report(10, "dominating-curve machinery",
            joins_ok and monotone_ok and ode_ok and drift < 2.0,
@@ -196,8 +202,8 @@ def test_12_comparison_property(omega_r_small_run):
     res = ode_inequality_residual(led)
     cfg = OdiConfig(potential=pot, y0=led.y0, q=0.5, c0=res.c0)
     curve = build_curve(cfg)
-    margin = curve.value(taus) - led.y
-    tol = np.maximum(led.quad_error, 1e-12 * led.y0)
+    margin = curve_value(curve, taus) - led.y
+    tol = np.maximum(ledger_quad_error(led), 1e-12 * led.y0)
     ok = bool(np.all(margin >= -tol))
     report(12, "energy below dominating curve", ok,
            f"fitted c0={res.c0:.4f}, min margin={margin.min():.3e} over 40 radii")

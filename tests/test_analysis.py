@@ -40,7 +40,6 @@ class TestDiniIntegral:
     def test_constant_profile_diverges(self):
         res = dini_integral(OmegaProfile.constant(0.5), c=1.0)
         assert res.verdict == "divergent"
-        assert len(res.witness) > 0
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -72,11 +71,10 @@ class TestDiniSeries:
 
 
 def _one_shot_series(profile, n_max=1_000_000):
-    """Terms, partial sums and checkpoints with all terms in one omega call."""
+    """Indices, terms and partial sums with all terms in one omega call."""
     n = np.arange(2, n_max + 1, dtype=float)
     t = profile.omega((n * np.log(n)) ** -0.5) / n
-    idx = np.unique(np.geomspace(1, len(t), min(200, len(t))).astype(int)) - 1
-    return n, t, np.cumsum(t), idx
+    return n, t, np.cumsum(t)
 
 
 def _reference_tail_fit(n, t):
@@ -127,13 +125,10 @@ def _assert_same_fit(got, want):
 
 
 def _assert_same_diagnosis(profile, n_max):
-    """dini_series against the one-shot terms, np.cumsum and the reference
-    fit, double for double."""
-    n, t, csum, idx = _one_shot_series(profile, n_max=n_max)
+    """dini_series against np.cumsum of the one-shot terms and the
+    reference fit, double for double."""
+    n, t, csum = _one_shot_series(profile, n_max=n_max)
     diag = dini_series(profile, n_max=n_max)
-    assert np.array_equal(diag.n_values, n[idx])
-    assert np.array_equal(diag.terms, t[idx])
-    assert np.array_equal(diag.partial_sums, csum[idx])
     assert diag.total == csum[-1]
     _assert_same_fit((diag.tail_exponent, diag.log_factor_exponent, diag.verdict),
                      _reference_tail_fit(n, t))
@@ -156,20 +151,11 @@ class TestChunkedSeries:
         OmegaProfile.from_table(_TABLE_S, _TABLE_S ** 0.7),
     ], ids=["log-power-0.5", "log-power-2", "power-1", "constant", "table"])
     def test_bitwise_equal_to_one_shot(self, profile):
-        n, t, csum, idx = _one_shot_series(profile)
-        diag = dini_series(profile)
-        assert np.array_equal(diag.n_values, n[idx])
-        assert np.array_equal(diag.terms, t[idx])
-        assert np.array_equal(diag.partial_sums, csum[idx])
-        assert diag.total == csum[-1]
+        _assert_same_diagnosis(profile, 1_000_000)
 
     @pytest.mark.parametrize("n_max", [1000, 2**16 + 1, 3 * 2**16 + 1])
     def test_chunk_boundaries(self, n_max):
-        profile = OmegaProfile.log_power(2.0)
-        n, t, csum, idx = _one_shot_series(profile, n_max=n_max)
-        diag = dini_series(profile, n_max=n_max)
-        assert np.array_equal(diag.terms, t[idx])
-        assert np.array_equal(diag.partial_sums, csum[idx])
+        _assert_same_diagnosis(OmegaProfile.log_power(2.0), n_max)
 
     @pytest.mark.parametrize("profile", [
         OmegaProfile.log_power(1.0), OmegaProfile.log_power(2.0),
@@ -178,7 +164,7 @@ class TestChunkedSeries:
     ], ids=["log-power-1", "log-power-2", "log-power-3", "power-1", "power-2",
             "constant"])
     def test_tail_slope_matches_extended_precision(self, profile):
-        n, t, _, _ = _one_shot_series(profile)
+        n, t, _ = _one_shot_series(profile)
         k = np.searchsorted(n, n[-1] / 10.0)
         x, y = np.log(n[k:]), np.log(t[k:])
         ref = _reference_slope(x, y)
@@ -214,7 +200,7 @@ class TestChunkedSeries:
         # (n ln n)^-100 / n underflows to 0 past n = 287: the fit keeps 286
         # of the million terms and reads their indices after compaction
         profile = OmegaProfile.power(200.0)
-        _, t, _, _ = _one_shot_series(profile)
+        _, t, _ = _one_shot_series(profile)
         assert 8 <= np.count_nonzero(t > 0) < t.size
         _assert_same_diagnosis(profile, 1_000_000)
 
@@ -230,7 +216,6 @@ class TestChunkedSeries:
     def test_empty_series_inconclusive(self):
         diag = dini_series(OmegaProfile.constant(1.0), n_max=1)
         assert diag.verdict == "inconclusive" and diag.total == 0.0
-        assert diag.n_values.size == diag.terms.size == diag.partial_sums.size == 0
 
 
 _ACCEPTANCE_FAMILY = [
@@ -252,7 +237,7 @@ class TestTailFitOracle:
 
     @pytest.mark.parametrize("profile", _ACCEPTANCE_FAMILY)
     def test_acceptance_family(self, profile):
-        n, t, _, _ = _one_shot_series(profile)
+        n, t, _ = _one_shot_series(profile)
         diag = dini_series(profile)
         want = _reference_tail_fit(n, t)
         _assert_same_fit(_fit(n, t), want)
@@ -260,7 +245,7 @@ class TestTailFitOracle:
 
     @pytest.mark.parametrize("n_max", [1000, 2**16 + 1, 3 * 2**16 + 1])
     def test_chunk_boundaries(self, n_max):
-        n, t, _, _ = _one_shot_series(OmegaProfile.log_power(2.0), n_max=n_max)
+        n, t, _ = _one_shot_series(OmegaProfile.log_power(2.0), n_max=n_max)
         _assert_same_fit(_fit(n, t), _reference_tail_fit(n, t))
 
     @pytest.mark.parametrize("n,power", _DEGENERATE_WINDOWS)

@@ -13,6 +13,7 @@ import pytest
 import extinctlab
 from extinctlab.cli import OutputDir, _fmt, main
 from extinctlab.solver import NumericsError
+from oracles import join_gaps
 
 
 def write_config(path: Path, profile: str, extra: str = "") -> Path:
@@ -109,6 +110,18 @@ class TestDini:
         cfg = write_config(tmp_path, BETA2)
         assert main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("profile,second_fit", [
+        (BETA2, True),   # the power fit is at the harmonic boundary
+        ("[profile]\nkind = power\nalpha = 1.0\n", False),   # the power fit decides
+    ], ids=["log-power", "power"])
+    def test_log_factor_exponent_emitted(self, tmp_path, profile, second_fit):
+        cfg = write_config(tmp_path, profile)
+        assert main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        results = json.loads((tmp_path / "o" / "summary_dini.json").read_text())["results"]
+        assert results["series_verdict"] == "convergent"
+        b = results["series_log_factor_exponent"]
+        assert b > 1.05 if second_fit else b is None
+
     def test_constant_profile_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, CONSTANT)
         assert main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -150,6 +163,9 @@ class TestSimulate:
         assert summary["results"]["verdict"] == "extinct"
         assert abs(summary["results"]["extinction_time"] - 2.0) < 0.02
         assert summary["results"]["global_estimate_holds"] is True
+        # extinct: the sup norm fell below the threshold, 1e-10 of sup u0 = 1
+        assert summary["results"]["extinction_threshold"] == 1e-10
+        assert summary["results"]["final_sup"] < 1e-10
 
     def test_heat_run_horizon_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, ODE_REGIME.replace(
@@ -262,6 +278,16 @@ class TestBound:
         summary = json.loads((out / "summary_bound.json").read_text())
         assert summary["results"]["total_bound"] == "inf"
 
+    def test_emitted_curve_is_continuous(self, tmp_path):
+        # the joins as written: Y across the plateau|mid and mid|final rows
+        cfg = write_config(tmp_path, BETA2 + ODI_SECTION)
+        out = tmp_path / "o"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+        curve = np.genfromtxt(out / "curve.csv", delimiter=",", names=True,
+                              dtype=None, encoding="utf-8")
+        g1, g2 = join_gaps(curve["Y"], curve["region"])
+        assert g1 <= 1e-10 * 1e-4 and g2 <= 1e-10 * 1e-4   # y0 = 1e-4
+
     def test_constant_overrides_echoed(self, tmp_path):
         cfg = write_config(tmp_path, BETA2 + ODI_SECTION)
         out = tmp_path / "o"
@@ -350,6 +376,21 @@ class TestSpectral:
         terms = np.genfromtxt(out / "criterion_terms.csv", delimiter=",", names=True)
         assert terms["mu"].size == 39
         assert np.all(np.diff(terms["mu"]) >= 0.0)
+
+    def test_mu_n_csv_sums_to_mu_log_sum(self, tmp_path):
+        # the rows hold the mu-log sum's own terms, ln(mu)/mu, and 0 where it
+        # rejects mu <= 1 (mu_0..mu_3 here): the last partial sum is its
+        # total, double for double
+        cfg = write_config(tmp_path, README)
+        out = tmp_path / "o"
+        assert main(["spectral", "--config", str(cfg), "--out", str(out)]) == 0
+        results = json.loads((out / "summary_spectral.json").read_text())["results"]
+        rows = np.genfromtxt(out / "mu_n.csv", delimiter=",", names=True)
+        rejected = rows["mu_n"] <= 1.0
+        assert results["mu_log_sum_rejected"] == np.count_nonzero(rejected) == 4
+        assert np.all(rows["term"][rejected] == 0.0)
+        assert np.all(rows["term"][~rejected] > 0.0)
+        assert rows["partial_sum"][-1] == results["mu_log_sum"]
 
 
 class TestVerify:

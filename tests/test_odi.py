@@ -21,7 +21,16 @@ from extinctlab.odi import (
     solve_tau_prime,
 )
 from extinctlab.profiles import OmegaProfile, PotentialField
-from oracles import region_boundaries, region_classifier, round_sum_and_integral
+from oracles import (
+    bracket_constant,
+    curve_value,
+    join_gaps,
+    ledger_quad_error,
+    region_boundaries,
+    region_classifier,
+    round_sum_and_integral,
+    triple_prime_roots,
+)
 
 
 @pytest.fixture(scope="module")
@@ -159,18 +168,18 @@ class TestTauDoublePrime:
         cfg = OdiConfig(potential=pot, y0=1e-4, q=0.5)
         tau_p = solve_tau_prime(cfg)
         piece = curve_y2(cfg, tau_p)
-        res = solve_tau_double_prime(cfg, piece, tau_p)
+        tau_pp = solve_tau_double_prime(cfg, piece, tau_p)
         ep = cfg.exponents
-        log_sp = cfg.potential.omega.log_ramp_slope(res.tau)
+        log_sp = cfg.potential.omega.log_ramp_slope(tau_pp)
         boundary = math.exp(math.log(3 * cfg.c0)
-                            + 2 / (1 - cfg.q) * cfg.potential.log_a(res.tau)
+                            + 2 / (1 - cfg.q) * cfg.potential.log_a(tau_pp)
                             + 2 / ((1 - cfg.q) * (ep.theta1 - ep.theta2)) * log_sp)
-        assert abs(piece(res.tau) - boundary) <= 1e-8 * boundary
+        assert abs(piece(tau_pp) - boundary) <= 1e-8 * boundary
 
     def test_root_brackets_sign_change_within_4_ulps(self, beta2_config):
         tau_p = solve_tau_prime(beta2_config)
         piece = curve_y2(beta2_config, tau_p)
-        tau_pp = solve_tau_double_prime(beta2_config, piece, tau_p).tau
+        tau_pp = solve_tau_double_prime(beta2_config, piece, tau_p)
 
         def G(tau):
             return math.log(piece(tau)) - odi._log_match_boundary(beta2_config, tau)
@@ -185,8 +194,8 @@ class TestTauDoublePrime:
         for y0 in (1e-4, 3e-5, 1e-5):
             cfg = OdiConfig(potential=beta2_config.potential, y0=y0, q=0.5)
             tau_p = solve_tau_prime(cfg)
-            ks.append(solve_tau_double_prime(cfg, curve_y2(cfg, tau_p), tau_p)
-                      .bracket_constant)
+            ks.append(bracket_constant(
+                cfg, solve_tau_double_prime(cfg, curve_y2(cfg, tau_p), tau_p)))
         assert max(ks) / min(ks) < 2.0
 
     def test_plateau_collapse_skips_region(self, beta2_config):
@@ -218,10 +227,9 @@ class TestTauTriplePrime:
         ratios = []
         for y0 in (1e-6, 1e-5, 1e-4, 1e-3):
             cfg = OdiConfig(potential=beta2_config.potential, y0=y0, q=0.5)
-            curve = build_curve(cfg)
-            info = curve.triple_info
-            assert math.isfinite(info.direct_root)
-            ratios.append(info.direct_root / info.ad_hoc_root)
+            direct, ad_hoc = triple_prime_roots(cfg)
+            assert math.isfinite(direct)
+            ratios.append(direct / ad_hoc)
         assert max(ratios) / min(ratios) < 10.0
         assert all(0.05 < r < 20.0 for r in ratios)
 
@@ -229,7 +237,7 @@ class TestTauTriplePrime:
 class TestCurveAssembly:
     def test_continuity_and_monotonicity(self, beta2_config):
         curve = build_curve(beta2_config)
-        g1, g2 = curve.join_gap_prime, curve.join_gap_double_prime
+        g1, g2 = join_gaps(curve.Y, curve.labels)
         assert g1 <= 1e-10 * beta2_config.y0
         assert g2 <= 1e-10 * beta2_config.y0
         assert np.all(np.diff(curve.Y) <= 1e-12)
@@ -284,7 +292,7 @@ class TestExtinctionIteration:
 
     def test_round_relations(self, beta2_config):
         rep = extinction_iteration(beta2_config)
-        cfg = rep.config
+        cfg = beta2_config
         w = cfg.potential.omega.omega(rep.tau_rounds)
         expect_t = cfg.gamma * cfg.c7 / cfg.cbar * w
         assert np.allclose(rep.t_rounds, expect_t, rtol=1e-12)
@@ -310,7 +318,8 @@ class TestExtinctionIteration:
         assert rep.sum_s < 10 * rep.s_rounds[0]
 
     def test_partial_sums_vs_integral_comparison(self, beta2_config):
-        partial, integral = round_sum_and_integral(extinction_iteration(beta2_config))
+        partial, integral = round_sum_and_integral(beta2_config,
+                                                   extinction_iteration(beta2_config))
         ratio = partial / integral
         assert 0.25 < ratio < 4.0
 
@@ -507,6 +516,6 @@ class TestComparisonProperty:
         res = ode_inequality_residual(led)
         cfg = OdiConfig(potential=pot, y0=led.y0, q=0.5, c0=res.c0)
         curve = build_curve(cfg)
-        margin = curve.value(taus) - led.y
-        tol = np.maximum(led.quad_error, 1e-12 * led.y0)
+        margin = curve_value(curve, taus) - led.y
+        tol = np.maximum(ledger_quad_error(led), 1e-12 * led.y0)
         assert np.all(margin >= -tol)

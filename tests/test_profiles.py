@@ -18,9 +18,11 @@ from oracles import (
     claims,
     condition,
     passed,
+    r_of_z,
     r_of_z_in_r,
     rho,
     rho_inv_in_r,
+    z_range,
 )
 
 
@@ -194,7 +196,7 @@ class TestRhoMap:
         field = PotentialField(1.0, OmegaProfile.power(1.0))
         rmap = build_rho_map(field)
         z = math.exp(-2.0)
-        assert rmap.r_of_z(z) == pytest.approx(0.5, rel=1e-10)
+        assert r_of_z(rmap, z) == pytest.approx(0.5, rel=1e-10)
         assert rho(rmap, z) == pytest.approx(math.exp(-2.0) / 4.0, rel=1e-10)
 
     def test_inversion_identity(self):
@@ -208,21 +210,22 @@ class TestRhoMap:
     def test_a_of_r_of_z_identity(self):
         field = PotentialField(1.0, OmegaProfile.log_power(2.0))
         rmap = build_rho_map(field)
-        z = np.geomspace(rmap.z_min * 1.01, rmap.z_max * 0.99, 64)
-        a_back = field.a(rmap.r_of_z(z))
+        z_min, z_max = z_range(rmap)
+        z = np.geomspace(z_min * 1.01, z_max * 0.99, 64)
+        a_back = field.a(r_of_z(rmap, z))
         assert np.all(np.abs(a_back / z - 1.0) < 1e-8)
 
     def test_rho_monotone(self):
         field = PotentialField(1.0, OmegaProfile.log_power(2.0))
         rmap = build_rho_map(field)
-        assert np.all(np.diff(rho(rmap, np.geomspace(rmap.z_min, rmap.z_max, 200))) > 0)
+        assert np.all(np.diff(rho(rmap, np.geomspace(*z_range(rmap), 200))) > 0)
 
     def test_rising_part_of_rise_fall_potential(self, rise_fall_potential):
         rmap = build_rho_map(rise_fall_potential)
         assert rmap.r_lo == pytest.approx(2.69e-3, rel=1e-3)
         assert rmap.r_hi == pytest.approx(0.30752, rel=1e-5)
-        z = np.geomspace(rmap.z_min, rmap.z_max, 200)
-        a_back = rise_fall_potential.a(rmap.r_of_z(z))
+        z = np.geomspace(*z_range(rmap), 200)
+        a_back = rise_fall_potential.a(r_of_z(rmap, z))
         assert np.all(np.abs(a_back / z - 1.0) < 1e-8)
 
     def test_falling_potential_not_invertible(self):
@@ -248,8 +251,8 @@ class TestRhoMap:
         rmap = build_rho_map(PotentialField(1.0, prof))
         s = np.clip(np.geomspace(1e-12, 1e-6, 40), rmap.rho_min, rmap.rho_max)
         assert np.array_equal(rmap.rho_inv(s), [rmap.rho_inv(float(x)) for x in s])
-        z = np.geomspace(rmap.z_min, rmap.z_max, 20)
-        assert np.array_equal(rmap.r_of_z(z), [rmap.r_of_z(float(x)) for x in z])
+        z = np.geomspace(*z_range(rmap), 20)
+        assert np.array_equal(r_of_z(rmap, z), [r_of_z(rmap, float(x)) for x in z])
 
     def test_out_of_range_argument_raises(self):
         rmap = build_rho_map(PotentialField(1.0, OmegaProfile.log_power(2.0)))
@@ -278,8 +281,8 @@ class TestRhoMapBisection:
                              else PotentialField(1.0, prof))
         s = np.clip(np.geomspace(1e-12, 1e-6, 40), rmap.rho_min, rmap.rho_max)
         np.testing.assert_allclose(rmap.rho_inv(s), rho_inv_in_r(rmap, s), rtol=5e-14)
-        z = np.geomspace(rmap.z_min, rmap.z_max, 20)
-        np.testing.assert_allclose(rmap.r_of_z(z), r_of_z_in_r(rmap, z), rtol=5e-14)
+        z = np.geomspace(*z_range(rmap), 20)
+        np.testing.assert_allclose(r_of_z(rmap, z), r_of_z_in_r(rmap, z), rtol=5e-14)
 
     @pytest.mark.parametrize("prof", [OmegaProfile.log_power(2.0), OmegaProfile.power(1.0)],
                              ids=["log-power", "power"])
@@ -292,15 +295,21 @@ class TestRhoMapBisection:
         log_a = PotentialField.log_a
         monkeypatch.setattr(PotentialField, "log_a",
                             lambda self, r: calls.append(r) or log_a(self, r))
-        queries = [(rmap.r_of_z, rmap.z_min), (rmap.r_of_z, rmap.z_max),
-                   (rmap.r_of_z, rmap.rho_inv(s)),   # the sandwich's r(z) bracket
+        z_min, z_max = z_range(rmap)
+        z_s = rmap.rho_inv(s)
+
+        def r_of(z):
+            return r_of_z(rmap, z)
+
+        queries = [(r_of, z_min), (r_of, z_max),
+                   (r_of, z_s),   # the r(z) bracket's query
                    (rmap.rho_inv, rmap.rho_min), (rmap.rho_inv, rmap.rho_max),
                    (rmap.rho_inv, s)]
         for query, arg in queries:
             calls.clear()
             query(arg)
-            # rho_inv evaluates ln a once more, at the roots
-            assert len(calls) - (query == rmap.rho_inv) <= 128
+            # r_of_z evaluates ln a once more, for its range; rho_inv at the roots
+            assert len(calls) - 1 <= 128
 
 
 class TestSRamp:

@@ -1,17 +1,30 @@
-"""Every definition in ``src/`` has a product caller.
+"""Every definition, dataclass field and import in ``src/`` has a product use.
 
-A name scan over the package source.  The roots are ``cli.main`` and the
-module-level statements of every module; imports are left out, as they
-call nothing.  A reached function, class or method adds every name that
-its code mentions, as a bare name or an attribute.  A function or class
-whose name is mentioned either way is reached in turn, a method only when
-its name is mentioned as an attribute (a local variable of the same name
-does not call it), until nothing new is.  A definition left over is called
-only from the tests and belongs in ``tests/oracles.py``.  Dunder methods
-run implicitly and are exempt: a reached class reaches its own.
+Definitions: a name scan over the package source.  The roots are
+``cli.main`` and the module-level statements of every module; imports are
+left out, as they call nothing.  A reached function, class or method adds
+every name that its code mentions, as a bare name or an attribute.  A
+function or class whose name is mentioned either way is reached in turn, a
+method only when its name is mentioned as an attribute (a local variable of
+the same name does not call it), until nothing new is.  A definition left
+over is called only from the tests and belongs in ``tests/oracles.py``.
+Dunder methods run implicitly and are exempt: a reached class reaches its
+own.
+
+Fields: a dataclass field is read when its name is read as an attribute
+somewhere in ``src/`` other than its own class's ``__post_init__``, which
+checks fields whether or not anything uses them; a method of the class is a
+reader, as the definition scan reaches every method.  A field that nothing
+reads is filled for no subcommand: it is emitted or it goes, and whatever a
+test still checks of it is computed in ``tests/oracles.py``.  The scan goes
+by name, so a field is missed when another one of its name is read.
+
+Imports: every name that a module imports is mentioned in that module,
+unless its line says ``# noqa: F401``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import extinctlab
@@ -81,3 +94,84 @@ def unreached_definitions() -> list[str]:
 def test_every_definition_has_a_product_caller():
     unreached = unreached_definitions()
     assert not unreached, "reached from no subcommand: " + ", ".join(unreached)
+
+
+#: fields read only outside ``src/``, each with its reader
+_READ_OUTSIDE_SRC = {
+    # the acceptance and spectral tests check the eigenpair through them
+    "spectral.GroundState.vector": "tests/test_acceptance.py, tests/test_spectral.py",
+    "spectral.GroundState.grid": "tests/test_acceptance.py, tests/test_spectral.py",
+    # the traced benchmark counts them; a run's diagnostics are to emit them
+    "spectral.GroundState.iterations": "bench/tracer.py",
+    "spectral.GroundState.used_fallback": "bench/tracer.py",
+}
+
+
+def _is_dataclass(node) -> bool:
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if isinstance(d, ast.Name) and d.id == "dataclass":
+            return True
+    return False
+
+
+def _attribute_reads(nodes) -> Counter:
+    return Counter(sub.attr for node in nodes for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def _fields_and_reads():
+    """[(qualified name, name, attribute reads in its class's
+    ``__post_init__``)] of every dataclass field, and the attribute reads of
+    all of ``src/``."""
+    fields, reads = [], Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads += _attribute_reads([tree])
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                post_init = [n for n in node.body
+                             if _is_def(n) and n.name == "__post_init__"]
+                own = _attribute_reads(post_init)
+                fields += [(f"{path.stem}.{node.name}.{n.target.id}", n.target.id, own)
+                           for n in node.body if isinstance(n, ast.AnnAssign)]
+    return fields, reads
+
+
+def unread_fields() -> list[str]:
+    fields, reads = _fields_and_reads()
+    return sorted(q for q, name, own in fields
+                  if reads[name] == own[name] and q not in _READ_OUTSIDE_SRC)
+
+
+def test_every_field_is_read():
+    unread = unread_fields()
+    assert not unread, "fields no subcommand reads: " + ", ".join(unread)
+
+
+def test_fields_read_outside_src_are_fields():
+    fields, _ = _fields_and_reads()
+    assert set(_READ_OUTSIDE_SRC) <= {q for q, _, _ in fields}
+
+
+def unused_imports() -> list[str]:
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        names = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in names and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.stem}: {bound}")
+    return unused
+
+
+def test_every_import_is_used():
+    unused = unused_imports()
+    assert not unused, "imported and never mentioned: " + ", ".join(unused)

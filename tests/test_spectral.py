@@ -19,7 +19,7 @@ from extinctlab.spectral import (
     eigenvalue_sandwich_scan,
     inverse_map_sandwich,
 )
-from oracles import rayleigh_quotient, total_volume
+from oracles import inverse_map_brackets, rayleigh_quotient, total_volume
 
 
 @pytest.fixture(scope="module")
@@ -193,14 +193,14 @@ class TestEigenvalueSandwich:
 
 class TestInverseMapSandwich:
     def test_no_violations_small_s(self, beta2_potential):
-        rep = inverse_map_sandwich(beta2_potential, np.geomspace(1e-12, 1e-6, 200),
-                                   build_rho_map(beta2_potential))
-        assert rep.violations == 0
+        s, rho_map = np.geomspace(1e-12, 1e-6, 200), build_rho_map(beta2_potential)
+        assert inverse_map_sandwich(beta2_potential, s, rho_map) == 0
+        rep = inverse_map_brackets(beta2_potential, s, rho_map)
         assert rep.r_bracket_violations == 0
         assert rep.below_identity_violations == 0
 
     def test_bounds_ordered(self, beta2_potential):
-        rep = inverse_map_sandwich(beta2_potential, np.geomspace(1e-12, 1e-6, 50),
+        rep = inverse_map_brackets(beta2_potential, np.geomspace(1e-12, 1e-6, 50),
                                    build_rho_map(beta2_potential))
         assert np.all(rep.lower <= rep.upper)
         assert np.all((rep.lower <= rep.rho_inv) & (rep.rho_inv <= rep.upper))
@@ -219,7 +219,7 @@ class TestSpectralCriterion:
         # a = 1, q = 1/2: mu(alpha_n) = alpha_n^(-1/2) = n^(Kn/2)
         crit = spectral_criterion_series(ConstantPotential(1.0), K=1.0, q=0.5,
                                 n_range=(2, 12), cells=200)
-        expect = np.exp(-0.5 * crit.alpha_log)
+        expect = np.exp(0.5 * crit.n * np.log(crit.n))   # alpha_n^(-1/2), K = 1
         assert np.allclose(crit.mu, expect, rtol=1e-8)
         assert crit.verdict == "convergent"
 
