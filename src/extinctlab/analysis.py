@@ -35,6 +35,8 @@ _DIVERGENCE_RUN = 20
 _SERIES_CHUNK = 1 << 16
 #: dyadic windows dini_integral sums before it gives up as inconclusive
 _DINI_MAX_WINDOWS = 400
+#: largest geometric-tail bound dini_integral accepts as convergent
+_DINI_TOL = 1e-9
 
 
 class DomainError(ValueError):
@@ -69,7 +71,7 @@ def _gl_window(f, a: float, b: float) -> tuple[float, float]:
     return float(v32), abs(float(v32 - v16))
 
 
-def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9) -> QuadratureResult:
+def dini_integral(omega: OmegaProfile, c: float) -> QuadratureResult:
     """Adaptive evaluation of the endpoint integral of omega(s)/s over (0, c).
 
     Substituting u = ln(1/s) gives the integral of omega(exp(-u)) du over
@@ -80,8 +82,6 @@ def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9) -> Quadratur
     """
     if c <= 0:
         raise DomainError("upper limit c must be positive")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
     probe = omega.omega(np.geomspace(min(c, 0.5) * 1e-6, min(c, 0.5), 16))
     if not np.all(np.isfinite(probe)) or np.any(probe < 0):
         raise DomainError("omega is not finite and nonnegative near 0")
@@ -121,7 +121,7 @@ def dini_integral(omega: OmegaProfile, c: float, tol: float = 1e-9) -> Quadratur
                 rho = float(np.mean(rhos))
                 tail = windows[-1] * rho / (1.0 - rho)
                 bound = windows[-1] * max(rhos) / (1.0 - max(rhos))
-                if bound < tol:
+                if bound < _DINI_TOL:
                     return QuadratureResult(value + tail, err + bound, "convergent")
     return QuadratureResult(value, err, "inconclusive")
 

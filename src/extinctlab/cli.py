@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     extinctlab <dini|simulate|bound|spectral|verify> --config FILE
-               [--out DIR] [--seed N] [--gamma X] [--c0 X] [--c7 X] [--cbar X]
+               [--out DIR] [--seed N]
 
 Every convergence verdict (integral, series, round bound, spectral
 criterion) is "convergent", "divergent" or "inconclusive".  Exit codes:
@@ -83,14 +83,19 @@ class OutputDir:
 
     def __init__(self, path):
         self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
         self.lock = self.path / ".extinctlab.lock"
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from None
         try:
             fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             os.close(fd)
         except FileExistsError:
             raise ConfigError(f"output directory {self.path} is locked by "
                               "another invocation") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot lock output directory: {exc}") from None
         self.manifest: list[str] = []
 
     def release(self):
@@ -239,14 +244,8 @@ def cmd_simulate(parser, out: OutputDir, args) -> int:
     return EXIT_OK if verdict == "extinct" else EXIT_NEGATIVE
 
 
-def _odi_config(parser, args):
-    overrides = {"gamma": args.gamma, "c0": args.c0, "c7": args.c7,
-                 "cbar": args.cbar}
-    return odi_from_config(parser, args.config_dir, overrides)
-
-
 def cmd_bound(parser, out: OutputDir, args) -> int:
-    cfg, extras = _odi_config(parser, args)
+    cfg, extras = odi_from_config(parser, args.config_dir)
     rep = extinction_iteration(cfg, max_rounds=extras["max_rounds"])
     curve_error = None
     try:
@@ -366,7 +365,7 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
 def cmd_verify(parser, out: OutputDir, args) -> int:
     # every section is checked before the first file is written
     spectral_from_config(parser)
-    _odi_config(parser, args)
+    odi_from_config(parser, args.config_dir)
     code_d = cmd_dini(parser, out, args)
     code_s = cmd_spectral(parser, out, args)
     code_b = cmd_bound(parser, out, args)
@@ -389,17 +388,22 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's own exit code 2 reads as "inconclusive"; a usage error
+    exits EXIT_USAGE, and --help still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="extinctlab",
-                                 description="extinction-criteria laboratory")
+    ap = _ArgumentParser(prog="extinctlab",
+                         description="extinction-criteria laboratory")
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("--config", required=True, help="INI run configuration")
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--gamma", type=float, default=None)
-    ap.add_argument("--c0", type=float, default=None)
-    ap.add_argument("--c7", type=float, default=None)
-    ap.add_argument("--cbar", type=float, default=None)
     return ap
 
 

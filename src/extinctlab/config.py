@@ -145,7 +145,7 @@ def problem_from_config(parser, base_dir=".") -> ProblemSpec:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     elif pot_kind == "zero":
-        potential = None
+        potential = ConstantPotential(0.0)
     else:
         raise ConfigError(f"unknown potential spec {pot_kind!r}")
     u0 = _get(sec, "u0", lambda v: v if v == "random" else float(v), 1.0)
@@ -165,7 +165,7 @@ def problem_from_config(parser, base_dir=".") -> ProblemSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def odi_from_config(parser, base_dir=".", overrides=None) -> tuple[OdiConfig, dict]:
+def odi_from_config(parser, base_dir=".") -> tuple[OdiConfig, dict]:
     sec = _section(parser, "odi", _ODI_KEYS)
     prob = _section(parser, "problem", _PROBLEM_KEYS)
     extras = {
@@ -180,8 +180,6 @@ def odi_from_config(parser, base_dir=".", overrides=None) -> tuple[OdiConfig, di
         "c7": _get(sec, "c7", float, None),
         "cbar": _get(sec, "cbar", float, None),
     }
-    if overrides:
-        kwargs.update({k: v for k, v in overrides.items() if v is not None})
     if kwargs["y0"] >= 1:
         raise ConfigError("need y0 < 1 for the extinction rounds")
     q, dimension, radius = _problem_shape(prob)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import PotentialField, as_potential
-from .solver import FluxOperator, SolutionTrajectory, sample_potential
+from .profiles import PotentialField
+from .solver import FluxOperator, SolutionTrajectory
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ def compute_ledger(traj: SolutionTrajectory, tau_grid) -> EnergyLedger:
     if not np.all((tau_grid >= 0) & (tau_grid <= grid.radius)):   # NaN fails too
         raise ValueError("tau grid must lie inside [0, R]")
 
-    potential = as_potential(traj.spec.potential)
-    a_cells = sample_potential(potential, grid)
+    potential = traj.spec.potential
+    a_cells = potential.a(grid.centers)
     op = FluxOperator(grid)
     q = traj.spec.q
     faces = grid.faces

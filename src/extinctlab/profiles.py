@@ -152,36 +152,18 @@ class OmegaProfile:
 
         A scalar is evaluated by the same ufunc expression as an array, on a
         one-element 1-d ndarray, so ``omega(x) == omega(xs)[i]`` bit for bit
-        whenever ``xs[i] == x`` (NaN included).  Its path skips the range
-        check over the array and, except where a power can overflow, the
-        ``errstate`` block; log-power has a branch of its own for the
-        uncapped range 0 < s <= 1/e.  A log-power array with every s in
-        (0, 1) skips the masks and applies the masked path's ufuncs to the
-        whole array.  No path uses ``math``: its ``log`` and ``**`` round
-        differently from numpy's array loops.
+        whenever ``xs[i] == x`` (NaN included).  A log-power array with
+        every s in (0, 1) skips the masks and applies the masked path's
+        ufuncs to the whole array.  No path uses ``math``: its ``log`` and
+        ``**`` round differently from numpy's array loops.
         """
         arr, scalar = _asfarray(s)
-        if scalar:
-            return self._omega_scalar(arr.reshape(1))
         if np.any(arr < 0):
             raise ProfileError("omega is only defined for s >= 0")
         with np.errstate(divide="ignore", over="ignore"):
+            if scalar:
+                return float(self._omega_array(arr.reshape(1))[0])
             return self._omega_array(arr)
-
-    def _omega_scalar(self, one: np.ndarray) -> float:
-        x = one[0]
-        if x < 0:
-            raise ProfileError("omega is only defined for s >= 0")
-        if self.kind == "log-power":
-            if not x > 0:
-                return 0.0                      # s = 0 and NaN, as for arrays
-            L = -np.log(one)
-            if L[0] >= 1.0:                     # L**(-beta) <= 1: no overflow
-                return float(min((L ** (-self.beta))[0], self.omega0))
-        elif self.kind != "power" or x <= 1.0:  # no power here can overflow
-            return float(self._omega_array(one)[0])
-        with np.errstate(divide="ignore", over="ignore"):
-            return float(self._omega_array(one)[0])
 
     def _omega_array(self, arr: np.ndarray) -> np.ndarray:
         if self.kind == "power":
@@ -433,15 +415,6 @@ class ConstantPotential:
             raise ProfileError("potential radius must be nonnegative")
         out = np.full_like(arr, self.value)
         return float(out[()]) if scalar else out
-
-
-def as_potential(potential):
-    """A potential object for None (no absorption), a number or a potential."""
-    if potential is None:
-        return ConstantPotential(0.0)
-    if isinstance(potential, (int, float)):
-        return ConstantPotential(float(potential))
-    return potential
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .profiles import as_potential
+from .profiles import ConstantPotential, PotentialField
 
 #: snapshot rows run() allocates up front; the default decimation never
 #: needs more, a small user-set ``snapshot_every`` grows the buffer by doubling
@@ -90,11 +90,6 @@ class RadialGrid:
         return float(np.dot(self.volumes, values))
 
 
-def sample_potential(potential, grid: RadialGrid) -> np.ndarray:
-    """Cell-centered absorption coefficient; None means no absorption."""
-    return np.asarray(as_potential(potential).a(grid.centers), dtype=float)
-
-
 class FluxOperator:
     """The flux-form -Laplacian on a radial grid, shared by the diffusion
     solver, the Schrodinger ground states and the energy ledger.
@@ -140,7 +135,7 @@ class ProblemSpec:
     q: float
     dimension: int = 1
     radius: float = 1.0
-    potential: object | None = None       # PotentialField | ConstantPotential | float | None
+    potential: PotentialField | ConstantPotential = ConstantPotential(0.0)
     u0: object = 1.0                      # float | array of cell values | "random"
     cells: int = 2000
     dt: float = 1e-3
@@ -188,7 +183,7 @@ class Stepper(FluxOperator):
     def __init__(self, grid: RadialGrid, potential, q: float, dt: float):
         super().__init__(grid)
         self.q = q
-        self.a = sample_potential(potential, grid)
+        self.a = potential.a(grid.centers)
         diag, off = self.implicit(dt)
         *ldl, info = dpttrf(diag, off)
         if info != 0:

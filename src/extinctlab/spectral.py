@@ -22,7 +22,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .analysis import SeriesDiagnosis, _diagnose_series
-from .profiles import PotentialField, RhoMap, as_potential
+from .profiles import PotentialField, RhoMap
 from .profiles import build_rho_map  # noqa: F401  cmd_spectral calls it from here
 from .solver import FluxOperator, RadialGrid
 
@@ -143,7 +143,6 @@ def ground_state(potential, log_h: float, cells: int = 2000,
     """
     if not math.isfinite(log_h):
         raise ValueError("log_h must be finite")
-    potential = as_potential(potential)
     # a constant potential has no crossing, so its knee is None
     faces = _graded_faces(cells, knee_radius(potential, log_h, probe_log_a))
     grid = RadialGrid.from_faces(faces, 1)
@@ -178,7 +177,6 @@ def ground_state(potential, log_h: float, cells: int = 2000,
 def _ground_sweep(potential, log_hs, cells: int) -> list[GroundState]:
     """Ground states at each ln h of ``log_hs``, with ln a on the knee probe
     evaluated once for the whole sweep."""
-    potential = as_potential(potential)
     probe_log_a = potential.log_a(_KNEE_PROBE)
     return [ground_state(potential, lh, cells=cells, probe_log_a=probe_log_a)
             for lh in log_hs]

@@ -22,7 +22,7 @@ from extinctlab.odi import (
     solve_extinction_radius,
 )
 from extinctlab.profiles import MonotonicityError, bisect
-from extinctlab.solver import FluxOperator, ProblemSpec, run, sample_potential
+from extinctlab.solver import FluxOperator, ProblemSpec, run
 
 CONDITION_NAMES = ("monotone", "origin", "bounded", "slope", "minorant", "knee")
 
@@ -150,7 +150,7 @@ def absorption_energy(stepper, u: np.ndarray) -> float:
 def rayleigh_quotient(gs, potential, log_h: float = 0.0) -> float:
     """Recompute the quotient of a ground state's eigenvector from scratch."""
     grid = gs.grid
-    a = sample_potential(potential, grid)
+    a = potential.a(grid.centers)
     num = gradient_energy(FluxOperator(grid), gs.vector)
     num += grid.integrate(a * gs.vector**2) * math.exp(-2.0 * log_h)
     return num / grid.integrate(gs.vector**2)

@@ -51,7 +51,7 @@ def test_01_constant_potential_extinction():
 
 
 def test_02_mass_conservation():
-    spec = ProblemSpec(q=0.5, potential=None, u0="random", cells=2000,
+    spec = ProblemSpec(q=0.5, potential=ConstantPotential(0.0), u0="random", cells=2000,
                        dt=1e-3, horizon=10.0, seed=42)
     traj = run(spec)
     steps = traj.times.size - 1
@@ -61,7 +61,7 @@ def test_02_mass_conservation():
 
 
 def test_03_dini_closed_form():
-    res = dini_integral(OmegaProfile.log_power(2.0), c=math.exp(-1.0), tol=1e-9)
+    res = dini_integral(OmegaProfile.log_power(2.0), c=math.exp(-1.0))
     err = abs(res.value - 1.0)
     report(3, "dini closed form", res.converged and err < 1e-6,
            f"value={res.value:.9f} err={err:.2e}")

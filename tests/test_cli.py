@@ -239,15 +239,16 @@ horizon = 0.05
                      "--out", str(tmp_path / "o")]) == 70
 
     def test_non_finite_state_exit_70(self, tmp_path, monkeypatch):
-        import extinctlab.solver as solver
-        sample = solver.sample_potential
+        # one NaN in the absorption the stepper samples at the cell centers
+        from extinctlab.profiles import ConstantPotential
+        sample = ConstantPotential.a
 
-        def poisoned(potential, grid):
-            a = sample(potential, grid)
-            a[grid.n // 2] = np.nan
+        def poisoned(potential, r):
+            a = sample(potential, r)
+            a[a.size // 2] = np.nan
             return a
 
-        monkeypatch.setattr(solver, "sample_potential", poisoned)
+        monkeypatch.setattr(ConstantPotential, "a", poisoned)
         cfg = write_config(tmp_path, ODE_REGIME)
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 70
@@ -287,16 +288,6 @@ class TestBound:
                               dtype=None, encoding="utf-8")
         g1, g2 = join_gaps(curve["Y"], curve["region"])
         assert g1 <= 1e-10 * 1e-4 and g2 <= 1e-10 * 1e-4   # y0 = 1e-4
-
-    def test_constant_overrides_echoed(self, tmp_path):
-        cfg = write_config(tmp_path, BETA2 + ODI_SECTION)
-        out = tmp_path / "o"
-        assert main(["bound", "--config", str(cfg), "--out", str(out),
-                     "--gamma", "2.0", "--c0", "0.5"]) == 0
-        summary = json.loads((out / "summary_bound.json").read_text())
-        assert summary["results"]["constants"]["gamma"] == 2.0
-        assert summary["results"]["constants"]["c0"] == 0.5
-
 
     def test_clipped_rounds_reported(self, tmp_path):
         # at y0 = 0.5 the first radii solve beyond the domain and are clipped
@@ -466,7 +457,7 @@ y0 = 1e-4
 """ + SPECTRAL_SMALL
 
 
-def run_with(tmp_path, command, settings, argv=()):
+def run_with(tmp_path, command, settings):
     """Exit code of ``command`` on FULL with (section, key, value) settings;
     a value of None drops the key."""
     parser = configparser.ConfigParser()
@@ -479,28 +470,47 @@ def run_with(tmp_path, command, settings, argv=()):
     cfg = tmp_path / "run.ini"
     with open(cfg, "w") as fh:
         parser.write(fh)
-    return main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *argv])
+    return main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
 
 
 class TestConfigValues:
-    @pytest.mark.parametrize("command,settings,argv", [
-        ("bound", [("odi", "y0", "nan")], []),
-        ("bound", [("odi", "gamma", "nan")], []),
-        ("bound", [("odi", "c0", "nan")], []),
-        ("bound", [], ["--gamma", "nan"]),
-        ("bound", [("profile", "d0", "nan")], []),
-        ("simulate", [("profile", "d0", "nan")], []),
-        ("dini", [("profile", "omega0", "nan")], []),
+    @pytest.mark.parametrize("command,settings", [
+        ("bound", [("odi", "y0", "nan")]),
+        ("bound", [("odi", "gamma", "nan")]),
+        ("bound", [("odi", "c0", "nan")]),
+        ("bound", [("profile", "d0", "nan")]),
+        ("simulate", [("profile", "d0", "nan")]),
+        ("dini", [("profile", "omega0", "nan")]),
         ("dini", [("profile", "kind", "power"), ("profile", "beta", None),
-                  ("profile", "alpha", "nan")], []),
-        ("dini", [("profile", "beta", "nan")], []),
+                  ("profile", "alpha", "nan")]),
+        ("dini", [("profile", "beta", "nan")]),
         ("dini", [("profile", "kind", "log-singular"), ("profile", "beta", None),
                   ("profile", "omega0", None), ("profile", "delta", None),
-                  ("profile", "kappa", "nan")], []),
-    ], ids=["odi-y0", "odi-gamma", "odi-c0", "gamma-flag", "d0-bound", "d0-simulate",
+                  ("profile", "kappa", "nan")]),
+    ], ids=["odi-y0", "odi-gamma", "odi-c0", "d0-bound", "d0-simulate",
             "omega0", "alpha", "beta", "kappa"])
-    def test_nan_parameter_exit_64(self, tmp_path, command, settings, argv):
-        assert run_with(tmp_path, command, settings, argv) == 64
+    def test_nan_parameter_exit_64(self, tmp_path, command, settings):
+        assert run_with(tmp_path, command, settings) == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["dini"],
+        ["nonsense", "--config", "run.ini"],
+        ["dini", "--config", "run.ini", "--seed", "abc"],
+        ["bound", "--config", "run.ini", "--gamma", "2"],
+    ], ids=["no-config", "unknown-command", "seed-abc", "gamma-flag"])
+    def test_usage_error_exit_64(self, capsys, argv):
+        # argparse's own code 2 would read as "inconclusive"; every constant
+        # of a run is a config key, so there is no --gamma to set
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        assert "usage: extinctlab" in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "--gamma" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("command,section,key,value", [
         ("spectral", "spectral", "k", "-1"),
@@ -670,6 +680,15 @@ class TestHygiene:
         out.mkdir()
         (out / ".extinctlab.lock").touch()
         assert main(["dini", "--config", str(cfg), "--out", str(out)]) == 64
+
+    @pytest.mark.parametrize("name", ["o", "o/sub"], ids=["file", "under-file"])
+    def test_out_not_a_directory_exit_64(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, BETA2)
+        (tmp_path / "o").write_text("kept\n")
+        assert main(["dini", "--config", str(cfg), "--out", str(tmp_path / name)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "Traceback" not in err
+        assert (tmp_path / "o").read_text() == "kept\n"
 
     def test_lock_released_after_run(self, tmp_path):
         cfg = write_config(tmp_path, BETA2)

@@ -67,7 +67,7 @@ class TestPositivity:
     def test_diffuse_keeps_sign(self, state, log10_dt):
         dimension, u = state
         g = RadialGrid.uniform(u.size, dimension=dimension)
-        x = Stepper(g, None, 0.5, 10.0 ** log10_dt).diffuse(u)
+        x = Stepper(g, ConstantPotential(0.0), 0.5, 10.0 ** log10_dt).diffuse(u)
         assert np.all(x >= 0.0)
 
     @fixed
@@ -95,7 +95,7 @@ class TestMassAtZeroAbsorption:
         # and neither solve keeps to this bound.
         dimension, u = state
         g = RadialGrid.uniform(u.size, dimension=dimension)
-        stepper = Stepper(g, None, 0.5, 10.0 ** log10_dt)
+        stepper = Stepper(g, ConstantPotential(0.0), 0.5, 10.0 ** log10_dt)
         scale = np.max(u) * total_volume(g)
         mass0 = g.integrate(u)
         drift = 0.0

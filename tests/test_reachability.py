@@ -21,6 +21,11 @@ by name, so a field is missed when another one of its name is read.
 
 Imports: every name that a module imports is mentioned in that module,
 unless its line says ``# noqa: F401``.
+
+Defaults: every parameter with a default is passed, by position or by
+keyword, by some call in ``src/`` of a function or method of its name; a
+class call counts for its ``__init__``.  A default that no call overrides
+is a knob that no subcommand turns: it becomes a constant or goes.
 """
 
 import ast
@@ -175,3 +180,81 @@ def unused_imports() -> list[str]:
 def test_every_import_is_used():
     unused = unused_imports()
     assert not unused, "imported and never mentioned: " + ", ".join(unused)
+
+
+#: defaulted parameters that no ``src/`` call passes, each with its reason
+_DEFAULT_ONLY = {
+    # the entry point: the console script calls main() with no argv
+    "cli.main.argv": "the console script and python -m",
+    # the tests place the series' end at chunk boundaries through it
+    "analysis.dini_series.n_max": "tests/test_analysis.py",
+}
+
+
+def _defaulted_parameters():
+    """[(qualified name, name the callers use, index among the positional
+    parameters or None, parameter name)] of every parameter with a
+    default.  A method's index leaves out ``self`` or ``cls``, and an
+    ``__init__`` is called by its class's name."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                funcs = [(f"{node.name}.{n.name}",
+                          node.name if n.name == "__init__" else n.name, n, True)
+                         for n in node.body if _is_def(n)]
+            elif _is_def(node):
+                funcs = [(node.name, node.name, node, False)]
+            else:
+                continue
+            for qual, called_as, fn, method in funcs:
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                      for d in fn.decorator_list):
+                    positional = positional[1:]
+                first = len(positional) - len(args.defaults)
+                out += [(f"{path.stem}.{qual}.{a.arg}", called_as, i, a.arg)
+                        for i, a in enumerate(positional) if i >= first]
+                out += [(f"{path.stem}.{qual}.{a.arg}", called_as, None, a.arg)
+                        for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _calls():
+    """{called name: [(positional count, keywords)]} of every call in
+    ``src/``; a ``*args`` counts as any number of positional arguments and a
+    ``**kwargs`` as every keyword."""
+    calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(sub, ast.Call):
+                continue
+            f = sub.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name == "__init__":   # super().__init__(...)
+                name = None
+            if name is None:
+                continue
+            n = (float("inf") if any(isinstance(a, ast.Starred) for a in sub.args)
+                 else len(sub.args))
+            keywords = {k.arg for k in sub.keywords}
+            calls.setdefault(name, []).append((n, keywords))
+    return calls
+
+
+def default_only_parameters() -> set[str]:
+    """Every defaulted parameter that no call in ``src/`` passes."""
+    calls = _calls()
+    return {q for q, called_as, index, name in _defaulted_parameters()
+            if not any((index is not None and n > index) or name in kw or None in kw
+                       for n, kw in calls.get(called_as, []))}
+
+
+def test_every_default_is_overridden_somewhere():
+    unset = default_only_parameters() - set(_DEFAULT_ONLY)
+    assert not unset, "defaulted and never passed in src/: " + ", ".join(sorted(unset))
+
+
+def test_default_only_allow_list_is_current():
+    assert set(_DEFAULT_ONLY) <= default_only_parameters()

@@ -45,7 +45,7 @@ class TestStep:
         g = RadialGrid.uniform(100)
         u = np.ones(100)
         for dt in (1e-4, 1e-2, 1.0):
-            out = Stepper(g, None, 0.5, dt).step(u)
+            out = Stepper(g, ConstantPotential(0.0), 0.5, dt).step(u)
             assert np.allclose(out, 1.0, atol=1e-13)
 
     @pytest.mark.parametrize("N", [1, 3])
@@ -54,7 +54,7 @@ class TestStep:
         rng = np.random.RandomState(0)
         u = rng.uniform(0.0, 2.0, 300)
         m0 = g.integrate(u)
-        out = Stepper(g, None, 0.5, 1e-3).step(u)
+        out = Stepper(g, ConstantPotential(0.0), 0.5, 1e-3).step(u)
         assert g.integrate(out) == pytest.approx(m0, rel=1e-12)
 
     def test_spatially_constant_absorption_tracks_ode(self):
@@ -79,7 +79,7 @@ class TestStep:
         g = RadialGrid.uniform(128, dimension=2)
         rng = np.random.RandomState(2)
         u = rng.uniform(0.5, 1.5, 128)
-        out = Stepper(g, None, 0.5, 5e-3).step(u)
+        out = Stepper(g, ConstantPotential(0.0), 0.5, 5e-3).step(u)
         assert out.max() <= u.max() + 1e-12
         assert out.min() >= u.min() - 1e-12
 
@@ -165,7 +165,7 @@ class TestFactoredSolve:
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_bitwise_equal_to_solve_banded(self, N):
         g = RadialGrid.uniform(500, dimension=N)
-        steppers = {dt: Stepper(g, None, 0.5, dt) for dt in (1e-3, 0.5)}
+        steppers = {dt: Stepper(g, ConstantPotential(0.0), 0.5, dt) for dt in (1e-3, 0.5)}
         rng = np.random.RandomState(N)
         for dt in (1e-3, 1e-3, 0.5):
             u = rng.uniform(0.0, 2.0, g.n)
@@ -191,7 +191,7 @@ class TestFactoredSolve:
         stiff = max(np.max(c / v[:-1]), np.max(c / v[1:]))
         rng = np.random.RandomState(20 + N)
         for dt in (1e-6, 1e-3, 0.5):
-            st = Stepper(g, None, 0.5, dt)
+            st = Stepper(g, ConstantPotential(0.0), 0.5, dt)
             u = rng.uniform(0.0, 2.0, g.n)
             u[rng.randint(0, g.n)] = 5.0
             tol = 8 * np.finfo(float).eps * (1 + 4 * dt * stiff) * np.max(np.abs(u))
@@ -225,7 +225,7 @@ class TestFactoredSolve:
     def test_too_few_cells_rejected(self):
         with pytest.raises(ValueError):
             ProblemSpec(q=0.5, cells=2)
-        traj = run(ProblemSpec(q=0.5, potential=None, cells=3, horizon=0.01))
+        traj = run(ProblemSpec(q=0.5, potential=ConstantPotential(0.0), cells=3, horizon=0.01))
         assert np.allclose(traj.linf, 1.0, atol=1e-14)
 
 
@@ -274,7 +274,7 @@ class TestAbsorbBitwise:
     @pytest.mark.parametrize("potential", [
         PotentialField(1.0, OmegaProfile.log_power(2.0)),
         PatchyPotential(),
-        None,
+        pytest.param(ConstantPotential(0.0), id="None"),  # no absorption
     ])
     def test_equal_to_reference_formula(self, q, potential):
         g = RadialGrid.uniform(997, dimension=2)
@@ -380,7 +380,7 @@ class TestRun:
         assert traj.extinction_time == pytest.approx(2.0, rel=1e-2)
 
     def test_heat_run_no_extinction(self):
-        spec = ProblemSpec(q=0.5, potential=None, u0=1.0, cells=100,
+        spec = ProblemSpec(q=0.5, potential=ConstantPotential(0.0), u0=1.0, cells=100,
                            dt=1e-2, horizon=1.0)
         traj = run(spec)
         assert traj.extinction_time is None
@@ -393,7 +393,7 @@ class TestRun:
         assert np.all(np.diff(traj.l2sq) <= 1e-14)
 
     def test_mass_conserved_over_many_steps(self):
-        spec = ProblemSpec(q=0.5, potential=None, u0="random", cells=300,
+        spec = ProblemSpec(q=0.5, potential=ConstantPotential(0.0), u0="random", cells=300,
                            dt=1e-3, horizon=1.0, seed=3)
         traj = run(spec)
         drift = np.abs(traj.mass - traj.mass[0]) / traj.mass[0]
@@ -443,7 +443,7 @@ class TestRun:
         for cells in (50, 100, 200):
             g = RadialGrid.uniform(cells)
             dt = t_end / math.ceil(t_end / (0.2 / cells**2))
-            spec = ProblemSpec(q=0.5, potential=None,
+            spec = ProblemSpec(q=0.5, potential=ConstantPotential(0.0),
                                u0=1.0 + np.cos(math.pi * g.centers),
                                cells=cells, dt=dt, horizon=t_end)
             traj = run(spec)
@@ -505,7 +505,7 @@ class TestOdeExtinctionTime:
 
 class TestPositivityProbe:
     def test_no_absorption_keeps_floor(self):
-        spec = ProblemSpec(q=0.5, potential=None, u0=0.3,
+        spec = ProblemSpec(q=0.5, potential=ConstantPotential(0.0), u0=0.3,
                            cells=100, dt=1e-2, horizon=2.0)
         rep = positivity_probe(spec)
         assert not rep.collapsed

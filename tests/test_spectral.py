@@ -29,10 +29,7 @@ def beta2_potential():
 
 def dense_smallest(grid, potential, h):
     """Oracle: full eigendecomposition of the symmetrized operator."""
-    if potential is None:
-        V = np.zeros(grid.n)
-    else:
-        V = np.exp(np.minimum(potential.log_a(grid.centers) - 2 * math.log(h), 700.0))
+    V = np.exp(np.minimum(potential.log_a(grid.centers) - 2 * math.log(h), 700.0))
     diag, off = FluxOperator(grid).symmetric(V)
     M = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return float(np.linalg.eigvalsh(M)[0])
@@ -40,7 +37,7 @@ def dense_smallest(grid, potential, h):
 
 class TestGroundState:
     def test_zero_potential_constant_mode(self):
-        gs = ground_state(None, log_h=math.log(1.0), cells=300)
+        gs = ground_state(ConstantPotential(0.0), log_h=math.log(1.0), cells=300)
         assert abs(gs.value) < 1e-10
         assert np.std(gs.vector) / np.mean(gs.vector) < 1e-6
 
@@ -55,8 +52,7 @@ class TestGroundState:
         pots_and_h += [(ConstantPotential(1.0), h) for h in (0.3, 1.0, 3.0)]
         for pot, h in pots_and_h:
             gs = ground_state(pot, log_h=math.log(h), cells=200)
-            oracle = dense_smallest(gs.grid, None if isinstance(pot, ConstantPotential)
-                                    and False else pot, h)
+            oracle = dense_smallest(gs.grid, pot, h)
             assert abs(gs.value - oracle) <= 1e-8 * max(1.0, abs(oracle))
 
     def test_rayleigh_quotient_consistent(self, beta2_potential):
@@ -101,16 +97,9 @@ class TestGroundState:
         ref = restricted_smallest(gs.grid, pot, log_h)
         assert abs(gs.value - ref) <= 1e-8 * ref
 
-    def test_zero_potential_spellings_bitwise_equal(self):
-        ref = ground_state(None, log_h=math.log(0.1), cells=200)
-        for pot in (0.0, ConstantPotential(0.0)):
-            gs = ground_state(pot, log_h=math.log(0.1), cells=200)
-            assert gs.value == ref.value
-            assert np.array_equal(gs.vector, ref.vector)
-
     def test_h_validation(self):
         with pytest.raises(ValueError):
-            ground_state(None, log_h=-math.inf)
+            ground_state(ConstantPotential(0.0), log_h=-math.inf)
 
     def test_stagnation_falls_back_to_bisection(self, beta2_potential, monkeypatch,
                                                 restricted_smallest):
@@ -144,7 +133,7 @@ class TestMu:
         assert np.all(np.diff(mus) > 0)
 
     def test_mu_n_zero_potential(self):
-        mus = mu_n_sequence(None, n_max=5, cells=100)
+        mus = mu_n_sequence(ConstantPotential(0.0), n_max=5, cells=100)
         assert np.all(np.abs(mus) < 1e-10)
 
     def test_kv_sum_geometric(self):
