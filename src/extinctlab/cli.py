@@ -64,6 +64,7 @@ EXIT_USAGE = 64
 EXIT_NUMERIC = 70
 
 _MIN_POSITIVITY_FLOOR = 1e-6  # of the initial sup norm
+_CSV_BLOCK = 1024  # rows write_csv formats at a time
 
 
 def _fmt(x) -> str:
@@ -102,18 +103,24 @@ class OutputDir:
         self.lock.unlink(missing_ok=True)
 
     def write_csv(self, name: str, header: list[str], columns) -> None:
-        """Write one CSV file from columns; row i holds entry i of each.
+        """Write one CSV file from sized, sliceable columns; row i holds
+        entry i of each, and the shortest column ends the file.
 
-        A ``float64`` ndarray column is formatted in one pass over
-        ``tolist()``, any other value by value through ``_fmt``: the bytes
-        equal those of joining ``_fmt`` of each row's values.
+        Rows are formatted ``_CSV_BLOCK`` at a time: a ``float64`` ndarray
+        column's block in one pass over ``tolist()``, any other value by
+        value through ``_fmt``.  The bytes equal those of joining ``_fmt``
+        of each row's values, and no column is ever held as whole lists of
+        Python floats or strings.
         """
-        cells = [map(float.__repr__, col.tolist())
-                 if isinstance(col, np.ndarray) and col.dtype == np.float64
-                 else map(_fmt, col) for col in columns]
+        rows = min(map(len, columns), default=0)
         with open(self.path / name, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            for i in range(0, rows, _CSV_BLOCK):
+                block = [col[i:i + _CSV_BLOCK] for col in columns]
+                cells = [map(float.__repr__, col.tolist())
+                         if isinstance(col, np.ndarray) and col.dtype == np.float64
+                         else map(_fmt, col) for col in block]
+                fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
         self.manifest.append(name)
 
     def write_summary(self, command: str, results: dict, parser, seed: int) -> str:
@@ -195,11 +202,12 @@ def cmd_simulate(parser, out: OutputDir, args) -> int:
 
     out.write_csv("trajectory.csv", ["t", "l2sq", "linf", "min_u", "mass"],
                   [traj.times, traj.l2sq, traj.linf, traj.umin, traj.mass])
-    picks = np.unique(np.linspace(0, traj.snapshots.shape[0] - 1, 5).astype(int))
+    picks = np.unique(np.linspace(0, len(traj.snapshots) - 1, 5).astype(int))
     centers = traj.grid.centers
     out.write_csv("snapshots.csv", ["t", "r", "u"],
                   [np.repeat(traj.snapshot_times[picks], centers.size),
-                   np.tile(centers, picks.size), traj.snapshots[picks].ravel()])
+                   np.tile(centers, picks.size),
+                   np.concatenate([traj.snapshots[i] for i in picks])])
 
     taus = np.concatenate([[0.0], np.geomspace(spec.radius / 50.0,
                                                0.95 * spec.radius, 31)])

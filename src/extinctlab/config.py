@@ -45,7 +45,7 @@ def load_config(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return parser
 

@@ -123,7 +123,7 @@ def compute_ledger(traj: SolutionTrajectory, tau_grid) -> EnergyLedger:
     inner_faces = faces[1:-1]
     N = grid.dimension
 
-    K, M = traj.snapshots.shape[0], tau_grid.size
+    K, M = len(traj.snapshots), tau_grid.size
     H = np.empty((K, M))
     E = np.empty((K, M))
     flux2 = np.empty((K, M))

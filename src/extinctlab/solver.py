@@ -25,16 +25,13 @@ which lies in (0, 1] and therefore preserves nonnegativity for any dt.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .profiles import ConstantPotential, PotentialField
-
-#: snapshot rows run() allocates up front; the default decimation never
-#: needs more, a small user-set ``snapshot_every`` grows the buffer by doubling
-_SNAPSHOT_ROWS = 1024
 
 
 class NumericsError(RuntimeError):
@@ -229,7 +226,11 @@ class Stepper(FluxOperator):
 
 @dataclass
 class SolutionTrajectory:
-    """Time-indexed record of one run: norms every step, states decimated."""
+    """Time-indexed record of one run: norms every step, states decimated.
+
+    The per-step columns are float64 views of packed double buffers; the
+    snapshots are one row array per recorded time, never stacked.
+    """
 
     grid: RadialGrid
     spec: ProblemSpec
@@ -239,8 +240,7 @@ class SolutionTrajectory:
     umin: np.ndarray
     mass: np.ndarray          # integral of u
     snapshot_times: np.ndarray
-    snapshots: np.ndarray     # (k, n) decimated states: the written rows of
-                              # one buffer, grown only past _SNAPSHOT_ROWS
+    snapshots: list[np.ndarray]   # decimated states, one per snapshot time
     extinction_time: float | None
     threshold: float
 
@@ -254,7 +254,10 @@ def run(spec: ProblemSpec) -> SolutionTrajectory:
 
     Extinction is recorded at the first time the sup norm drops below the
     relative threshold; the run stops there.  NaNs abort with a diagnostic
-    snapshot attached to the exception.
+    snapshot attached to the exception.  Each step's t, l2sq, linf, min and
+    mass go to ``array('d')`` buffers, 8 bytes a value; the snapshots are
+    the initial state, every ``snapshot_every``-th step and the final or
+    extinction step.
     """
     grid = spec.build_grid()
     u = spec.initial_state(grid)
@@ -264,17 +267,13 @@ def run(spec: ProblemSpec) -> SolutionTrajectory:
     every = spec.snapshot_every or max(1, n_steps // 400)
     threshold = spec.extinction_rtol * max(float(np.max(np.abs(u))), 1e-300)
 
-    times = [0.0]
-    l2sq = [grid.integrate(u**2)]
-    linf = [float(np.max(np.abs(u)))]
-    umin = [float(np.min(u))]
-    mass = [grid.integrate(u)]
+    times = array("d", [0.0])
+    l2sq = array("d", [grid.integrate(u**2)])
+    linf = array("d", [np.max(np.abs(u))])
+    umin = array("d", [np.min(u)])
+    mass = array("d", [grid.integrate(u)])
     snap_t = [0.0]
-    # the initial row, every multiple of ``every`` and one final or
-    # extinction row
-    rows = n_steps // every + 2
-    snaps = np.empty((min(rows, _SNAPSHOT_ROWS), grid.n))
-    snaps[0] = u
+    snaps = [u.copy()]  # u may be the caller's u0; later states are new arrays
     extinction_time = None
 
     vol = grid.volumes
@@ -290,34 +289,24 @@ def run(spec: ProblemSpec) -> SolutionTrajectory:
         if not math.isfinite(sup):
             raise NumericsError(f"non-finite state at t = {t:.6g}", t=t, state=u)
         times.append(t)
-        l2sq.append(float(np.dot(vol, np.multiply(u, u, out=sq))))
+        l2sq.append(np.dot(vol, np.multiply(u, u, out=sq)))
         linf.append(sup)
         umin.append(lo)
-        mass.append(float(np.dot(vol, u)))
+        mass.append(np.dot(vol, u))
         if k % every == 0 or k == n_steps:
-            snaps = _put_row(snaps, len(snap_t), u, rows)
+            snaps.append(u)
             snap_t.append(t)
         if sup < threshold:
             extinction_time = t
             if snap_t[-1] != t:
-                snaps = _put_row(snaps, len(snap_t), u, rows)
+                snaps.append(u)
                 snap_t.append(t)
             break
 
     return SolutionTrajectory(
         grid=grid, spec=spec,
-        times=np.asarray(times), l2sq=np.asarray(l2sq), linf=np.asarray(linf),
-        umin=np.asarray(umin), mass=np.asarray(mass),
-        snapshot_times=np.asarray(snap_t), snapshots=snaps[:len(snap_t)],
+        times=np.frombuffer(times), l2sq=np.frombuffer(l2sq),
+        linf=np.frombuffer(linf), umin=np.frombuffer(umin),
+        mass=np.frombuffer(mass),
+        snapshot_times=np.asarray(snap_t), snapshots=snaps,
         extinction_time=extinction_time, threshold=threshold)
-
-
-def _put_row(buf: np.ndarray, i: int, u: np.ndarray, rows: int) -> np.ndarray:
-    """``buf`` with row i set to u; a full buffer is first doubled, to at
-    most ``rows`` rows."""
-    if i == len(buf):
-        grown = np.empty((min(2 * i, rows), buf.shape[1]))
-        grown[:i] = buf
-        buf = grown
-    buf[i] = u
-    return buf

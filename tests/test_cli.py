@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import extinctlab
-from extinctlab.cli import OutputDir, _fmt, main
+from extinctlab.cli import _CSV_BLOCK, OutputDir, _fmt, main
 from extinctlab.solver import NumericsError
 from oracles import join_gaps
 
@@ -155,6 +155,21 @@ class TestDini:
 
 
 class TestSimulate:
+    def test_bench_workload_peak_under_8_mib(self, tmp_path):
+        # ~24.8k steps of 2000 cells: the per-step records as packed doubles,
+        # ~250 snapshot rows and CSV written in blocks stay under 8 MiB;
+        # per-value lists of boxed floats take it past 11
+        cfg = (Path(__file__).resolve().parents[1] / "bench" / "workloads"
+               / "simulate-extinct.ini")
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2**20
+
     def test_ode_regime_extinct_exit_0(self, tmp_path):
         cfg = write_config(tmp_path, ODE_REGIME)
         out = tmp_path / "o"
@@ -506,6 +521,19 @@ class TestConfigValues:
         assert exc.value.code == 64
         assert "usage: extinctlab" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["dini", "simulate", "bound", "spectral",
+                                         "verify"])
+    def test_non_utf8_config_exit_64(self, tmp_path, capsys, command):
+        # a UnicodeDecodeError is a ValueError, not a configparser.Error
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(b"\xff\xfe\x00")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot parse")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_help_exit_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -712,12 +740,18 @@ def row_form_csv(header, columns) -> str:
 class TestCsvWriter:
     SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300,
                0.1, 1.0 / 3.0, 2.0**53 + 2.0, 123456789.0]
+    KINDS = ["float64", "float64_view", "np_float64_list", "python_float_list",
+             "range", "int_array", "bool_array", "strings", "string_array", "float32"]
+    BLOCK = _CSV_BLOCK
 
-    def columns(self):
+    def columns(self, n=40):
+        """Every column kind, n rows: 40 rows of data repeated."""
         rng = np.random.RandomState(0)
-        n = 40
-        floats = np.concatenate([self.SPECIAL, rng.standard_normal(n - len(self.SPECIAL))
-                                 * 10.0 ** rng.randint(-20, 20, n - len(self.SPECIAL))])
+        base = 40
+        reps = -(-n // base)
+        floats = np.concatenate([self.SPECIAL, rng.standard_normal(base - len(self.SPECIAL))
+                                 * 10.0 ** rng.randint(-20, 20, base - len(self.SPECIAL))])
+        floats = np.tile(floats, reps)[:n]
         with np.errstate(over="ignore"):
             f32 = floats.astype(np.float32)
         return {
@@ -727,9 +761,10 @@ class TestCsvWriter:
             "python_float_list": floats.tolist(),
             "range": range(-5, n - 5),
             "int_array": np.arange(n, dtype=np.int64) * -3,
-            "bool_array": rng.rand(n) < 0.5,
-            "strings": ["", "plateau", "a b", ""] * (n // 4),
-            "string_array": np.array(["mid", "final", ""] * (n // 3) + ["x"]),
+            "bool_array": np.tile(rng.rand(base) < 0.5, reps)[:n],
+            "strings": (["", "plateau", "a b", ""] * (base // 4) * reps)[:n],
+            "string_array": np.tile(np.array(["mid", "final", ""] * (base // 3) + ["x"]),
+                                    reps)[:n],
             "float32": f32,
         }
 
@@ -742,13 +777,20 @@ class TestCsvWriter:
         assert out.manifest == ["t.csv"]
         return (tmp_path / "csv" / "t.csv").read_text()
 
-    @pytest.mark.parametrize("kind", ["float64", "float64_view", "np_float64_list",
-                                      "python_float_list", "range", "int_array",
-                                      "bool_array", "strings", "string_array", "float32"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_column_kind_matches_row_form(self, tmp_path, kind):
         col = self.columns()[kind]
         text = self.write(tmp_path, ["i", kind], [range(len(col)), col])
         assert text == row_form_csv(["i", kind], [range(len(col)), col])
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_edges_match_row_form(self, tmp_path, kind, rows):
+        col = self.columns(rows)[kind]
+        assert len(col) == rows
+        text = self.write(tmp_path, ["i", kind], [range(rows), col])
+        assert text == row_form_csv(["i", kind], [range(rows), col])
+        assert text.count("\n") == rows + 1
 
     def test_all_kinds_together(self, tmp_path):
         cols = self.columns()
@@ -758,6 +800,22 @@ class TestCsvWriter:
 
     def test_no_columns_writes_header(self, tmp_path):
         assert self.write(tmp_path, ["a", "b"], []) == "a,b\n"
+
+    def test_memory_bounded_by_block(self, tmp_path):
+        # 200 000 rows of five float64 columns: a whole column as Python
+        # floats and strings would take tens of MB, one block of rows a
+        # bound that does not grow with the row count
+        cols = [np.random.RandomState(k).standard_normal(200_000) for k in range(5)]
+        out = OutputDir(tmp_path / "csv")
+        tracemalloc.start()
+        try:
+            out.write_csv("t.csv", list("abcde"), cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            out.release()
+        assert (tmp_path / "csv" / "t.csv").read_text().count("\n") == 200_001
+        assert peak < 1024 * self.BLOCK
 
 
 class TestImports:

@@ -453,37 +453,53 @@ class TestRun:
         assert np.all(rates > 1.6)
 
 
+def traced_run(spec):
+    """(trajectory, tracemalloc peak) of one run."""
+    tracemalloc.start()
+    try:
+        traj = run(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return traj, peak
+
+
+def row_bytes(traj) -> int:
+    return sum(row.nbytes for row in traj.snapshots)
+
+
 class TestSnapshotMemory:
     def test_snapshots_held_once(self):
-        # 401 snapshots of 2000 cells: one buffer, not a list of copies
+        # 401 snapshots of 2000 cells: the rows are kept as they come, never
         # stacked into a second array at the end
         spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0), u0=1.0,
                            cells=2000, dt=1e-3, horizon=0.4, snapshot_every=1)
-        tracemalloc.start()
-        try:
-            traj = run(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert traj.snapshots.shape == (401, 2000)
-        assert peak < 1.25 * traj.snapshots.nbytes
+        traj, peak = traced_run(spec)
+        assert len(traj.snapshots) == 401
+        assert all(row.shape == (2000,) for row in traj.snapshots)
+        assert peak < 1.25 * row_bytes(traj)
 
     def test_buffer_grows_to_an_early_extinction(self):
-        # snapshot_every = 1 on a horizon 500x the extinction time: the
-        # buffer doubles past _SNAPSHOT_ROWS instead of reserving a
-        # million rows, and the copied rows keep their bits
+        # snapshot_every = 1 on a horizon 500x the extinction time: one row
+        # per step taken, nothing reserved for the million steps not taken,
+        # and each row is the state its step's sup norm was read from
         spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0), u0=1.0,
                            cells=50, dt=1e-3, horizon=1000.0, snapshot_every=1)
-        tracemalloc.start()
-        try:
-            traj = run(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert solver._SNAPSHOT_ROWS < traj.times.size < 2 * solver._SNAPSHOT_ROWS
-        assert traj.snapshots.shape == (traj.times.size, 50)
-        assert np.array_equal(traj.snapshots.max(axis=1), traj.linf)
-        assert peak < 4 * traj.snapshots.nbytes
+        traj, peak = traced_run(spec)
+        assert traj.extinction_time is not None
+        assert len(traj.snapshots) == traj.times.size
+        assert np.array_equal([row.max() for row in traj.snapshots], traj.linf)
+        assert peak < 4 * row_bytes(traj)
+
+    def test_per_step_records_are_packed(self):
+        # 20 000 steps of pure diffusion: t, l2sq, linf, min and mass take
+        # 40 bytes a step as doubles; boxed floats in lists took about 200
+        spec = ProblemSpec(q=0.5, potential=ConstantPotential(0.0), u0=1.0,
+                           cells=50, dt=1e-3, horizon=20.0)
+        traj, peak = traced_run(spec)
+        steps = traj.times.size - 1
+        assert steps == 20_000 and traj.extinction_time is None
+        assert (peak - row_bytes(traj)) / steps < 64
 
 
 class TestOdeExtinctionTime:
