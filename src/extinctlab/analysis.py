@@ -327,17 +327,21 @@ def log_segment_integrals(logf, knots: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(m), out, -np.inf)
 
 
-def spectral_log_sum(mu_values) -> SeriesDiagnosis:
-    """Total of sum_n ln(mu_n)/mu_n for a positive sequence mu_n > 1, with its
-    tail-fit verdict.
-
-    Terms with mu_n <= 1 carry a nonpositive logarithm and are rejected
-    rather than summed, and counted in ``rejected``; with no term left the
-    series is empty and its verdict inconclusive.
-    """
+def mu_log_terms(mu_values) -> np.ndarray:
+    """ln(mu_n)/mu_n of each mu_n, and 0 where mu_n <= 1: the mu-log sum
+    rejects those terms, whose logarithm is not positive."""
     mu = np.asarray(mu_values, dtype=float)
     good = mu > 1.0
-    rejected = int(np.count_nonzero(~good))
-    mu = mu[good]
+    terms = np.zeros(mu.size)
+    terms[good] = np.log(mu[good]) / mu[good]
+    return terms
+
+
+def spectral_log_sum(mu_values) -> SeriesDiagnosis:
+    """Total of sum_n ln(mu_n)/mu_n over mu_n > 1, with its tail-fit verdict;
+    the rejected terms are counted in ``rejected``, and with no term left the
+    series is empty and its verdict inconclusive."""
+    good = np.asarray(mu_values, dtype=float) > 1.0
     return _diagnose_series(lambda i, j: np.arange(i + 1, j + 1, dtype=float),
-                            np.log(mu) / mu, rejected=rejected)
+                            mu_log_terms(mu_values)[good],
+                            rejected=int(np.count_nonzero(~good)))

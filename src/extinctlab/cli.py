@@ -4,11 +4,14 @@
                [--out DIR] [--seed N]
 
 Every convergence verdict (integral, series, round bound, spectral
-criterion) is "convergent", "divergent" or "inconclusive".  Exit codes:
-0 convergent (simulate: extinct; verify: coherent), 1 divergent (simulate:
-not extinct; verify: incoherent; bound and spectral also when they
-contradict a simulate or dini summary in the same directory),
-2 inconclusive, 64 configuration or usage error, 70 numerical failure.
+criterion) is "convergent", "divergent" or "inconclusive".  A subcommand
+exits with the code that ``EXIT_CODES`` gives its verdict word, 64 on a
+configuration or usage error and 70 on a numerical failure.  bound and
+spectral exit 1 also when an earlier simulate or dini summary in --out
+contradicts them; such a summary counts only if it ran on the same
+[profile] (dini), or the same [profile], [problem] and seed (simulate).
+verify composes dini, spectral and bound from what each returns and reads
+back nothing it wrote.
 
 All emissions are plain CSV (comma separator, dot decimal, header row) plus
 one versioned JSON summary per subcommand; identical config and seed give
@@ -29,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, spectral
-from .analysis import equivalence_check, spectral_log_sum
+from .analysis import equivalence_check, mu_log_terms, spectral_log_sum
 from .config import (
     ConfigError,
     echo_config,
@@ -57,9 +60,11 @@ from .spectral import (
     inverse_map_sandwich,
 )
 
-EXIT_OK = 0
-EXIT_NEGATIVE = 1
-EXIT_INCONCLUSIVE = 2
+#: the exit code of each verdict word: simulate's run, verify's coherence,
+#: and a bound or spectral run that an earlier summary contradicts
+EXIT_CODES = {"convergent": 0, "extinct": 0, "coherent": 0, "divergent": 1,
+              "positivity-persisted": 1, "horizon-reached": 1, "incoherent": 1,
+              "contradicted": 1, "inconclusive": 2}
 EXIT_USAGE = 64
 EXIT_NUMERIC = 70
 
@@ -79,10 +84,20 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-class OutputDir:
-    """Locked output directory with a manifest of everything written."""
+class Outcome(int):
+    """A subcommand's exit code, that of its verdict word, carrying the
+    ``results`` of its summary; ``main`` returns it as the exit code."""
 
-    def __init__(self, path):
+    def __new__(cls, word: str, results: dict):
+        outcome = super().__new__(cls, EXIT_CODES[word])
+        outcome.results = results
+        return outcome
+
+
+class OutputDir:
+    """Locked output directory of one run with a manifest of all it holds."""
+
+    def __init__(self, path, parser, seed: int):
         self.path = Path(path)
         self.lock = self.path / ".extinctlab.lock"
         try:
@@ -98,6 +113,7 @@ class OutputDir:
         except OSError as exc:
             raise ConfigError(f"cannot lock output directory: {exc}") from None
         self.manifest: list[str] = []
+        self.run_inputs = {"seed": seed, "config": echo_config(parser)}
 
     def release(self):
         self.lock.unlink(missing_ok=True)
@@ -123,7 +139,7 @@ class OutputDir:
                 fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
         self.manifest.append(name)
 
-    def write_summary(self, command: str, results: dict, parser, seed: int) -> str:
+    def write_summary(self, command: str, results: dict) -> None:
         name = f"summary_{command}.json"
         self.manifest.append(name)
         payload = {
@@ -131,15 +147,13 @@ class OutputDir:
             "tool": "extinctlab",
             "version": __version__,
             "command": command,
-            "seed": seed,
-            "config": echo_config(parser),
+            **self.run_inputs,
             "results": results,
             "manifest": sorted(self.manifest),
         }
         with open(self.path / name, "w", newline="\n") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return name
 
     def read_summary(self, command: str) -> dict | None:
         p = self.path / f"summary_{command}.json"
@@ -148,11 +162,21 @@ class OutputDir:
         return json.loads(p.read_text())
 
 
-def _verdict_exit(verdict: str) -> int:
-    return {"convergent": EXIT_OK, "divergent": EXIT_NEGATIVE}.get(verdict, EXIT_INCONCLUSIVE)
+def _earlier_results(out: OutputDir, command: str) -> dict | None:
+    """The results of an earlier ``command`` summary in ``out``, or None when
+    there is none or it ran on other inputs: [profile] for dini; [profile],
+    [problem] and the seed, which draws ``u0 = random``, for simulate."""
+    def inputs(summary):
+        sections = [summary["config"].get(name) for name in ("profile", "problem")]
+        return sections[0] if command == "dini" else (sections, summary["seed"])
+
+    earlier = out.read_summary(command)
+    if earlier is None or inputs(earlier) != inputs(out.run_inputs):
+        return None
+    return earlier["results"]
 
 
-def cmd_dini(parser, out: OutputDir, args) -> int:
+def cmd_dini(parser, out: OutputDir, args) -> Outcome:
     profile = profile_from_config(parser, args.config_dir)
     checks = check_conditions(profile)
     out.write_csv("conditions.csv",
@@ -179,26 +203,21 @@ def cmd_dini(parser, out: OutputDir, args) -> int:
         "verdicts_agree": eq.agree,
         "conditions": {c.name: c.passed for c in checks},
     }
-    out.write_summary("dini", results, parser, args.seed)
-    if eq.agree is None:
-        return EXIT_INCONCLUSIVE
-    return _verdict_exit(eq.series.verdict)
+    out.write_summary("dini", results)
+    return Outcome("inconclusive" if eq.agree is None else eq.series.verdict, results)
 
 
-def cmd_simulate(parser, out: OutputDir, args) -> int:
+def cmd_simulate(parser, out: OutputDir, args) -> Outcome:
     spec = problem_from_config(parser, args.config_dir)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+    spec = dataclasses.replace(spec, seed=args.seed)
     try:
         traj = run(spec)
     except NumericsError as exc:
         if exc.state is not None:
             out.write_csv("diagnostic_state.csv", ["i", "u"],
                           [range(len(exc.state)), exc.state])
-        out.write_summary("simulate", {"error": str(exc), "t": exc.t},
-                          parser, args.seed)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        out.write_summary("simulate", {"error": str(exc), "t": exc.t})
+        raise
 
     out.write_csv("trajectory.csv", ["t", "l2sq", "linf", "min_u", "mass"],
                   [traj.times, traj.l2sq, traj.linf, traj.umin, traj.mass])
@@ -248,14 +267,13 @@ def cmd_simulate(parser, out: OutputDir, args) -> int:
             "odi_c0": odi_fit.c0,
             "odi_clipped_slopes": odi_fit.clipped,
         }
-    out.write_summary("simulate", results, parser, args.seed)
-    return EXIT_OK if verdict == "extinct" else EXIT_NEGATIVE
+    out.write_summary("simulate", results)
+    return Outcome(verdict, results)
 
 
-def cmd_bound(parser, out: OutputDir, args) -> int:
+def cmd_bound(parser, out: OutputDir, args) -> Outcome:
     cfg, extras = odi_from_config(parser, args.config_dir)
     rep = extinction_iteration(cfg, max_rounds=extras["max_rounds"])
-    curve_error = None
     try:
         curve = build_curve(cfg)
         out.write_csv("curve.csv", ["tau", "Y", "region"],
@@ -269,8 +287,7 @@ def cmd_bound(parser, out: OutputDir, args) -> int:
             "tau_triple_prime_bumped": curve.tau_triple_prime_bumped,
         }
     except (NoPlateauError, CurveRangeError) as exc:
-        curve_error = str(exc)
-        curve_info = {"error": curve_error}
+        curve_info = {"error": str(exc)}
 
     out.write_csv("rounds.csv", ["i", "tau_i", "t_i", "s_i", "log_level"],
                   [range(1, rep.rounds + 1), rep.tau_rounds, rep.t_rounds,
@@ -279,10 +296,10 @@ def cmd_bound(parser, out: OutputDir, args) -> int:
     # +inf is a divergent total; NaN (no rounds) has no value at all
     total = (rep.total if math.isfinite(rep.total)
              else "inf" if rep.total == math.inf else None)
-    sim = out.read_summary("simulate")
+    sim = _earlier_results(out, "simulate")
     sim_check = {"found": False}
-    if sim is not None and sim["config"].get("profile") == echo_config(parser).get("profile"):
-        t_ext = sim["results"].get("extinction_time")
+    if sim is not None:
+        t_ext = sim.get("extinction_time")
         sim_check = {"found": True, "extinction_time": t_ext,
                      "factor": extras["bound_factor"], "bound": total}
         if t_ext is not None and math.isfinite(rep.total):
@@ -302,13 +319,13 @@ def cmd_bound(parser, out: OutputDir, args) -> int:
         "curve": curve_info,
         "simulation_check": sim_check,
     }
-    out.write_summary("bound", results, parser, args.seed)
-    if sim_check.get("holds") is False:  # only a finite, convergent total is checked
-        return EXIT_NEGATIVE
-    return _verdict_exit(rep.verdict)
+    out.write_summary("bound", results)
+    # only a finite, convergent total is checked
+    return Outcome("contradicted" if sim_check.get("holds") is False else rep.verdict,
+                   results)
 
 
-def cmd_spectral(parser, out: OutputDir, args) -> int:
+def cmd_spectral(parser, out: OutputDir, args, dini: dict | None = None) -> Outcome:
     sp = spectral_from_config(parser)
     potential = potential_from_config(parser, args.config_dir)
     results = {}
@@ -334,11 +351,8 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
 
     mus = mu_n_sequence(potential, n_max=sp["mu_n_max"], cells=min(sp["cells"], 800))
     kv = spectral_log_sum(mus)
-    # the mu-log sum's terms, 0 where it rejects mu <= 1: the last partial
-    # sum is its total, since adding 0.0 is exact
-    summed = mus > 1.0
-    terms = np.zeros(mus.size)
-    terms[summed] = np.log(mus[summed]) / mus[summed]
+    # the last partial sum is the mu-log sum's total: adding 0.0 is exact
+    terms = mu_log_terms(mus)
     out.write_csv("mu_n.csv", ["n", "mu_n", "term", "partial_sum"],
                   [range(mus.size), mus, terms, np.cumsum(terms)])
 
@@ -354,37 +368,37 @@ def cmd_spectral(parser, out: OutputDir, args) -> int:
         "mu_log_sum_rejected": kv.rejected,
         "spectral_criterion_verdict": crit.verdict,
     })
-    dini = out.read_summary("dini")
-    if dini is not None and dini["config"].get("profile") == echo_config(parser).get("profile"):
-        dini_verdict = dini["results"]["series_verdict"]
+    if dini is None:  # not run by verify: an earlier dini run, if any
+        dini = _earlier_results(out, "dini")
+    if dini is not None:
+        dini_verdict = dini["series_verdict"]
         results["dini_series_verdict"] = dini_verdict
         # an inconclusive side neither agrees nor contradicts
         results["consistent_with_dini"] = (
             None if "inconclusive" in (dini_verdict, crit.verdict)
             else dini_verdict == crit.verdict)
-    out.write_summary("spectral", results, parser, args.seed)
-    if results.get("consistent_with_dini") is False:
-        return EXIT_NEGATIVE
-    if not summed.any():  # no mu_n > 1: the mu-log sum decides nothing
-        return EXIT_INCONCLUSIVE
-    return _verdict_exit(crit.verdict)
+    out.write_summary("spectral", results)
+    return Outcome("contradicted" if results.get("consistent_with_dini") is False
+                   # no mu_n > 1: the mu-log sum decides nothing
+                   else "inconclusive" if kv.rejected == mus.size
+                   else crit.verdict, results)
 
 
-def cmd_verify(parser, out: OutputDir, args) -> int:
+def cmd_verify(parser, out: OutputDir, args) -> Outcome:
     # every section is checked before the first file is written
     spectral_from_config(parser)
     odi_from_config(parser, args.config_dir)
-    code_d = cmd_dini(parser, out, args)
-    code_s = cmd_spectral(parser, out, args)
-    code_b = cmd_bound(parser, out, args)
-    codes = {"dini": code_d, "spectral": code_s, "bound": code_b}
-    # spectral also exits 1 when its criterion contradicts dini's series
-    spec = out.read_summary("spectral")["results"]
-    coherent = (set(codes.values()) in ({EXIT_OK}, {EXIT_NEGATIVE})
-                and spec.get("consistent_with_dini") is not False)
-    out.write_summary("verify", {"exit_codes": codes, "coherent": coherent},
-                      parser, args.seed)
-    return EXIT_OK if coherent else EXIT_NEGATIVE
+    dini = cmd_dini(parser, out, args)
+    spec = cmd_spectral(parser, out, args, dini.results)
+    codes = {"dini": int(dini), "spectral": int(spec),
+             "bound": int(cmd_bound(parser, out, args))}
+    # every route convergent or every route divergent; spectral also exits
+    # 1 when its criterion contradicts dini's series
+    coherent = (set(codes.values()) in ({0}, {1})
+                and spec.results.get("consistent_with_dini") is not False)
+    results = {"exit_codes": codes, "coherent": coherent}
+    out.write_summary("verify", results)
+    return Outcome("coherent" if coherent else "incoherent", results)
 
 
 _COMMANDS = {
@@ -421,7 +435,7 @@ def main(argv=None) -> int:
     try:
         parser = load_config(args.config)
         args.config_dir = Path(args.config).resolve().parent
-        out = OutputDir(args.out)
+        out = OutputDir(args.out, parser, args.seed)
         return _COMMANDS[args.command](parser, out, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -345,6 +345,78 @@ class TestBound:
         assert "omega vanishes" in bound["curve"]["error"]
 
 
+EXTINCT = """\
+[profile]
+kind = power
+alpha = 1.0
+d0 = 1.0
+
+[problem]
+q = 0.5
+potential = constant
+epsilon = 1.0
+u0 = 1.0
+cells = 50
+dt = 1e-2
+horizon = 2.5
+
+[odi]
+y0 = 1e-4
+"""
+
+
+class TestSimulationCheck:
+    """bound's check of its total against an earlier simulate run in the
+    same --out.  On EXTINCT the run goes extinct at t = 2.12, within the
+    convergent total 3.57 times the default bound_factor 10."""
+
+    def bound_after(self, tmp_path, settings, seed="42", simulate=True):
+        """bound's exit code and simulation_check on EXTINCT with
+        (section, key, value) settings and seed, after simulate on EXTINCT
+        with seed 42 in the same --out."""
+        out = tmp_path / "o"
+        if simulate:
+            cfg = write_config(tmp_path, EXTINCT)
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        parser = configparser.ConfigParser()
+        parser.read_string(EXTINCT)
+        for section, key, value in settings:
+            parser[section][key] = value
+        cfg = tmp_path / "bound.ini"
+        with open(cfg, "w") as fh:
+            parser.write(fh)
+        code = main(["bound", "--config", str(cfg), "--out", str(out), "--seed", seed])
+        results = json.loads((out / "summary_bound.json").read_text())["results"]
+        return code, results["simulation_check"]
+
+    def test_same_inputs_found_and_holds(self, tmp_path):
+        code, check = self.bound_after(tmp_path, [])
+        assert code == 0
+        assert check["found"] is True and check["holds"] is True
+        assert check["extinction_time"] == pytest.approx(2.12)
+
+    def test_bound_below_extinction_time_exit_1(self, tmp_path):
+        code, check = self.bound_after(tmp_path, [("odi", "bound_factor", "0.1")])
+        assert code == 1
+        assert check["found"] is True and check["holds"] is False
+
+    def test_no_simulate_summary_not_found(self, tmp_path):
+        assert self.bound_after(tmp_path, [], simulate=False) == (0, {"found": False})
+
+    @pytest.mark.parametrize("settings,seed", [
+        ([("problem", "q", "0.8"), ("problem", "u0", "0.3")], "42"),
+        ([("problem", "u0", "0.3")], "42"),
+        ([], "7"),
+        ([("profile", "alpha", "0.5")], "42"),
+    ], ids=["q-and-u0", "u0", "seed", "profile"])
+    def test_other_inputs_not_found(self, tmp_path, settings, seed):
+        # the simulated time belongs to another problem: no check, and the
+        # exit code is the round bound's verdict alone
+        code, check = self.bound_after(tmp_path, settings, seed)
+        assert check == {"found": False}
+        assert code == 0
+
+
 class TestSpectral:
     def test_beta2_consistent_with_dini(self, tmp_path):
         cfg = write_config(tmp_path, BETA2 + "\n[problem]\nq = 0.5\n" + SPECTRAL_SMALL)
@@ -421,6 +493,29 @@ class TestVerify:
         summary = json.loads((out / "summary_verify.json").read_text())
         assert summary["results"]["coherent"] is False
         assert set(summary["results"]["exit_codes"].values()) == {1}
+
+    def test_reads_back_nothing_it_wrote(self, tmp_path, monkeypatch):
+        # verify composes dini, spectral and bound from what each returns;
+        # the one lookup left is bound's, of an earlier simulate run
+        import builtins
+        import io
+        looked_up, read = [], []
+        read_summary = OutputDir.read_summary
+        monkeypatch.setattr(OutputDir, "read_summary", lambda self, command: (
+            looked_up.append(command) or read_summary(self, command)))
+
+        def spy(opener):
+            def spied(file, mode="r", *args, **kwargs):
+                if not set(mode) & set("wax+"):
+                    read.append(str(file))
+                return opener(file, mode, *args, **kwargs)
+            return spied
+
+        monkeypatch.setattr(builtins, "open", spy(builtins.open))
+        monkeypatch.setattr(io, "open", spy(io.open))
+        assert run_with(tmp_path, "verify", []) == 0
+        assert looked_up == ["simulate"]
+        assert read and not [f for f in read if "summary_" in f]
 
     def test_inconclusive_criterion_does_not_contradict_dini(self, tmp_path):
         assert run_with(tmp_path, "verify", [("spectral", "n_max", "2")]) == 1
@@ -769,7 +864,7 @@ class TestCsvWriter:
         }
 
     def write(self, tmp_path, header, columns) -> str:
-        out = OutputDir(tmp_path / "csv")
+        out = OutputDir(tmp_path / "csv", configparser.ConfigParser(), 0)
         try:
             out.write_csv("t.csv", header, columns)
         finally:
@@ -806,7 +901,7 @@ class TestCsvWriter:
         # floats and strings would take tens of MB, one block of rows a
         # bound that does not grow with the row count
         cols = [np.random.RandomState(k).standard_normal(200_000) for k in range(5)]
-        out = OutputDir(tmp_path / "csv")
+        out = OutputDir(tmp_path / "csv", configparser.ConfigParser(), 0)
         tracemalloc.start()
         try:
             out.write_csv("t.csv", list("abcde"), cols)
