@@ -32,7 +32,7 @@ _DIVERGENCE_RATIO = 0.97
 #: consecutive non-decaying windows before an integral is declared divergent
 _DIVERGENCE_RUN = 20
 #: series indices whose terms dini_series evaluates per omega call
-_SERIES_CHUNK = 1 << 16
+_SERIES_CHUNK = 1 << 14
 #: dyadic windows dini_integral sums before it gives up as inconclusive
 _DINI_MAX_WINDOWS = 400
 #: largest geometric-tail bound dini_integral accepts as convergent
@@ -131,53 +131,41 @@ def _chunks(start: int, stop: int):
     return ((i, min(i + _SERIES_CHUNK, stop)) for i in range(start, stop, _SERIES_CHUNK))
 
 
-def _slope_into(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Least-squares slope of y against ascending x, in centred closed form.
+def _pairwise_sums(fill, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
+    """np.sum of each row that ``fill`` makes over positions start..stop-1, bit
+    for bit, a leaf at a time: numpy splits a run of n > 128 after n // 2
+    rounded down to a multiple of 8, and so does this, down to runs that fit
+    the rows of ``buf``; ``fill(i, j, out)`` writes such a leaf into ``out``,
+    a view of ``buf``, and returns its rows."""
+    n = stop - start
+    if n <= buf.shape[1]:
+        return np.array([row.sum() for row in fill(start, stop, buf[:, :n])])
+    half = n // 2 - n // 2 % 8
+    return (_pairwise_sums(fill, start, start + half, buf)
+            + _pairwise_sums(fill, start + half, stop, buf))
 
-    sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), with numpy's
-    pairwise sums.  None when x holds fewer than two distinct values, where
-    no line is determined.  ``x`` and ``y`` are the scratch: both are
-    overwritten.
-    """
-    if x.size < 2 or x[0] == x[-1]:
+
+def _slope_streamed(xy_into, start: int, stop: int) -> float | None:
+    """Least-squares slope of y against ascending x over positions start..stop-1:
+    sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), each a whole-window
+    numpy pairwise sum, bit for bit.  ``xy_into(i, j, out)`` writes x and y at
+    positions i..j-1 into the rows of ``out`` and returns them.  None when
+    fewer than two distinct x determine no line."""
+    buf = np.empty((2, _SERIES_CHUNK))
+    if stop - start < 2 or (xy_into(start, start + 1, buf[:, :1])[0][0]
+                            == xy_into(stop - 1, stop, buf[:, :1])[0][0]):
         return None
-    x -= x.mean()
-    y -= y.mean()
-    y *= x
-    sxy = float(y.sum())
-    np.square(x, out=x)
-    return sxy / float(x.sum())
+    x_mean, y_mean = _pairwise_sums(xy_into, start, stop, buf) / (stop - start)
 
+    def centred(i, j, out):  # (x - mean x)^2 and (x - mean x)(y - mean y)
+        dx, dy = xy_into(i, j, out)
+        dx -= x_mean
+        dy -= y_mean
+        dy *= dx
+        return np.square(dx, out=dx), dy
 
-def _slope_streamed(x_into, y_into, start: int, w: np.ndarray) -> float | None:
-    """``_slope_into``'s slope, bit for bit, with x and y made a chunk at a time.
-
-    ``x_into(i, j, out)`` and ``y_into(i, j, out)`` write the points at
-    positions i..j-1 into ``out`` and return it; the window is positions
-    start..start+w.size-1.  The one window-long scratch ``w`` holds each
-    summand in turn (y, x, centred x times centred y, centred x squared),
-    so that every sum is numpy's pairwise sum over the whole window, as in
-    ``_slope_into``.
-    """
-    if w.size < 2:
-        return None
-    parts = [(i, j, w[i - start:j - start]) for i, j in _chunks(start, start + w.size)]
-    for i, j, seg in parts:
-        y_into(i, j, seg)
-    y_mean = w.mean()
-    for i, j, seg in parts:
-        x_into(i, j, seg)
-    if w[0] == w[-1]:
-        return None
-    x_mean = w.mean()
-    y = np.empty(min(w.size, _SERIES_CHUNK))
-    for i, j, seg in parts:
-        seg -= x_mean
-        seg *= np.subtract(y_into(i, j, y[:j - i]), y_mean, out=y[:j - i])
-    sxy = float(w.sum())
-    for i, j, seg in parts:
-        np.square(np.subtract(x_into(i, j, seg), x_mean, out=seg), out=seg)
-    return sxy / float(w.sum())
+    sxx, sxy = _pairwise_sums(centred, start, stop, buf)
+    return float(sxy / sxx)
 
 
 def _two_stage_tail_fit(n_at, t: np.ndarray) -> tuple[float, float | None, str]:
@@ -192,9 +180,8 @@ def _two_stage_tail_fit(n_at, t: np.ndarray) -> tuple[float, float | None, str]:
     distinct indices determines no slope and makes the verdict
     "inconclusive" (with a NaN tail exponent when it is the first window).
 
-    ``t`` and one window-long scratch are the only arrays as long as the
-    series: the first fit streams its points through the scratch and keeps
-    ``t`` whole, and the second overwrites ``t`` with its y values.
+    Both fits stream their points through chunk buffers and allocate no
+    window-long array; the second overwrites ``t`` with its y values.
     """
     pos = t > 0
     kept = np.count_nonzero(pos)
@@ -207,17 +194,14 @@ def _two_stage_tail_fit(n_at, t: np.ndarray) -> tuple[float, float | None, str]:
 
         def n_at(i, j):
             return n[i:j]
-    del pos  # before the scratch exists
+    del pos  # before the fits' buffers exist
 
     def first_at_least(v):  # np.searchsorted of v in the indices
         return bisect.bisect_left(range(t.size), v, key=lambda k: n_at(k, k + 1)[0])
 
     decade = first_at_least(n_at(t.size - 1, t.size)[0] / 10.0)
-    wide = first_at_least(max(10.0, n_at(0, 1)[0]))
-    scratch = np.empty(t.size - min(decade, wide))
-    slope = _slope_streamed(lambda i, j, out: np.log(n_at(i, j), out=out),
-                            lambda i, j, out: np.log(t[i:j], out=out),
-                            decade, scratch[:t.size - decade])
+    slope = _slope_streamed(lambda i, j, out: (np.log(n_at(i, j), out=out[0]),
+                                               np.log(t[i:j], out=out[1])), decade, t.size)
     if slope is None:
         return math.nan, None, "inconclusive"
     if slope < -1.3:
@@ -225,20 +209,20 @@ def _two_stage_tail_fit(n_at, t: np.ndarray) -> tuple[float, float | None, str]:
     if slope > -0.95:
         return slope, None, "divergent"
     # harmonic boundary: examine the log factor over the full index range
-    x, y = scratch[:t.size - wide], t[wide:]
-    for i, j in _chunks(wide, t.size):
-        m, xs, ys = n_at(i, j), x[i - wide:j - wide], t[i:j]
-        np.log(np.log(m, out=xs), out=xs)
-        np.log(np.multiply(m, ys, out=ys), out=ys)
-    b = _slope_into(x, y)
+    wide = first_at_least(max(10.0, n_at(0, 1)[0]))
+    for i, j in _chunks(wide, t.size):  # y = ln(n t), in place
+        np.log(np.multiply(n_at(i, j), t[i:j], out=t[i:j]), out=t[i:j])
+
+    def lnln_n_and_y(i, j, out):
+        np.log(np.log(n_at(i, j), out=out[0]), out=out[0])
+        out[1] = t[i:j]
+        return out
+
+    b = _slope_streamed(lnln_n_and_y, wide, t.size)
     if b is None:
         return slope, None, "inconclusive"
     b = -b
-    if b > 1.05:
-        return slope, b, "convergent"
-    if b < 0.95:
-        return slope, b, "divergent"
-    return slope, b, "inconclusive"
+    return slope, b, "convergent" if b > 1.05 else "divergent" if b < 0.95 else "inconclusive"
 
 
 def _sequential_sum(t: np.ndarray) -> float:
@@ -275,9 +259,9 @@ def dini_series(omega: OmegaProfile, n_max: int = 1_000_000) -> SeriesDiagnosis:
     The terms are evaluated _SERIES_CHUNK indices at a time into one array,
     bit for bit as one call over all n would give them, and each chunk
     makes its own indices, exact integers in doubles.  Memory stays at the
-    terms ``t`` and the fit's one window scratch: two arrays of n_max
-    doubles.  The indices are ascending, as ``_two_stage_tail_fit`` needs;
-    a degenerate fit window is inconclusive.
+    terms ``t``, one array of n_max doubles, plus chunk buffers.  The
+    indices are ascending, as ``_two_stage_tail_fit`` needs; a degenerate
+    fit window is inconclusive.
     """
     t = np.empty(max(n_max - 1, 0))
     first = np.arange(2.0, 2.0 + min(t.size, _SERIES_CHUNK))

@@ -22,6 +22,7 @@ through a lock file.
 from __future__ import annotations
 
 import argparse
+import configparser
 import dataclasses
 import json
 import math
@@ -162,18 +163,32 @@ class OutputDir:
         return json.loads(p.read_text())
 
 
-def _earlier_results(out: OutputDir, command: str) -> dict | None:
+def _parsed(value):
+    """Parsed inputs as values that == compares: a dataclass as the list of its
+    compared fields, an array as the list of its values."""
+    if dataclasses.is_dataclass(value):
+        return [_parsed(getattr(value, f.name)) for f in dataclasses.fields(value) if f.compare]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _earlier_results(out: OutputDir, command: str, base_dir) -> dict | None:
     """The results of an earlier ``command`` summary in ``out``, or None when
-    there is none or it ran on other inputs: [profile] for dini; [profile],
-    [problem] and the seed, which draws ``u0 = random``, for simulate."""
+    there is none or it ran on other inputs, compared as the config readers
+    parse them: [profile] for dini; [profile], [problem] and the seed, which
+    draws ``u0 = random``, for simulate."""
     def inputs(summary):
-        sections = [summary["config"].get(name) for name in ("profile", "problem")]
-        return sections[0] if command == "dini" else (sections, summary["seed"])
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_dict(summary["config"])
+        profile = _parsed(potential_from_config(parser, base_dir))
+        return profile if command == "dini" else (
+            profile, _parsed(problem_from_config(parser, base_dir)), summary["seed"])
 
     earlier = out.read_summary(command)
-    if earlier is None or inputs(earlier) != inputs(out.run_inputs):
-        return None
-    return earlier["results"]
+    try:
+        same = earlier is not None and inputs(earlier) == inputs(out.run_inputs)
+    except ConfigError:  # a section that the readers reject is no match
+        same = False
+    return earlier["results"] if same else None
 
 
 def cmd_dini(parser, out: OutputDir, args) -> Outcome:
@@ -296,7 +311,7 @@ def cmd_bound(parser, out: OutputDir, args) -> Outcome:
     # +inf is a divergent total; NaN (no rounds) has no value at all
     total = (rep.total if math.isfinite(rep.total)
              else "inf" if rep.total == math.inf else None)
-    sim = _earlier_results(out, "simulate")
+    sim = _earlier_results(out, "simulate", args.config_dir)
     sim_check = {"found": False}
     if sim is not None:
         t_ext = sim.get("extinction_time")
@@ -369,7 +384,7 @@ def cmd_spectral(parser, out: OutputDir, args, dini: dict | None = None) -> Outc
         "spectral_criterion_verdict": crit.verdict,
     })
     if dini is None:  # not run by verify: an earlier dini run, if any
-        dini = _earlier_results(out, "dini")
+        dini = _earlier_results(out, "dini", args.config_dir)
     if dini is not None:
         dini_verdict = dini["series_verdict"]
         results["dini_series_verdict"] = dini_verdict

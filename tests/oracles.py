@@ -1,18 +1,20 @@
 """The paper's intermediate lemmas, which only the tests check: profile
 claims, endpoint-integral ratios, interpolation constants, the inequality's
-regions, the positivity probe, the discrete energies of one step, the maps
-r(z) = a^{-1}(z) and rho(z) = z r(z)^2 with the brackets on them, the rho
-map's earlier bisection in r, and the sum of omega over the dominating radii
-against its integral.  Also the numbers that no subcommand emits: the error
-proxy and margins of the energy ledger, the dominating curve's joins and
-matching constant, and its candidate final radii."""
+regions, the positivity probe and its whole-array least-squares slope, the
+reference of the tail fit's streamed one, the discrete energies of one
+step, the maps r(z) = a^{-1}(z) and rho(z) = z r(z)^2 with the brackets on
+them, the rho map's earlier bisection in r, and the sum of omega over the
+dominating radii against its integral.  Also the numbers that no subcommand
+emits: the error proxy and margins of the energy ledger, the dominating
+curve's joins and matching constant, and its candidate final radii."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from extinctlab.analysis import DomainError, _slope_into, dini_integral, log_segment_integrals
+from extinctlab.analysis import (
+    DomainError, _slope_streamed, dini_integral, log_segment_integrals)
 from extinctlab.odi import (
     _TAU_FLOOR,
     OdiConfig,
@@ -350,6 +352,30 @@ def ode_extinction_time(eps: float, q: float, u0_sup: float) -> float:
     return u0_sup ** (1.0 - q) / (eps * (1.0 - q))
 
 
+def slope_into(x: np.ndarray, y: np.ndarray) -> float | None:
+    """Least-squares slope of y against ascending x over whole arrays, the
+    reference of the tail fit's streamed slope: sum((x - mean x)(y - mean y))
+    / sum((x - mean x)^2) with numpy's pairwise sums.  None when x holds
+    fewer than two distinct values.  ``x`` and ``y`` are overwritten."""
+    if x.size < 2 or x[0] == x[-1]:
+        return None
+    x -= x.mean()
+    y -= y.mean()
+    y *= x
+    sxy = float(y.sum())
+    np.square(x, out=x)
+    return sxy / float(x.sum())
+
+
+def streamed_slope(x: np.ndarray, y: np.ndarray) -> float | None:
+    """The tail fit's streamed slope of y against ascending x, its points
+    read from whole arrays."""
+    def xy_into(i, j, out):
+        out[0], out[1] = x[i:j], y[i:j]
+        return out
+    return _slope_streamed(xy_into, 0, x.size)
+
+
 @dataclass(frozen=True)
 class PositivityReport:
     times: np.ndarray
@@ -371,7 +397,7 @@ def positivity_probe(spec: ProblemSpec) -> PositivityReport:
     if np.count_nonzero(tail) >= 10:
         tt, mm = traj.times[tail], traj.umin[tail]
         keep = slice(np.searchsorted(tt, 0.1 * tt[-1]), None)
-        slope = _slope_into(tt[keep].copy(), np.log(mm[keep]))
+        slope = slope_into(tt[keep].copy(), np.log(mm[keep]))
         if slope is not None and abs(slope) >= 1e-12:
             rate = -slope
     collapsed = bool(traj.umin[-1] < traj.threshold)
