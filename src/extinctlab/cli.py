@@ -71,6 +71,10 @@ EXIT_NUMERIC = 70
 
 _MIN_POSITIVITY_FLOOR = 1e-6  # of the initial sup norm
 _CSV_BLOCK = 1024  # rows write_csv formats at a time
+# the caps on [spectral] cells of the mu_n sequence and the spectral
+# criterion; the sandwich scan takes cells as given
+_MU_N_CELLS = 800
+_CRITERION_CELLS = 2000
 
 
 def _fmt(x) -> str:
@@ -364,16 +368,16 @@ def cmd_spectral(parser, out: OutputDir, args, dini: dict | None = None) -> Outc
         # are still meaningful
         results["rho_map_error"] = str(exc)
 
-    mus = mu_n_sequence(potential, n_max=sp["mu_n_max"], cells=min(sp["cells"], 800))
+    mus = mu_n_sequence(potential, n_max=sp["mu_n_max"], cells=min(sp["cells"], _MU_N_CELLS))
     kv = spectral_log_sum(mus)
     # the last partial sum is the mu-log sum's total: adding 0.0 is exact
     terms = mu_log_terms(mus)
     out.write_csv("mu_n.csv", ["n", "mu_n", "term", "partial_sum"],
                   [range(mus.size), mus, terms, np.cumsum(terms)])
 
-    crit = spectral_criterion_series(potential, K=sp["K"], q=sp["q"],
-                            n_range=(sp["n_min"], sp["n_max"]),
-                            cells=min(sp["cells"], 2000))
+    crit = spectral_criterion_series(potential, K=sp["k"], q=sp["q"],
+                                     n_range=(sp["n_min"], sp["n_max"]),
+                                     cells=min(sp["cells"], _CRITERION_CELLS))
     out.write_csv("criterion_terms.csv", ["n", "mu", "term", "flagged"],
                   [crit.n, crit.mu, crit.terms, crit.flagged])
 

@@ -2,9 +2,13 @@
 
 Sections: [profile] defines omega and the potential amplitude, [problem]
 the parabolic run, [odi] the bound constants, [spectral] the scan ranges.
-Unknown keys, [profile] keys that the chosen kind does not read, and a
-[problem] epsilon without potential = constant are rejected so silent typos
-cannot skew archived runs.
+One table per section maps each key to its cast.  A reader casts every key
+the file gives and passes on only those, so an absent key takes the default
+of the type that takes it: ``ProblemSpec``, ``OdiConfig`` or
+``OmegaProfile``.  ``_DEFAULTS`` holds the defaults of the keys that no type
+takes.  Unknown keys, [profile] keys that the chosen kind does not read, and
+a [problem] epsilon without potential = constant are rejected so silent
+typos cannot skew archived runs.
 """
 
 from __future__ import annotations
@@ -23,19 +27,31 @@ class ConfigError(ValueError):
     """Malformed or incomplete run configuration."""
 
 
-_PROFILE_KEYS = {   # the keys each kind reads, besides kind and d0
-    "power": {"alpha", "omega0", "delta", "s0"},
-    "log-power": {"beta", "omega0", "delta", "s0"},
-    "constant": {"omega0"},
-    "log-singular": {"kappa"},
-    "table": {"table", "delta", "s0"},
+_PROFILE = {   # the keys each kind reads, besides kind and d0
+    "power": {"alpha": float, "omega0": float, "delta": float, "s0": float},
+    "log-power": {"beta": float, "omega0": float, "delta": float, "s0": float},
+    "constant": {"omega0": float},
+    "log-singular": {"kappa": float},
+    "table": {"table": str, "delta": float, "s0": float},
 }
-_PROBLEM_KEYS = {"q", "dimension", "radius", "potential", "epsilon", "u0",
-                 "cells", "dt", "horizon", "extinction_rtol", "snapshot_every"}
-_ODI_KEYS = {"y0", "gamma", "c0", "c4", "c7", "cbar", "max_rounds",
-             "bound_factor"}
-_SPECTRAL_KEYS = {"h_min", "h_max", "h_count", "cells", "k", "n_min", "n_max",
-                  "mu_n_max"}
+_PROBLEM = {"q": float, "dimension": int, "radius": float, "potential": str,
+            "epsilon": float, "u0": lambda v: v if v == "random" else float(v),
+            "cells": int, "dt": float, "horizon": float, "extinction_rtol": float,
+            "snapshot_every": int}
+_ODI = {"y0": float, "gamma": float, "c0": float, "c4": float, "c7": float,
+        "cbar": float, "max_rounds": int, "bound_factor": float}
+_SPECTRAL = {"h_min": float, "h_max": float, "h_count": int, "cells": int,
+             "k": float, "n_min": int, "n_max": int, "mu_n_max": int}
+
+#: the defaults of the keys that no type takes, by section; spectral reads
+#: [problem] q without building a ProblemSpec, simulate and bound need it
+_DEFAULTS = {
+    "profile": {"d0": 1.0},
+    "problem": {"potential": "profile", "q": 0.5},
+    "odi": {"max_rounds": 200, "bound_factor": 10.0},
+    "spectral": {"h_min": 1e-3, "h_max": 1e-1, "h_count": 7, "cells": 3000,
+                 "k": 1.0, "n_min": 2, "n_max": 40, "mu_n_max": 20},
+}
 
 
 def load_config(path) -> configparser.ConfigParser:
@@ -50,75 +66,75 @@ def load_config(path) -> configparser.ConfigParser:
     return parser
 
 
-def _section(parser, name, allowed) -> dict:
+def _section(parser, name, casts) -> dict:
+    """The keys that [name] gives, each cast by ``casts``, which names every
+    key the section may give."""
     if name not in parser:
         raise ConfigError(f"missing [{name}] section")
     sec = dict(parser[name])
-    unknown = set(sec) - allowed
+    unknown = set(sec) - set(casts)
     if unknown:
         raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
-    return sec
+    given = {}
+    for key, text in sec.items():
+        try:
+            given[key] = casts[key](text)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
+    return given
 
 
-_REQUIRED = object()   # default of a key that must be given
+def _required(given, key):
+    """``given``'s value of ``key``, taken out of it."""
+    if key not in given:
+        raise ConfigError(f"missing required key {key!r}")
+    return given.pop(key)
 
 
-def _get(sec, key, cast, default=_REQUIRED):
-    """``cast`` of a given key, ``default`` of a missing one."""
-    if key not in sec:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return cast(sec[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {sec[key]!r}") from exc
-
-
-def _problem_shape(prob, q_default=_REQUIRED) -> tuple[float, int, float]:
-    """(q, dimension, radius) of [problem], checked once for every reader."""
-    if "epsilon" in prob and prob.get("potential", "profile") != "constant":
+def _problem(parser) -> dict:
+    """The keys [problem] gives, with epsilon, q, dimension and radius checked
+    once for every reader."""
+    prob = _section(parser, "problem", _PROBLEM)
+    if "epsilon" in prob and prob.get("potential") != "constant":
         raise ConfigError("'epsilon' in [problem] is read only with potential = constant")
-    q = _get(prob, "q", float, q_default)
-    dimension = _get(prob, "dimension", int, 1)
-    radius = _get(prob, "radius", float, 1.0)
-    for ok, need in [(0 < q < 1, "0 < q < 1"),   # NaN fails every check
-                     (dimension in (1, 2, 3), "dimension 1, 2 or 3"),
-                     (radius > 0, "radius > 0")]:
+    q, dimension, radius = (prob.get(key) for key in ("q", "dimension", "radius"))
+    for ok, need in [(q is None or 0 < q < 1, "0 < q < 1"),   # NaN fails every check
+                     (dimension is None or dimension in (1, 2, 3), "dimension 1, 2 or 3"),
+                     (radius is None or radius > 0, "radius > 0")]:
         if not ok:
             raise ConfigError(f"need {need}")
-    return q, dimension, radius
+    return prob
 
 
-def _profile_section(parser) -> tuple[str, dict]:
-    """The kind of [profile] and its keys, each of which that kind reads."""
+def _profile_section(parser) -> tuple[str, float, dict]:
+    """The kind of [profile], d0 and the other keys, each of which that kind
+    reads."""
     if "profile" not in parser:
         raise ConfigError("missing [profile] section")
-    kind = _get(parser["profile"], "kind", str)
-    if kind not in _PROFILE_KEYS:
+    kind = _required(dict(parser["profile"]), "kind")
+    if kind not in _PROFILE:
         raise ConfigError(f"unknown profile kind {kind!r}")
-    return kind, _section(parser, "profile", _PROFILE_KEYS[kind] | {"kind", "d0"})
+    given = _section(parser, "profile", _PROFILE[kind] | {"kind": str, "d0": float})
+    del given["kind"]
+    return kind, given.pop("d0", _DEFAULTS["profile"]["d0"]), given
 
 
 def profile_from_config(parser, base_dir=".") -> OmegaProfile:
-    kind, sec = _profile_section(parser)
-    delta = _get(sec, "delta", float, 0.5)
-    omega0 = _get(sec, "omega0", float, 1.0)
-    s0 = _get(sec, "s0", float, None)
+    kind, _, given = _profile_section(parser)
     try:
         if kind == "power":
-            return OmegaProfile.power(_get(sec, "alpha", float), omega0, delta, s0)
+            return OmegaProfile.power(_required(given, "alpha"), **given)
         if kind == "log-power":
-            return OmegaProfile.log_power(_get(sec, "beta", float), omega0, delta, s0)
+            return OmegaProfile.log_power(_required(given, "beta"), **given)
         if kind == "constant":
-            return OmegaProfile.constant(omega0)
+            return OmegaProfile.constant(**given)
         if kind == "log-singular":
-            return OmegaProfile.log_singular(_get(sec, "kappa", float, 25.0))
-        table_path = Path(base_dir) / _get(sec, "table", str)  # kind = table
+            return OmegaProfile.log_singular(**given)
+        table_path = Path(base_dir) / _required(given, "table")  # kind = table
         if not table_path.is_file():
             raise ConfigError(f"profile table not found: {table_path}")
         data = np.loadtxt(table_path, delimiter=",")
-        return OmegaProfile.from_table(data[:, 0], data[:, 1], delta, s0)
+        return OmegaProfile.from_table(data[:, 0], data[:, 1], **given)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -126,7 +142,7 @@ def profile_from_config(parser, base_dir=".") -> OmegaProfile:
 
 
 def potential_from_config(parser, base_dir=".") -> PotentialField:
-    d0 = _get(_profile_section(parser)[1], "d0", float, 1.0)
+    d0 = _profile_section(parser)[1]
     try:
         return PotentialField(d0, profile_from_config(parser, base_dir))
     except ValueError as exc:
@@ -134,81 +150,51 @@ def potential_from_config(parser, base_dir=".") -> PotentialField:
 
 
 def problem_from_config(parser, base_dir=".") -> ProblemSpec:
-    sec = _section(parser, "problem", _PROBLEM_KEYS)
-    pot_kind = _get(sec, "potential", str, "profile")
-    if pot_kind == "profile":
-        potential = potential_from_config(parser, base_dir)
-    elif pot_kind == "constant":
-        epsilon = _get(sec, "epsilon", float)
-        try:
-            potential = ConstantPotential(epsilon)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    elif pot_kind == "zero":
-        potential = ConstantPotential(0.0)
-    else:
-        raise ConfigError(f"unknown potential spec {pot_kind!r}")
-    u0 = _get(sec, "u0", lambda v: v if v == "random" else float(v), 1.0)
-    q, dimension, radius = _problem_shape(sec)
+    given = _problem(parser)
+    q = _required(given, "q")
+    pot_kind = given.pop("potential", _DEFAULTS["problem"]["potential"])
     try:
-        return ProblemSpec(
-            q=q, dimension=dimension, radius=radius,
-            potential=potential,
-            u0=u0,
-            cells=_get(sec, "cells", int, 2000),
-            dt=_get(sec, "dt", float, 1e-3),
-            horizon=_get(sec, "horizon", float, 2.5),
-            extinction_rtol=_get(sec, "extinction_rtol", float, 1e-10),
-            snapshot_every=_get(sec, "snapshot_every", int, None),
-        )
+        if pot_kind == "profile":
+            potential = potential_from_config(parser, base_dir)
+        elif pot_kind == "constant":
+            potential = ConstantPotential(_required(given, "epsilon"))
+        elif pot_kind == "zero":
+            potential = ConstantPotential(0.0)
+        else:
+            raise ConfigError(f"unknown potential spec {pot_kind!r}")
+        return ProblemSpec(q=q, potential=potential, **given)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def odi_from_config(parser, base_dir=".") -> tuple[OdiConfig, dict]:
-    sec = _section(parser, "odi", _ODI_KEYS)
-    prob = _section(parser, "problem", _PROBLEM_KEYS)
-    extras = {
-        "max_rounds": _get(sec, "max_rounds", int, 200),
-        "bound_factor": _get(sec, "bound_factor", float, 10.0),
-    }
-    kwargs = {
-        "y0": _get(sec, "y0", float, 1e-4),
-        "gamma": _get(sec, "gamma", float, 1.0),
-        "c0": _get(sec, "c0", float, 1.0),
-        "c4": _get(sec, "c4", float, 1.0),
-        "c7": _get(sec, "c7", float, None),
-        "cbar": _get(sec, "cbar", float, None),
-    }
-    if kwargs["y0"] >= 1:
-        raise ConfigError("need y0 < 1 for the extinction rounds")
-    q, dimension, radius = _problem_shape(prob)
+    given = _section(parser, "odi", _ODI)
+    extras = {key: given.pop(key, default) for key, default in _DEFAULTS["odi"].items()}
+    prob = _problem(parser)
+    # [problem]'s shape under OdiConfig's names
+    shape = {"q": _required(prob, "q")}
+    shape.update({name: prob[key] for key, name in [("dimension", "dimension"),
+                                                    ("radius", "tau_max")] if key in prob})
+    potential = potential_from_config(parser, base_dir)
     try:
-        cfg = OdiConfig(potential=potential_from_config(parser, base_dir),
-                        q=q, dimension=dimension, tau_max=radius, **kwargs)
+        cfg = OdiConfig(potential=potential, **shape, **given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not cfg.y0 < 1:
+        raise ConfigError("need y0 < 1 for the extinction rounds")
     return cfg, extras
 
 
 def spectral_from_config(parser) -> dict:
-    sec = _section(parser, "spectral", _SPECTRAL_KEYS)
-    q = _problem_shape(dict(parser["problem"]), 0.5)[0] if "problem" in parser else 0.5
-    out = {
-        "h_min": _get(sec, "h_min", float, 1e-3),
-        "h_max": _get(sec, "h_max", float, 1e-1),
-        "h_count": _get(sec, "h_count", int, 7),
-        "cells": _get(sec, "cells", int, 3000),
-        "K": _get(sec, "k", float, 1.0),
-        "n_min": _get(sec, "n_min", int, 2),
-        "n_max": _get(sec, "n_max", int, 40),
-        "mu_n_max": _get(sec, "mu_n_max", int, 20),
-        "q": q,
-    }
+    out = {**_DEFAULTS["spectral"], **_section(parser, "spectral", _SPECTRAL)}
+    prob = _problem(parser) if "problem" in parser else {}
+    out["q"] = prob.get("q", _DEFAULTS["problem"]["q"])
     for ok, need in [(0 < out["h_min"] < out["h_max"], "0 < h_min < h_max"),
                      (out["h_count"] >= 1, "h_count >= 1"),
                      (out["cells"] >= 3, "cells >= 3"),
-                     (out["K"] > 0, "k > 0"),   # NaN fails every check
+                     (out["k"] > 0, "k > 0"),   # NaN fails every check
                      (2 <= out["n_min"] <= out["n_max"], "2 <= n_min <= n_max"),
                      (0 <= out["mu_n_max"] <= 60, "0 <= mu_n_max <= 60")]:
         if not ok:

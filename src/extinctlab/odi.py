@@ -61,7 +61,7 @@ class BelowFloorError(CurveRangeError):
 @dataclass(frozen=True)
 class OdiConfig:
     potential: PotentialField
-    y0: float
+    y0: float = 1e-4
     q: float = 0.5
     dimension: int = 1
     c0: float = 1.0
@@ -366,7 +366,7 @@ class ExtinctionBoundReport:
         return self.tau_rounds.size
 
 
-def extinction_iteration(config: OdiConfig, max_rounds: int = 200) -> ExtinctionBoundReport:
+def extinction_iteration(config: OdiConfig, max_rounds: int) -> ExtinctionBoundReport:
     """Run the extinction rounds and total the time bound R.
 
     Round i shrinks the energy bound to y0^((1+gamma)^i); its radius tau_i

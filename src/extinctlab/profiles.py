@@ -11,7 +11,8 @@ behaviour of ``omega``.  Built-in kinds:
 * ``power``        omega(s) = min(s**alpha, omega0)
 * ``log-power``    omega(s) = min(ln(1/s)**(-beta), omega0)
 * ``constant``     omega(s) = omega0  (absorption bounded away from zero)
-* ``log-singular`` omega(s) = kappa * ln(1/s), unbounded at the origin;
+* ``log-singular`` omega(s) = kappa * ln(1/s) (kappa = 25 unless given),
+                   unbounded at the origin;
                    the potential is then flatter than exp(-C/r**2) for
                    every C and solutions are expected to stay positive
 * ``table``        monotone cubic interpolation of user samples
@@ -66,7 +67,7 @@ class OmegaProfile:
     omega0: float = 1.0
     s0: float | None = None
     delta: float = 0.5
-    kappa: float = 1.0
+    kappa: float = 25.0
     table_s: np.ndarray | None = None
     table_w: np.ndarray | None = None
     _pchip: PchipInterpolator | None = field(default=None, repr=False, compare=False)
@@ -118,32 +119,29 @@ class OmegaProfile:
             return 0.5
         return 1.0
 
-    # -- constructors ------------------------------------------------------
+    # -- constructors: each passes its keywords on, so a default is a field's
 
     @classmethod
-    def power(cls, alpha: float, omega0: float = 1.0, delta: float = 0.5,
-              s0: float | None = None) -> "OmegaProfile":
-        return cls(kind="power", alpha=alpha, omega0=omega0, delta=delta, s0=s0)
+    def power(cls, alpha: float, **kw) -> "OmegaProfile":
+        return cls(kind="power", alpha=alpha, **kw)
 
     @classmethod
-    def log_power(cls, beta: float, omega0: float = 1.0, delta: float = 0.5,
-                  s0: float | None = None) -> "OmegaProfile":
-        return cls(kind="log-power", beta=beta, omega0=omega0, delta=delta, s0=s0)
+    def log_power(cls, beta: float, **kw) -> "OmegaProfile":
+        return cls(kind="log-power", beta=beta, **kw)
 
     @classmethod
-    def constant(cls, omega0: float = 1.0) -> "OmegaProfile":
-        return cls(kind="constant", omega0=omega0)
+    def constant(cls, **kw) -> "OmegaProfile":
+        return cls(kind="constant", **kw)
 
     @classmethod
-    def log_singular(cls, kappa: float = 1.0) -> "OmegaProfile":
-        return cls(kind="log-singular", kappa=kappa, omega0=1.0)
+    def log_singular(cls, **kw) -> "OmegaProfile":
+        return cls(kind="log-singular", **kw)
 
     @classmethod
-    def from_table(cls, s, w, delta: float = 0.5, s0: float | None = None) -> "OmegaProfile":
+    def from_table(cls, s, w, **kw) -> "OmegaProfile":
         s = np.asarray(s, dtype=float)
         w = np.asarray(w, dtype=float)
-        return cls(kind="table", table_s=s, table_w=w, delta=delta, s0=s0,
-                   omega0=float(w[-1]))
+        return cls(kind="table", table_s=s, table_w=w, omega0=float(w[-1]), **kw)
 
     # -- evaluation --------------------------------------------------------
 

@@ -187,7 +187,7 @@ def _ground_values(potential, log_hs, cells: int) -> np.ndarray:
     return np.array([gs.value for gs in _ground_sweep(potential, log_hs, cells)])
 
 
-def mu_n_sequence(potential, n_max: int = 20, cells: int = 400) -> np.ndarray:
+def mu_n_sequence(potential, n_max: int, cells: int) -> np.ndarray:
     """Ground states mu_n for the dyadically amplified weights 2^n a_0,
     that is at ln h = -(n/2) ln 2.  ln h keeps every weight in range, but
     past n ~ 300 the knee-graded mesh makes mu_n non-monotone, so n_max stays
@@ -216,7 +216,7 @@ class SpectralScan:
 
 
 def eigenvalue_sandwich_scan(potential, h_values, rho_map: RhoMap,
-                             cells: int = 3000) -> SpectralScan:
+                             cells: int) -> SpectralScan:
     """Sandwich scan: lambda1(h) against h^(-2) rho^(-1)(h^2).
 
     h values out of the invertible range of the potential are skipped (NaN
@@ -273,8 +273,8 @@ class CriterionReport:
         return self.diagnosis.verdict
 
 
-def spectral_criterion_series(potential, K: float = 1.0, q: float = 0.5,
-                     n_range: tuple[int, int] = (2, 40), cells: int = 2000) -> CriterionReport:
+def spectral_criterion_series(potential, K: float, q: float, n_range: tuple[int, int],
+                              cells: int) -> CriterionReport:
     """Spectral extinction criterion along alpha_n = n^(-K n).
 
     Each term is (1/mu(alpha_n)) (ln mu + ln(alpha_n/alpha_{n+1}) + 1), with

@@ -71,7 +71,7 @@ def test_04_equivalence_family():
     family = [(OmegaProfile.power(a), "convergent") for a in (0.5, 1.0, 1.5)]
     family += [(OmegaProfile.log_power(b), "convergent" if b > 1 else "divergent")
                for b in (0.5, 1.0, 1.5, 2.0, 3.0)]
-    family += [(OmegaProfile.constant(1.0), "divergent")]
+    family += [(OmegaProfile.constant(omega0=1.0), "divergent")]
     bad = []
     for prof, expect in family:
         rep = equivalence_check(prof)
@@ -178,17 +178,17 @@ def test_11_bound_coherence(omega_r_run):
         (OmegaProfile.power(1.5), True), (OmegaProfile.log_power(0.5), False),
         (OmegaProfile.log_power(1.0), False), (OmegaProfile.log_power(1.5), True),
         (OmegaProfile.log_power(2.0), True), (OmegaProfile.log_power(3.0), True),
-        (OmegaProfile.constant(1.0), False),
+        (OmegaProfile.constant(omega0=1.0), False),
     ]
     mism = []
     for prof, finite in family:
         rep = extinction_iteration(OdiConfig(
-            potential=PotentialField(1.0, prof), y0=1e-4, q=0.5))
+            potential=PotentialField(1.0, prof), y0=1e-4, q=0.5), max_rounds=200)
         if math.isfinite(rep.total) != finite:
             mism.append(prof.kind)
 
     traj, pot = omega_r_run
-    rep = extinction_iteration(OdiConfig(potential=pot, y0=1e-4, q=0.5))
+    rep = extinction_iteration(OdiConfig(potential=pot, y0=1e-4, q=0.5), max_rounds=200)
     t_sim = traj.extinction_time
     bound_ok = t_sim is not None and t_sim <= 10.0 * rep.total
     report(11, "extinction-bound coherence", not mism and bound_ok,

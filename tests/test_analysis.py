@@ -42,7 +42,7 @@ class TestDiniIntegral:
         assert res.value == pytest.approx(0.5, abs=1e-6)
 
     def test_constant_profile_diverges(self):
-        res = dini_integral(OmegaProfile.constant(0.5), c=1.0)
+        res = dini_integral(OmegaProfile.constant(omega0=0.5), c=1.0)
         assert res.verdict == "divergent"
 
     def test_bad_inputs(self):
@@ -65,7 +65,7 @@ class TestDiniSeries:
         assert diag.verdict == "convergent"
 
     def test_constant_profile_divergent(self):
-        diag = dini_series(OmegaProfile.constant(1.0))
+        diag = dini_series(OmegaProfile.constant(omega0=1.0))
         assert diag.verdict == "divergent"
         assert diag.tail_exponent == pytest.approx(-1.0, abs=1e-6)
 
@@ -152,7 +152,7 @@ _TABLE_S = np.geomspace(1e-4, 0.5, 40)
 class TestChunkedSeries:
     @pytest.mark.parametrize("profile", [
         OmegaProfile.log_power(0.5), OmegaProfile.log_power(2.0),
-        OmegaProfile.power(1.0), OmegaProfile.constant(1.0),
+        OmegaProfile.power(1.0), OmegaProfile.constant(omega0=1.0),
         OmegaProfile.from_table(_TABLE_S, _TABLE_S ** 0.7),
     ], ids=["log-power-0.5", "log-power-2", "power-1", "constant", "table"])
     def test_bitwise_equal_to_one_shot(self, profile):
@@ -165,7 +165,7 @@ class TestChunkedSeries:
     @pytest.mark.parametrize("profile", [
         OmegaProfile.log_power(1.0), OmegaProfile.log_power(2.0),
         OmegaProfile.log_power(3.0), OmegaProfile.power(1.0),
-        OmegaProfile.power(2.0), OmegaProfile.constant(1.0),
+        OmegaProfile.power(2.0), OmegaProfile.constant(omega0=1.0),
     ], ids=["log-power-1", "log-power-2", "log-power-3", "power-1", "power-2",
             "constant"])
     def test_tail_slope_matches_extended_precision(self, profile):
@@ -181,7 +181,7 @@ class TestChunkedSeries:
     ] + [
         (OmegaProfile.log_power(b), "convergent" if b > 1 else "divergent")
         for b in (0.5, 1.0, 1.5, 2.0, 3.0)
-    ] + [(OmegaProfile.constant(1.0), "divergent")])
+    ] + [(OmegaProfile.constant(omega0=1.0), "divergent")])
     def test_acceptance_family_verdicts(self, profile, expected):
         assert dini_series(profile).verdict == expected
 
@@ -211,7 +211,7 @@ class TestChunkedSeries:
 
     @pytest.mark.parametrize("n_max", [2, 3, 9, 10, 11, 4 * CHUNK + 1, 4 * CHUNK + 2])
     @pytest.mark.parametrize("profile", [
-        OmegaProfile.constant(1.0), OmegaProfile.log_power(2.0), OmegaProfile.power(200.0),
+        OmegaProfile.constant(omega0=1.0), OmegaProfile.log_power(2.0), OmegaProfile.power(200.0),
     ], ids=["constant", "log-power-2", "power-200"])
     def test_edges_bitwise(self, profile, n_max):
         # one term, fewer than 8 terms, fit windows of 0, 1 and 2 points past
@@ -219,7 +219,7 @@ class TestChunkedSeries:
         _assert_same_diagnosis(profile, n_max)
 
     def test_empty_series_inconclusive(self):
-        diag = dini_series(OmegaProfile.constant(1.0), n_max=1)
+        diag = dini_series(OmegaProfile.constant(omega0=1.0), n_max=1)
         assert diag.verdict == "inconclusive" and diag.total == 0.0
 
 
@@ -228,7 +228,7 @@ _ACCEPTANCE_FAMILY = [
 ] + [
     pytest.param(OmegaProfile.log_power(b), id=f"log-power-{b}")
     for b in (0.5, 1.0, 1.5, 2.0, 3.0)
-] + [pytest.param(OmegaProfile.constant(1.0), id="constant")]
+] + [pytest.param(OmegaProfile.constant(omega0=1.0), id="constant")]
 
 _DEGENERATE_WINDOWS = [
     (np.r_[np.arange(2.0, 10.0), 1000.0], 2.0),  # one-point decade

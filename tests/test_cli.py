@@ -333,6 +333,20 @@ class TestBound:
         assert sorted(summary["manifest"]) == on_disk == ["rounds.csv",
                                                           "summary_bound.json"]
 
+    def test_bumped_final_radius_inside_domain(self, tmp_path):
+        # small y0, c0 and c4 at q = 0.3 raise the curve's final radius to
+        # twice tau'' and keep it inside the domain: both flags the other way
+        # round from the other bound configs
+        cfg = write_config(tmp_path, README.replace("beta = 2.0", "beta = 0.5")
+                           .replace("q = 0.5", "q = 0.3")
+                           .replace("y0 = 1e-4", "y0 = 1e-8\nc4 = 0.01")
+                           .replace("c0 = 1.0", "c0 = 0.01"))
+        out = tmp_path / "o"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 1
+        curve = json.loads((out / "summary_bound.json").read_text())["results"]["curve"]
+        assert curve["tau_triple_prime_bumped"] is True
+        assert curve["beyond_domain"] is False
+
     @pytest.mark.parametrize("command,code", [("bound", 1), ("verify", 0)])
     def test_log_singular_curve_error_reported(self, tmp_path, command, code):
         # omega = 25 ln(1/s) vanishes for s >= 1, inside the bracket of the
@@ -695,6 +709,18 @@ class TestConfigValues:
         assert run_with(tmp_path, command, [(section, key, value)]) == 64
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("bound", "cells", "abc"), ("bound", "u0", "abc"), ("spectral", "dt", "abc"),
+        ("spectral", "cell", "100"), ("spectral", "epsilon", "1.0"),
+    ], ids=["bound-cells", "bound-u0", "spectral-dt", "spectral-unknown",
+            "spectral-epsilon"])
+    def test_every_given_problem_key_checked(self, tmp_path, capsys, command, key, value):
+        # bound and spectral read only q, dimension and radius of [problem],
+        # yet every key it gives is cast and checked, as for simulate
+        assert run_with(tmp_path, command, [("problem", key, value)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and repr(key) in err
 
     @pytest.mark.parametrize("profile,key,value", [
         (CONSTANT, "s0", "-1"), (CONSTANT, "beta", "nan"), (LOG_SINGULAR, "s0", "0.5"),

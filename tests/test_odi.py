@@ -61,7 +61,7 @@ class TestTauPrime:
         assert solve_tau_prime(cfg) == pytest.approx(expected, rel=1e-10)
 
     def test_constant_omega_closed_form(self):
-        pot = PotentialField(1.0, OmegaProfile.constant(0.5))
+        pot = PotentialField(1.0, OmegaProfile.constant(omega0=0.5))
         cfg = OdiConfig(potential=pot, y0=1e-4, q=0.5, c0=1.0)
         expected = math.sqrt(0.5 * 4.0 / (math.log(3.0) - math.log(1e-4)))
         assert solve_tau_prime(cfg) == pytest.approx(expected, rel=1e-10)
@@ -282,16 +282,16 @@ class TestRegionClassifier:
 
 class TestExtinctionIteration:
     def test_constant_omega_unbounded(self):
-        pot = PotentialField(1.0, OmegaProfile.constant(1.0))
+        pot = PotentialField(1.0, OmegaProfile.constant(omega0=1.0))
         cfg = OdiConfig(potential=pot, y0=1e-4, q=0.5)
-        rep = extinction_iteration(cfg)
+        rep = extinction_iteration(cfg, max_rounds=200)
         assert rep.verdict == "divergent"
         assert rep.total == math.inf
         # waiting times are constant once the radius caps: linear growth
         assert rep.t_rounds[-1] == pytest.approx(rep.t_rounds[-2], rel=1e-6)
 
     def test_round_relations(self, beta2_config):
-        rep = extinction_iteration(beta2_config)
+        rep = extinction_iteration(beta2_config, max_rounds=200)
         cfg = beta2_config
         w = cfg.potential.omega.omega(rep.tau_rounds)
         expect_t = cfg.gamma * cfg.c7 / cfg.cbar * w
@@ -304,13 +304,13 @@ class TestExtinctionIteration:
         assert np.all(np.diff(rep.log_levels) < 0)
 
     def test_bounded_verdict_with_finite_total(self, beta2_config):
-        rep = extinction_iteration(beta2_config)
+        rep = extinction_iteration(beta2_config, max_rounds=200)
         assert rep.verdict == "convergent"
         assert math.isfinite(rep.total)
         assert rep.total > rep.sum_t + rep.sum_s - 1e-12
 
     def test_offset_sum_geometric(self, beta2_config):
-        rep = extinction_iteration(beta2_config)
+        rep = extinction_iteration(beta2_config, max_rounds=200)
         # s(tau_i) <= const * tau_i^2 with tau_i^2 geometric: tail must be
         # dominated by a geometric series
         ratios = rep.s_rounds[1:] / rep.s_rounds[:-1]
@@ -319,7 +319,7 @@ class TestExtinctionIteration:
 
     def test_partial_sums_vs_integral_comparison(self, beta2_config):
         partial, integral = round_sum_and_integral(beta2_config,
-                                                   extinction_iteration(beta2_config))
+                                                   extinction_iteration(beta2_config, max_rounds=200))
         ratio = partial / integral
         assert 0.25 < ratio < 4.0
 
@@ -329,11 +329,11 @@ class TestExtinctionIteration:
             (OmegaProfile.power(1.5), True), (OmegaProfile.log_power(0.5), False),
             (OmegaProfile.log_power(1.0), False), (OmegaProfile.log_power(1.5), True),
             (OmegaProfile.log_power(2.0), True), (OmegaProfile.log_power(3.0), True),
-            (OmegaProfile.constant(1.0), False),
+            (OmegaProfile.constant(omega0=1.0), False),
         ]
         for prof, finite in profiles:
             cfg = OdiConfig(potential=PotentialField(1.0, prof), y0=1e-4, q=0.5)
-            rep = extinction_iteration(cfg)
+            rep = extinction_iteration(cfg, max_rounds=200)
             assert math.isfinite(rep.total) == finite, prof.kind
             assert (rep.verdict == "convergent") == finite, prof.kind
 
@@ -347,7 +347,7 @@ class TestExtinctionIteration:
         assert np.all(np.diff(rep.tau_rounds) < 0)
         assert rep.verdict == "convergent"
         assert math.isfinite(rep.total) and rep.total < 117.0
-        assert rep.total == pytest.approx(extinction_iteration(beta2_config).total, rel=0.01)
+        assert rep.total == pytest.approx(extinction_iteration(beta2_config, max_rounds=200).total, rel=0.01)
 
     def test_floor_and_domain_are_told_apart(self, beta2_config):
         with pytest.raises(BelowFloorError):
@@ -379,14 +379,14 @@ class TestExtinctionIteration:
         # tau^2/omega = tau^0.001 cannot reach the relation above exp(-250)
         cfg = OdiConfig(potential=PotentialField(1.0, OmegaProfile.power(1.999)),
                         y0=1e-4, q=0.5)
-        rep = extinction_iteration(cfg)
+        rep = extinction_iteration(cfg, max_rounds=200)
         assert rep.rounds == 0 and rep.clipped_rounds == 0
         assert rep.verdict == "inconclusive" and math.isnan(rep.total)
 
     def test_y0_validation(self, beta2_config):
         with pytest.raises(ValueError):
             extinction_iteration(OdiConfig(potential=beta2_config.potential,
-                                           y0=1.0, q=0.5))
+                                           y0=1.0, q=0.5), max_rounds=200)
 
 
 def _sequential_rounds(config, max_rounds=200):
@@ -460,7 +460,7 @@ def _rounds(rep):
 _FAMILY = [pytest.param(OmegaProfile.power(a), id=f"power-{a}") for a in (0.5, 1.0, 1.5)] \
     + [pytest.param(OmegaProfile.log_power(b), id=f"log-power-{b}")
        for b in (0.5, 1.0, 1.5, 2.0, 3.0)] \
-    + [pytest.param(OmegaProfile.constant(1.0), id="constant")]
+    + [pytest.param(OmegaProfile.constant(omega0=1.0), id="constant")]
 
 
 class TestLockStepRounds:
@@ -476,20 +476,20 @@ class TestLockStepRounds:
     @pytest.mark.parametrize("prof", _FAMILY)
     def test_profile_family(self, prof):
         cfg = OdiConfig(potential=PotentialField(1.0, prof), y0=1e-4, q=0.5)
-        self.assert_equal(extinction_iteration(cfg), _sequential_rounds(cfg))
+        self.assert_equal(extinction_iteration(cfg, max_rounds=200), _sequential_rounds(cfg))
 
     @pytest.mark.parametrize("prof", [OmegaProfile.log_power(2.0), OmegaProfile.power(1.0)],
                              ids=["log-power", "power"])
     def test_clipped_rounds(self, prof):
         cfg = OdiConfig(potential=PotentialField(1.0, prof), y0=0.9, q=0.5)
-        rep = extinction_iteration(cfg)
+        rep = extinction_iteration(cfg, max_rounds=200)
         assert rep.clipped_rounds == 6
         self.assert_equal(rep, _sequential_rounds(cfg))
 
     def test_no_round_above_the_floor(self):
         cfg = OdiConfig(potential=PotentialField(1.0, OmegaProfile.power(1.999)),
                         y0=1e-4, q=0.5)
-        rep = extinction_iteration(cfg)
+        rep = extinction_iteration(cfg, max_rounds=200)
         assert rep.rounds == 0
         self.assert_equal(rep, _sequential_rounds(cfg))
 

@@ -49,7 +49,7 @@ class TestConditions:
         assert condition(rep, "slope").witness_s is not None
 
     def test_constant_profile_fails_origin(self):
-        rep = check_conditions(OmegaProfile.constant(0.7))
+        rep = check_conditions(OmegaProfile.constant(omega0=0.7))
         assert not passed(rep, "origin")
         assert passed(rep, "monotone") and passed(rep, "bounded")
 
@@ -85,7 +85,7 @@ class TestPotential:
         assert field.a(1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_constant_omega_vanishes_at_origin(self):
-        field = PotentialField(1.0, OmegaProfile.constant(2.0))
+        field = PotentialField(1.0, OmegaProfile.constant(omega0=2.0))
         assert field.a(0.0) == 0.0
         assert field.a(1e-3) == 0.0  # exponent -2e6: exp underflows
 
@@ -129,7 +129,7 @@ SCALAR_PROFILES = [
     OmegaProfile.log_power(0.5), OmegaProfile.log_power(1.0),
     OmegaProfile.log_power(2.0), OmegaProfile.log_power(2.0, omega0=3.0),
     OmegaProfile.log_power(3.0), OmegaProfile.log_power(25.0),
-    OmegaProfile.constant(0.7), OmegaProfile.log_singular(2.0),
+    OmegaProfile.constant(omega0=0.7), OmegaProfile.log_singular(kappa=2.0),
     OmegaProfile.from_table(np.geomspace(1e-3, 0.8, 12), np.geomspace(1e-3, 0.8, 12) ** 0.5),
 ]
 
@@ -242,7 +242,7 @@ class TestRhoMap:
         OmegaProfile.power(0.5), OmegaProfile.power(1.0), OmegaProfile.power(1.5),
         OmegaProfile.log_power(0.5), OmegaProfile.log_power(1.0),
         OmegaProfile.log_power(1.5), OmegaProfile.log_power(2.0),
-        OmegaProfile.log_power(3.0), OmegaProfile.constant(1.0),
+        OmegaProfile.log_power(3.0), OmegaProfile.constant(omega0=1.0),
     ], ids=lambda p: {"power": f"power-{p.alpha}", "log-power": f"log-power-{p.beta}"}.get(
         p.kind, p.kind))
     def test_batched_query_equals_scalar_queries(self, prof):
@@ -265,7 +265,7 @@ class TestRhoMap:
 _MAP_PROFILES = [pytest.param(OmegaProfile.power(a), id=f"power-{a}") for a in (0.5, 1.0, 1.5)] \
     + [pytest.param(OmegaProfile.log_power(b), id=f"log-power-{b}")
        for b in (0.5, 1.0, 1.5, 2.0, 3.0)] \
-    + [pytest.param(OmegaProfile.constant(1.0), id="constant"),
+    + [pytest.param(OmegaProfile.constant(omega0=1.0), id="constant"),
        pytest.param(None, id="rise-fall")]
 
 
@@ -320,7 +320,7 @@ class TestSRamp:
         assert sp == pytest.approx(3.0, rel=1e-12)
 
     def test_constant_omega(self):
-        s, sp = OmegaProfile.constant(0.5).ramp(2.0)
+        s, sp = OmegaProfile.constant(omega0=0.5).ramp(2.0)
         assert s == pytest.approx(16.0 / 0.5, rel=1e-12)
         assert sp == pytest.approx(32.0 / 0.5, rel=1e-12)
 

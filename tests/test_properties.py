@@ -166,7 +166,7 @@ def criterion_potentials(draw, alpha_max=1.9):
     elif kind == "log-power":
         omega = OmegaProfile.log_power(draw(st.floats(0.5, 3.0)))
     else:
-        omega = OmegaProfile.constant(1.0)
+        omega = OmegaProfile.constant(omega0=1.0)
     return PotentialField(1.0, omega)
 
 
@@ -194,7 +194,8 @@ class TestGroundStateInH:
     @settings(derandomize=True, database=None, deadline=None, max_examples=10)
     @given(criterion_potentials())
     def test_criterion_mu_nondecreasing_in_n(self, potential):
-        mu = spectral_criterion_series(potential, n_range=(2, 40), cells=2000).mu
+        mu = spectral_criterion_series(potential, K=1.0, q=0.5, n_range=(2, 40),
+                                        cells=2000).mu
         assert np.all(np.diff(mu) >= 0.0)
 
 

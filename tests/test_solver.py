@@ -538,7 +538,7 @@ class TestPositivityProbe:
     def test_superflat_potential_keeps_positive(self):
         # omega unbounded at 0 confines the absorption to a boundary shell;
         # the minimum survives a desk-scale horizon
-        pot = PotentialField(1.0, OmegaProfile.log_singular(25.0))
+        pot = PotentialField(1.0, OmegaProfile.log_singular(kappa=25.0))
         spec = ProblemSpec(q=0.5, potential=pot, u0=1.0,
                            cells=400, dt=5e-3, horizon=10.0)
         rep = positivity_probe(spec)

@@ -75,7 +75,7 @@ class TestGroundState:
 
     @pytest.mark.parametrize("n", [27, 30, 40])
     @pytest.mark.parametrize("omega", [
-        OmegaProfile.log_power(2.0), OmegaProfile.constant(1.0), OmegaProfile.power(1.0),
+        OmegaProfile.log_power(2.0), OmegaProfile.constant(omega0=1.0), OmegaProfile.power(1.0),
     ], ids=["beta2", "constant", "alpha1"])
     def test_deep_criterion_states_match_reference(self, restricted_smallest, omega, n):
         # ln h = (1 - q)/2 ln alpha_n at q = 1/2, K = 1; the potential clamps
@@ -143,7 +143,7 @@ class TestMu:
 
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
-            mu_n_sequence(ConstantPotential(1.0), n_max=61)
+            mu_n_sequence(ConstantPotential(1.0), n_max=61, cells=400)
 
     def test_rayleigh_upper_bound(self, beta2_potential):
         # constant test function: mu_n <= 2^n * mean(a)
@@ -220,9 +220,11 @@ class TestSpectralCriterion:
 
     def test_validation(self, beta2_potential):
         with pytest.raises(ValueError):
-            spectral_criterion_series(beta2_potential, K=-1.0)
+            spectral_criterion_series(beta2_potential, K=-1.0, q=0.5, n_range=(2, 40),
+                                      cells=2000)
         with pytest.raises(ValueError):
-            spectral_criterion_series(beta2_potential, n_range=(1, 10))
+            spectral_criterion_series(beta2_potential, K=1.0, q=0.5, n_range=(1, 10),
+                                      cells=2000)
 
 
 class TestKneeRefinement:
@@ -243,7 +245,7 @@ class TestSweeps:
     one a lone call computes, probe and all."""
 
     @pytest.mark.parametrize("prof", [OmegaProfile.log_power(2.0), OmegaProfile.power(1.5),
-                                      OmegaProfile.constant(1.0)], ids=lambda p: p.kind)
+                                      OmegaProfile.constant(omega0=1.0)], ids=lambda p: p.kind)
     def test_sweep_states_equal_lone_solves(self, prof, monkeypatch):
         import extinctlab.spectral as spectral
         potential = PotentialField(1.0, prof)
@@ -257,7 +259,7 @@ class TestSweeps:
 
         monkeypatch.setattr(spectral, "ground_state", recording)
         mu_n_sequence(potential, n_max=4, cells=200)
-        spectral_criterion_series(potential, n_range=(2, 6), cells=300)
+        spectral_criterion_series(potential, K=1.0, q=0.5, n_range=(2, 6), cells=300)
         eigenvalue_sandwich_scan(potential, np.geomspace(1e-3, 1e-1, 4),
                                  build_rho_map(potential), cells=400)
         assert len(solved) == 5 + 5 + 4
