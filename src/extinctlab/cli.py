@@ -41,7 +41,6 @@ from .config import (
     odi_from_config,
     potential_from_config,
     problem_from_config,
-    profile_from_config,
     spectral_from_config,
 )
 from .energy import (
@@ -196,7 +195,7 @@ def _earlier_results(out: OutputDir, command: str, base_dir) -> dict | None:
 
 
 def cmd_dini(parser, out: OutputDir, args) -> Outcome:
-    profile = profile_from_config(parser, args.config_dir)
+    profile = potential_from_config(parser, args.config_dir).omega
     checks = check_conditions(profile)
     out.write_csv("conditions.csv",
                   ["condition", "passed", "witness_s", "witness_value"],
@@ -345,7 +344,7 @@ def cmd_bound(parser, out: OutputDir, args) -> Outcome:
 
 
 def cmd_spectral(parser, out: OutputDir, args, dini: dict | None = None) -> Outcome:
-    sp = spectral_from_config(parser)
+    sp = spectral_from_config(parser, args.config_dir)
     potential = potential_from_config(parser, args.config_dir)
     results = {}
     try:
@@ -405,7 +404,7 @@ def cmd_spectral(parser, out: OutputDir, args, dini: dict | None = None) -> Outc
 
 def cmd_verify(parser, out: OutputDir, args) -> Outcome:
     # every section is checked before the first file is written
-    spectral_from_config(parser)
+    spectral_from_config(parser, args.config_dir)
     odi_from_config(parser, args.config_dir)
     dini = cmd_dini(parser, out, args)
     spec = cmd_spectral(parser, out, args, dini.results)

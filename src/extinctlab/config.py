@@ -6,9 +6,12 @@ One table per section maps each key to its cast.  A reader casts every key
 the file gives and passes on only those, so an absent key takes the default
 of the type that takes it: ``ProblemSpec``, ``OdiConfig`` or
 ``OmegaProfile``.  ``_DEFAULTS`` holds the defaults of the keys that no type
-takes.  Unknown keys, [profile] keys that the chosen kind does not read, and
-a [problem] epsilon without potential = constant are rejected so silent
-typos cannot skew archived runs.
+takes.  Each section has one reader, which builds the type that checks it:
+[profile] becomes a ``PotentialField``, and [problem] a ``ProblemSpec``
+wherever it is read, so q is required there and bound, spectral and verify
+reject what simulate rejects.  Unknown keys, [profile] keys that the chosen
+kind does not read, and a [problem] epsilon without potential = constant
+are rejected so silent typos cannot skew archived runs.
 """
 
 from __future__ import annotations
@@ -43,11 +46,10 @@ _ODI = {"y0": float, "gamma": float, "c0": float, "c4": float, "c7": float,
 _SPECTRAL = {"h_min": float, "h_max": float, "h_count": int, "cells": int,
              "k": float, "n_min": int, "n_max": int, "mu_n_max": int}
 
-#: the defaults of the keys that no type takes, by section; spectral reads
-#: [problem] q without building a ProblemSpec, simulate and bound need it
+#: the defaults of the keys that no type takes, by section
 _DEFAULTS = {
     "profile": {"d0": 1.0},
-    "problem": {"potential": "profile", "q": 0.5},
+    "problem": {"potential": "profile"},
     "odi": {"max_rounds": 200, "bound_factor": 10.0},
     "spectral": {"h_min": 1e-3, "h_max": 1e-1, "h_count": 7, "cells": 3000,
                  "k": 1.0, "n_min": 2, "n_max": 40, "mu_n_max": 20},
@@ -91,24 +93,9 @@ def _required(given, key):
     return given.pop(key)
 
 
-def _problem(parser) -> dict:
-    """The keys [problem] gives, with epsilon, q, dimension and radius checked
-    once for every reader."""
-    prob = _section(parser, "problem", _PROBLEM)
-    if "epsilon" in prob and prob.get("potential") != "constant":
-        raise ConfigError("'epsilon' in [problem] is read only with potential = constant")
-    q, dimension, radius = (prob.get(key) for key in ("q", "dimension", "radius"))
-    for ok, need in [(q is None or 0 < q < 1, "0 < q < 1"),   # NaN fails every check
-                     (dimension is None or dimension in (1, 2, 3), "dimension 1, 2 or 3"),
-                     (radius is None or radius > 0, "radius > 0")]:
-        if not ok:
-            raise ConfigError(f"need {need}")
-    return prob
-
-
-def _profile_section(parser) -> tuple[str, float, dict]:
-    """The kind of [profile], d0 and the other keys, each of which that kind
-    reads."""
+def potential_from_config(parser, base_dir=".") -> PotentialField:
+    """[profile]: the omega of its kind, each key of which that kind reads,
+    and the amplitude d0."""
     if "profile" not in parser:
         raise ConfigError("missing [profile] section")
     kind = _required(dict(parser["profile"]), "kind")
@@ -116,43 +103,37 @@ def _profile_section(parser) -> tuple[str, float, dict]:
         raise ConfigError(f"unknown profile kind {kind!r}")
     given = _section(parser, "profile", _PROFILE[kind] | {"kind": str, "d0": float})
     del given["kind"]
-    return kind, given.pop("d0", _DEFAULTS["profile"]["d0"]), given
-
-
-def profile_from_config(parser, base_dir=".") -> OmegaProfile:
-    kind, _, given = _profile_section(parser)
+    d0 = given.pop("d0", _DEFAULTS["profile"]["d0"])
     try:
         if kind == "power":
-            return OmegaProfile.power(_required(given, "alpha"), **given)
-        if kind == "log-power":
-            return OmegaProfile.log_power(_required(given, "beta"), **given)
-        if kind == "constant":
-            return OmegaProfile.constant(**given)
-        if kind == "log-singular":
-            return OmegaProfile.log_singular(**given)
-        table_path = Path(base_dir) / _required(given, "table")  # kind = table
-        if not table_path.is_file():
-            raise ConfigError(f"profile table not found: {table_path}")
-        data = np.loadtxt(table_path, delimiter=",")
-        return OmegaProfile.from_table(data[:, 0], data[:, 1], **given)
+            omega = OmegaProfile.power(_required(given, "alpha"), **given)
+        elif kind == "log-power":
+            omega = OmegaProfile.log_power(_required(given, "beta"), **given)
+        elif kind == "constant":
+            omega = OmegaProfile.constant(**given)
+        elif kind == "log-singular":
+            omega = OmegaProfile.log_singular(**given)
+        else:  # kind = table
+            table_path = Path(base_dir) / _required(given, "table")
+            if not table_path.is_file():
+                raise ConfigError(f"profile table not found: {table_path}")
+            data = np.loadtxt(table_path, delimiter=",")
+            omega = OmegaProfile.from_table(data[:, 0], data[:, 1], **given)
+        return PotentialField(d0, omega)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def potential_from_config(parser, base_dir=".") -> PotentialField:
-    d0 = _profile_section(parser)[1]
-    try:
-        return PotentialField(d0, profile_from_config(parser, base_dir))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def problem_from_config(parser, base_dir=".") -> ProblemSpec:
-    given = _problem(parser)
-    q = _required(given, "q")
+    """[problem] as the ``ProblemSpec`` that checks it, for every subcommand
+    that reads it."""
+    given = _section(parser, "problem", _PROBLEM)
     pot_kind = given.pop("potential", _DEFAULTS["problem"]["potential"])
+    if "epsilon" in given and pot_kind != "constant":
+        raise ConfigError("'epsilon' in [problem] is read only with potential = constant")
+    q = _required(given, "q")
     try:
         if pot_kind == "profile":
             potential = potential_from_config(parser, base_dir)
@@ -172,14 +153,11 @@ def problem_from_config(parser, base_dir=".") -> ProblemSpec:
 def odi_from_config(parser, base_dir=".") -> tuple[OdiConfig, dict]:
     given = _section(parser, "odi", _ODI)
     extras = {key: given.pop(key, default) for key, default in _DEFAULTS["odi"].items()}
-    prob = _problem(parser)
-    # [problem]'s shape under OdiConfig's names
-    shape = {"q": _required(prob, "q")}
-    shape.update({name: prob[key] for key, name in [("dimension", "dimension"),
-                                                    ("radius", "tau_max")] if key in prob})
+    spec = problem_from_config(parser, base_dir)
     potential = potential_from_config(parser, base_dir)
     try:
-        cfg = OdiConfig(potential=potential, **shape, **given)
+        cfg = OdiConfig(potential=potential, q=spec.q, dimension=spec.dimension,
+                        tau_max=spec.radius, **given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not cfg.y0 < 1:
@@ -187,10 +165,9 @@ def odi_from_config(parser, base_dir=".") -> tuple[OdiConfig, dict]:
     return cfg, extras
 
 
-def spectral_from_config(parser) -> dict:
+def spectral_from_config(parser, base_dir=".") -> dict:
     out = {**_DEFAULTS["spectral"], **_section(parser, "spectral", _SPECTRAL)}
-    prob = _problem(parser) if "problem" in parser else {}
-    out["q"] = prob.get("q", _DEFAULTS["problem"]["q"])
+    out["q"] = problem_from_config(parser, base_dir).q
     for ok, need in [(0 < out["h_min"] < out["h_max"], "0 < h_min < h_max"),
                      (out["h_count"] >= 1, "h_count >= 1"),
                      (out["cells"] >= 3, "cells >= 3"),

@@ -176,10 +176,7 @@ def _trapz_from(t: np.ndarray, f: np.ndarray, s: float) -> float:
 class GlobalEstimateReport:
     quad_error: float
     min_slack: float             # min over t > 0 of y0 - H(t,0) - I_0^t(0)
-
-    @property
-    def holds(self) -> bool:
-        return bool(self.min_slack >= -self.quad_error)
+    holds: bool | None           # None: quad_error >= y0 decides nothing
 
 
 def verify_global_estimate(ledger: EnergyLedger) -> GlobalEstimateReport:
@@ -187,8 +184,10 @@ def verify_global_estimate(ledger: EnergyLedger) -> GlobalEstimateReport:
     after t = 0, where the slack y0 - H(0, 0) is only rounding.
 
     Small negative slack can only come from time discretization of I and is
-    bounded by the reported trapezoid error.  A ledger without a tau = 0
-    row raises ``ValueError``.
+    bounded by the reported trapezoid error.  The bound holds when the slack
+    is above minus that error; an error as large as y0 > 0, as on rough
+    data, is a tolerance as large as the bounded quantity, and ``holds`` is
+    None there.  A ledger without a tau = 0 row raises ``ValueError``.
     """
     j = int(np.argmin(ledger.tau_grid))
     if ledger.tau_grid[j] > 0:
@@ -198,8 +197,10 @@ def verify_global_estimate(ledger: EnergyLedger) -> GlobalEstimateReport:
     H0 = ledger.H[:, j]
     I_cum = np.concatenate([[0.0], np.cumsum(0.5 * (E0[1:] + E0[:-1]) * np.diff(t))])
     slack = ledger.y0 - H0 - I_cum
-    qerr = 0.5 * float(np.dot(np.abs(np.diff(E0)), np.diff(t)))
-    return GlobalEstimateReport(qerr + 1e-12 * abs(ledger.y0), float(np.min(slack[1:])))
+    qerr = 0.5 * float(np.dot(np.abs(np.diff(E0)), np.diff(t))) + 1e-12 * abs(ledger.y0)
+    min_slack = float(np.min(slack[1:]))
+    holds = None if qerr >= ledger.y0 > 0 else bool(min_slack >= -qerr)
+    return GlobalEstimateReport(qerr, min_slack, holds)
 
 
 @dataclass(frozen=True)

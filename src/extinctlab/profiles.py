@@ -150,10 +150,8 @@ class OmegaProfile:
 
         A scalar is evaluated by the same ufunc expression as an array, on a
         one-element 1-d ndarray, so ``omega(x) == omega(xs)[i]`` bit for bit
-        whenever ``xs[i] == x`` (NaN included).  A log-power array with
-        every s in (0, 1) skips the masks and applies the masked path's
-        ufuncs to the whole array.  No path uses ``math``: its ``log`` and
-        ``**`` round differently from numpy's array loops.
+        whenever ``xs[i] == x`` (NaN included).  No path uses ``math``: its
+        ``log`` and ``**`` round differently from numpy's array loops.
         """
         arr, scalar = _asfarray(s)
         if np.any(arr < 0):
@@ -167,18 +165,9 @@ class OmegaProfile:
         if self.kind == "power":
             return np.minimum(arr ** self.alpha, self.omega0)
         if self.kind == "log-power":
-            if arr.size and arr.min() > 0 and arr.max() < 1:   # NaN fails
-                # no s = 0, s >= 1 or NaN to mask: the masked path's ufuncs
-                return np.minimum((-np.log(arr)) ** (-self.beta), self.omega0)
-            out = np.empty_like(arr)
-            pos = arr > 0
-            L = np.full_like(arr, np.inf)
-            L[pos] = -np.log(arr[pos])
-            inside = pos & (L > 0)
-            out[~pos] = 0.0
-            out[pos & ~inside] = self.omega0          # s >= 1
-            out[inside] = np.minimum(L[inside] ** (-self.beta), self.omega0)
-            return out
+            # L = 0 for s >= 1 gives omega0; s = 0 and NaN give 0
+            L = np.maximum(-np.log(arr), 0.0)
+            return np.where(arr > 0, np.minimum(L ** -self.beta, self.omega0), 0.0)
         if self.kind == "constant":
             return np.full_like(arr, self.omega0)
         if self.kind == "log-singular":
@@ -478,8 +467,6 @@ def build_rho_map(field) -> RhoMap:
     2000 geometric radii across the range (constant potentials, profiles
     violating the slope condition).
     """
-    if isinstance(field, ConstantPotential):
-        raise MonotonicityError("a constant potential has no inverse map")
     probe = np.geomspace(1e-8, 1.0, 4000)
     la = field.log_a(probe)
     alive = la > EXP_UNDERFLOW / 2  # representable part of the potential

@@ -152,6 +152,8 @@ class ProblemSpec:
             raise ValueError("cells must be at least 3")
         if self.dimension not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
+        if not self.radius > 0:   # NaN fails too
+            raise ValueError("radius must be positive")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be at least 1")
 

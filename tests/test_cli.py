@@ -182,6 +182,18 @@ class TestSimulate:
         assert summary["results"]["extinction_threshold"] == 1e-10
         assert summary["results"]["final_sup"] < 1e-10
 
+    def test_rough_data_global_estimate_inconclusive(self, tmp_path):
+        # on random data the trapezoid error of I exceeds y0 itself, and a
+        # tolerance as large as the bounded quantity decides nothing
+        cfg = write_config(tmp_path, README.replace("dimension = 1", "dimension = 3")
+                           .replace("u0 = 1.0", "u0 = random")
+                           .replace("cells = 2000", "cells = 300"))
+        out = tmp_path / "o"
+        main(["simulate", "--config", str(cfg), "--out", str(out)])
+        results = json.loads((out / "summary_simulate.json").read_text())["results"]
+        assert results["global_estimate_error"] >= results["y0"] > 0
+        assert results["global_estimate_holds"] is None
+
     def test_heat_run_horizon_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, ODE_REGIME.replace(
             "potential = constant\nepsilon = 1.0", "potential = zero"))
@@ -465,7 +477,7 @@ class TestSpectral:
         assert summary["results"]["consistent_with_dini"] is True
 
     def test_scan_csv_emitted(self, tmp_path):
-        cfg = write_config(tmp_path, BETA2 + SPECTRAL_SMALL)
+        cfg = write_config(tmp_path, BETA2 + "\n[problem]\nq = 0.5\n" + SPECTRAL_SMALL)
         out = tmp_path / "o"
         assert main(["spectral", "--config", str(cfg), "--out", str(out)]) == 0
         scan = np.genfromtxt(out / "lambda_scan.csv", delimiter=",", names=True)
@@ -606,11 +618,13 @@ y0 = 1e-4
 
 def run_with(tmp_path, command, settings):
     """Exit code of ``command`` on FULL with (section, key, value) settings;
-    a value of None drops the key."""
+    a value of None drops the key, and a key of None the section."""
     parser = configparser.ConfigParser()
     parser.read_string(FULL)
     for section, key, value in settings:
-        if value is None:
+        if key is None:
+            parser.remove_section(section)
+        elif value is None:
             parser.remove_option(section, key)
         else:
             parser[section][key] = value
@@ -710,17 +724,42 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("command,key,value", [
-        ("bound", "cells", "abc"), ("bound", "u0", "abc"), ("spectral", "dt", "abc"),
-        ("spectral", "cell", "100"), ("spectral", "epsilon", "1.0"),
-    ], ids=["bound-cells", "bound-u0", "spectral-dt", "spectral-unknown",
-            "spectral-epsilon"])
-    def test_every_given_problem_key_checked(self, tmp_path, capsys, command, key, value):
-        # bound and spectral read only q, dimension and radius of [problem],
-        # yet every key it gives is cast and checked, as for simulate
-        assert run_with(tmp_path, command, [("problem", key, value)]) == 64
+    #: (id, settings, a fragment of the message that rejects them) of a
+    #: section that each subcommand reading it rejects alike
+    _BAD_PROBLEM = [
+        ("dt-negative", [("problem", "dt", "-1")], "dt and horizon must be positive"),
+        ("cells-2", [("problem", "cells", "2")], "cells must be at least 3"),
+        ("radius-0", [("problem", "radius", "0")], "radius must be positive"),
+        ("q-1", [("problem", "q", "1")], "q must lie strictly inside (0, 1)"),
+        ("no-q", [("problem", "q", None)], "missing required key 'q'"),
+        ("no-problem", [("problem", None, None)], "missing [problem] section"),
+        ("constant-no-epsilon", [("problem", "potential", "constant")],
+         "missing required key 'epsilon'"),
+    ]
+    _BAD = [(f"{command}-{name}", command, settings, message)
+            for name, settings, message in _BAD_PROBLEM
+            for command in ("simulate", "bound", "spectral", "verify")] + [
+        (f"{command}-d0-negative", command, [("profile", "d0", "-1")], "d0 must be positive")
+        for command in ("dini", "simulate", "bound", "spectral", "verify")]
+
+    @pytest.mark.parametrize("command,settings,message", [
+        ("bound", [("problem", "cells", "abc")], "'cells'"),
+        ("bound", [("problem", "u0", "abc")], "'u0'"),
+        ("spectral", [("problem", "dt", "abc")], "'dt'"),
+        ("spectral", [("problem", "cell", "100")], "'cell'"),
+        ("spectral", [("problem", "epsilon", "1.0")], "'epsilon'"),
+    ] + [case[1:] for case in _BAD], ids=["bound-cells", "bound-u0", "spectral-dt",
+                                          "spectral-unknown", "spectral-epsilon"]
+       + [case[0] for case in _BAD])
+    def test_every_given_problem_key_checked(self, tmp_path, capsys, command, settings,
+                                             message):
+        # every subcommand that reads [problem] builds the ProblemSpec that
+        # checks it, and every one that reads [profile] the PotentialField:
+        # each rejects what simulate rejects, with the same message
+        assert run_with(tmp_path, command, settings) == 64
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and repr(key) in err
+        assert err.startswith("configuration error:") and message in err
+        assert not any((tmp_path / "o").iterdir())
 
     @pytest.mark.parametrize("profile,key,value", [
         (CONSTANT, "s0", "-1"), (CONSTANT, "beta", "nan"), (LOG_SINGULAR, "s0", "0.5"),

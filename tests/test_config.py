@@ -29,13 +29,13 @@ class TestRequiredKeysOnly:
         ("kind = log-singular", OmegaProfile.log_singular()),
     ], ids=["power", "log-power", "constant", "log-singular"])
     def test_profile(self, keys, expected):
-        assert config.profile_from_config(parse("[profile]\n" + keys)) == expected
+        assert config.potential_from_config(parse("[profile]\n" + keys)).omega == expected
 
     def test_table_profile(self, tmp_path):
         s, w = [0.01, 0.1, 0.5], [0.1, 0.3, 0.6]
         np.savetxt(tmp_path / "omega.csv", np.column_stack([s, w]), delimiter=",")
         parser = parse("[profile]\nkind = table\ntable = omega.csv\n")
-        got = config.profile_from_config(parser, tmp_path)
+        got = config.potential_from_config(parser, tmp_path).omega
         assert _parsed(got) == _parsed(OmegaProfile.from_table(s, w))
 
     def test_problem(self):
@@ -84,6 +84,23 @@ class TestKeysAndFields:
         unset = [f.name for f in dataclasses.fields(cls) if f.compare
                  and f.name not in keys and f"{cls.__name__}.{f.name}" not in _SET_OTHERWISE]
         assert not unset, f"{cls.__name__} fields no [{section}] key sets: {unset}"
+
+
+@pytest.mark.parametrize("problem", [
+    "q = 0.5\ndimension = 1\npotential = profile\nu0 = 1.0\ncells = 2000\n"
+    "dt = 1e-3\nhorizon = 2.5\n",
+    "q = 0.3\ndimension = 3\nradius = 2\n",
+], ids=["readme", "3d-radius-2"])
+def test_odi_shape_is_the_problems(problem):
+    # _SET_OTHERWISE's [problem] claims, checked on one parser
+    parser = parse("[profile]\nkind = log-power\nbeta = 2.0\nomega0 = 1.0\ndelta = 0.5\n"
+                   f"[problem]\n{problem}[odi]\ny0 = 1e-4\n")
+    cfg, _ = config.odi_from_config(parser)
+    spec = config.problem_from_config(parser)
+    assert cfg.potential == spec.potential
+    assert cfg.q == spec.q
+    assert cfg.dimension == spec.dimension
+    assert cfg.tau_max == spec.radius
 
 
 def test_every_default_is_of_a_key():

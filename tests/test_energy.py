@@ -120,6 +120,15 @@ class TestGlobalEstimate:
         assert rep.holds
         assert np.allclose(global_slack(led), 0.0, atol=1e-12)
 
+    def test_zero_data_decided(self):
+        # y0 = 0 with no quadrature error: H + I <= 0 holds exactly, so the
+        # estimate is decided, not inconclusive
+        spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0), u0=0.0, cells=100,
+                           dt=1e-2, horizon=0.3)
+        rep = verify_global_estimate(compute_ledger(run(spec), [0.0]))
+        assert rep.quad_error == 0.0
+        assert rep.holds is True
+
     def test_heat_bump_nonnegative_slack(self):
         g = RadialGrid.uniform(300)
         u0 = np.exp(-((g.centers - 0.4) ** 2) / 0.02)
