@@ -174,27 +174,18 @@ def _two_stage_tail_fit(n_at, t: np.ndarray) -> tuple[float, float | None, str]:
     A plain log-log slope cannot separate 1/(n ln n) from 1/(n ln^2 n) at any
     reachable index, so slopes inside (-1.3, -0.95) fall through to a second
     fit of ln(n * t_n) against ln ln n whose slope estimates the log-factor
-    exponent: summable iff > 1.  ``n_at(i, j)`` gives the indices n of
-    t[i:j], j - i <= _SERIES_CHUNK, as doubles; they must be ascending, so
-    that both fit windows are suffixes.  A window with fewer than two
-    distinct indices determines no slope and makes the verdict
-    "inconclusive" (with a NaN tail exponent when it is the first window).
+    exponent: summable iff > 1.  The terms t are positive, or fewer than 8
+    and unread.  ``n_at(i, j)`` gives the indices n of t[i:j], j - i <=
+    _SERIES_CHUNK, as doubles, ascending, so that both fit windows are
+    suffixes.  A window with fewer than two distinct indices determines no
+    slope and makes the verdict "inconclusive" (with a NaN tail exponent
+    when it is the first window).
 
     Both fits stream their points through chunk buffers and allocate no
     window-long array; the second overwrites ``t`` with its y values.
     """
-    pos = t > 0
-    kept = np.count_nonzero(pos)
-    if kept < 8:
-        return 0.0, None, "convergent"  # terms died; finite sum
-    if kept < t.size:  # compact the kept terms in place, and their indices
-        n = np.concatenate([n_at(i, j)[pos[i:j]] for i, j in _chunks(0, t.size)])
-        t[:kept] = t[pos]
-        t = t[:kept]
-
-        def n_at(i, j):
-            return n[i:j]
-    del pos  # before the fits' buffers exist
+    if t.size < 8:
+        return 0.0, None, "convergent"  # too few terms to fit; a finite sum
 
     def first_at_least(v):  # np.searchsorted of v in the indices
         return bisect.bisect_left(range(t.size), v, key=lambda k: n_at(k, k + 1)[0])
@@ -261,7 +252,9 @@ def dini_series(omega: OmegaProfile, n_max: int = 1_000_000) -> SeriesDiagnosis:
     makes its own indices, exact integers in doubles.  Memory stays at the
     terms ``t``, one array of n_max doubles, plus chunk buffers.  The
     indices are ascending, as ``_two_stage_tail_fit`` needs; a degenerate
-    fit window is inconclusive.
+    fit window is inconclusive.  A term vanishes only by underflow, as omega
+    falls toward s = 0, so the zeros are a suffix: the series is the positive
+    prefix, made up to the first chunk that holds a 0.
     """
     t = np.empty(max(n_max - 1, 0))
     first = np.arange(2.0, 2.0 + min(t.size, _SERIES_CHUNK))
@@ -271,7 +264,10 @@ def dini_series(omega: OmegaProfile, n_max: int = 1_000_000) -> SeriesDiagnosis:
 
     for i, j in _chunks(0, t.size):
         m = n_at(i, j)
-        np.divide(omega.omega((m * np.log(m)) ** -0.5), m, out=t[i:j])
+        chunk = np.divide(omega.omega((m * np.log(m)) ** -0.5), m, out=t[i:j])
+        if not chunk[-1] > 0:  # with none positive, a lone 0: a convergent sum of 0
+            t = t[:max(i + np.count_nonzero(chunk > 0), 1)]
+            break
     return _diagnose_series(n_at, t)
 
 

@@ -304,7 +304,7 @@ def cmd_bound(parser, out: OutputDir, args) -> Outcome:
             "beyond_domain": curve.tau_triple_prime > cfg.tau_max,
             "tau_triple_prime_bumped": curve.tau_triple_prime_bumped,
         }
-    except (NoPlateauError, CurveRangeError) as exc:
+    except (NoPlateauError, CurveRangeError, MonotonicityError) as exc:
         curve_info = {"error": str(exc)}
 
     out.write_csv("rounds.csv", ["i", "tau_i", "t_i", "s_i", "log_level"],
@@ -319,7 +319,7 @@ def cmd_bound(parser, out: OutputDir, args) -> Outcome:
     if sim is not None:
         t_ext = sim.get("extinction_time")
         sim_check = {"found": True, "extinction_time": t_ext,
-                     "factor": extras["bound_factor"], "bound": total}
+                     "factor": extras["bound_factor"]}
         if t_ext is not None and math.isfinite(rep.total):
             sim_check["holds"] = bool(t_ext <= extras["bound_factor"] * rep.total)
 

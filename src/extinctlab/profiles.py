@@ -42,7 +42,7 @@ class ProfileError(ValueError):
 
 
 class MonotonicityError(RuntimeError):
-    """The potential is not invertible on the requested range."""
+    """The potential, or the ramp s(tau), does not rise on the requested range."""
 
 
 def _asfarray(x):
@@ -265,7 +265,10 @@ class OmegaProfile:
     def log_ramp_slope(self, tau):
         """ln s'(tau), computed stably for tau far below underflow scale."""
         arr, scalar, w, wp = self._ramp_inputs(tau)
-        log_sp = 3.0 * np.log(arr) - np.log(w) + np.log(4.0 - arr * wp / w)
+        rise = 4.0 - arr * wp / w
+        if not np.all(rise > 0):  # tau omega'/omega >= 4: s falls or stalls
+            raise MonotonicityError(f"s(tau) does not rise at tau = {np.min(arr[~(rise > 0)]):.6g}")
+        log_sp = 3.0 * np.log(arr) - np.log(w) + np.log(rise)
         return float(log_sp[()]) if scalar else log_sp
 
 

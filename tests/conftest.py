@@ -4,6 +4,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from extinctlab.profiles import OmegaProfile, PotentialField
 from extinctlab.solver import FluxOperator, ProblemSpec, run
+from family import RUNS, CliRun, run_cli
 
 
 def _restricted_smallest(grid, potential, log_h, cut=1e20):
@@ -54,3 +55,12 @@ def omega_r_small_run(omega_r_potential):
     spec = ProblemSpec(q=0.5, potential=omega_r_potential, u0=0.05, cells=1000,
                        dt=1e-3, horizon=10.0, snapshot_every=25)
     return run(spec), omega_r_potential
+
+
+@pytest.fixture(scope="session")
+def cli_runs(tmp_path_factory) -> dict[str, CliRun]:
+    """Every Baseline row and named config of tests/family.py, each run once:
+    the runs that tests/test_summary_scan.py and tests/test_verdict_matrix.py
+    read."""
+    return {name: run_cli(tmp_path_factory.mktemp(name), changes, commands)
+            for name, (changes, commands) in RUNS.items()}

@@ -202,8 +202,8 @@ class TestChunkedSeries:
         assert peak < 1.25 * 8 * n_max
 
     def test_mostly_zero_terms_bitwise(self):
-        # (n ln n)^-100 / n underflows to 0 past n = 287: the fit keeps 286
-        # of the million terms and reads their indices after compaction
+        # (n ln n)^-100 / n underflows to 0 past n = 287: the fit keeps the
+        # 286 terms before the first zero
         profile = OmegaProfile.power(200.0)
         _, t, _ = _one_shot_series(profile)
         assert 8 <= np.count_nonzero(t > 0) < t.size
@@ -266,11 +266,21 @@ class TestTailFitOracle:
         t = 1.0 / (n * np.log(n) ** beta)
         _assert_same_fit(_fit(n, t), _reference_tail_fit(n, t))
 
-    def test_nonpositive_terms_dropped(self):
-        n = np.arange(2.0, 5001.0)
-        t = 1.0 / (n * np.log(n) ** 2)
-        t[::3] = 0.0
-        _assert_same_fit(_fit(n, t), _reference_tail_fit(n, t))
+    def test_series_ends_at_underflow(self):
+        # power(93)'s terms underflow to 0 past n = 521,156 and stay 0: the
+        # series is its positive prefix, fitted as the reference fits it
+        profile = OmegaProfile.power(93.0)
+        n, t, csum = _one_shot_series(profile)
+        kept = np.count_nonzero(t > 0)
+        assert 0 < kept < t.size and np.all(t[:kept] > 0)
+        diag = dini_series(profile)
+        assert diag.total == csum[-1]
+        _assert_same_fit((diag.tail_exponent, diag.log_factor_exponent, diag.verdict),
+                         _reference_tail_fit(n[:kept], t[:kept]))
+
+    def test_no_positive_term_convergent(self):
+        diag = dini_series(OmegaProfile.power(5000.0))
+        assert (diag.total, diag.tail_exponent, diag.verdict) == (0.0, 0.0, "convergent")
 
 
 class TestTailFit:

@@ -359,6 +359,18 @@ class TestBound:
         assert curve["tau_triple_prime_bumped"] is True
         assert curve["beyond_domain"] is False
 
+    def test_falling_ramp_is_a_curve_error(self, tmp_path):
+        # log-power beta = 5: s(tau) = tau^4/omega falls on (exp(-5/4), 1/e),
+        # inside the curve's range, so bound builds no curve and still exits
+        # on its verdict
+        cfg = write_config(tmp_path, README.replace("beta = 2.0", "beta = 5.0"))
+        out = tmp_path / "o"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary_bound.json").read_text())
+        assert summary["results"]["curve"] == {
+            "error": "s(tau) does not rise at tau = 0.286509"}
+        assert "curve.csv" not in summary["manifest"]
+
     @pytest.mark.parametrize("command,code", [("bound", 1), ("verify", 0)])
     def test_log_singular_curve_error_reported(self, tmp_path, command, code):
         # omega = 25 ln(1/s) vanishes for s >= 1, inside the bracket of the

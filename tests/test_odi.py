@@ -20,7 +20,7 @@ from extinctlab.odi import (
     solve_tau_double_prime,
     solve_tau_prime,
 )
-from extinctlab.profiles import OmegaProfile, PotentialField
+from extinctlab.profiles import MonotonicityError, OmegaProfile, PotentialField
 from oracles import (
     bracket_constant,
     curve_value,
@@ -248,6 +248,15 @@ class TestCurveAssembly:
         curve = build_curve(beta2_config)
         assert 0 < curve.tau_prime <= curve.tau_double_prime < curve.tau_triple_prime
         assert curve.tau_triple_prime > 2.0 * curve.tau_double_prime
+
+    @pytest.mark.parametrize("beta", [4.5, 5.0, 8.0])
+    def test_ramp_that_does_not_rise_stops_the_curve(self, beta):
+        # s(tau) = tau^4/omega stops rising where tau omega'/omega =
+        # beta/ln(1/tau) > 4, on (exp(-beta/4), 1/e)
+        profile = OmegaProfile.log_power(beta)
+        cfg = OdiConfig(potential=PotentialField(1.0, profile), y0=1e-4, q=0.5)
+        with pytest.raises(MonotonicityError, match="does not rise"):
+            build_curve(cfg)
 
 
 class TestRegionClassifier:

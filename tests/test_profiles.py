@@ -339,6 +339,16 @@ class TestSRamp:
         with pytest.raises(ZeroDivisionError):
             OmegaProfile.log_singular().ramp(1.0)  # omega(1) = 0
 
+    @pytest.mark.parametrize("profile,tau", [
+        (OmegaProfile.log_power(5.0), 0.3),   # tau omega'/omega = 5/ln(1/tau) > 4
+        (OmegaProfile.power(4.0), 0.5),       # tau omega'/omega = 4: s is flat
+    ], ids=["log-power-5", "power-4"])
+    def test_log_slope_of_a_ramp_that_does_not_rise_raises(self, profile, tau):
+        _, sp = profile.ramp(tau)   # the ramp itself is still given
+        assert sp <= 0
+        with pytest.raises(MonotonicityError, match="does not rise"):
+            profile.log_ramp_slope(np.array([0.01, tau]))
+
 
 class TestTableProfile:
     def test_roundtrip_of_power_samples(self):
