@@ -2,9 +2,15 @@
 
 Two independent routes decide whether a profile admits finite-time
 extinction: the endpoint integral of omega(s)/s near s = 0, and the series
-sum_n omega((n ln n)^{-1/2})/n.  Both must agree; the integral is computed
-after the substitution u = ln(1/s), which turns the borderline logarithmic
-profiles into plain power tails with geometric dyadic-window sums.
+sum_n omega((n ln n)^{-1/2})/n.  Both must agree.  Both are read in the
+radius variable u = ln(1/s), which turns the borderline logarithmic
+profiles into plain power tails: the integral through geometric
+dyadic-window sums, the series through Cauchy's condensation test, whose
+terms c_k = 2^k t_{2^k} (k = 1..1000) reach u = 350.  The series calls
+itself divergent when c_k ~ u_k^(-b) with b <= 1, up to rounding, and
+convergent when b > 1.05; in between it is inconclusive.  Its total covers
+n < 2^1000: a direct sum for n < 2^14 and, for the rest, the bracket that
+condensation gives.
 
 All integrands carrying the factor exp(-A*omega(s)/s**2) go through one
 log-space 32-point Gauss-Legendre rule, ``log_segment_integrals``: it
@@ -16,7 +22,6 @@ sums of its output.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -31,8 +36,15 @@ _GL_NODES_HALF, _GL_WEIGHTS_HALF = np.polynomial.legendre.leggauss(16)
 _DIVERGENCE_RATIO = 0.97
 #: consecutive non-decaying windows before an integral is declared divergent
 _DIVERGENCE_RUN = 20
-#: series indices whose terms dini_series evaluates per omega call
-_SERIES_CHUNK = 1 << 14
+#: condensed terms c_k, k = 1.._CONDENSED_TERMS, of dini_series: u_K = 349.8
+_CONDENSED_TERMS = 1000
+#: dini_series sums t_n term by term for n < 2**_DIRECT_BITS
+_DIRECT_BITS = 14
+#: b at or below this is divergent: 1 plus a rounding allowance, so that
+#: log-power beta = 1, whose b is 1 to about 1e-14, stays divergent
+_SERIES_DIVERGENT_B = 1.0 + 1e-9
+#: b above this is convergent; between the two bounds, inconclusive
+_SERIES_CONVERGENT_B = 1.05
 #: dyadic windows dini_integral sums before it gives up as inconclusive
 _DINI_MAX_WINDOWS = 400
 #: largest geometric-tail bound dini_integral accepts as convergent
@@ -57,10 +69,16 @@ class QuadratureResult:
 @dataclass(frozen=True)
 class SeriesDiagnosis:
     total: float
-    tail_exponent: float
-    log_factor_exponent: float | None
     verdict: str  # "convergent" | "divergent" | "inconclusive"
-    rejected: int = 0
+    rejected: int
+
+
+@dataclass(frozen=True)
+class CondensedSeries:
+    total: float               # midpoint of the bracket on the sum over n < 2^1000
+    error: float               # half-width of that bracket
+    log_factor_exponent: float  # b, with c_k ~ u_k^(-b); inf when the terms underflow
+    verdict: str  # "convergent" | "divergent" | "inconclusive"
 
 
 def _gl_window(f, a: float, b: float) -> tuple[float, float]:
@@ -126,73 +144,32 @@ def dini_integral(omega: OmegaProfile, c: float) -> QuadratureResult:
     return QuadratureResult(value, err, "inconclusive")
 
 
-def _chunks(start: int, stop: int):
-    """(i, j) bounds of the _SERIES_CHUNK-long slices that cover start..stop-1."""
-    return ((i, min(i + _SERIES_CHUNK, stop)) for i in range(start, stop, _SERIES_CHUNK))
-
-
-def _pairwise_sums(fill, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
-    """np.sum of each row that ``fill`` makes over positions start..stop-1, bit
-    for bit, a leaf at a time: numpy splits a run of n > 128 after n // 2
-    rounded down to a multiple of 8, and so does this, down to runs that fit
-    the rows of ``buf``; ``fill(i, j, out)`` writes such a leaf into ``out``,
-    a view of ``buf``, and returns its rows."""
-    n = stop - start
-    if n <= buf.shape[1]:
-        return np.array([row.sum() for row in fill(start, stop, buf[:, :n])])
-    half = n // 2 - n // 2 % 8
-    return (_pairwise_sums(fill, start, start + half, buf)
-            + _pairwise_sums(fill, start + half, stop, buf))
-
-
-def _slope_streamed(xy_into, start: int, stop: int) -> float | None:
-    """Least-squares slope of y against ascending x over positions start..stop-1:
-    sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), each a whole-window
-    numpy pairwise sum, bit for bit.  ``xy_into(i, j, out)`` writes x and y at
-    positions i..j-1 into the rows of ``out`` and returns them.  None when
-    fewer than two distinct x determine no line."""
-    buf = np.empty((2, _SERIES_CHUNK))
-    if stop - start < 2 or (xy_into(start, start + 1, buf[:, :1])[0][0]
-                            == xy_into(stop - 1, stop, buf[:, :1])[0][0]):
+def _slope(x: np.ndarray, y: np.ndarray) -> float | None:
+    """Least-squares slope of y against ascending x: sum((x - mean x)(y -
+    mean y)) / sum((x - mean x)^2), each a numpy pairwise sum.  None when x
+    holds fewer than two distinct values."""
+    if x.size < 2 or x[0] == x[-1]:
         return None
-    x_mean, y_mean = _pairwise_sums(xy_into, start, stop, buf) / (stop - start)
-
-    def centred(i, j, out):  # (x - mean x)^2 and (x - mean x)(y - mean y)
-        dx, dy = xy_into(i, j, out)
-        dx -= x_mean
-        dy -= y_mean
-        dy *= dx
-        return np.square(dx, out=dx), dy
-
-    sxx, sxy = _pairwise_sums(centred, start, stop, buf)
-    return float(sxy / sxx)
+    dx = x - x.sum() / x.size
+    return float(np.sum((y - y.sum() / y.size) * dx) / np.sum(np.square(dx)))
 
 
-def _two_stage_tail_fit(n_at, t: np.ndarray) -> tuple[float, float | None, str]:
+def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | None, str]:
     """Verdict for sum t_n from a power fit plus a log-factor refinement.
 
     A plain log-log slope cannot separate 1/(n ln n) from 1/(n ln^2 n) at any
     reachable index, so slopes inside (-1.3, -0.95) fall through to a second
     fit of ln(n * t_n) against ln ln n whose slope estimates the log-factor
     exponent: summable iff > 1.  The terms t are positive, or fewer than 8
-    and unread.  ``n_at(i, j)`` gives the indices n of t[i:j], j - i <=
-    _SERIES_CHUNK, as doubles, ascending, so that both fit windows are
-    suffixes.  A window with fewer than two distinct indices determines no
-    slope and makes the verdict "inconclusive" (with a NaN tail exponent
-    when it is the first window).
-
-    Both fits stream their points through chunk buffers and allocate no
-    window-long array; the second overwrites ``t`` with its y values.
+    and unread; their indices n are ascending doubles, so that both fit
+    windows are suffixes.  A window with fewer than two distinct indices
+    determines no slope and makes the verdict "inconclusive" (with a NaN
+    tail exponent when it is the first window).
     """
     if t.size < 8:
         return 0.0, None, "convergent"  # too few terms to fit; a finite sum
-
-    def first_at_least(v):  # np.searchsorted of v in the indices
-        return bisect.bisect_left(range(t.size), v, key=lambda k: n_at(k, k + 1)[0])
-
-    decade = first_at_least(n_at(t.size - 1, t.size)[0] / 10.0)
-    slope = _slope_streamed(lambda i, j, out: (np.log(n_at(i, j), out=out[0]),
-                                               np.log(t[i:j], out=out[1])), decade, t.size)
+    decade = np.searchsorted(n, n[-1] / 10.0)
+    slope = _slope(np.log(n[decade:]), np.log(t[decade:]))
     if slope is None:
         return math.nan, None, "inconclusive"
     if slope < -1.3:
@@ -200,86 +177,68 @@ def _two_stage_tail_fit(n_at, t: np.ndarray) -> tuple[float, float | None, str]:
     if slope > -0.95:
         return slope, None, "divergent"
     # harmonic boundary: examine the log factor over the full index range
-    wide = first_at_least(max(10.0, n_at(0, 1)[0]))
-    for i, j in _chunks(wide, t.size):  # y = ln(n t), in place
-        np.log(np.multiply(n_at(i, j), t[i:j], out=t[i:j]), out=t[i:j])
-
-    def lnln_n_and_y(i, j, out):
-        np.log(np.log(n_at(i, j), out=out[0]), out=out[0])
-        out[1] = t[i:j]
-        return out
-
-    b = _slope_streamed(lnln_n_and_y, wide, t.size)
+    wide = np.searchsorted(n, max(10.0, n[0]))
+    b = _slope(np.log(np.log(n[wide:])), np.log(n[wide:] * t[wide:]))
     if b is None:
         return slope, None, "inconclusive"
     b = -b
     return slope, b, "convergent" if b > 1.05 else "divergent" if b < 0.95 else "inconclusive"
 
 
-def _sequential_sum(t: np.ndarray) -> float:
-    """np.cumsum(t)[-1], bit for bit, in one chunk of memory: a sequential
-    running sum carried from chunk to chunk, not numpy's pairwise t.sum()."""
-    buf, carry = np.empty(min(t.size, _SERIES_CHUNK)), 0.0
-    for i, j in _chunks(0, t.size):
-        run = buf[:j - i]
-        run[:] = t[i:j]
-        if i:  # the first chunk starts from t[0] itself, as np.cumsum does
-            run[0] += carry
-        np.cumsum(run, out=run)
-        carry = run[-1]
-    return float(carry)
-
-
-def _diagnose_series(n_at, t: np.ndarray, rejected: int = 0) -> SeriesDiagnosis:
-    """Tail-fit verdict and total of sum t_n.
-
-    ``n_at(i, j)`` gives the indices of t[i:j], as ``_two_stage_tail_fit``
-    reads them; ``t`` is consumed, as the fit overwrites it once the total
-    is taken.
-    """
+def _diagnose_series(n: np.ndarray, t: np.ndarray, rejected: int) -> SeriesDiagnosis:
+    """Tail-fit verdict and total, a sequential running sum, of sum t_n over
+    the ascending indices n."""
     if t.size == 0:  # no usable term: nothing to fit, nothing to judge
-        return SeriesDiagnosis(0.0, math.nan, None, "inconclusive", rejected)
-    total = _sequential_sum(t)
-    slope, b, verdict = _two_stage_tail_fit(n_at, t)
-    return SeriesDiagnosis(total, slope, b, verdict, rejected)
+        return SeriesDiagnosis(0.0, "inconclusive", rejected)
+    return SeriesDiagnosis(float(np.cumsum(t)[-1]), _two_stage_tail_fit(n, t)[2], rejected)
 
 
-def dini_series(omega: OmegaProfile, n_max: int = 1_000_000) -> SeriesDiagnosis:
-    """Total of sum_{n >= 2} omega((n ln n)^{-1/2}) / n, with its tail-fit verdict.
+def _condensed_terms(omega: OmegaProfile) -> tuple[np.ndarray, np.ndarray]:
+    """(u_k, c_k) for k = 1.._CONDENSED_TERMS: c_k = 2^k t_{2^k} = omega(s_k) at
+    u_k = ln(1/s_k) = (k ln 2 + ln(k ln 2)) / 2, taken in u so that no s_k
+    underflows."""
+    k_ln2 = np.arange(1, _CONDENSED_TERMS + 1) * math.log(2.0)
+    u = 0.5 * (k_ln2 + np.log(k_ln2))
+    return u, omega.omega_neglog(u)
 
-    The terms are evaluated _SERIES_CHUNK indices at a time into one array,
-    bit for bit as one call over all n would give them, and each chunk
-    makes its own indices, exact integers in doubles.  Memory stays at the
-    terms ``t``, one array of n_max doubles, plus chunk buffers.  The
-    indices are ascending, as ``_two_stage_tail_fit`` needs; a degenerate
-    fit window is inconclusive.  A term vanishes only by underflow, as omega
-    falls toward s = 0, so the zeros are a suffix: the series is the positive
-    prefix, made up to the first chunk that holds a 0.
+
+def dini_series(omega: OmegaProfile) -> CondensedSeries:
+    """Sum over n >= 2 of t_n = omega((n ln n)^{-1/2}) / n, by Cauchy's
+    condensation test.
+
+    The terms t_n are nonincreasing (eventually so on every built-in kind),
+    so the series converges exactly when sum_k c_k does, c_k = 2^k t_{2^k}.
+    The verdict reads b, minus the least-squares slope of ln c_k against
+    ln u_k over u_k >= u_K / 10 (the positive terms only): c_k ~ u_k^(-b),
+    summable iff b > 1.  With fewer than two positive terms there the terms
+    underflowed, the sum is finite and b is infinite.
+
+    The total sums t_n for n < 2^_DIRECT_BITS and brackets the rest up to
+    n = 2^_CONDENSED_TERMS between (1/2) sum_{k > _DIRECT_BITS} c_k and
+    sum_{k >= _DIRECT_BITS} c_k; it is the bracket's midpoint, and its
+    half-width is the error.
     """
-    t = np.empty(max(n_max - 1, 0))
-    first = np.arange(2.0, 2.0 + min(t.size, _SERIES_CHUNK))
-
-    def n_at(i, j):  # exact integers: the first chunk's indices shifted by i
-        return first[:j - i] + i
-
-    for i, j in _chunks(0, t.size):
-        m = n_at(i, j)
-        chunk = np.divide(omega.omega((m * np.log(m)) ** -0.5), m, out=t[i:j])
-        if not chunk[-1] > 0:  # with none positive, a lone 0: a convergent sum of 0
-            t = t[:max(i + np.count_nonzero(chunk > 0), 1)]
-            break
-    return _diagnose_series(n_at, t)
+    n = np.arange(2.0, 2.0**_DIRECT_BITS)
+    head = float(np.sum(omega.omega_neglog(0.5 * np.log(n * np.log(n))) / n))
+    u, c = _condensed_terms(omega)
+    low, high = 0.5 * np.sum(c[_DIRECT_BITS:]), np.sum(c[_DIRECT_BITS - 1:-1])
+    fit = (u >= u[-1] / 10.0) & (c > 0)
+    # 0.0 - slope: a flat fit reads b = 0, not -0
+    b = 0.0 - _slope(np.log(u[fit]), np.log(c[fit])) if np.count_nonzero(fit) >= 2 else math.inf
+    verdict = ("divergent" if b <= _SERIES_DIVERGENT_B else
+               "convergent" if b > _SERIES_CONVERGENT_B else "inconclusive")
+    return CondensedSeries(head + float(low + high) / 2, float(high - low) / 2, b, verdict)
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
     integral: QuadratureResult
-    series: SeriesDiagnosis
+    series: CondensedSeries
     agree: bool | None  # None when either side is inconclusive
 
 
 def equivalence_check(omega: OmegaProfile) -> EquivalenceReport:
-    """Do the integral over (0, 1/e) and the series to n = 10^6 agree on a verdict?
+    """Do the integral over (0, 1/e) and the condensed series agree on a verdict?
 
     Inconclusive pairs are reported as agree=None, never coerced.
     """
@@ -322,6 +281,6 @@ def spectral_log_sum(mu_values) -> SeriesDiagnosis:
     the rejected terms are counted in ``rejected``, and with no term left the
     series is empty and its verdict inconclusive."""
     good = np.asarray(mu_values, dtype=float) > 1.0
-    return _diagnose_series(lambda i, j: np.arange(i + 1, j + 1, dtype=float),
-                            mu_log_terms(mu_values)[good],
+    terms = mu_log_terms(mu_values)[good]
+    return _diagnose_series(np.arange(1.0, terms.size + 1), terms,
                             rejected=int(np.count_nonzero(~good)))

@@ -205,19 +205,20 @@ def cmd_dini(parser, out: OutputDir, args) -> Outcome:
                     for c in checks]])
 
     eq = equivalence_check(profile)
+    b = eq.series.log_factor_exponent
     out.write_csv("analysis_results.csv",
                   ["profile", "quantity", "value", "error", "verdict"],
                   [[profile.kind] * 3,
-                   ["integral", "series_partial_sum", "series_tail_exponent"],
-                   [eq.integral.value, eq.series.total, eq.series.tail_exponent],
-                   [eq.integral.error, 0.0, 0.0],
+                   ["integral", "series_partial_sum", "series_log_factor_exponent"],
+                   [eq.integral.value, eq.series.total, b],
+                   [eq.integral.error, eq.series.error, 0.0],
                    [eq.integral.verdict] + [eq.series.verdict] * 2])
     results = {
         "integral_verdict": eq.integral.verdict,
         "integral_value": eq.integral.value,
         "series_verdict": eq.series.verdict,
-        # the second-stage fit's exponent; null when the first fit decides
-        "series_log_factor_exponent": eq.series.log_factor_exponent,
+        # b, with condensed terms c_k ~ u_k^(-b): summable iff b > 1
+        "series_log_factor_exponent": b if math.isfinite(b) else "inf",
         "verdicts_agree": eq.agree,
         "conditions": {c.name: c.passed for c in checks},
     }
@@ -284,6 +285,9 @@ def cmd_simulate(parser, out: OutputDir, args) -> Outcome:
             "relation_skipped_rows": probe.skipped,
             "odi_c0": odi_fit.c0,
             "odi_clipped_slopes": odi_fit.clipped,
+            # rows at tau > 0 where the ramp falls (s' <= 0): both constants
+            # above are fitted on them too
+            "ramp_falling_rows": int(np.count_nonzero(ledger.sp_tau[ledger.tau_grid > 0] <= 0)),
         }
     out.write_summary("simulate", results)
     return Outcome(verdict, results)

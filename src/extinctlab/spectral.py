@@ -295,7 +295,5 @@ def spectral_criterion_series(potential, K: float, q: float, n_range: tuple[int,
         addends = np.stack([np.log(mus), log_ratio, np.ones_like(ns)], axis=1)
         terms = np.where(~flagged, np.nansum(addends, axis=1) / mus, 0.0)
     used = ~flagged & (terms > 0)
-    n_used = ns[used]
-    diag = _diagnose_series(lambda i, j: n_used[i:j], terms[used],
-                            rejected=int(flagged.sum()))
+    diag = _diagnose_series(ns[used], terms[used], rejected=int(flagged.sum()))
     return CriterionReport(ns, mus, terms, flagged, diag)

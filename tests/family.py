@@ -71,6 +71,7 @@ NAMED = {
                    ("simulate",)),
     # the ramp s(tau) = tau^4/omega falls where tau omega'/omega > 4:
     # bound.curve.error, and simulate.fitted_constants.odi_clipped_slopes 6
+    # and ramp_falling_rows 31, every row at tau > 0
     "log-power-5": ({"profile": _log_power("5.0")}, ("bound",)),
     "power-5": ({"profile": _power("5.0"), "problem": {"cells": "300"}}, ("simulate",)),
     # runs that go extinct, so that bound checks its total against them:

@@ -1,7 +1,7 @@
 """The paper's intermediate lemmas, which only the tests check: profile
 claims, endpoint-integral ratios, interpolation constants, the inequality's
-regions, the positivity probe and its whole-array least-squares slope, the
-reference of the tail fit's streamed one, the discrete energies of one
+regions, the positivity probe and its least-squares slope, the Dini
+series' sum bracketed by the integral test, the discrete energies of one
 step, the maps r(z) = a^{-1}(z) and rho(z) = z r(z)^2 with the brackets on
 them, the rho map's earlier bisection in r, and the sum of omega over the
 dominating radii against its integral.  Also the numbers that no subcommand
@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 
-from extinctlab.analysis import (
-    DomainError, _slope_streamed, dini_integral, log_segment_integrals)
+from extinctlab.analysis import DomainError, dini_integral, log_segment_integrals
 from extinctlab.odi import (
     _TAU_FLOOR,
     OdiConfig,
@@ -353,10 +353,10 @@ def ode_extinction_time(eps: float, q: float, u0_sup: float) -> float:
 
 
 def slope_into(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Least-squares slope of y against ascending x over whole arrays, the
-    reference of the tail fit's streamed slope: sum((x - mean x)(y - mean y))
-    / sum((x - mean x)^2) with numpy's pairwise sums.  None when x holds
-    fewer than two distinct values.  ``x`` and ``y`` are overwritten."""
+    """Least-squares slope of y against ascending x, in place: sum((x - mean
+    x)(y - mean y)) / sum((x - mean x)^2) with numpy's pairwise sums.  None
+    when x holds fewer than two distinct values.  ``x`` and ``y`` are
+    overwritten."""
     if x.size < 2 or x[0] == x[-1]:
         return None
     x -= x.mean()
@@ -367,13 +367,19 @@ def slope_into(x: np.ndarray, y: np.ndarray) -> float | None:
     return sxy / float(x.sum())
 
 
-def streamed_slope(x: np.ndarray, y: np.ndarray) -> float | None:
-    """The tail fit's streamed slope of y against ascending x, its points
-    read from whole arrays."""
-    def xy_into(i, j, out):
-        out[0], out[1] = x[i:j], y[i:j]
-        return out
-    return _slope_streamed(xy_into, 0, x.size)
+def dini_series_bracket(omega) -> tuple[float, float]:
+    """(low, high) around the sum of t_n = omega((n ln n)^(-1/2)) / n over
+    2 <= n < 2^1000, for t_n nonincreasing from n = 2^20 on: the terms below
+    2^20 summed one by one, the rest between the integral of t over
+    [2^20, 2^1000] and that integral plus t at 2^20.  In v = ln x the
+    integrand t(x) dx is omega(exp(-u)) dv with u = (v + ln v) / 2."""
+    n = np.arange(2.0, 2.0**20)
+    head = math.fsum(omega.omega((n * np.log(n)) ** -0.5) / n)
+    v0, v1 = 20 * math.log(2.0), 1000 * math.log(2.0)
+    tail, err = quad(lambda v: omega.omega_neglog(0.5 * (v + math.log(v))), v0, v1,
+                     limit=200, epsabs=1e-13, epsrel=1e-12)
+    first = omega.omega_neglog(0.5 * (v0 + math.log(v0))) / 2.0**20
+    return head + tail - err, head + tail + err + first
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import oracles
 from extinctlab import analysis
 from extinctlab.analysis import (
     DomainError,
+    _slope,
     _two_stage_tail_fit,
     dini_integral,
     dini_series,
@@ -16,11 +17,7 @@ from extinctlab.analysis import (
     spectral_log_sum,
 )
 from extinctlab.profiles import OmegaProfile
-from oracles import (
-    composite_endpoint_integral, endpoint_equivalence_ratios, slope_into, streamed_slope)
-
-#: terms dini_series evaluates at a time; the edge cases below sit on its multiples
-CHUNK = analysis._SERIES_CHUNK
+from oracles import composite_endpoint_integral, endpoint_equivalence_ratios
 
 
 class TestDiniIntegral:
@@ -65,9 +62,10 @@ class TestDiniSeries:
         assert diag.verdict == "convergent"
 
     def test_constant_profile_divergent(self):
+        # the condensed terms are all omega0: c_k ~ u_k^0
         diag = dini_series(OmegaProfile.constant(omega0=1.0))
         assert diag.verdict == "divergent"
-        assert diag.tail_exponent == pytest.approx(-1.0, abs=1e-6)
+        assert diag.log_factor_exponent == 0.0
 
     def test_beta2_matches_integral_verdict(self):
         quad = dini_integral(OmegaProfile.log_power(2.0), c=math.exp(-1.0))
@@ -75,11 +73,105 @@ class TestDiniSeries:
         assert quad.verdict == "convergent" and ser.verdict == "convergent"
 
 
-def _one_shot_series(profile, n_max=1_000_000):
-    """Indices, terms and partial sums with all terms in one omega call."""
-    n = np.arange(2, n_max + 1, dtype=float)
-    t = profile.omega((n * np.log(n)) ** -0.5) / n
-    return n, t, np.cumsum(t)
+def _fit_window(profile):
+    """ln u_k and ln c_k of the condensed terms that dini_series fits: u_k
+    >= u_K / 10, c_k > 0."""
+    u, c = analysis._condensed_terms(profile)
+    keep = (u >= u[-1] / 10.0) & (c > 0)
+    return np.log(u[keep]), np.log(c[keep])
+
+
+def _reference_slope(x, y):
+    """Centred least-squares slope in long double, means from math.fsum."""
+    dx = x.astype(np.longdouble) - np.longdouble(math.fsum(x)) / x.size
+    dy = y.astype(np.longdouble) - np.longdouble(math.fsum(y)) / y.size
+    return float(np.sum(dx * dy) / np.sum(dx * dx))
+
+
+class TestCondensedSeries:
+    @pytest.mark.parametrize("profile,expected", [
+        (OmegaProfile.power(a), "convergent") for a in (0.5, 1.0, 1.5)
+    ] + [
+        (OmegaProfile.log_power(b), "convergent" if b > 1 else "divergent")
+        for b in (0.5, 1.0, 1.5, 2.0, 3.0)
+    ] + [(OmegaProfile.constant(omega0=1.0), "divergent")])
+    def test_acceptance_family_verdicts(self, profile, expected):
+        assert dini_series(profile).verdict == expected
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
+    def test_log_factor_exponent_is_beta(self, beta):
+        # c_k = u_k^(-beta) exactly once u_k passes the cap at u = 1
+        assert dini_series(OmegaProfile.log_power(beta)).log_factor_exponent == \
+            pytest.approx(beta, abs=1e-12)
+
+    @pytest.mark.parametrize("profile", [
+        OmegaProfile.log_power(1.0), OmegaProfile.log_power(2.0),
+        OmegaProfile.log_power(3.0), OmegaProfile.power(1.0),
+        OmegaProfile.power(2.0), OmegaProfile.constant(omega0=1.0),
+    ], ids=["log-power-1", "log-power-2", "log-power-3", "power-1", "power-2",
+            "constant"])
+    def test_tail_slope_matches_extended_precision(self, profile):
+        ref = _reference_slope(*_fit_window(profile))
+        assert abs(-dini_series(profile).log_factor_exponent - ref) <= 4e-15 * abs(ref)
+
+    @pytest.mark.parametrize("profile", [OmegaProfile.power(1.0), OmegaProfile.log_power(3.0)],
+                             ids=["power-1", "log-power-3"])
+    def test_bracket_meets_integral_test_reference(self, profile):
+        low, high = oracles.dini_series_bracket(profile)
+        diag = dini_series(profile)
+        assert diag.error > 0
+        assert diag.total - diag.error <= high and low <= diag.total + diag.error
+
+    def test_omega_points_counted(self, monkeypatch):
+        # the direct terms n < 2^14 and the 1000 condensed ones, no more
+        points = []
+        for name in ("omega", "omega_neglog"):
+            real = getattr(OmegaProfile, name)
+
+            def counted(self, x, real=real):
+                points.append(np.size(x))
+                return real(self, x)
+            monkeypatch.setattr(OmegaProfile, name, counted)
+        dini_series(OmegaProfile.log_power(2.0))
+        assert 0 < sum(points) <= 2**14 + 1000
+
+    @pytest.mark.parametrize("profile", [OmegaProfile.log_power(2.0),
+                                         OmegaProfile.power(1.0)],
+                             ids=["log-power-2", "power-1"])
+    def test_peak_memory_bounded(self, profile):
+        # the direct terms, 2^14 doubles, and their temporaries: no array as
+        # long as the series it decides
+        tracemalloc.start()
+        try:
+            dini_series(profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_mostly_zero_terms_bitwise(self):
+        # power(10)'s condensed terms exp(-10 u_k) underflow to 0 past
+        # u = 74.5: the fit reads the positive ones of its window, as the
+        # whole-array slope of the oracles reads them
+        profile = OmegaProfile.power(10.0)
+        u, c = analysis._condensed_terms(profile)
+        window = c[u >= u[-1] / 10.0]
+        assert 2 <= np.count_nonzero(window > 0) < window.size
+        diag = dini_series(profile)
+        assert diag.verdict == "convergent"
+        assert -diag.log_factor_exponent == oracles.slope_into(*_fit_window(profile))
+
+    def test_series_ends_at_underflow(self):
+        # power(93)'s condensed terms underflow to 0 before u_K / 10 = 35:
+        # the terms below 2^14 make a finite sum, and b is infinite
+        diag = dini_series(OmegaProfile.power(93.0))
+        assert (diag.log_factor_exponent, diag.verdict) == (math.inf, "convergent")
+        assert diag.total > 0 and math.isfinite(diag.total)
+
+    def test_no_positive_term_convergent(self):
+        diag = dini_series(OmegaProfile.power(5000.0))
+        assert (diag.total, diag.error, diag.log_factor_exponent, diag.verdict) == \
+            (0.0, 0.0, math.inf, "convergent")
 
 
 def _reference_tail_fit(n, t):
@@ -117,110 +209,17 @@ def _reference_tail_fit(n, t):
     return a, b, verdict
 
 
-def _fit(n, t):
-    """The product fit on explicit arrays; it consumes its terms, so it gets
-    a copy and ``t`` stays as it was for the reference."""
-    return _two_stage_tail_fit(lambda i, j: n[i:j], t.copy())
-
-
 def _assert_same_fit(got, want):
     """(slope, b, verdict) equal as doubles; a NaN slope matches a NaN."""
     assert got[1:] == want[1:]
     assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
 
 
-def _assert_same_diagnosis(profile, n_max):
-    """dini_series against np.cumsum of the one-shot terms and the
-    reference fit, double for double."""
-    n, t, csum = _one_shot_series(profile, n_max=n_max)
-    diag = dini_series(profile, n_max=n_max)
-    assert diag.total == csum[-1]
-    _assert_same_fit((diag.tail_exponent, diag.log_factor_exponent, diag.verdict),
-                     _reference_tail_fit(n, t))
-
-
-def _reference_slope(x, y):
-    """Centred least-squares slope in long double, means from math.fsum."""
-    dx = x.astype(np.longdouble) - np.longdouble(math.fsum(x)) / x.size
-    dy = y.astype(np.longdouble) - np.longdouble(math.fsum(y)) / y.size
-    return float(np.sum(dx * dy) / np.sum(dx * dx))
-
-
-_TABLE_S = np.geomspace(1e-4, 0.5, 40)
-
-
-class TestChunkedSeries:
-    @pytest.mark.parametrize("profile", [
-        OmegaProfile.log_power(0.5), OmegaProfile.log_power(2.0),
-        OmegaProfile.power(1.0), OmegaProfile.constant(omega0=1.0),
-        OmegaProfile.from_table(_TABLE_S, _TABLE_S ** 0.7),
-    ], ids=["log-power-0.5", "log-power-2", "power-1", "constant", "table"])
-    def test_bitwise_equal_to_one_shot(self, profile):
-        _assert_same_diagnosis(profile, 1_000_000)
-
-    @pytest.mark.parametrize("n_max", [1000, 4 * CHUNK + 1, 12 * CHUNK + 1])
-    def test_chunk_boundaries(self, n_max):
-        _assert_same_diagnosis(OmegaProfile.log_power(2.0), n_max)
-
-    @pytest.mark.parametrize("profile", [
-        OmegaProfile.log_power(1.0), OmegaProfile.log_power(2.0),
-        OmegaProfile.log_power(3.0), OmegaProfile.power(1.0),
-        OmegaProfile.power(2.0), OmegaProfile.constant(omega0=1.0),
-    ], ids=["log-power-1", "log-power-2", "log-power-3", "power-1", "power-2",
-            "constant"])
-    def test_tail_slope_matches_extended_precision(self, profile):
-        n, t, _ = _one_shot_series(profile)
-        k = np.searchsorted(n, n[-1] / 10.0)
-        x, y = np.log(n[k:]), np.log(t[k:])
-        ref = _reference_slope(x, y)
-        assert abs(slope_into(x.copy(), y.copy()) - ref) <= 4e-15 * abs(ref)
-        assert dini_series(profile).tail_exponent == slope_into(x.copy(), y.copy())
-
-    @pytest.mark.parametrize("profile,expected", [
-        (OmegaProfile.power(a), "convergent") for a in (0.5, 1.0, 1.5)
-    ] + [
-        (OmegaProfile.log_power(b), "convergent" if b > 1 else "divergent")
-        for b in (0.5, 1.0, 1.5, 2.0, 3.0)
-    ] + [(OmegaProfile.constant(omega0=1.0), "divergent")])
-    def test_acceptance_family_verdicts(self, profile, expected):
-        assert dini_series(profile).verdict == expected
-
-    @pytest.mark.parametrize("profile", [OmegaProfile.log_power(2.0),
-                                         OmegaProfile.power(1.0)],
-                             ids=["log-power-2", "power-1"])
-    def test_peak_memory_bounded(self, profile):
-        # t, one array of n_max doubles, plus chunk-sized buffers and
-        # temporaries (log-power-2 runs both fit stages, power-1 only the
-        # first); no array as long as a fit window
-        n_max = 1_000_000
-        tracemalloc.start()
-        try:
-            dini_series(profile, n_max=n_max)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * 8 * n_max
-
-    def test_mostly_zero_terms_bitwise(self):
-        # (n ln n)^-100 / n underflows to 0 past n = 287: the fit keeps the
-        # 286 terms before the first zero
-        profile = OmegaProfile.power(200.0)
-        _, t, _ = _one_shot_series(profile)
-        assert 8 <= np.count_nonzero(t > 0) < t.size
-        _assert_same_diagnosis(profile, 1_000_000)
-
-    @pytest.mark.parametrize("n_max", [2, 3, 9, 10, 11, 4 * CHUNK + 1, 4 * CHUNK + 2])
-    @pytest.mark.parametrize("profile", [
-        OmegaProfile.constant(omega0=1.0), OmegaProfile.log_power(2.0), OmegaProfile.power(200.0),
-    ], ids=["constant", "log-power-2", "power-200"])
-    def test_edges_bitwise(self, profile, n_max):
-        # one term, fewer than 8 terms, fit windows of 0, 1 and 2 points past
-        # n = 10, and n_max - 1 terms that end on a chunk edge or one past it
-        _assert_same_diagnosis(profile, n_max)
-
-    def test_empty_series_inconclusive(self):
-        diag = dini_series(OmegaProfile.constant(omega0=1.0), n_max=1)
-        assert diag.verdict == "inconclusive" and diag.total == 0.0
+_DEGENERATE_WINDOWS = [
+    (np.r_[np.arange(2.0, 10.0), 1000.0], 2.0),  # one-point decade
+    (np.arange(2.0, 11.0), 1.1),   # n >= 10 window holds one point
+    (np.arange(2.0, 10.0), 1.1),   # n >= 10 window is empty
+]
 
 
 _ACCEPTANCE_FAMILY = [
@@ -230,33 +229,22 @@ _ACCEPTANCE_FAMILY = [
     for b in (0.5, 1.0, 1.5, 2.0, 3.0)
 ] + [pytest.param(OmegaProfile.constant(omega0=1.0), id="constant")]
 
-_DEGENERATE_WINDOWS = [
-    (np.r_[np.arange(2.0, 10.0), 1000.0], 2.0),  # one-point decade
-    (np.arange(2.0, 11.0), 1.1),   # n >= 10 window holds one point
-    (np.arange(2.0, 10.0), 1.1),   # n >= 10 window is empty
-]
-
 
 class TestTailFitOracle:
-    """The buffered fit against the fit as first written, double for double."""
+    """The spectral sums' whole-array fit against the fit as first written,
+    double for double."""
 
     @pytest.mark.parametrize("profile", _ACCEPTANCE_FAMILY)
     def test_acceptance_family(self, profile):
-        n, t, _ = _one_shot_series(profile)
-        diag = dini_series(profile)
-        want = _reference_tail_fit(n, t)
-        _assert_same_fit(_fit(n, t), want)
-        _assert_same_fit((diag.tail_exponent, diag.log_factor_exponent, diag.verdict), want)
-
-    @pytest.mark.parametrize("n_max", [1000, 4 * CHUNK + 1, 12 * CHUNK + 1])
-    def test_chunk_boundaries(self, n_max):
-        n, t, _ = _one_shot_series(OmegaProfile.log_power(2.0), n_max=n_max)
-        _assert_same_fit(_fit(n, t), _reference_tail_fit(n, t))
+        # the Dini terms n = 2..60, as many as a spectral sum has at most
+        n = np.arange(2.0, 61.0)
+        t = profile.omega((n * np.log(n)) ** -0.5) / n
+        _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
 
     @pytest.mark.parametrize("n,power", _DEGENERATE_WINDOWS)
     def test_degenerate_windows(self, n, power):
         t = n ** -power
-        _assert_same_fit(_fit(n, t), _reference_tail_fit(n, t))
+        _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, 3.0])
     def test_spectral_criterion_sized_window(self, beta):
@@ -264,34 +252,18 @@ class TestTailFitOracle:
         # window, so the first fit is the longer one
         n = np.arange(2.0, 41.0)
         t = 1.0 / (n * np.log(n) ** beta)
-        _assert_same_fit(_fit(n, t), _reference_tail_fit(n, t))
-
-    def test_series_ends_at_underflow(self):
-        # power(93)'s terms underflow to 0 past n = 521,156 and stay 0: the
-        # series is its positive prefix, fitted as the reference fits it
-        profile = OmegaProfile.power(93.0)
-        n, t, csum = _one_shot_series(profile)
-        kept = np.count_nonzero(t > 0)
-        assert 0 < kept < t.size and np.all(t[:kept] > 0)
-        diag = dini_series(profile)
-        assert diag.total == csum[-1]
-        _assert_same_fit((diag.tail_exponent, diag.log_factor_exponent, diag.verdict),
-                         _reference_tail_fit(n[:kept], t[:kept]))
-
-    def test_no_positive_term_convergent(self):
-        diag = dini_series(OmegaProfile.power(5000.0))
-        assert (diag.total, diag.tail_exponent, diag.verdict) == (0.0, 0.0, "convergent")
+        _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
 
 
 class TestTailFit:
     def test_slope_of_exact_line(self):
         x = np.linspace(0.0, 5.0, 11)
-        assert streamed_slope(x, 3.0 * x + 1.0) == pytest.approx(3.0, rel=1e-15)
+        assert _slope(x, 3.0 * x + 1.0) == pytest.approx(3.0, rel=1e-15)
 
     @pytest.mark.parametrize("x", [np.array([2.0]), np.array([2.0, 2.0]),
                                    np.array([])])
     def test_slope_undetermined(self, x):
-        assert streamed_slope(x, np.ones_like(x)) is None
+        assert _slope(x, np.ones_like(x)) is None
 
     @pytest.mark.parametrize("n,power,has_slope", [
         (np.r_[np.arange(2.0, 10.0), 1000.0], 2.0, False),  # one-point decade
@@ -301,7 +273,7 @@ class TestTailFit:
     def test_degenerate_window_inconclusive(self, n, power, has_slope):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            slope, b, verdict = _fit(n, n ** -power)
+            slope, b, verdict = _two_stage_tail_fit(n, n ** -power)
         assert verdict == "inconclusive" and b is None
         if has_slope:
             assert slope == pytest.approx(-power, rel=1e-12)

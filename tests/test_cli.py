@@ -1,4 +1,5 @@
 import configparser
+import csv
 import json
 import math
 import os
@@ -110,17 +111,31 @@ class TestDini:
         cfg = write_config(tmp_path, BETA2)
         assert main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
-    @pytest.mark.parametrize("profile,second_fit", [
-        (BETA2, True),   # the power fit is at the harmonic boundary
-        ("[profile]\nkind = power\nalpha = 1.0\n", False),   # the power fit decides
+    @pytest.mark.parametrize("profile,exponent", [
+        (BETA2, 2.0),   # c_k = u_k^(-2)
+        ("[profile]\nkind = power\nalpha = 1.0\n", 149.0),   # c_k = exp(-u_k)
     ], ids=["log-power", "power"])
-    def test_log_factor_exponent_emitted(self, tmp_path, profile, second_fit):
+    def test_log_factor_exponent_emitted(self, tmp_path, profile, exponent):
         cfg = write_config(tmp_path, profile)
         assert main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         results = json.loads((tmp_path / "o" / "summary_dini.json").read_text())["results"]
         assert results["series_verdict"] == "convergent"
-        b = results["series_log_factor_exponent"]
-        assert b > 1.05 if second_fit else b is None
+        assert results["series_log_factor_exponent"] == pytest.approx(exponent, rel=1e-2)
+        with open(tmp_path / "o" / "analysis_results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["quantity"] for r in rows] == [
+            "integral", "series_partial_sum", "series_log_factor_exponent"]
+        assert float(rows[2]["value"]) == results["series_log_factor_exponent"]
+        assert float(rows[1]["error"]) > 0   # the bracket's half-width
+
+    def test_underflowed_series_exponent_is_inf(self, tmp_path):
+        # exp(-30 u_k) underflows from u = 25 on, before the fit window: JSON
+        # has no infinity, so the summary spells it "inf"
+        cfg = write_config(tmp_path, "[profile]\nkind = power\nalpha = 30.0\n")
+        main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        results = json.loads((tmp_path / "o" / "summary_dini.json").read_text())["results"]
+        assert (results["series_verdict"], results["series_log_factor_exponent"]) == \
+            ("convergent", "inf")
 
     def test_constant_profile_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, CONSTANT)
@@ -141,8 +156,9 @@ class TestDini:
         assert main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 64
 
     def test_peak_memory_within_series_budget(self, tmp_path):
-        # the series to n_max = 10^6 makes the command's peak: its terms, one
-        # array of n_max doubles, plus chunk buffers, 1.25 such arrays at most
+        # the condensed series' direct terms, 2^14 doubles, and their
+        # temporaries make about 0.7 MiB; a series-long array of 10^6
+        # doubles would make 7.6 MiB
         cfg = write_config(tmp_path, README)
         tracemalloc.start()
         try:
@@ -151,7 +167,7 @@ class TestDini:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 1.25 * 8 * 1_000_000
+        assert peak < 2 * 2**20
 
 
 class TestSimulate:
@@ -224,7 +240,8 @@ horizon = 0.5
         results = json.loads((out / "summary_simulate.json").read_text())["results"]
         assert results["verdict"] == "positivity-persisted"
         assert set(results["fitted_constants"]) == {
-            "relation_c_hat", "relation_skipped_rows", "odi_c0", "odi_clipped_slopes"}
+            "relation_c_hat", "relation_skipped_rows", "odi_c0", "odi_clipped_slopes",
+            "ramp_falling_rows"}
 
     def test_constant_profile_overflow_cannot_set_c_hat(self, tmp_path):
         # a(tau) = exp(-1/tau^2) underflows to 0 on the first ledger rows and

@@ -186,8 +186,6 @@ def test_every_import_is_used():
 _DEFAULT_ONLY = {
     # the entry point: the console script calls main() with no argv
     "cli.main.argv": "the console script and python -m",
-    # the tests place the series' end at chunk boundaries through it
-    "analysis.dini_series.n_max": "tests/test_analysis.py",
 }
 
 

@@ -94,3 +94,11 @@ def test_restated_bound_is_gone(cli_runs):
     # simulation_check.bound was total_bound again
     assert "bound.simulation_check.bound" not in emitted(cli_runs)
     assert "bound.simulation_check.extinction_time" in emitted(cli_runs)
+
+
+def test_falling_ramp_counted(cli_runs):
+    # power alpha = 5: s(tau) = tau^4 / omega(tau) = 1/tau falls on every
+    # ledger row at tau > 0; every Baseline ramp rises
+    fields = dict(emitted(cli_runs)["simulate.fitted_constants.ramp_falling_rows"])
+    assert fields.pop("power-5") == 31
+    assert set(fields.values()) == {0}
