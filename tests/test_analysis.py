@@ -81,6 +81,48 @@ def _fit_window(profile):
     return np.log(u[keep]), np.log(c[keep])
 
 
+def _one_shot_series(profile):
+    """dini_series written out in one pass from its definition: the direct
+    terms n < 2^14 and the condensed terms c_k = omega(s_k), both taken in
+    u = ln(1/s), the bracket on the terms past 2^14, b from the oracle slope
+    and the verdict from the band."""
+    n = np.arange(2.0, 2.0**analysis._DIRECT_BITS)
+    head = float(np.sum(profile.omega_neglog(0.5 * np.log(n * np.log(n))) / n))
+    k_ln2 = np.arange(1, analysis._CONDENSED_TERMS + 1) * math.log(2.0)
+    u = 0.5 * (k_ln2 + np.log(k_ln2))
+    c = profile.omega_neglog(u)
+    low = 0.5 * np.sum(c[analysis._DIRECT_BITS:])
+    high = np.sum(c[analysis._DIRECT_BITS - 1:-1])
+    x, y = _fit_window(profile)
+    b = math.inf if x.size < 2 else 0.0 - oracles.slope_into(x, y)
+    verdict = ("divergent" if b <= analysis._SERIES_DIVERGENT_B else
+               "convergent" if b > analysis._SERIES_CONVERGENT_B else "inconclusive")
+    return analysis.CondensedSeries(head + float(low + high) / 2, float(high - low) / 2,
+                                    b, verdict)
+
+
+def _dini_terms(profile, n_max):
+    """n = 2..n_max and t_n = omega((n ln n)^(-1/2)) / n, cut before the
+    first term that underflows to 0 (the terms do not rise again)."""
+    n = np.arange(2, n_max + 1, dtype=float)
+    t = profile.omega((n * np.log(n)) ** -0.5) / n
+    kept = np.count_nonzero(t > 0)
+    assert np.all(t[:kept] > 0)
+    return n[:kept], t[:kept]
+
+
+def _assert_same_diagnosis(profile, n_max):
+    """The spectral sums' _diagnose_series on the Dini terms to n_max against
+    np.cumsum of the terms and the fit as first written, double for double."""
+    n, t = _dini_terms(profile, n_max)
+    diag = analysis._diagnose_series(n, t, rejected=0)
+    if t.size == 0:
+        assert (diag.total, diag.verdict) == (0.0, "inconclusive")
+        return
+    assert diag.total == np.cumsum(t)[-1]
+    assert diag.verdict == _reference_tail_fit(n, t)[2]
+
+
 def _reference_slope(x, y):
     """Centred least-squares slope in long double, means from math.fsum."""
     dx = x.astype(np.longdouble) - np.longdouble(math.fsum(x)) / x.size
@@ -88,7 +130,28 @@ def _reference_slope(x, y):
     return float(np.sum(dx * dy) / np.sum(dx * dx))
 
 
-class TestCondensedSeries:
+_TABLE_S = np.geomspace(1e-4, 0.5, 40)
+
+
+class TestChunkedSeries:
+    """dini_series, whose condensation reads t_n in dyadic blocks 2^(k-1) <
+    n <= 2^k, each bounded by its end terms; and the whole-array total and
+    fit that the spectral sums use, on the Dini terms cut at any length."""
+
+    @pytest.mark.parametrize("profile", [
+        OmegaProfile.log_power(0.5), OmegaProfile.log_power(2.0),
+        OmegaProfile.power(1.0), OmegaProfile.constant(omega0=1.0),
+        OmegaProfile.from_table(_TABLE_S, _TABLE_S ** 0.7),
+    ], ids=["log-power-0.5", "log-power-2", "power-1", "constant", "table"])
+    def test_bitwise_equal_to_one_shot(self, profile):
+        assert dini_series(profile) == _one_shot_series(profile)
+
+    @pytest.mark.parametrize("n_max", [1000, 4 * 2**14 + 1, 12 * 2**14 + 1])
+    def test_chunk_boundaries(self, n_max):
+        # long series, one past multiples of 2^14 terms, where numpy's
+        # pairwise sums split deep
+        _assert_same_diagnosis(OmegaProfile.log_power(2.0), n_max)
+
     @pytest.mark.parametrize("profile,expected", [
         (OmegaProfile.power(a), "convergent") for a in (0.5, 1.0, 1.5)
     ] + [
@@ -161,17 +224,18 @@ class TestCondensedSeries:
         assert diag.verdict == "convergent"
         assert -diag.log_factor_exponent == oracles.slope_into(*_fit_window(profile))
 
-    def test_series_ends_at_underflow(self):
-        # power(93)'s condensed terms underflow to 0 before u_K / 10 = 35:
-        # the terms below 2^14 make a finite sum, and b is infinite
-        diag = dini_series(OmegaProfile.power(93.0))
-        assert (diag.log_factor_exponent, diag.verdict) == (math.inf, "convergent")
-        assert diag.total > 0 and math.isfinite(diag.total)
+    @pytest.mark.parametrize("n_max", [2, 3, 9, 10, 11, 4 * 2**14 + 1, 4 * 2**14 + 2])
+    @pytest.mark.parametrize("profile", [
+        OmegaProfile.constant(omega0=1.0), OmegaProfile.log_power(2.0), OmegaProfile.power(200.0),
+    ], ids=["constant", "log-power-2", "power-200"])
+    def test_edges_bitwise(self, profile, n_max):
+        # one term, fewer than 8 terms, fit windows of 0, 1 and 2 points past
+        # n = 10, and long series; power-200's terms underflow past n = 287
+        _assert_same_diagnosis(profile, n_max)
 
-    def test_no_positive_term_convergent(self):
-        diag = dini_series(OmegaProfile.power(5000.0))
-        assert (diag.total, diag.error, diag.log_factor_exponent, diag.verdict) == \
-            (0.0, 0.0, math.inf, "convergent")
+    def test_empty_series_inconclusive(self):
+        # n = 2..1 holds no term: nothing to fit, nothing to judge
+        _assert_same_diagnosis(OmegaProfile.constant(omega0=1.0), 1)
 
 
 def _reference_tail_fit(n, t):
@@ -232,13 +296,19 @@ _ACCEPTANCE_FAMILY = [
 
 class TestTailFitOracle:
     """The spectral sums' whole-array fit against the fit as first written,
-    double for double."""
+    double for double; and dini_series where its terms underflow, leaving
+    too few to fit."""
 
     @pytest.mark.parametrize("profile", _ACCEPTANCE_FAMILY)
     def test_acceptance_family(self, profile):
         # the Dini terms n = 2..60, as many as a spectral sum has at most
         n = np.arange(2.0, 61.0)
         t = profile.omega((n * np.log(n)) ** -0.5) / n
+        _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
+
+    @pytest.mark.parametrize("n_max", [1000, 4 * 2**14 + 1, 12 * 2**14 + 1])
+    def test_chunk_boundaries(self, n_max):
+        n, t = _dini_terms(OmegaProfile.log_power(2.0), n_max)
         _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
 
     @pytest.mark.parametrize("n,power", _DEGENERATE_WINDOWS)
@@ -254,6 +324,18 @@ class TestTailFitOracle:
         t = 1.0 / (n * np.log(n) ** beta)
         _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
 
+
+    def test_series_ends_at_underflow(self):
+        # power(93)'s condensed terms underflow to 0 before u_K / 10 = 35:
+        # the terms below 2^14 make a finite sum, and b is infinite
+        diag = dini_series(OmegaProfile.power(93.0))
+        assert (diag.log_factor_exponent, diag.verdict) == (math.inf, "convergent")
+        assert diag.total > 0 and math.isfinite(diag.total)
+
+    def test_no_positive_term_convergent(self):
+        diag = dini_series(OmegaProfile.power(5000.0))
+        assert (diag.total, diag.error, diag.log_factor_exponent, diag.verdict) == \
+            (0.0, 0.0, math.inf, "convergent")
 
 class TestTailFit:
     def test_slope_of_exact_line(self):
