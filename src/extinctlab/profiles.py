@@ -459,7 +459,9 @@ class RhoMap:
             raise MonotonicityError("s outside the range of rho")
         x = bisect(lambda x: self.potential.log_a(np.exp(x)) + 2.0 * x, np.log(arr),
                    math.log(self.r_lo), math.log(self.r_hi))
-        out = np.exp(self.potential.log_a(np.exp(x)))
+        # z = s / r^2 at the root; a(r) there would scale the last bit of
+        # ln r by d ln a / d ln r, up to about 750 near rho_min
+        out = arr / np.exp(x) ** 2
         return float(out[()]) if scalar else out
 
 

@@ -15,11 +15,21 @@ less than in a solve for x itself.  V + dt K is symmetric positive definite
 and tridiagonal; its LDL^T factor is computed once per run and reused on
 every step.  ``FluxOperator`` owns K and builds this matrix, the
 symmetrized Schrodinger matrix of ``spectral`` and the face energies.
-Absorption is applied through the frozen-coefficient factor
+Absorption is the exact flow of u' = -a |u|^(q-1) u over the step: with
+p = 1 - q,
 
-    u <- u / (1 + dt * a * |u|^(q-1)),
+    u <- sign(u) * max(|u|^p - p * dt * a, 0)^(1/p),
 
-which lies in (0, 1] and therefore preserves nonnegativity for any dt.
+which keeps the sign, preserves nonnegativity for any dt and sets a cell to
+0 once its |u|^p is spent, as the continuous equation does in finite time.
+Where a = 0 the cell keeps u itself.  At q = 1/2 the two powers are a
+square root and a square.
+
+``run`` keeps its books a block at a time: the states go into the rows of
+a block of at most ``BLOCK_BYTES``, each row's L2 mass and mass are taken
+as it is written, and the minimum, the maximum, finiteness and the
+extinction threshold are decided for the whole block at once.  The rows
+after the first one that stops the run are computed and discarded.
 """
 
 from __future__ import annotations
@@ -32,6 +42,10 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .profiles import ConstantPotential, PotentialField
+
+
+#: bytes of the block of states that ``run`` keeps its books on
+BLOCK_BYTES = 256 * 1024
 
 
 class NumericsError(RuntimeError):
@@ -177,7 +191,12 @@ class ProblemSpec:
 
 
 class Stepper(FluxOperator):
-    """IMEX stepper of fixed step dt; V + dt K is factored once, here."""
+    """IMEX stepper of fixed step dt; V + dt K is factored once, here.
+
+    ``diffuse``, ``absorb`` and ``step`` write into ``out`` when it is
+    given and into a new array otherwise; they modify their input only
+    when it is ``out`` itself.
+    """
 
     def __init__(self, grid: RadialGrid, potential, q: float, dt: float):
         super().__init__(grid)
@@ -189,41 +208,49 @@ class Stepper(FluxOperator):
             raise NumericsError(f"diffusion matrix not positive definite (dpttrf info = {info})")
         self._ldl = ldl  # dpttrf factor (d, e) of V + dt K
         self._dtc = -off  # dt * conduct, the face fluxes per unit jump
-        self._dta = dt * self.a
-        self._au = np.empty(grid.n)  # scratch for absorb; never returned
+        self._p = 1.0 - q
+        self._inv_p = 1.0 / self._p
+        self._pdta = self._p * dt * self.a  # |u|^p spent over one step
+        self._inert = self.a == 0  # cells that keep u bit for bit
+        # scratch, never returned: face fluxes with the two end faces at 0,
+        # the right-hand side that dpttrs overwrites with d, the diffused
+        # state inside step, and |u|^p
+        self._flux = np.zeros(grid.n + 1)
+        self._rhs = np.empty(grid.n)
+        self._mid = np.empty(grid.n)
         self._w = np.empty(grid.n)
-        self._rhs = np.empty(grid.n)  # scratch for diffuse; never returned
-        self._flux = np.empty(grid.n - 1)
 
-    def diffuse(self, u: np.ndarray) -> np.ndarray:
-        """u + d with (V + dt K) d = -dt K u; ``u`` is not modified."""
-        flux = np.subtract(u[1:], u[:-1], out=self._flux)
-        np.multiply(self._dtc, flux, out=flux)
-        rhs = self._rhs  # -dt K u: each face flux enters left, leaves right
-        np.subtract(flux[1:], flux[:-1], out=rhs[1:-1])
-        rhs[0] = flux[0]
-        rhs[-1] = -flux[-1]
-        d, info = dpttrs(*self._ldl, rhs)
+    def diffuse(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """u + d with (V + dt K) d = -dt K u."""
+        inner = self._flux[1:-1]
+        np.subtract(u[1:], u[:-1], out=inner)
+        np.multiply(self._dtc, inner, out=inner)
+        # -dt K u: each face flux enters the cell left of it, leaves the right
+        rhs = np.subtract(self._flux[1:], self._flux[:-1], out=self._rhs)
+        d, info = dpttrs(*self._ldl, rhs, overwrite_b=1)
         if info != 0:
             raise NumericsError(f"diffusion solve failed (dpttrs info = {info})")
-        return u + d
+        return np.add(u, d, out=out)
 
-    def absorb(self, u: np.ndarray) -> np.ndarray:
-        """Bit for bit ``u / (1.0 + dt * a * w)``, ``w = where(|u| > 0, |u|**(q-1), 0)``.
+    def absorb(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The exact flow ``copysign(max(|u|**p - p*dt*a, 0)**(1/p), u)``,
+        p = 1 - q, and u itself where a = 0.
 
-        Scratch buffers replace the temporaries; ``u`` is not modified, and
-        the result is a new array that shares no memory with the stepper.
+        The in-place ``**`` takes numpy's scalar fast paths, so q = 1/2
+        costs a square root and a square.
         """
-        au = np.abs(u, out=self._au)
-        w = self._w
-        w.fill(0.0)
-        np.power(au, self.q - 1.0, out=w, where=au > 0)
-        np.multiply(self._dta, w, out=w)
-        np.add(w, 1.0, out=w)
-        return u / w
+        w = np.abs(u, out=self._w)
+        w **= self._p
+        w -= self._pdta
+        np.maximum(w, 0.0, out=w)
+        w **= self._inv_p
+        out = np.copysign(w, u, out=out)
+        np.copyto(out, u, where=self._inert)
+        return out
 
-    def step(self, u: np.ndarray) -> np.ndarray:
-        return self.absorb(self.diffuse(u))
+    def step(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """One IMEX step from ``u``; ``out`` may be ``u`` itself."""
+        return self.absorb(self.diffuse(u, self._mid), out)
 
 
 @dataclass
@@ -259,7 +286,7 @@ def run(spec: ProblemSpec) -> SolutionTrajectory:
     snapshot attached to the exception.  Each step's t, l2sq, linf, min and
     mass go to ``array('d')`` buffers, 8 bytes a value; the snapshots are
     the initial state, every ``snapshot_every``-th step and the final or
-    extinction step.
+    extinction step, each copied out of the block of states.
     """
     grid = spec.build_grid()
     u = spec.initial_state(grid)
@@ -275,35 +302,50 @@ def run(spec: ProblemSpec) -> SolutionTrajectory:
     umin = array("d", [np.min(u)])
     mass = array("d", [grid.integrate(u)])
     snap_t = [0.0]
-    snaps = [u.copy()]  # u may be the caller's u0; later states are new arrays
+    snaps = [u.copy()]  # u may be the caller's u0
     extinction_time = None
 
     vol = grid.volumes
     sq = np.empty(grid.n)  # scratch for u*u
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        u = stepper.step(u)
+    block = np.empty((max(1, BLOCK_BYTES // u.nbytes), grid.n))
+    rows = list(block)
+    row_l2sq = np.empty(len(rows))
+    row_mass = np.empty(len(rows))
+    done = 0
+    while done < n_steps:
+        m = min(len(rows), n_steps - done)
+        for i in range(m):
+            u = stepper.step(u, rows[i])
+            row_l2sq[i] = np.dot(vol, np.multiply(u, u, out=sq))
+            row_mass[i] = np.dot(vol, u)
+        k = np.arange(done + 1, done + m + 1)
         t = k * spec.dt
-        lo = float(u.min())
+        lo = block[:m].min(axis=1)
         # max |u| without an |u| pass; + 0.0 turns the -0.0 of an all-zero
         # state into +0.0, and a NaN anywhere makes both NaN
-        sup = max(float(u.max()), -lo) + 0.0
-        if not math.isfinite(sup):
-            raise NumericsError(f"non-finite state at t = {t:.6g}", t=t, state=u)
-        times.append(t)
-        l2sq.append(np.dot(vol, np.multiply(u, u, out=sq)))
-        linf.append(sup)
-        umin.append(lo)
-        mass.append(np.dot(vol, u))
-        if k % every == 0 or k == n_steps:
-            snaps.append(u)
-            snap_t.append(t)
-        if sup < threshold:
-            extinction_time = t
-            if snap_t[-1] != t:
-                snaps.append(u)
-                snap_t.append(t)
+        sup = np.maximum(block[:m].max(axis=1), -lo) + 0.0
+        # the first row that stops the run; the rows after it are dropped
+        stops = np.flatnonzero(~np.isfinite(sup) | (sup < threshold))
+        end = int(stops[0]) + 1 if stops.size else m
+        last = end - 1
+        if not math.isfinite(sup[last]):
+            raise NumericsError(f"non-finite state at t = {t[last]:.6g}",
+                                t=float(t[last]), state=rows[last].copy())
+        times.frombytes(t[:end].tobytes())
+        l2sq.frombytes(row_l2sq[:end].tobytes())
+        linf.frombytes(sup[:end].tobytes())
+        umin.frombytes(lo[:end].tobytes())
+        mass.frombytes(row_mass[:end].tobytes())
+        for i in np.flatnonzero((k[:end] % every == 0) | (k[:end] == n_steps)):
+            snaps.append(rows[i].copy())
+            snap_t.append(float(t[i]))
+        if stops.size:
+            extinction_time = float(t[last])
+            if snap_t[-1] != extinction_time:
+                snaps.append(rows[last].copy())
+                snap_t.append(extinction_time)
             break
+        done += m
 
     return SolutionTrajectory(
         grid=grid, spec=spec,

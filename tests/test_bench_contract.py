@@ -75,3 +75,23 @@ def test_traced_simulate_counts_steps(tracer, tmp_path):
     assert m["energy.compute_ledger.s"] > 0
     assert m["energy.fits.s"] > 0
     assert m["spectral.ground_state.calls"] == 0
+
+
+def test_traced_extinct_run_discards_less_than_a_block(tracer, tmp_path):
+    # run() steps a block of states at a time and drops the rows after the
+    # one that goes extinct: fewer than one block of steps is wasted
+    from extinctlab.solver import BLOCK_BYTES
+
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read(BENCH / "workloads" / "simulate-extinct.ini")
+    parser["problem"].update(cells="100", dt="1e-2")
+    cfg = tmp_path / "run.ini"
+    with open(cfg, "w") as fh:
+        parser.write(fh)
+    code, m = traced(tracer, "simulate", cfg, tmp_path / "o")
+    assert code == 0   # extinct before the horizon
+    rows = BLOCK_BYTES // (8 * 100)
+    steps = m["solver.run.steps"]
+    assert steps < 4000   # horizon 40 at dt = 1e-2
+    assert steps <= m["solver.diffuse.calls"] < steps + rows
+    assert m["solver.absorb.calls"] == m["solver.diffuse.calls"]

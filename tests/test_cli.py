@@ -422,7 +422,8 @@ y0 = 1e-4
 
 class TestSimulationCheck:
     """bound's check of its total against an earlier simulate run in the
-    same --out.  On EXTINCT the run goes extinct at t = 2.12, within the
+    same --out.  On EXTINCT the run goes extinct at t = 2.0, the ODE's own
+    extinction time (the absorption step is its exact flow), within the
     convergent total 3.57 times the default bound_factor 10."""
 
     def bound_after(self, tmp_path, settings, seed="42", simulate=True):
@@ -448,7 +449,7 @@ class TestSimulationCheck:
         code, check = self.bound_after(tmp_path, [])
         assert code == 0
         assert check["found"] is True and check["holds"] is True
-        assert check["extinction_time"] == pytest.approx(2.12)
+        assert check["extinction_time"] == pytest.approx(2.0)
 
     def test_bound_below_extinction_time_exit_1(self, tmp_path):
         code, check = self.bound_after(tmp_path, [("odi", "bound_factor", "0.1")])

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -284,6 +285,19 @@ class TestRhoMapBisection:
         z = np.geomspace(*z_range(rmap), 20)
         np.testing.assert_allclose(r_of_z(rmap, z), r_of_z_in_r(rmap, z), rtol=5e-14)
 
+    def test_z_to_rounding_near_rho_min(self):
+        # z = s / r^2 at the root r: the last bit of ln r moves z by 2 ulp,
+        # where a(r) would scale it by d ln a / d ln r (up to about 750)
+        rmap = build_rho_map(PotentialField(1.0, OmegaProfile.log_power(2.0)))
+        for s in (1e-150, 1e-100, 1e-40, 1e-12):
+            with mpmath.workdps(50):
+                ls = mpmath.log(mpmath.mpf(s))
+                # ln a(r) + 2 ln r = ln s in x = ln r, below the cap at 1/e
+                x = mpmath.findroot(lambda x: -(-x) ** -2 * mpmath.exp(-2 * x) + 2 * x - ls,
+                                    (mpmath.log(rmap.r_lo), mpmath.mpf(-1)), solver="anderson")
+                z = float(mpmath.mpf(s) / mpmath.exp(2 * x))
+            assert abs(rmap.rho_inv(s) / z - 1.0) < 2e-15
+
     @pytest.mark.parametrize("prof", [OmegaProfile.log_power(2.0), OmegaProfile.power(1.0)],
                              ids=["log-power", "power"])
     def test_ends_within_128_passes(self, prof, monkeypatch):
@@ -308,7 +322,7 @@ class TestRhoMapBisection:
         for query, arg in queries:
             calls.clear()
             query(arg)
-            # r_of_z evaluates ln a once more, for its range; rho_inv at the roots
+            # r_of_z evaluates ln a once more, for its range
             assert len(calls) - 1 <= 128
 
 

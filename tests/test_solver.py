@@ -58,15 +58,12 @@ class TestStep:
         assert g.integrate(out) == pytest.approx(m0, rel=1e-12)
 
     def test_spatially_constant_absorption_tracks_ode(self):
-        # one semi-implicit step differs from the exact ODE flow by O(dt^2)
+        # diffusion leaves a constant state alone, and the absorption step is
+        # the exact ODE flow, so one step lands on the ODE to rounding
         g = RadialGrid.uniform(50)
-        errs = []
-        for dt in (2e-3, 1e-3, 5e-4):
+        for dt in (2e-3, 1e-3, 5e-4, 0.5):
             out = Stepper(g, ConstantPotential(1.0), 0.5, dt).step(np.ones(50))
-            errs.append(abs(out[0] - exact_ode(dt)))
-        errs = np.array(errs)
-        rates = np.log2(errs[:-1] / errs[1:])
-        assert np.all(rates > 1.7)
+            assert np.allclose(out, exact_ode(dt), rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_nonnegativity_under_huge_dt(self):
         g = RadialGrid.uniform(64)
@@ -230,11 +227,10 @@ class TestFactoredSolve:
 
 
 def reference_absorb(st, u, dt):
-    """The absorption factor as first written, with its temporaries."""
-    au = np.abs(u)
-    with np.errstate(divide="ignore"):
-        w = np.where(au > 0, au ** (st.q - 1.0), 0.0)
-    return u / (1.0 + dt * st.a * w)
+    """The exact absorption flow written plainly, with its temporaries."""
+    p = 1.0 - st.q
+    flow = np.copysign(np.maximum(np.abs(u) ** p - p * dt * st.a, 0.0) ** (1.0 / p), u)
+    return np.where(st.a == 0, u, flow)
 
 
 def same_bits(x, y):
@@ -281,8 +277,7 @@ class TestAbsorbBitwise:
         for seed, dt in enumerate((1e-3, 0.25, 1e-3, 1e-3, 7.5)):
             st = Stepper(g, potential, q, dt)
             for u in mixed_states(g.n, seed):
-                with np.errstate(invalid="ignore"):
-                    assert same_bits(st.absorb(u), reference_absorb(st, u, dt))
+                assert same_bits(st.absorb(u), reference_absorb(st, u, dt))
 
     def test_equal_along_a_run(self):
         g = RadialGrid.uniform(400)
@@ -306,29 +301,108 @@ class TestAbsorbBitwise:
         assert not np.shares_memory(first, u)
 
 
-def reference_run(spec):
-    """run() as first written: temporaries for every norm of every step."""
+class TestExactFlow:
+    @pytest.mark.parametrize("q", [0.3, 0.5])
+    def test_spent_cells_are_exactly_zero(self, q):
+        # |u|^p <= p dt a: the ODE reaches 0 within the step and stays there
+        g = RadialGrid.uniform(500)
+        dt, p = 1.0, 1.0 - q
+        st = Stepper(g, ConstantPotential(1.0), q, dt)
+        u = np.random.RandomState(8).uniform(-1.0, 1.0, g.n)
+        u[:3] = [(p * dt) ** (1 / p), -(p * dt) ** (1 / p), 1e-300]
+        out = st.absorb(u)
+        spent = np.abs(u) ** p <= p * dt * st.a
+        assert spent.sum() > 10 and (~spent).sum() > 10
+        assert np.all(out[spent] == 0.0)
+        assert np.all(out[~spent] != 0.0)
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+    def test_cells_without_absorption_keep_u(self, q):
+        g = RadialGrid.uniform(997, dimension=2)
+        st = Stepper(g, PatchyPotential(), q, 0.25)
+        inert = st.a == 0
+        assert 100 < inert.sum() < g.n - 100
+        for u in mixed_states(g.n, 5):
+            out = st.absorb(u)
+            assert same_bits(out[inert], u[inert])
+            moved = ~inert & (u != 0)   # every nonzero absorbing cell moves
+            assert not np.any(out[moved] == u[moved])
+
+    def test_sign_kept(self):
+        g = RadialGrid.uniform(997, dimension=2)
+        st = Stepper(g, PotentialField(1.0, OmegaProfile.log_power(2.0)), 0.3, 1e-3)
+        for u in mixed_states(g.n, 6):
+            out = st.absorb(u)
+            num = ~np.isnan(u)
+            assert np.array_equal(np.signbit(out[num]), np.signbit(u[num]))
+            assert np.array_equal(np.isnan(out), np.isnan(u))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+    def test_mixed_states_raise_no_warning(self, q):
+        g = RadialGrid.uniform(997, dimension=2)
+        for potential in (PotentialField(1.0, OmegaProfile.log_power(2.0)),
+                          PatchyPotential(), ConstantPotential(0.0)):
+            st = Stepper(g, potential, q, 7.5)
+            for u in mixed_states(g.n, 7):
+                st.step(u)
+                st.absorb(u)
+
+    def test_step_allocates_less_than_a_state(self):
+        g = RadialGrid.uniform(2000)
+        st = Stepper(g, PotentialField(1.0, OmegaProfile.log_power(2.0)), 0.5, 1e-3)
+        u = np.ones(g.n)
+        row = np.empty(g.n)
+        st.step(u, out=row)  # first call outside the trace
+        tracemalloc.start()
+        try:
+            for _ in range(100):
+                st.step(row, out=row)
+            total = tracemalloc.get_traced_memory()[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < u.nbytes and total < u.nbytes
+
+
+def reference_run(spec, keep=()):
+    """run() as first written: temporaries for every norm of every step.
+
+    Returns the five per-step columns and the states of the steps in
+    ``keep``, by step number."""
     grid = spec.build_grid()
     st = Stepper(grid, spec.potential, spec.q, spec.dt)
     u = spec.initial_state(grid)
     threshold = spec.extinction_rtol * max(float(np.max(np.abs(u))), 1e-300)
     rows = [(0.0, grid.integrate(u**2), float(np.max(np.abs(u))),
              float(np.min(u)), grid.integrate(u))]
+    states = {0: u.copy()} if 0 in keep else {}
     for k in range(1, int(math.ceil(spec.horizon / spec.dt)) + 1):
         u = reference_absorb(st, st.diffuse(u), spec.dt)
         sup = float(np.max(np.abs(u)))
         rows.append((k * spec.dt, grid.integrate(u**2), sup,
                      float(np.min(u)), grid.integrate(u)))
+        if k in keep:
+            states[k] = u
         if sup < threshold:
             break
-    return [np.array(col) for col in zip(*rows)]
+    return [np.array(col) for col in zip(*rows)], states
 
 
 def assert_run_matches_reference(traj, spec):
-    ref = reference_run(spec)
+    steps = [round(t / spec.dt) for t in traj.snapshot_times]
+    ref, states = reference_run(spec, keep=set(steps))
     got = [traj.times, traj.l2sq, traj.linf, traj.umin, traj.mass]
     for name, x, y in zip(["times", "l2sq", "linf", "umin", "mass"], got, ref):
         assert same_bits(x, y), name
+    assert sorted(states) == sorted(set(steps))
+    for k, row in zip(steps, traj.snapshots):
+        assert same_bits(row, states[k]), k
+
+
+def block_of(monkeypatch, rows, cells):
+    """Make run() keep its books on blocks of ``rows`` states."""
+    monkeypatch.setattr(solver, "BLOCK_BYTES", rows * 8 * cells)
 
 
 class TestRunBitwise:
@@ -360,6 +434,74 @@ class TestRunBitwise:
         assert traj.extinction_time == spec.dt
         assert not np.any(np.signbit(traj.linf))
         assert_run_matches_reference(traj, spec)
+
+    # a cosine bump under a potential that vanishes near the origin: the run
+    # goes extinct at a step K that the reference run finds
+    EXTINCT = ProblemSpec(q=0.5, potential=PotentialField(1.0, OmegaProfile.power(1.0)),
+                          u0=0.2, cells=30, dt=1e-2, horizon=20.0, snapshot_every=7)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_extinction_on_a_block_row(self, monkeypatch, where):
+        spec = self.EXTINCT
+        steps = len(reference_run(spec)[0][0]) - 1
+        assert steps < spec.horizon / spec.dt   # extinct before the horizon
+        rows = {"first": steps - 1, "middle": steps + 1, "last": steps}[where]
+        row = (steps - 1) % rows   # the extinction step's row in its block
+        assert row == {"first": 0, "middle": rows - 2, "last": rows - 1}[where]
+        block_of(monkeypatch, rows, spec.cells)
+        traj = run(spec)
+        assert traj.extinction_time == steps * spec.dt
+        assert traj.snapshot_times[-1] == traj.extinction_time
+        assert_run_matches_reference(traj, spec)
+
+    @pytest.mark.parametrize("rows,every", [(6, 5), (4, 7), (1, 3)])
+    def test_steps_not_a_multiple_of_the_block(self, monkeypatch, rows, every):
+        # 61 steps: 10 blocks of 6 and one row, 15 of 4 and one row
+        spec = ProblemSpec(q=0.3, potential=PotentialField(1.0, OmegaProfile.power(1.0)),
+                           u0="random", cells=40, dt=1e-3, horizon=0.061,
+                           snapshot_every=every, seed=11)
+        block_of(monkeypatch, rows, spec.cells)
+        traj = run(spec)
+        assert traj.times.size == 62 and traj.extinction_time is None
+        assert list(np.rint(traj.snapshot_times / spec.dt)) == \
+            [0] + list(range(every, 61, every)) + [61]
+        assert_run_matches_reference(traj, spec)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rows", [1, 4, 64])
+    def test_nan_mid_block_raises_at_first_bad_step(self, monkeypatch, rows):
+        # the poisoned cell is NaN from the first step on; the steps after it
+        # in the block are computed on NaN and discarded without a warning
+        spec = ProblemSpec(q=0.5, potential=NanPotential(), cells=50,
+                           dt=1e-3, horizon=1.0)
+        block_of(monkeypatch, rows, spec.cells)
+        with pytest.raises(NumericsError) as err:
+            run(spec)
+        assert err.value.t == spec.dt
+        assert np.count_nonzero(np.isnan(err.value.state)) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_in_a_later_block_row(self, monkeypatch):
+        # a state that turns NaN at step 11, on row 3 of the third block of 4
+        spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0), u0=1.0,
+                           cells=20, dt=1e-3, horizon=1.0)
+        block_of(monkeypatch, 4, spec.cells)
+        step = Stepper.step
+        calls = []
+
+        def poisoned(self, u, out=None):
+            calls.append(None)
+            out = step(self, u, out)
+            if len(calls) == 11:
+                out[5] = np.nan
+            return out
+
+        monkeypatch.setattr(Stepper, "step", poisoned)
+        with pytest.raises(NumericsError) as err:
+            run(spec)
+        assert err.value.t == 11 * spec.dt
+        assert np.isnan(err.value.state[5])
+        assert len(calls) == 12   # the block's last row was computed, then dropped
 
 
 class NanPotential:
@@ -417,14 +559,20 @@ class TestRun:
         assert rate > 0.0
 
     def test_temporal_convergence_order(self):
-        ref = ode_extinction_time(1.0, 0.5, 1.0)
-        errs = []
-        for dt in (4e-3, 2e-3, 1e-3):
+        # the absorption step is exact, so the error is the implicit Euler
+        # diffusion's: data that diffuses, against a run at dt = 1.25e-4
+        g = RadialGrid.uniform(50)
+        u0 = 1.0 + 0.5 * np.cos(math.pi * g.centers)
+
+        def final(dt):
             spec = ProblemSpec(q=0.5, potential=ConstantPotential(1.0),
-                               u0=1.0, cells=50, dt=dt, horizon=2.5)
+                               u0=u0, cells=50, dt=dt, horizon=1.0)
             traj = run(spec)
-            k = np.searchsorted(traj.times, 1.0)
-            errs.append(abs(traj.linf[k] - exact_ode(traj.times[k])))
+            assert traj.extinction_time is None and traj.snapshot_times[-1] == 1.0
+            return traj.snapshots[-1]
+
+        ref = final(1.25e-4)
+        errs = [np.max(np.abs(final(dt) - ref)) for dt in (4e-3, 2e-3, 1e-3)]
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(rates > 0.8)  # first order in dt
 
