@@ -17,6 +17,7 @@ are rejected so silent typos cannot skew archived runs.
 from __future__ import annotations
 
 import configparser
+import math
 from pathlib import Path
 
 import numpy as np
@@ -168,10 +169,11 @@ def odi_from_config(parser, base_dir=".") -> tuple[OdiConfig, dict]:
 def spectral_from_config(parser, base_dir=".") -> dict:
     out = {**_DEFAULTS["spectral"], **_section(parser, "spectral", _SPECTRAL)}
     out["q"] = problem_from_config(parser, base_dir).q
-    for ok, need in [(0 < out["h_min"] < out["h_max"], "0 < h_min < h_max"),
+    for ok, need in [(0 < out["h_min"] < out["h_max"] < math.inf,
+                      "0 < h_min < h_max < inf"),
                      (out["h_count"] >= 1, "h_count >= 1"),
                      (out["cells"] >= 3, "cells >= 3"),
-                     (out["k"] > 0, "k > 0"),   # NaN fails every check
+                     (0 < out["k"] < math.inf, "0 < k < inf"),   # NaN fails every check
                      (2 <= out["n_min"] <= out["n_max"], "2 <= n_min <= n_max"),
                      (0 <= out["mu_n_max"] <= 60, "0 <= mu_n_max <= 60")]:
         if not ok:

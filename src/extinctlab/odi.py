@@ -81,8 +81,8 @@ class OdiConfig:
         if self.cbar is None and self.tau_max > 0:   # a bad tau_max fails below
             object.__setattr__(self, "cbar", 1.0 / self.tau_max**2)
         for name in ("c0", "c4", "c7", "gamma", "tau_max", "cbar"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def exponents(self) -> ExponentPack:

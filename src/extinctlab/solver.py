@@ -39,7 +39,6 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .profiles import ConstantPotential, PotentialField
 
@@ -166,8 +165,8 @@ class ProblemSpec:
             raise ValueError("cells must be at least 3")
         if self.dimension not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
-        if not self.radius > 0:   # NaN fails too
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:   # NaN fails too
+            raise ValueError("radius must be positive and finite")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be at least 1")
 
@@ -199,6 +198,9 @@ class Stepper(FluxOperator):
     """
 
     def __init__(self, grid: RadialGrid, potential, q: float, dt: float):
+        # LAPACK loads here, at the first factorization, not with the module
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
         super().__init__(grid)
         self.q = q
         self.a = potential.a(grid.centers)
@@ -207,6 +209,7 @@ class Stepper(FluxOperator):
         if info != 0:
             raise NumericsError(f"diffusion matrix not positive definite (dpttrf info = {info})")
         self._ldl = ldl  # dpttrf factor (d, e) of V + dt K
+        self._dpttrs = dpttrs
         self._dtc = -off  # dt * conduct, the face fluxes per unit jump
         self._p = 1.0 - q
         self._inv_p = 1.0 / self._p
@@ -227,7 +230,7 @@ class Stepper(FluxOperator):
         np.multiply(self._dtc, inner, out=inner)
         # -dt K u: each face flux enters the cell left of it, leaves the right
         rhs = np.subtract(self._flux[1:], self._flux[:-1], out=self._rhs)
-        d, info = dpttrs(*self._ldl, rhs, overwrite_b=1)
+        d, info = self._dpttrs(*self._ldl, rhs, overwrite_b=1)
         if info != 0:
             raise NumericsError(f"diffusion solve failed (dpttrs info = {info})")
         return np.add(u, d, out=out)

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .analysis import SeriesDiagnosis, _diagnose_series
 from .profiles import PotentialField, RhoMap
@@ -60,6 +58,8 @@ def _inverse_iteration(diag, off):
     factored only when sigma changes.  Returns (value, vector, residual,
     iterations) or None on stagnation.
     """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     eps = np.finfo(float).eps
     abs_diag, abs_off = np.abs(diag), np.abs(off)
     x = 1.0 / (1.0 + np.maximum(diag - diag.min(), 0.0))
@@ -154,6 +154,8 @@ def ground_state(potential, log_h: float, cells: int = 2000,
     out = _inverse_iteration(diag, off)
     used_fallback = out is None
     if used_fallback:
+        from scipy.linalg import eigh_tridiagonal
+
         vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
                                       tol=np.finfo(float).tiny)
         rho = float(vals[0])

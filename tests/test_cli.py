@@ -747,12 +747,22 @@ class TestConfigValues:
         ("bound", "odi", "cbar", "0"),
         ("simulate", "problem", "snapshot_every", "0"),
         ("simulate", "problem", "snapshot_every", "-5"),
+        ("simulate", "problem", "radius", "inf"),
+        ("bound", "problem", "radius", "inf"),
+        ("bound", "odi", "gamma", "inf"),
+        ("bound", "odi", "c0", "inf"),
+        ("bound", "odi", "c4", "inf"),
+        ("bound", "odi", "c7", "inf"),
+        ("bound", "odi", "cbar", "inf"),
+        ("spectral", "spectral", "h_max", "inf"),
+        ("spectral", "spectral", "k", "inf"),
     ])
     def test_out_of_range_value_exit_64(self, tmp_path, capsys, command, section,
                                         key, value):
         assert run_with(tmp_path, command, [(section, key, value)]) == 64
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "Traceback" not in err
+        assert key in err
 
     #: (id, settings, a fragment of the message that rejects them) of a
     #: section that each subcommand reading it rejects alike
@@ -1053,3 +1063,28 @@ class TestImports:
                 "OmegaProfile.from_table(s, s ** 0.5)\n"
                 "print('scipy.interpolate' in sys.modules)\n")
         assert self.run_python(code).splitlines() == ["[]", "True"]
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = ("import sys, extinctlab.cli\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        assert self.run_python(code) == "[]"
+
+    def run_commands(self, tmp_path, config: str, commands) -> tuple[list, list]:
+        """The exit code of each of ``commands``, run by ``cli.main`` on
+        ``config`` in one fresh interpreter, and the ``scipy`` modules
+        loaded after them."""
+        args = ["--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "o")]
+        code = ("import json, sys\nfrom extinctlab.cli import main\n"
+                f"codes = [main([c, *{args!r}]) for c in {commands!r}]\n"
+                "scipy = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+                "print(json.dumps([codes, scipy]))\n")
+        return tuple(json.loads(self.run_python(code)))
+
+    def test_dini_and_bound_leave_scipy_unloaded(self, tmp_path):
+        assert self.run_commands(tmp_path, README, ["dini", "bound"]) == ([0, 0], [])
+
+    def test_simulate_loads_linalg(self, tmp_path):
+        # the factorization in Stepper loads LAPACK: the lazy import runs
+        config = README.replace("horizon = 2.5", "horizon = 0.01")
+        codes, modules = self.run_commands(tmp_path, config, ["simulate"])
+        assert codes == [1] and "scipy.linalg" in modules

@@ -20,7 +20,9 @@ test still checks of it is computed in ``tests/oracles.py``.  The scan goes
 by name, so a field is missed when another one of its name is read.
 
 Imports: every name that a module imports is mentioned in that module,
-unless its line says ``# noqa: F401``.
+unless its line says ``# noqa: F401``.  No module imports scipy as it
+loads: scipy is imported inside the function that calls it, so the
+subcommands that call none of it never pay for its import.
 
 Defaults: every parameter with a default is passed, by position or by
 keyword, by some call in ``src/`` of a function or method of its name; a
@@ -180,6 +182,42 @@ def unused_imports() -> list[str]:
 def test_every_import_is_used():
     unused = unused_imports()
     assert not unused, "imported and never mentioned: " + ", ".join(unused)
+
+
+def load_time_scipy_imports(text: str) -> list[int]:
+    """Line of every import of scipy that runs when the module loads: in
+    its body, a class body or a module-level if or try, not a function."""
+    lines = []
+    stack = list(ast.parse(text).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            if not _is_def(node) and not isinstance(node, ast.Lambda):
+                stack.extend(ast.iter_child_nodes(node))
+            continue
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_load_time_scipy_imports_found():
+    text = ("import scipy\nfrom scipy.linalg import eigh\n"
+            "if True:\n    import scipy.linalg as la\n"
+            "class A:\n    from scipy import linalg\n"
+            "    def f(self):\n        from scipy.linalg import lapack\n"
+            "def g():\n    import scipy.interpolate\n"
+            "import numpy, scipy.special\nfrom . import scipy_like\n")
+    assert load_time_scipy_imports(text) == [1, 2, 4, 6, 11]
+
+
+def test_no_module_imports_scipy_as_it_loads():
+    found = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in load_time_scipy_imports(path.read_text())]
+    assert not found, "scipy imported at module load: " + ", ".join(found)
 
 
 #: defaulted parameters that no ``src/`` call passes, each with its reason
