@@ -17,11 +17,12 @@ original problem and restarting yields rounds (tau_i, t_i) whose total
     R = sum_i t_i + sum_i s(tau_i)
 
 is finite exactly when the endpoint integral of omega(s)/s converges.  Every
-radius comes from one bisection in ln(tau), ``profiles.bisect``; the radii
-of all rounds are bisected together, with one array call of omega per
-pass, and each is bit for bit the root a bisection of its level alone
-would give.  The structural constants are not pinned by the theory; they
-are configuration here, and the bound's summary echoes the values used.
+radius comes from one solve in ln(tau), ``profiles.solve_increasing``; the
+radii of the rounds are solved together, a growing chunk of levels at a
+time, with one array call of omega per pass, and each is bit for bit the
+root a solve of its level alone would give.  The structural constants are
+not pinned by the theory; they are configuration here, and the bound's
+summary echoes the values used.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ import numpy as np
 
 from .analysis import dini_integral, log_segment_integrals
 from .energy import ExponentPack
-from .profiles import PotentialField, bisect
+from .profiles import PotentialField, solve_increasing
 
 _TAU_FLOOR = math.exp(-250.0)  # lower end of the radius searches
 _N_KNOTS = 800                 # geometric knots of each curve piece
 _SAMPLES_PER_PIECE = 160       # curve samples per decaying piece
 _ROUND_REL_TOL = 1e-10         # a round adding less than this share ends the rounds
+_FIRST_CHUNK = 32              # radii solved before the first stopping test; doubles
 
 
 class NoPlateauError(ValueError):
@@ -89,10 +91,10 @@ class OdiConfig:
         return ExponentPack(self.q, self.dimension)
 
 
-def _bisect_log_tau(g, targets, lo: float, hi: float) -> list[float]:
+def _solve_log_tau(g, targets, lo: float, hi: float) -> list[float]:
     """Solve g(tau) = t on [lo, hi] for every t of ``targets``, g increasing,
-    by ``profiles.bisect`` in ln(tau), which keeps tiny roots relatively
-    accurate.
+    by ``profiles.solve_increasing`` in ln(tau), which keeps tiny roots
+    relatively accurate.
 
     ``g`` maps a list of radii to an iterable of their values; each radius
     is ``math.exp`` of its midpoint.  The targets must not rise; they are
@@ -110,7 +112,7 @@ def _bisect_log_tau(g, targets, lo: float, hi: float) -> list[float]:
     def g_of_log(xs):
         return np.fromiter(g([math.exp(x) for x in xs.tolist()]), float, xs.size)
 
-    roots = iter(bisect(g_of_log, targets[~beyond], lo, hi).tolist())
+    roots = iter(solve_increasing(g_of_log, targets[~beyond], lo, hi).tolist())
     return [math.inf if b else math.exp(next(roots)) for b in beyond.tolist()]
 
 
@@ -126,8 +128,8 @@ def solve_tau_prime(config: OdiConfig) -> float:
             f"y0 = {config.y0:.3g} >= 3 c0 = {3 * config.c0:.3g}: curve starts "
             "past the plateau")
     target = (math.log(config.y0) - math.log(3.0 * config.c0)) * (1.0 - config.q) / 2.0
-    [tau] = _bisect_log_tau(lambda taus: map(config.potential.log_a, taus), [target],
-                            _TAU_FLOOR, config.tau_max)
+    [tau] = _solve_log_tau(lambda taus: map(config.potential.log_a, taus), [target],
+                           _TAU_FLOOR, config.tau_max)
     if tau == math.inf:
         raise CurveRangeError("root lies beyond the domain radius")
     return tau
@@ -204,8 +206,8 @@ def _log_match_constant(config: OdiConfig, tau: float) -> float:
 
 def solve_tau_double_prime(config: OdiConfig, piece2: CurvePiece,
                            tau_prime: float) -> float:
-    """Radius tau'' where Y2 meets the lower region boundary, by bracketed
-    bisection."""
+    """Radius tau'' where Y2 meets the lower region boundary, solved on the
+    bracket [tau', the piece's zero]."""
     zero = piece2.zero_radius()
     hi = min(zero * (1 - 1e-12) if math.isfinite(zero) else config.tau_max,
              config.tau_max)
@@ -220,7 +222,7 @@ def solve_tau_double_prime(config: OdiConfig, piece2: CurvePiece,
         raise RegionSkippedError("curve already below the matching boundary at tau'")
     if g(hi) < 0:
         raise RegionSkippedError("no sign change before the curve piece dies")
-    [tau_pp] = _bisect_log_tau(lambda taus: map(g, taus), [0.0], tau_prime, hi)
+    [tau_pp] = _solve_log_tau(lambda taus: map(g, taus), [0.0], tau_prime, hi)
     return tau_pp
 
 
@@ -248,7 +250,7 @@ def curve_y1(config: OdiConfig, tau_pp: float, start_value: float) -> CurvePiece
 def solve_extinction_radius(config: OdiConfig, log_levels) -> list[tuple[float, bool]]:
     """Extinction radii from tau^2/omega(tau) = c7 / ln(1/level), one per
     ``log_level`` = ln(level), which survives deep rounds; the radii of all
-    levels are bisected together.
+    levels are solved together.
 
     Returns (tau, clipped) per level: clipped means the required radius
     exceeded the domain and was cut to tau_max (the machinery assumes it
@@ -268,7 +270,7 @@ def solve_extinction_radius(config: OdiConfig, log_levels) -> list[tuple[float, 
         return [2.0 * math.log(tau) - (math.log(w) if w > 0 else -math.inf)
                 for tau, w in zip(taus, ws)]
 
-    taus = _bisect_log_tau(g, map(target, log_levels), _TAU_FLOOR, config.tau_max)
+    taus = _solve_log_tau(g, map(target, log_levels), _TAU_FLOOR, config.tau_max)
     return [(config.tau_max, True) if tau == math.inf else (tau, False) for tau in taus]
 
 
@@ -287,7 +289,7 @@ def curve_y1_and_tau_triple_prime(config: OdiConfig, tau_pp: float,
 
     target = math.log(config.c4) + p2 * math.log(config.y0)
     try:
-        [direct] = _bisect_log_tau(
+        [direct] = _solve_log_tau(
             lambda taus: (_log_match_constant(config, tau) for tau in taus), [target],
             _TAU_FLOOR, config.tau_max * 4.0)
     except ZeroDivisionError as exc:
@@ -387,34 +389,42 @@ def extinction_iteration(config: OdiConfig, max_rounds: int) -> ExtinctionBoundR
     lam = (1.0 + config.gamma) ** -0.5
     log_y0 = math.log(config.y0)
 
-    # the levels are made lazily: past the floor round they would overflow
-    levels = (log_y0 * (1.0 + config.gamma) ** i for i in range(max_rounds))
-    try:
-        radii = solve_extinction_radius(config, levels)
-    except BelowFloorError:
-        radii = []
-    ws = omega.omega(np.array([tau for tau, _ in radii])).tolist()
-
     taus, ts, ss, log_levels = [], [], [], []
     clipped = 0
     stalled = 0
-    for i, ((tau_i, was_clipped), w_i) in enumerate(zip(radii, ws)):
-        log_level = log_y0 * (1.0 + config.gamma) ** i
-        clipped += int(was_clipped)
-        t_i = config.gamma * config.c7 / config.cbar * w_i
-        s_i = tau_i**2 * config.c7 / (-log_level)
-        taus.append(tau_i)
-        ts.append(t_i)
-        ss.append(s_i)
-        log_levels.append(log_level)
-        if i >= 1 and ts[-1] >= ts[-2] * 0.999:
-            stalled += 1
-        else:
-            stalled = 0
-        if (t_i + s_i) < _ROUND_REL_TOL * (sum(ts) + sum(ss)):
-            break
-        if stalled >= 20:
-            break
+    sum_ts = sum_ss = 0.0   # running sum(ts) and sum(ss), added in their order
+    i, chunk, ended = 0, _FIRST_CHUNK, False
+    while not ended and i < max_rounds:
+        # the radii of the next chunk of levels, solved together; the
+        # levels are made lazily: past the floor round they would overflow
+        stop = min(i + chunk, max_rounds)
+        levels = (log_y0 * (1.0 + config.gamma) ** j for j in range(i, stop))
+        try:
+            radii = solve_extinction_radius(config, levels)
+        except BelowFloorError:
+            radii = []
+        ended = len(radii) < stop - i   # the next level's radius is below the floor
+        chunk *= 2
+        ws = omega.omega(np.array([tau for tau, _ in radii])).tolist()
+        for (tau_i, was_clipped), w_i in zip(radii, ws):
+            log_level = log_y0 * (1.0 + config.gamma) ** i
+            clipped += int(was_clipped)
+            t_i = config.gamma * config.c7 / config.cbar * w_i
+            s_i = tau_i**2 * config.c7 / (-log_level)
+            taus.append(tau_i)
+            ts.append(t_i)
+            ss.append(s_i)
+            log_levels.append(log_level)
+            sum_ts += t_i
+            sum_ss += s_i
+            if i >= 1 and ts[-1] >= ts[-2] * 0.999:
+                stalled += 1
+            else:
+                stalled = 0
+            i += 1
+            if (t_i + s_i) < _ROUND_REL_TOL * (sum_ts + sum_ss) or stalled >= 20:
+                ended = True
+                break
 
     taus = np.asarray(taus)
     ts = np.asarray(ts)

@@ -20,7 +20,7 @@ behaviour of ``omega``.  Built-in kinds:
 A profile also carries the space-time ramp s(tau) = tau**4 / omega(tau).
 The module also provides the inverse of the monotone map
 rho(z) = z * r(z)**2, r(z) = a^{-1}(z), attached to an invertible
-potential, and ``bisect``, the one root finder of the package.
+potential, and ``solve_increasing``, the one root finder of the package.
 """
 
 from __future__ import annotations
@@ -408,41 +408,79 @@ class ConstantPotential:
 
 
 # ---------------------------------------------------------------------------
-# bisection and the monotone map rho^{-1}(s)
+# the root finder and the monotone map rho^{-1}(s)
 # ---------------------------------------------------------------------------
 
-def bisect(g, targets, lo, hi) -> np.ndarray:
+def solve_increasing(g, targets, lo, hi) -> np.ndarray:
     """Solve g(x) = t on [lo, hi] for every t of ``targets``, g increasing.
 
-    All targets are bisected in lock-step: ``g`` gets the ndarray of the
-    midpoints still open, once per pass, and returns their values.  A
-    target's bracket closes when its midpoint rounds onto an end, so no
-    tolerance or pass cap is needed, and its root is pinned between
-    adjacent floating-point values of x.  A closed target is never passed
-    to ``g`` again, so its root has the bits of a bisection of it alone.
-    Returns the roots in x, shaped like ``targets``.
+    All targets run in lock-step: ``g`` gets the ndarray of the points of
+    the targets still open, once per pass, and returns their values.  A
+    pass takes the Illinois regula falsi point of a target's bracket, or
+    its midpoint while an end value is unknown (lo and hi themselves are
+    never evaluated) or the secant point is not strictly inside.  A secant
+    point that rounds onto an end (g = t there, or the root within an ulp
+    of it) gives way to a probe off that end instead: one ulp after a
+    secant step, twice the last probe's distance after a probe, as long as
+    the probe stays short of the midpoint.  A bracket closes when its
+    midpoint rounds onto an end, so no tolerance or pass cap is needed,
+    and that midpoint is the root.  The ends keep g < t below and g >= t
+    above, as a bisection's do, so where g is monotone in floating point
+    the final adjacent bracket, and with it the root, is the one a
+    bisection finds.  A target's points depend on its own values only, and
+    a closed target is never passed to ``g`` again.  Returns the roots in
+    x, shaped like ``targets``.
     """
     targets = np.asarray(targets, dtype=float)
-    flat = targets.ravel()
-    los = np.full(flat.size, float(lo))
-    his = np.full(flat.size, float(hi))
-    while (open_ := (los < (mids := 0.5 * (los + his))) & (mids < his)).any():
-        k = np.flatnonzero(open_)
-        up = g(mids[k]) >= flat[k]
-        his[k[up]] = mids[k[up]]
-        los[k[~up]] = mids[k[~up]]
-    return mids.reshape(targets.shape)
+    t = targets.ravel()
+    roots = np.empty(t.size)
+    # the open targets: their indices, brackets [a, b], g - t at a and b
+    # (NaN until known), whether the last pass moved b, and the last
+    # probe's distance (0 after a secant step, NaN after a midpoint)
+    idx = np.arange(t.size)
+    a, b = np.full(t.size, float(lo)), np.full(t.size, float(hi))
+    fa, fb, gap = np.full(t.size, np.nan), np.full(t.size, np.nan), np.full(t.size, np.nan)
+    moved_b = np.zeros(t.size, dtype=bool)
+    while idx.size:
+        mid = 0.5 * (a + b)
+        open_ = (a < mid) & (mid < b)
+        if not open_.all():
+            roots[idx[~open_]] = mid[~open_]
+            idx, t, a, b, fa, fb, gap, moved_b, mid = (
+                v[open_] for v in (idx, t, a, b, fa, fb, gap, moved_b, mid))
+            if not idx.size:
+                break
+        # inf or NaN end values give a NaN point: neither inside nor on an end
+        with np.errstate(all="ignore"):
+            x = a - fa * ((b - a) / (fb - fa))
+        inside = (a < x) & (x < b)
+        on_b = x >= b
+        end, other = np.where(on_b, b, a), np.where(on_b, a, b)
+        step = np.where(gap == 0.0, np.abs(np.nextafter(end, other) - end), 2.0 * gap)
+        probe = (on_b | (x <= a)) & (step < np.abs(mid - end))
+        x = np.where(inside, x, np.where(probe, end + np.copysign(step, other - end), mid))
+        gap = np.where(inside, 0.0, np.where(probe, step, np.nan))
+        gx = g(x)
+        up = gx >= t
+        with np.errstate(all="ignore"):
+            f = gx - t
+        # Illinois: an end kept twice in a row has its value halved
+        fa = np.where(up, np.where(moved_b, 0.5 * fa, fa), f)
+        fb = np.where(up, f, np.where(moved_b, fb, 0.5 * fb))
+        a, b, moved_b = np.where(up, a, x), np.where(up, x, b), up
+    return roots.reshape(targets.shape)
 
 
 @dataclass(frozen=True)
 class RhoMap:
     """The inverse of rho(z) = z r(z)^2, r(z) = a^{-1}(z), on [r_lo, r_hi].
 
-    Every query bisects ln rho = ln a(r) + 2 ln r in x = ln r over
-    [ln r_lo, ln r_hi], where rho runs over [rho_min, rho_max], until x
-    rounds onto an end of its bracket.  An array query is one bisection for
-    all its elements, and each element equals the scalar query of that
-    element bit for bit, so callers batch their queries.
+    Every query solves ln rho = ln a(r) + 2 ln r in x = ln r over
+    [ln r_lo, ln r_hi], where rho runs over [rho_min, rho_max], by
+    ``solve_increasing``, until x rounds onto an end of its bracket.  An
+    array query is one solve for all its elements, and each element equals
+    the scalar query of that element bit for bit, so callers batch their
+    queries.
     """
 
     potential: PotentialField
@@ -457,8 +495,8 @@ class RhoMap:
         arr, scalar = _asfarray(s)
         if np.any(arr < self.rho_min * (1 - 1e-9)) or np.any(arr > self.rho_max * (1 + 1e-9)):
             raise MonotonicityError("s outside the range of rho")
-        x = bisect(lambda x: self.potential.log_a(np.exp(x)) + 2.0 * x, np.log(arr),
-                   math.log(self.r_lo), math.log(self.r_hi))
+        x = solve_increasing(lambda x: self.potential.log_a(np.exp(x)) + 2.0 * x,
+                             np.log(arr), math.log(self.r_lo), math.log(self.r_hi))
         # z = s / r^2 at the root; a(r) there would scale the last bit of
         # ln r by d ln a / d ln r, up to about 750 near rho_min
         out = arr / np.exp(x) ** 2

@@ -7,9 +7,11 @@ Ground states live on the unit ball and the sweeps run in one dimension, on
 without h itself.  The operator is the solver's ``FluxOperator`` symmetrized
 with the square root of the volume weights, on a mesh graded around the knee
 where the scaled potential crosses one.  Shifted inverse iteration factors
-T - sigma I once per shift and accepts an iterate against a rounding floor
-taken from it, eps || |T| |x| ||, so entries clamped at exp(700), where the
-vector vanishes, set no scale; a Sturm-sequence bisection is the fallback.
+the symmetric T - sigma I as L D L^T once per shift, keeps sigma below
+lambda1 (a failed factorization says it is not), and accepts an iterate
+against a rounding floor taken from it, eps || |T| |x| ||, so entries
+clamped at exp(700), where the vector vanishes, set no scale; a
+Sturm-sequence bisection is the fallback.
 """
 
 from __future__ import annotations
@@ -43,11 +45,13 @@ class GroundState:
     grid: RadialGrid
 
 
-def _tridiag_matvec(diag, off, x):
-    y = diag * x
-    y[:-1] += off * x[1:]
-    y[1:] += off * x[:-1]
-    return y
+def _tridiag_matvec(diag, off, x, out, tmp):
+    """T x into ``out`` for the symmetric tridiagonal T = (diag, off);
+    ``tmp`` is scratch one shorter."""
+    np.multiply(diag, x, out=out)
+    out[:-1] += np.multiply(off, x[1:], out=tmp)
+    out[1:] += np.multiply(off, x[:-1], out=tmp)
+    return out
 
 
 def _inverse_iteration(diag, off):
@@ -55,42 +59,56 @@ def _inverse_iteration(diag, off):
 
     Starts unshifted (the matrix is positive semidefinite), then re-shifts
     at the running Rayleigh quotient every fourth pass; T - sigma I is
-    factored only when sigma changes.  Returns (value, vector, residual,
-    iterations) or None on stagnation.
+    factored as L D L^T (``dpttrf``) only when sigma changes.  A failed
+    factorization certifies sigma >= lambda1; it and a singular solve back
+    sigma off by a step that doubles while they fail, and no later Rayleigh
+    shift at or above a failed one is taken.  Returns (value, vector,
+    residual, iterations) or None on stagnation.
     """
-    from scipy.linalg.lapack import dgttrf, dgttrs
+    from scipy.linalg.lapack import dpttrf, dpttrs
 
     eps = np.finfo(float).eps
     abs_diag, abs_off = np.abs(diag), np.abs(off)
+    Tx, absTx, tmp = np.empty(diag.size), np.empty(diag.size), np.empty(off.size)
     x = 1.0 / (1.0 + np.maximum(diag - diag.min(), 0.0))
     x /= np.linalg.norm(x)
-    mag = np.linalg.norm(_tridiag_matvec(abs_diag, abs_off, x))  # || |T| |x| ||
-    sigma, lu = 0.0, None
+    mag = np.linalg.norm(_tridiag_matvec(abs_diag, abs_off, x, absTx, tmp))  # || |T| |x| ||
+    sigma, ldl, back = 0.0, None, 0.0
+    ceiling = math.inf   # the lowest shift that failed: lambda1 lies below it
     rho_old = math.inf
     best = None
     for k in range(1, _MAX_ITERS + 1):
-        if lu is None:
-            *lu, _ = dgttrf(off, diag - sigma, off)
-        y = dgttrs(*lu, x)[0]
-        norm = np.linalg.norm(y)
+        if ldl is None:
+            *ldl, info = dpttrf(diag - sigma, off, overwrite_d=1)
+            ldl = ldl if info == 0 else None
+        norm = math.nan
+        if ldl is not None:
+            y = dpttrs(*ldl, x)[0]
+            norm = np.linalg.norm(y)
         if not np.isfinite(norm) or norm == 0.0:
-            sigma -= max(1e-12 * mag, 1e-300)  # back off a singular shift
-            lu = None
+            # sigma >= lambda1, or on it: back off, further on each failure
+            ceiling = min(ceiling, sigma)
+            back = max(2.0 * back, 1e-12 * mag, 1e-300)
+            sigma -= back
+            ldl = None
             continue
+        back = 0.0
         x = y / norm
-        Tx = _tridiag_matvec(diag, off, x)
+        _tridiag_matvec(diag, off, x, Tx, tmp)
         rho = float(x @ Tx)
         resid = float(np.linalg.norm(Tx - rho * x))
         # eps * mag is the rounding floor of T x at this iterate
-        mag = float(np.linalg.norm(_tridiag_matvec(abs_diag, abs_off, np.abs(x))))
+        mag = float(np.linalg.norm(_tridiag_matvec(abs_diag, abs_off, np.abs(x), absTx, tmp)))
         if best is None or resid < best[2]:
             best = (rho, x.copy(), resid, k, mag)
         if resid <= max(1e-12 * max(1.0, abs(rho)), 15.0 * eps * mag):
             return rho, x, resid, k
         if k % 4 == 0:
-            # Rayleigh shift, nudged below to keep converging from beneath
-            sigma = rho - max(10.0 * resid, 1e-9 * max(1.0, abs(rho)))
-            lu = None
+            # Rayleigh shift, nudged below to keep converging from beneath;
+            # an iterate whose shift would fail is still far from lambda1
+            shift = rho - max(10.0 * resid, 1e-9 * max(1.0, abs(rho)))
+            if shift < ceiling:
+                sigma, ldl = shift, None
         if abs(rho - rho_old) < 1e-15 * max(1.0, abs(rho)) and k > 12:
             break
         rho_old = rho
@@ -160,7 +178,8 @@ def ground_state(potential, log_h: float, cells: int = 2000,
                                       tol=np.finfo(float).tiny)
         rho = float(vals[0])
         x = vecs[:, 0]
-        resid = float(np.linalg.norm(_tridiag_matvec(diag, off, x) - rho * x))
+        Tx = _tridiag_matvec(diag, off, x, np.empty_like(x), np.empty_like(off))
+        resid = float(np.linalg.norm(Tx - rho * x))
         iters = 0
         if not np.isfinite(rho):
             raise EigenSolveError("tridiagonal eigensolve returned non-finite value")
@@ -232,7 +251,7 @@ def eigenvalue_sandwich_scan(potential, h_values, rho_map: RhoMap,
     s = h_values**2
     in_range = (rho_map.rho_min <= s) & (s <= rho_map.rho_max)
     rinv = np.full_like(h_values, np.nan)
-    rinv[in_range] = rho_map.rho_inv(s[in_range])   # one bisection for all h
+    rinv[in_range] = rho_map.rho_inv(s[in_range])   # one solve for all h
     clipped = int(np.count_nonzero(~in_range))
     with np.errstate(invalid="ignore"):
         ratios = lam * s / rinv

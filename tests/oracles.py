@@ -18,12 +18,12 @@ from extinctlab.analysis import DomainError, dini_integral, log_segment_integral
 from extinctlab.odi import (
     _TAU_FLOOR,
     OdiConfig,
-    _bisect_log_tau,
     _log_match_boundary,
     _log_match_constant,
+    _solve_log_tau,
     solve_extinction_radius,
 )
-from extinctlab.profiles import MonotonicityError, bisect
+from extinctlab.profiles import MonotonicityError, solve_increasing
 from extinctlab.solver import FluxOperator, ProblemSpec, run
 
 CONDITION_NAMES = ("monotone", "origin", "bounded", "slope", "minorant", "knee")
@@ -247,12 +247,12 @@ def bracket_constant(config: OdiConfig, tau_pp: float) -> float:
 def triple_prime_roots(config: OdiConfig) -> tuple[float, float]:
     """Two candidate final radii of the curve: the direct root of the
     sufficient matching condition a^(1-theta2) s'^2 = c4 y0^((1-theta2)(1-q)/2),
-    bisected as ``odi.curve_y1_and_tau_triple_prime`` does, and the root of
+    solved as ``odi.curve_y1_and_tau_triple_prime`` does, and the root of
     the closed logarithmic relation tau^2/omega(tau) = c7/ln(1/y0), which
     absorbs the free constants into c7."""
     p2 = (1.0 - config.exponents.theta2) * (1.0 - config.q) / 2.0
     target = math.log(config.c4) + p2 * math.log(config.y0)
-    [direct] = _bisect_log_tau(
+    [direct] = _solve_log_tau(
         lambda taus: (_log_match_constant(config, tau) for tau in taus), [target],
         _TAU_FLOOR, config.tau_max * 4.0)
     [(ad_hoc, _)] = solve_extinction_radius(config, [math.log(config.y0)])
@@ -418,15 +418,16 @@ def z_range(rho_map) -> tuple[float, float]:
 
 
 def r_of_z(rho_map, z):
-    """r(z) = a^{-1}(z) of a ``RhoMap``, by ``profiles.bisect`` in ln r as
-    its rho^{-1} solves; z outside [z_min, z_max] raises MonotonicityError."""
+    """r(z) = a^{-1}(z) of a ``RhoMap``, by ``profiles.solve_increasing`` in
+    ln r as its rho^{-1} solves; z outside [z_min, z_max] raises
+    MonotonicityError."""
     z_min, z_max = z_range(rho_map)
     arr = np.asarray(z, dtype=float)
     if np.any(arr < z_min * (1 - 1e-9)) or np.any(arr > z_max * (1 + 1e-9)):
         raise MonotonicityError("z outside the tabulated monotone range of a")
-    r = np.exp(bisect(lambda x: rho_map.potential.log_a(np.exp(x)),
-                      np.log(np.clip(arr, z_min, z_max)),
-                      math.log(rho_map.r_lo), math.log(rho_map.r_hi)))
+    r = np.exp(solve_increasing(lambda x: rho_map.potential.log_a(np.exp(x)),
+                                np.log(np.clip(arr, z_min, z_max)),
+                                math.log(rho_map.r_lo), math.log(rho_map.r_hi)))
     return float(r) if np.ndim(z) == 0 else r
 
 

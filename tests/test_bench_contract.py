@@ -51,9 +51,10 @@ def test_traced_verify_counts_ground_states_and_rounds(tracer, tmp_path):
         - m["spectral.ground_state.fallbacks"]
     assert m["odi.rounds"] > 0
     assert m["odi.rounds_capped"] == 1   # the README config hits max_rounds
-    # one lock-step bisection for all rounds; the curve bisects none
-    assert m["odi.solve_extinction_radius.calls"] == 1
-    # one knee probe per sweep and one rho^-1 bisection per scan (582 calls;
+    # the 200 rounds' radii are solved in lock-step chunks of 32, 64 and
+    # 104 levels; the curve solves none
+    assert m["odi.solve_extinction_radius.calls"] == 3
+    # one knee probe per sweep and one rho^-1 solve per scan (582 calls;
     # a probe per ground state and a bisection per scan point made 1083)
     assert m["profiles.omega.calls"] < 1000
     assert m["solver.run.steps"] == 0

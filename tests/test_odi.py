@@ -363,7 +363,7 @@ class TestExtinctionIteration:
             solve_extinction_radius(beta2_config, [-1e300])
         # a root beyond the domain is inf, and the level's radius is clipped
         logs = lambda taus: map(math.log, taus)
-        assert odi._bisect_log_tau(logs, [1.0], odi._TAU_FLOOR, 1.0) == [math.inf]
+        assert odi._solve_log_tau(logs, [1.0], odi._TAU_FLOOR, 1.0) == [math.inf]
         assert solve_extinction_radius(beta2_config, [-1e-3]) == [(1.0, True)]
         cfg = OdiConfig(potential=beta2_config.potential, y0=1e-4, q=0.5, tau_max=1e-3)
         with pytest.raises(CurveRangeError) as exc:
@@ -515,6 +515,31 @@ class TestLockStepRounds:
             deep = extinction_iteration(beta2_config, max_rounds=5000)
         self.assert_equal(deep, _rounds(extinction_iteration(beta2_config, max_rounds=800)))
         assert deep.verdict == "convergent"
+
+
+class TestChunkedRounds:
+    """The rounds' radii are solved a chunk of levels at a time, 32 and then
+    twice as many as before, and the stopping rules run between chunks."""
+
+    @pytest.mark.parametrize("prof, max_rounds, rounds, chunks", [
+        (OmegaProfile.constant(omega0=1.0), 200, 21, [32]),         # stalls
+        (OmegaProfile.power(1.0), 1000, 34, [32, 64]),              # negligible round
+        (OmegaProfile.log_power(2.0), 200, 200, [32, 64, 104]),     # the cap
+        (OmegaProfile.log_power(2.0), 800, 705, [32, 64, 128, 256, 225]),  # the floor
+    ], ids=["constant", "power-1", "log-power-2-cap", "log-power-2-floor"])
+    def test_radii_solved_per_chunk(self, prof, max_rounds, rounds, chunks, monkeypatch):
+        solved = []
+        real = odi.solve_extinction_radius
+
+        def recording(config, levels):
+            radii = real(config, levels)
+            solved.append(len(radii))
+            return radii
+
+        monkeypatch.setattr(odi, "solve_extinction_radius", recording)
+        cfg = OdiConfig(potential=PotentialField(1.0, prof), y0=1e-4, q=0.5)
+        assert extinction_iteration(cfg, max_rounds=max_rounds).rounds == rounds
+        assert solved == chunks
 
 
 class TestComparisonProperty:

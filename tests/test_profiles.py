@@ -13,6 +13,7 @@ from extinctlab.profiles import (
     ProfileError,
     build_rho_map,
     check_conditions,
+    solve_increasing,
 )
 from oracles import (
     all_passed,
@@ -324,6 +325,97 @@ class TestRhoMapBisection:
             query(arg)
             # r_of_z evaluates ln a once more, for its range
             assert len(calls) - 1 <= 128
+
+
+def lock_step_bisection(g, targets, lo, hi) -> np.ndarray:
+    """The reference root finder: every target bisected in lock-step until
+    its midpoint rounds onto an end of its bracket."""
+    targets = np.asarray(targets, dtype=float)
+    flat = targets.ravel()
+    los, his = np.full(flat.size, float(lo)), np.full(flat.size, float(hi))
+    while (open_ := (los < (mids := 0.5 * (los + his))) & (mids < his)).any():
+        k = np.flatnonzero(open_)
+        up = g(mids[k]) >= flat[k]
+        his[k[up]] = mids[k[up]]
+        los[k[~up]] = mids[k[~up]]
+    return mids.reshape(targets.shape)
+
+
+def _rounds_g(xs):
+    """The rounds' map ln(tau^2/omega(tau)) in x = ln tau, log-power beta = 2."""
+    w = OmegaProfile.log_power(2.0).omega(np.exp(xs))
+    return 2.0 * xs - np.log(w)
+
+
+def _readme_rho_g(xs):
+    """ln rho = ln a(r) + 2 ln r in x = ln r on the README potential."""
+    return PotentialField(1.0, OmegaProfile.log_power(2.0)).log_a(np.exp(xs)) + 2.0 * xs
+
+
+# maps that are monotone in floating point, with their brackets and targets
+_MONOTONE_MAPS = [
+    pytest.param(lambda x: x**3 + x, (-10.0, 10.0), np.linspace(-900.0, 900.0, 97),
+                 id="cubic"),
+    pytest.param(np.exp, (-700.0, 700.0), np.geomspace(1e-300, 1e300, 61), id="exp"),
+    pytest.param(_readme_rho_g, (math.log(1e-8), 0.0), np.log(np.geomspace(1e-12, 1e-6, 40)),
+                 id="readme-rho"),
+    pytest.param(_rounds_g, (-250.0, 0.0),
+                 [math.log(4.0 / (-math.log(1e-4) * 2.0**i)) for i in range(200)], id="rounds"),
+]
+
+
+class TestSolveIncreasing:
+    """The one root finder, against a plain lock-step bisection."""
+
+    @pytest.mark.parametrize("g, bracket, targets", _MONOTONE_MAPS)
+    def test_bits_of_a_bisection(self, g, bracket, targets):
+        got = solve_increasing(g, targets, *bracket)
+        assert np.array_equal(got, lock_step_bisection(g, targets, *bracket))
+
+    @pytest.mark.parametrize("g, bracket, targets", _MONOTONE_MAPS)
+    def test_final_bracket_is_adjacent(self, g, bracket, targets):
+        # the root is an end of an adjacent pair with g < t below, g >= t above
+        roots = solve_increasing(g, targets, *bracket)
+        lo, hi = bracket
+        below = np.where(g(roots) >= targets, np.nextafter(roots, -np.inf), roots)
+        above = np.nextafter(below, np.inf)
+        assert np.all(np.nextafter(below, np.inf) == above)
+        assert np.all((below == lo) | (g(below) < targets))
+        assert np.all((above == hi) | (g(above) >= targets))
+
+    @pytest.mark.parametrize("g, bracket, targets", _MONOTONE_MAPS)
+    def test_each_target_equals_its_lone_solve(self, g, bracket, targets):
+        together = solve_increasing(g, targets, *bracket)
+        alone = [float(solve_increasing(g, [t], *bracket)[0]) for t in targets]
+        assert together.tolist() == alone
+
+    def test_shape_and_no_targets(self):
+        assert solve_increasing(np.exp, np.ones((2, 3)), -1.0, 1.0).shape == (2, 3)
+        calls = []
+        out = solve_increasing(lambda x: calls.append(x) or x, [], 0.0, 1.0)
+        assert out.size == 0 and not calls
+
+    @pytest.mark.parametrize("t", [-3.0, 0.5, 2.5, 9.0])
+    def test_infinite_and_nan_values_raise_no_warning(self, t):
+        # -inf below -1, +inf above 1 and NaN above 2 (NaN counts as below t)
+        def g(x):
+            return np.where(x > 2.0, np.nan, np.where(x < -1.0, -np.inf,
+                                                      np.where(x > 1.0, np.inf, x)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve_increasing(g, [t], -5.0, 5.0)
+        assert np.array_equal(got, lock_step_bisection(g, [t], -5.0, 5.0))
+
+    def test_closed_targets_are_never_passed_again(self):
+        seen = []
+
+        def g(x):
+            seen.append(x.size)
+            return x**3 + x
+
+        solve_increasing(g, [0.0, 1e-300, 2.0, 500.0], -10.0, 10.0)
+        assert seen == sorted(seen, reverse=True) and seen[0] == 4
 
 
 class TestSRamp:

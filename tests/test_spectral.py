@@ -119,6 +119,68 @@ class TestGroundState:
         assert abs(gs.value - ref) <= 1e-8 * ref
 
 
+class TestPositiveDefiniteSolves:
+    """Inverse iteration factors the symmetric T - sigma I as L D L^T; a
+    failed factorization certifies sigma >= lambda1 and backs sigma off."""
+
+    @staticmethod
+    def count_factorizations(monkeypatch):
+        import scipy.linalg.lapack as lapack
+        real, infos = lapack.dpttrf, []
+
+        def counting(*args, **kwargs):
+            *ldl, info = real(*args, **kwargs)
+            infos.append(info)
+            return (*ldl, info)
+
+        monkeypatch.setattr(lapack, "dpttrf", counting)
+        return infos
+
+    def test_no_general_tridiagonal_factorization(self, monkeypatch, tmp_path):
+        import scipy.linalg.lapack as lapack
+        from family import run_cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("general tridiagonal LU called")
+
+        monkeypatch.setattr(lapack, "dgttrf", refuse)
+        monkeypatch.setattr(lapack, "dgttrs", refuse)
+        run = run_cli(tmp_path, {"spectral": {"cells": "800", "n_max": "12",
+                                              "mu_n_max": "8"}}, ("spectral",))
+        assert run.codes == {"spectral": 0}
+
+    def test_shift_above_lambda1_backs_off_boundedly(self, beta2_potential, monkeypatch):
+        # T - 2 lambda1 I has the eigenvalue -lambda1, so the unshifted start
+        # already fails; a step doubling from 1e-12 || |T| |x| || passes
+        # below -lambda1 in about 40 tries
+        from extinctlab.spectral import _inverse_iteration
+        grid = RadialGrid.uniform(400)
+        V = np.exp(np.minimum(beta2_potential.log_a(grid.centers) - 2 * math.log(1e-2), 700.0))
+        diag, off = FluxOperator(grid).symmetric(V)
+        ref = float(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0])
+        infos = self.count_factorizations(monkeypatch)
+        value, _, _, _ = _inverse_iteration(diag - 2.0 * ref, off)
+        assert value == pytest.approx(-ref, rel=1e-10)
+        assert infos[0] > 0 and len(infos) <= 50
+
+    def test_rise_fall_potential_gets_its_smallest_eigenvalue(self, rise_fall_potential,
+                                                              monkeypatch):
+        # the start vector sits in the well at the origin, whose state is
+        # the second eigenvalue (106.41); the Rayleigh shift after four
+        # passes lies above lambda1 (72.003), and the factorization says so
+        from scipy.linalg import eigh_tridiagonal
+        infos = self.count_factorizations(monkeypatch)
+        gs = ground_state(rise_fall_potential, math.log(1e-3), cells=3000)
+        V = np.exp(np.minimum(rise_fall_potential.log_a(gs.grid.centers) + 2 * math.log(1e3),
+                              700.0))
+        diag, off = FluxOperator(gs.grid).symmetric(V)
+        ref = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                               select_range=(0, 0), tol=1e-300)[0]
+        assert gs.value == pytest.approx(ref, rel=1e-10)
+        assert not gs.used_fallback
+        assert 0 < sum(info > 0 for info in infos) and len(infos) <= 32
+
+
 class TestMu:
     def test_constant_closed_form(self):
         # a = c: mu(alpha) = c * alpha^(q-1)
