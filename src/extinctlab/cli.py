@@ -15,8 +15,8 @@ back nothing it wrote.
 
 All emissions are plain CSV (comma separator, dot decimal, header row) plus
 one versioned JSON summary per subcommand; identical config and seed give
-byte-identical output.  An output directory is owned by a single invocation
-through a lock file.
+byte-identical output on any number of cores.  An output directory is owned
+by a single invocation through a lock file.
 """
 
 from __future__ import annotations
@@ -30,7 +30,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# a BLAS dot product of 10 000 elements or more rounds by its thread count:
+# one thread, set before numpy loads, keeps outputs the same on every machine
+os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+import numpy as np  # noqa: E402  (after the thread caps)
 
 from . import __version__, spectral
 from .analysis import equivalence_check, mu_log_terms, spectral_log_sum
@@ -49,7 +53,7 @@ from .energy import (
     probe_outer_energy_relation,
     verify_global_estimate,
 )
-from .odi import CurveRangeError, NoPlateauError, build_curve, extinction_iteration
+from .odi import CurveRangeError, build_curve, extinction_iteration
 from .profiles import MonotonicityError, check_conditions
 from .solver import NumericsError, run
 from .spectral import (
@@ -308,7 +312,7 @@ def cmd_bound(parser, out: OutputDir, args) -> Outcome:
             "beyond_domain": curve.tau_triple_prime > cfg.tau_max,
             "tau_triple_prime_bumped": curve.tau_triple_prime_bumped,
         }
-    except (NoPlateauError, CurveRangeError, MonotonicityError) as exc:
+    except (CurveRangeError, MonotonicityError) as exc:
         curve_info = {"error": str(exc)}
 
     out.write_csv("rounds.csv", ["i", "tau_i", "t_i", "s_i", "log_level"],

@@ -17,12 +17,14 @@ original problem and restarting yields rounds (tau_i, t_i) whose total
     R = sum_i t_i + sum_i s(tau_i)
 
 is finite exactly when the endpoint integral of omega(s)/s converges.  Every
-radius comes from one solve in ln(tau), ``profiles.solve_increasing``; the
-radii of the rounds are solved together, a growing chunk of levels at a
-time, with one array call of omega per pass, and each is bit for bit the
-root a solve of its level alone would give.  The structural constants are
-not pinned by the theory; they are configuration here, and the bound's
-summary echoes the values used.
+radius comes from one solve in ln(tau), ``profiles.solve_increasing``: its
+map takes and returns ndarrays, its radii end before the first root below
+the search floor, and a root beyond the domain is inf.  The radii of the
+rounds are solved together, a growing chunk of levels at a time, with one
+array call of omega per pass, and each is bit for bit the root a solve of
+its level alone would give.  A curve that cannot be built raises
+CurveRangeError.  The structural constants are not pinned by the theory;
+they are configuration here, and the bound's summary echoes the values used.
 """
 
 from __future__ import annotations
@@ -44,20 +46,9 @@ _ROUND_REL_TOL = 1e-10         # a round adding less than this share ends the ro
 _FIRST_CHUNK = 32              # radii solved before the first stopping test; doubles
 
 
-class NoPlateauError(ValueError):
-    """y0 >= 3 c0: the curve starts past its plateau."""
-
-
-class RegionSkippedError(RuntimeError):
-    """The middle curve piece never meets its matching boundary."""
-
-
 class CurveRangeError(RuntimeError):
-    """A root search left the domain of the potential."""
-
-
-class BelowFloorError(CurveRangeError):
-    """A root lies below the smallest radius the search covers."""
+    """The dominating curve cannot be built: it starts past its plateau, or
+    a root search left the domain of the potential."""
 
 
 @dataclass(frozen=True)
@@ -91,29 +82,29 @@ class OdiConfig:
         return ExponentPack(self.q, self.dimension)
 
 
-def _solve_log_tau(g, targets, lo: float, hi: float) -> list[float]:
+def _solve_log_tau(g, targets, lo: float, hi: float) -> np.ndarray:
     """Solve g(tau) = t on [lo, hi] for every t of ``targets``, g increasing,
     by ``profiles.solve_increasing`` in ln(tau), which keeps tiny roots
     relatively accurate.
 
-    ``g`` maps a list of radii to an iterable of their values; each radius
-    is ``math.exp`` of its midpoint.  The targets must not rise; they are
-    read up to the first whose root lies below lo, and BelowFloorError is
-    raised if that is the first.  A root beyond hi comes back as inf.
+    ``g`` maps an ndarray of radii, each ``math.exp`` of its point, to the
+    ndarray of their values.  The targets must not rise; they are read up
+    to the first whose root lies below lo, which ends the returned ndarray
+    of radii, so it may be empty.  A root beyond hi comes back as inf.
     """
     lo, hi = math.log(lo), math.log(hi)
-    [g_lo] = g([math.exp(lo)])
-    targets = np.array(list(itertools.takewhile(lambda t: not g_lo > t, targets)))
-    if not targets.size:
-        raise BelowFloorError("root lies below the tau search range")
-    [g_hi] = g([math.exp(hi)])
-    beyond = g_hi < targets
 
     def g_of_log(xs):
-        return np.fromiter(g([math.exp(x) for x in xs.tolist()]), float, xs.size)
+        return g(np.array([math.exp(x) for x in xs.tolist()]))
 
+    [g_lo] = g_of_log(np.array([lo]))
+    targets = np.array(list(itertools.takewhile(lambda t: not g_lo > t, targets)))
+    if not targets.size:
+        return targets
+    [g_hi] = g_of_log(np.array([hi]))
+    beyond = g_hi < targets
     roots = iter(solve_increasing(g_of_log, targets[~beyond], lo, hi).tolist())
-    return [math.inf if b else math.exp(next(roots)) for b in beyond.tolist()]
+    return np.array([math.inf if b else math.exp(next(roots)) for b in beyond.tolist()])
 
 
 def solve_tau_prime(config: OdiConfig) -> float:
@@ -124,15 +115,16 @@ def solve_tau_prime(config: OdiConfig) -> float:
     amplitudes are handled too.
     """
     if config.y0 >= 3.0 * config.c0:
-        raise NoPlateauError(
+        raise CurveRangeError(
             f"y0 = {config.y0:.3g} >= 3 c0 = {3 * config.c0:.3g}: curve starts "
             "past the plateau")
     target = (math.log(config.y0) - math.log(3.0 * config.c0)) * (1.0 - config.q) / 2.0
-    [tau] = _solve_log_tau(lambda taus: map(config.potential.log_a, taus), [target],
-                           _TAU_FLOOR, config.tau_max)
-    if tau == math.inf:
+    taus = _solve_log_tau(config.potential.log_a, [target], _TAU_FLOOR, config.tau_max).tolist()
+    if not taus:
+        raise CurveRangeError("root lies below the tau search range")
+    if taus[0] == math.inf:
         raise CurveRangeError("root lies beyond the domain radius")
-    return tau
+    return taus[0]
 
 
 @dataclass(frozen=True)
@@ -198,32 +190,27 @@ def _log_match_boundary(config: OdiConfig, tau):
             + 2.0 / ((1.0 - q) * (ep.theta1 - ep.theta2)) * log_sp)
 
 
-def _log_match_constant(config: OdiConfig, tau: float) -> float:
+def _log_match_constant(config: OdiConfig, tau):
     """ln of a^(1-theta2) s'^2, the matching constant before its y0 scaling."""
     log_sp = config.potential.omega.log_ramp_slope(tau)
     return (1.0 - config.exponents.theta2) * config.potential.log_a(tau) + 2.0 * log_sp
 
 
 def solve_tau_double_prime(config: OdiConfig, piece2: CurvePiece,
-                           tau_prime: float) -> float:
+                           tau_prime: float) -> float | None:
     """Radius tau'' where Y2 meets the lower region boundary, solved on the
-    bracket [tau', the piece's zero]."""
+    bracket [tau', the piece's zero]; None when region 2 is skipped: Y2
+    starts below the boundary, or stays above it on the whole bracket."""
     zero = piece2.zero_radius()
     hi = min(zero * (1 - 1e-12) if math.isfinite(zero) else config.tau_max,
              config.tau_max)
 
-    def g(tau):  # ln(boundary / Y2), increasing in tau
-        y2 = piece2(tau)
-        if y2 <= 0:
-            return math.inf
-        return float(_log_match_boundary(config, tau)) - math.log(y2)
+    def g(taus):  # ln(boundary / Y2), increasing in tau; inf where Y2 is 0
+        return np.array([_log_match_boundary(config, tau) - math.log(y) if y > 0 else math.inf
+                         for tau, y in zip(taus.tolist(), piece2(taus).tolist())])
 
-    if g(tau_prime) >= 0:
-        raise RegionSkippedError("curve already below the matching boundary at tau'")
-    if g(hi) < 0:
-        raise RegionSkippedError("no sign change before the curve piece dies")
-    [tau_pp] = _solve_log_tau(lambda taus: map(g, taus), [0.0], tau_prime, hi)
-    return tau_pp
+    taus = _solve_log_tau(g, [0.0], tau_prime, hi).tolist()
+    return taus[0] if taus and taus[0] < math.inf else None
 
 
 def curve_y1(config: OdiConfig, tau_pp: float, start_value: float) -> CurvePiece:
@@ -247,17 +234,16 @@ def curve_y1(config: OdiConfig, tau_pp: float, start_value: float) -> CurvePiece
             return piece
 
 
-def solve_extinction_radius(config: OdiConfig, log_levels) -> list[tuple[float, bool]]:
+def solve_extinction_radius(config: OdiConfig, log_levels) -> tuple[np.ndarray, np.ndarray]:
     """Extinction radii from tau^2/omega(tau) = c7 / ln(1/level), one per
     ``log_level`` = ln(level), which survives deep rounds; the radii of all
     levels are solved together.
 
-    Returns (tau, clipped) per level: clipped means the required radius
+    Returns the ndarrays (radii, clipped): clipped means the required radius
     exceeded the domain and was cut to tau_max (the machinery assumes it
     stays inside); the caller reports it.  The levels must not rise: they
     are read up to the first whose radius lies below the search floor
-    _TAU_FLOOR = exp(-250), and if that is the first, BelowFloorError is
-    raised.
+    _TAU_FLOOR = exp(-250), where the radii end, so there may be none.
     """
     def target(log_level):
         if log_level >= 0:
@@ -266,12 +252,13 @@ def solve_extinction_radius(config: OdiConfig, log_levels) -> list[tuple[float, 
 
     def g(taus):
         # omega underflows to 0 for steep profiles
-        ws = config.potential.omega.omega(np.array(taus)).tolist()
-        return [2.0 * math.log(tau) - (math.log(w) if w > 0 else -math.inf)
-                for tau, w in zip(taus, ws)]
+        ws = config.potential.omega.omega(taus).tolist()
+        return np.array([2.0 * math.log(tau) - (math.log(w) if w > 0 else -math.inf)
+                         for tau, w in zip(taus.tolist(), ws)])
 
     taus = _solve_log_tau(g, map(target, log_levels), _TAU_FLOOR, config.tau_max)
-    return [(config.tau_max, True) if tau == math.inf else (tau, False) for tau in taus]
+    clipped = taus == math.inf
+    return np.where(clipped, config.tau_max, taus), clipped
 
 
 def curve_y1_and_tau_triple_prime(config: OdiConfig, tau_pp: float,
@@ -281,7 +268,8 @@ def curve_y1_and_tau_triple_prime(config: OdiConfig, tau_pp: float,
     tau''' is the larger of the final piece's zero and the direct root of
     the sufficient matching condition a^(1-theta2) s'^2 = c4 y0^(...), and
     never below twice tau''; a radius forced up to twice tau'' is bumped.
-    A bracket on which omega vanishes raises CurveRangeError.
+    A direct root below the search floor counts as none, and a bracket on
+    which omega vanishes raises CurveRangeError.
     """
     ep = config.exponents
     p2 = (1.0 - ep.theta2) * (1.0 - config.q) / 2.0
@@ -289,17 +277,14 @@ def curve_y1_and_tau_triple_prime(config: OdiConfig, tau_pp: float,
 
     target = math.log(config.c4) + p2 * math.log(config.y0)
     try:
-        [direct] = _solve_log_tau(
-            lambda taus: (_log_match_constant(config, tau) for tau in taus), [target],
-            _TAU_FLOOR, config.tau_max * 4.0)
+        direct = _solve_log_tau(lambda taus: _log_match_constant(config, taus), [target],
+                                _TAU_FLOOR, config.tau_max * 4.0).tolist()
     except ZeroDivisionError as exc:
         # omega vanishes inside the bracket (log-singular for s >= 1), so
         # the ramp and the matching constant are undefined there
         raise CurveRangeError(f"direct tau''' root: {exc}") from exc
-    except BelowFloorError:
-        direct = math.inf
 
-    candidates = [c for c in (direct, piece1.zero_radius()) if math.isfinite(c)]
+    candidates = [c for c in (*direct, piece1.zero_radius()) if math.isfinite(c)]
     tau_ppp = max(candidates) if candidates else config.tau_max
     bumped = tau_ppp <= 2.0 * tau_pp
     if bumped:
@@ -323,13 +308,12 @@ def build_curve(config: OdiConfig) -> OdiCurve:
     """Assemble the full dominating curve with its region labels."""
     tau_p = solve_tau_prime(config)
     piece2 = curve_y2(config, tau_p)
-    skipped = False
-    try:
-        tau_pp = solve_tau_double_prime(config, piece2, tau_p)
-        y_pp = float(piece2(tau_pp))
-    except RegionSkippedError:
-        skipped = True
+    tau_pp = solve_tau_double_prime(config, piece2, tau_p)
+    skipped = tau_pp is None
+    if skipped:
         tau_pp, y_pp = tau_p, config.y0
+    else:
+        y_pp = float(piece2(tau_pp))
     piece1, tau_ppp, bumped = curve_y1_and_tau_triple_prime(config, tau_pp, y_pp)
 
     t_plateau = np.linspace(0.0, tau_p, _SAMPLES_PER_PIECE // 4)
@@ -390,8 +374,7 @@ def extinction_iteration(config: OdiConfig, max_rounds: int) -> ExtinctionBoundR
     log_y0 = math.log(config.y0)
 
     taus, ts, ss, log_levels = [], [], [], []
-    clipped = 0
-    stalled = 0
+    clipped = stalled = 0
     sum_ts = sum_ss = 0.0   # running sum(ts) and sum(ss), added in their order
     i, chunk, ended = 0, _FIRST_CHUNK, False
     while not ended and i < max_rounds:
@@ -399,16 +382,13 @@ def extinction_iteration(config: OdiConfig, max_rounds: int) -> ExtinctionBoundR
         # levels are made lazily: past the floor round they would overflow
         stop = min(i + chunk, max_rounds)
         levels = (log_y0 * (1.0 + config.gamma) ** j for j in range(i, stop))
-        try:
-            radii = solve_extinction_radius(config, levels)
-        except BelowFloorError:
-            radii = []
-        ended = len(radii) < stop - i   # the next level's radius is below the floor
+        radii, was_clipped = solve_extinction_radius(config, levels)
+        ended = radii.size < stop - i   # the next level's radius is below the floor
         chunk *= 2
-        ws = omega.omega(np.array([tau for tau, _ in radii])).tolist()
-        for (tau_i, was_clipped), w_i in zip(radii, ws):
+        ws = omega.omega(radii).tolist()
+        for tau_i, clipped_i, w_i in zip(radii.tolist(), was_clipped.tolist(), ws):
             log_level = log_y0 * (1.0 + config.gamma) ** i
-            clipped += int(was_clipped)
+            clipped += clipped_i
             t_i = config.gamma * config.c7 / config.cbar * w_i
             s_i = tau_i**2 * config.c7 / (-log_level)
             taus.append(tau_i)
@@ -426,9 +406,7 @@ def extinction_iteration(config: OdiConfig, max_rounds: int) -> ExtinctionBoundR
                 ended = True
                 break
 
-    taus = np.asarray(taus)
-    ts = np.asarray(ts)
-    ss = np.asarray(ss)
+    taus, ts, ss = np.asarray(taus), np.asarray(ts), np.asarray(ss)
     sum_t, sum_s = float(ts.sum()), float(ss.sum())
 
     # majorant of the remaining t-rounds through the window-sum comparison:

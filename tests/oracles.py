@@ -252,11 +252,10 @@ def triple_prime_roots(config: OdiConfig) -> tuple[float, float]:
     absorbs the free constants into c7."""
     p2 = (1.0 - config.exponents.theta2) * (1.0 - config.q) / 2.0
     target = math.log(config.c4) + p2 * math.log(config.y0)
-    [direct] = _solve_log_tau(
-        lambda taus: (_log_match_constant(config, tau) for tau in taus), [target],
-        _TAU_FLOOR, config.tau_max * 4.0)
-    [(ad_hoc, _)] = solve_extinction_radius(config, [math.log(config.y0)])
-    return direct, ad_hoc
+    [direct] = _solve_log_tau(lambda taus: _log_match_constant(config, taus), [target],
+                              _TAU_FLOOR, config.tau_max * 4.0).tolist()
+    (ad_hoc,), _ = solve_extinction_radius(config, [math.log(config.y0)])
+    return direct, float(ad_hoc)
 
 
 def join_gaps(Y, labels) -> tuple[float, float]:

@@ -876,6 +876,27 @@ class TestHygiene:
             for name in files1:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # the L2 norms of 12 000 cells are BLAS dot products, which round by
+        # the thread count once threaded; fresh processes, since BLAS reads
+        # its thread count when numpy loads
+        config = (README.replace("cells = 2000", "cells = 12000")
+                  .replace("u0 = 1.0", "u0 = random").replace("horizon = 2.5", "horizon = 0.05"))
+        cfg = write_config(tmp_path, config)
+        src = str(Path(extinctlab.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = {**os.environ, "PYTHONPATH": src,
+                   "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-m", "extinctlab.cli", "simulate",
+                                   "--config", str(cfg), "--out", str(out)], env=env)
+            assert done.returncode == 1   # not extinct by t = 0.05
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outs[0].keys() == outs[1].keys()
+        for name in outs[0]:
+            assert outs[0][name] == outs[1][name], name
+
     @pytest.mark.parametrize("profile", [BETA2, BETA2.replace("beta = 2.0", "beta = 3.0"),
                                          CONSTANT], ids=["beta2", "beta3", "constant"])
     def test_per_call_forms_write_the_same_bytes(self, tmp_path, monkeypatch, profile):

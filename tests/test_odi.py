@@ -9,9 +9,7 @@ import extinctlab.odi as odi
 from extinctlab.analysis import _GL_NODES, _GL_WEIGHTS, dini_integral, log_segment_integrals
 from extinctlab.energy import compute_ledger, ode_inequality_residual
 from extinctlab.odi import (
-    BelowFloorError,
     CurveRangeError,
-    NoPlateauError,
     OdiConfig,
     build_curve,
     curve_y2,
@@ -74,8 +72,14 @@ class TestTauPrime:
 
     def test_no_plateau_error(self, beta2_config):
         pot = beta2_config.potential
-        with pytest.raises(NoPlateauError):
+        with pytest.raises(CurveRangeError, match="curve starts past the plateau"):
             solve_tau_prime(OdiConfig(potential=pot, y0=5.0, q=0.5, c0=1.0))
+
+    def test_root_below_floor_raises(self):
+        # tau^2/omega = tau^0.001 keeps ln a above the target down to exp(-250)
+        pot = PotentialField(1.0, OmegaProfile.power(1.999))
+        with pytest.raises(CurveRangeError, match="^root lies below the tau search range$"):
+            solve_tau_prime(OdiConfig(potential=pot, y0=1e-4, q=0.5))
 
 
 def per_segment_log_integral(logf, knots):
@@ -206,12 +210,75 @@ class TestTauDoublePrime:
         assert curve.region2_skipped
         assert curve.tau_double_prime == curve.tau_prime
 
+    @pytest.mark.parametrize("y0, tau_max, ends", [
+        (1e-2, 1.0, 1),     # below the boundary at tau': the top end is not evaluated
+        (1e-4, 0.625, 2),   # above it up to tau_max, just short of the root near 0.627
+    ], ids=["below-at-tau-prime", "above-up-to-tau-max"])
+    def test_skipped_region_is_none(self, beta2_config, y0, tau_max, ends):
+        cfg = OdiConfig(potential=beta2_config.potential, y0=y0, q=0.5, tau_max=tau_max)
+        tau_p = solve_tau_prime(cfg)
+        piece = RecordingPiece(curve_y2(cfg, tau_p))
+        assert solve_tau_double_prime(cfg, piece, tau_p) is None
+        assert piece.points == pytest.approx([tau_p, tau_max][:ends], rel=1e-15)
+
+    def test_each_bracket_end_evaluated_once(self, beta2_config):
+        tau_p = solve_tau_prime(beta2_config)
+        piece = RecordingPiece(curve_y2(beta2_config, tau_p))
+        tau_pp = solve_tau_double_prime(beta2_config, piece, tau_p)
+        assert tau_p < tau_pp < 1.0
+        assert piece.points[:2] == pytest.approx([tau_p, 1.0], rel=1e-15)
+        assert all(tau_p < tau < 1.0 for tau in piece.points[2:])
+
+
+class RecordingPiece:
+    """A curve piece that records every radius it is evaluated at."""
+
+    def __init__(self, piece):
+        self.piece, self.points = piece, []
+
+    def zero_radius(self):
+        return self.piece.zero_radius()
+
+    def __call__(self, tau):
+        self.points.extend(np.atleast_1d(tau).tolist())
+        return self.piece(tau)
+
+
+class TestSolveLogTau:
+    """odi._solve_log_tau: the map takes and returns ndarrays, and the radii
+    come back as an ndarray, cut at the first root below the floor."""
+
+    def test_first_target_below_floor_is_empty_without_top_end(self):
+        calls = []
+
+        def g(taus):
+            assert isinstance(taus, np.ndarray)
+            calls.append(taus.tolist())
+            return np.log(taus)
+
+        roots = odi._solve_log_tau(g, [-300.0], odi._TAU_FLOOR, 1.0)
+        assert isinstance(roots, np.ndarray) and roots.size == 0
+        assert len(calls) == 1 and calls[0] == pytest.approx([odi._TAU_FLOOR], rel=1e-15)
+
+    def test_target_below_floor_ends_the_radii(self):
+        def targets():
+            yield from (-1.0, -2.0, -300.0)
+            raise AssertionError("targets read past the first root below the floor")
+
+        roots = odi._solve_log_tau(np.log, targets(), odi._TAU_FLOOR, 1.0)
+        assert np.log(roots).tolist() == pytest.approx([-1.0, -2.0], rel=1e-14)
+
+    def test_root_beyond_domain_is_inf(self):
+        roots = odi._solve_log_tau(np.log, [1.0, -1.0], odi._TAU_FLOOR, 1.0)
+        assert roots[0] == math.inf
+        assert math.log(roots[1]) == pytest.approx(-1.0, rel=1e-14)
+
 
 class TestTauTriplePrime:
     def test_linear_omega_ad_hoc_closed_form(self):
         pot = PotentialField(1.0, OmegaProfile.power(1.0))
         cfg = OdiConfig(potential=pot, y0=1e-4, q=0.5, c7=0.8)
-        [(tau_bar, clipped)] = solve_extinction_radius(cfg, [math.log(cfg.y0)])
+        (tau_bar,), (clipped,) = solve_extinction_radius(cfg, [math.log(cfg.y0)])
         assert not clipped
         assert tau_bar == pytest.approx(0.8 / math.log(1e4), rel=1e-10)
 
@@ -219,7 +286,7 @@ class TestTauTriplePrime:
         # tau_bar^2 ln(1/y0) / omega(tau_bar) reproduces c7 across levels
         for y0 in (1e-6, 1e-4, 1e-2):
             cfg = OdiConfig(potential=beta2_config.potential, y0=y0, q=0.5)
-            [(tau_bar, _)] = solve_extinction_radius(cfg, [math.log(y0)])
+            (tau_bar,), _ = solve_extinction_radius(cfg, [math.log(y0)])
             got = tau_bar**2 * math.log(1 / y0) / cfg.potential.omega.omega(tau_bar)
             assert got == pytest.approx(cfg.c7, rel=1e-9)
 
@@ -359,16 +426,16 @@ class TestExtinctionIteration:
         assert rep.total == pytest.approx(extinction_iteration(beta2_config, max_rounds=200).total, rel=0.01)
 
     def test_floor_and_domain_are_told_apart(self, beta2_config):
-        with pytest.raises(BelowFloorError):
-            solve_extinction_radius(beta2_config, [-1e300])
+        # a radius below the floor is absent
+        radii, clipped = solve_extinction_radius(beta2_config, [-1e300])
+        assert radii.size == clipped.size == 0
         # a root beyond the domain is inf, and the level's radius is clipped
-        logs = lambda taus: map(math.log, taus)
-        assert odi._solve_log_tau(logs, [1.0], odi._TAU_FLOOR, 1.0) == [math.inf]
-        assert solve_extinction_radius(beta2_config, [-1e-3]) == [(1.0, True)]
+        assert odi._solve_log_tau(np.log, [1.0], odi._TAU_FLOOR, 1.0).tolist() == [math.inf]
+        radii, clipped = solve_extinction_radius(beta2_config, [-1e-3])
+        assert radii.tolist() == [1.0] and clipped.tolist() == [True]
         cfg = OdiConfig(potential=beta2_config.potential, y0=1e-4, q=0.5, tau_max=1e-3)
-        with pytest.raises(CurveRangeError) as exc:
+        with pytest.raises(CurveRangeError, match="^root lies beyond the domain radius$"):
             solve_tau_prime(cfg)
-        assert not isinstance(exc.value, BelowFloorError)
 
     def test_deep_radius_bisects_to_rounding(self, beta2_config, monkeypatch):
         # omega = ln(1/tau)^-2 puts the root at ln(tau) = -100 for this level
@@ -377,12 +444,23 @@ class TestExtinctionIteration:
         omega = OmegaProfile.omega
         monkeypatch.setattr(OmegaProfile, "omega",
                             lambda self, s: calls.append(s) or omega(self, s))
-        [(tau, clipped)] = solve_extinction_radius(beta2_config, [log_level])
+        (tau,), (clipped,) = solve_extinction_radius(beta2_config, [log_level])
         monkeypatch.undo()
         assert not clipped and math.log(tau) == pytest.approx(-100.0, rel=1e-12)
         assert len(calls) <= 70
         got = tau**2 * -log_level / beta2_config.potential.omega.omega(tau)
         assert got == pytest.approx(beta2_config.c7, rel=1e-12)
+
+    def test_log_power_5_radii_below_the_first_turn_and_s0(self):
+        # G = 2 ln tau - ln omega rises below exp(-beta/2), falls up to 1/e
+        # and rises again, so round 1's level has three roots; the rounds
+        # keep the lowest branch, where the profile's conditions hold
+        prof = OmegaProfile.log_power(5.0)
+        cfg = OdiConfig(potential=PotentialField(1.0, prof), y0=1e-4, q=0.5)
+        rep = extinction_iteration(cfg, max_rounds=200)
+        assert rep.rounds > 0
+        assert np.all(rep.tau_rounds < math.exp(-2.5))
+        assert np.all(rep.tau_rounds < prof.s0)
 
     def test_first_radius_below_floor_is_inconclusive(self):
         # tau^2/omega = tau^0.001 cannot reach the relation above exp(-250)
@@ -532,9 +610,9 @@ class TestChunkedRounds:
         real = odi.solve_extinction_radius
 
         def recording(config, levels):
-            radii = real(config, levels)
-            solved.append(len(radii))
-            return radii
+            radii, clipped = real(config, levels)
+            solved.append(radii.size)
+            return radii, clipped
 
         monkeypatch.setattr(odi, "solve_extinction_radius", recording)
         cfg = OdiConfig(potential=PotentialField(1.0, prof), y0=1e-4, q=0.5)
