@@ -12,9 +12,10 @@ is the face fluxes dt c (u_right - u_left), each added to the cell left of
 its face and taken from the cell right of it, so the volume sum of d
 vanishes up to the rounding of K's zero column sums and mass drifts far
 less than in a solve for x itself.  V + dt K is symmetric positive definite
-and tridiagonal; its LDL^T factor is computed once per run and reused on
-every step.  ``FluxOperator`` owns K and builds this matrix, the
-symmetrized Schrodinger matrix of ``spectral`` and the face energies.
+and tridiagonal; its LDL^T factor (LAPACK's ``dpttrf``, from the wrappers
+that ``lapack`` loads) is computed once per run and reused on every step.
+``FluxOperator`` owns K and builds this matrix, the symmetrized
+Schrodinger matrix of ``spectral`` and the face energies.
 Absorption is the exact flow of u' = -a |u|^(q-1) u over the step: with
 p = 1 - q,
 
@@ -34,7 +35,10 @@ after the first one that stops the run are computed and discarded.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -45,6 +49,22 @@ from .profiles import ConstantPotential, PotentialField
 
 #: bytes of the block of states that ``run`` keeps its books on
 BLOCK_BYTES = 256 * 1024
+
+
+def lapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded
+    from their file without running the ``scipy.linalg`` package (a missing
+    file raises ImportError naming it) and registered under their own name,
+    so a later ``import scipy.linalg`` reuses them."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        path = f"{root}/linalg/_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
 
 
 class NumericsError(RuntimeError):
@@ -198,18 +218,18 @@ class Stepper(FluxOperator):
     """
 
     def __init__(self, grid: RadialGrid, potential, q: float, dt: float):
-        # LAPACK loads here, at the first factorization, not with the module
-        from scipy.linalg.lapack import dpttrf, dpttrs
-
+        # LAPACK's wrappers load here, at the first factorization, not with
+        # the module
+        flapack = lapack()
         super().__init__(grid)
         self.q = q
         self.a = potential.a(grid.centers)
         diag, off = self.implicit(dt)
-        *ldl, info = dpttrf(diag, off)
+        *ldl, info = flapack.dpttrf(diag, off)
         if info != 0:
             raise NumericsError(f"diffusion matrix not positive definite (dpttrf info = {info})")
         self._ldl = ldl  # dpttrf factor (d, e) of V + dt K
-        self._dpttrs = dpttrs
+        self._dpttrs = flapack.dpttrs
         self._dtc = -off  # dt * conduct, the face fluxes per unit jump
         self._p = 1.0 - q
         self._inv_p = 1.0 / self._p

@@ -11,7 +11,8 @@ the symmetric T - sigma I as L D L^T once per shift, keeps sigma below
 lambda1 (a failed factorization says it is not), and accepts an iterate
 against a rounding floor taken from it, eps || |T| |x| ||, so entries
 clamped at exp(700), where the vector vanishes, set no scale; a
-Sturm-sequence bisection is the fallback.
+Sturm-sequence bisection is the fallback.  Both take their LAPACK routines
+from ``solver.lapack``, which loads scipy's compiled wrappers alone.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .analysis import SeriesDiagnosis, _diagnose_series
 from .profiles import PotentialField, RhoMap
 from .profiles import build_rho_map  # noqa: F401  cmd_spectral calls it from here
-from .solver import FluxOperator, RadialGrid
+from .solver import FluxOperator, RadialGrid, lapack
 
 _OVERFLOW_LOG = 700.0  # potential entries clamp at exp(700); the ground state
                        # vanishes there anyway
@@ -65,8 +66,7 @@ def _inverse_iteration(diag, off):
     shift at or above a failed one is taken.  Returns (value, vector,
     residual, iterations) or None on stagnation.
     """
-    from scipy.linalg.lapack import dpttrf, dpttrs
-
+    flapack = lapack()   # LAPACK loads here, at the first ground state
     eps = np.finfo(float).eps
     abs_diag, abs_off = np.abs(diag), np.abs(off)
     Tx, absTx, tmp = np.empty(diag.size), np.empty(diag.size), np.empty(off.size)
@@ -79,11 +79,11 @@ def _inverse_iteration(diag, off):
     best = None
     for k in range(1, _MAX_ITERS + 1):
         if ldl is None:
-            *ldl, info = dpttrf(diag - sigma, off, overwrite_d=1)
+            *ldl, info = flapack.dpttrf(diag - sigma, off, overwrite_d=1)
             ldl = ldl if info == 0 else None
         norm = math.nan
         if ldl is not None:
-            y = dpttrs(*ldl, x)[0]
+            y = flapack.dpttrs(*ldl, x)[0]
             norm = np.linalg.norm(y)
         if not np.isfinite(norm) or norm == 0.0:
             # sigma >= lambda1, or on it: back off, further on each failure
@@ -172,17 +172,20 @@ def ground_state(potential, log_h: float, cells: int = 2000,
     out = _inverse_iteration(diag, off)
     used_fallback = out is None
     if used_fallback:
-        from scipy.linalg import eigh_tridiagonal
-
-        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
-                                      tol=np.finfo(float).tiny)
-        rho = float(vals[0])
+        # the first eigenvalue by bisection to full precision, then its
+        # vector: the calls of eigh_tridiagonal(select="i", tol=tiny)
+        flapack = lapack()
+        m, w, iblock, isplit, info = flapack.dstebz(diag, off, 2, 0.0, 1.0, 1, 1,
+                                                    np.finfo(float).tiny, "B")
+        if info == 0:
+            vecs, info = flapack.dstein(diag, off, w[:m], iblock, isplit)
+        rho = float(w[0])
+        if info != 0 or not np.isfinite(rho):
+            raise EigenSolveError(f"tridiagonal eigensolve failed (info = {info})")
         x = vecs[:, 0]
         Tx = _tridiag_matvec(diag, off, x, np.empty_like(x), np.empty_like(off))
         resid = float(np.linalg.norm(Tx - rho * x))
         iters = 0
-        if not np.isfinite(rho):
-            raise EigenSolveError("tridiagonal eigensolve returned non-finite value")
     else:
         rho, x, resid, iters = out
 

@@ -1104,8 +1104,21 @@ class TestImports:
     def test_dini_and_bound_leave_scipy_unloaded(self, tmp_path):
         assert self.run_commands(tmp_path, README, ["dini", "bound"]) == ([0, 0], [])
 
-    def test_simulate_loads_linalg(self, tmp_path):
-        # the factorization in Stepper loads LAPACK: the lazy import runs
+    def test_factoring_commands_load_flapack_alone(self, tmp_path):
+        # the first factorization loads LAPACK's compiled wrappers and no
+        # other scipy module: not the scipy.linalg package, not scipy itself
         config = README.replace("horizon = 2.5", "horizon = 0.01")
-        codes, modules = self.run_commands(tmp_path, config, ["simulate"])
-        assert codes == [1] and "scipy.linalg" in modules
+        for command, code in (("simulate", 1), ("verify", 0), ("spectral", 0)):
+            out = tmp_path / command
+            out.mkdir()
+            assert self.run_commands(out, config, [command]) == (
+                [code], ["scipy.linalg._flapack"])
+
+    @pytest.mark.parametrize("first", ["loader", "scipy.linalg"])
+    def test_loader_and_scipy_linalg_share_one_module(self, first):
+        loader = "from extinctlab.solver import lapack\nflapack = lapack()\n"
+        package = "import scipy.linalg.lapack\n"
+        code = ((loader + package) if first == "loader" else (package + loader)) + (
+            "print(scipy.linalg.lapack.dpttrf is flapack.dpttrf,"
+            " scipy.linalg.lapack._flapack is flapack)\n")
+        assert self.run_python(code) == "True True"

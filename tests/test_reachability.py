@@ -22,7 +22,9 @@ by name, so a field is missed when another one of its name is read.
 Imports: every name that a module imports is mentioned in that module,
 unless its line says ``# noqa: F401``.  No module imports scipy as it
 loads: scipy is imported inside the function that calls it, so the
-subcommands that call none of it never pay for its import.
+subcommands that call none of it never pay for its import.  No statement
+imports the ``scipy.linalg`` package at all: LAPACK comes from
+``solver.lapack``, the one definition that names its compiled module.
 
 Defaults: every parameter with a default is passed, by position or by
 keyword, by some call in ``src/`` of a function or method of its name; a
@@ -218,6 +220,47 @@ def test_no_module_imports_scipy_as_it_loads():
     found = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
              for line in load_time_scipy_imports(path.read_text())]
     assert not found, "scipy imported at module load: " + ", ".join(found)
+
+
+def scipy_linalg_imports(text: str) -> list[int]:
+    """Line of every statement, at any depth, that imports the
+    ``scipy.linalg`` package or one of its modules."""
+    lines = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            modules = ["scipy." + alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in modules):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scipy_linalg_imports_found():
+    text = ("import scipy.linalg\nimport scipy.linalgx, scipy.special\n"
+            "def f():\n    from scipy.linalg.lapack import dpttrf\n"
+            "    from scipy import linalg as la\n"
+            "class A:\n    import numpy, scipy.linalg._flapack\n"
+            "from scipy import interpolate\nfrom .linalg import x\n")
+    assert scipy_linalg_imports(text) == [1, 4, 5, 7]
+
+
+def test_lapack_comes_from_the_loader_alone():
+    imports = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
+               for line in scipy_linalg_imports(path.read_text())]
+    assert not imports, "scipy.linalg imported: " + ", ".join(imports)
+    text = (SRC / "solver.py").read_text()
+    loader = next(node for node in ast.parse(text).body
+                  if _is_def(node) and node.name == "lapack")
+    inside = range(loader.lineno, loader.end_lineno + 1)
+    named = [f"{path.stem}:{n}" for path in sorted(SRC.glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if "_flapack" in line and not (path.stem == "solver" and n in inside)]
+    assert not named, "_flapack named outside solver.lapack: " + ", ".join(named)
 
 
 #: defaulted parameters that no ``src/`` call passes, each with its reason

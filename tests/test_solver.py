@@ -1,9 +1,12 @@
+import importlib.machinery
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack, solve_banded, solveh_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 import extinctlab.solver as solver
 from extinctlab.profiles import ConstantPotential, OmegaProfile, PotentialField
@@ -196,16 +199,15 @@ class TestFactoredSolve:
             assert err <= tol
 
     def test_factored_once_per_dt(self, monkeypatch):
-        # Stepper imports dpttrf when it is built, so the count is taken
-        # on the LAPACK module that the import reads
+        # Stepper reads dpttrf off the LAPACK module when it is built
         calls = []
-        factor = lapack.dpttrf
+        factor = solver.lapack().dpttrf
 
         def counting(*args, **kwargs):
             calls.append(args)
             return factor(*args, **kwargs)
 
-        monkeypatch.setattr(lapack, "dpttrf", counting)
+        monkeypatch.setattr(solver.lapack(), "dpttrf", counting)
         traj = run(ProblemSpec(q=0.5, potential=ConstantPotential(1.0), cells=64,
                                horizon=0.02))
         assert len(traj.times) > 10 and len(calls) == 1
@@ -227,6 +229,27 @@ class TestFactoredSolve:
             ProblemSpec(q=0.5, cells=2)
         traj = run(ProblemSpec(q=0.5, potential=ConstantPotential(0.0), cells=3, horizon=0.01))
         assert np.allclose(traj.linf, 1.0, atol=1e-14)
+
+
+class TestLapackLoader:
+    NAME = "scipy.linalg._flapack"
+
+    def test_registered_under_its_own_name(self):
+        assert sys.modules[self.NAME] is solver.lapack()
+
+    def test_missing_extension_names_its_path_and_is_not_cached(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, self.NAME)
+        with monkeypatch.context() as mp:
+            mp.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+            with pytest.raises(ImportError) as err:
+                solver.lapack()
+        path = Path(err.value.path)
+        assert path.name == "_flapack.missing.so" and path.parent.name == "linalg"
+        assert str(path) in str(err.value) and not path.exists()
+        assert self.NAME not in sys.modules
+        # the file found again, the same call loads it
+        *ldl, info = solver.lapack().dpttrf(np.array([2.0, 2.0]), np.array([-1.0]))
+        assert info == 0 and np.array_equal(ldl[0], [2.0, 1.5])
 
 
 def reference_absorb(st, u, dt):

@@ -10,7 +10,7 @@ from extinctlab.profiles import (
     PotentialField,
     build_rho_map,
 )
-from extinctlab.solver import FluxOperator, RadialGrid
+from extinctlab.solver import FluxOperator, RadialGrid, lapack
 from extinctlab.spectral import (
     ground_state,
     knee_radius,
@@ -101,6 +101,22 @@ class TestGroundState:
         with pytest.raises(ValueError):
             ground_state(ConstantPotential(0.0), log_h=-math.inf)
 
+    @staticmethod
+    def assert_is_eigh_tridiagonal(gs, potential, log_h):
+        """The fallback's value and vector are, bit for bit, those of
+        scipy's eigh_tridiagonal(select="i", tol=tiny), mapped as
+        ground_state maps its own."""
+        from scipy.linalg import eigh_tridiagonal
+        V = np.exp(np.minimum(potential.log_a(gs.grid.centers) - 2.0 * log_h, 700.0))
+        diag, off = FluxOperator(gs.grid).symmetric(V)
+        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
+                                      tol=np.finfo(float).tiny)
+        vec = vecs[:, 0] / np.sqrt(gs.grid.volumes)
+        vec /= math.sqrt(gs.grid.integrate(vec**2))
+        if vec[np.argmax(np.abs(vec))] < 0:
+            vec = -vec
+        assert gs.value == vals[0] and np.array_equal(gs.vector, vec)
+
     def test_stagnation_falls_back_to_bisection(self, beta2_potential, monkeypatch,
                                                 restricted_smallest):
         import extinctlab.spectral as spectral
@@ -110,6 +126,7 @@ class TestGroundState:
         assert gs.residual < 1e-8
         oracle = dense_smallest(gs.grid, beta2_potential, 1e-2)
         assert abs(gs.value - oracle) <= 1e-8
+        self.assert_is_eigh_tridiagonal(gs, beta2_potential, math.log(1e-2))
         # the criterion's n = 40 (q = 1/2, K = 1): the matrix reaches exp(700),
         # so a bisection to eps ||T|| would return noise
         log_h = -10.0 * math.log(40.0)
@@ -117,6 +134,17 @@ class TestGroundState:
         assert gs.used_fallback
         ref = restricted_smallest(gs.grid, beta2_potential, log_h)
         assert abs(gs.value - ref) <= 1e-8 * ref
+        self.assert_is_eigh_tridiagonal(gs, beta2_potential, log_h)
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_failed_fallback_is_an_eigensolve_error(self, beta2_potential, monkeypatch,
+                                                    routine):
+        import extinctlab.spectral as spectral
+        real = getattr(lapack(), routine)
+        monkeypatch.setattr(spectral, "_inverse_iteration", lambda d, e: None)
+        monkeypatch.setattr(lapack(), routine, lambda *a: (*real(*a)[:-1], 1))
+        with pytest.raises(spectral.EigenSolveError, match="info = 1"):
+            spectral.ground_state(beta2_potential, log_h=math.log(1e-2), cells=200)
 
 
 class TestPositiveDefiniteSolves:
@@ -125,26 +153,25 @@ class TestPositiveDefiniteSolves:
 
     @staticmethod
     def count_factorizations(monkeypatch):
-        import scipy.linalg.lapack as lapack
-        real, infos = lapack.dpttrf, []
+        flapack = lapack()
+        real, infos = flapack.dpttrf, []
 
         def counting(*args, **kwargs):
             *ldl, info = real(*args, **kwargs)
             infos.append(info)
             return (*ldl, info)
 
-        monkeypatch.setattr(lapack, "dpttrf", counting)
+        monkeypatch.setattr(flapack, "dpttrf", counting)
         return infos
 
     def test_no_general_tridiagonal_factorization(self, monkeypatch, tmp_path):
-        import scipy.linalg.lapack as lapack
         from family import run_cli
 
         def refuse(*args, **kwargs):
             raise AssertionError("general tridiagonal LU called")
 
-        monkeypatch.setattr(lapack, "dgttrf", refuse)
-        monkeypatch.setattr(lapack, "dgttrs", refuse)
+        monkeypatch.setattr(lapack(), "dgttrf", refuse)
+        monkeypatch.setattr(lapack(), "dgttrs", refuse)
         run = run_cli(tmp_path, {"spectral": {"cells": "800", "n_max": "12",
                                               "mu_n_max": "8"}}, ("spectral",))
         assert run.codes == {"spectral": 0}

@@ -5,9 +5,9 @@ states, fails here without any timing."""
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack as lapack
 
 from extinctlab import odi, profiles, spectral
+from extinctlab.solver import lapack
 from family import run_cli
 
 
@@ -17,7 +17,7 @@ def readme_verify_work(tmp_path_factory):
     of one ``verify`` on the README config."""
     solves, factorizations = [], []
     real_solve, real_dpttrf, real_ground_state = (
-        profiles.solve_increasing, lapack.dpttrf, spectral.ground_state)
+        profiles.solve_increasing, lapack().dpttrf, spectral.ground_state)
 
     def solve(g, targets, lo, hi):
         calls = []
@@ -36,7 +36,7 @@ def readme_verify_work(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(profiles, "solve_increasing", solve)
         mp.setattr(odi, "solve_increasing", solve)
-        mp.setattr(lapack, "dpttrf", dpttrf)
+        mp.setattr(lapack(), "dpttrf", dpttrf)
         mp.setattr(spectral, "ground_state", ground_state)
         run = run_cli(tmp_path_factory.mktemp("meter"), {}, ("verify",))
     assert run.codes == {"verify": 0}
