@@ -6,11 +6,13 @@ sum_n omega((n ln n)^{-1/2})/n.  Both must agree.  Both are read in the
 radius variable u = ln(1/s), which turns the borderline logarithmic
 profiles into plain power tails: the integral through geometric
 dyadic-window sums, the series through Cauchy's condensation test, whose
-terms c_k = 2^k t_{2^k} (k = 1..1000) reach u = 350.  The series calls
-itself divergent when c_k ~ u_k^(-b) with b <= 1, up to rounding, and
-convergent when b > 1.05; in between it is inconclusive.  Its total covers
-n < 2^1000: a direct sum for n < 2^14 and, for the rest, the bracket that
-condensation gives.
+terms c_k = 2^k t_{2^k} (k = 1..1000) reach u = 350.  Both read omega
+through its one primitive, ``OmegaProfile.log_omega``: the integral takes
+its exp, and the series fits ln c_k as it comes, so no term underflows.
+The series calls itself divergent when c_k ~ u_k^(-b) with b <= 1, up to
+rounding, and convergent when b > 1.05; in between it is inconclusive.
+Its total covers n < 2^1000: a direct sum for n < 2^14 and, for the rest,
+the bracket that condensation gives.
 
 All integrands carrying the factor exp(-A*omega(s)/s**2) go through one
 log-space 32-point Gauss-Legendre rule, ``log_segment_integrals``: it
@@ -77,7 +79,7 @@ class SeriesDiagnosis:
 class CondensedSeries:
     total: float               # midpoint of the bracket on the sum over n < 2^1000
     error: float               # half-width of that bracket
-    log_factor_exponent: float  # b, with c_k ~ u_k^(-b); inf when the terms underflow
+    log_factor_exponent: float  # b, with c_k ~ u_k^(-b)
     verdict: str  # "convergent" | "divergent" | "inconclusive"
 
 
@@ -117,7 +119,7 @@ def dini_integral(omega: OmegaProfile, c: float) -> QuadratureResult:
     windows = []
     for k in range(_DINI_MAX_WINDOWS):
         a, b = u0 * 2.0**k, u0 * 2.0 ** (k + 1)
-        w, e = _gl_window(omega.omega_neglog, a, b)
+        w, e = _gl_window(lambda u: np.exp(omega.log_omega(u)[0]), a, b)
         windows.append(w)
         value += w
         err += e
@@ -194,12 +196,12 @@ def _diagnose_series(n: np.ndarray, t: np.ndarray, rejected: int) -> SeriesDiagn
 
 
 def _condensed_terms(omega: OmegaProfile) -> tuple[np.ndarray, np.ndarray]:
-    """(u_k, c_k) for k = 1.._CONDENSED_TERMS: c_k = 2^k t_{2^k} = omega(s_k) at
-    u_k = ln(1/s_k) = (k ln 2 + ln(k ln 2)) / 2, taken in u so that no s_k
-    underflows."""
+    """(u_k, ln c_k) for k = 1.._CONDENSED_TERMS: c_k = 2^k t_{2^k} = omega(s_k)
+    at u_k = ln(1/s_k) = (k ln 2 + ln(k ln 2)) / 2, taken in u so that no s_k
+    underflows, and in ln omega so that no c_k does."""
     k_ln2 = np.arange(1, _CONDENSED_TERMS + 1) * math.log(2.0)
     u = 0.5 * (k_ln2 + np.log(k_ln2))
-    return u, omega.omega_neglog(u)
+    return u, omega.log_omega(u)[0]
 
 
 def dini_series(omega: OmegaProfile) -> CondensedSeries:
@@ -209,9 +211,9 @@ def dini_series(omega: OmegaProfile) -> CondensedSeries:
     The terms t_n are nonincreasing (eventually so on every built-in kind),
     so the series converges exactly when sum_k c_k does, c_k = 2^k t_{2^k}.
     The verdict reads b, minus the least-squares slope of ln c_k against
-    ln u_k over u_k >= u_K / 10 (the positive terms only): c_k ~ u_k^(-b),
-    summable iff b > 1.  With fewer than two positive terms there the terms
-    underflowed, the sum is finite and b is infinite.
+    ln u_k over u_k >= u_K / 10: c_k ~ u_k^(-b), summable iff b > 1.  ln c_k
+    comes from ``log_omega``, finite also where c_k underflows, so b is
+    finite on every kind that is finite at s > 0.
 
     The total sums t_n for n < 2^_DIRECT_BITS and brackets the rest up to
     n = 2^_CONDENSED_TERMS between (1/2) sum_{k > _DIRECT_BITS} c_k and
@@ -219,12 +221,13 @@ def dini_series(omega: OmegaProfile) -> CondensedSeries:
     half-width is the error.
     """
     n = np.arange(2.0, 2.0**_DIRECT_BITS)
-    head = float(np.sum(omega.omega_neglog(0.5 * np.log(n * np.log(n))) / n))
-    u, c = _condensed_terms(omega)
+    head = float(np.sum(np.exp(omega.log_omega(0.5 * np.log(n * np.log(n)))[0]) / n))
+    u, log_c = _condensed_terms(omega)
+    c = np.exp(log_c)
     low, high = 0.5 * np.sum(c[_DIRECT_BITS:]), np.sum(c[_DIRECT_BITS - 1:-1])
-    fit = (u >= u[-1] / 10.0) & (c > 0)
+    fit = u >= u[-1] / 10.0
     # 0.0 - slope: a flat fit reads b = 0, not -0
-    b = 0.0 - _slope(np.log(u[fit]), np.log(c[fit])) if np.count_nonzero(fit) >= 2 else math.inf
+    b = 0.0 - _slope(np.log(u[fit]), log_c[fit])
     verdict = ("divergent" if b <= _SERIES_DIVERGENT_B else
                "convergent" if b > _SERIES_CONVERGENT_B else "inconclusive")
     return CondensedSeries(head + float(low + high) / 2, float(high - low) / 2, b, verdict)

@@ -17,14 +17,16 @@ original problem and restarting yields rounds (tau_i, t_i) whose total
     R = sum_i t_i + sum_i s(tau_i)
 
 is finite exactly when the endpoint integral of omega(s)/s converges.  Every
-radius comes from one solve in ln(tau), ``profiles.solve_increasing``: its
-map takes and returns ndarrays, its radii end before the first root below
-the search floor, and a root beyond the domain is inf.  The radii of the
-rounds are solved together, a growing chunk of levels at a time, with one
-array call of omega per pass, and each is bit for bit the root a solve of
-its level alone would give.  A curve that cannot be built raises
-CurveRangeError.  The structural constants are not pinned by the theory;
-they are configuration here, and the bound's summary echoes the values used.
+radius comes from one solve in x = ln(tau), ``profiles.solve_increasing``:
+its map takes an ndarray of x and returns their values as one array
+expression, its radii end before the first root below the search floor,
+and a root beyond the domain is inf.  The radii of the rounds are solved
+together, a growing chunk of levels at a time; their map
+2x - ln omega(u = -x) reads ``OmegaProfile.log_omega`` once per pass, and
+each radius is bit for bit the root a solve of its level alone would give.
+A curve that cannot be built raises CurveRangeError.  The structural
+constants are not pinned by the theory; they are configuration here, and
+the bound's summary echoes the values used.
 """
 
 from __future__ import annotations
@@ -83,28 +85,25 @@ class OdiConfig:
 
 
 def _solve_log_tau(g, targets, lo: float, hi: float) -> np.ndarray:
-    """Solve g(tau) = t on [lo, hi] for every t of ``targets``, g increasing,
-    by ``profiles.solve_increasing`` in ln(tau), which keeps tiny roots
-    relatively accurate.
+    """Solve g(x) = t in x = ln(tau) over [ln lo, ln hi] for every t of
+    ``targets``, g increasing, by ``profiles.solve_increasing``, which keeps
+    tiny roots relatively accurate.
 
-    ``g`` maps an ndarray of radii, each ``math.exp`` of its point, to the
-    ndarray of their values.  The targets must not rise; they are read up
-    to the first whose root lies below lo, which ends the returned ndarray
-    of radii, so it may be empty.  A root beyond hi comes back as inf.
+    ``g`` maps an ndarray of x to the ndarray of their values.  The targets
+    must not rise; they are read up to the first whose root lies below lo,
+    which ends the returned ndarray of radii, so it may be empty.  A root
+    beyond hi comes back as inf.
     """
     lo, hi = math.log(lo), math.log(hi)
-
-    def g_of_log(xs):
-        return g(np.array([math.exp(x) for x in xs.tolist()]))
-
-    [g_lo] = g_of_log(np.array([lo]))
+    [g_lo] = g(np.array([lo]))
     targets = np.array(list(itertools.takewhile(lambda t: not g_lo > t, targets)))
     if not targets.size:
         return targets
-    [g_hi] = g_of_log(np.array([hi]))
+    [g_hi] = g(np.array([hi]))
     beyond = g_hi < targets
-    roots = iter(solve_increasing(g_of_log, targets[~beyond], lo, hi).tolist())
-    return np.array([math.inf if b else math.exp(next(roots)) for b in beyond.tolist()])
+    x = np.full(targets.size, math.inf)
+    x[~beyond] = solve_increasing(g, targets[~beyond], lo, hi)
+    return np.exp(x)
 
 
 def solve_tau_prime(config: OdiConfig) -> float:
@@ -119,7 +118,8 @@ def solve_tau_prime(config: OdiConfig) -> float:
             f"y0 = {config.y0:.3g} >= 3 c0 = {3 * config.c0:.3g}: curve starts "
             "past the plateau")
     target = (math.log(config.y0) - math.log(3.0 * config.c0)) * (1.0 - config.q) / 2.0
-    taus = _solve_log_tau(config.potential.log_a, [target], _TAU_FLOOR, config.tau_max).tolist()
+    taus = _solve_log_tau(lambda x: config.potential.log_a(np.exp(x)), [target],
+                          _TAU_FLOOR, config.tau_max).tolist()
     if not taus:
         raise CurveRangeError("root lies below the tau search range")
     if taus[0] == math.inf:
@@ -205,9 +205,10 @@ def solve_tau_double_prime(config: OdiConfig, piece2: CurvePiece,
     hi = min(zero * (1 - 1e-12) if math.isfinite(zero) else config.tau_max,
              config.tau_max)
 
-    def g(taus):  # ln(boundary / Y2), increasing in tau; inf where Y2 is 0
-        return np.array([_log_match_boundary(config, tau) - math.log(y) if y > 0 else math.inf
-                         for tau, y in zip(taus.tolist(), piece2(taus).tolist())])
+    def g(xs):  # ln(boundary / Y2), increasing in tau; inf where Y2 is 0, as ln 0 = -inf
+        taus = np.exp(xs)
+        with np.errstate(divide="ignore"):
+            return _log_match_boundary(config, taus) - np.log(piece2(taus))
 
     taus = _solve_log_tau(g, [0.0], tau_prime, hi).tolist()
     return taus[0] if taus and taus[0] < math.inf else None
@@ -250,11 +251,8 @@ def solve_extinction_radius(config: OdiConfig, log_levels) -> tuple[np.ndarray, 
             raise ValueError("level must lie strictly below one")
         return math.log(config.c7 / (-log_level))
 
-    def g(taus):
-        # omega underflows to 0 for steep profiles
-        ws = config.potential.omega.omega(taus).tolist()
-        return np.array([2.0 * math.log(tau) - (math.log(w) if w > 0 else -math.inf)
-                         for tau, w in zip(taus.tolist(), ws)])
+    def g(xs):  # ln(tau^2 / omega(tau)) in x = ln tau, exact where omega underflows
+        return 2.0 * xs - config.potential.omega.log_omega(-xs)[0]
 
     taus = _solve_log_tau(g, map(target, log_levels), _TAU_FLOOR, config.tau_max)
     clipped = taus == math.inf
@@ -277,7 +275,7 @@ def curve_y1_and_tau_triple_prime(config: OdiConfig, tau_pp: float,
 
     target = math.log(config.c4) + p2 * math.log(config.y0)
     try:
-        direct = _solve_log_tau(lambda taus: _log_match_constant(config, taus), [target],
+        direct = _solve_log_tau(lambda x: _log_match_constant(config, np.exp(x)), [target],
                                 _TAU_FLOOR, config.tau_max * 4.0).tolist()
     except ZeroDivisionError as exc:
         # omega vanishes inside the bracket (log-singular for s >= 1), so

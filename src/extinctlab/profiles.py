@@ -17,7 +17,11 @@ behaviour of ``omega``.  Built-in kinds:
                    every C and solutions are expected to stay positive
 * ``table``        monotone cubic interpolation of user samples
 
-A profile also carries the space-time ramp s(tau) = tau**4 / omega(tau).
+Each kind is stated once, in ``OmegaProfile.log_omega``: ln omega and
+d ln omega/du in the radius variable u = ln(1/s), in which the Dini-like
+condition reads as the integral of omega(exp(-u)) du.  ``omega`` is its
+exp, the condition checks read -d ln omega/du as the slope s omega'/omega,
+and a profile's space-time ramp s(tau) = tau**4 / omega(tau) takes both.
 The module also provides the inverse of the monotone map
 rho(z) = z * r(z)**2, r(z) = a^{-1}(z), attached to an invertible
 potential, and ``solve_increasing``, the one root finder of the package.
@@ -52,7 +56,8 @@ def _asfarray(x):
 
 @dataclass(frozen=True)
 class OmegaProfile:
-    """A nonnegative modulus s -> omega(s) with analytic derivative.
+    """A nonnegative modulus s -> omega(s), stated in u = ln(1/s) with its
+    analytic log-derivative.
 
     ``omega0`` acts as a hard cap for the power and log-power kinds, which
     keeps them bounded and keeps the induced potential nondecreasing on the
@@ -97,6 +102,16 @@ class OmegaProfile:
                 raise ProfileError("table values must be positive and nondecreasing")
             if s[0] <= 0:
                 raise ProfileError("table abscissae must be positive")
+            # the cubic on a row reaches coefficients of size (dw/ds)/ds, so a
+            # deep row, tiny in s, overflows them; the first such row is named
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                slopes = np.diff(w) / np.diff(s)
+                bad = ~np.isfinite(slopes / np.diff(s) ** 2)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ProfileError(
+                    f"table row {k + 1} (s = {s[k]:.6g}): the monotone cubic to the next "
+                    "row is not finite; the table reaches too deep in s")
             object.__setattr__(self, "table_s", s)
             object.__setattr__(self, "table_w", w)
             # lazy: scipy.interpolate also loads scipy.special and scipy.optimize
@@ -145,130 +160,94 @@ class OmegaProfile:
 
     # -- evaluation --------------------------------------------------------
 
+    def log_omega(self, u):
+        """(ln omega, d ln omega / du) at u = ln(1/s), ndarrays shaped like u.
+
+        The one per-kind statement of omega: every other evaluation is built
+        on it.  ln omega is -inf exactly where omega is 0 and inf where omega
+        is infinite, so it stays exact far past the point where omega itself
+        underflows.  The derivative is zero on a capped plateau and takes the
+        uncapped side at the cap itself.  The logarithmic kinds read u <= 0
+        (s >= 1) as u = 0.  A table wraps its monotone cubic in s; below its
+        first row it continues the linear ramp w0 * s / s0.
+        """
+        u = np.asarray(u, dtype=float)
+        log_w0 = math.log(self.omega0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.kind == "power":
+                free = -self.alpha * u
+                return np.minimum(free, log_w0), np.where(free <= log_w0, -self.alpha, 0.0)
+            if self.kind == "log-power":
+                L = np.maximum(u, 0.0)
+                free = -self.beta * np.log(L)
+                return np.minimum(free, log_w0), np.where(free <= log_w0, -self.beta / L, 0.0)
+            if self.kind == "constant":
+                return np.full_like(u, log_w0), np.zeros_like(u)
+            if self.kind == "log-singular":
+                L = np.maximum(u, 0.0)
+                return math.log(self.kappa) + np.log(L), np.where(L > 0, 1.0 / L, 0.0)
+            s, w = self.table_s, self.table_w
+            u_first, u_last = -math.log(s[0]), -math.log(s[-1])
+            below, above = u > u_first, u < u_last
+            mid = ~below & ~above
+            lw, d = np.empty_like(u), np.empty_like(u)
+            lw[below], d[below] = math.log(w[0]) - (u[below] - u_first), -1.0
+            lw[above], d[above] = math.log(w[-1]), 0.0
+            sm = np.clip(np.exp(-u[mid]), s[0], s[-1])   # exp may round off the table
+            wm = self._pchip(sm)
+            lw[mid], d[mid] = np.log(wm), -sm * self._pchip_d(sm) / wm
+            return lw, d
+
     def omega(self, s):
-        """omega(s) for scalar or array s >= 0.
+        """omega(s) for scalar or array s >= 0: exp of ``log_omega`` at
+        u = -ln s.
 
         A scalar is evaluated by the same ufunc expression as an array, on a
         one-element 1-d ndarray, so ``omega(x) == omega(xs)[i]`` bit for bit
-        whenever ``xs[i] == x`` (NaN included).  No path uses ``math``: its
-        ``log`` and ``**`` round differently from numpy's array loops.
+        whenever ``xs[i] == x`` (NaN included).  No path uses ``math`` on s:
+        its ``log`` and ``exp`` round differently from numpy's array loops.
         """
         arr, scalar = _asfarray(s)
         if np.any(arr < 0):
             raise ProfileError("omega is only defined for s >= 0")
-        with np.errstate(divide="ignore", over="ignore"):
-            if scalar:
-                return float(self._omega_array(arr.reshape(1))[0])
-            return self._omega_array(arr)
-
-    def _omega_array(self, arr: np.ndarray) -> np.ndarray:
-        if self.kind == "power":
-            return np.minimum(arr ** self.alpha, self.omega0)
-        if self.kind == "log-power":
-            # L = 0 for s >= 1 gives omega0; s = 0 and NaN give 0
-            L = np.maximum(-np.log(arr), 0.0)
-            return np.where(arr > 0, np.minimum(L ** -self.beta, self.omega0), 0.0)
-        if self.kind == "constant":
-            return np.full_like(arr, self.omega0)
-        if self.kind == "log-singular":
-            return np.where(arr > 0, self.kappa * np.maximum(-np.log(np.maximum(arr, 1e-320)), 0.0), np.inf)
-        return self._table_omega(arr)
-
-    def _table_omega(self, arr: np.ndarray) -> np.ndarray:
-        s, w = self.table_s, self.table_w
-        out = np.empty_like(arr)
-        below = arr < s[0]
-        above = arr > s[-1]
-        mid = ~below & ~above
-        out[below] = w[0] * arr[below] / s[0]          # linear ramp into the origin
-        out[above] = w[-1]
-        out[mid] = self._pchip(arr[mid])
-        return out
-
-    def omega_prime(self, s):
-        """d omega/ds; zero on capped plateaus, left-derivative at the cap."""
-        arr, scalar = _asfarray(s)
-        if np.any(arr < 0):
-            raise ProfileError("omega' is only defined for s >= 0")
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if self.kind == "power":
-                base = arr ** self.alpha
-                out = np.where(base <= self.omega0, self.alpha * arr ** (self.alpha - 1.0), 0.0)
-            elif self.kind == "log-power":
-                out = np.zeros_like(arr)
-                pos = (arr > 0) & (arr < 1)
-                L = -np.log(arr[pos])
-                base = L ** (-self.beta)
-                d = np.where(base <= self.omega0, self.beta * L ** (-self.beta - 1.0) / arr[pos], 0.0)
-                out[pos] = d
-            elif self.kind == "constant":
-                out = np.zeros_like(arr)
-            elif self.kind == "log-singular":
-                out = np.where(arr > 0, -self.kappa / np.maximum(arr, 1e-320), -np.inf)
-            else:
-                s0, s1 = self.table_s[0], self.table_s[-1]
-                out = np.empty_like(arr)
-                below = arr < s0
-                above = arr > s1
-                mid = ~below & ~above
-                out[below] = self.table_w[0] / s0
-                out[above] = 0.0
-                out[mid] = self._pchip_d(arr[mid])
-        return float(out[()]) if scalar else out
-
-    def omega_neglog(self, u):
-        """omega(exp(-u)) evaluated stably for u = ln(1/s) >= 0.
-
-        This is the natural variable for endpoint quadrature: power profiles
-        become exponentials, log-power profiles become plain powers of u.
-        """
-        arr, scalar = _asfarray(u)
-        with np.errstate(over="ignore", divide="ignore"):
-            if self.kind == "power":
-                out = np.minimum(np.exp(-self.alpha * arr), self.omega0)
-            elif self.kind == "log-power":
-                cap = self.omega0 ** (-1.0 / self.beta)
-                out = np.where(arr <= cap, self.omega0, np.maximum(arr, cap) ** (-self.beta))
-            elif self.kind == "constant":
-                out = np.full_like(arr, self.omega0)
-            elif self.kind == "log-singular":
-                out = self.kappa * arr
-            else:
-                out = self._table_omega(np.exp(-arr))
-        return float(out[()]) if scalar else out
+        with np.errstate(divide="ignore"):
+            out = np.exp(self.log_omega(-np.log(arr.reshape(1) if scalar else arr))[0])
+        return float(out[0]) if scalar else out
 
     # -- the space-time ramp s(tau) = tau**4 / omega(tau) ------------------
 
     def _ramp_inputs(self, tau):
-        """(tau, scalar, omega, omega') at tau > 0 where omega does not vanish."""
+        """(tau, scalar, ln omega, d ln omega/du) at tau > 0 where omega does
+        not vanish."""
         arr, scalar = _asfarray(tau)
         if np.any(arr <= 0):
             raise ProfileError("s(tau) needs tau > 0")
-        w = self.omega(arr)
-        if np.any(w == 0):
+        lw, d = self.log_omega(-np.log(arr))
+        if np.any(lw == -np.inf):
             raise ZeroDivisionError("omega vanishes at a requested tau; s(tau) undefined")
-        return arr, scalar, w, self.omega_prime(arr)
+        return arr, scalar, lw, d
 
     def ramp(self, tau):
         """(s, s') of the ramp s(tau) = tau**4 / omega(tau).
 
-        Under the slope condition s' brackets between
-        (2+delta)*tau**3/omega and 4*tau**3/omega.
+        s' = (tau**3 / omega) * (4 + d ln omega/du); under the slope condition
+        it brackets between (2+delta)*tau**3/omega and 4*tau**3/omega.
         """
-        arr, scalar, w, wp = self._ramp_inputs(tau)
+        arr, scalar, lw, d = self._ramp_inputs(tau)
+        w = np.exp(lw)
         s = arr**4 / w
-        sp = (arr**3 / w) * (4.0 - arr * wp / w)
+        sp = (arr**3 / w) * (4.0 + d)
         if scalar:
             return float(s[()]), float(sp[()])
         return s, sp
 
     def log_ramp_slope(self, tau):
-        """ln s'(tau), computed stably for tau far below underflow scale."""
-        arr, scalar, w, wp = self._ramp_inputs(tau)
-        rise = 4.0 - arr * wp / w
+        """ln s'(tau) from ln omega, exact for tau far below underflow scale."""
+        arr, scalar, lw, d = self._ramp_inputs(tau)
+        rise = 4.0 + d
         if not np.all(rise > 0):  # tau omega'/omega >= 4: s falls or stalls
             raise MonotonicityError(f"s(tau) does not rise at tau = {np.min(arr[~(rise > 0)]):.6g}")
-        log_sp = 3.0 * np.log(arr) - np.log(w) + np.log(rise)
+        log_sp = 3.0 * np.log(arr) - lw + np.log(rise)
         return float(log_sp[()]) if scalar else log_sp
 
 
@@ -288,8 +267,8 @@ def check_conditions(profile: OmegaProfile) -> tuple[ConditionCheck, ...]:
     is evidence at the grid resolution, not a proof.
     """
     grid = np.geomspace(profile.s0 * 1e-8, profile.s0, 10_000)
-    w = profile.omega(grid)
-    wp = profile.omega_prime(grid)
+    log_w, d = profile.log_omega(-np.log(grid))
+    w = np.exp(log_w)
     delta = profile.delta
     checks = []
 
@@ -315,9 +294,7 @@ def check_conditions(profile: OmegaProfile) -> tuple[ConditionCheck, ...]:
 
     record("bounded", finite & (w <= profile.omega0 * (1 + 1e-12)))
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        slope = np.where(w > 0, grid * wp / w, np.inf)
-    record("slope", slope <= (2.0 - delta) + 1e-9)
+    record("slope", -d <= (2.0 - delta) + 1e-9)   # s omega'/omega = -d ln omega/du
 
     record("minorant", w >= grid ** (2.0 - delta) * (1 - 1e-12))
 

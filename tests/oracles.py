@@ -252,7 +252,7 @@ def triple_prime_roots(config: OdiConfig) -> tuple[float, float]:
     absorbs the free constants into c7."""
     p2 = (1.0 - config.exponents.theta2) * (1.0 - config.q) / 2.0
     target = math.log(config.c4) + p2 * math.log(config.y0)
-    [direct] = _solve_log_tau(lambda taus: _log_match_constant(config, taus), [target],
+    [direct] = _solve_log_tau(lambda x: _log_match_constant(config, np.exp(x)), [target],
                               _TAU_FLOOR, config.tau_max * 4.0).tolist()
     (ad_hoc,), _ = solve_extinction_radius(config, [math.log(config.y0)])
     return direct, float(ad_hoc)
@@ -375,9 +375,11 @@ def dini_series_bracket(omega) -> tuple[float, float]:
     n = np.arange(2.0, 2.0**20)
     head = math.fsum(omega.omega((n * np.log(n)) ** -0.5) / n)
     v0, v1 = 20 * math.log(2.0), 1000 * math.log(2.0)
-    tail, err = quad(lambda v: omega.omega_neglog(0.5 * (v + math.log(v))), v0, v1,
-                     limit=200, epsabs=1e-13, epsrel=1e-12)
-    first = omega.omega_neglog(0.5 * (v0 + math.log(v0))) / 2.0**20
+    def omega_of_v(v):
+        return math.exp(omega.log_omega(0.5 * (v + math.log(v)))[0])
+
+    tail, err = quad(omega_of_v, v0, v1, limit=200, epsabs=1e-13, epsrel=1e-12)
+    first = omega_of_v(v0) / 2.0**20
     return head + tail - err, head + tail + err + first
 
 

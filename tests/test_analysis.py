@@ -75,10 +75,10 @@ class TestDiniSeries:
 
 def _fit_window(profile):
     """ln u_k and ln c_k of the condensed terms that dini_series fits: u_k
-    >= u_K / 10, c_k > 0."""
-    u, c = analysis._condensed_terms(profile)
-    keep = (u >= u[-1] / 10.0) & (c > 0)
-    return np.log(u[keep]), np.log(c[keep])
+    >= u_K / 10, every one of them, ln c_k straight from the primitive."""
+    u, log_c = analysis._condensed_terms(profile)
+    keep = u >= u[-1] / 10.0
+    return np.log(u[keep]), log_c[keep]
 
 
 def _one_shot_series(profile):
@@ -87,14 +87,13 @@ def _one_shot_series(profile):
     u = ln(1/s), the bracket on the terms past 2^14, b from the oracle slope
     and the verdict from the band."""
     n = np.arange(2.0, 2.0**analysis._DIRECT_BITS)
-    head = float(np.sum(profile.omega_neglog(0.5 * np.log(n * np.log(n))) / n))
+    head = float(np.sum(np.exp(profile.log_omega(0.5 * np.log(n * np.log(n)))[0]) / n))
     k_ln2 = np.arange(1, analysis._CONDENSED_TERMS + 1) * math.log(2.0)
     u = 0.5 * (k_ln2 + np.log(k_ln2))
-    c = profile.omega_neglog(u)
+    c = np.exp(profile.log_omega(u)[0])
     low = 0.5 * np.sum(c[analysis._DIRECT_BITS:])
     high = np.sum(c[analysis._DIRECT_BITS - 1:-1])
-    x, y = _fit_window(profile)
-    b = math.inf if x.size < 2 else 0.0 - oracles.slope_into(x, y)
+    b = 0.0 - oracles.slope_into(*_fit_window(profile))
     verdict = ("divergent" if b <= analysis._SERIES_DIVERGENT_B else
                "convergent" if b > analysis._SERIES_CONVERGENT_B else "inconclusive")
     return analysis.CondensedSeries(head + float(low + high) / 2, float(high - low) / 2,
@@ -188,7 +187,7 @@ class TestChunkedSeries:
     def test_omega_points_counted(self, monkeypatch):
         # the direct terms n < 2^14 and the 1000 condensed ones, no more
         points = []
-        for name in ("omega", "omega_neglog"):
+        for name in ("omega", "log_omega"):
             real = getattr(OmegaProfile, name)
 
             def counted(self, x, real=real):
@@ -214,12 +213,13 @@ class TestChunkedSeries:
 
     def test_mostly_zero_terms_bitwise(self):
         # power(10)'s condensed terms exp(-10 u_k) underflow to 0 past
-        # u = 74.5: the fit reads the positive ones of its window, as the
-        # whole-array slope of the oracles reads them
+        # u = 74.5, but their logs -10 u_k do not: the fit reads its whole
+        # window, as the whole-array slope of the oracles reads it
         profile = OmegaProfile.power(10.0)
-        u, c = analysis._condensed_terms(profile)
-        window = c[u >= u[-1] / 10.0]
-        assert 2 <= np.count_nonzero(window > 0) < window.size
+        u, log_c = analysis._condensed_terms(profile)
+        window = log_c[u >= u[-1] / 10.0]
+        assert np.count_nonzero(np.exp(window) > 0) < window.size
+        assert np.all(np.isfinite(window))
         diag = dini_series(profile)
         assert diag.verdict == "convergent"
         assert -diag.log_factor_exponent == oracles.slope_into(*_fit_window(profile))
@@ -325,17 +325,20 @@ class TestTailFitOracle:
         _assert_same_fit(_two_stage_tail_fit(n, t), _reference_tail_fit(n, t))
 
 
-    def test_series_ends_at_underflow(self):
-        # power(93)'s condensed terms underflow to 0 before u_K / 10 = 35:
-        # the terms below 2^14 make a finite sum, and b is infinite
+    def test_series_reads_past_underflow(self):
+        # power(93)'s condensed terms underflow to 0 before u_K / 10 = 35,
+        # but ln c_k = -93 u_k does not: b is the finite slope of -93 u
+        # against ln u over the window, far above 1
         diag = dini_series(OmegaProfile.power(93.0))
-        assert (diag.log_factor_exponent, diag.verdict) == (math.inf, "convergent")
+        assert diag.verdict == "convergent"
+        assert math.isfinite(diag.log_factor_exponent) and diag.log_factor_exponent > 1.05
         assert diag.total > 0 and math.isfinite(diag.total)
 
     def test_no_positive_term_convergent(self):
+        # every t_n and c_k underflows (u >= 0.16 there); b stays finite
         diag = dini_series(OmegaProfile.power(5000.0))
-        assert (diag.total, diag.error, diag.log_factor_exponent, diag.verdict) == \
-            (0.0, 0.0, math.inf, "convergent")
+        assert (diag.total, diag.error, diag.verdict) == (0.0, 0.0, "convergent")
+        assert math.isfinite(diag.log_factor_exponent) and diag.log_factor_exponent > 1.05
 
 class TestTailFit:
     def test_slope_of_exact_line(self):

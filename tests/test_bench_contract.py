@@ -55,9 +55,10 @@ def test_traced_verify_counts_ground_states_and_rounds(tracer, tmp_path):
     # 104 levels; the curve solves none
     assert m["odi.solve_extinction_radius.calls"] == 3
     # one knee probe per sweep, one rho^-1 solve per scan and one call per
-    # pass of each root solve, with each bracket end evaluated once: a
+    # pass of each curve root solve, with each bracket end evaluated once;
+    # the rounds' map and the ramp read OmegaProfile.log_omega, not omega: a
     # further evaluation of any map outside the root finder moves the count
-    assert m["profiles.omega.calls"] == 255
+    assert m["profiles.omega.calls"] == 168
     assert m["solver.run.steps"] == 0
 
 

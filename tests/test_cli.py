@@ -128,14 +128,15 @@ class TestDini:
         assert float(rows[2]["value"]) == results["series_log_factor_exponent"]
         assert float(rows[1]["error"]) > 0   # the bracket's half-width
 
-    def test_underflowed_series_exponent_is_inf(self, tmp_path):
-        # exp(-30 u_k) underflows from u = 25 on, before the fit window: JSON
-        # has no infinity, so the summary spells it "inf"
+    def test_underflowed_series_exponent_is_finite(self, tmp_path):
+        # exp(-30 u_k) underflows from u = 25 on, before the fit window, but
+        # the fit reads ln c_k = -30 u_k: the exponent is a number
         cfg = write_config(tmp_path, "[profile]\nkind = power\nalpha = 30.0\n")
         main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")])
         results = json.loads((tmp_path / "o" / "summary_dini.json").read_text())["results"]
-        assert (results["series_verdict"], results["series_log_factor_exponent"]) == \
-            ("convergent", "inf")
+        b = results["series_log_factor_exponent"]
+        assert results["series_verdict"] == "convergent"
+        assert isinstance(b, float) and 1.05 < b < math.inf
 
     def test_constant_profile_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, CONSTANT)
@@ -901,7 +902,6 @@ class TestHygiene:
                                          CONSTANT], ids=["beta2", "beta3", "constant"])
     def test_per_call_forms_write_the_same_bytes(self, tmp_path, monkeypatch, profile):
         import extinctlab.cli as cli
-        import extinctlab.profiles as profiles
         import extinctlab.spectral as spectral
 
         def per_point_scan(potential, h_values, rho_map, cells):
@@ -926,11 +926,6 @@ class TestHygiene:
         # each ground state of mu_n and the criterion probes its own knee
         monkeypatch.setattr(spectral, "_ground_sweep", lambda potential, log_hs, cells: [
             spectral.ground_state(potential, lh, cells=cells) for lh in log_hs])
-        # log-power omega always masks: a trailing s = 0 makes the array
-        # leave (0, 1), and the masked path works element by element
-        omega_array = profiles.OmegaProfile._omega_array
-        monkeypatch.setattr(profiles.OmegaProfile, "_omega_array", lambda self, arr: omega_array(
-            self, np.append(arr, 0.0))[:-1].reshape(arr.shape))
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "old")]) == code
         names = sorted(p.name for p in (tmp_path / "new").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "old").iterdir())
@@ -973,6 +968,21 @@ class TestHygiene:
         np.savetxt(tmp_path / "omega.csv", np.column_stack([s, s]), delimiter=",")
         cfg = write_config(tmp_path, "[profile]\nkind = table\ntable = omega.csv\n")
         assert main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("depth", [300.0, 700.0])
+    def test_deep_table_exit_64_naming_its_row(self, tmp_path, capsys, depth):
+        # 400 rows of log-power beta = 2 down to u = ln(1/s) = depth: the
+        # monotone cubic overflows on the deepest rows (to u = 300 it makes
+        # omega NaN past u = 243, to u = 700 it has no finite derivatives),
+        # so the table is refused at load, naming its first bad row
+        u = np.linspace(depth, 0.0, 400)
+        w = np.minimum(1.0 / np.maximum(u, 1.0) ** 2, 1.0)
+        np.savetxt(tmp_path / "omega.csv", np.column_stack([np.exp(-u), w]), delimiter=",")
+        cfg = write_config(tmp_path, "[profile]\nkind = table\ntable = omega.csv\n")
+        assert main(["dini", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: table row 1 (s = ")
+        assert "Traceback" not in err
 
 
 def row_form_csv(header, columns) -> str:

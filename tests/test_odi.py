@@ -244,32 +244,38 @@ class RecordingPiece:
         return self.piece(tau)
 
 
+def _ln_tau(x):
+    """The map g(x) = x in x = ln tau: the root of target t is tau = e^t."""
+    return x
+
+
 class TestSolveLogTau:
-    """odi._solve_log_tau: the map takes and returns ndarrays, and the radii
-    come back as an ndarray, cut at the first root below the floor."""
+    """odi._solve_log_tau: the map takes and returns ndarrays of x = ln tau,
+    and the radii come back as an ndarray, cut at the first root below the
+    floor."""
 
     def test_first_target_below_floor_is_empty_without_top_end(self):
         calls = []
 
-        def g(taus):
-            assert isinstance(taus, np.ndarray)
-            calls.append(taus.tolist())
-            return np.log(taus)
+        def g(xs):
+            assert isinstance(xs, np.ndarray)
+            calls.append(xs.tolist())
+            return xs
 
         roots = odi._solve_log_tau(g, [-300.0], odi._TAU_FLOOR, 1.0)
         assert isinstance(roots, np.ndarray) and roots.size == 0
-        assert len(calls) == 1 and calls[0] == pytest.approx([odi._TAU_FLOOR], rel=1e-15)
+        assert calls == [[math.log(odi._TAU_FLOOR)]]
 
     def test_target_below_floor_ends_the_radii(self):
         def targets():
             yield from (-1.0, -2.0, -300.0)
             raise AssertionError("targets read past the first root below the floor")
 
-        roots = odi._solve_log_tau(np.log, targets(), odi._TAU_FLOOR, 1.0)
+        roots = odi._solve_log_tau(_ln_tau, targets(), odi._TAU_FLOOR, 1.0)
         assert np.log(roots).tolist() == pytest.approx([-1.0, -2.0], rel=1e-14)
 
     def test_root_beyond_domain_is_inf(self):
-        roots = odi._solve_log_tau(np.log, [1.0, -1.0], odi._TAU_FLOOR, 1.0)
+        roots = odi._solve_log_tau(_ln_tau, [1.0, -1.0], odi._TAU_FLOOR, 1.0)
         assert roots[0] == math.inf
         assert math.log(roots[1]) == pytest.approx(-1.0, rel=1e-14)
 
@@ -430,7 +436,7 @@ class TestExtinctionIteration:
         radii, clipped = solve_extinction_radius(beta2_config, [-1e300])
         assert radii.size == clipped.size == 0
         # a root beyond the domain is inf, and the level's radius is clipped
-        assert odi._solve_log_tau(np.log, [1.0], odi._TAU_FLOOR, 1.0).tolist() == [math.inf]
+        assert odi._solve_log_tau(_ln_tau, [1.0], odi._TAU_FLOOR, 1.0).tolist() == [math.inf]
         radii, clipped = solve_extinction_radius(beta2_config, [-1e-3])
         assert radii.tolist() == [1.0] and clipped.tolist() == [True]
         cfg = OdiConfig(potential=beta2_config.potential, y0=1e-4, q=0.5, tau_max=1e-3)
@@ -441,9 +447,9 @@ class TestExtinctionIteration:
         # omega = ln(1/tau)^-2 puts the root at ln(tau) = -100 for this level
         log_level = -beta2_config.c7 * math.exp(200.0) / 1e4
         calls = []
-        omega = OmegaProfile.omega
-        monkeypatch.setattr(OmegaProfile, "omega",
-                            lambda self, s: calls.append(s) or omega(self, s))
+        log_omega = OmegaProfile.log_omega
+        monkeypatch.setattr(OmegaProfile, "log_omega",
+                            lambda self, u: calls.append(u) or log_omega(self, u))
         (tau,), (clipped,) = solve_extinction_radius(beta2_config, [log_level])
         monkeypatch.undo()
         assert not clipped and math.log(tau) == pytest.approx(-100.0, rel=1e-12)
@@ -478,27 +484,28 @@ class TestExtinctionIteration:
 
 def _sequential_rounds(config, max_rounds=200):
     """The round loop with one scalar bisection per level, as it ran before
-    the radii were bisected in lock-step: (rounds, clipped, total)."""
+    the radii were bisected in lock-step: (rounds, clipped, total).  Its map
+    is the rounds' 2x - ln omega(u = -x) in x = ln tau, each point a
+    one-element array, and its radius numpy's exp of the root."""
     omega = config.potential.omega
 
     def radius(log_level):   # (tau, clipped), None below the search floor
         target = math.log(config.c7 / (-log_level))
 
-        def g(tau):
-            w = omega.omega(tau)
-            return 2.0 * math.log(tau) - (math.log(w) if w > 0 else -math.inf)
+        def g(x):
+            return 2.0 * x - float(omega.log_omega(np.array([-x]))[0][0])
 
         lo, hi = math.log(odi._TAU_FLOOR), math.log(config.tau_max)
-        if g(math.exp(lo)) > target:
+        if g(lo) > target:
             return None
-        if g(math.exp(hi)) < target:
+        if g(hi) < target:
             return config.tau_max, True
         while lo < (mid := 0.5 * (lo + hi)) < hi:
-            if g(math.exp(mid)) >= target:
+            if g(mid) >= target:
                 hi = mid
             else:
                 lo = mid
-        return math.exp(mid), False
+        return float(np.exp(np.array([mid]))[0]), False
 
     log_y0 = math.log(config.y0)
     taus, ts, ss, log_levels = [], [], [], []

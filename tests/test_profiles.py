@@ -35,8 +35,8 @@ class TestConditions:
         rep = check_conditions(prof)
         assert passed(rep, "slope")
         s = np.geomspace(1e-6, 0.9, 50)
-        ratio = s * prof.omega_prime(s) / prof.omega(s)
-        assert np.allclose(ratio, 1.0)
+        ratio = -prof.log_omega(-np.log(s))[1]   # s omega'/omega = -d ln omega/du
+        assert np.all(ratio == 1.0)
 
     def test_log_power_beta2_passes_everything(self):
         prof = OmegaProfile.log_power(beta=2.0)
@@ -149,6 +149,70 @@ def scalar_probe_points(prof) -> np.ndarray:
         edges += list(s) + [0.5 * s[0], 2.0 * s[-1]]
     return np.concatenate([np.exp(rng.uniform(-700.0, 1.0, 3000)),
                            np.exp(rng.uniform(-1.0, 1.0, 1000)), edges])
+
+
+_LINEAR_S = np.geomspace(1e-3, 0.5, 12)
+
+
+def _closed_form(prof, u):
+    """(ln omega, d ln omega/du) of ``prof`` at u = ln(1/s), 50 digits.  The
+    table is sampled from omega = s, which its monotone cubic reproduces."""
+    with mpmath.workdps(50):
+        u, log_w0 = mpmath.mpf(u), mpmath.log(prof.omega0)
+        if prof.kind == "power":
+            free = -prof.alpha * u
+            return (free, -prof.alpha) if free <= log_w0 else (log_w0, 0.0)
+        if prof.kind == "log-power":
+            free = -prof.beta * mpmath.log(u) if u > 0 else mpmath.inf
+            return (free, -prof.beta / u) if free <= log_w0 else (log_w0, 0.0)
+        if prof.kind == "constant":
+            return log_w0, 0.0
+        if prof.kind == "log-singular":
+            return (mpmath.log(prof.kappa * u), 1 / u) if u > 0 else (-mpmath.inf, 0.0)
+        u_last = -mpmath.log(_LINEAR_S[-1])
+        return (-u, -1.0) if u >= u_last else (-u_last, 0.0)
+
+
+def _side(x, rel=1e-9):
+    """Points just below and just above x."""
+    return [x - rel * max(abs(x), 1.0), x + rel * max(abs(x), 1.0)]
+
+
+# each kind with the u on either side of its caps, at u <= 0, and far past
+# the u where omega itself underflows (745/alpha for a power)
+_PRIMITIVE_POINTS = [
+    pytest.param(OmegaProfile.power(1.0, omega0=2.0),
+                 [*_side(-math.log(2.0)), 0.0, -5.0, 1.0, 744.0, 1000.0, 1e300], id="power"),
+    pytest.param(OmegaProfile.log_power(2.0),
+                 [*_side(1.0), 0.0, -3.0, 1e-300, 10.0, 1000.0, 1e300], id="log-power"),
+    pytest.param(OmegaProfile.constant(omega0=0.7), [0.0, -2.0, 1.0, 1000.0, 1e300],
+                 id="constant"),
+    pytest.param(OmegaProfile.log_singular(), [*_side(0.0), 0.0, -2.0, 1e-300, 1000.0, 1e300],
+                 id="log-singular"),
+    pytest.param(OmegaProfile.from_table(_LINEAR_S, _LINEAR_S),
+                 [*_side(-math.log(_LINEAR_S[-1])), *_side(-math.log(_LINEAR_S[0])), 0.0, -2.0,
+                  3.0, 1000.0, 1e300], id="table"),
+]
+
+
+class TestLogOmega:
+    """OmegaProfile.log_omega, the one per-kind statement of omega, against
+    closed forms at 50 digits."""
+
+    @pytest.mark.parametrize("prof, points", _PRIMITIVE_POINTS)
+    def test_matches_closed_form(self, prof, points):
+        u = np.array(points)
+        log_w, d = prof.log_omega(u)
+        for x, got_log_w, got_d in zip(points, log_w.tolist(), d.tolist()):
+            want_log_w, want_d = (float(v) for v in _closed_form(prof, x))
+            if math.isinf(want_log_w):
+                assert got_log_w == want_log_w, x
+            else:
+                assert got_log_w == pytest.approx(want_log_w, rel=1e-14, abs=1e-14), x
+            assert got_d == pytest.approx(want_d, rel=1e-12, abs=1e-15), x
+        # omega is its exp at u = -ln s, the same bits as a scalar and in an array
+        s = np.exp(-u)
+        assert np.array_equal([prof.omega(float(x)) for x in s], prof.omega(s))
 
 
 class TestFastPaths:
@@ -462,7 +526,9 @@ class TestTableProfile:
         prof = OmegaProfile.from_table(s, s**1.0)
         mid = np.geomspace(2e-4, 0.8, 40)
         assert np.allclose(prof.omega(mid), mid, rtol=5e-3)
-        assert np.allclose(prof.omega_prime(mid), 1.0, rtol=5e-2)
+        # omega' = -omega (d ln omega/du) / s
+        assert np.allclose(-prof.omega(mid) * prof.log_omega(-np.log(mid))[1] / mid, 1.0,
+                           rtol=5e-2)
 
     def test_bad_tables_rejected(self):
         with pytest.raises(ProfileError):

@@ -30,6 +30,9 @@ Defaults: every parameter with a default is passed, by position or by
 keyword, by some call in ``src/`` of a function or method of its name; a
 class call counts for its ``__init__``.  A default that no call overrides
 is a knob that no subcommand turns: it becomes a constant or goes.
+
+Maps: no comprehension in ``odi`` iterates over a ``.tolist()`` call, so
+every root solve's map is an array expression.
 """
 
 import ast
@@ -337,3 +340,16 @@ def test_every_default_is_overridden_somewhere():
 
 def test_default_only_allow_list_is_current():
     assert set(_DEFAULT_ONLY) <= default_only_parameters()
+
+
+def test_odi_maps_are_array_expressions():
+    """No comprehension in ``odi`` iterates over a ``.tolist()`` call: a root
+    solve's map is one array expression per pass, not a Python loop over
+    its points."""
+    tree = ast.parse((SRC / "odi.py").read_text())
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    looped = [node.lineno for node in ast.walk(tree) if isinstance(node, comprehensions)
+              for gen in node.generators for sub in ast.walk(gen.iter)
+              if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+              and sub.func.attr == "tolist"]
+    assert not looped, f"odi.py comprehensions over .tolist() at lines {looped}"

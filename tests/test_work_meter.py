@@ -48,9 +48,9 @@ def test_map_calls_per_root_solve(readme_verify_work):
     # a lock-step bisection made 56 and 55, 62 for the 200 rounds at once,
     # and 61, 53 and 62 for the curve
     assert solves == [
-        (7, 13), (100, 14),               # rho^-1: the scan, the inverse sandwich
+        (7, 13), (100, 15),               # rho^-1: the scan, the inverse sandwich
         (32, 20), (64, 14), (104, 12),    # the rounds' radii, chunk by chunk
-        (1, 18), (1, 14), (1, 17),        # tau', tau'' and the direct tau'''
+        (1, 18), (1, 14), (1, 18),        # tau', tau'' and the direct tau'''
     ]
 
 
