@@ -2,24 +2,21 @@
 
 Two independent routes decide whether a profile admits finite-time
 extinction: the endpoint integral of omega(s)/s near s = 0, and the series
-sum_n omega((n ln n)^{-1/2})/n.  Both must agree.  Both are read in the
-radius variable u = ln(1/s), which turns the borderline logarithmic
-profiles into plain power tails: the integral through geometric
-dyadic-window sums, the series through Cauchy's condensation test, whose
-terms c_k = 2^k t_{2^k} (k = 1..1000) reach u = 350.  Both read omega
-through its one primitive, ``OmegaProfile.log_omega``: the integral takes
-its exp, and the series fits ln c_k as it comes, so no term underflows.
-The series calls itself divergent when c_k ~ u_k^(-b) with b <= 1, up to
-rounding, and convergent when b > 1.05; in between it is inconclusive.
-Its total covers n < 2^1000: a direct sum for n < 2^14 and, for the rest,
-the bracket that condensation gives.
+sum_n omega((n ln n)^{-1/2})/n.  Both must agree.  Read in u = ln(1/s),
+the borderline logarithmic profiles become plain power tails, and both
+routes hand one tail test, ``_tail_test``, the logs of terms t_k ~
+u_k^(-b): the integral's means over windows of u in geometric progression,
+the series' condensed terms c_k = 2^k t_{2^k} (k = 1..1000, u <= 350).
+Both take ln omega from ``OmegaProfile.log_omega``, so no term underflows.
+The series' total covers n < 2^1000: a direct sum for n < 2^14 and, for
+the rest, the bracket that condensation gives.
 
-All integrands carrying the factor exp(-A*omega(s)/s**2) go through one
-log-space 32-point Gauss-Legendre rule, ``log_segment_integrals``: it
-returns the log of each segment's integral, scaling every segment by its
-own largest integrand, so magnitudes far below the double-precision
-underflow limit stay exact.  The dominating curve of ``odi`` takes running
-sums of its output.
+All integrands go through one log-space 32-point Gauss-Legendre rule,
+``log_segment_integrals``: it returns the log of each segment's integral,
+scaling every segment by its own largest integrand, so magnitudes far below
+the double-precision underflow limit stay exact.  The Dini integral takes
+all its windows from one call, and the dominating curve of ``odi`` takes
+running sums of its output.
 """
 
 from __future__ import annotations
@@ -32,25 +29,14 @@ import numpy as np
 from .profiles import OmegaProfile
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_GL_NODES_HALF, _GL_WEIGHTS_HALF = np.polynomial.legendre.leggauss(16)
 
-#: window-sum ratio above which decay no longer counts as geometric
-_DIVERGENCE_RATIO = 0.97
-#: consecutive non-decaying windows before an integral is declared divergent
-_DIVERGENCE_RUN = 20
+#: dini_integral's windows per octave of u, and its octaves past u0
+_WINDOWS_PER_OCTAVE = 8
+_OCTAVES = 60
 #: condensed terms c_k, k = 1.._CONDENSED_TERMS, of dini_series: u_K = 349.8
 _CONDENSED_TERMS = 1000
 #: dini_series sums t_n term by term for n < 2**_DIRECT_BITS
 _DIRECT_BITS = 14
-#: b at or below this is divergent: 1 plus a rounding allowance, so that
-#: log-power beta = 1, whose b is 1 to about 1e-14, stays divergent
-_SERIES_DIVERGENT_B = 1.0 + 1e-9
-#: b above this is convergent; between the two bounds, inconclusive
-_SERIES_CONVERGENT_B = 1.05
-#: dyadic windows dini_integral sums before it gives up as inconclusive
-_DINI_MAX_WINDOWS = 400
-#: largest geometric-tail bound dini_integral accepts as convergent
-_DINI_TOL = 1e-9
 
 
 class DomainError(ValueError):
@@ -61,6 +47,8 @@ class DomainError(ValueError):
 class QuadratureResult:
     value: float
     error: float
+    exponent: float  # b, with window means ~ u_k^(-b)
+    drift: float     # b on the fit window's second half minus b on its first
     verdict: str  # "convergent" | "divergent" | "inconclusive"
 
     @property
@@ -80,70 +68,8 @@ class CondensedSeries:
     total: float               # midpoint of the bracket on the sum over n < 2^1000
     error: float               # half-width of that bracket
     log_factor_exponent: float  # b, with c_k ~ u_k^(-b)
+    drift: float               # b on the fit window's second half minus b on its first
     verdict: str  # "convergent" | "divergent" | "inconclusive"
-
-
-def _gl_window(f, a: float, b: float) -> tuple[float, float]:
-    """32-point Gauss-Legendre on [a, b] with a 16-point error estimate."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    v32 = half * np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES))
-    v16 = half * np.dot(_GL_WEIGHTS_HALF, f(mid + half * _GL_NODES_HALF))
-    return float(v32), abs(float(v32 - v16))
-
-
-def dini_integral(omega: OmegaProfile, c: float) -> QuadratureResult:
-    """Adaptive evaluation of the endpoint integral of omega(s)/s over (0, c).
-
-    Substituting u = ln(1/s) gives the integral of omega(exp(-u)) du over
-    (ln(1/c), inf); dyadic windows in u are summed until either the window
-    sums decay geometrically (convergent, with the geometric tail added and
-    its mismatch charged to the error) or they fail to decay for 20
-    consecutive windows (divergent).
-    """
-    if c <= 0:
-        raise DomainError("upper limit c must be positive")
-    probe = omega.omega(np.geomspace(min(c, 0.5) * 1e-6, min(c, 0.5), 16))
-    if not np.all(np.isfinite(probe)) or np.any(probe < 0):
-        raise DomainError("omega is not finite and nonnegative near 0")
-
-    value = 0.0
-    err = 0.0
-    # regular part between s = min(c, 1/e) and c, in the original variable
-    s_break = min(c, math.exp(-1.0))
-    if c > s_break:
-        v, e = _gl_window(lambda s: omega.omega(s) / s, s_break, c)
-        value += v
-        err += e
-
-    u0 = max(math.log(1.0 / s_break), 1.0)
-    windows = []
-    for k in range(_DINI_MAX_WINDOWS):
-        a, b = u0 * 2.0**k, u0 * 2.0 ** (k + 1)
-        w, e = _gl_window(lambda u: np.exp(omega.log_omega(u)[0]), a, b)
-        windows.append(w)
-        value += w
-        err += e
-
-        if len(windows) > _DIVERGENCE_RUN:
-            recent = windows[-(_DIVERGENCE_RUN + 1):]
-            ratios = [recent[i + 1] / recent[i] for i in range(_DIVERGENCE_RUN)
-                      if recent[i] > 0]
-            if len(ratios) == _DIVERGENCE_RUN and min(ratios) >= _DIVERGENCE_RATIO:
-                return QuadratureResult(value, err, "divergent")
-
-        if len(windows) >= 4:
-            last = windows[-4:]
-            if last[0] <= 0 or max(last) == 0:
-                # integrand fell below representable range: tail is exactly 0
-                return QuadratureResult(value, err, "convergent")
-            rhos = [last[i + 1] / last[i] for i in range(3) if last[i] > 0]
-            if len(rhos) == 3 and max(rhos) < 0.9:
-                rho = float(np.mean(rhos))
-                tail = windows[-1] * rho / (1.0 - rho)
-                bound = windows[-1] * max(rhos) / (1.0 - max(rhos))
-                if bound < _DINI_TOL:
-                    return QuadratureResult(value + tail, err + bound, "convergent")
-    return QuadratureResult(value, err, "inconclusive")
 
 
 def _slope(x: np.ndarray, y: np.ndarray) -> float | None:
@@ -156,6 +82,77 @@ def _slope(x: np.ndarray, y: np.ndarray) -> float | None:
     return float(np.sum((y - y.sum() / y.size) * dx) / np.sum(np.square(dx)))
 
 
+def _tail_test(u: np.ndarray, log_t: np.ndarray) -> tuple[float, float, str]:
+    """(b, drift, verdict) of a sum or integral of terms t_k ~ u_k^(-b),
+    finite iff b > 1, from ln t_k at the ascending u_k.
+
+    b is minus the least-squares slope of ln t against ln u over
+    u >= u_K / 10, and drift is b on the window's second half minus b on
+    its first.  The verdict is divergent for b <= 1 + 1e-9 (a rounding
+    allowance: log-power beta = 1 reads b = 1 to about 1e-14) and
+    convergent for b > 1.05, each only while b does not drift toward the
+    other side by more than 1e-9: a falling b, as on 1/(u ln(u)^gamma), may
+    sink to 1 past every u read.  Anything else is inconclusive.
+    """
+    fit = u >= u[-1] / 10.0
+    x, y = np.log(u[fit]), log_t[fit]
+    half = x.size // 2
+    # 0.0 - slope: a flat fit reads b = 0, not -0
+    b, first, second = (0.0 - _slope(x[part], y[part])
+                        for part in (slice(None), slice(half), slice(half, None)))
+    drift = second - first
+    verdict = ("divergent" if b <= 1.0 + 1e-9 and drift <= 1e-9 else
+               "convergent" if b > 1.05 and drift >= -1e-9 else "inconclusive")
+    return b, drift, verdict
+
+
+def dini_integral(omega: OmegaProfile, c: float) -> QuadratureResult:
+    """The endpoint integral of omega(s)/s over (0, c), read in u = ln(1/s)
+    as the integral of omega(exp(-u)) du over (ln(1/c), inf).
+
+    One ``log_segment_integrals`` call integrates the windows between the
+    knots u0 2^(j/8), j = 0..480, from u0 = max(ln(1/c), 1) to
+    u_max = u0 2^60, and, when c > 1/e, the range (ln(1/c), 1) before them
+    in two halves; a second call, on every other knot, checks it.  The
+    windows' mean values W_k / width_k, at their left knots u_k, go to
+    ``_tail_test``: on omega(exp(-u)) ~ u^(-b) they fall as u_k^(-b).  The
+    value is the integral up to u_max; a convergent one adds the geometric
+    tail past u_max, W_K rho / (1 - rho) with rho = 2^((1-b)/8), exact on
+    a pure power of u.  The error is that tail, the part not integrated,
+    plus the quadrature's change when every other knot is dropped, plus
+    n eps times the value, a rounding allowance over the n segments.  A
+    value that is not convergent is the finite part of the integral up to
+    u_max, and its error leaves out the tail.
+    """
+    if c <= 0:
+        raise DomainError("upper limit c must be positive")
+    probe = omega.omega(np.geomspace(min(c, 0.5) * 1e-6, min(c, 0.5), 16))
+    if not np.all(np.isfinite(probe)) or np.any(probe < 0):
+        raise DomainError("omega is not finite and nonnegative near 0")
+
+    u_c = -math.log(c)
+    steps = np.arange(_OCTAVES * _WINDOWS_PER_OCTAVE + 1) / _WINDOWS_PER_OCTAVE
+    knots = max(u_c, 1.0) * 2.0**steps
+    lead = [u_c, (u_c + 1.0) / 2.0] if u_c < 1.0 else []
+    fine = np.concatenate([lead, knots])
+
+    def log_omega(u):
+        return omega.log_omega(u)[0]
+
+    log_w = log_segment_integrals(log_omega, fine)
+    b, drift, verdict = _tail_test(knots[:-1], log_w[len(lead):] - np.log(np.diff(knots)))
+    w = np.exp(log_w)
+    value = float(np.sum(w))
+    # the coarse rule's error, which bounds the fine rule's
+    coarse = float(np.sum(np.exp(log_segment_integrals(log_omega, fine[::2]))))
+    tail = 0.0
+    if verdict == "convergent":   # b > 1.05, so the windows' ratio rho < 1
+        rho = 2.0 ** ((1.0 - b) / _WINDOWS_PER_OCTAVE)
+        tail = float(w[-1] * rho / (1.0 - rho))
+    error = tail + abs(value - coarse) + w.size * 2.0**-52 * value
+    return QuadratureResult(value + tail, error, b, drift, verdict)
+
+
 def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | None, str]:
     """Verdict for sum t_n from a power fit plus a log-factor refinement.
 
@@ -166,8 +163,11 @@ def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | No
     and unread; their indices n are ascending doubles, so that both fit
     windows are suffixes.  A window with fewer than two distinct indices
     determines no slope and makes the verdict "inconclusive" (with a NaN
-    tail exponent when it is the first window).
+    tail exponent when it is the first window), as does a series with no
+    term at all.
     """
+    if t.size == 0:  # no usable term: nothing to fit, nothing to judge
+        return math.nan, None, "inconclusive"
     if t.size < 8:
         return 0.0, None, "convergent"  # too few terms to fit; a finite sum
     decade = np.searchsorted(n, n[-1] / 10.0)
@@ -190,9 +190,8 @@ def _two_stage_tail_fit(n: np.ndarray, t: np.ndarray) -> tuple[float, float | No
 def _diagnose_series(n: np.ndarray, t: np.ndarray, rejected: int) -> SeriesDiagnosis:
     """Tail-fit verdict and total, a sequential running sum, of sum t_n over
     the ascending indices n."""
-    if t.size == 0:  # no usable term: nothing to fit, nothing to judge
-        return SeriesDiagnosis(0.0, "inconclusive", rejected)
-    return SeriesDiagnosis(float(np.cumsum(t)[-1]), _two_stage_tail_fit(n, t)[2], rejected)
+    total = float(np.cumsum(t)[-1]) if t.size else 0.0
+    return SeriesDiagnosis(total, _two_stage_tail_fit(n, t)[2], rejected)
 
 
 def _condensed_terms(omega: OmegaProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -210,10 +209,10 @@ def dini_series(omega: OmegaProfile) -> CondensedSeries:
 
     The terms t_n are nonincreasing (eventually so on every built-in kind),
     so the series converges exactly when sum_k c_k does, c_k = 2^k t_{2^k}.
-    The verdict reads b, minus the least-squares slope of ln c_k against
-    ln u_k over u_k >= u_K / 10: c_k ~ u_k^(-b), summable iff b > 1.  ln c_k
-    comes from ``log_omega``, finite also where c_k underflows, so b is
-    finite on every kind that is finite at s > 0.
+    ``_tail_test`` reads b and its drift from ln c_k against u_k:
+    c_k ~ u_k^(-b), summable iff b > 1.  ln c_k comes from ``log_omega``,
+    finite also where c_k underflows, so b is finite on every kind that is
+    finite at s > 0.
 
     The total sums t_n for n < 2^_DIRECT_BITS and brackets the rest up to
     n = 2^_CONDENSED_TERMS between (1/2) sum_{k > _DIRECT_BITS} c_k and
@@ -225,12 +224,8 @@ def dini_series(omega: OmegaProfile) -> CondensedSeries:
     u, log_c = _condensed_terms(omega)
     c = np.exp(log_c)
     low, high = 0.5 * np.sum(c[_DIRECT_BITS:]), np.sum(c[_DIRECT_BITS - 1:-1])
-    fit = u >= u[-1] / 10.0
-    # 0.0 - slope: a flat fit reads b = 0, not -0
-    b = 0.0 - _slope(np.log(u[fit]), log_c[fit])
-    verdict = ("divergent" if b <= _SERIES_DIVERGENT_B else
-               "convergent" if b > _SERIES_CONVERGENT_B else "inconclusive")
-    return CondensedSeries(head + float(low + high) / 2, float(high - low) / 2, b, verdict)
+    return CondensedSeries(head + float(low + high) / 2, float(high - low) / 2,
+                           *_tail_test(u, log_c))
 
 
 @dataclass(frozen=True)

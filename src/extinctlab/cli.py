@@ -220,9 +220,13 @@ def cmd_dini(parser, out: OutputDir, args) -> Outcome:
     results = {
         "integral_verdict": eq.integral.verdict,
         "integral_value": eq.integral.value,
+        # b, with window means ~ u_k^(-b), and its drift across the fit window
+        "integral_exponent": eq.integral.exponent,
+        "integral_drift": eq.integral.drift,
         "series_verdict": eq.series.verdict,
         # b, with condensed terms c_k ~ u_k^(-b): summable iff b > 1
         "series_log_factor_exponent": b if math.isfinite(b) else "inf",
+        "series_drift": eq.series.drift,
         "verdicts_agree": eq.agree,
         "conditions": {c.name: c.passed for c in checks},
     }

@@ -57,7 +57,8 @@ NAMED = {
     "odi-y0-0.5": ({"odi": {"y0": "0.5"}}, ("bound",)),
     # bound.curve.region2_skipped and tau_triple_prime_bumped true
     "region2-skipped": ({"profile": _log_power("0.3"), "odi": {"c0": "0.01"}}, ("bound",)),
-    # dini.verdicts_agree null: the integral is inconclusive
+    # dini.verdicts_agree null: the series is inconclusive (its b = 1.05 sits
+    # on the band's edge, where the integral reads b = 1.05 + 1e-15)
     "log-power-1.05": ({"profile": _log_power("1.05")}, ("dini",)),
     # dini.conditions: slope and minorant fail, and at alpha = 2.5 knee too
     "power-1.8": ({"profile": _power("1.8")}, ("dini",)),

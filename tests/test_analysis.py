@@ -46,13 +46,12 @@ class TestDiniIntegral:
         with pytest.raises(DomainError):
             dini_integral(OmegaProfile.power(1.0), c=-1.0)
 
-    def test_refinement_consistency(self, monkeypatch):
-        def at_tol(tol):
-            monkeypatch.setattr(analysis, "_DINI_TOL", tol)
-            return dini_integral(OmegaProfile.log_power(2.0), c=math.exp(-1.0))
-
-        loose, tight = at_tol(1e-4), at_tol(1e-10)
-        assert abs(loose.value - tight.value) <= loose.error + tight.error + 1e-12
+    def test_value_within_error_of_closed_form(self):
+        # the integral over (0, 1/e) of log-power beta is 1/(beta - 1)
+        for beta in (1.2, 2.0, 3.0):
+            res = dini_integral(OmegaProfile.log_power(beta), c=math.exp(-1.0))
+            assert res.converged
+            assert abs(res.value - 1.0 / (beta - 1.0)) <= res.error
 
 
 class TestDiniSeries:
@@ -84,8 +83,9 @@ def _fit_window(profile):
 def _one_shot_series(profile):
     """dini_series written out in one pass from its definition: the direct
     terms n < 2^14 and the condensed terms c_k = omega(s_k), both taken in
-    u = ln(1/s), the bracket on the terms past 2^14, b from the oracle slope
-    and the verdict from the band."""
+    u = ln(1/s), the bracket on the terms past 2^14, b and its drift between
+    the fit window's halves from the oracle slope, and the verdict from the
+    band and its direction guard."""
     n = np.arange(2.0, 2.0**analysis._DIRECT_BITS)
     head = float(np.sum(np.exp(profile.log_omega(0.5 * np.log(n * np.log(n)))[0]) / n))
     k_ln2 = np.arange(1, analysis._CONDENSED_TERMS + 1) * math.log(2.0)
@@ -93,11 +93,15 @@ def _one_shot_series(profile):
     c = np.exp(profile.log_omega(u)[0])
     low = 0.5 * np.sum(c[analysis._DIRECT_BITS:])
     high = np.sum(c[analysis._DIRECT_BITS - 1:-1])
-    b = 0.0 - oracles.slope_into(*_fit_window(profile))
-    verdict = ("divergent" if b <= analysis._SERIES_DIVERGENT_B else
-               "convergent" if b > analysis._SERIES_CONVERGENT_B else "inconclusive")
+    x, y = _fit_window(profile)
+    half = x.size // 2
+    b, first, second = (0.0 - oracles.slope_into(x[part].copy(), y[part].copy())
+                        for part in (slice(None), slice(half), slice(half, None)))
+    drift = second - first
+    verdict = ("divergent" if b <= 1.0 + 1e-9 and drift <= 1e-9 else
+               "convergent" if b > 1.05 and drift >= -1e-9 else "inconclusive")
     return analysis.CondensedSeries(head + float(low + high) / 2, float(high - low) / 2,
-                                    b, verdict)
+                                    b, drift, verdict)
 
 
 def _dini_terms(profile, n_max):

@@ -33,6 +33,10 @@ is a knob that no subcommand turns: it becomes a constant or goes.
 
 Maps: no comprehension in ``odi`` iterates over a ``.tolist()`` call, so
 every root solve's map is an array expression.
+
+Verdicts: in ``analysis`` only the shared tail test turns a comparison into
+a verdict word, apart from a named allow-list, and ``dini_integral`` has no
+loop of its own.
 """
 
 import ast
@@ -353,3 +357,55 @@ def test_odi_maps_are_array_expressions():
               if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
               and sub.func.attr == "tolist"]
     assert not looped, f"odi.py comprehensions over .tolist() at lines {looped}"
+
+
+_VERDICT_WORDS = {"convergent", "divergent", "inconclusive"}
+
+#: functions of ``analysis`` that may still decide a verdict by a rule of
+#: their own, each with the reason
+_OWN_RULES = {
+    "_two_stage_tail_fit": "the spectral sums' fit against n, which ROADMAP item 16 replaces",
+}
+
+
+def verdict_rules(text: str) -> list[str]:
+    """Names of the functions in ``text`` that return a verdict word from a
+    comparison: the word sits in a branch of an ``if`` statement or of a
+    conditional expression whose test compares."""
+    found = set()
+    for fn in ast.walk(ast.parse(text)):
+        if not _is_def(fn):
+            continue
+        for node in ast.walk(fn):
+            if not (isinstance(node, (ast.If, ast.IfExp))
+                    and any(isinstance(sub, ast.Compare) for sub in ast.walk(node.test))):
+                continue
+            branches = (node.body + node.orelse if isinstance(node, ast.If)
+                        else [node.body, node.orelse])
+            if any(isinstance(sub, ast.Constant) and sub.value in _VERDICT_WORDS
+                   for branch in branches for sub in ast.walk(branch)):
+                found.add(fn.name)
+    return sorted(found)
+
+
+def test_verdict_rules_found():
+    text = ("def band(b):\n    return 'divergent' if b <= 1 else 'inconclusive'\n"
+            "def guard(t):\n    if t.size < 8:\n        return 0.0, 'convergent'\n"
+            "def reads(r):\n    return r.verdict == 'convergent'\n"
+            "def passes(r):\n    return r.verdict if r.ok else 'inconclusive'\n")
+    assert verdict_rules(text) == ["band", "guard"]
+
+
+def test_one_tail_test_decides_the_dini_routes():
+    """Both Dini routes take their verdict from ``analysis._tail_test``: no
+    other function of ``analysis`` turns a comparison into a verdict word,
+    apart from ``_OWN_RULES``, and ``dini_integral`` integrates its windows
+    in one array call, with no loop of its own."""
+    text = (SRC / "analysis.py").read_text()
+    assert verdict_rules(text) == sorted({"_tail_test", *_OWN_RULES})
+    integral = next(node for node in ast.parse(text).body
+                    if _is_def(node) and node.name == "dini_integral")
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    looped = [node.lineno for node in ast.walk(integral) if isinstance(node, loops)]
+    assert not looped, f"dini_integral loops at lines {looped}"

@@ -11,10 +11,11 @@ today is a strict xfail that names the ROADMAP item that mends it; a PR that
 moves a cell edits this table.
 """
 
+import dataclasses
+
 import pytest
 
 from extinctlab import odi
-from extinctlab.analysis import QuadratureResult
 from family import BASELINE, run_cli
 
 C, D = "convergent", "divergent"
@@ -118,7 +119,7 @@ def forced_bounds(tmp_path_factory):
 
     def forced(omega, c):
         quad = real(omega, c)
-        return QuadratureResult(quad.value, quad.error, _OPPOSITE[quad.verdict])
+        return dataclasses.replace(quad, verdict=_OPPOSITE[quad.verdict])
 
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
