@@ -113,8 +113,10 @@ def dini_integral(omega: OmegaProfile, c: float) -> QuadratureResult:
     One ``log_segment_integrals`` call integrates the windows between the
     knots u0 2^(j/8), j = 0..480, from u0 = max(ln(1/c), 1) to
     u_max = u0 2^60, and, when c > 1/e, the range (ln(1/c), 1) before them
-    in two halves; a second call, on every other knot, checks it.  The
-    windows' mean values W_k / width_k, at their left knots u_k, go to
+    on the knots u_c + (1 - u_c) 2^(-j/8), j = 480..1, after u_c = ln(1/c),
+    graded toward u_c, where a steep power exp(-alpha u) falls on a scale
+    of 1/alpha; a second call, on every other knot, checks it.  The windows'
+    mean values W_k / width_k, at their left knots u_k, go to
     ``_tail_test``: on omega(exp(-u)) ~ u^(-b) they fall as u_k^(-b).  The
     value is the integral up to u_max; a convergent one adds the geometric
     tail past u_max, W_K rho / (1 - rho) with rho = 2^((1-b)/8), exact on
@@ -133,7 +135,7 @@ def dini_integral(omega: OmegaProfile, c: float) -> QuadratureResult:
     u_c = -math.log(c)
     steps = np.arange(_OCTAVES * _WINDOWS_PER_OCTAVE + 1) / _WINDOWS_PER_OCTAVE
     knots = max(u_c, 1.0) * 2.0**steps
-    lead = [u_c, (u_c + 1.0) / 2.0] if u_c < 1.0 else []
+    lead = [u_c, *(u_c + (1.0 - u_c) * 2.0**-steps[:0:-1])] if u_c < 1.0 else []
     fine = np.concatenate([lead, knots])
 
     def log_omega(u):

@@ -225,7 +225,7 @@ def cmd_dini(parser, out: OutputDir, args) -> Outcome:
         "integral_drift": eq.integral.drift,
         "series_verdict": eq.series.verdict,
         # b, with condensed terms c_k ~ u_k^(-b): summable iff b > 1
-        "series_log_factor_exponent": b if math.isfinite(b) else "inf",
+        "series_log_factor_exponent": b,
         "series_drift": eq.series.drift,
         "verdicts_agree": eq.agree,
         "conditions": {c.name: c.passed for c in checks},

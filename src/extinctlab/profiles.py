@@ -15,7 +15,9 @@ behaviour of ``omega``.  Built-in kinds:
                    unbounded at the origin;
                    the potential is then flatter than exp(-C/r**2) for
                    every C and solutions are expected to stay positive
-* ``table``        monotone cubic interpolation of user samples
+* ``table``        user samples (s_k, w_k), ln omega linear between rows in
+                   x = ln u (u - 1 below u = 1), held above the top row and
+                   continued past the deepest as omega ~ u**(-b)
 
 Each kind is stated once, in ``OmegaProfile.log_omega``: ln omega and
 d ln omega/du in the radius variable u = ln(1/s), in which the Dini-like
@@ -30,7 +32,7 @@ potential, and ``solve_increasing``, the one root finder of the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,8 +77,6 @@ class OmegaProfile:
     kappa: float = 25.0
     table_s: np.ndarray | None = None
     table_w: np.ndarray | None = None
-    _pchip: PchipInterpolator | None = field(default=None, repr=False, compare=False)
-    _pchip_d: PchipInterpolator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -102,23 +102,8 @@ class OmegaProfile:
                 raise ProfileError("table values must be positive and nondecreasing")
             if s[0] <= 0:
                 raise ProfileError("table abscissae must be positive")
-            # the cubic on a row reaches coefficients of size (dw/ds)/ds, so a
-            # deep row, tiny in s, overflows them; the first such row is named
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                slopes = np.diff(w) / np.diff(s)
-                bad = ~np.isfinite(slopes / np.diff(s) ** 2)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise ProfileError(
-                    f"table row {k + 1} (s = {s[k]:.6g}): the monotone cubic to the next "
-                    "row is not finite; the table reaches too deep in s")
             object.__setattr__(self, "table_s", s)
             object.__setattr__(self, "table_w", w)
-            # lazy: scipy.interpolate also loads scipy.special and scipy.optimize
-            from scipy.interpolate import PchipInterpolator
-            interp = PchipInterpolator(s, w, extrapolate=False)
-            object.__setattr__(self, "_pchip", interp)
-            object.__setattr__(self, "_pchip_d", interp.derivative())
         if self.s0 is None:
             object.__setattr__(self, "s0", self._default_s0())
         if not 0 < self.s0 < math.inf:
@@ -168,8 +153,11 @@ class OmegaProfile:
         is infinite, so it stays exact far past the point where omega itself
         underflows.  The derivative is zero on a capped plateau and takes the
         uncapped side at the cap itself.  The logarithmic kinds read u <= 0
-        (s >= 1) as u = 0.  A table wraps its monotone cubic in s; below its
-        first row it continues the linear ramp w0 * s / s0.
+        (s >= 1) as u = 0.  A table's ln omega is linear between rows in
+        x = ln u (u - 1 below u = 1, continuous with its slope there), exact
+        on log-power rows at u >= 1, and a row takes the deeper segment's
+        derivative; it is held above the top row, and past the deepest the
+        last segment continues as omega ~ u^(-b), -inf at u = inf unless flat.
         """
         u = np.asarray(u, dtype=float)
         log_w0 = math.log(self.omega0)
@@ -186,16 +174,19 @@ class OmegaProfile:
             if self.kind == "log-singular":
                 L = np.maximum(u, 0.0)
                 return math.log(self.kappa) + np.log(L), np.where(L > 0, 1.0 / L, 0.0)
-            s, w = self.table_s, self.table_w
-            u_first, u_last = -math.log(s[0]), -math.log(s[-1])
-            below, above = u > u_first, u < u_last
-            mid = ~below & ~above
-            lw, d = np.empty_like(u), np.empty_like(u)
-            lw[below], d[below] = math.log(w[0]) - (u[below] - u_first), -1.0
-            lw[above], d[above] = math.log(w[-1]), 0.0
-            sm = np.clip(np.exp(-u[mid]), s[0], s[-1])   # exp may round off the table
-            wm = self._pchip(sm)
-            lw[mid], d[mid] = np.log(wm), -sm * self._pchip_d(sm) / wm
+            def x_of(v):
+                return np.where(v >= 1.0, np.log(v), v - 1.0)
+
+            # the rows in ascending x, deepest last; slope[j] is segment j's
+            x_rows = x_of(-np.log(self.table_s[::-1]))
+            lw_rows = np.log(self.table_w[::-1])
+            slope = np.diff(lw_rows) / np.diff(x_rows)
+            x = x_of(u)
+            held = np.maximum(x, x_rows[0])   # NaN stays NaN
+            j = np.clip(np.searchsorted(x_rows, held, side="right") - 1, 0, slope.size - 1)
+            rise = slope[j] * (held - x_rows[j])
+            lw = lw_rows[j] + np.where((slope[j] == 0.0) & (held == np.inf), 0.0, rise)
+            d = np.where(x >= x_rows[0], slope[j] * np.where(u >= 1.0, 1.0 / u, 1.0), 0.0)
             return lw, d
 
     def omega(self, s):
@@ -494,10 +485,11 @@ def build_rho_map(field) -> RhoMap:
         raise MonotonicityError("potential underflows to zero on the whole probe range")
     start = int(np.argmax(alive))
     la_alive = la[start:]
-    dif = np.diff(la_alive)
-    bad = np.where(dif <= 0)[0]
-    end = start + (int(bad[0]) if bad.size else la_alive.size - 1)
-    if end == start:
+    # the range ends a probe before the first that does not rise: a peak
+    # (a table's sits on a row) may lie between that probe and the one before
+    bad = np.flatnonzero(np.diff(la_alive) <= 0)
+    end = start + (int(bad[0]) - 1 if bad.size else la_alive.size - 1)
+    if end <= start:
         raise MonotonicityError("a is not increasing where it is representable")
     r_lo, r_hi = float(probe[start]), float(probe[end])
 

@@ -83,9 +83,11 @@ NAMED = {
     "power-1.5-u0-0.1": ({"profile": _power("1.5"),
                           "problem": {"u0": "0.1", "cells": "300", "horizon": "40"}},
                          ("simulate", "bound")),
-    # omega of log-power beta = 2 sampled into a table
+    # omega of log-power beta = 2, then beta = 0.5, sampled into a table
     "table-log-power-2": ({"profile": {"kind": "table", "table": "omega.csv",
                                        "delta": "0.5", "d0": "1.0"}}, ("verify",)),
+    "table-log-power-0.5": ({"profile": {"kind": "table", "table": "omega-log-power-0.5.csv",
+                                         "delta": "0.5", "d0": "1.0"}}, ("verify",)),
 }
 
 #: every run: each Baseline row (simulate at 500 cells, then verify in the
@@ -93,8 +95,12 @@ NAMED = {
 RUNS = {name: ({"profile": profile, "problem": {"cells": "500"}}, ("simulate", "verify"))
         for name, profile in BASELINE.items()} | NAMED
 
-#: the abscissae of the table profile's omega.csv
+#: the abscissae of the table profiles' files
 TABLE_S = np.geomspace(1e-12, 1.0, 400)
+
+#: each table file of NAMED and the profile it samples at TABLE_S
+TABLES = {"omega.csv": OmegaProfile.log_power(2.0),
+          "omega-log-power-0.5.csv": OmegaProfile.log_power(0.5)}
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,9 @@ def run_cli(directory: Path, changes: dict, commands) -> CliRun:
     with open(config, "w") as fh:
         parser.write(fh)
     if sections["profile"]["kind"] == "table":
-        w = OmegaProfile.log_power(2.0).omega(TABLE_S)
-        np.savetxt(directory / "omega.csv", np.column_stack([TABLE_S, w]), delimiter=",")
+        name = sections["profile"]["table"]
+        w = TABLES[name].omega(TABLE_S)
+        np.savetxt(directory / name, np.column_stack([TABLE_S, w]), delimiter=",")
     out = directory / "out"
     codes = {c: int(main([c, "--config", str(config), "--out", str(out)])) for c in commands}
     results = {p.stem.removeprefix("summary_"): json.loads(p.read_text())["results"]

@@ -17,6 +17,7 @@ from extinctlab.analysis import (
     spectral_log_sum,
 )
 from extinctlab.profiles import OmegaProfile
+from family import TABLE_S
 from oracles import composite_endpoint_integral, endpoint_equivalence_ratios
 
 
@@ -52,6 +53,32 @@ class TestDiniIntegral:
             res = dini_integral(OmegaProfile.log_power(beta), c=math.exp(-1.0))
             assert res.converged
             assert abs(res.value - 1.0 / (beta - 1.0)) <= res.error
+
+    @pytest.mark.parametrize("alpha", [1.0, 50.0, 5000.0])
+    def test_steep_power_over_graded_lead(self, alpha):
+        # c = 1 > 1/e: the whole integral, 1/alpha, lies in the lead (0, 1),
+        # where omega(exp(-u)) = exp(-alpha u) falls on a scale of 1/alpha
+        res = dini_integral(OmegaProfile.power(alpha), c=1.0)
+        assert res.converged
+        assert abs(res.value - 1.0 / alpha) <= min(res.error, 2 * math.ulp(1.0 / alpha))
+
+
+#: log-power and power sources of tables sampled at family.TABLE_S, with
+#: the Dini verdict of each
+_TABLE_SOURCES = [pytest.param(OmegaProfile.log_power(b), v, id=f"log-power-{b}")
+                  for b, v in ((0.5, "divergent"), (1.0, "divergent"),
+                               (2.0, "convergent"), (3.0, "convergent"))] \
+    + [pytest.param(OmegaProfile.power(a), "convergent", id=f"power-{a}") for a in (0.5, 1.0)]
+
+
+@pytest.mark.parametrize("source, verdict", _TABLE_SOURCES)
+def test_sampled_table_takes_its_sources_dini_verdict(source, verdict):
+    # the table continues its deepest segment as u^(-b), so its tail is
+    # its source's: both routes read b from the table's own rows
+    table = OmegaProfile.from_table(TABLE_S, source.omega(TABLE_S))
+    c = math.exp(-1.0)
+    assert dini_integral(table, c).verdict == dini_integral(source, c).verdict == verdict
+    assert dini_series(table).verdict == dini_series(source).verdict == verdict
 
 
 class TestDiniSeries:

@@ -151,12 +151,20 @@ def scalar_probe_points(prof) -> np.ndarray:
                            np.exp(rng.uniform(-1.0, 1.0, 1000)), edges])
 
 
-_LINEAR_S = np.geomspace(1e-3, 0.5, 12)
+#: the table's rows at u = ln(1/s): log-power beta = 1.5 at u = 1..8, the
+#: line -beta (u - 1) at u = 0 (s = 1), and a deepest row that steepens the
+#: last segment to u^(-3)
+_TABLE_BETA = 1.5
+_TABLE_U = np.array([16.0, 8.0, 4.0, 2.0, 1.0, 0.0])
+_TABLE_LOG_W = np.array([-_TABLE_BETA * math.log(8.0) - 3.0 * math.log(2.0),
+                         *(-_TABLE_BETA * np.log(_TABLE_U[1:-1])), _TABLE_BETA])
 
 
 def _closed_form(prof, u):
     """(ln omega, d ln omega/du) of ``prof`` at u = ln(1/s), 50 digits.  The
-    table is sampled from omega = s, which its monotone cubic reproduces."""
+    table's ln omega is -beta x(u), with x = ln u from u = 1 on and u - 1
+    below, held above its row at u = 0 and continued as u^(-3) past the row
+    at u = 8, where the derivative takes the deeper side."""
     with mpmath.workdps(50):
         u, log_w0 = mpmath.mpf(u), mpmath.log(prof.omega0)
         if prof.kind == "power":
@@ -169,8 +177,14 @@ def _closed_form(prof, u):
             return log_w0, 0.0
         if prof.kind == "log-singular":
             return (mpmath.log(prof.kappa * u), 1 / u) if u > 0 else (-mpmath.inf, 0.0)
-        u_last = -mpmath.log(_LINEAR_S[-1])
-        return (-u, -1.0) if u >= u_last else (-u_last, 0.0)
+        beta = mpmath.mpf(_TABLE_BETA)
+        if u < 0:
+            return beta, 0.0
+        if u < 1:
+            return -beta * (u - 1), -beta
+        if u < 8:
+            return -beta * mpmath.log(u), -beta / u
+        return -beta * mpmath.log(8) - 3 * mpmath.log(u / 8), -3 / u
 
 
 def _side(x, rel=1e-9):
@@ -189,9 +203,9 @@ _PRIMITIVE_POINTS = [
                  id="constant"),
     pytest.param(OmegaProfile.log_singular(), [*_side(0.0), 0.0, -2.0, 1e-300, 1000.0, 1e300],
                  id="log-singular"),
-    pytest.param(OmegaProfile.from_table(_LINEAR_S, _LINEAR_S),
-                 [*_side(-math.log(_LINEAR_S[-1])), *_side(-math.log(_LINEAR_S[0])), 0.0, -2.0,
-                  3.0, 1000.0, 1e300], id="table"),
+    pytest.param(OmegaProfile.from_table(np.exp(-_TABLE_U), np.exp(_TABLE_LOG_W)),
+                 [*_side(0.0), *_side(1.0), *_side(8.0), 0.0, -2.0, 0.5, 3.0, 12.0,
+                  1000.0, 1e300, math.inf], id="table"),
 ]
 
 
@@ -287,9 +301,11 @@ class TestRhoMap:
         assert np.all(np.diff(rho(rmap, np.geomspace(*z_range(rmap), 200))) > 0)
 
     def test_rising_part_of_rise_fall_potential(self, rise_fall_potential):
+        # a peaks at the table's row s = 0.31012; the range ends at the
+        # probe before the first probe that does not rise
         rmap = build_rho_map(rise_fall_potential)
         assert rmap.r_lo == pytest.approx(2.69e-3, rel=1e-3)
-        assert rmap.r_hi == pytest.approx(0.30752, rel=1e-5)
+        assert rmap.r_hi == pytest.approx(0.308939, rel=1e-5)
         z = np.geomspace(*z_range(rmap), 200)
         a_back = rise_fall_potential.a(r_of_z(rmap, z))
         assert np.all(np.abs(a_back / z - 1.0) < 1e-8)
@@ -529,6 +545,16 @@ class TestTableProfile:
         # omega' = -omega (d ln omega/du) / s
         assert np.allclose(-prof.omega(mid) * prof.log_omega(-np.log(mid))[1] / mid, 1.0,
                            rtol=5e-2)
+
+    def test_edge_values(self):
+        # NaN gives NaN; u = inf gives -inf past a falling last segment and
+        # the deepest row's ln w past a flat one, never NaN
+        falling = OmegaProfile.from_table([1e-3, 0.5], [0.1, 0.5])
+        flat = OmegaProfile.from_table([1e-3, 1e-2, 0.5], [0.2, 0.2, 0.5])
+        u = np.array([np.nan, np.inf])
+        assert np.array_equal(falling.log_omega(u)[0], [np.nan, -np.inf], equal_nan=True)
+        assert np.array_equal(flat.log_omega(u)[0], [np.nan, math.log(0.2)], equal_nan=True)
+        assert flat.omega(0.0) == 0.2 and falling.omega(0.0) == 0.0
 
     def test_bad_tables_rejected(self):
         with pytest.raises(ProfileError):

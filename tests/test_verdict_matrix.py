@@ -2,13 +2,15 @@
 
 Each row is a Baseline profile of tests/family.py, run once per session
 (``cli_runs``): ``simulate`` at 500 cells, then ``verify`` in the same
---out.  ``EXPECTED`` holds each route's verdict as the paper and its two
-cited works say it should be, and ``verify``'s exit code.  The mu-log sum
-is sufficient only (Kondratiev and Veron): ``convergent`` means extinction,
-``divergent`` means no verdict, so its cells pin what it says today, and it
-may say ``convergent`` only where the Dini routes do.  A cell that is wrong
-today is a strict xfail that names the ROADMAP item that mends it; a PR that
-moves a cell edits this table.
+--out.  The last row is ``verify`` alone on a table sampled from log-power
+beta = 0.5, which states its own tail.  ``EXPECTED`` holds each route's
+verdict as the paper and its two cited works say it should be, and
+``verify``'s exit code.  The mu-log sum is sufficient only (Kondratiev and
+Veron): ``convergent`` means extinction, ``divergent`` means no verdict, so
+its cells pin what it says today, and it may say ``convergent`` only where
+the Dini routes do.  A cell that is wrong today is a strict xfail that
+names the ROADMAP item that mends it; a PR that moves a cell edits this
+table.
 """
 
 import dataclasses
@@ -42,6 +44,7 @@ EXPECTED = {
     "power-1": (C, C, C, C, C, 0),
     "power-1.5": (C, C, C, C, C, 0),
     "log-singular": (D, D, D, D, D, 0),
+    "table-log-power-0.5": (D, D, D, D, D, 0),
 }
 
 _ITEM_2 = ("ROADMAP item 2: the spectral criterion says convergent on 39 terms "
@@ -57,6 +60,8 @@ WRONG_TODAY = {
     ("log-power-0.5", "verify"): _ITEM_2_VERIFY,
     ("log-power-1", "verify"): _ITEM_2_VERIFY,
     ("constant", "verify"): _ITEM_2_VERIFY,
+    ("table-log-power-0.5", "criterion"): _ITEM_2,
+    ("table-log-power-0.5", "verify"): _ITEM_2_VERIFY,
 }
 
 
@@ -89,11 +94,12 @@ def test_mu_log_sum_is_one_sided(cli_runs):
 
 
 def test_table_profile_matches_its_row(cli_runs):
-    # omega of log-power beta = 2 sampled into a table reaches every verdict
-    # of the log-power-2 row
-    table, row = cli_runs["table-log-power-2"], cli_runs["log-power-2"]
-    assert {c: read(table) for c, read in COLUMNS.items()} == \
-        {c: read(row) for c, read in COLUMNS.items()}
+    # omega of log-power beta = 2, and of beta = 0.5, sampled into a table
+    # reaches every verdict of its source's row, the wrong ones included
+    for source in ("log-power-2", "log-power-0.5"):
+        table, row = cli_runs[f"table-{source}"], cli_runs[source]
+        assert {c: read(table) for c, read in COLUMNS.items()} == \
+            {c: read(row) for c, read in COLUMNS.items()}, source
 
 
 def test_verify_checks_an_extinct_simulate(cli_runs):
