@@ -9,7 +9,9 @@ u_k^(-b): the integral's means over windows of u in geometric progression,
 the series' condensed terms c_k = 2^k t_{2^k} (k = 1..1000, u <= 350).
 Both take ln omega from ``OmegaProfile.log_omega``, so no term underflows.
 The series' total covers n < 2^1000: a direct sum for n < 2^14 and, for
-the rest, the bracket that condensation gives.
+the rest, the bracket that condensation gives.  The spectral criterion
+hands the same test its own condensed terms, with a drift allowance scaled
+to b; the mu-log sum keeps a two-stage fit against n.
 
 All integrands go through one log-space 32-point Gauss-Legendre rule,
 ``log_segment_integrals``: it returns the log of each segment's integral,
@@ -82,7 +84,8 @@ def _slope(x: np.ndarray, y: np.ndarray) -> float | None:
     return float(np.sum((y - y.sum() / y.size) * dx) / np.sum(np.square(dx)))
 
 
-def _tail_test(u: np.ndarray, log_t: np.ndarray) -> tuple[float, float, str]:
+def _tail_test(u: np.ndarray, log_t: np.ndarray,
+               drift_ratio: float = math.inf) -> tuple[float, float, str]:
     """(b, drift, verdict) of a sum or integral of terms t_k ~ u_k^(-b),
     finite iff b > 1, from ln t_k at the ascending u_k.
 
@@ -91,8 +94,12 @@ def _tail_test(u: np.ndarray, log_t: np.ndarray) -> tuple[float, float, str]:
     its first.  The verdict is divergent for b <= 1 + 1e-9 (a rounding
     allowance: log-power beta = 1 reads b = 1 to about 1e-14) and
     convergent for b > 1.05, each only while b does not drift toward the
-    other side by more than 1e-9: a falling b, as on 1/(u ln(u)^gamma), may
-    sink to 1 past every u read.  Anything else is inconclusive.
+    other side by more than 1e-9, or by more than |b - 1| / drift_ratio
+    where that is larger: a falling b, as on 1/(u ln(u)^gamma), may sink to
+    1 past every u read.  The Dini routes read b to rounding and keep the
+    1e-9; the spectral criterion's b carries a slowly varying factor whose
+    drift, a few thousandths at its depth, is no rounding error, so it
+    passes a ratio.  Anything else is inconclusive.
     """
     fit = u >= u[-1] / 10.0
     x, y = np.log(u[fit]), log_t[fit]
@@ -101,8 +108,9 @@ def _tail_test(u: np.ndarray, log_t: np.ndarray) -> tuple[float, float, str]:
     b, first, second = (0.0 - _slope(x[part], y[part])
                         for part in (slice(None), slice(half), slice(half, None)))
     drift = second - first
-    verdict = ("divergent" if b <= 1.0 + 1e-9 and drift <= 1e-9 else
-               "convergent" if b > 1.05 and drift >= -1e-9 else "inconclusive")
+    allowed = max(1e-9, abs(b - 1.0) / drift_ratio)
+    verdict = ("divergent" if b <= 1.0 + 1e-9 and drift <= allowed else
+               "convergent" if b > 1.05 and drift >= -allowed else "inconclusive")
     return b, drift, verdict
 
 
@@ -138,15 +146,12 @@ def dini_integral(omega: OmegaProfile, c: float) -> QuadratureResult:
     lead = [u_c, *(u_c + (1.0 - u_c) * 2.0**-steps[:0:-1])] if u_c < 1.0 else []
     fine = np.concatenate([lead, knots])
 
-    def log_omega(u):
-        return omega.log_omega(u)[0]
-
-    log_w = log_segment_integrals(log_omega, fine)
+    log_w = log_segment_integrals(omega.log_omega, fine)
     b, drift, verdict = _tail_test(knots[:-1], log_w[len(lead):] - np.log(np.diff(knots)))
     w = np.exp(log_w)
     value = float(np.sum(w))
     # the coarse rule's error, which bounds the fine rule's
-    coarse = float(np.sum(np.exp(log_segment_integrals(log_omega, fine[::2]))))
+    coarse = float(np.sum(np.exp(log_segment_integrals(omega.log_omega, fine[::2]))))
     tail = 0.0
     if verdict == "convergent":   # b > 1.05, so the windows' ratio rho < 1
         rho = 2.0 ** ((1.0 - b) / _WINDOWS_PER_OCTAVE)
@@ -202,7 +207,7 @@ def _condensed_terms(omega: OmegaProfile) -> tuple[np.ndarray, np.ndarray]:
     underflows, and in ln omega so that no c_k does."""
     k_ln2 = np.arange(1, _CONDENSED_TERMS + 1) * math.log(2.0)
     u = 0.5 * (k_ln2 + np.log(k_ln2))
-    return u, omega.log_omega(u)[0]
+    return u, omega.log_omega(u)
 
 
 def dini_series(omega: OmegaProfile) -> CondensedSeries:
@@ -222,7 +227,7 @@ def dini_series(omega: OmegaProfile) -> CondensedSeries:
     half-width is the error.
     """
     n = np.arange(2.0, 2.0**_DIRECT_BITS)
-    head = float(np.sum(np.exp(omega.log_omega(0.5 * np.log(n * np.log(n)))[0]) / n))
+    head = float(np.sum(np.exp(omega.log_omega(0.5 * np.log(n * np.log(n)))) / n))
     u, log_c = _condensed_terms(omega)
     c = np.exp(log_c)
     low, high = 0.5 * np.sum(c[_DIRECT_BITS:]), np.sum(c[_DIRECT_BITS - 1:-1])

@@ -74,10 +74,9 @@ EXIT_NUMERIC = 70
 
 _MIN_POSITIVITY_FLOOR = 1e-6  # of the initial sup norm
 _CSV_BLOCK = 1024  # rows write_csv formats at a time
-# the caps on [spectral] cells of the mu_n sequence and the spectral
-# criterion; the sandwich scan takes cells as given
+# the cap on [spectral] cells of the mu_n sequence; the sandwich scan takes
+# cells as given
 _MU_N_CELLS = 800
-_CRITERION_CELLS = 2000
 
 
 def _fmt(x) -> str:
@@ -358,7 +357,7 @@ def cmd_bound(parser, out: OutputDir, args) -> Outcome:
 def cmd_spectral(parser, out: OutputDir, args, dini: dict | None = None) -> Outcome:
     sp = spectral_from_config(parser, args.config_dir)
     potential = potential_from_config(parser, args.config_dir)
-    results = {}
+    results, bracket = {}, None
     try:
         rho_map = spectral.build_rho_map(potential)  # one map for both sandwiches
         hs = np.geomspace(sp["h_min"], sp["h_max"], sp["h_count"])
@@ -367,16 +366,18 @@ def cmd_spectral(parser, out: OutputDir, args, dini: dict | None = None) -> Outc
                       ["h", "lambda1", "residual", "rho_inv", "ratio"],
                       [scan.h, scan.lambda1, scan.residuals, scan.rho_inv,
                        scan.ratios])
+        bracket = scan.bracket
         results.update({
-            "sandwich_bracket_C": scan.bracket,
+            "sandwich_bracket_C": bracket,
             "sandwich_width": scan.width,
             "sandwich_clipped": scan.clipped,
             "inverse_sandwich_violations": inverse_map_sandwich(
                 potential, np.geomspace(1e-12, 1e-6, 100), rho_map),
         })
     except MonotonicityError as exc:
-        # constant-like potentials have no inverse map; the criteria below
-        # are still meaningful
+        # a potential that does not rise has no inverse map: the mu-log sum
+        # below is still meaningful, the criterion, which reads the map, is
+        # inconclusive
         results["rho_map_error"] = str(exc)
 
     mus = mu_n_sequence(potential, n_max=sp["mu_n_max"], cells=min(sp["cells"], _MU_N_CELLS))
@@ -387,16 +388,19 @@ def cmd_spectral(parser, out: OutputDir, args, dini: dict | None = None) -> Outc
                   [range(mus.size), mus, terms, np.cumsum(terms)])
 
     crit = spectral_criterion_series(potential, K=sp["k"], q=sp["q"],
-                                     n_range=(sp["n_min"], sp["n_max"]),
-                                     cells=min(sp["cells"], _CRITERION_CELLS))
-    out.write_csv("criterion_terms.csv", ["n", "mu", "term", "flagged"],
-                  [crit.n, crit.mu, crit.terms, crit.flagged])
+                                     n_range=(sp["n_min"], sp["n_max"]), bracket=bracket)
+    out.write_csv("criterion_terms.csv", ["n", "u", "mu", "term", "flagged"],
+                  [crit.n, crit.u, crit.mu, crit.terms, crit.flagged])
 
     results.update({
         "mu_log_sum": kv.total,
         "mu_log_sum_verdict": kv.verdict,
         "mu_log_sum_rejected": kv.rejected,
         "spectral_criterion_verdict": crit.verdict,
+        # b, with condensed terms c_k ~ u*_k^(-b), and its drift across the
+        # fit window; null when a condensed root lies past the map's span
+        "spectral_criterion_exponent": crit.exponent,
+        "spectral_criterion_drift": crit.drift,
     })
     if dini is None:  # not run by verify: an earlier dini run, if any
         dini = _earlier_results(out, "dini", args.config_dir)

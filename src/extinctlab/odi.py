@@ -252,7 +252,7 @@ def solve_extinction_radius(config: OdiConfig, log_levels) -> tuple[np.ndarray, 
         return math.log(config.c7 / (-log_level))
 
     def g(xs):  # ln(tau^2 / omega(tau)) in x = ln tau, exact where omega underflows
-        return 2.0 * xs - config.potential.omega.log_omega(-xs)[0]
+        return 2.0 * xs - config.potential.omega.log_omega(-xs)
 
     taus = _solve_log_tau(g, map(target, log_levels), _TAU_FLOOR, config.tau_max)
     clipped = taus == math.inf

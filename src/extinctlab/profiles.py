@@ -19,11 +19,12 @@ behaviour of ``omega``.  Built-in kinds:
                    x = ln u (u - 1 below u = 1), held above the top row and
                    continued past the deepest as omega ~ u**(-b)
 
-Each kind is stated once, in ``OmegaProfile.log_omega``: ln omega and
-d ln omega/du in the radius variable u = ln(1/s), in which the Dini-like
-condition reads as the integral of omega(exp(-u)) du.  ``omega`` is its
-exp, the condition checks read -d ln omega/du as the slope s omega'/omega,
-and a profile's space-time ramp s(tau) = tau**4 / omega(tau) takes both.
+Each kind is stated once, in ``OmegaProfile.log_omega``: ln omega, and on
+request d ln omega/du, in the radius variable u = ln(1/s), in which the
+Dini-like condition reads as the integral of omega(exp(-u)) du.  ``omega``
+is its exp, the condition checks read -d ln omega/du as the slope
+s omega'/omega, and a profile's space-time ramp s(tau) = tau**4 / omega(tau)
+takes both.
 The module also provides the inverse of the monotone map
 rho(z) = z * r(z)**2, r(z) = a^{-1}(z), attached to an invertible
 potential, and ``solve_increasing``, the one root finder of the package.
@@ -145,49 +146,58 @@ class OmegaProfile:
 
     # -- evaluation --------------------------------------------------------
 
-    def log_omega(self, u):
-        """(ln omega, d ln omega / du) at u = ln(1/s), ndarrays shaped like u.
+    def log_omega(self, u, slope: bool = False):
+        """ln omega at u = ln(1/s), an ndarray shaped like u; with ``slope``,
+        the pair (ln omega, d ln omega / du).
 
         The one per-kind statement of omega: every other evaluation is built
         on it.  ln omega is -inf exactly where omega is 0 and inf where omega
         is infinite, so it stays exact far past the point where omega itself
-        underflows.  The derivative is zero on a capped plateau and takes the
-        uncapped side at the cap itself.  The logarithmic kinds read u <= 0
-        (s >= 1) as u = 0.  A table's ln omega is linear between rows in
-        x = ln u (u - 1 below u = 1, continuous with its slope there), exact
-        on log-power rows at u >= 1, and a row takes the deeper segment's
-        derivative; it is held above the top row, and past the deepest the
-        last segment continues as omega ~ u^(-b), -inf at u = inf unless flat.
+        underflows.  Only the ramp and the condition checks read the
+        derivative, so it is computed only when asked for; ln omega is the
+        same either way.  The derivative is zero on a capped plateau and
+        takes the uncapped side at the cap itself.  The logarithmic kinds
+        read u <= 0 (s >= 1) as u = 0.  A table's ln omega is linear between
+        rows in x = ln u (u - 1 below u = 1, continuous with its slope
+        there), exact on log-power rows at u >= 1, and a row takes the
+        deeper segment's derivative; it is held above the top row, and past
+        the deepest the last segment continues as omega ~ u^(-b), -inf at
+        u = inf unless flat.
         """
         u = np.asarray(u, dtype=float)
         log_w0 = math.log(self.omega0)
+        # each kind gives ln omega and a thunk of its derivative
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if self.kind == "power":
                 free = -self.alpha * u
-                return np.minimum(free, log_w0), np.where(free <= log_w0, -self.alpha, 0.0)
-            if self.kind == "log-power":
+                lw = np.minimum(free, log_w0)
+                d = lambda: np.where(free <= log_w0, -self.alpha, 0.0)
+            elif self.kind == "log-power":
                 L = np.maximum(u, 0.0)
                 free = -self.beta * np.log(L)
-                return np.minimum(free, log_w0), np.where(free <= log_w0, -self.beta / L, 0.0)
-            if self.kind == "constant":
-                return np.full_like(u, log_w0), np.zeros_like(u)
-            if self.kind == "log-singular":
+                lw = np.minimum(free, log_w0)
+                d = lambda: np.where(free <= log_w0, -self.beta / L, 0.0)
+            elif self.kind == "constant":
+                lw, d = np.full_like(u, log_w0), lambda: np.zeros_like(u)
+            elif self.kind == "log-singular":
                 L = np.maximum(u, 0.0)
-                return math.log(self.kappa) + np.log(L), np.where(L > 0, 1.0 / L, 0.0)
-            def x_of(v):
-                return np.where(v >= 1.0, np.log(v), v - 1.0)
+                lw, d = math.log(self.kappa) + np.log(L), lambda: np.where(L > 0, 1.0 / L, 0.0)
+            else:
+                def x_of(v):
+                    return np.where(v >= 1.0, np.log(v), v - 1.0)
 
-            # the rows in ascending x, deepest last; slope[j] is segment j's
-            x_rows = x_of(-np.log(self.table_s[::-1]))
-            lw_rows = np.log(self.table_w[::-1])
-            slope = np.diff(lw_rows) / np.diff(x_rows)
-            x = x_of(u)
-            held = np.maximum(x, x_rows[0])   # NaN stays NaN
-            j = np.clip(np.searchsorted(x_rows, held, side="right") - 1, 0, slope.size - 1)
-            rise = slope[j] * (held - x_rows[j])
-            lw = lw_rows[j] + np.where((slope[j] == 0.0) & (held == np.inf), 0.0, rise)
-            d = np.where(x >= x_rows[0], slope[j] * np.where(u >= 1.0, 1.0 / u, 1.0), 0.0)
-            return lw, d
+                # the rows in ascending x, deepest last; grad[j] is segment j's
+                x_rows = x_of(-np.log(self.table_s[::-1]))
+                lw_rows = np.log(self.table_w[::-1])
+                grad = np.diff(lw_rows) / np.diff(x_rows)
+                x = x_of(u)
+                held = np.maximum(x, x_rows[0])   # NaN stays NaN
+                j = np.clip(np.searchsorted(x_rows, held, side="right") - 1, 0, grad.size - 1)
+                rise = grad[j] * (held - x_rows[j])
+                lw = lw_rows[j] + np.where((grad[j] == 0.0) & (held == np.inf), 0.0, rise)
+                d = lambda: np.where(x >= x_rows[0],
+                                     grad[j] * np.where(u >= 1.0, 1.0 / u, 1.0), 0.0)
+            return (lw, d()) if slope else lw
 
     def omega(self, s):
         """omega(s) for scalar or array s >= 0: exp of ``log_omega`` at
@@ -202,7 +212,7 @@ class OmegaProfile:
         if np.any(arr < 0):
             raise ProfileError("omega is only defined for s >= 0")
         with np.errstate(divide="ignore"):
-            out = np.exp(self.log_omega(-np.log(arr.reshape(1) if scalar else arr))[0])
+            out = np.exp(self.log_omega(-np.log(arr.reshape(1) if scalar else arr)))
         return float(out[0]) if scalar else out
 
     # -- the space-time ramp s(tau) = tau**4 / omega(tau) ------------------
@@ -213,7 +223,7 @@ class OmegaProfile:
         arr, scalar = _asfarray(tau)
         if np.any(arr <= 0):
             raise ProfileError("s(tau) needs tau > 0")
-        lw, d = self.log_omega(-np.log(arr))
+        lw, d = self.log_omega(-np.log(arr), slope=True)
         if np.any(lw == -np.inf):
             raise ZeroDivisionError("omega vanishes at a requested tau; s(tau) undefined")
         return arr, scalar, lw, d
@@ -252,13 +262,19 @@ class ConditionCheck:
 
 def check_conditions(profile: OmegaProfile) -> tuple[ConditionCheck, ...]:
     """Sampled verification of the structural conditions on ``omega``: one
-    check each of monotone, origin, bounded, slope, minorant and knee.
+    check each of monotone, origin, bounded, slope, minorant and knee, on
+    10 000 geometric radii from s0 * 1e-8, or a table's deepest row when
+    it lies deeper, up to s0.
 
     A failure comes with a violating sample, so it is a certificate; a pass
     is evidence at the grid resolution, not a proof.
     """
-    grid = np.geomspace(profile.s0 * 1e-8, profile.s0, 10_000)
-    log_w, d = profile.log_omega(-np.log(grid))
+    deepest = profile.s0 * 1e-8
+    if profile.kind == "table":
+        deepest = min(deepest, float(profile.table_s[0]))
+    grid = np.geomspace(deepest, profile.s0, 10_000)
+    u = -np.log(grid)
+    log_w, d = profile.log_omega(u, slope=True)
     w = np.exp(log_w)
     delta = profile.delta
     checks = []
@@ -289,9 +305,10 @@ def check_conditions(profile: OmegaProfile) -> tuple[ConditionCheck, ...]:
 
     record("minorant", w >= grid ** (2.0 - delta) * (1 - 1e-12))
 
-    ratio = w / grid**2
-    knee_ok = np.concatenate([[True], np.diff(ratio) <= tol * np.maximum(ratio[:-1], 1.0)])
-    record("knee", knee_ok & np.isfinite(ratio))
+    # omega / s^2 nonincreasing in s, in logs: s^2 underflows on a deep table
+    log_ratio = log_w + 2.0 * u
+    knee_ok = np.concatenate([[True], log_ratio[1:] <= log_ratio[:-1] + math.log1p(tol)])
+    record("knee", knee_ok & (log_ratio < np.inf))
 
     return tuple(checks)
 
@@ -380,7 +397,8 @@ class ConstantPotential:
 # ---------------------------------------------------------------------------
 
 def solve_increasing(g, targets, lo, hi) -> np.ndarray:
-    """Solve g(x) = t on [lo, hi] for every t of ``targets``, g increasing.
+    """Solve g(x) = t on [lo, hi] for every t of ``targets``, g increasing;
+    lo and hi are numbers, or arrays that broadcast to the targets' shape.
 
     All targets run in lock-step: ``g`` gets the ndarray of the points of
     the targets still open, once per pass, and returns their values.  A
@@ -406,7 +424,8 @@ def solve_increasing(g, targets, lo, hi) -> np.ndarray:
     # (NaN until known), whether the last pass moved b, and the last
     # probe's distance (0 after a secant step, NaN after a midpoint)
     idx = np.arange(t.size)
-    a, b = np.full(t.size, float(lo)), np.full(t.size, float(hi))
+    a, b = (np.broadcast_to(np.asarray(end, dtype=float), targets.shape).ravel()
+            for end in (lo, hi))
     fa, fb, gap = np.full(t.size, np.nan), np.full(t.size, np.nan), np.full(t.size, np.nan)
     moved_b = np.zeros(t.size, dtype=bool)
     while idx.size:

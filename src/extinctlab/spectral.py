@@ -1,7 +1,15 @@
 """Ground states of the radial Schrodinger operator -Lap + h^(-2) a(|x|)
-with zero-flux boundaries, and the spectral extinction criteria built on them.
-Ground states live on the unit ball and the sweeps run in one dimension, on
-[0, 1]: ``[problem] dimension`` and ``radius`` do not reach this route.
+with zero-flux boundaries, the semi-classical map that stands in for them,
+and the spectral extinction criteria.  Ground states live on the unit ball
+and the sweeps run in one dimension, on [0, 1]: ``[problem] dimension`` and
+``radius`` do not reach this route.
+
+Two sweeps solve ground states: the sandwich scan measures lambda1(h)
+against the semi-classical value h^(-2) rho^(-1)(h^2), within a bracket
+C, and the mu-log sum takes mu_n at the weights 2^n a.  The criterion
+along alpha_n = n^(-K n) solves none: it reads mu_n off that map, one
+root per n in one lock-step solve, and decides on 10^4 condensed terms;
+the scan's C vouches for the map.
 
 ``ground_state`` takes ln h, so the potential exp(ln a - 2 ln h) is formed
 without h itself.  The operator is the solver's ``FluxOperator`` symmetrized
@@ -22,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SeriesDiagnosis, _diagnose_series
-from .profiles import PotentialField, RhoMap
+from .analysis import _tail_test
+from .profiles import PotentialField, RhoMap, solve_increasing
 from .profiles import build_rho_map  # noqa: F401  cmd_spectral calls it from here
 from .solver import FluxOperator, RadialGrid, lapack
 
@@ -206,11 +214,6 @@ def _ground_sweep(potential, log_hs, cells: int) -> list[GroundState]:
             for lh in log_hs]
 
 
-def _ground_values(potential, log_hs, cells: int) -> np.ndarray:
-    """Ground-state values at each ln h of ``log_hs``."""
-    return np.array([gs.value for gs in _ground_sweep(potential, log_hs, cells)])
-
-
 def mu_n_sequence(potential, n_max: int, cells: int) -> np.ndarray:
     """Ground states mu_n for the dyadically amplified weights 2^n a_0,
     that is at ln h = -(n/2) ln 2.  ln h keeps every weight in range, but
@@ -219,7 +222,8 @@ def mu_n_sequence(potential, n_max: int, cells: int) -> np.ndarray:
     """
     if n_max > 60:
         raise ValueError("n_max must be at most 60")
-    return _ground_values(potential, np.arange(n_max + 1) * (-0.5 * math.log(2.0)), cells)
+    log_hs = np.arange(n_max + 1) * (-0.5 * math.log(2.0))
+    return np.array([gs.value for gs in _ground_sweep(potential, log_hs, cells)])
 
 
 @dataclass(frozen=True)
@@ -284,26 +288,78 @@ def inverse_map_sandwich(potential: PotentialField, s_values, rho_map: RhoMap) -
     return int(np.count_nonzero((rinv < lower * (1 - 1e-9)) | (rinv > upper * (1 + 1e-9))))
 
 
+#: the criterion's condensed terms c_k = 2^k t_(2^k), k = 1.._CONDENSED_TERMS:
+#: at 10^3, (b - 1)/|drift| reads 7.1 on log-power beta = 1.1 and up to 4.2
+#: on the iterated-log family, too close to separate
+_CONDENSED_TERMS = 10_000
+#: the criterion's drift ratio for ``_tail_test``: at 10^4 condensed terms
+#: (b - 1) / |drift| is at least 39 on log-power beta >= 1.1 and at most 6.6
+#: on 1/(u ln(u)^gamma), gamma <= 3
+_DRIFT_RATIO = 16.0
+#: the widest sandwich bracket C (lambda1 within [1/C, C] times the map's
+#: value) at which the map stands in for the ground states
+_MAX_BRACKET = 10.0
+#: the map's roots are sought on [0, _U_SPAN times the largest target]: on
+#: power alpha they lie near 1/(2 - alpha) times their targets, so alpha up
+#: to about 1.999 is read; the shared grid of ``_map_roots`` makes a wide
+#: span cost no pass
+_U_SPAN = 1024.0
+
+
 @dataclass(frozen=True)
 class CriterionReport:
-    n: np.ndarray
-    mu: np.ndarray
-    terms: np.ndarray
-    flagged: np.ndarray          # mu <= 1: excluded from the sum
-    diagnosis: SeriesDiagnosis
+    n: np.ndarray            # the direct rows n_min..n_max
+    u: np.ndarray            # u*_n = ln(1/r) at the map's root; 0 where flagged
+    mu: np.ndarray           # exp(2 u*_n)
+    terms: np.ndarray        # t_n, 0 where flagged
+    flagged: np.ndarray      # no root in (0, u_max]: mu <= 1, or past the span
+    exponent: float | None   # b of the condensed terms c_k ~ u*_k^(-b); None if clipped
+    drift: float | None
+    verdict: str
 
-    @property
-    def verdict(self) -> str:
-        return self.diagnosis.verdict
+
+def _map_roots(omega, log_targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u*, clipped): the roots in u of ln(omega(e^-u) e^(2u) + 2u) = each
+    target, by one lock-step ``solve_increasing`` call on [0, u_max],
+    u_max = _U_SPAN times the largest target; the map's value comes from
+    ln omega alone, so it neither overflows nor underflows at any depth.
+    The first halvings of [0, u_max], which a bisection would repeat target
+    by target, are taken once: each target starts from the cell of the grid
+    0, u_max 2^-j (j = 40..0) where the map's running maximum first reaches
+    it, and wherever the map is monotone in floating point its root is the
+    one a bisection of [0, u_max] finds.  A target at or below the map at
+    u = 0 gets u* = 0; one above every grid value is clipped to u_max."""
+    def g(u):
+        with np.errstate(divide="ignore"):   # ln(2u) at u = 0
+            return np.logaddexp(omega.log_omega(u) + 2.0 * u, np.log(2.0 * u))
+
+    u_max = _U_SPAN * max(float(np.max(log_targets)), 1.0)
+    grid = np.append(0.0, u_max * 2.0 ** -np.arange(40.0, -1.0, -1.0))
+    cell = np.searchsorted(np.maximum.accumulate(g(grid)), log_targets)
+    clipped = cell == grid.size
+    live = (cell > 0) & ~clipped
+    u = np.where(clipped, u_max, 0.0)
+    u[live] = solve_increasing(g, log_targets[live], grid[cell[live] - 1], grid[cell[live]])
+    return u, clipped
 
 
-def spectral_criterion_series(potential, K: float, q: float, n_range: tuple[int, int],
-                              cells: int) -> CriterionReport:
-    """Spectral extinction criterion along alpha_n = n^(-K n).
+def spectral_criterion_series(potential: PotentialField, K: float, q: float,
+                              n_range: tuple[int, int], bracket: float | None) -> CriterionReport:
+    """Spectral extinction criterion along alpha_n = n^(-K n), through the
+    semi-classical map lambda1(h) ~ h^(-2) rho^(-1)(h^2).
 
-    Each term is (1/mu(alpha_n)) (ln mu + ln(alpha_n/alpha_{n+1}) + 1), with
-    the logarithmic increment evaluated exactly; terms with mu <= 1 carry a
-    meaningless logarithm and are flagged out of the sum.
+    At ln h = (1 - q)/2 ln alpha_n the well's radius r = e^(-u) solves
+    omega(e^-u) e^(2u) + 2u = Lambda_n + ln d0, Lambda_n = -2 ln h =
+    (1 - q) K n ln n, and mu_n = e^(2u*).  Each term is
+    t_n = (ln mu_n + ln(alpha_n/alpha_(n+1)) + 1) / mu_n, with
+    ln(alpha_n/alpha_(n+1)) = K (ln n + (n + 1) ln(1 + 1/n)).  The direct
+    rows n_min..n_max are reported, flagged with term 0 where the map has
+    no root above u = 0 (mu <= 1) or is clipped.  The verdict is
+    ``_tail_test`` on the condensed terms c_k = 2^k t_(2^k),
+    k = 1.._CONDENSED_TERMS, taken in ln n = k ln 2 and solved with the
+    direct rows, against ln u*_k; it is inconclusive when a condensed root
+    is clipped (b is then None), and when the sandwich ``bracket`` C is
+    None (no rho map) or exceeds _MAX_BRACKET.
     """
     if K <= 0:
         raise ValueError("K must be positive")
@@ -311,13 +367,29 @@ def spectral_criterion_series(potential, K: float, q: float, n_range: tuple[int,
     if n0 < 2:
         raise ValueError("the sequence is decreasing from n = 2 on")
     ns = np.arange(n0, n1 + 1, dtype=float)
-    log_alpha = -K * ns * np.log(ns)
-    log_ratio = K * ((ns + 1) * np.log(ns + 1) - ns * np.log(ns))
-    mus = _ground_values(potential, (1.0 - q) / 2.0 * log_alpha, cells)
-    flagged = mus <= 1.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        addends = np.stack([np.log(mus), log_ratio, np.ones_like(ns)], axis=1)
-        terms = np.where(~flagged, np.nansum(addends, axis=1) / mus, 0.0)
-    used = ~flagged & (terms > 0)
-    diag = _diagnose_series(ns[used], terms[used], rejected=int(flagged.sum()))
-    return CriterionReport(ns, mus, terms, flagged, diag)
+    ln_n = np.concatenate([np.log(ns), np.arange(1, _CONDENSED_TERMS + 1) * math.log(2.0)])
+    log_lam = math.log((1.0 - q) * K) + ln_n + np.log(ln_n)
+    with np.errstate(over="ignore", divide="ignore"):
+        # ln(Lambda_n + ln d0): ln d0 / Lambda_n is 0 where Lambda_n overflows,
+        # and the target -inf where Lambda_n + ln d0 <= 0
+        targets = log_lam + np.log1p(np.maximum(math.log(potential.d0) / np.exp(log_lam), -1.0))
+    u, clipped = _map_roots(potential.omega, targets)
+    x = np.exp(-ln_n)   # 1/n, 0 past underflow, where (n + 1) ln(1 + 1/n) is 1
+    log_ratio = K * (ln_n + (1.0 + x) * np.divide(np.log1p(x), x, out=np.ones_like(x),
+                                                   where=x > 0))
+    log_t = np.log(2.0 * u + log_ratio + 1.0) - 2.0 * u
+
+    direct = slice(None, ns.size)
+    flagged = (u[direct] == 0.0) | clipped[direct]
+    with np.errstate(over="ignore"):   # a clipped row's mu
+        mu = np.exp(2.0 * u[direct])
+    terms = np.where(flagged, 0.0, np.exp(log_t[direct]))
+    deep = slice(ns.size, None)
+    if clipped[deep].any():
+        b = drift = None
+        verdict = "inconclusive"
+    else:
+        b, drift, verdict = _tail_test(u[deep], ln_n[deep] + log_t[deep], _DRIFT_RATIO)
+    if bracket is None or bracket > _MAX_BRACKET:
+        verdict = "inconclusive"
+    return CriterionReport(ns, u[direct], mu, terms, flagged, b, drift, verdict)

@@ -376,7 +376,7 @@ def dini_series_bracket(omega) -> tuple[float, float]:
     head = math.fsum(omega.omega((n * np.log(n)) ** -0.5) / n)
     v0, v1 = 20 * math.log(2.0), 1000 * math.log(2.0)
     def omega_of_v(v):
-        return math.exp(omega.log_omega(0.5 * (v + math.log(v)))[0])
+        return math.exp(float(omega.log_omega(0.5 * (v + math.log(v)))))
 
     tail, err = quad(omega_of_v, v0, v1, limit=200, epsabs=1e-13, epsrel=1e-12)
     first = omega_of_v(v0) / 2.0**20

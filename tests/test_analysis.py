@@ -114,10 +114,10 @@ def _one_shot_series(profile):
     the fit window's halves from the oracle slope, and the verdict from the
     band and its direction guard."""
     n = np.arange(2.0, 2.0**analysis._DIRECT_BITS)
-    head = float(np.sum(np.exp(profile.log_omega(0.5 * np.log(n * np.log(n)))[0]) / n))
+    head = float(np.sum(np.exp(profile.log_omega(0.5 * np.log(n * np.log(n)))) / n))
     k_ln2 = np.arange(1, analysis._CONDENSED_TERMS + 1) * math.log(2.0)
     u = 0.5 * (k_ln2 + np.log(k_ln2))
-    c = np.exp(profile.log_omega(u)[0])
+    c = np.exp(profile.log_omega(u))
     low = 0.5 * np.sum(c[analysis._DIRECT_BITS:])
     high = np.sum(c[analysis._DIRECT_BITS - 1:-1])
     x, y = _fit_window(profile)

@@ -45,8 +45,9 @@ def traced(tracer, command: str, cfg: Path, out: Path) -> tuple[int, dict]:
 def test_traced_verify_counts_ground_states_and_rounds(tracer, tmp_path):
     code, m = traced(tracer, "verify", BENCH / "workloads" / "verify.ini", tmp_path / "o")
     assert code == 0
-    # 7 scan points, mu_0..mu_20 and the criterion's n = 2..40
-    assert m["spectral.ground_state.calls"] == 67
+    # 7 scan points and mu_0..mu_20; the criterion reads the semi-classical
+    # map and solves no ground state
+    assert m["spectral.ground_state.calls"] == 28
     assert m["spectral.ground_state.iterations"] >= m["spectral.ground_state.calls"] \
         - m["spectral.ground_state.fallbacks"]
     assert m["odi.rounds"] > 0
@@ -54,11 +55,12 @@ def test_traced_verify_counts_ground_states_and_rounds(tracer, tmp_path):
     # the 200 rounds' radii are solved in lock-step chunks of 32, 64 and
     # 104 levels; the curve solves none
     assert m["odi.solve_extinction_radius.calls"] == 3
-    # one knee probe per sweep, one rho^-1 solve per scan and one call per
-    # pass of each curve root solve, with each bracket end evaluated once;
-    # the rounds' map and the ramp read OmegaProfile.log_omega, not omega: a
-    # further evaluation of any map outside the root finder moves the count
-    assert m["profiles.omega.calls"] == 168
+    # one knee probe per sweep, ln a on each ground state's mesh, one rho^-1
+    # solve per scan and one call per pass of each curve root solve, with
+    # each bracket end evaluated once; the rounds' map, the ramp and the
+    # criterion's map read OmegaProfile.log_omega, not omega: a further
+    # evaluation of any map outside the root finder moves the count
+    assert m["profiles.omega.calls"] == 128
     assert m["solver.run.steps"] == 0
 
 

@@ -562,9 +562,15 @@ class TestVerify:
         assert summary["results"]["coherent"] is True
         assert set(summary["results"]["exit_codes"].values()) == {0}
 
-    def test_spectral_contradicting_dini_is_incoherent(self, tmp_path):
-        # constant omega: the dini series diverges, the short spectral
-        # criterion converges; all three subcommands exit 1
+    def test_spectral_contradicting_dini_is_incoherent(self, tmp_path, monkeypatch):
+        # constant omega: the dini series diverges, and a spectral criterion
+        # turned to convergent contradicts it; all three subcommands exit 1
+        import dataclasses
+
+        import extinctlab.cli as cli
+        real = cli.spectral_criterion_series
+        monkeypatch.setattr(cli, "spectral_criterion_series", lambda *args, **kwargs:
+                            dataclasses.replace(real(*args, **kwargs), verdict="convergent"))
         cfg = write_config(tmp_path, CONSTANT + "\n[problem]\nq = 0.5\n"
                            + "\n[odi]\ny0 = 1e-4\n" + SPECTRAL_SMALL)
         out = tmp_path / "o"
@@ -599,7 +605,9 @@ class TestVerify:
         assert read and not [f for f in read if "summary_" in f]
 
     def test_inconclusive_criterion_does_not_contradict_dini(self, tmp_path):
-        assert run_with(tmp_path, "verify", [("spectral", "n_max", "2")]) == 1
+        # log-power beta = 1 sits on the harmonic boundary: the criterion reads
+        # b = 1.003, inside the band, where dini says divergent
+        assert run_with(tmp_path, "verify", [("profile", "beta", "1.0")]) == 1
         out = tmp_path / "o"
         spectral = json.loads((out / "summary_spectral.json").read_text())
         assert spectral["results"]["consistent_with_dini"] is None
@@ -850,8 +858,6 @@ class TestConfigValues:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value,series", [
-        ("n_max", "2", "spectral_criterion_verdict"),
-        ("n_max", "3", "spectral_criterion_verdict"),
         ("mu_n_max", "0", "mu_log_sum_verdict"),
         ("mu_n_max", "1", "mu_log_sum_verdict"),
     ])
@@ -860,6 +866,23 @@ class TestConfigValues:
         assert run_with(tmp_path, "spectral", [("spectral", key, value)]) == 2
         summary = json.loads((tmp_path / "o" / "summary_spectral.json").read_text())
         assert summary["results"][series] == "inconclusive"
+
+    @pytest.mark.parametrize("n_min,n_max", [("2", "2"), ("2", "3"), ("5", "9")])
+    def test_criterion_rows_follow_n_min_and_n_max(self, tmp_path, n_min, n_max):
+        # n_min..n_max are the criterion's direct rows; its verdict comes from
+        # the condensed terms, which no [spectral] key but k moves.  At n = 2,
+        # Lambda_n = n ln n / 2 = 0.69 lies below the map's value 1 at u = 0:
+        # there is no root above u = 0, mu <= 1, and the row is flagged
+        assert run_with(tmp_path, "spectral", [("spectral", "n_min", n_min),
+                                               ("spectral", "n_max", n_max)]) == 0
+        out = tmp_path / "o"
+        rows = np.genfromtxt(out / "criterion_terms.csv", delimiter=",", names=True, ndmin=1)
+        assert rows["n"].tolist() == list(range(int(n_min), int(n_max) + 1))
+        assert np.array_equal(rows["flagged"], rows["n"] == 2)
+        assert np.all(rows["term"][rows["flagged"] == 1] == 0.0)
+        assert np.all(rows["mu"][rows["flagged"] == 0] > 1.0)
+        summary = json.loads((out / "summary_spectral.json").read_text())["results"]
+        assert summary["spectral_criterion_verdict"] == "convergent"
 
 
 class TestHygiene:

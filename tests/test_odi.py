@@ -493,7 +493,7 @@ def _sequential_rounds(config, max_rounds=200):
         target = math.log(config.c7 / (-log_level))
 
         def g(x):
-            return 2.0 * x - float(omega.log_omega(np.array([-x]))[0][0])
+            return 2.0 * x - float(omega.log_omega(np.array([-x]))[0])
 
         lo, hi = math.log(odi._TAU_FLOOR), math.log(config.tau_max)
         if g(lo) > target:

@@ -35,7 +35,7 @@ class TestConditions:
         rep = check_conditions(prof)
         assert passed(rep, "slope")
         s = np.geomspace(1e-6, 0.9, 50)
-        ratio = -prof.log_omega(-np.log(s))[1]   # s omega'/omega = -d ln omega/du
+        ratio = -prof.log_omega(-np.log(s), slope=True)[1]   # s omega'/omega = -d ln omega/du
         assert np.all(ratio == 1.0)
 
     def test_log_power_beta2_passes_everything(self):
@@ -216,7 +216,9 @@ class TestLogOmega:
     @pytest.mark.parametrize("prof, points", _PRIMITIVE_POINTS)
     def test_matches_closed_form(self, prof, points):
         u = np.array(points)
-        log_w, d = prof.log_omega(u)
+        log_w, d = prof.log_omega(u, slope=True)
+        # the derivative is computed on request only, and ln omega is the same
+        assert np.array_equal(prof.log_omega(u), log_w, equal_nan=True)
         for x, got_log_w, got_d in zip(points, log_w.tolist(), d.tolist()):
             want_log_w, want_d = (float(v) for v in _closed_form(prof, x))
             if math.isinf(want_log_w):
@@ -469,6 +471,24 @@ class TestSolveIncreasing:
         alone = [float(solve_increasing(g, [t], *bracket)[0]) for t in targets]
         assert together.tolist() == alone
 
+    @pytest.mark.parametrize("g, bracket, targets", _MONOTONE_MAPS)
+    def test_per_target_brackets_find_the_same_roots(self, g, bracket, targets):
+        # each target's own bracket, an adjacent pair of points of a grid
+        # across the shared one, holds its root: the final bracket is again
+        # adjacent with g < t below and g >= t above, and where g is monotone
+        # in floating point it is the shared bracket's (the README rho map
+        # is not, at the last bits: one of its 40 roots moves 2 ulps)
+        lo, hi = bracket
+        shared = solve_increasing(g, targets, lo, hi)
+        grid = np.linspace(lo, hi, 17)
+        cell = np.clip(np.searchsorted(grid, shared), 1, grid.size - 1)
+        own = solve_increasing(g, targets, grid[cell - 1], grid[cell])
+        below = np.where(g(own) >= targets, np.nextafter(own, -np.inf), own)
+        assert np.all(g(below) < targets) and np.all(g(np.nextafter(below, np.inf)) >= targets)
+        assert np.all(np.abs(own - shared) <= 2 * np.spacing(np.abs(shared)))
+        moved = np.count_nonzero(own != shared)
+        assert moved == (1 if g is _readme_rho_g else 0)
+
     def test_shape_and_no_targets(self):
         assert solve_increasing(np.exp, np.ones((2, 3)), -1.0, 1.0).shape == (2, 3)
         calls = []
@@ -543,7 +563,7 @@ class TestTableProfile:
         mid = np.geomspace(2e-4, 0.8, 40)
         assert np.allclose(prof.omega(mid), mid, rtol=5e-3)
         # omega' = -omega (d ln omega/du) / s
-        assert np.allclose(-prof.omega(mid) * prof.log_omega(-np.log(mid))[1] / mid, 1.0,
+        assert np.allclose(-prof.omega(mid) * prof.log_omega(-np.log(mid), slope=True)[1] / mid, 1.0,
                            rtol=5e-2)
 
     def test_edge_values(self):
@@ -552,8 +572,8 @@ class TestTableProfile:
         falling = OmegaProfile.from_table([1e-3, 0.5], [0.1, 0.5])
         flat = OmegaProfile.from_table([1e-3, 1e-2, 0.5], [0.2, 0.2, 0.5])
         u = np.array([np.nan, np.inf])
-        assert np.array_equal(falling.log_omega(u)[0], [np.nan, -np.inf], equal_nan=True)
-        assert np.array_equal(flat.log_omega(u)[0], [np.nan, math.log(0.2)], equal_nan=True)
+        assert np.array_equal(falling.log_omega(u), [np.nan, -np.inf], equal_nan=True)
+        assert np.array_equal(flat.log_omega(u), [np.nan, math.log(0.2)], equal_nan=True)
         assert flat.omega(0.0) == 0.2 and falling.omega(0.0) == 0.0
 
     def test_bad_tables_rejected(self):

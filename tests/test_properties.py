@@ -2,8 +2,9 @@
 log-space quadrature rule against a high-precision oracle, ground states
 against a full-precision reference and their monotonicity in h, the tail
 fits' least-squares slope against a 50-digit one, the Dini integral
-against its closed forms, the Dini verdicts on either side of beta = 1 and
-on an iterated-log family, and log-power omega's elements against the same
+against its closed forms, the Dini and spectral-criterion verdicts on
+either side of beta = 1 and on an iterated-log family, and log-power
+omega's elements against the same
 s evaluated alone, bit for bit.
 
 Every test is derandomized and keeps no example database, so the suite runs
@@ -171,12 +172,13 @@ def criterion_potentials(draw, alpha_max=1.9):
 
 
 class TestGroundStateInH:
-    """lambda1(h) is nonincreasing in h.  The criterion samples it at
-    ln h = (1 - q)/2 ln alpha_n, alpha_n = n^(-n) (q = 1/2, K = 1), so mu
-    must not decrease in n.  Deep in n the potential clamps at exp(700) on
-    most of the mesh; an iteration that took its convergence floor from
-    max |diag| (about 1e304 there) accepted its first iterate, about 20%
-    high, and broke both properties."""
+    """lambda1(h) is nonincreasing in h, sampled at the criterion's
+    ln h = (1 - q)/2 ln alpha_n, alpha_n = n^(-n) (q = 1/2, K = 1).  Deep in
+    n the potential clamps at exp(700) on most of the mesh; an iteration
+    that took its convergence floor from max |diag| (about 1e304 there)
+    accepted its first iterate, about 20% high.  The criterion itself reads
+    mu_n off the semi-classical map, whose mu_n must not decrease in n
+    either."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=25)
     @given(criterion_potentials(alpha_max=1.6), st.integers(2, 40))
@@ -195,7 +197,7 @@ class TestGroundStateInH:
     @given(criterion_potentials())
     def test_criterion_mu_nondecreasing_in_n(self, potential):
         mu = spectral_criterion_series(potential, K=1.0, q=0.5, n_range=(2, 40),
-                                        cells=2000).mu
+                                       bracket=1.0).mu
         assert np.all(np.diff(mu) >= 0.0)
 
 
@@ -278,14 +280,12 @@ class IteratedLog:
         self.gamma = gamma
 
     def log_omega(self, u):
-        v = np.maximum(np.asarray(u, dtype=float), math.e)
-        ln_v = np.log(v)
-        return (-ln_v - self.gamma * np.log(ln_v),
-                np.where(v > math.e, -(1.0 + self.gamma / ln_v) / v, 0.0))
+        ln_v = np.log(np.maximum(np.asarray(u, dtype=float), math.e))
+        return -ln_v - self.gamma * np.log(ln_v)
 
     def omega(self, s):
         with np.errstate(divide="ignore"):
-            return np.exp(self.log_omega(-np.log(np.asarray(s, dtype=float)))[0])
+            return np.exp(self.log_omega(-np.log(np.asarray(s, dtype=float))))
 
 
 class TestDiniVerdicts:
@@ -319,6 +319,35 @@ class TestDiniVerdicts:
     def test_iterated_log_verdicts_follow_the_integral(self, gamma):
         verdicts = dini_verdicts(IteratedLog(gamma))
         assert "convergent" not in verdicts if gamma <= 1.0 else "divergent" not in verdicts
+
+
+def criterion_verdict(omega):
+    """The spectral criterion's verdict on omega at q = 1/2, K = 1, d0 = 1,
+    with a sandwich bracket C = 1 vouching for the map."""
+    return spectral_criterion_series(PotentialField(1.0, omega), K=1.0, q=0.5,
+                                     n_range=(2, 40), bracket=1.0).verdict
+
+
+class TestCriterionVerdicts:
+    """The spectral criterion, read through the semi-classical map, on the
+    families of TestDiniVerdicts: it never says convergent where the Dini
+    integral diverges, and never divergent on log-power beta >= 1.1, where
+    it converges.  Its b drifts on every profile, so these cases rest on its
+    drift ratio: (b - 1)/|drift| is at least 39 on the log-power side and at
+    most 6.6 on the iterated-log family."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=10)
+    @given(st.floats(0.0, 3.0))
+    @example(1.0)   # the largest gamma whose integral diverges
+    def test_iterated_log_never_contradicts_the_integral(self, gamma):
+        verdict = criterion_verdict(IteratedLog(gamma))
+        assert verdict != ("convergent" if gamma <= 1.0 else "divergent")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=8)
+    @given(st.floats(1.1, 4.0))
+    @example(1.1)
+    def test_convergent_from_one_point_one(self, beta):
+        assert criterion_verdict(OmegaProfile.log_power(beta)) == "convergent"
 
 
 # s in (0, 1) near both ends, and every s outside it that log-power omega

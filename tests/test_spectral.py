@@ -285,6 +285,9 @@ class TestInverseMapSandwich:
 
 
 class TestSpectralCriterion:
+    """The criterion reads mu_n off the semi-classical map and decides on
+    its condensed terms."""
+
     def test_log_ratio_identity(self):
         # ln(alpha_n / alpha_{n+1}) for alpha_n = n^(-Kn), against direct logs
         K = 1.3
@@ -294,26 +297,73 @@ class TestSpectralCriterion:
         assert np.allclose(exact, -direct, rtol=1e-13)
 
     def test_constant_potential_closed_form_mu(self):
-        # a = 1, q = 1/2: mu(alpha_n) = alpha_n^(-1/2) = n^(Kn/2)
-        crit = spectral_criterion_series(ConstantPotential(1.0), K=1.0, q=0.5,
-                                n_range=(2, 12), cells=200)
-        expect = np.exp(0.5 * crit.n * np.log(crit.n))   # alpha_n^(-1/2), K = 1
-        assert np.allclose(crit.mu, expect, rtol=1e-8)
-        assert crit.verdict == "convergent"
+        # constant omega: omega0 e^(2u) + 2u = Lambda + ln d0 gives
+        # mu = e^(2u*) = W(omega0 d0 e^Lambda) / omega0, W the Lambert
+        # function, and mu <= 1 (flagged) exactly where that is <= 1
+        import mpmath
+        for omega0, d0 in [(1.0, 1.0), (0.3, 5.0)]:
+            pot = PotentialField(d0, OmegaProfile.constant(omega0=omega0))
+            crit = spectral_criterion_series(pot, K=1.0, q=0.5, n_range=(2, 60), bracket=1.0)
+            with mpmath.workdps(50):
+                expect = np.array([float(mpmath.lambertw(omega0 * d0 * mpmath.exp(
+                    0.5 * n * mpmath.log(n))).real / omega0) for n in crit.n.tolist()])
+            assert np.array_equal(crit.flagged, expect <= 1.0)
+            ok = ~crit.flagged
+            assert np.allclose(crit.mu[ok], expect[ok], rtol=1e-13, atol=0.0)
+            assert np.all(crit.mu[crit.flagged] == 1.0)
+            assert np.all(crit.terms[crit.flagged] == 0.0)
+            # ln mu_n ~ ln Lambda_n: the condensed terms flatten, b ~ 0
+            assert crit.verdict == "divergent" and abs(crit.exponent) < 0.01
 
     def test_dini_profile_convergent(self, beta2_potential):
         crit = spectral_criterion_series(beta2_potential, K=1.0, q=0.5,
-                                n_range=(2, 40), cells=2000)
+                                         n_range=(2, 40), bracket=1.0)
         assert crit.verdict == "convergent"
+        assert crit.exponent == pytest.approx(2.0, abs=0.01) and crit.drift < 0
         assert np.all(crit.terms[crit.flagged] == 0.0)
+
+    def test_deep_terms_in_one_lock_step_solve(self, beta2_potential, monkeypatch):
+        # the direct rows and the 10^4 condensed terms, to n = 2^10000, are
+        # the targets of one solve; no root is clipped and none overflows
+        import extinctlab.spectral as spectral
+        real, solves = spectral.solve_increasing, []
+        monkeypatch.setattr(spectral, "solve_increasing", lambda g, t, lo, hi: (
+            solves.append(np.size(t)) or real(g, t, lo, hi)))
+        crit = spectral_criterion_series(beta2_potential, K=1.0, q=0.5,
+                                         n_range=(2, 40), bracket=1.0)
+        # n = 2 is flagged, as a direct row and as the condensed k = 1
+        assert solves == [38 + spectral._CONDENSED_TERMS - 1]
+        assert np.all(np.isfinite(crit.mu)) and crit.flagged.tolist() == [True] + [False] * 38
+
+    @pytest.mark.parametrize("bracket,verdict", [
+        (1.0, "convergent"), (10.0, "convergent"), (10.5, "inconclusive"),
+        (None, "inconclusive"),
+    ])
+    def test_sandwich_bracket_gates_the_verdict(self, beta2_potential, bracket, verdict):
+        # the map stands in for the ground states only while the sandwich
+        # scan brackets lambda1 within a factor C <= 10 of it; no rho map
+        # (None) vouches for nothing
+        crit = spectral_criterion_series(beta2_potential, K=1.0, q=0.5,
+                                         n_range=(2, 40), bracket=bracket)
+        assert crit.verdict == verdict
+        assert crit.exponent == pytest.approx(2.0, abs=0.01)
+
+    def test_roots_past_the_span_inconclusive(self):
+        # power alpha = 1.9995: omega e^(2u) = e^(0.0005 u), so the deep roots
+        # lie near 2000 times their targets, past the span of 1024
+        pot = PotentialField(1.0, OmegaProfile.power(1.9995))
+        crit = spectral_criterion_series(pot, K=1.0, q=0.5, n_range=(2, 40), bracket=1.0)
+        assert crit.verdict == "inconclusive"
+        assert crit.exponent is None and crit.drift is None
+        assert np.all(np.isfinite(crit.mu))
 
     def test_validation(self, beta2_potential):
         with pytest.raises(ValueError):
             spectral_criterion_series(beta2_potential, K=-1.0, q=0.5, n_range=(2, 40),
-                                      cells=2000)
+                                      bracket=1.0)
         with pytest.raises(ValueError):
             spectral_criterion_series(beta2_potential, K=1.0, q=0.5, n_range=(1, 10),
-                                      cells=2000)
+                                      bracket=1.0)
 
 
 class TestKneeRefinement:
@@ -329,9 +379,9 @@ class TestKneeRefinement:
 
 
 class TestSweeps:
-    """The mu_n sequence, the criterion and the scan evaluate ln a on the
-    knee probe once per sweep; each of their ground states must equal the
-    one a lone call computes, probe and all."""
+    """The mu_n sequence and the scan evaluate ln a on the knee probe once
+    per sweep; each of their ground states must equal the one a lone call
+    computes, probe and all."""
 
     @pytest.mark.parametrize("prof", [OmegaProfile.log_power(2.0), OmegaProfile.power(1.5),
                                       OmegaProfile.constant(omega0=1.0)], ids=lambda p: p.kind)
@@ -348,10 +398,9 @@ class TestSweeps:
 
         monkeypatch.setattr(spectral, "ground_state", recording)
         mu_n_sequence(potential, n_max=4, cells=200)
-        spectral_criterion_series(potential, K=1.0, q=0.5, n_range=(2, 6), cells=300)
         eigenvalue_sandwich_scan(potential, np.geomspace(1e-3, 1e-1, 4),
                                  build_rho_map(potential), cells=400)
-        assert len(solved) == 5 + 5 + 4
+        assert len(solved) == 5 + 4
         for log_h, cells, gs in solved:
             lone = real(potential, log_h, cells=cells)
             assert (lone.value, lone.residual, lone.iterations) == \

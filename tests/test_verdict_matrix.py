@@ -47,21 +47,15 @@ EXPECTED = {
     "table-log-power-0.5": (D, D, D, D, D, 0),
 }
 
-_ITEM_2 = ("ROADMAP item 2: the spectral criterion says convergent on 39 terms "
-           "of a mesh not converged in n")
-_ITEM_2_VERIFY = "ROADMAP item 2: verify exits 1 on the spectral criterion's wrong verdict"
+_ITEM_16 = ("ROADMAP item 16: on the harmonic boundary the criterion's condensed "
+            "terms read b = 1.003, inside the band: inconclusive, not divergent")
+_ITEM_16_VERIFY = "ROADMAP item 16: verify exits 1 on the spectral criterion's inconclusive"
 _ITEM_3 = "ROADMAP item 3: the bound copies the Dini verdict; the rounds do not decide"
 
 #: the cells wrong today, each with the reason its strict xfail gives
 WRONG_TODAY = {
-    ("log-power-0.5", "criterion"): _ITEM_2,
-    ("log-power-1", "criterion"): _ITEM_2,
-    ("constant", "criterion"): _ITEM_2,
-    ("log-power-0.5", "verify"): _ITEM_2_VERIFY,
-    ("log-power-1", "verify"): _ITEM_2_VERIFY,
-    ("constant", "verify"): _ITEM_2_VERIFY,
-    ("table-log-power-0.5", "criterion"): _ITEM_2,
-    ("table-log-power-0.5", "verify"): _ITEM_2_VERIFY,
+    ("log-power-1", "criterion"): _ITEM_16,
+    ("log-power-1", "verify"): _ITEM_16_VERIFY,
 }
 
 
@@ -150,3 +144,12 @@ def test_bound_can_disagree_with_dini(forced_bounds, row):
     # inconclusive
     forced, results = forced_bounds[row]
     assert results["verdict"] != forced
+
+
+def test_criterion_agrees_with_dini_or_abstains(cli_runs):
+    # the criterion decides through the semi-classical map, on its own; on
+    # every row it says what the Dini series says, or inconclusive
+    for row in EXPECTED:
+        results = cli_runs[row].results
+        assert results["spectral"]["spectral_criterion_verdict"] in (
+            results["dini"]["series_verdict"], "inconclusive"), row

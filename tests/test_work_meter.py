@@ -1,7 +1,7 @@
 """A deterministic work meter on the README config: how many times each
-root solve calls its map, and how many factorizations each ground state
-makes.  A slide back to bisection, or a back-off loop in the ground
-states, fails here without any timing."""
+root solve calls its map (the spectral criterion's included), and how many
+factorizations each ground state makes.  A slide back to bisection, or a
+back-off loop in the ground states, fails here without any timing."""
 
 import numpy as np
 import pytest
@@ -36,6 +36,7 @@ def readme_verify_work(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(profiles, "solve_increasing", solve)
         mp.setattr(odi, "solve_increasing", solve)
+        mp.setattr(spectral, "solve_increasing", solve)
         mp.setattr(lapack(), "dpttrf", dpttrf)
         mp.setattr(spectral, "ground_state", ground_state)
         run = run_cli(tmp_path_factory.mktemp("meter"), {}, ("verify",))
@@ -49,6 +50,10 @@ def test_map_calls_per_root_solve(readme_verify_work):
     # and 61, 53 and 62 for the curve
     assert solves == [
         (7, 13), (100, 15),               # rho^-1: the scan, the inverse sandwich
+        # the criterion's map: n = 3..40 and the condensed k = 2..10^4 in one
+        # solve (n = 2 lies below the map's value at u = 0), each from its
+        # cell of the shared grid u_max 2^-j; from [0, u_max] it took 32
+        (10037, 20),
         (32, 20), (64, 14), (104, 12),    # the rounds' radii, chunk by chunk
         (1, 18), (1, 14), (1, 18),        # tau', tau'' and the direct tau'''
     ]
@@ -56,6 +61,6 @@ def test_map_calls_per_root_solve(readme_verify_work):
 
 def test_factorizations_per_ground_state(readme_verify_work):
     _, factorizations = readme_verify_work
-    # 7 scan points, mu_0..mu_20 and the criterion's n = 2..40: the
-    # unshifted start and one Rayleigh shift each, none failed
-    assert factorizations == [2] * 67
+    # 7 scan points and mu_0..mu_20: the unshifted start and one Rayleigh
+    # shift each, none failed
+    assert factorizations == [2] * 28
