@@ -20,10 +20,11 @@ test still checks of it is computed in ``tests/oracles.py``.  The scan goes
 by name, so a field is missed when another one of its name is read.
 
 Imports: every name that a module imports is mentioned in that module,
-unless its line says ``# noqa: F401``.  No statement imports scipy, at
-module level or inside a function, so none runs as a module loads: LAPACK
-comes from ``solver.lapack``, the one definition that names its compiled
-module, which it loads from its file at the first factorization.
+unless its line says ``# noqa: F401``.  No module imports scipy as it
+loads, in its body, a class body or a module-level if or try.  No statement
+imports scipy inside a function either: LAPACK comes from ``solver.lapack``,
+the one definition that names its compiled module, which it loads from its
+file at the first factorization.
 
 Defaults: every parameter with a default is passed, by position or by
 keyword, by some call in ``src/`` of a function or method of its name; a
@@ -192,20 +193,53 @@ def test_every_import_is_used():
     assert not unused, "imported and never mentioned: " + ", ".join(unused)
 
 
+def _imports_scipy(node) -> bool:
+    """Whether ``node`` is an import statement of scipy or of one of its
+    modules."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        modules = [node.module]
+    else:
+        return False
+    return any(m.split(".")[0] == "scipy" for m in modules)
+
+
 def scipy_imports(text: str) -> list[int]:
     """Line of every statement, at any depth, that imports scipy or one of
     its modules."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(text))
+                  if _imports_scipy(node))
+
+
+def load_time_scipy_imports(text: str) -> list[int]:
+    """Line of every import of scipy that runs when the module loads: in
+    its body, a class body or a module-level if or try, not a function."""
     lines = []
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
-        else:
-            continue
-        if any(m.split(".")[0] == "scipy" for m in modules):
+    stack = list(ast.parse(text).body)
+    while stack:
+        node = stack.pop()
+        if _imports_scipy(node):
             lines.append(node.lineno)
+        elif not _is_def(node) and not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
     return sorted(lines)
+
+
+def test_load_time_scipy_imports_found():
+    text = ("import scipy\nfrom scipy.linalg import eigh\n"
+            "if True:\n    import scipy.linalg as la\n"
+            "class A:\n    from scipy import linalg\n"
+            "    def f(self):\n        from scipy.linalg import lapack\n"
+            "def g():\n    import scipy.interpolate\n"
+            "import numpy, scipy.special\nfrom . import scipy_like\n")
+    assert load_time_scipy_imports(text) == [1, 2, 4, 6, 11]
+
+
+def test_no_module_imports_scipy_as_it_loads():
+    found = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in load_time_scipy_imports(path.read_text())]
+    assert not found, "scipy imported at module load: " + ", ".join(found)
 
 
 def test_scipy_imports_found():
